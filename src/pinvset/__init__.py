@@ -15,35 +15,27 @@ from .geometry import (  # noqa: E402
     BoxList,
     CoverageClass,
     DimensionMismatchError,
-    box_contains_point,
     box_intersect,
     box_subtract,
-    box_volume,
     classify_coverage,
     rect_to_cubes,
     successor_box,
 )
 from .dataset import (  # noqa: E402
     Dataset,
-    SamplePair,
     SystemOracle,
     gen_dyadic_grid,
     gen_uniform,
     get_system,
     linear2d,
     load_dataset,
-    nearest,
     nonlinear2d,
     save_dataset,
 )
 from .tree import (  # noqa: E402
     Label,
     PartitionTree,
-    candidate_set,
-    divide_node,
-    leaves_active,
     new_tree,
-    set_label,
 )
 from .synthesis import (  # noqa: E402
     SynthConfig,

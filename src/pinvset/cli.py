@@ -89,7 +89,7 @@ def cmd_gen(args) -> int:
             raise UsageError("--map-table needs --lipschitz")
         domain = _parse_domain(args.domain)
         table = load_dataset(args.map_table)
-        oracle = tabulated_oracle(table.pairs, args.lipschitz, domain)
+        oracle = tabulated_oracle(table, args.lipschitz, domain)
     else:
         raise UsageError("pass --system or --map-table")
     if args.mode == "uniform":

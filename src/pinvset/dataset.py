@@ -1,20 +1,23 @@
 """Pre-collected state/successor data: ingestion, generation, NN queries.
 
-A dataset is an ordered list of (state, successor) pairs with an exact
-max-norm nearest-neighbor index over the states.  Exactness matters: the NN
-distance feeds directly into the certificate radii, so the index expands
-grid rings until no closer point can exist and breaks ties by lowest index.
+A dataset is two ``(M, n)`` float arrays, the states ``x`` and their
+successors ``x_plus``, with an exact max-norm nearest-neighbor index over
+the states (``scipy.spatial.cKDTree``).  Exactness matters: the NN distance
+feeds directly into the certificate radii, so ties are broken explicitly by
+lowest index rather than left to the tree's traversal order.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .geometry import (
     Box,
@@ -25,6 +28,9 @@ from .geometry import (
 )
 
 logger = logging.getLogger(__name__)
+
+# Body of a '#' comment line; comments may sit anywhere in a dataset CSV.
+_COMMENT = re.compile(r"^[^\S\n]*#(.*)", re.MULTILINE)
 
 
 class DatasetError(Exception):
@@ -43,61 +49,43 @@ class UnknownSystemError(DatasetError):
     """No builtin system registered under the requested name."""
 
 
-class SamplePair(NamedTuple):
-    x: Vec
-    x_plus: Vec
-
-
 @dataclass(frozen=True)
 class SystemOracle:
     """A named state-transition map with a max-norm Lipschitz bound.
 
-    ``step`` maps one state to its successor; ``step_many`` (optional) maps
-    an (N, n) array of states at once.  The Lipschitz bound is trusted
-    input, not estimated.
+    ``step`` maps an (N, n) array of states to the (N, n) array of their
+    successors.  The Lipschitz bound is trusted input, not estimated.
     """
 
     name: str
-    step: Callable[[Vec], Vec]
+    step: Callable[[np.ndarray], np.ndarray]
     lipschitz: float
     domain: BoxList
-    step_many: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x: Sequence[float]) -> Vec:
-        return tuple(float(v) for v in self.step(tuple(float(c) for c in x)))
+        return tuple(self.map_points([x])[0].tolist())
 
-    def map_points(self, pts: np.ndarray) -> np.ndarray:
-        if self.step_many is not None:
-            return np.asarray(self.step_many(np.asarray(pts, dtype=float)), dtype=float)
-        return np.array([self.step(tuple(p)) for p in np.asarray(pts, dtype=float)])
+    def map_points(self, pts) -> np.ndarray:
+        return np.asarray(self.step(np.asarray(pts, dtype=float)), dtype=float)
 
 
 def linear2d() -> SystemOracle:
-    a11, a12 = 0.2200, 0.4013
-    a21, a22 = -0.5364, 0.2109
+    a = np.array([[0.2200, 0.4013], [-0.5364, 0.2109]])
 
-    def step(x: Vec) -> Vec:
-        return (a11 * x[0] + a12 * x[1], a21 * x[0] + a22 * x[1])
-
-    def step_many(pts: np.ndarray) -> np.ndarray:
-        a = np.array([[a11, a12], [a21, a22]])
+    def step(pts: np.ndarray) -> np.ndarray:
         return pts @ a.T
 
     domain = BoxList((Box((0.375, -0.375), 0.625),))  # [-0.25,1] x [-1,0.25]
-    return SystemOracle("linear2d", step, 0.8225, domain, step_many)
+    return SystemOracle("linear2d", step, 0.8225, domain)
 
 
 def nonlinear2d() -> SystemOracle:
-    def step(x: Vec) -> Vec:
-        x1, x2 = x
-        return (0.5 * x1 - 0.7 * x2 * x2, 0.9 * x2 ** 3 + x1 * x2)
-
-    def step_many(pts: np.ndarray) -> np.ndarray:
+    def step(pts: np.ndarray) -> np.ndarray:
         x1, x2 = pts[:, 0], pts[:, 1]
         return np.column_stack((0.5 * x1 - 0.7 * x2 ** 2, 0.9 * x2 ** 3 + x1 * x2))
 
     domain = BoxList((Box((0.0, 0.0), 1.0),))  # [-1,1]^2
-    return SystemOracle("nonlinear2d", step, 5.728, domain, step_many)
+    return SystemOracle("nonlinear2d", step, 5.728, domain)
 
 
 SYSTEMS: dict[str, Callable[[], SystemOracle]] = {
@@ -116,157 +104,75 @@ def get_system(name: str) -> SystemOracle:
 
 
 def tabulated_oracle(
-    pairs: Sequence[SamplePair],
+    table: Dataset,
     lipschitz: float,
     domain: BoxList,
     name: str = "tabulated",
 ) -> SystemOracle:
     """Oracle backed by an explicit table; defined only at tabulated states."""
-    table = {p.x: p.x_plus for p in pairs}
 
-    def step(x: Vec) -> Vec:
-        try:
-            return table[x]
-        except KeyError:
-            raise DatasetError(f"state {x} is not tabulated") from None
+    def step(pts: np.ndarray) -> np.ndarray:
+        idx, dist = table.nearest(pts)
+        missing = np.flatnonzero(dist != 0.0)
+        if len(missing):
+            state = tuple(pts[missing[0]].tolist())
+            raise DatasetError(f"state {state} is not tabulated")
+        return table.x_plus[idx]
 
     return SystemOracle(name, step, lipschitz, domain)
 
 
 class Dataset:
-    """Ordered sample pairs with an exact max-norm NN index.
+    """Sample states ``x`` and successors ``x_plus`` with an exact max-norm
+    NN index.
 
-    The index buckets states into a uniform square grid and answers queries
-    by ring expansion: ring k is scanned while (k-1)*cell_width can still
-    hold a point at or under the best distance found, which also preserves
-    lowest-index tie-breaking.  A linear scan (``nearest_linear``) is kept
-    as the reference implementation.
+    ``nearest_linear`` is a linear scan kept as the reference
+    implementation.
     """
 
-    def __init__(self, pairs: Sequence[SamplePair], metadata: dict | None = None):
-        pairs = [SamplePair(tuple(map(float, p.x)), tuple(map(float, p.x_plus))) for p in pairs]
-        if not pairs:
+    def __init__(self, x, x_plus, metadata: dict | None = None):
+        x = np.array(x, dtype=float)
+        x_plus = np.array(x_plus, dtype=float)
+        if x.size == 0:
             raise EmptyDatasetError("dataset must contain at least one sample pair")
-        dim = len(pairs[0].x)
-        for j, p in enumerate(pairs):
-            if len(p.x) != dim or len(p.x_plus) != dim:
-                raise DimensionMismatchError(
-                    f"row {j} has dims ({len(p.x)}, {len(p.x_plus)}), expected {dim}"
-                )
-        self.pairs: list[SamplePair] = pairs
-        self.dim = dim
+        if x.ndim != 2 or x.shape != x_plus.shape:
+            raise DimensionMismatchError(
+                f"states {x.shape} and successors {x_plus.shape} must be equal (M, n) arrays"
+            )
+        self.x = x
+        self.x_plus = x_plus
+        self.dim = x.shape[1]
         self.metadata: dict = dict(metadata or {})
-        self._xs = np.array([p.x for p in pairs], dtype=float)
-        self._build_index()
+        self._index = cKDTree(x)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.x)
 
     @property
     def m(self) -> int:
-        return len(self.pairs)
+        return len(self.x)
 
-    def _build_index(self) -> None:
-        xs = self._xs
-        lo = xs.min(axis=0)
-        hi = xs.max(axis=0)
-        extent = float((hi - lo).max())
-        cells_per_dim = max(1, int(round(len(xs) ** (1.0 / self.dim))))
-        cell = extent / cells_per_dim if extent > 0 else 1.0
-        self._grid_lo = lo
-        self._cell = cell
-        keys = np.floor((xs - lo) / cell).astype(np.int64)
-        buckets: dict[tuple[int, ...], list[int]] = {}
-        for j, key in enumerate(map(tuple, keys)):
-            buckets.setdefault(key, []).append(j)
-        self._buckets = buckets
-        self._key_lo = tuple(int(v) for v in keys.min(axis=0))
-        self._key_hi = tuple(int(v) for v in keys.max(axis=0))
+    def nearest(self, qs) -> tuple[np.ndarray, np.ndarray]:
+        """Exact max-norm nearest neighbors of a (k, n) batch of queries.
 
-    def _ring_keys(self, center: tuple[int, ...], k: int):
-        n = self.dim
-        klo, khi = self._key_lo, self._key_hi
-        if k == 0:
-            if all(klo[d] <= center[d] <= khi[d] for d in range(n)):
-                yield center
-            return
-        # Cells at Chebyshev index-distance exactly k: for each dimension d,
-        # fix offset_d = +-k and let earlier dims range over [-k, k], later
-        # dims over [-(k-1), k-1] so no cell is produced twice.
-        for d in range(n):
-            for sign in (-k, k):
-                ranges = []
-                for j in range(n):
-                    if j == d:
-                        ranges.append((sign, sign))
-                    elif j < d:
-                        ranges.append((-k, k))
-                    else:
-                        ranges.append((-(k - 1), k - 1))
-                idx = []
-                for j, (a, b) in enumerate(ranges):
-                    a = max(a, klo[j] - center[j])
-                    b = min(b, khi[j] - center[j])
-                    if a > b:
-                        idx = None
-                        break
-                    idx.append(range(a, b + 1))
-                if idx is None:
-                    continue
-                cur = [r.start for r in idx]
-                while True:
-                    yield tuple(center[j] + cur[j] for j in range(n))
-                    j = n - 1
-                    while j >= 0:
-                        cur[j] += 1
-                        if cur[j] < idx[j].stop:
-                            break
-                        cur[j] = idx[j].start
-                        j -= 1
-                    if j < 0:
-                        break
-
-    def nearest(self, q: Sequence[float]) -> tuple[int, SamplePair, float]:
-        """Exact max-norm nearest neighbor, lowest index on ties."""
-        if len(q) != self.dim:
+        Returns the sample indices and distances, lowest index on ties.  The
+        two nearest distances expose a tie; a tied query then takes the
+        lowest index among every sample at exactly that distance.
+        """
+        qs = np.asarray(qs, dtype=float)
+        if qs.ndim != 2 or qs.shape[1] != self.dim:
             raise DimensionMismatchError(
-                f"query dim {len(q)} does not match dataset dim {self.dim}"
+                f"queries of shape {qs.shape} do not match dataset dim {self.dim}"
             )
-        q = tuple(float(v) for v in q)
-        cell = self._cell
-        center = tuple(
-            int(math.floor((q[d] - self._grid_lo[d]) / cell)) for d in range(self.dim)
-        )
-        best_d = math.inf
-        best_i = -1
-        xs = self.pairs
-        # Ring index beyond which every occupied cell has been visited.
-        max_ring = 0
-        for d in range(self.dim):
-            max_ring = max(
-                max_ring, center[d] - self._key_lo[d], self._key_hi[d] - center[d]
-            )
-        k = 0
-        while True:
-            if best_i >= 0 and (k - 1) * cell > best_d:
-                break
-            if k > max_ring:
-                break
-            for key in self._ring_keys(center, k):
-                for j in self._buckets.get(key, ()):
-                    x = xs[j].x
-                    d = 0.0
-                    for a, b in zip(q, x):
-                        v = a - b if a >= b else b - a
-                        if v > d:
-                            d = v
-                    if d < best_d or (d == best_d and j < best_i):
-                        best_d = d
-                        best_i = j
-            k += 1
-        return best_i, xs[best_i], best_d
+        dist, idx = self._index.query(qs, k=2, p=math.inf)
+        best, idx = dist[:, 0], idx[:, 0]
+        tied = np.flatnonzero(dist[:, 1] == best)
+        if len(tied):
+            balls = self._index.query_ball_point(qs[tied], best[tied], p=math.inf)
+            idx[tied] = [min(ball) for ball in balls]
+        return idx, best
 
-    def nearest_linear(self, q: Sequence[float]) -> tuple[int, SamplePair, float]:
+    def nearest_linear(self, q: Sequence[float]) -> tuple[int, float]:
         """Reference linear scan with the same exact tie rule."""
         if len(q) != self.dim:
             raise DimensionMismatchError(
@@ -274,16 +180,12 @@ class Dataset:
             )
         best_d = math.inf
         best_i = -1
-        for j, p in enumerate(self.pairs):
-            d = chebyshev(q, p.x)
+        for j, x in enumerate(self.x.tolist()):
+            d = chebyshev(q, x)
             if d < best_d:
                 best_d = d
                 best_i = j
-        return best_i, self.pairs[best_i], best_d
-
-
-def nearest(dataset: Dataset, q: Sequence[float]) -> tuple[int, SamplePair, float]:
-    return dataset.nearest(q)
+        return best_i, best_d
 
 
 def gen_uniform(
@@ -306,8 +208,6 @@ def gen_uniform(
         vols = np.array([b.volume() for b in domain])
         choice = rng.choice(len(rects), size=m, p=vols / vols.sum())
         pts = rng.uniform(los[choice], his[choice])
-    succ = oracle.map_points(pts)
-    pairs = [SamplePair(tuple(x), tuple(xp)) for x, xp in zip(pts, succ)]
     meta = {
         "system": oracle.name,
         "mode": "uniform",
@@ -315,7 +215,7 @@ def gen_uniform(
         "seed": seed,
         "lipschitz": oracle.lipschitz,
     }
-    return Dataset(pairs, meta)
+    return Dataset(pts, oracle.map_points(pts), meta)
 
 
 def dyadic_grid_points(domain: BoxList, tau: float) -> list[Vec]:
@@ -367,16 +267,15 @@ def gen_dyadic_grid(
     center, so partition radii collapse to the target radii.
     """
     domain = domain if domain is not None else oracle.domain
-    pts = dyadic_grid_points(domain, tau)
-    pairs = [SamplePair(x, oracle(x)) for x in pts]
+    pts = np.array(dyadic_grid_points(domain, tau))
     meta = {
         "system": oracle.name,
         "mode": "grid",
-        "m": len(pairs),
+        "m": len(pts),
         "tau": tau,
         "lipschitz": oracle.lipschitz,
     }
-    return Dataset(pairs, meta)
+    return Dataset(pts, oracle.map_points(pts), meta)
 
 
 def _parse_meta_value(raw: str):
@@ -387,6 +286,31 @@ def _parse_meta_value(raw: str):
     if v.is_integer() and ("." not in raw and "e" not in raw.lower()):
         return int(v)
     return v
+
+
+def _data_lines(lines: list[str]):
+    """(line number, stripped text) of every non-blank, non-comment line."""
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def _floats(line: str) -> list[float] | None:
+    try:
+        return [float(c) for c in line.split(",")]
+    except ValueError:
+        return None
+
+
+def _check_row(path: Path, lineno: int, line: str, cols: int) -> None:
+    values = _floats(line)
+    if values is None:
+        raise MalformedRowError(f"{path}:{lineno}: non-numeric cell in data row")
+    if len(values) != cols:
+        raise DimensionMismatchError(
+            f"{path}:{lineno}: {len(values)} columns, expected {cols}"
+        )
 
 
 def load_dataset(
@@ -403,61 +327,50 @@ def load_dataset(
     break the sample-count accounting).
     """
     path = Path(path)
-    pairs: list[SamplePair] = []
+    text = path.read_text(encoding="utf-8")
     metadata: dict = {}
-    rejected: list[int] = []
-    expected_cols = 2 * dim if dim is not None else None
-    header_allowed = True
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if "=" in token:
-                        k, _, v = token.partition("=")
-                        metadata[k.strip()] = _parse_meta_value(v.strip())
-                continue
-            cells = [c.strip() for c in line.split(",")]
-            try:
-                values = [float(c) for c in cells]
-            except ValueError:
-                if header_allowed:
-                    header_allowed = False
-                    continue
-                raise MalformedRowError(
-                    f"{path}:{lineno}: non-numeric cell in data row"
-                ) from None
-            header_allowed = False
-            if expected_cols is None:
-                if len(values) % 2 != 0:
-                    raise MalformedRowError(
-                        f"{path}:{lineno}: odd column count {len(values)}"
-                    )
-                expected_cols = len(values)
-            if len(values) != expected_cols:
-                raise DimensionMismatchError(
-                    f"{path}:{lineno}: {len(values)} columns, expected {expected_cols}"
-                )
-            n = expected_cols // 2
-            x = tuple(values[:n])
-            xp = tuple(values[n:])
-            if domain is not None and not domain.contains_point(x):
-                rejected.append(lineno)
-                continue
-            pairs.append(SamplePair(x, xp))
-    if rejected:
-        logger.warning(
-            "dropped %d out-of-domain rows from %s (lines %s%s)",
-            len(rejected),
-            path,
-            ", ".join(map(str, rejected[:10])),
-            ", ..." if len(rejected) > 10 else "",
-        )
-    if not pairs:
+    for comment in _COMMENT.findall(text):
+        for token in comment.split():
+            if "=" in token:
+                k, _, v = token.partition("=")
+                metadata[k.strip()] = _parse_meta_value(v.strip())
+    lines = text.splitlines()
+    data = _data_lines(lines)
+    skip = 0
+    first = next(data, None)
+    if first is not None and _floats(first[1]) is None:
+        skip, first = first[0], next(data, None)  # header row
+    if first is None:
         raise EmptyDatasetError(f"{path}: no data rows")
-    return Dataset(pairs, metadata)
+    lineno, line = first
+    cols = 2 * dim if dim is not None else line.count(",") + 1
+    if cols % 2 != 0:
+        raise MalformedRowError(f"{path}:{lineno}: odd column count {cols}")
+    _check_row(path, lineno, line, cols)
+    try:
+        rows = np.loadtxt(lines, delimiter=",", comments="#", skiprows=skip, ndmin=2)
+    except ValueError as exc:
+        for lineno, line in data:  # name the first offending line
+            _check_row(path, lineno, line, cols)
+        raise MalformedRowError(f"{path}: {exc}") from None
+    n = cols // 2
+    x, x_plus = rows[:, :n], rows[:, n:]
+    if domain is not None:
+        inside = np.array([domain.contains_point(p) for p in x.tolist()], dtype=bool)
+        if not inside.all():
+            linenos = [lineno for lineno, _ in _data_lines(lines) if lineno > skip]
+            rejected = [linenos[j] for j in np.flatnonzero(~inside)]
+            logger.warning(
+                "dropped %d out-of-domain rows from %s (lines %s%s)",
+                len(rejected),
+                path,
+                ", ".join(map(str, rejected[:10])),
+                ", ..." if len(rejected) > 10 else "",
+            )
+            if not inside.any():
+                raise EmptyDatasetError(f"{path}: no data rows")
+            x, x_plus = x[inside], x_plus[inside]
+    return Dataset(x, x_plus, metadata)
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -471,5 +384,5 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
             )
         header = [f"x{d + 1}" for d in range(n)] + [f"xp{d + 1}" for d in range(n)]
         fh.write(",".join(header) + "\n")
-        for p in dataset.pairs:
-            fh.write(",".join(repr(v) for v in (*p.x, *p.x_plus)) + "\n")
+        rows = np.hstack((dataset.x, dataset.x_plus)).tolist()
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 # Absolute slack for geometric comparisons.  Dyadic subdivision keeps tile
@@ -73,14 +74,6 @@ class Box:
             )
         r = self.radius + tol
         return all(abs(c - v) <= r for c, v in zip(self.center, y))
-
-
-def box_contains_point(b: Box, y: Sequence[float], tol: float = GEOM_TOL) -> bool:
-    return b.contains_point(y, tol)
-
-
-def box_volume(b: Box) -> float:
-    return b.volume()
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,36 +220,30 @@ def box_subtract(query: Box | Rect, cover: Box | Rect, tol: float = GEOM_TOL) ->
     return pieces
 
 
-def classify_coverage(
-    query: Box | Rect,
-    union: "CoverSource | BoxList | Iterable[Box]",
-    tol: float = GEOM_TOL,
-) -> CoverageClass:
-    """Exact three-way classification of a box against a union of boxes.
-
-    FULLY_COVERED: the query minus all cover boxes has zero volume.
-    DISJOINT: no cover box meets the query, not even along a boundary.
-    PARTIAL: otherwise.
-
-    A fragment that survives every remaining cover box settles the verdict
-    as PARTIAL immediately; running out of fragments settles FULLY_COVERED.
-    """
-    qlo, qhi = as_rect(query)
+def _covers(qlo: Vec, qhi: Vec, union, tol: float) -> list[Rect]:
+    """Cover rectangles meeting the query, from an ``overlapping`` index
+    (a ``BoxList`` or the partition tree) or by scanning boxes."""
     if hasattr(union, "overlapping"):
-        covers = union.overlapping(qlo, qhi, tol)
-    else:
-        covers = []
-        for b in union:
-            lo, hi = as_rect(b)
-            if len(lo) != len(qlo):
-                raise DimensionMismatchError(
-                    f"cover dim {len(lo)} does not match query dim {len(qlo)}"
-                )
-            if rects_intersect(lo, hi, qlo, qhi, tol):
-                covers.append((lo, hi))
-    if not covers:
-        return CoverageClass.DISJOINT
+        return union.overlapping(qlo, qhi, tol)
+    covers = []
+    for b in union:
+        lo, hi = as_rect(b)
+        if len(lo) != len(qlo):
+            raise DimensionMismatchError(
+                f"cover dim {len(lo)} does not match query dim {len(qlo)}"
+            )
+        if rects_intersect(lo, hi, qlo, qhi, tol):
+            covers.append((lo, hi))
+    return covers
 
+
+def _escaping(qlo: Vec, qhi: Vec, covers: list[Rect], tol: float) -> Iterator[Rect]:
+    """Fragments of the query that survive every cover, depth-first.
+
+    Each fragment meets the covers in list order and is cut only by the
+    next cover that removes volume from it, so a consumer that stops at the
+    first escaping fragment does no further subtraction.
+    """
     ncov = len(covers)
     stack: list[tuple[Vec, Vec, int]] = [(qlo, qhi, 0)]
     while stack:
@@ -267,39 +254,46 @@ def classify_coverage(
                 break
             i += 1
         else:
-            return CoverageClass.PARTIAL
+            yield flo, fhi
+            continue
         for piece in box_subtract((flo, fhi), covers[i], tol):
             stack.append((piece[0], piece[1], i + 1))
+
+
+def classify_coverage(
+    query: Box | Rect,
+    union: BoxList | Iterable[Box],
+    tol: float = GEOM_TOL,
+) -> CoverageClass:
+    """Exact three-way classification of a box against a union of boxes.
+
+    FULLY_COVERED: the query minus all cover boxes has zero volume.
+    DISJOINT: no cover box meets the query, not even along a boundary.
+    PARTIAL: otherwise.
+
+    The union is anything with an ``overlapping(qlo, qhi, tol)`` method, or
+    an iterable of boxes.  The first escaping fragment settles the verdict
+    as PARTIAL; running out of fragments settles FULLY_COVERED.
+    """
+    qlo, qhi = as_rect(query)
+    covers = _covers(qlo, qhi, union, tol)
+    if not covers:
+        return CoverageClass.DISJOINT
+    if next(_escaping(qlo, qhi, covers, tol), None) is not None:
+        return CoverageClass.PARTIAL
     return CoverageClass.FULLY_COVERED
 
 
 def uncovered_fragments(
     query: Box | Rect,
-    union: "CoverSource | BoxList | Iterable[Box]",
+    union: BoxList | Iterable[Box],
     tol: float = GEOM_TOL,
     limit: int | None = None,
 ) -> list[Rect]:
-    """Fragments of the query left uncovered by the union (possibly none)."""
+    """Fragments of the query left uncovered by the union (possibly none),
+    at most ``limit`` of them; the union is taken as in classify_coverage."""
     qlo, qhi = as_rect(query)
-    if hasattr(union, "overlapping"):
-        covers = union.overlapping(qlo, qhi, tol)
-    else:
-        covers = [
-            as_rect(b)
-            for b in union
-            if rects_intersect(*as_rect(b), qlo, qhi, tol)
-        ]
-    fragments: list[Rect] = [(qlo, qhi)]
-    for cover in covers:
-        nxt: list[Rect] = []
-        for frag in fragments:
-            nxt.extend(box_subtract(frag, cover, tol))
-        fragments = nxt
-        if not fragments:
-            break
-    if limit is not None:
-        return fragments[:limit]
-    return fragments
+    return list(islice(_escaping(qlo, qhi, _covers(qlo, qhi, union, tol), tol), limit))
 
 
 def successor_box(pair, r: float, lipschitz: float) -> Box:
@@ -365,14 +359,3 @@ def rect_to_cubes(lo: Sequence[float], hi: Sequence[float], tol: float = 1e-9) -
             break
     return BoxList(tuple(boxes))
 
-
-class CoverSource:
-    """Protocol for objects that can answer box-overlap queries.
-
-    Implementations return the cover rectangles intersecting the probe
-    rectangle (closed test).  The partition tree and the verifier's union
-    index both provide this interface; a plain BoxList answers by scan.
-    """
-
-    def overlapping(self, qlo: Vec, qhi: Vec, tol: float = GEOM_TOL) -> list[Rect]:
-        raise NotImplementedError

@@ -88,8 +88,7 @@ def _tree_to_dict(tree: PartitionTree) -> dict:
 
 def _tree_from_dict(d: dict) -> PartitionTree:
     tree = PartitionTree(int(d["dim"]))
-    count = len(d["parent"])
-    for i in range(count):
+    for i, parent in enumerate(d["parent"]):
         node = TreeNode(
             target_center=tuple(d["target_center"][i]),
             target_radius=float(d["target_radius"][i]),
@@ -97,27 +96,22 @@ def _tree_from_dict(d: dict) -> PartitionTree:
             sample_x=tuple(d["sample_x"][i]),
             sample_xp=tuple(d["sample_xp"][i]),
             radius=float(d["radius"][i]),
-            parent=int(d["parent"][i]),
+            parent=int(parent),
         )
         node.label = Label(int(d["label"][i]))
         tree.nodes.append(node)
-        if node.parent < 0:
+        if node.parent == -1:
             tree.roots.append(i)
+        elif 0 <= node.parent < i:
+            parent_node = tree.nodes[node.parent]
+            if parent_node.children is None:
+                parent_node.children = []
+            parent_node.children.append(i)
         else:
-            parent = tree.nodes[node.parent]
-            if parent.children is None:
-                parent.children = []
-            parent.children.append(i)
-    # Children precede nothing: parents always have smaller indices, so a
-    # reverse pass rebuilds the subtree counters bottom-up.
-    for i in range(count - 1, -1, -1):
-        node = tree.nodes[i]
-        if node.children is None:
-            node.n_leaves = 1
-            node.n_active = 1 if node.label is Label.INCLUDED else 0
-        else:
-            node.n_leaves = sum(tree.nodes[c].n_leaves for c in node.children)
-            node.n_active = sum(tree.nodes[c].n_active for c in node.children)
+            raise ResultFormatError(
+                f"node {i} has parent {node.parent}, which is not an earlier node"
+            )
+    tree.recount()
     return tree
 
 
@@ -190,7 +184,7 @@ def result_from_document(doc: dict) -> tuple[RunManifest, SynthResult, Certifica
             config=config,
         )
         certificate = _certificate_from_dict(doc.get("certificate"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ResultFormatError(f"malformed result document: {exc}") from exc
     return manifest, result, certificate
 

@@ -9,6 +9,8 @@ purely structural.
 Subtree counters (total leaves / included leaves) are maintained on every
 division and relabeling so that coverage queries can return one coarse
 rectangle for any fully-included subtree instead of walking its leaves.
+``recount`` re-derives them from the leaf labels alone, for trees that come
+from a file and for the verifier, which trusts no bookkeeping.
 
 The tree is a single-writer structure: divisions and relabelings must be
 serialized.  Read-only traversals (leaf enumeration, coverage probes) are
@@ -95,7 +97,7 @@ class TreeNode:
 
     @property
     def x_plus(self) -> Vec:
-        # Duck-typed alongside SamplePair for successor_box().
+        # Duck-typed for successor_box().
         return self.sample_xp
 
     def target_box(self) -> Box:
@@ -146,22 +148,18 @@ class PartitionTree:
                 "only live partitions subdivide"
             )
         half = node.target_radius / 2.0
-        children: list[int] = []
-        for sign in self._signs:
-            center = tuple(
-                c + half * s for c, s in zip(node.target_center, sign)
+        centers = self.child_centers(node)
+        idx, dist = dataset.nearest(centers)
+        children = [
+            self._attach(TreeNode(center, half, j, tuple(x), tuple(xp), half + d, node_id))
+            for center, j, d, x, xp in zip(
+                centers,
+                idx.tolist(),
+                dist.tolist(),
+                dataset.x[idx].tolist(),
+                dataset.x_plus[idx].tolist(),
             )
-            j, pair, dist = dataset.nearest(center)
-            child = TreeNode(
-                target_center=center,
-                target_radius=half,
-                sample_index=j,
-                sample_x=pair.x,
-                sample_xp=pair.x_plus,
-                radius=half + dist,
-                parent=node_id,
-            )
-            children.append(self._attach(child))
+        ]
         node.children = children
         # The divided cell's single leaf became 2^n included leaves.
         delta = len(children) - 1
@@ -172,6 +170,14 @@ class PartitionTree:
             n.n_active += delta
             i = n.parent
         return children
+
+    def child_centers(self, node: TreeNode) -> list[Vec]:
+        """Centers of a node's 2^n dyadic halves, in sign-vector order."""
+        half = node.target_radius / 2.0
+        return [
+            tuple(c + half * s for c, s in zip(node.target_center, sign))
+            for sign in self._signs
+        ]
 
     def set_label(self, node_id: int, label: Label | int, sweep: int | None = None) -> None:
         """Relabel a leaf.  Only INCLUDED -> {EXCLUDED, UNKNOWN} mutates;
@@ -195,6 +201,21 @@ class PartitionTree:
             n = self.nodes[i]
             n.n_active -= 1
             i = n.parent
+
+    def recount(self) -> None:
+        """Re-derive every subtree counter from the leaf labels.
+
+        Children always have larger indices than their parent, so one
+        reverse pass over the node list works bottom-up.
+        """
+        nodes = self.nodes
+        for node in reversed(nodes):
+            if node.children is None:
+                node.n_leaves = 1
+                node.n_active = 1 if node.label is Label.INCLUDED else 0
+            else:
+                node.n_leaves = sum(nodes[c].n_leaves for c in node.children)
+                node.n_active = sum(nodes[c].n_active for c in node.children)
 
     # -- queries ---------------------------------------------------------
 
@@ -236,6 +257,19 @@ class PartitionTree:
             else:
                 counts["unknown"] += 1
         return counts
+
+    def first_untiled(self) -> int | None:
+        """First interior node whose children are not exactly its 2^n dyadic
+        halves in sign-vector order, or None when every split is exact."""
+        nodes = self.nodes
+        for i, node in enumerate(nodes):
+            if node.children is None:
+                continue
+            half = node.target_radius / 2.0
+            cells = [(nodes[c].target_center, nodes[c].target_radius) for c in node.children]
+            if cells != [(c, half) for c in self.child_centers(node)]:
+                return i
+        return None
 
     def min_root_radius(self) -> float:
         return min(self.nodes[i].target_radius for i in self.roots)
@@ -287,35 +321,19 @@ def new_tree(domain: BoxList | Sequence[Box], dataset: Dataset) -> PartitionTree
             ):
                 raise ValueError(f"domain boxes {a} and {b} have overlapping interiors")
     tree = PartitionTree(dim)
-    for box in boxes:
-        j, pair, dist = dataset.nearest(box.center)
+    idx, dist = dataset.nearest([box.center for box in boxes])
+    for box, j, d in zip(boxes, idx.tolist(), dist.tolist()):
         root = TreeNode(
             target_center=box.center,
             target_radius=box.radius,
             sample_index=j,
-            sample_x=pair.x,
-            sample_xp=pair.x_plus,
-            radius=box.radius + dist,
+            sample_x=tuple(dataset.x[j].tolist()),
+            sample_xp=tuple(dataset.x_plus[j].tolist()),
+            radius=box.radius + d,
             parent=-1,
         )
         tree.roots.append(tree._attach(root))
     return tree
-
-
-def divide_node(tree: PartitionTree, node_id: int, dataset: Dataset) -> list[int]:
-    return tree.divide(node_id, dataset)
-
-
-def leaves_active(tree: PartitionTree) -> list[int]:
-    return tree.active_leaves()
-
-
-def candidate_set(tree: PartitionTree) -> BoxList:
-    return tree.candidate_set()
-
-
-def set_label(tree: PartitionTree, node_id: int, label: Label | int, sweep: int | None = None) -> None:
-    tree.set_label(node_id, label, sweep)
 
 
 def sample_ball_contains_cell(node: TreeNode, tol: float = GEOM_TOL) -> bool:

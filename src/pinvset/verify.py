@@ -4,6 +4,10 @@
 stored sample data and re-classifies it against the final union using only
 the geometry primitives; it never looks at any synthesis bookkeeping, so a
 certificate obtained from a deserialized result file stands on its own.
+Its cover index is the result's own partition tree
+(``PartitionTree.overlapping``): the certificate first checks that every
+split tiles its parent exactly and re-derives the subtree counters from the
+leaf labels, and only then lets the tree answer overlap queries.
 
 ``raster_coverage`` is a brute-force sampling oracle used to cross-validate
 the exact classifier, and ``monte_carlo_invariance`` is a falsifier that
@@ -15,8 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Sequence
 
 import numpy as np
 
@@ -26,10 +28,7 @@ from .geometry import (
     BoxList,
     CoverageClass,
     GEOM_TOL,
-    Rect,
-    Vec,
     chebyshev,
-    rects_intersect,
     uncovered_fragments,
 )
 from .synthesis import SynthConfig, SynthResult
@@ -53,86 +52,6 @@ class RasterReport:
     verdict: CoverageClass
 
 
-class BoxUnionIndex:
-    """Bucket-grid index over a box union for overlap and membership queries.
-
-    Cell size defaults to the smallest box side, clamped so the grid stays
-    small; each bucket lists the boxes meeting that cell.  Query results
-    preserve first-seen order, so downstream classification is
-    deterministic.
-    """
-
-    def __init__(self, boxes: BoxList, cell: float | None = None, max_cells: int = 1 << 22):
-        self.boxes = boxes
-        self.rects = [b.rect() for b in boxes]
-        if boxes.is_empty:
-            self.dim = 0
-            return
-        self.dim = boxes[0].dim
-        glo, ghi = boxes.bounding_rect()
-        self._glo = glo
-        widths = [h - l for l, h in zip(glo, ghi)]
-        if cell is None:
-            cell = min(2.0 * b.radius for b in boxes)
-        if cell <= 0.0:
-            cell = max(max(widths), 1.0)
-        per_dim_cap = max(2, int(round(max_cells ** (1.0 / self.dim))))
-        for w in widths:
-            need = max(1, math.ceil(w / cell))
-            if need > per_dim_cap:
-                cell = w / per_dim_cap
-        self._cell = cell
-        self._shape = tuple(
-            max(1, int(math.ceil((h - l) / cell - 1e-9))) for l, h in zip(glo, ghi)
-        )
-        buckets: dict[tuple[int, ...], list[int]] = {}
-        for idx, (lo, hi) in enumerate(self.rects):
-            for key in self._cells_touching(lo, hi):
-                buckets.setdefault(key, []).append(idx)
-        self._buckets = buckets
-
-    def _cells_touching(self, lo: Vec, hi: Vec):
-        ranges = []
-        for d in range(self.dim):
-            a = int(math.floor((lo[d] - self._glo[d]) / self._cell + 1e-9))
-            b = int(math.ceil((hi[d] - self._glo[d]) / self._cell - 1e-9))
-            a = max(0, min(a, self._shape[d] - 1))
-            b = max(a + 1, min(b, self._shape[d]))
-            ranges.append(range(a, b))
-        return product(*ranges)
-
-    def overlapping(self, qlo: Vec, qhi: Vec, tol: float = GEOM_TOL) -> list[Rect]:
-        if self.boxes.is_empty:
-            return []
-        seen = bytearray(len(self.rects))
-        out: list[Rect] = []
-        for key in self._cells_touching(qlo, qhi):
-            for idx in self._buckets.get(key, ()):
-                if seen[idx]:
-                    continue
-                seen[idx] = 1
-                lo, hi = self.rects[idx]
-                if rects_intersect(lo, hi, qlo, qhi, tol):
-                    out.append((lo, hi))
-        return out
-
-    def contains_point(self, y: Sequence[float], tol: float = GEOM_TOL) -> bool:
-        if self.boxes.is_empty:
-            return False
-        key = tuple(
-            min(
-                self._shape[d] - 1,
-                max(0, int(math.floor((y[d] - self._glo[d]) / self._cell))),
-            )
-            for d in range(self.dim)
-        )
-        for idx in self._buckets.get(key, ()):
-            lo, hi = self.rects[idx]
-            if all(l - tol <= v <= h + tol for v, l, h in zip(y, lo, hi)):
-                return True
-        return False
-
-
 def check_fixpoint(
     result: SynthResult,
     config: SynthConfig | None = None,
@@ -140,12 +59,13 @@ def check_fixpoint(
 ) -> Certificate:
     """Exact re-certification of the final set.
 
-    The stored union must equal the included leaves' cells, every included
-    leaf's sample ball must still contain its cell (``r >= r_target +
-    dist``), and the sample's successor box of radius ``L * r`` must be
-    fully covered by the final union.  An empty union passes vacuously.
-    Raises when the supplied config disagrees with the one recorded in the
-    result.
+    The tree's cells must tile exactly (every split makes its parent's 2^n
+    dyadic halves, in sign-vector order), the stored union must equal the
+    included leaves' cells, every included leaf's sample ball must still
+    contain its cell (``r >= r_target + dist``), and the sample's successor
+    box of radius ``L * r`` must be fully covered by the final union.  An
+    empty union passes vacuously.  Raises when the supplied config
+    disagrees with the one recorded in the result.
     """
     if config is not None and config.lipschitz != result.config.lipschitz:
         raise ValueError(
@@ -155,6 +75,18 @@ def check_fixpoint(
     lipschitz = result.config.lipschitz
     pi_set = result.pi_set
     tree = result.tree
+    # The tree is the cover index below.  Its coarse answers stand for the
+    # union of included leaves only if every split tiles its parent and the
+    # subtree counters come from the leaf labels.
+    untiled = tree.first_untiled()
+    if untiled is not None:
+        return Certificate(
+            False,
+            0,
+            {"node": untiled, "reason": "children do not tile their parent"},
+            METHOD_EXACT,
+        )
+    tree.recount()
     active = tree.active_leaves()
     mismatch = len(active) != len(pi_set) or any(
         tree.nodes[i].target_center != b.center
@@ -168,9 +100,6 @@ def check_fixpoint(
             {"reason": "stored union does not match the included leaf cells"},
             METHOD_EXACT,
         )
-    if pi_set.is_empty:
-        return Certificate(True, 0, None, METHOD_EXACT)
-    index = BoxUnionIndex(pi_set)
     checked = 0
     for i in active:
         node = tree.nodes[i]
@@ -186,7 +115,7 @@ def check_fixpoint(
                 METHOD_EXACT,
             )
         succ = Box(node.sample_xp, lipschitz * node.radius)
-        leftovers = uncovered_fragments(succ, index, tol, limit=1)
+        leftovers = uncovered_fragments(succ, tree, tol, limit=1)
         if leftovers:
             return Certificate(
                 False,
@@ -244,7 +173,8 @@ class _UnionMembership:
 
     Rasterizes the union onto a uniform bitmap at the finest box side;
     cells fully inside some box are certain hits, untouched cells certain
-    misses, and partially covered edge cells fall back to an exact check.
+    misses, and partially covered edge cells fall back to an exact scan of
+    the boxes.
     Dyadic tilings align exactly, so their bitmaps have no uncertain cells.
     """
 
@@ -295,7 +225,7 @@ class _UnionMembership:
             uncertain |= region
         self._covered = covered
         self._uncertain = uncertain & ~covered
-        self._exact = BoxUnionIndex(boxes) if self._uncertain.any() else None
+        self._exact = boxes if self._uncertain.any() else None
 
     def contains(self, pts: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinvset.dataset import (
     Dataset,
     EmptyDatasetError,
     MalformedRowError,
-    SamplePair,
     UnknownSystemError,
     dyadic_grid_points,
     gen_dyadic_grid,
@@ -19,7 +20,7 @@ from pinvset.geometry import Box, BoxList, DimensionMismatchError
 
 
 def make_dataset(points):
-    return Dataset([SamplePair(tuple(p), tuple(p)) for p in points])
+    return Dataset(points, points)
 
 
 # -- loading -----------------------------------------------------------------
@@ -30,7 +31,8 @@ def test_load_two_rows(tmp_path):
     f.write_text("0,0,0,0\n1,1,0.5,0.5\n")
     ds = load_dataset(f)
     assert ds.m == 2
-    assert ds.pairs[1] == SamplePair((1.0, 1.0), (0.5, 0.5))
+    assert ds.x[1].tolist() == [1.0, 1.0]
+    assert ds.x_plus[1].tolist() == [0.5, 0.5]
 
 
 def test_load_header_comments_metadata(tmp_path):
@@ -92,7 +94,7 @@ def test_save_load_round_trip(tmp_path, lin_oracle):
     f = tmp_path / "d.csv"
     save_dataset(ds, f)
     back = load_dataset(f)
-    assert back.pairs == ds.pairs
+    assert (back.x == ds.x).all() and (back.x_plus == ds.x_plus).all()
     assert back.metadata["system"] == "linear2d"
 
 
@@ -102,10 +104,10 @@ def test_save_load_round_trip(tmp_path, lin_oracle):
 def test_gen_uniform_in_domain_and_deterministic(lin_oracle):
     a = gen_uniform(lin_oracle, 100, seed=1)
     b = gen_uniform(lin_oracle, 100, seed=1)
-    assert a.pairs == b.pairs
-    assert all(lin_oracle.domain.contains_point(p.x) for p in a.pairs)
+    assert (a.x == b.x).all() and (a.x_plus == b.x_plus).all()
+    assert all(lin_oracle.domain.contains_point(x) for x in a.x.tolist())
     c = gen_uniform(lin_oracle, 100, seed=2)
-    assert c.pairs != a.pairs
+    assert (c.x != a.x).any()
 
 
 def test_gen_uniform_byte_identical(lin_oracle, tmp_path):
@@ -119,7 +121,7 @@ def test_gen_uniform_successors_can_exit_domain(nonlin_oracle):
     assert nonlin_oracle((1.0, 1.0)) == pytest.approx((-0.2, 1.9))
     ds = gen_uniform(nonlin_oracle, 10000, seed=0)
     outside = [
-        p for p in ds.pairs if not nonlin_oracle.domain.contains_point(p.x_plus)
+        xp for xp in ds.x_plus.tolist() if not nonlin_oracle.domain.contains_point(xp)
     ]
     assert outside  # the map pushes some states out of the square
 
@@ -159,7 +161,7 @@ def test_dyadic_grid_matches_tree_centers(lin_oracle):
 
 def test_gen_dyadic_grid_contains_exact_centers(nonlin_oracle):
     ds = gen_dyadic_grid(nonlin_oracle, 0.25)
-    xs = {p.x for p in ds.pairs}
+    xs = set(map(tuple, ds.x.tolist()))
     assert (0.0, 0.0) in xs
     assert (0.5, 0.5) in xs and (-0.5, 0.5) in xs
     assert (0.25, -0.75) in xs
@@ -171,49 +173,70 @@ def test_gen_dyadic_grid_contains_exact_centers(nonlin_oracle):
 
 def test_nearest_basic():
     ds = make_dataset([(0.0, 0.0), (1.0, 1.0)])
-    idx, pair, dist = ds.nearest((0.2, 0.1))
-    assert idx == 0 and dist == pytest.approx(0.2)
-    # equidistant: lowest index wins
-    idx, _, dist = ds.nearest((0.5, 0.5))
-    assert idx == 0 and dist == pytest.approx(0.5)
-    idx, _, dist = ds.nearest((1.0, 1.0))
-    assert idx == 1 and dist == 0.0
+    # the middle query is equidistant: lowest index wins
+    idx, dist = ds.nearest([(0.2, 0.1), (0.5, 0.5), (1.0, 1.0)])
+    assert idx.tolist() == [0, 0, 1]
+    assert dist.tolist() == pytest.approx([0.2, 0.5, 0.0])
+    assert dist[2] == 0.0
 
 
 def test_nearest_dimension_mismatch():
     ds = make_dataset([(0.0, 0.0)])
     with pytest.raises(DimensionMismatchError):
-        ds.nearest((0.0, 0.0, 0.0))
+        ds.nearest([(0.0, 0.0, 0.0)])
+    with pytest.raises(DimensionMismatchError):
+        ds.nearest((0.0, 0.0))  # a single point is a batch of one: [(x, y)]
 
 
 def test_nearest_matches_linear_scan_exactly(rng):
-    pts = rng.uniform(-2, 3, size=(400, 2))
-    ds = make_dataset([tuple(p) for p in pts])
-    for _ in range(1000):
-        q = tuple(rng.uniform(-3, 4, size=2))
-        gi, _, gd = ds.nearest(q)
-        li, _, ld = ds.nearest_linear(q)
-        assert gi == li
-        assert gd == ld
+    ds = make_dataset(rng.uniform(-2, 3, size=(400, 2)))
+    qs = rng.uniform(-3, 4, size=(1000, 2))
+    idx, dist = ds.nearest(qs)
+    want = [ds.nearest_linear(q) for q in qs.tolist()]
+    assert idx.tolist() == [i for i, _ in want]
+    assert dist.tolist() == [d for _, d in want]
 
 
 def test_nearest_matches_linear_scan_3d(rng):
-    pts = rng.uniform(-1, 1, size=(200, 3))
-    ds = make_dataset([tuple(p) for p in pts])
-    for _ in range(300):
-        q = tuple(rng.uniform(-1.5, 1.5, size=3))
-        assert ds.nearest(q)[0] == ds.nearest_linear(q)[0]
+    ds = make_dataset(rng.uniform(-1, 1, size=(200, 3)))
+    qs = rng.uniform(-1.5, 1.5, size=(300, 3))
+    assert ds.nearest(qs)[0].tolist() == [ds.nearest_linear(q)[0] for q in qs.tolist()]
 
 
 def test_nearest_with_duplicate_points_breaks_ties_low():
     ds = make_dataset([(0.5, 0.5), (0.5, 0.5), (0.0, 0.0)])
-    assert ds.nearest((0.5, 0.5))[0] == 0
-    assert ds.nearest((0.4, 0.4))[0] == 0
+    assert ds.nearest([(0.5, 0.5), (0.4, 0.4)])[0].tolist() == [0, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    m=st.integers(1, 40),
+    lattice=st.booleans(),
+    data=st.data(),
+)
+def test_nearest_matches_linear_scan_property(n, m, lattice, data):
+    # Lattice-snapped points and queries make exact distance ties common;
+    # drawing indices with replacement makes duplicate points common.
+    if lattice:
+        coord = st.integers(-4, 4).map(lambda k: k * 0.25)
+    else:
+        coord = st.floats(-2.0, 2.0, allow_nan=False)
+    point = st.tuples(*[coord] * n)
+    base = data.draw(st.lists(point, min_size=1, max_size=m))
+    picks = data.draw(st.lists(st.integers(0, len(base) - 1), min_size=m, max_size=m))
+    pts = [base[k] for k in picks]
+    qs = data.draw(st.lists(point, min_size=1, max_size=20))
+    ds = make_dataset(pts)
+    idx, dist = ds.nearest(qs)
+    want = [ds.nearest_linear(q) for q in qs]
+    assert idx.tolist() == [i for i, _ in want]
+    assert dist.tolist() == [d for _, d in want]
 
 
 def test_empty_dataset_rejected():
     with pytest.raises(EmptyDatasetError):
-        Dataset([])
+        Dataset([], [])
 
 
 # -- oracles -------------------------------------------------------------------
@@ -243,8 +266,8 @@ def test_get_system_unknown():
 
 
 def test_tabulated_oracle():
-    pairs = [SamplePair((0.0, 0.0), (0.1, 0.1)), SamplePair((1.0, 0.0), (0.2, 0.0))]
-    oracle = tabulated_oracle(pairs, 1.0, BoxList((Box((0.5, 0.0), 0.5),)))
+    table = Dataset([(0.0, 0.0), (1.0, 0.0)], [(0.1, 0.1), (0.2, 0.0)])
+    oracle = tabulated_oracle(table, 1.0, BoxList((Box((0.5, 0.0), 0.5),)))
     assert oracle((0.0, 0.0)) == (0.1, 0.1)
     with pytest.raises(Exception):
         oracle((0.5, 0.5))

@@ -7,10 +7,8 @@ from pinvset.geometry import (
     BoxList,
     CoverageClass,
     DimensionMismatchError,
-    box_contains_point,
     box_intersect,
     box_subtract,
-    box_volume,
     classify_coverage,
     chebyshev,
     rect_to_cubes,
@@ -44,20 +42,20 @@ def raster_uncovered_area(query, cover, cell=0.01):
 
 def test_contains_point_boundary_and_outside():
     b = Box((0.0, 0.0), 0.5)
-    assert box_contains_point(b, (0.5, -0.5))
-    assert not box_contains_point(b, (0.6, 0.0))
-    assert box_contains_point(Box((1.0, 1.0), 0.0), (1.0, 1.0))
+    assert b.contains_point((0.5, -0.5))
+    assert not b.contains_point((0.6, 0.0))
+    assert Box((1.0, 1.0), 0.0).contains_point((1.0, 1.0))
 
 
 def test_contains_point_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        box_contains_point(Box((0.0, 0.0), 1.0), (0.0, 0.0, 0.0))
+        Box((0.0, 0.0), 1.0).contains_point((0.0, 0.0, 0.0))
 
 
 def test_box_volume():
-    assert box_volume(Box((0.375, -0.375), 0.625)) == 1.5625
-    assert box_volume(Box((1.0, 2.0, 3.0), 0.0)) == 0.0
-    assert box_volume(Box((0.0, 0.0), 0.01)) == pytest.approx(0.0004)
+    assert Box((0.375, -0.375), 0.625).volume() == 1.5625
+    assert Box((1.0, 2.0, 3.0), 0.0).volume() == 0.0
+    assert Box((0.0, 0.0), 0.01).volume() == pytest.approx(0.0004)
 
 
 def test_box_intersect_cases():

@@ -161,6 +161,45 @@ def test_cli_verify_detects_tampering(tmp_path, capsys):
     assert report["first_failure"]["leaf"] == leaf
 
 
+def _synth_linear_result(tmp_path) -> dict:
+    data = tmp_path / "d.csv"
+    result = tmp_path / "r.json"
+    main(["-q", "gen", "--system", "linear2d", "--m", "1500", "--seed", "3",
+          "--out", str(data)])
+    assert main(["-q", "synth", "--data", str(data), "--system", "linear2d",
+                 "--lipschitz", "0.8225", "--tau", "0.02", "--out", str(result)]) == 0
+    return json.loads(result.read_text())
+
+
+def test_cli_verify_rejects_shifted_child(tmp_path, capsys):
+    doc = _synth_linear_result(tmp_path)
+    parents = doc["tree"]["parent"]
+    # an interior non-root node: not in pi_set, but its cell is a cover
+    node = next(i for i in range(len(parents)) if parents[i] >= 0 and i in set(parents))
+    doc["tree"]["target_center"][node][0] += 1e-3
+    result = tmp_path / "shifted.json"
+    result.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["-q", "verify", str(result)]) == 1
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert report["first_failure"] == {
+        "node": parents[node], "reason": "children do not tile their parent",
+    }
+
+
+@pytest.mark.parametrize("bad_parent", ["self", "later", "out-of-range"])
+def test_cli_verify_rejects_malformed_node_table(tmp_path, capsys, bad_parent):
+    doc = _synth_linear_result(tmp_path)
+    parents = doc["tree"]["parent"]
+    node = len(parents) // 2
+    parents[node] = {"self": node, "later": node + 1, "out-of-range": -7}[bad_parent]
+    result = tmp_path / "bad.json"
+    result.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["-q", "verify", str(result)]) == 3
+    assert "malformed result document" in capsys.readouterr().err
+
+
 def test_cli_rerun_reproduces_result(tmp_path, capsys):
     data = tmp_path / "d.csv"
     main(["-q", "gen", "--system", "linear2d", "--m", "1200", "--seed", "8",
@@ -198,7 +237,7 @@ def test_cli_gen_from_map_table(tmp_path):
     ]) == 0
     ds = load_dataset(out)
     assert ds.m == 1 + 4 + 16
-    assert all(p.x_plus == (0.0, 0.0) for p in ds.pairs)
+    assert (ds.x_plus == 0.0).all()
     # table missing the requested centers: surfaced as a data error
     assert main([
         "-q", "gen", "--map-table", str(table), "--lipschitz", "0.5",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pinvset.dataset import Dataset, SamplePair, SystemOracle, gen_uniform
+from pinvset.dataset import Dataset, SystemOracle, gen_uniform
 from pinvset.geometry import Box, BoxList, CoverageClass
 from pinvset.synthesis import (
     ConfigError,
@@ -19,19 +19,13 @@ from pinvset.verify import check_fixpoint
 def collapse_oracle():
     """Everything maps to the origin; stays invariant for any tiny ball."""
     domain = BoxList((Box((0.0, 0.0), 0.5),))
-    return SystemOracle(
-        "collapse", lambda x: (0.0, 0.0), 1e-9, domain,
-        lambda pts: np.zeros_like(pts),
-    )
+    return SystemOracle("collapse", np.zeros_like, 1e-9, domain)
 
 
 def escape_oracle():
     """Everything maps far outside the domain."""
     domain = BoxList((Box((0.0, 0.0), 0.5),))
-    return SystemOracle(
-        "escape", lambda x: (50.0, 50.0), 1e-9, domain,
-        lambda pts: np.full_like(pts, 50.0),
-    )
+    return SystemOracle("escape", lambda pts: np.full_like(pts, 50.0), 1e-9, domain)
 
 
 def dense_dataset(oracle, m=400, seed=5):
@@ -223,9 +217,8 @@ def test_multi_root_domain(lin_oracle):
 
     domain = rect_to_cubes((0.0, 0.0), (2.0, 1.0))  # two unit cubes
     oracle = collapse_oracle()
-    ds = Dataset(
-        [SamplePair((x, y), (0.5, 0.5)) for x in (0.5, 1.5) for y in (0.25, 0.75)]
-    )
+    xs = [(x, y) for x in (0.5, 1.5) for y in (0.25, 0.75)]
+    ds = Dataset(xs, [(0.5, 0.5)] * len(xs))
     tree = new_tree(domain, ds)
     res = synthesize(tree, ds, SynthConfig(lipschitz=1e-9, tau=0.1))
     assert res.terminated_by is Termination.FIXPOINT

@@ -2,23 +2,19 @@ import math
 
 import pytest
 
-from pinvset.dataset import Dataset, SamplePair, gen_dyadic_grid, gen_uniform
+from pinvset.dataset import Dataset, gen_dyadic_grid, gen_uniform
 from pinvset.geometry import Box, BoxList, chebyshev
 from pinvset.tree import (
     Label,
     LabelTransitionError,
     TreeStructureError,
-    candidate_set,
-    divide_node,
-    leaves_active,
     new_tree,
     sample_ball_contains_cell,
-    set_label,
 )
 
 
 def make_dataset(points):
-    return Dataset([SamplePair(tuple(p), tuple(p)) for p in points])
+    return Dataset(points, points)
 
 
 def square_domain():
@@ -65,7 +61,7 @@ def test_new_tree_rejects_bad_inputs():
 def test_divide_node_geometry():
     ds = make_dataset([(0.3, 0.3)])
     tree = new_tree(square_domain(), ds)
-    children = divide_node(tree, tree.roots[0], ds)
+    children = tree.divide(tree.roots[0], ds)
     assert len(children) == 4
     centers = {tree.nodes[c].target_center for c in children}
     assert centers == {(-0.25, -0.25), (-0.25, 0.25), (0.25, -0.25), (0.25, 0.25)}
@@ -85,7 +81,7 @@ def test_divide_with_grid_data_collapses_radius(nonlin_oracle):
     for _ in range(2):
         nxt = []
         for i in ids:
-            nxt.extend(divide_node(tree, i, ds))
+            nxt.extend(tree.divide(i, ds))
         ids = nxt
     for i in ids:
         node = tree.nodes[i]
@@ -96,49 +92,49 @@ def test_divide_with_grid_data_collapses_radius(nonlin_oracle):
 def test_divide_non_leaf_rejected():
     ds = make_dataset([(0.0, 0.0)])
     tree = new_tree(square_domain(), ds)
-    divide_node(tree, tree.roots[0], ds)
+    tree.divide(tree.roots[0], ds)
     with pytest.raises(TreeStructureError):
-        divide_node(tree, tree.roots[0], ds)
+        tree.divide(tree.roots[0], ds)
 
 
 def test_leaves_active_and_candidate_set():
     ds = make_dataset([(0.0, 0.0)])
     tree = new_tree(square_domain(), ds)
-    assert leaves_active(tree) == [tree.roots[0]]
-    children = divide_node(tree, tree.roots[0], ds)
-    assert leaves_active(tree) == children
-    set_label(tree, children[0], Label.EXCLUDED)
-    set_label(tree, children[1], Label.UNKNOWN)
-    assert leaves_active(tree) == children[2:]
-    cs = candidate_set(tree)
+    assert tree.active_leaves() == [tree.roots[0]]
+    children = tree.divide(tree.roots[0], ds)
+    assert tree.active_leaves() == children
+    tree.set_label(children[0], Label.EXCLUDED)
+    tree.set_label(children[1], Label.UNKNOWN)
+    assert tree.active_leaves() == children[2:]
+    cs = tree.candidate_set()
     assert [b.center for b in cs] == [
         tree.nodes[c].target_center for c in children[2:]
     ]
     for c in children[2:]:
-        set_label(tree, c, Label.EXCLUDED)
-    assert candidate_set(tree).is_empty
+        tree.set_label(c, Label.EXCLUDED)
+    assert tree.candidate_set().is_empty
 
 
 def test_label_transitions():
     ds = make_dataset([(0.0, 0.0)])
     tree = new_tree(square_domain(), ds)
     leaf = tree.roots[0]
-    set_label(tree, leaf, Label.INCLUDED)  # re-confirmation is a no-op
+    tree.set_label(leaf, Label.INCLUDED)  # re-confirmation is a no-op
     assert tree.label_log == []
-    set_label(tree, leaf, Label.EXCLUDED, sweep=3)
+    tree.set_label(leaf, Label.EXCLUDED, sweep=3)
     assert tree.label_log == [(3, leaf, 1, 0)]
     with pytest.raises(LabelTransitionError):
-        set_label(tree, leaf, Label.INCLUDED)
+        tree.set_label(leaf, Label.INCLUDED)
     with pytest.raises(LabelTransitionError):
-        set_label(tree, leaf, Label.UNKNOWN)
+        tree.set_label(leaf, Label.UNKNOWN)
 
 
 def test_label_on_interior_rejected():
     ds = make_dataset([(0.0, 0.0)])
     tree = new_tree(square_domain(), ds)
-    divide_node(tree, tree.roots[0], ds)
+    tree.divide(tree.roots[0], ds)
     with pytest.raises(TreeStructureError):
-        set_label(tree, tree.roots[0], Label.EXCLUDED)
+        tree.set_label(tree.roots[0], Label.EXCLUDED)
 
 
 def test_tiling_preserved_under_division(rng):
@@ -149,7 +145,7 @@ def test_tiling_preserved_under_division(rng):
         leaves = [i for i in tree.iter_leaves()]
         i = int(rng.choice(leaves))
         if tree.nodes[i].label is Label.INCLUDED:
-            divide_node(tree, i, ds)
+            tree.divide(i, ds)
         leaf_vol = math.fsum(
             (2 * tree.nodes[j].target_radius) ** 2 for j in tree.iter_leaves()
         )
@@ -161,7 +157,7 @@ def test_sample_ball_contains_cell_everywhere(rng):
     tree = new_tree(square_domain(), ds)
     for _ in range(60):
         leaves = [i for i in tree.iter_leaves() if tree.nodes[i].label is Label.INCLUDED]
-        divide_node(tree, int(rng.choice(leaves)), ds)
+        tree.divide(int(rng.choice(leaves)), ds)
     for i in range(len(tree.nodes)):
         assert sample_ball_contains_cell(tree.nodes[i])
 
@@ -173,7 +169,7 @@ def test_children_halve_resolution():
     for level in range(1, 4):
         nxt = []
         for i in frontier:
-            nxt.extend(divide_node(tree, i, ds))
+            nxt.extend(tree.divide(i, ds))
         for c in nxt:
             assert tree.nodes[c].target_radius == 0.5 / 2 ** level
         frontier = nxt
@@ -182,11 +178,11 @@ def test_children_halve_resolution():
 def test_overlapping_collapses_full_subtrees():
     ds = make_dataset([(0.0, 0.0)])
     tree = new_tree(square_domain(), ds)
-    children = divide_node(tree, tree.roots[0], ds)
+    children = tree.divide(tree.roots[0], ds)
     # all leaves active: the whole root collapses into one rectangle
     rects = tree.overlapping((-0.5, -0.5), (0.5, 0.5))
     assert rects == [((-0.5, -0.5), (0.5, 0.5))]
-    set_label(tree, children[0], Label.EXCLUDED)
+    tree.set_label(children[0], Label.EXCLUDED)
     rects = tree.overlapping((-0.5, -0.5), (0.5, 0.5))
     assert len(rects) == 3
     assert ((-0.5, -0.5), (0.0, 0.0)) not in rects

@@ -3,12 +3,11 @@ import pytest
 
 from helpers import RASTER_CELL, margin_separated_instance
 
-from pinvset.dataset import Dataset, SamplePair, gen_uniform
+from pinvset.dataset import Dataset, gen_uniform
 from pinvset.geometry import Box, BoxList, CoverageClass, classify_coverage
 from pinvset.synthesis import SynthConfig, SynthResult, Termination, synthesize
 from pinvset.tree import new_tree
 from pinvset.verify import (
-    BoxUnionIndex,
     check_fixpoint,
     monte_carlo_invariance,
     raster_coverage,
@@ -27,7 +26,7 @@ def hand_built_failing_result(lin_oracle):
     x = (0.9, 0.9)
     x_plus = lin_oracle(x)
     assert x_plus == pytest.approx((0.55917, -0.29295))
-    ds = Dataset([SamplePair(x, x_plus)])
+    ds = Dataset([x], [x_plus])
     tree = new_tree(BoxList((Box(x, 0.05),)), ds)
     config = SynthConfig(lipschitz=lin_oracle.lipschitz, tau=0.01)
     return SynthResult(
@@ -67,10 +66,7 @@ def test_check_fixpoint_empty_set_passes():
     import numpy as np
 
     domain = BoxList((Box((0.0, 0.0), 0.5),))
-    oracle = SystemOracle(
-        "escape", lambda x: (50.0, 50.0), 1e-9, domain,
-        lambda pts: np.full_like(pts, 50.0),
-    )
+    oracle = SystemOracle("escape", lambda pts: np.full_like(pts, 50.0), 1e-9, domain)
     ds = gen_uniform(oracle, 200, seed=0)
     tree = new_tree(domain, ds)
     res = synthesize(tree, ds, SynthConfig(lipschitz=1e-9, tau=0.1))
@@ -151,23 +147,7 @@ def test_exact_classifier_agrees_with_raster(rng):
     assert all(count > 0 for count in verdicts.values())
 
 
-# -- union index and membership ----------------------------------------------------
-
-
-def test_box_union_index_matches_scan(rng):
-    boxes = BoxList(
-        tuple(Box(tuple(rng.uniform(-1, 1, 2)), float(rng.uniform(0.05, 0.3))) for _ in range(60))
-    )
-    index = BoxUnionIndex(boxes)
-    for _ in range(300):
-        q = Box(tuple(rng.uniform(-1.2, 1.2, 2)), float(rng.uniform(0.05, 0.5)))
-        qlo, qhi = q.rect()
-        got = set(index.overlapping(qlo, qhi))
-        want = set(boxes.overlapping(qlo, qhi))
-        assert got == want
-    for _ in range(500):
-        p = tuple(rng.uniform(-1.3, 1.3, 2))
-        assert index.contains_point(p) == boxes.contains_point(p)
+# -- union membership ----------------------------------------------------
 
 
 def test_union_membership_on_dyadic_tiling(lin_oracle, rng):
