@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .geometry import DimensionMismatchError
 
@@ -46,6 +45,8 @@ class PolytopeCSet:
     rows: np.ndarray
 
     def __post_init__(self) -> None:
+        from scipy.optimize import linprog  # local, so the CLI starts without scipy
+
         rows = np.asarray(self.rows, dtype=float)
         if rows.ndim != 2 or rows.shape[0] < 1:
             raise CSetInvalidError("rows must be a nonempty 2-D array")

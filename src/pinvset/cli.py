@@ -159,10 +159,11 @@ def cmd_verify(args) -> int:
     manifest, result, _ = load_result(args.result)
     certificate = check_fixpoint(result)
     logger.info(
-        "event=verify method=%s passed=%s checked=%d",
+        "event=verify method=%s passed=%s checked=%d lipschitz=%r",
         certificate.method,
         certificate.passed,
         certificate.checked_leaves,
+        result.config.lipschitz,
     )
     mc_passed = True
     if args.monte_carlo:
@@ -189,6 +190,8 @@ def cmd_verify(args) -> int:
         "checked_leaves": certificate.checked_leaves,
         "first_failure": certificate.first_failure,
         "volume": result.volume,
+        # Trusted input: the certificate holds only if this bounds the map.
+        "lipschitz": result.config.lipschitz,
     }
     print(json.dumps(report))
     return EXIT_OK if (certificate.passed and mc_passed) else EXIT_VERIFY_FAILED

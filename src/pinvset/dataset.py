@@ -2,9 +2,11 @@
 
 A dataset is two ``(M, n)`` float arrays, the states ``x`` and their
 successors ``x_plus``, with an exact max-norm nearest-neighbor index over
-the states (``scipy.spatial.cKDTree``).  Exactness matters: the NN distance
-feeds directly into the certificate radii, so ties are broken explicitly by
-lowest index rather than left to the tree's traversal order.
+the states (``scipy.spatial.cKDTree``), built on the first query so that
+commands that never ask for a neighbor load no scipy.  Exactness matters:
+the NN distance feeds directly into the certificate radii, so ties are
+broken explicitly by lowest index rather than left to the tree's traversal
+order.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ import logging
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import (
     Box,
@@ -143,7 +145,12 @@ class Dataset:
         self.x_plus = x_plus
         self.dim = x.shape[1]
         self.metadata: dict = dict(metadata or {})
-        self._index = cKDTree(x)
+
+    @cached_property
+    def _index(self):
+        from scipy.spatial import cKDTree
+
+        return cKDTree(self.x)
 
     def __len__(self) -> int:
         return len(self.x)

@@ -118,6 +118,10 @@ class BoxList:
         return lo, hi
 
     def overlapping(self, qlo: Vec, qhi: Vec, tol: float = GEOM_TOL) -> list[Rect]:
+        if self.boxes and (len(qlo) != self.boxes[0].dim or len(qhi) != len(qlo)):
+            raise DimensionMismatchError(
+                f"probe of dim {len(qlo)} does not match union dim {self.boxes[0].dim}"
+            )
         out = []
         for b in self.boxes:
             lo, hi = b.rect()
@@ -130,7 +134,7 @@ def as_rect(obj: Box | Rect) -> Rect:
     if isinstance(obj, Box):
         return obj.rect()
     lo, hi = obj
-    return tuple(float(v) for v in lo), tuple(float(v) for v in hi)
+    return tuple(map(float, lo)), tuple(map(float, hi))
 
 
 def rect_volume(rect: Rect) -> float:
@@ -153,8 +157,13 @@ def rects_intersect(alo: Vec, ahi: Vec, blo: Vec, bhi: Vec, tol: float = GEOM_TO
 
 
 def _overlap_positive(alo: Vec, ahi: Vec, blo: Vec, bhi: Vec, tol: float) -> bool:
-    """True when the overlap has positive width in every dimension."""
-    for al, ah, bl, bh in zip(alo, ahi, blo, bhi):
+    """True when the overlap has positive width in every dimension; both
+    rectangles must have the same dimension."""
+    for d in range(len(alo)):
+        ah = ahi[d]
+        bh = bhi[d]
+        al = alo[d]
+        bl = blo[d]
         if (ah if ah < bh else bh) - (al if al > bl else bl) <= tol:
             return False
     return True
@@ -198,24 +207,30 @@ def box_subtract(query: Box | Rect, cover: Box | Rect, tol: float = GEOM_TOL) ->
         )
     if not _overlap_positive(qlo, qhi, clo, chi, tol):
         return [(qlo, qhi)]
+    return _cut(qlo, qhi, clo, chi, tol)
 
+
+def _cut(qlo: Vec, qhi: Vec, clo: Vec, chi: Vec, tol: float) -> list[Rect]:
+    """The coordinate sweep of ``box_subtract`` on corner tuples whose
+    overlap is already known to be positive."""
     lo = list(qlo)
     hi = list(qhi)
     pieces: list[Rect] = []
-    n = len(qlo)
-    for d in range(n):
-        if clo[d] > lo[d] + tol:
-            plo, phi = list(lo), list(hi)
-            phi[d] = clo[d]
-            if all(b - a > tol for a, b in zip(plo, phi)):
-                pieces.append((tuple(plo), tuple(phi)))
-            lo[d] = clo[d]
-        if chi[d] < hi[d] - tol:
-            plo, phi = list(lo), list(hi)
-            plo[d] = chi[d]
-            if all(b - a > tol for a, b in zip(plo, phi)):
-                pieces.append((tuple(plo), tuple(phi)))
-            hi[d] = chi[d]
+    for d in range(len(lo)):
+        c = clo[d]
+        if c > lo[d] + tol:
+            phi = hi.copy()
+            phi[d] = c
+            if all(b - a > tol for a, b in zip(lo, phi)):
+                pieces.append((tuple(lo), tuple(phi)))
+            lo[d] = c
+        c = chi[d]
+        if c < hi[d] - tol:
+            plo = lo.copy()
+            plo[d] = c
+            if all(b - a > tol for a, b in zip(plo, hi)):
+                pieces.append((tuple(plo), tuple(hi)))
+            hi[d] = c
     # The remaining core [lo, hi] is query & cover and is discarded.
     return pieces
 
@@ -256,8 +271,8 @@ def _escaping(qlo: Vec, qhi: Vec, covers: list[Rect], tol: float) -> Iterator[Re
         else:
             yield flo, fhi
             continue
-        for piece in box_subtract((flo, fhi), covers[i], tol):
-            stack.append((piece[0], piece[1], i + 1))
+        i += 1
+        stack.extend([(plo, phi, i) for plo, phi in _cut(flo, fhi, clo, chi, tol)])
 
 
 def classify_coverage(

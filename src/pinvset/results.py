@@ -89,12 +89,17 @@ def _tree_to_dict(tree: PartitionTree) -> dict:
 def _tree_from_dict(d: dict) -> PartitionTree:
     tree = PartitionTree(int(d["dim"]))
     for i, parent in enumerate(d["parent"]):
+        center, x, xp = (
+            tuple(d[key][i]) for key in ("target_center", "sample_x", "sample_xp")
+        )
+        if not len(center) == len(x) == len(xp) == tree.dim:
+            raise ResultFormatError(f"node {i} has a vector not of length {tree.dim}")
         node = TreeNode(
-            target_center=tuple(d["target_center"][i]),
+            target_center=center,
             target_radius=float(d["target_radius"][i]),
             sample_index=int(d["sample_index"][i]),
-            sample_x=tuple(d["sample_x"][i]),
-            sample_xp=tuple(d["sample_xp"][i]),
+            sample_x=x,
+            sample_xp=xp,
             radius=float(d["radius"][i]),
             parent=int(parent),
         )
@@ -197,7 +202,7 @@ def save_result(
 ) -> None:
     doc = result_to_document(result, manifest, certificate)
     with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
 
 
 def load_result(path: str | Path) -> tuple[RunManifest, SynthResult, Certificate | None]:

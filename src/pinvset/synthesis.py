@@ -18,6 +18,7 @@ by the verifier).
 from __future__ import annotations
 
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -51,10 +52,16 @@ class SynthConfig:
     mode: UpdateMode = UpdateMode.SEQUENTIAL
 
     def validate(self) -> None:
-        if self.lipschitz <= 0.0:
-            raise ConfigError(f"Lipschitz bound must be positive, got {self.lipschitz}")
-        if self.tau <= 0.0:
-            raise ConfigError(f"resolution floor must be positive, got {self.tau}")
+        # Written so that NaN fails too: a NaN bound makes every successor
+        # box NaN, and NaN boxes classify as covered.
+        if not (math.isfinite(self.lipschitz) and self.lipschitz > 0.0):
+            raise ConfigError(
+                f"Lipschitz bound must be positive and finite, got {self.lipschitz}"
+            )
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ConfigError(
+                f"resolution floor must be positive and finite, got {self.tau}"
+            )
         if self.max_sweeps < 1:
             raise ConfigError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
 
@@ -109,8 +116,11 @@ def sweep(
     while queue:
         i = queue.popleft()
         node = nodes[i]
+        # The successor box's rectangle, as Box(sample_xp, L * r).rect().
+        r = lipschitz * node.radius
+        xp = node.sample_xp
         verdict = classify_coverage(
-            Box(node.sample_xp, lipschitz * node.radius), tree
+            (tuple([c - r for c in xp]), tuple([c + r for c in xp])), tree
         )
         if verdict is CoverageClass.FULLY_COVERED:
             continue

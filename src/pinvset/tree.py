@@ -28,11 +28,11 @@ from .dataset import Dataset
 from .geometry import (
     Box,
     BoxList,
+    DimensionMismatchError,
     GEOM_TOL,
     Rect,
     Vec,
     chebyshev,
-    rects_intersect,
 )
 
 
@@ -281,20 +281,35 @@ class PartitionTree:
         ancestor rectangle, which keeps queries deep inside the candidate
         set cheap regardless of how finely the fringe is subdivided.
         """
+        if len(qlo) != self.dim or len(qhi) != self.dim:
+            raise DimensionMismatchError(
+                f"probe corners of dim {len(qlo)} and {len(qhi)} do not match "
+                f"tree dim {self.dim}"
+            )
         out: list[Rect] = []
         nodes = self.nodes
         stack = list(reversed(self.roots))
+        dims = range(self.dim)
         while stack:
-            i = stack.pop()
-            node = nodes[i]
-            if node.n_active == 0:
+            node = nodes[stack.pop()]
+            active = node.n_active
+            if not active:
                 continue
-            if not rects_intersect(node.lo, node.hi, qlo, qhi, tol):
-                continue
-            if node.n_active == node.n_leaves:
-                out.append((node.lo, node.hi))
-                continue
-            stack.extend(reversed(node.children))
+            lo = node.lo
+            hi = node.hi
+            # Closed intersection test, as in geometry.rects_intersect.
+            for d in dims:
+                al = lo[d]
+                ah = hi[d]
+                bl = qlo[d]
+                bh = qhi[d]
+                if (al if al > bl else bl) > (ah if ah < bh else bh) + tol:
+                    break
+            else:
+                if active == node.n_leaves:
+                    out.append((lo, hi))
+                else:
+                    stack.extend(reversed(node.children))
         return out
 
 

@@ -31,7 +31,7 @@ from .geometry import (
     chebyshev,
     uncovered_fragments,
 )
-from .synthesis import SynthConfig, SynthResult
+from .synthesis import ConfigError, SynthConfig, SynthResult
 
 METHOD_EXACT = "exact-coverage"
 METHOD_RASTER = "raster"
@@ -59,14 +59,19 @@ def check_fixpoint(
 ) -> Certificate:
     """Exact re-certification of the final set.
 
-    The tree's cells must tile exactly (every split makes its parent's 2^n
-    dyadic halves, in sign-vector order), the stored union must equal the
-    included leaves' cells, every included leaf's sample ball must still
-    contain its cell (``r >= r_target + dist``), and the sample's successor
-    box of radius ``L * r`` must be fully covered by the final union.  An
-    empty union passes vacuously.  Raises when the supplied config
-    disagrees with the one recorded in the result.
+    The recorded config must be valid (a finite positive Lipschitz bound
+    and resolution floor).  The tree's cells must tile exactly (every split
+    makes its parent's 2^n dyadic halves, in sign-vector order), the stored
+    union must equal the included leaves' cells, every included leaf's
+    sample ball must still contain its cell (``r >= r_target + dist``), and
+    the sample's successor box of radius ``L * r`` must be fully covered by
+    the final union.  An empty union passes vacuously.  Raises when the
+    supplied config disagrees with the one recorded in the result.
     """
+    try:
+        result.config.validate()
+    except ConfigError as exc:
+        return Certificate(False, 0, {"reason": f"invalid config: {exc}"}, METHOD_EXACT)
     if config is not None and config.lipschitz != result.config.lipschitz:
         raise ValueError(
             f"Lipschitz bound mismatch: result has {result.config.lipschitz}, "
@@ -114,7 +119,10 @@ def check_fixpoint(
                 {"leaf": i, "reason": "sample ball does not contain the cell"},
                 METHOD_EXACT,
             )
-        succ = Box(node.sample_xp, lipschitz * node.radius)
+        # The successor box's rectangle, as Box(sample_xp, L * r).rect().
+        r = lipschitz * node.radius
+        xp = node.sample_xp
+        succ = (tuple([c - r for c in xp]), tuple([c + r for c in xp]))
         leftovers = uncovered_fragments(succ, tree, tol, limit=1)
         if leftovers:
             return Certificate(

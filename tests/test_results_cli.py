@@ -1,4 +1,9 @@
 import json
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +190,73 @@ def test_cli_verify_rejects_shifted_child(tmp_path, capsys):
     assert report["first_failure"] == {
         "node": parents[node], "reason": "children do not tile their parent",
     }
+
+
+@pytest.mark.parametrize("key", ["target_center", "sample_x", "sample_xp"])
+def test_cli_verify_rejects_vector_of_wrong_length(tmp_path, capsys, key):
+    doc = _synth_linear_result(tmp_path)
+    doc["tree"][key][0].append(0.0)
+    result = tmp_path / "bad.json"
+    result.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["-q", "verify", str(result)]) == 3
+    assert "malformed result document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lipschitz", ["nan", "inf", "0", "-0.5"])
+def test_cli_synth_rejects_bad_lipschitz(tmp_path, capsys, lipschitz):
+    data = tmp_path / "d.csv"
+    main(["-q", "gen", "--system", "linear2d", "--m", "300", "--seed", "1",
+          "--out", str(data)])
+    capsys.readouterr()
+    assert main(["-q", "synth", "--data", str(data), "--system", "linear2d",
+                 "--lipschitz", lipschitz, "--tau", "0.05",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert "Lipschitz bound must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("lipschitz", float("nan")),
+    ("lipschitz", float("inf")),
+    ("lipschitz", 0.0),
+    ("tau", float("nan")),
+])
+def test_cli_verify_fails_on_bad_config(tmp_path, capsys, key, value):
+    # A NaN bound made every successor box NaN, and those classified as
+    # covered: such a file used to verify as invariant.
+    doc = _synth_linear_result(tmp_path)
+    doc["config"][key] = value
+    result = tmp_path / "bad.json"
+    result.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["-q", "verify", str(result)]) == 1
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert report["passed"] is False
+    assert report["first_failure"]["reason"].startswith("invalid config:")
+
+
+def test_cli_verify_reports_trusted_lipschitz(tmp_path, capsys, caplog):
+    _synth_linear_result(tmp_path)
+    capsys.readouterr()
+    caplog.set_level(logging.INFO, logger="pinvset")
+    assert main(["verify", str(tmp_path / "r.json")]) == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert report["lipschitz"] == 0.8225
+    line = next(r.getMessage() for r in caplog.records if "event=verify" in r.getMessage())
+    assert "lipschitz=0.8225" in line.split()
+
+
+def test_import_cli_loads_no_scipy():
+    # gen, verify and report never need scipy; only NN queries and C-sets do.
+    import pinvset
+
+    code = "import sys, pinvset.cli; print(any(m.startswith('scipy') for m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(Path(pinvset.__file__).parent.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
 
 
 @pytest.mark.parametrize("bad_parent", ["self", "later", "out-of-range"])

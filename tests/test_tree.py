@@ -1,9 +1,19 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinvset.dataset import Dataset, gen_dyadic_grid, gen_uniform
-from pinvset.geometry import Box, BoxList, chebyshev
+from pinvset.geometry import (
+    Box,
+    BoxList,
+    CoverageClass,
+    DimensionMismatchError,
+    chebyshev,
+    classify_coverage,
+    uncovered_fragments,
+)
 from pinvset.tree import (
     Label,
     LabelTransitionError,
@@ -192,3 +202,46 @@ def test_overlapping_prunes_disjoint_probe():
     ds = make_dataset([(0.0, 0.0)])
     tree = new_tree(square_domain(), ds)
     assert tree.overlapping((2.0, 2.0), (3.0, 3.0)) == []
+
+
+def test_overlapping_rejects_probe_of_other_dimension():
+    ds = make_dataset([(0.0, 0.0)])
+    tree = new_tree(square_domain(), ds)
+    with pytest.raises(DimensionMismatchError):
+        tree.overlapping((0.0,), (1.0,))
+    with pytest.raises(DimensionMismatchError):
+        classify_coverage(Box((0.0, 0.0, 0.0), 1.0), tree)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3), data=st.data())
+def test_tree_coverage_matches_plain_scan_property(n, data):
+    # A random tree over [-1, 1]^n: each step divides or retires a live leaf.
+    ds = make_dataset([(0.0,) * n])
+    tree = new_tree(BoxList((Box((0.0,) * n, 1.0),)), ds)
+    for _ in range(data.draw(st.integers(0, 12))):
+        live = tree.active_leaves()
+        if not live:
+            break
+        i = live[data.draw(st.integers(0, len(live) - 1))]
+        action = data.draw(st.sampled_from(("divide", "exclude", "unknown")))
+        if action == "divide" and tree.nodes[i].target_radius > 1 / 16:
+            tree.divide(i, ds)
+        elif action == "exclude":
+            tree.set_label(i, Label.EXCLUDED)
+        elif action == "unknown":
+            tree.set_label(i, Label.UNKNOWN)
+    # Lattice corners land exactly on cell faces, so queries often touch a
+    # cover only along a face; arbitrary floats cover the general case.
+    coord = st.one_of(
+        st.integers(-20, 20).map(lambda k: k / 16),
+        st.floats(-1.25, 1.25, allow_nan=False),
+    )
+    corners = [sorted(data.draw(st.tuples(coord, coord))) for _ in range(n)]
+    query = (tuple(c[0] for c in corners), tuple(c[1] for c in corners))
+    scan = tree.candidate_set()
+    want = classify_coverage(query, scan)
+    assert classify_coverage(query, tree) is want
+    escaped = uncovered_fragments(query, tree, limit=1)
+    assert (escaped == []) == (want is CoverageClass.FULLY_COVERED)
+    assert (escaped == []) == (uncovered_fragments(query, scan, limit=1) == [])
