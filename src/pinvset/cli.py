@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 import time
 import warnings
@@ -155,6 +156,12 @@ def cmd_synth(args) -> int:
     return EXIT_OK if certificate.passed else EXIT_VERIFY_FAILED
 
 
+def _json_number(value: float) -> float | str:
+    """A finite float as is; NaN or an infinity as its repr, which strict
+    JSON can carry only as a string."""
+    return value if math.isfinite(value) else repr(value)
+
+
 def cmd_verify(args) -> int:
     manifest, result, _ = load_result(args.result)
     certificate = check_fixpoint(result)
@@ -189,9 +196,9 @@ def cmd_verify(args) -> int:
         "passed": certificate.passed,
         "checked_leaves": certificate.checked_leaves,
         "first_failure": certificate.first_failure,
-        "volume": result.volume,
+        "volume": _json_number(result.volume),
         # Trusted input: the certificate holds only if this bounds the map.
-        "lipschitz": result.config.lipschitz,
+        "lipschitz": _json_number(result.config.lipschitz),
     }
     print(json.dumps(report))
     return EXIT_OK if (certificate.passed and mc_passed) else EXIT_VERIFY_FAILED

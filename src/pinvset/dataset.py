@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import math
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -31,9 +30,6 @@ from .geometry import (
 
 logger = logging.getLogger(__name__)
 
-# Body of a '#' comment line; comments may sit anywhere in a dataset CSV.
-_COMMENT = re.compile(r"^[^\S\n]*#(.*)", re.MULTILINE)
-
 
 class DatasetError(Exception):
     """Base class for dataset ingestion failures."""
@@ -45,6 +41,10 @@ class EmptyDatasetError(DatasetError):
 
 class MalformedRowError(DatasetError):
     """A data row could not be parsed into 2n numbers."""
+
+
+class NonFiniteSampleError(DatasetError):
+    """A state or successor holds NaN or an infinity."""
 
 
 class UnknownSystemError(DatasetError):
@@ -141,6 +141,13 @@ class Dataset:
             raise DimensionMismatchError(
                 f"states {x.shape} and successors {x_plus.shape} must be equal (M, n) arrays"
             )
+        finite = np.isfinite(x).all(axis=1) & np.isfinite(x_plus).all(axis=1)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise NonFiniteSampleError(
+                f"sample {j} is not finite: state {x[j].tolist()}, "
+                f"successor {x_plus[j].tolist()}"
+            )
         self.x = x
         self.x_plus = x_plus
         self.dim = x.shape[1]
@@ -225,42 +232,30 @@ def gen_uniform(
     return Dataset(pts, oracle.map_points(pts), meta)
 
 
-def dyadic_grid_points(domain: BoxList, tau: float) -> list[Vec]:
+def dyadic_grid_points(domain: BoxList, tau: float) -> np.ndarray:
     """Every subdivision-center the partition tree can request, per root box.
 
     Level 0 is the root center; level l >= 1 exists when the level's target
     radius ``root_radius / 2**l`` is still at least tau (a node divides only
-    while its children stay at or above the resolution floor).
+    while its children stay at or above the resolution floor).  Returns an
+    ``(N, n)`` array: box by box, level by level, each level's centers in
+    row-major order with the last coordinate varying fastest.
     """
     if tau <= 0.0:
         raise ValueError(f"resolution floor must be positive, got {tau}")
-    points: list[Vec] = []
+    levels: list[np.ndarray] = []
     for box in domain:
-        n = box.dim
         lo, _ = box.rect()
         level = 0
         while True:
             radius = box.radius / (2 ** level)
             if level > 0 and radius < tau:
                 break
-            per_dim = [
-                [lo[d] + (2 * i + 1) * radius for i in range(2 ** level)]
-                for d in range(n)
-            ]
-            idx = [0] * n
-            while True:
-                points.append(tuple(per_dim[d][idx[d]] for d in range(n)))
-                d = n - 1
-                while d >= 0:
-                    idx[d] += 1
-                    if idx[d] < len(per_dim[d]):
-                        break
-                    idx[d] = 0
-                    d -= 1
-                if d < 0:
-                    break
+            odd = 2 * np.arange(2 ** level) + 1
+            axes = np.meshgrid(*[l + odd * radius for l in lo], indexing="ij")
+            levels.append(np.stack([a.ravel() for a in axes], axis=1))
             level += 1
-    return points
+    return np.concatenate(levels)
 
 
 def gen_dyadic_grid(
@@ -274,7 +269,7 @@ def gen_dyadic_grid(
     center, so partition radii collapse to the target radii.
     """
     domain = domain if domain is not None else oracle.domain
-    pts = np.array(dyadic_grid_points(domain, tau))
+    pts = dyadic_grid_points(domain, tau)
     meta = {
         "system": oracle.name,
         "mode": "grid",
@@ -301,6 +296,28 @@ def _data_lines(lines: list[str]):
         line = line.strip()
         if line and not line.startswith("#"):
             yield lineno, line
+
+
+def _comments(text: str):
+    """Body of every line whose first non-blank character is '#'.
+
+    Scans for '#' with ``str.find``, so a CSV with one metadata line costs
+    one pass in C over the text.
+    """
+    pos = text.find("#")
+    while pos != -1:
+        start = text.rfind("\n", 0, pos) + 1
+        end = text.find("\n", pos)
+        if end == -1:
+            end = len(text)
+        if not text[start:pos].strip():
+            yield text[pos + 1:end]
+        pos = text.find("#", end)
+
+
+def _row_linenos(lines: list[str], skip: int) -> list[int]:
+    """Line number of each parsed data row, the header (line ``skip``) excluded."""
+    return [lineno for lineno, _ in _data_lines(lines) if lineno > skip]
 
 
 def _floats(line: str) -> list[float] | None:
@@ -336,7 +353,7 @@ def load_dataset(
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     metadata: dict = {}
-    for comment in _COMMENT.findall(text):
+    for comment in _comments(text):
         for token in comment.split():
             if "=" in token:
                 k, _, v = token.partition("=")
@@ -362,10 +379,14 @@ def load_dataset(
         raise MalformedRowError(f"{path}: {exc}") from None
     n = cols // 2
     x, x_plus = rows[:, :n], rows[:, n:]
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        lineno = _row_linenos(lines, skip)[int(np.argmin(finite))]
+        raise NonFiniteSampleError(f"{path}:{lineno}: non-finite value in data row")
     if domain is not None:
         inside = np.array([domain.contains_point(p) for p in x.tolist()], dtype=bool)
         if not inside.all():
-            linenos = [lineno for lineno, _ in _data_lines(lines) if lineno > skip]
+            linenos = _row_linenos(lines, skip)
             rejected = [linenos[j] for j in np.flatnonzero(~inside)]
             logger.warning(
                 "dropped %d out-of-domain rows from %s (lines %s%s)",
@@ -381,15 +402,24 @@ def load_dataset(
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write CSV with metadata comment lines; floats keep full precision."""
-    path = Path(path)
+    """Write CSV with a metadata comment line and a header.
+
+    Every float is written as its shortest round-trip decimal, so loading
+    gives back the same bits; the whole body is formatted in one ``orjson``
+    call.
+    """
+    import orjson
+
     n = dataset.dim
-    with path.open("w", encoding="utf-8") as fh:
-        if dataset.metadata:
-            fh.write(
-                "# " + " ".join(f"{k}={v}" for k, v in dataset.metadata.items()) + "\n"
-            )
-        header = [f"x{d + 1}" for d in range(n)] + [f"xp{d + 1}" for d in range(n)]
-        fh.write(",".join(header) + "\n")
-        rows = np.hstack((dataset.x, dataset.x_plus)).tolist()
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    head = ""
+    if dataset.metadata:
+        head = "# " + " ".join(f"{k}={v}" for k, v in dataset.metadata.items()) + "\n"
+    header = [f"x{d + 1}" for d in range(n)] + [f"xp{d + 1}" for d in range(n)]
+    head += ",".join(header) + "\n"
+    body = orjson.dumps(
+        np.hstack((dataset.x, dataset.x_plus)), option=orjson.OPT_SERIALIZE_NUMPY
+    )
+    with Path(path).open("wb") as fh:
+        fh.write(head.encode("utf-8"))
+        fh.write(body[2:-2].replace(b"],[", b"\n"))
+        fh.write(b"\n")

@@ -50,7 +50,7 @@ class Box:
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "radius", float(self.radius))
-        if self.radius < 0.0:
+        if not self.radius >= 0.0:  # NaN fails too
             raise ValueError(f"box radius must be nonnegative, got {self.radius}")
 
     @property

@@ -5,14 +5,18 @@ pi_set, volume/sweeps/leaf_counts/terminated_by, certificate.  The node
 table stores everything the independent verifier needs (target geometry,
 sample state and successor, ball radius, label), so a result file can be
 re-certified without the dataset.  Serialization round-trips exactly: JSON
-numbers are emitted via repr and parsed back to the same floats.
+numbers are written as shortest round-trip decimals (``orjson``, compact)
+and parsed back to the same floats by the stdlib ``json``, which also loads
+the NaN of a hand-edited config so that ``verify`` can reject it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -86,12 +90,29 @@ def _tree_to_dict(tree: PartitionTree) -> dict:
     }
 
 
+_VECTORS = ("target_center", "sample_x", "sample_xp")
+
+
+def _all_finite(values) -> bool:
+    """True when every value is a finite JSON number (not a bool, null or
+    string): NaN geometry would read as covered in every overlap test."""
+    values = list(values)
+    try:
+        return set(map(type, values)) <= {int, float} and all(map(math.isfinite, values))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _tree_from_dict(d: dict) -> PartitionTree:
+    for key in (*_VECTORS, "target_radius", "radius"):
+        column = d[key]
+        vector = key in _VECTORS
+        if not _all_finite(chain.from_iterable(column) if vector else column):
+            i = next(i for i, v in enumerate(column) if not _all_finite(v if vector else [v]))
+            raise ResultFormatError(f"node {i} has a {key} that is not finite")
     tree = PartitionTree(int(d["dim"]))
     for i, parent in enumerate(d["parent"]):
-        center, x, xp = (
-            tuple(d[key][i]) for key in ("target_center", "sample_x", "sample_xp")
-        )
+        center, x, xp = (tuple(d[key][i]) for key in _VECTORS)
         if not len(center) == len(x) == len(xp) == tree.dim:
             raise ResultFormatError(f"node {i} has a vector not of length {tree.dim}")
         node = TreeNode(
@@ -200,9 +221,10 @@ def save_result(
     manifest: RunManifest,
     certificate: Certificate | None = None,
 ) -> None:
+    import orjson
+
     doc = result_to_document(result, manifest, certificate)
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))
+    Path(path).write_bytes(orjson.dumps(doc))
 
 
 def load_result(path: str | Path) -> tuple[RunManifest, SynthResult, Certificate | None]:

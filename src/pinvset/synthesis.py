@@ -166,7 +166,7 @@ def synthesize(tree: PartitionTree, dataset: Dataset, config: SynthConfig) -> Sy
         logger.info(
             "sweep=%d active=%d divisions=%d exclusions=%d unknowns=%d volume=%.12g",
             z,
-            len(tree.active_leaves()),
+            sum(tree.nodes[i].n_active for i in tree.roots),
             stats.divisions,
             stats.exclusions,
             stats.unknowns,

@@ -7,6 +7,8 @@ from pinvset.dataset import (
     Dataset,
     EmptyDatasetError,
     MalformedRowError,
+    NonFiniteSampleError,
+    SystemOracle,
     UnknownSystemError,
     dyadic_grid_points,
     gen_dyadic_grid,
@@ -49,6 +51,22 @@ def test_load_header_comments_metadata(tmp_path):
     assert ds.metadata["system"] == "linear2d"
     assert ds.metadata["seed"] == 7
     assert ds.metadata["lipschitz"] == pytest.approx(0.8225)
+
+
+def test_load_comment_rules(tmp_path):
+    # A comment line is one whose first non-blank character is '#'; a '#'
+    # later in a data row ends the row but carries no metadata.
+    f = tmp_path / "d.csv"
+    f.write_text(
+        "x1,x2,xp1,xp2\n"
+        "0,0,0,0\n"
+        "# seed=3 note=a#b\n"
+        "0.5,0.5,0.1,0.1 # skipped=1\n"
+        "#m=2"
+    )
+    ds = load_dataset(f)
+    assert ds.m == 2
+    assert ds.metadata == {"seed": 3, "note": "a#b", "m": 2}
 
 
 def test_load_dimension_error(tmp_path):
@@ -96,6 +114,53 @@ def test_save_load_round_trip(tmp_path, lin_oracle):
     back = load_dataset(f)
     assert (back.x == ds.x).all() and (back.x_plus == ds.x_plus).all()
     assert back.metadata["system"] == "linear2d"
+
+
+# Whole exponent range: subnormals, signed zeros, the 1e-7..1e-4 band where
+# the writer's spelling differs from repr, and magnitudes of 1e16 and up.
+_any_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    st.floats(1e-7, 1e-4) | st.floats(-1e-4, -1e-7),
+    st.floats(1e16, 1e300) | st.floats(-1e300, -1e16),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 3), m=st.integers(1, 12), data=st.data())
+def test_save_load_round_trip_bit_identical(tmp_path_factory, n, m, data):
+    rows = st.lists(st.lists(_any_finite, min_size=n, max_size=n), min_size=m, max_size=m)
+    x = np.array(data.draw(rows), dtype=float)
+    xp = np.array(data.draw(rows), dtype=float)
+    f = tmp_path_factory.mktemp("rt") / "d.csv"
+    save_dataset(Dataset(x, xp, {"m": m}), f)
+    back = load_dataset(f)
+    assert (back.x.view(np.int64) == x.view(np.int64)).all()
+    assert (back.x_plus.view(np.int64) == xp.view(np.int64)).all()
+    assert back.metadata == {"m": m}
+
+
+def test_load_names_non_finite_row(tmp_path):
+    f = tmp_path / "d.csv"
+    f.write_text("# m=3\nx1,x2,xp1,xp2\n0,0,0,0\n\n0.5,0.5,nan,0.1\n1,1,inf,0\n")
+    with pytest.raises(NonFiniteSampleError, match=r"d\.csv:5: "):
+        load_dataset(f)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_dataset_rejects_non_finite(bad):
+    with pytest.raises(NonFiniteSampleError, match="sample 1 "):
+        Dataset([(0.0, 0.0), (bad, 0.0)], [(0.0, 0.0), (0.0, 0.0)])
+    with pytest.raises(NonFiniteSampleError, match="sample 0 "):
+        Dataset([(0.0, 0.0)], [(0.0, bad)])
+
+
+def test_gen_uniform_rejects_non_finite_map():
+    domain = BoxList((Box((0.0, 0.0), 1.0),))
+    oracle = SystemOracle("blowup", lambda pts: np.full_like(pts, np.inf), 1.0, domain)
+    with pytest.raises(NonFiniteSampleError):
+        gen_uniform(oracle, 10, seed=0)
 
 
 # -- generators ---------------------------------------------------------------
@@ -156,7 +221,50 @@ def test_dyadic_grid_matches_tree_centers(lin_oracle):
             for i in range(2 ** level)
             for j in range(2 ** level)
         }
-        assert expected <= set(pts)
+        assert expected <= set(map(tuple, pts.tolist()))
+
+
+def _odometer_grid(domain, tau):
+    """Reference enumeration: per box and level, an odometer over the
+    per-axis centers with the last coordinate turning fastest."""
+    points = []
+    for box in domain:
+        n = box.dim
+        lo, _ = box.rect()
+        level = 0
+        while level == 0 or box.radius / 2 ** level >= tau:
+            radius = box.radius / 2 ** level
+            per_dim = [[lo[d] + (2 * i + 1) * radius for i in range(2 ** level)]
+                       for d in range(n)]
+            idx = [0] * n
+            while True:
+                points.append(tuple(per_dim[d][idx[d]] for d in range(n)))
+                d = n - 1
+                while d >= 0:
+                    idx[d] += 1
+                    if idx[d] < 2 ** level:
+                        break
+                    idx[d] = 0
+                    d -= 1
+                if d < 0:
+                    break
+            level += 1
+    return points
+
+
+@pytest.mark.parametrize("boxes,tau", [
+    ([((0.375, -0.375), 0.625)], 0.01),
+    ([((0.1,), 0.3), ((0.7,), 0.3)], 0.004),
+    ([((-0.25, 0.75), 0.5), ((0.75, 0.75), 0.5)], 0.03),
+    ([((0.1, -0.2, 0.3), 0.7)], 0.05),
+    ([((0.0, 0.0, 0.0), 0.5), ((1.0, 0.0, 0.0), 0.5)], 0.1),
+])
+def test_dyadic_grid_points_match_odometer_bitwise(boxes, tau):
+    domain = BoxList(tuple(Box(c, r) for c, r in boxes))
+    pts = dyadic_grid_points(domain, tau)
+    want = np.array(_odometer_grid(domain, tau))
+    assert pts.shape == want.shape == (len(want), domain[0].dim)
+    assert (pts.view(np.int64) == want.view(np.int64)).all()
 
 
 def test_gen_dyadic_grid_contains_exact_centers(nonlin_oracle):

@@ -52,6 +52,12 @@ def test_contains_point_dimension_mismatch():
         Box((0.0, 0.0), 1.0).contains_point((0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("radius", [-0.5, float("nan")])
+def test_box_rejects_negative_or_nan_radius(radius):
+    with pytest.raises(ValueError):
+        Box((0.0, 0.0), radius)
+
+
 def test_box_volume():
     assert Box((0.375, -0.375), 0.625).volume() == 1.5625
     assert Box((1.0, 2.0, 3.0), 0.0).volume() == 0.0

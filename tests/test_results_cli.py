@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -216,6 +217,10 @@ def test_cli_synth_rejects_bad_lipschitz(tmp_path, capsys, lipschitz):
     assert not (tmp_path / "r.json").exists()
 
 
+def _reject_constant(name):
+    raise ValueError(f"stdout is not strict JSON: {name}")
+
+
 @pytest.mark.parametrize("key,value", [
     ("lipschitz", float("nan")),
     ("lipschitz", float("inf")),
@@ -231,9 +236,14 @@ def test_cli_verify_fails_on_bad_config(tmp_path, capsys, key, value):
     result.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["-q", "verify", str(result)]) == 1
-    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    report = json.loads(
+        capsys.readouterr().out.strip().splitlines()[-1],
+        parse_constant=_reject_constant,
+    )
     assert report["passed"] is False
     assert report["first_failure"]["reason"].startswith("invalid config:")
+    if key == "lipschitz":
+        assert report["lipschitz"] == (value if math.isfinite(value) else repr(value))
 
 
 def test_cli_verify_reports_trusted_lipschitz(tmp_path, capsys, caplog):
@@ -247,16 +257,61 @@ def test_cli_verify_reports_trusted_lipschitz(tmp_path, capsys, caplog):
     assert "lipschitz=0.8225" in line.split()
 
 
-def test_import_cli_loads_no_scipy():
+@pytest.mark.parametrize("module", ["scipy", "orjson"])
+def test_import_cli_does_not_load(module):
     # gen, verify and report never need scipy; only NN queries and C-sets do.
+    # orjson is imported by the two writers only.
     import pinvset
 
-    code = "import sys, pinvset.cli; print(any(m.startswith('scipy') for m in sys.modules))"
+    code = (
+        f"import sys, pinvset.cli; "
+        f"print(any(m.split('.')[0] == {module!r} for m in sys.modules))"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(pinvset.__file__).parent.parent))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("value", [float("nan"), None], ids=["nan", "null"])
+def test_cli_verify_rejects_non_finite_successor(tmp_path, capsys, value):
+    # Every comparison with NaN reads as overlap, so an included leaf with a
+    # NaN successor used to pass verification.
+    doc = _synth_linear_result(tmp_path)
+    tree = doc["tree"]
+    parents = set(tree["parent"])
+    leaf = next(
+        i for i, label in enumerate(tree["label"]) if label == 1 and i not in parents
+    )
+    tree["sample_xp"][leaf] = [value, value]
+    result = tmp_path / "bad.json"
+    result.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["-q", "verify", str(result)]) == 3
+    assert f"node {leaf} has a sample_xp that is not finite" in capsys.readouterr().err
+
+
+def test_cli_synth_rejects_nan_successor_csv(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    main(["-q", "gen", "--system", "linear2d", "--m", "300", "--seed", "1",
+          "--out", str(data)])
+    lines = data.read_text().splitlines()
+    lines[5] = ",".join(lines[5].split(",")[:2] + ["nan", "nan"])
+    data.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["-q", "synth", "--data", str(data), "--system", "linear2d",
+                 "--lipschitz", "0.8225", "--tau", "0.05",
+                 "--out", str(tmp_path / "r.json")]) == 3
+    assert f"{data}:6: non-finite value in data row" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_save_result_is_compact(lin_oracle, tmp_path):
+    path = tmp_path / "r.json"
+    save_result(path, small_result(lin_oracle), RunManifest(command="test"))
+    text = path.read_text()
+    assert ", " not in text and ": " not in text
 
 
 @pytest.mark.parametrize("bad_parent", ["self", "later", "out-of-range"])
@@ -298,7 +353,7 @@ def test_cli_gen_from_map_table(tmp_path):
     domain = BoxList((Box((0.0, 0.0), 1.0),))
     rows = [
         ",".join(map(repr, (*x, 0.0, 0.0)))
-        for x in dyadic_grid_points(domain, 0.25)
+        for x in dyadic_grid_points(domain, 0.25).tolist()
     ]
     table.write_text("\n".join(rows) + "\n")
     out = tmp_path / "gen.csv"

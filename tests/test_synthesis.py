@@ -244,3 +244,29 @@ def test_progress_events_logged(lin_oracle, caplog):
     assert lines[0].startswith("sweep=1 ")
     for key in ("active=", "divisions=", "exclusions=", "unknowns=", "volume="):
         assert key in lines[0]
+
+
+def test_logged_active_count_matches_walk(lin_oracle, caplog, monkeypatch):
+    # The log line reads the roots' counters; they must agree with a walk.
+    from pinvset import synthesis
+
+    walked = []
+    real_sweep = synthesis.sweep
+
+    def counting_sweep(tree, *args):
+        stats = real_sweep(tree, *args)
+        walked.append(len(tree.active_leaves()))
+        return stats
+
+    monkeypatch.setattr(synthesis, "sweep", counting_sweep)
+    ds = gen_uniform(lin_oracle, 800, seed=6)
+    tree = new_tree(lin_oracle.domain, ds)
+    with caplog.at_level("INFO", logger="pinvset.synthesis"):
+        synthesize(tree, ds, SynthConfig(lipschitz=lin_oracle.lipschitz, tau=0.05))
+    logged = [
+        int(token.partition("=")[2])
+        for r in caplog.records
+        for token in r.getMessage().split()
+        if token.startswith("active=")
+    ]
+    assert len(logged) >= 2 and logged == walked
