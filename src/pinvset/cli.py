@@ -177,12 +177,13 @@ def cmd_verify(args) -> int:
         system = args.system or manifest.dataset_meta.get("system")
         if not system:
             raise UsageError("--monte-carlo needs --system (or dataset metadata in the result)")
-        if result.pi_set.is_empty:
+        pi_set = result.pi_set
+        if pi_set.is_empty:
             logger.info("event=monte-carlo skipped=empty-set")
         else:
             oracle = get_system(system)
             mc = monte_carlo_invariance(
-                result.pi_set, oracle, args.monte_carlo, args.horizon, args.seed
+                pi_set, oracle, args.monte_carlo, args.horizon, args.seed
             )
             mc_passed = mc.passed
             logger.info(

@@ -11,7 +11,6 @@ order.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,8 +26,6 @@ from .geometry import (
     Vec,
     chebyshev,
 )
-
-logger = logging.getLogger(__name__)
 
 
 class DatasetError(Exception):
@@ -299,7 +296,8 @@ def _data_lines(lines: list[str]):
 
 
 def _comments(text: str):
-    """Body of every line whose first non-blank character is '#'.
+    """(line start, '#' offset, body) of every line whose first non-blank
+    character is '#'.
 
     Scans for '#' with ``str.find``, so a CSV with one metadata line costs
     one pass in C over the text.
@@ -311,7 +309,7 @@ def _comments(text: str):
         if end == -1:
             end = len(text)
         if not text[start:pos].strip():
-            yield text[pos + 1:end]
+            yield start, pos, text[pos + 1:end]
         pos = text.find("#", end)
 
 
@@ -337,27 +335,28 @@ def _check_row(path: Path, lineno: int, line: str, cols: int) -> None:
         )
 
 
-def load_dataset(
-    path: str | Path,
-    dim: int | None = None,
-    domain: BoxList | None = None,
-) -> Dataset:
+def load_dataset(path: str | Path) -> Dataset:
     """Read sample pairs from CSV.
 
-    Rows are ``x_1,..,x_n,xp_1,..,xp_n``; '#' lines are comments and may
-    carry ``key=value`` metadata; an optional non-numeric header row is
-    skipped.  Rows whose state falls outside the declared domain are
-    dropped with a warning (out-of-domain anchors would still be sound but
-    break the sample-count accounting).
+    Rows are ``x_1,..,x_n,xp_1,..,xp_n``; lines whose first non-blank
+    character is '#' are comments and may carry ``key=value`` metadata; an
+    optional non-numeric header row is skipped.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     metadata: dict = {}
-    for comment in _comments(text):
+    kept: list[str] = []  # the text with each comment's indentation cut out
+    done = 0
+    for start, pos, comment in _comments(text):
         for token in comment.split():
             if "=" in token:
                 k, _, v = token.partition("=")
                 metadata[k.strip()] = _parse_meta_value(v.strip())
+        if pos > start:  # np.loadtxt would read the blanks as a row
+            kept.append(text[done:start])
+            done = pos
+    if kept:
+        text = "".join(kept) + text[done:]
     lines = text.splitlines()
     data = _data_lines(lines)
     skip = 0
@@ -367,7 +366,7 @@ def load_dataset(
     if first is None:
         raise EmptyDatasetError(f"{path}: no data rows")
     lineno, line = first
-    cols = 2 * dim if dim is not None else line.count(",") + 1
+    cols = line.count(",") + 1
     if cols % 2 != 0:
         raise MalformedRowError(f"{path}:{lineno}: odd column count {cols}")
     _check_row(path, lineno, line, cols)
@@ -383,21 +382,6 @@ def load_dataset(
     if not finite.all():
         lineno = _row_linenos(lines, skip)[int(np.argmin(finite))]
         raise NonFiniteSampleError(f"{path}:{lineno}: non-finite value in data row")
-    if domain is not None:
-        inside = np.array([domain.contains_point(p) for p in x.tolist()], dtype=bool)
-        if not inside.all():
-            linenos = _row_linenos(lines, skip)
-            rejected = [linenos[j] for j in np.flatnonzero(~inside)]
-            logger.warning(
-                "dropped %d out-of-domain rows from %s (lines %s%s)",
-                len(rejected),
-                path,
-                ", ".join(map(str, rejected[:10])),
-                ", ..." if len(rejected) > 10 else "",
-            )
-            if not inside.any():
-                raise EmptyDatasetError(f"{path}: no data rows")
-            x, x_plus = x[inside], x_plus[inside]
     return Dataset(x, x_plus, metadata)
 
 

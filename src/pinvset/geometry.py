@@ -50,6 +50,8 @@ class Box:
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "radius", float(self.radius))
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError(f"box center must be finite, got {self.center}")
         if not self.radius >= 0.0:  # NaN fails too
             raise ValueError(f"box radius must be nonnegative, got {self.radius}")
 

@@ -4,10 +4,13 @@ Sections: manifest (provenance), config, domain, tree (flat node table),
 pi_set, volume/sweeps/leaf_counts/terminated_by, certificate.  The node
 table stores everything the independent verifier needs (target geometry,
 sample state and successor, ball radius, label), so a result file can be
-re-certified without the dataset.  Serialization round-trips exactly: JSON
-numbers are written as shortest round-trip decimals (``orjson``, compact)
-and parsed back to the same floats by the stdlib ``json``, which also loads
-the NaN of a hand-edited config so that ``verify`` can reject it.
+re-certified without the dataset.  The domain, pi_set, volume and
+leaf_counts sections restate the tree for readers of the file: they are
+derived from it on save and checked against it on load.  Serialization
+round-trips exactly: JSON numbers are written as shortest round-trip
+decimals (``orjson``, compact) and parsed back to the same floats by the
+stdlib ``json``, which also loads the NaN of a hand-edited config so that
+``verify`` can reject it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from itertools import chain
 from pathlib import Path
 
 from . import __version__
-from .geometry import Box, BoxList
 from .synthesis import SynthConfig, SynthResult, Termination, UpdateMode
 from .tree import Label, PartitionTree, TreeNode
 from .verify import Certificate
@@ -62,17 +64,24 @@ def file_sha256(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def _boxlist_to_dict(boxes: BoxList) -> dict:
+def _tree_sections(tree: PartitionTree) -> dict:
+    """The sections that restate the tree: the domain (the roots' cells),
+    pi_set (the included leaves' cells, in leaf order), their volume and the
+    leaf counts by label."""
+    roots = [tree.nodes[i] for i in tree.roots]
+    kept = [tree.nodes[i] for i in tree.active_leaves()]
     return {
-        "centers": [list(b.center) for b in boxes],
-        "radii": [b.radius for b in boxes],
+        "domain": {
+            "centers": [list(node.target_center) for node in roots],
+            "radii": [node.target_radius for node in roots],
+        },
+        "pi_set": {
+            "centers": [list(node.target_center) for node in kept],
+            "radii": [node.target_radius for node in kept],
+        },
+        "volume": tree.active_volume(),
+        "leaf_counts": tree.leaf_counts(),
     }
-
-
-def _boxlist_from_dict(d: dict) -> BoxList:
-    return BoxList(
-        tuple(Box(tuple(c), r) for c, r in zip(d["centers"], d["radii"]))
-    )
 
 
 def _tree_to_dict(tree: PartitionTree) -> dict:
@@ -168,8 +177,7 @@ def result_to_document(
     manifest: RunManifest,
     certificate: Certificate | None = None,
 ) -> dict:
-    tree = result.tree
-    domain = BoxList(tuple(tree.nodes[i].target_box() for i in tree.roots))
+    sections = _tree_sections(result.tree)
     return {
         "manifest": manifest.to_dict(),
         "config": {
@@ -178,13 +186,13 @@ def result_to_document(
             "max_sweeps": result.config.max_sweeps,
             "update_mode": result.config.mode.value,
         },
-        "domain": _boxlist_to_dict(domain),
-        "tree": _tree_to_dict(tree),
-        "pi_set": _boxlist_to_dict(result.pi_set),
-        "volume": result.volume,
+        "domain": sections["domain"],
+        "tree": _tree_to_dict(result.tree),
+        "pi_set": sections["pi_set"],
+        "volume": sections["volume"],
         "sweeps": result.sweeps,
         "terminated_by": result.terminated_by.value,
-        "leaf_counts": result.leaf_counts,
+        "leaf_counts": sections["leaf_counts"],
         "certificate": _certificate_to_dict(certificate),
     }
 
@@ -200,12 +208,12 @@ def result_from_document(doc: dict) -> tuple[RunManifest, SynthResult, Certifica
             mode=UpdateMode(cfg["update_mode"]),
         )
         tree = _tree_from_dict(doc["tree"])
+        for key, derived in _tree_sections(tree).items():
+            if doc[key] != derived:
+                raise ResultFormatError(f"the {key} section does not match the tree")
         result = SynthResult(
             tree=tree,
-            pi_set=_boxlist_from_dict(doc["pi_set"]),
-            volume=float(doc["volume"]),
             sweeps=int(doc["sweeps"]),
-            leaf_counts=dict(doc["leaf_counts"]),
             terminated_by=Termination(doc["terminated_by"]),
             config=config,
         )

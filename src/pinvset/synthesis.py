@@ -76,13 +76,26 @@ class SweepStats:
 
 @dataclass
 class SynthResult:
+    """A finished run.  The tree is the only record of the set: the union of
+    its included cells, their volume and the leaf counts are derived from it
+    on every access."""
+
     tree: PartitionTree
-    pi_set: BoxList
-    volume: float
     sweeps: int
-    leaf_counts: dict[str, int]
     terminated_by: Termination
     config: SynthConfig
+
+    @property
+    def pi_set(self) -> BoxList:
+        return self.tree.candidate_set()
+
+    @property
+    def volume(self) -> float:
+        return self.tree.active_volume()
+
+    @property
+    def leaf_counts(self) -> dict[str, int]:
+        return self.tree.leaf_counts()
 
 
 def classify_leaf(leaf: TreeNode, candidate, lipschitz: float) -> CoverageClass:
@@ -176,13 +189,4 @@ def synthesize(tree: PartitionTree, dataset: Dataset, config: SynthConfig) -> Sy
             terminated = Termination.FIXPOINT
             sweeps = z
             break
-    pi_set = tree.candidate_set()
-    return SynthResult(
-        tree=tree,
-        pi_set=pi_set,
-        volume=pi_set.volume(),
-        sweeps=sweeps,
-        leaf_counts=tree.leaf_counts(),
-        terminated_by=terminated,
-        config=config,
-    )
+    return SynthResult(tree=tree, sweeps=sweeps, terminated_by=terminated, config=config)

@@ -20,6 +20,7 @@ safe to run concurrently with each other, not with writes.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from enum import IntEnum
 from itertools import product
 from typing import Iterator, Sequence
@@ -102,9 +103,6 @@ class TreeNode:
 
     def target_box(self) -> Box:
         return Box(self.target_center, self.target_radius)
-
-    def sample_box(self) -> Box:
-        return Box(self.sample_x, self.radius)
 
 
 def _sign_vectors(n: int) -> tuple[tuple[float, ...], ...]:
@@ -232,7 +230,9 @@ class PartitionTree:
                 stack.extend(reversed(node.children))
 
     def active_leaves(self) -> list[int]:
-        return [i for i in self.iter_leaves() if self.nodes[i].label is Label.INCLUDED]
+        nodes = self.nodes
+        included = Label.INCLUDED  # one enum lookup, not one per leaf
+        return [i for i in self.iter_leaves() if nodes[i].label is included]
 
     def candidate_set(self) -> BoxList:
         """Union of target boxes of included leaves (disjoint interiors)."""
@@ -241,22 +241,23 @@ class PartitionTree:
         )
 
     def active_volume(self) -> float:
+        # One scan of the node list: fsum is exactly rounded, so the leaves'
+        # order does not change the sum.
         n = self.dim
-        return math.fsum(
-            (2.0 * self.nodes[i].target_radius) ** n for i in self.active_leaves()
-        )
+        included = Label.INCLUDED
+        return math.fsum([
+            (2.0 * node.target_radius) ** n
+            for node in self.nodes
+            if node.children is None and node.label is included
+        ])
 
     def leaf_counts(self) -> dict[str, int]:
-        counts = {"included": 0, "excluded": 0, "unknown": 0}
-        for i in self.iter_leaves():
-            label = self.nodes[i].label
-            if label is Label.INCLUDED:
-                counts["included"] += 1
-            elif label is Label.EXCLUDED:
-                counts["excluded"] += 1
-            else:
-                counts["unknown"] += 1
-        return counts
+        labels = Counter([node.label for node in self.nodes if node.children is None])
+        return {
+            "included": labels[Label.INCLUDED],
+            "excluded": labels[Label.EXCLUDED],
+            "unknown": labels[Label.UNKNOWN],
+        }
 
     def first_untiled(self) -> int | None:
         """First interior node whose children are not exactly its 2^n dyadic

@@ -61,19 +61,21 @@ def test_load_comment_rules(tmp_path):
         "x1,x2,xp1,xp2\n"
         "0,0,0,0\n"
         "# seed=3 note=a#b\n"
+        "  # indented=1\n"
         "0.5,0.5,0.1,0.1 # skipped=1\n"
+        "\t # tab=2\n"
         "#m=2"
     )
     ds = load_dataset(f)
-    assert ds.m == 2
-    assert ds.metadata == {"seed": 3, "note": "a#b", "m": 2}
+    assert ds.x.tolist() == [[0.0, 0.0], [0.5, 0.5]]
+    assert ds.metadata == {"seed": 3, "note": "a#b", "indented": 1, "tab": 2, "m": 2}
 
 
 def test_load_dimension_error(tmp_path):
     f = tmp_path / "d.csv"
-    f.write_text("0,0,1\n")
-    with pytest.raises(DimensionMismatchError):
-        load_dataset(f, dim=2)
+    f.write_text("0,0,0,0\n0,0\n")
+    with pytest.raises(DimensionMismatchError, match=r"d\.csv:2: 2 columns, expected 4"):
+        load_dataset(f)
 
 
 def test_load_odd_columns_malformed(tmp_path):
@@ -95,16 +97,6 @@ def test_load_empty_file(tmp_path):
     f.write_text("")
     with pytest.raises(EmptyDatasetError):
         load_dataset(f)
-
-
-def test_load_rejects_out_of_domain_rows(tmp_path, caplog):
-    f = tmp_path / "d.csv"
-    f.write_text("0,0,0,0\n5,5,0,0\n0.5,0.5,0,0\n")
-    domain = BoxList((Box((0.0, 0.0), 1.0),))
-    with caplog.at_level("WARNING"):
-        ds = load_dataset(f, domain=domain)
-    assert ds.m == 2
-    assert any("out-of-domain" in r.message for r in caplog.records)
 
 
 def test_save_load_round_trip(tmp_path, lin_oracle):

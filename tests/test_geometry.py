@@ -52,10 +52,17 @@ def test_contains_point_dimension_mismatch():
         Box((0.0, 0.0), 1.0).contains_point((0.0, 0.0, 0.0))
 
 
-@pytest.mark.parametrize("radius", [-0.5, float("nan")])
-def test_box_rejects_negative_or_nan_radius(radius):
+@pytest.mark.parametrize("center,radius", [
+    pytest.param((0.0, 0.0), -0.5, id="-0.5"),
+    pytest.param((0.0, 0.0), float("nan"), id="nan"),
+    # A NaN center made every comparison fail, so the box read as covered.
+    pytest.param((float("nan"), 0.0), 0.1, id="center-nan"),
+    pytest.param((0.0, float("inf")), 0.1, id="center-inf"),
+    pytest.param((-float("inf"), 0.0), 0.1, id="center--inf"),
+])
+def test_box_rejects_negative_or_nan_radius(center, radius):
     with pytest.raises(ValueError):
-        Box((0.0, 0.0), radius)
+        Box(center, radius)
 
 
 def test_box_volume():

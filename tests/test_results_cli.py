@@ -51,6 +51,14 @@ def test_result_round_trip_identity(lin_oracle, tmp_path):
     assert check_fixpoint(loaded).passed
 
 
+def test_result_from_document_rejects_mismatched_union(lin_oracle):
+    doc = result_to_document(small_result(lin_oracle), RunManifest(command="test"))
+    # claims an empty set while the tree still has live leaves
+    doc["pi_set"] = {"centers": [], "radii": []}
+    with pytest.raises(ResultFormatError, match="the pi_set section does not match the tree"):
+        result_from_document(doc)
+
+
 def test_result_from_document_rejects_garbage():
     with pytest.raises(ResultFormatError):
         result_from_document({"manifest": {}})
@@ -191,6 +199,42 @@ def test_cli_verify_rejects_shifted_child(tmp_path, capsys):
     assert report["first_failure"] == {
         "node": parents[node], "reason": "children do not tile their parent",
     }
+
+
+def _drop_last_kept_cell(doc):
+    doc["pi_set"]["centers"].pop()
+    doc["pi_set"]["radii"].pop()
+
+
+_SECTION_EDITS = {
+    "volume": lambda doc: doc.update(volume=99.0),
+    "leaf_counts": lambda doc: doc["leaf_counts"].update(included=1),
+    "pi_set": _drop_last_kept_cell,
+    "domain": lambda doc: doc.update(domain={"centers": [[5.0, 5.0]], "radii": [0.625]}),
+}
+
+
+@pytest.mark.parametrize("section", list(_SECTION_EDITS))
+def test_cli_rejects_section_that_contradicts_tree(tmp_path, capsys, caplog, section):
+    # These sections restate the tree; a file whose copy disagrees with its
+    # own tree used to verify, and report aggregated the edited volume.
+    doc = _synth_linear_result(tmp_path)
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    (runs / "good.json").write_text(json.dumps(doc))
+    _SECTION_EDITS[section](doc)
+    bad = runs / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["-q", "verify", str(bad)]) == 3
+    assert f"the {section} section does not match the tree" in capsys.readouterr().err
+    assert main(["-q", "report", "--dir", str(runs)]) == 0
+    header, row = capsys.readouterr().out.strip().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["runs"] == "1"
+    assert any(
+        "event=report-skip" in r.getMessage() and "bad.json" in r.getMessage()
+        for r in caplog.records
+    )
 
 
 @pytest.mark.parametrize("key", ["target_center", "sample_x", "sample_xp"])

@@ -234,6 +234,20 @@ def test_result_volume_matches_pi_set(lin_oracle):
     assert res.leaf_counts["included"] == len(res.pi_set)
 
 
+def test_result_reads_its_set_from_the_tree(lin_oracle):
+    ds = gen_uniform(lin_oracle, 1500, seed=2)
+    tree = new_tree(lin_oracle.domain, ds)
+    res = synthesize(tree, ds, SynthConfig(lipschitz=lin_oracle.lipschitz, tau=0.05))
+    volume, counts = res.volume, res.leaf_counts
+    leaf = tree.active_leaves()[0]
+    cell = tree.nodes[leaf].target_box()
+    tree.set_label(leaf, Label.EXCLUDED)
+    # No copy of the set is stored beside the tree, so none can go stale.
+    assert cell not in res.pi_set
+    assert res.volume == pytest.approx(volume - cell.volume(), rel=1e-12)
+    assert res.leaf_counts["excluded"] == counts["excluded"] + 1
+
+
 def test_progress_events_logged(lin_oracle, caplog):
     ds = gen_uniform(lin_oracle, 800, seed=6)
     tree = new_tree(lin_oracle.domain, ds)
