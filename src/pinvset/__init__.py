@@ -42,7 +42,6 @@ from .synthesis import (  # noqa: E402
     SynthResult,
     Termination,
     UpdateMode,
-    classify_leaf,
     sweep,
     synthesize,
 )

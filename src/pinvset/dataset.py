@@ -12,6 +12,7 @@ order.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -159,10 +160,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.x)
 
-    @property
-    def m(self) -> int:
-        return len(self.x)
-
     def nearest(self, qs) -> tuple[np.ndarray, np.ndarray]:
         """Exact max-norm nearest neighbors of a (k, n) batch of queries.
 
@@ -287,6 +284,11 @@ def _parse_meta_value(raw: str):
     return v
 
 
+_BLANKS = " \t\r\f\v"
+# A line that holds only blanks, matched with the newline before it.
+_BLANK_LINE = re.compile(rf"\n[{_BLANKS}]+(?=\n|\Z)")
+
+
 def _data_lines(lines: list[str]):
     """(line number, stripped text) of every non-blank, non-comment line."""
     for lineno, line in enumerate(lines, start=1):
@@ -357,6 +359,9 @@ def load_dataset(path: str | Path) -> Dataset:
             done = pos
     if kept:
         text = "".join(kept) + text[done:]
+    # np.loadtxt skips an empty line but reads a line of blanks as a
+    # one-column row: empty every such line, in one regex pass.
+    text = _BLANK_LINE.sub("\n", text.lstrip(_BLANKS))
     lines = text.splitlines()
     data = _data_lines(lines)
     skip = 0

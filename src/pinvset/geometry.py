@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 # Absolute slack for geometric comparisons.  Dyadic subdivision keeps tile
 # coordinates exact in binary floating point; this only has to absorb the
@@ -69,12 +69,12 @@ class Box:
     def volume(self) -> float:
         return (2.0 * self.radius) ** self.dim
 
-    def contains_point(self, y: Sequence[float], tol: float = GEOM_TOL) -> bool:
+    def contains_point(self, y: Sequence[float]) -> bool:
         if len(y) != self.dim:
             raise DimensionMismatchError(
                 f"point has dim {len(y)}, box has dim {self.dim}"
             )
-        r = self.radius + tol
+        r = self.radius + GEOM_TOL
         return all(abs(c - v) <= r for c, v in zip(self.center, y))
 
 
@@ -107,8 +107,8 @@ class BoxList:
         # Assumes pairwise-disjoint interiors, which holds for tree tilings.
         return math.fsum(b.volume() for b in self.boxes)
 
-    def contains_point(self, y: Sequence[float], tol: float = GEOM_TOL) -> bool:
-        return any(b.contains_point(y, tol) for b in self.boxes)
+    def contains_point(self, y: Sequence[float]) -> bool:
+        return any(b.contains_point(y) for b in self.boxes)
 
     def bounding_rect(self) -> Rect:
         if self.is_empty:
@@ -119,7 +119,7 @@ class BoxList:
         hi = tuple(max(r[1][d] for r in rects) for d in range(n))
         return lo, hi
 
-    def overlapping(self, qlo: Vec, qhi: Vec, tol: float = GEOM_TOL) -> list[Rect]:
+    def overlapping(self, qlo: Vec, qhi: Vec) -> list[Rect]:
         if self.boxes and (len(qlo) != self.boxes[0].dim or len(qhi) != len(qlo)):
             raise DimensionMismatchError(
                 f"probe of dim {len(qlo)} does not match union dim {self.boxes[0].dim}"
@@ -127,7 +127,7 @@ class BoxList:
         out = []
         for b in self.boxes:
             lo, hi = b.rect()
-            if rects_intersect(lo, hi, qlo, qhi, tol):
+            if rects_intersect(lo, hi, qlo, qhi):
                 out.append((lo, hi))
         return out
 
@@ -150,17 +150,18 @@ def rect_volume(rect: Rect) -> float:
     return v
 
 
-def rects_intersect(alo: Vec, ahi: Vec, blo: Vec, bhi: Vec, tol: float = GEOM_TOL) -> bool:
+def rects_intersect(alo: Vec, ahi: Vec, blo: Vec, bhi: Vec) -> bool:
     """Closed intersection test; boundary contact counts."""
     for al, ah, bl, bh in zip(alo, ahi, blo, bhi):
-        if (al if al > bl else bl) > (ah if ah < bh else bh) + tol:
+        if (al if al > bl else bl) > (ah if ah < bh else bh) + GEOM_TOL:
             return False
     return True
 
 
-def _overlap_positive(alo: Vec, ahi: Vec, blo: Vec, bhi: Vec, tol: float) -> bool:
+def _overlap_positive(alo: Vec, ahi: Vec, blo: Vec, bhi: Vec) -> bool:
     """True when the overlap has positive width in every dimension; both
     rectangles must have the same dimension."""
+    tol = GEOM_TOL
     for d in range(len(alo)):
         ah = ahi[d]
         bh = bhi[d]
@@ -171,7 +172,7 @@ def _overlap_positive(alo: Vec, ahi: Vec, blo: Vec, bhi: Vec, tol: float) -> boo
     return True
 
 
-def box_intersect(a: Box | Rect, b: Box | Rect, tol: float = GEOM_TOL) -> Rect | None:
+def box_intersect(a: Box | Rect, b: Box | Rect) -> Rect | None:
     """Coordinatewise intersection, or None when empty.
 
     The result is a hyperrectangle, not generally a cube.  Contact along a
@@ -187,19 +188,19 @@ def box_intersect(a: Box | Rect, b: Box | Rect, tol: float = GEOM_TOL) -> Rect |
     lo = tuple(max(x, y) for x, y in zip(alo, blo))
     hi = tuple(min(x, y) for x, y in zip(ahi, bhi))
     for a_, b_ in zip(lo, hi):
-        if a_ > b_ + tol:
+        if a_ > b_ + GEOM_TOL:
             return None
     return lo, hi
 
 
-def box_subtract(query: Box | Rect, cover: Box | Rect, tol: float = GEOM_TOL) -> list[Rect]:
+def box_subtract(query: Box | Rect, cover: Box | Rect) -> list[Rect]:
     """Decompose ``query \\ cover`` into disjoint hyperrectangles.
 
     Coordinate sweep: at most two fragments per dimension, fragments have
     pairwise-disjoint interiors, and their total volume equals
     ``vol(query) - vol(query & cover)``.  A cover that removes no volume
     (disjoint or face contact only) returns the query unchanged.  Fragments
-    thinner than ``tol`` in any dimension are dropped.
+    thinner than ``GEOM_TOL`` in any dimension are dropped.
     """
     qlo, qhi = as_rect(query)
     clo, chi = as_rect(cover)
@@ -207,14 +208,15 @@ def box_subtract(query: Box | Rect, cover: Box | Rect, tol: float = GEOM_TOL) ->
         raise DimensionMismatchError(
             f"cannot subtract boxes of dim {len(clo)} from dim {len(qlo)}"
         )
-    if not _overlap_positive(qlo, qhi, clo, chi, tol):
+    if not _overlap_positive(qlo, qhi, clo, chi):
         return [(qlo, qhi)]
-    return _cut(qlo, qhi, clo, chi, tol)
+    return _cut(qlo, qhi, clo, chi)
 
 
-def _cut(qlo: Vec, qhi: Vec, clo: Vec, chi: Vec, tol: float) -> list[Rect]:
+def _cut(qlo: Vec, qhi: Vec, clo: Vec, chi: Vec) -> list[Rect]:
     """The coordinate sweep of ``box_subtract`` on corner tuples whose
     overlap is already known to be positive."""
+    tol = GEOM_TOL
     lo = list(qlo)
     hi = list(qhi)
     pieces: list[Rect] = []
@@ -237,24 +239,7 @@ def _cut(qlo: Vec, qhi: Vec, clo: Vec, chi: Vec, tol: float) -> list[Rect]:
     return pieces
 
 
-def _covers(qlo: Vec, qhi: Vec, union, tol: float) -> list[Rect]:
-    """Cover rectangles meeting the query, from an ``overlapping`` index
-    (a ``BoxList`` or the partition tree) or by scanning boxes."""
-    if hasattr(union, "overlapping"):
-        return union.overlapping(qlo, qhi, tol)
-    covers = []
-    for b in union:
-        lo, hi = as_rect(b)
-        if len(lo) != len(qlo):
-            raise DimensionMismatchError(
-                f"cover dim {len(lo)} does not match query dim {len(qlo)}"
-            )
-        if rects_intersect(lo, hi, qlo, qhi, tol):
-            covers.append((lo, hi))
-    return covers
-
-
-def _escaping(qlo: Vec, qhi: Vec, covers: list[Rect], tol: float) -> Iterator[Rect]:
+def _escaping(qlo: Vec, qhi: Vec, covers: list[Rect]) -> Iterator[Rect]:
     """Fragments of the query that survive every cover, depth-first.
 
     Each fragment meets the covers in list order and is cut only by the
@@ -267,50 +252,42 @@ def _escaping(qlo: Vec, qhi: Vec, covers: list[Rect], tol: float) -> Iterator[Re
         flo, fhi, i = stack.pop()
         while i < ncov:
             clo, chi = covers[i]
-            if _overlap_positive(flo, fhi, clo, chi, tol):
+            if _overlap_positive(flo, fhi, clo, chi):
                 break
             i += 1
         else:
             yield flo, fhi
             continue
         i += 1
-        stack.extend([(plo, phi, i) for plo, phi in _cut(flo, fhi, clo, chi, tol)])
+        stack.extend([(plo, phi, i) for plo, phi in _cut(flo, fhi, clo, chi)])
 
 
-def classify_coverage(
-    query: Box | Rect,
-    union: BoxList | Iterable[Box],
-    tol: float = GEOM_TOL,
-) -> CoverageClass:
+def classify_coverage(query: Box | Rect, union) -> CoverageClass:
     """Exact three-way classification of a box against a union of boxes.
 
     FULLY_COVERED: the query minus all cover boxes has zero volume.
     DISJOINT: no cover box meets the query, not even along a boundary.
     PARTIAL: otherwise.
 
-    The union is anything with an ``overlapping(qlo, qhi, tol)`` method, or
-    an iterable of boxes.  The first escaping fragment settles the verdict
-    as PARTIAL; running out of fragments settles FULLY_COVERED.
+    The union is a ``BoxList`` or the partition tree: anything whose
+    ``overlapping(qlo, qhi)`` lists the cover rectangles meeting the query.
+    The first escaping fragment settles the verdict as PARTIAL; running
+    out of fragments settles FULLY_COVERED.
     """
     qlo, qhi = as_rect(query)
-    covers = _covers(qlo, qhi, union, tol)
+    covers = union.overlapping(qlo, qhi)
     if not covers:
         return CoverageClass.DISJOINT
-    if next(_escaping(qlo, qhi, covers, tol), None) is not None:
+    if next(_escaping(qlo, qhi, covers), None) is not None:
         return CoverageClass.PARTIAL
     return CoverageClass.FULLY_COVERED
 
 
-def uncovered_fragments(
-    query: Box | Rect,
-    union: BoxList | Iterable[Box],
-    tol: float = GEOM_TOL,
-    limit: int | None = None,
-) -> list[Rect]:
+def uncovered_fragments(query: Box | Rect, union, limit: int | None = None) -> list[Rect]:
     """Fragments of the query left uncovered by the union (possibly none),
     at most ``limit`` of them; the union is taken as in classify_coverage."""
     qlo, qhi = as_rect(query)
-    return list(islice(_escaping(qlo, qhi, _covers(qlo, qhi, union, tol), tol), limit))
+    return list(islice(_escaping(qlo, qhi, union.overlapping(qlo, qhi)), limit))
 
 
 def successor_box(pair, r: float, lipschitz: float) -> Box:
@@ -334,12 +311,12 @@ def chebyshev(a: Sequence[float], b: Sequence[float]) -> float:
     return max(abs(x - y) for x, y in zip(a, b))
 
 
-def rect_to_cubes(lo: Sequence[float], hi: Sequence[float], tol: float = 1e-9) -> BoxList:
+def rect_to_cubes(lo: Sequence[float], hi: Sequence[float]) -> BoxList:
     """Tile an axis-aligned rectangle with equal cubes.
 
-    Every side must be an integer multiple of the shortest side; otherwise
-    the rectangle has no equal-cube tiling and a ValueError is raised.  A
-    cube yields a single box.
+    Every side must be an integer multiple of the shortest side, to within
+    a relative 1e-9; otherwise the rectangle has no equal-cube tiling and a
+    ValueError is raised.  A cube yields a single box.
     """
     lo = tuple(float(v) for v in lo)
     hi = tuple(float(v) for v in hi)
@@ -353,7 +330,7 @@ def rect_to_cubes(lo: Sequence[float], hi: Sequence[float], tol: float = 1e-9) -
     for w in widths:
         k = w / side
         ki = round(k)
-        if ki < 1 or abs(k - ki) > tol:
+        if ki < 1 or abs(k - ki) > 1e-9:
             raise ValueError(
                 "domain is not tileable by equal cubes: "
                 f"side ratio {k} is not an integer"

@@ -31,11 +31,11 @@ def render_tree_svg(
     """Render leaf squares; y grows upward (world coordinates are flipped)."""
     if tree.dim != 2:
         raise ValueError(f"SVG rendering supports dim 2 only, got dim {tree.dim}")
-    roots = [tree.nodes[i] for i in tree.roots]
-    xmin = min(n.lo[0] for n in roots)
-    ymin = min(n.lo[1] for n in roots)
-    xmax = max(n.hi[0] for n in roots)
-    ymax = max(n.hi[1] for n in roots)
+    nodes = tree.nodes
+    xmin = min(nodes.lo[i][0] for i in tree.roots)
+    ymin = min(nodes.lo[i][1] for i in tree.roots)
+    xmax = max(nodes.hi[i][0] for i in tree.roots)
+    ymax = max(nodes.hi[i][1] for i in tree.roots)
     scale = width_px / (xmax - xmin)
     height_px = (ymax - ymin) * scale
 
@@ -55,12 +55,12 @@ def render_tree_svg(
     ]
     stroke_w = _fmt(max(0.2, scale * 1e-4))
     for i in tree.iter_leaves():
-        node = tree.nodes[i]
-        w = _fmt((node.hi[0] - node.lo[0]) * scale)
-        h = _fmt((node.hi[1] - node.lo[1]) * scale)
+        lo, hi = nodes.lo[i], nodes.hi[i]
+        w = _fmt((hi[0] - lo[0]) * scale)
+        h = _fmt((hi[1] - lo[1]) * scale)
         parts.append(
-            f'<rect x="{sx(node.lo[0])}" y="{sy(node.hi[1])}" width="{w}" '
-            f'height="{h}" fill="{FILL[node.label]}" stroke="#444444" '
+            f'<rect x="{sx(lo[0])}" y="{sy(hi[1])}" width="{w}" '
+            f'height="{h}" fill="{FILL[nodes.label[i]]}" stroke="#444444" '
             f'stroke-width="{stroke_w}"/>'
         )
     if overlay:

@@ -1,8 +1,9 @@
 """Result-file schema: one self-describing JSON document per run.
 
-Sections: manifest (provenance), config, domain, tree (flat node table),
-pi_set, volume/sweeps/leaf_counts/terminated_by, certificate.  The node
-table stores everything the independent verifier needs (target geometry,
+Sections: manifest (provenance), config, domain, tree (the node table:
+one list per column, as ``tree.Nodes`` holds it), pi_set,
+volume/sweeps/leaf_counts/terminated_by, certificate.  The node table
+stores everything the independent verifier needs (target geometry,
 sample state and successor, ball radius, label), so a result file can be
 re-certified without the dataset.  The domain, pi_set, volume and
 leaf_counts sections restate the tree for readers of the file: they are
@@ -24,7 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .synthesis import SynthConfig, SynthResult, Termination, UpdateMode
-from .tree import Label, PartitionTree, TreeNode
+from .tree import Label, PartitionTree
 from .verify import Certificate
 
 
@@ -68,38 +69,41 @@ def _tree_sections(tree: PartitionTree) -> dict:
     """The sections that restate the tree: the domain (the roots' cells),
     pi_set (the included leaves' cells, in leaf order), their volume and the
     leaf counts by label."""
-    roots = [tree.nodes[i] for i in tree.roots]
-    kept = [tree.nodes[i] for i in tree.active_leaves()]
+    centers, radii = tree.nodes.target_center, tree.nodes.target_radius
+    kept = tree.active_leaves()
     return {
         "domain": {
-            "centers": [list(node.target_center) for node in roots],
-            "radii": [node.target_radius for node in roots],
+            "centers": [list(centers[i]) for i in tree.roots],
+            "radii": [radii[i] for i in tree.roots],
         },
         "pi_set": {
-            "centers": [list(node.target_center) for node in kept],
-            "radii": [node.target_radius for node in kept],
+            "centers": [list(centers[i]) for i in kept],
+            "radii": [radii[i] for i in kept],
         },
         "volume": tree.active_volume(),
         "leaf_counts": tree.leaf_counts(),
     }
 
 
-def _tree_to_dict(tree: PartitionTree) -> dict:
-    nodes = tree.nodes
-    return {
-        "dim": tree.dim,
-        "parent": [n.parent for n in nodes],
-        "target_center": [list(n.target_center) for n in nodes],
-        "target_radius": [n.target_radius for n in nodes],
-        "radius": [n.radius for n in nodes],
-        "sample_index": [n.sample_index for n in nodes],
-        "sample_x": [list(n.sample_x) for n in nodes],
-        "sample_xp": [list(n.sample_xp) for n in nodes],
-        "label": [int(n.label) for n in nodes],
-    }
-
-
 _VECTORS = ("target_center", "sample_x", "sample_xp")
+# The node columns a result file stores, in file order, and how each is
+# read back from JSON.
+_PARSE = {
+    "parent": int,
+    "target_center": tuple,
+    "target_radius": float,
+    "radius": float,
+    "sample_index": int,
+    "sample_x": tuple,
+    "sample_xp": tuple,
+    "label": Label,
+}
+
+
+def _tree_to_dict(tree: PartitionTree) -> dict:
+    # orjson writes the tuples of the vector columns as arrays and the
+    # Label members as their integer values.
+    return {"dim": tree.dim, **{key: list(getattr(tree.nodes, key)) for key in _PARSE}}
 
 
 def _all_finite(values) -> bool:
@@ -113,41 +117,25 @@ def _all_finite(values) -> bool:
 
 
 def _tree_from_dict(d: dict) -> PartitionTree:
+    count = len(d["parent"])
+    for key in _PARSE:
+        if len(d[key]) != count:
+            raise ResultFormatError(f"the {key} column does not have {count} nodes")
     for key in (*_VECTORS, "target_radius", "radius"):
         column = d[key]
         vector = key in _VECTORS
         if not _all_finite(chain.from_iterable(column) if vector else column):
             i = next(i for i, v in enumerate(column) if not _all_finite(v if vector else [v]))
             raise ResultFormatError(f"node {i} has a {key} that is not finite")
-    tree = PartitionTree(int(d["dim"]))
-    for i, parent in enumerate(d["parent"]):
-        center, x, xp = (tuple(d[key][i]) for key in _VECTORS)
-        if not len(center) == len(x) == len(xp) == tree.dim:
-            raise ResultFormatError(f"node {i} has a vector not of length {tree.dim}")
-        node = TreeNode(
-            target_center=center,
-            target_radius=float(d["target_radius"][i]),
-            sample_index=int(d["sample_index"][i]),
-            sample_x=x,
-            sample_xp=xp,
-            radius=float(d["radius"][i]),
-            parent=int(parent),
-        )
-        node.label = Label(int(d["label"][i]))
-        tree.nodes.append(node)
-        if node.parent == -1:
-            tree.roots.append(i)
-        elif 0 <= node.parent < i:
-            parent_node = tree.nodes[node.parent]
-            if parent_node.children is None:
-                parent_node.children = []
-            parent_node.children.append(i)
-        else:
-            raise ResultFormatError(
-                f"node {i} has parent {node.parent}, which is not an earlier node"
-            )
-    tree.recount()
-    return tree
+    dim = int(d["dim"])
+    for key in _VECTORS:
+        lengths = list(map(len, d[key]))
+        if lengths.count(dim) != count:
+            i = next(i for i, n in enumerate(lengths) if n != dim)
+            raise ResultFormatError(f"node {i} has a {key} not of length {dim}")
+    return PartitionTree.from_columns(
+        dim, **{key: list(map(parse, d[key])) for key, parse in _PARSE.items()}
+    )
 
 
 def _certificate_to_dict(cert: Certificate | None) -> dict | None:

@@ -9,7 +9,7 @@ against the candidate set:
   partial        -> the cell is split while the resolution floor allows,
                     otherwise marked unknown and dropped from the candidate.
 
-Children created by a split join the same sweep's work queue.  The loop
+A split's children are classified later in the same sweep.  The loop
 terminates at the first sweep that changes nothing; the surviving union is
 then self-mapping and hence positively invariant (re-checked independently
 by the verifier).
@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
 from .dataset import Dataset
-from .geometry import Box, BoxList, CoverageClass, classify_coverage
-from .tree import Label, PartitionTree, TreeNode
+from .geometry import BoxList, CoverageClass, classify_coverage
+from .tree import Label, PartitionTree
 
 logger = logging.getLogger(__name__)
 
@@ -98,13 +97,6 @@ class SynthResult:
         return self.tree.leaf_counts()
 
 
-def classify_leaf(leaf: TreeNode, candidate, lipschitz: float) -> CoverageClass:
-    """Classify the successor box of a live leaf against the candidate set."""
-    if leaf.label is not Label.INCLUDED:
-        raise ValueError("classify_leaf expects an included leaf")
-    return classify_coverage(Box(leaf.sample_xp, lipschitz * leaf.radius), candidate)
-
-
 def sweep(
     tree: PartitionTree,
     dataset: Dataset,
@@ -113,48 +105,50 @@ def sweep(
 ) -> SweepStats:
     """One pass over the included leaves present at sweep start.
 
-    Sequential mode applies exclusions immediately, so later
-    classifications within the sweep see the already-shrunken candidate.
-    Batch mode defers all label changes to the end of the sweep; because
-    splits preserve the covered union exactly, every classification in a
-    batch sweep sees the sweep-start geometry.
+    The pass runs in waves: the leaves present at sweep start, then the
+    children of that wave's splits, and so on.  Each wave's splits are
+    made in one ``divide`` call at the end of the wave; a split leaves the
+    covered union unchanged, so no verdict of the wave depends on when its
+    children are created.  Sequential mode applies exclusions immediately,
+    so later classifications within the sweep see the already-shrunken
+    candidate.  Batch mode defers all label changes to the end of the
+    sweep, so every classification in a batch sweep sees the sweep-start
+    geometry.
     """
     batch = config.mode is UpdateMode.BATCH
-    queue: deque[int] = deque(tree.active_leaves())
-    pending: list[tuple[int, Label]] = []
-    divisions = exclusions = unknowns = 0
+    retired: list[tuple[int, Label]] = []
+    divisions = 0
     nodes = tree.nodes
+    radius, target_radius, sample_xp = nodes.radius, nodes.target_radius, nodes.sample_xp
     lipschitz = config.lipschitz
     tau = config.tau
-    while queue:
-        i = queue.popleft()
-        node = nodes[i]
-        # The successor box's rectangle, as Box(sample_xp, L * r).rect().
-        r = lipschitz * node.radius
-        xp = node.sample_xp
-        verdict = classify_coverage(
-            (tuple([c - r for c in xp]), tuple([c + r for c in xp])), tree
-        )
-        if verdict is CoverageClass.FULLY_COVERED:
-            continue
-        if verdict is CoverageClass.DISJOINT:
-            if batch:
-                pending.append((i, Label.EXCLUDED))
-            else:
-                tree.set_label(i, Label.EXCLUDED, sweep_index)
-            exclusions += 1
-        elif node.target_radius / 2.0 >= tau:
-            queue.extend(tree.divide(i, dataset))
-            divisions += 1
-        else:
-            if batch:
-                pending.append((i, Label.UNKNOWN))
-            else:
-                tree.set_label(i, Label.UNKNOWN, sweep_index)
-            unknowns += 1
-    for i, label in pending:
-        tree.set_label(i, label, sweep_index)
-    changed = bool(divisions or exclusions or unknowns)
+    wave = tree.active_leaves()
+    while wave:
+        split = []
+        for i in wave:
+            # The successor box's rectangle, as Box(sample_xp, L * r).rect().
+            r = lipschitz * radius[i]
+            xp = sample_xp[i]
+            verdict = classify_coverage(
+                (tuple([c - r for c in xp]), tuple([c + r for c in xp])), tree
+            )
+            if verdict is CoverageClass.FULLY_COVERED:
+                continue
+            if verdict is CoverageClass.PARTIAL and target_radius[i] / 2.0 >= tau:
+                split.append(i)
+                continue
+            label = Label.EXCLUDED if verdict is CoverageClass.DISJOINT else Label.UNKNOWN
+            retired.append((i, label))
+            if not batch:
+                tree.set_label(i, label, sweep_index)
+        divisions += len(split)
+        wave = tree.divide(split, dataset)
+    if batch:
+        for i, label in retired:
+            tree.set_label(i, label, sweep_index)
+    exclusions = sum(label is Label.EXCLUDED for _, label in retired)
+    unknowns = len(retired) - exclusions
+    changed = bool(divisions or retired)
     return SweepStats(changed, divisions, exclusions, unknowns)
 
 
@@ -179,7 +173,7 @@ def synthesize(tree: PartitionTree, dataset: Dataset, config: SynthConfig) -> Sy
         logger.info(
             "sweep=%d active=%d divisions=%d exclusions=%d unknowns=%d volume=%.12g",
             z,
-            sum(tree.nodes[i].n_active for i in tree.roots),
+            sum(tree.nodes.n_active[i] for i in tree.roots),
             stats.divisions,
             stats.exclusions,
             stats.unknowns,

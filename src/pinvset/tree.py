@@ -1,10 +1,13 @@
-"""Dyadic subdivision tree over the state constraint set.
+"""Dyadic subdivision tree over the state constraint set, stored as columns.
 
-Each node owns a target box (the partition cell) plus the sample pair
-nearest to its target center and the radius ``r = r_target + dist`` of the
-sample-centered ball that is guaranteed to contain the cell.  Leaves carry a
-membership label with respect to the live candidate set; interior nodes are
-purely structural.
+A node is a row number: row i of each list in ``PartitionTree.nodes`` holds
+node i's target box (the partition cell), the sample pair nearest to its
+target center, the radius ``r = r_target + dist`` of the sample-centered
+ball that is guaranteed to contain the cell, its parent, its first child
+(-1 for a leaf) and its label.  A split appends its 2^n children after
+every existing node as one contiguous block in sign-vector order.  Leaves
+carry a membership label with respect to the live candidate set; interior
+nodes are purely structural.  The result file stores the same columns.
 
 Subtree counters (total leaves / included leaves) are maintained on every
 division and relabeling so that coverage queries can return one coarse
@@ -21,9 +24,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import product
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .dataset import Dataset
 from .geometry import (
@@ -33,7 +39,6 @@ from .geometry import (
     GEOM_TOL,
     Rect,
     Vec,
-    chebyshev,
 )
 
 
@@ -51,208 +56,247 @@ class LabelTransitionError(ValueError):
     """Attempted relabeling that would re-activate a retired leaf."""
 
 
-class TreeNode:
-    __slots__ = (
-        "target_center",
-        "target_radius",
-        "lo",
-        "hi",
-        "sample_index",
-        "sample_x",
-        "sample_xp",
-        "radius",
-        "label",
-        "parent",
-        "children",
-        "n_leaves",
-        "n_active",
-    )
+@dataclass
+class Nodes:
+    """The node table: one list per column, row i of each is node i."""
 
-    def __init__(
-        self,
-        target_center: Vec,
-        target_radius: float,
-        sample_index: int,
-        sample_x: Vec,
-        sample_xp: Vec,
-        radius: float,
-        parent: int,
-    ):
-        self.target_center = target_center
-        self.target_radius = target_radius
-        self.lo = tuple(c - target_radius for c in target_center)
-        self.hi = tuple(c + target_radius for c in target_center)
-        self.sample_index = sample_index
-        self.sample_x = sample_x
-        self.sample_xp = sample_xp
-        self.radius = radius
-        self.label = Label.INCLUDED
-        self.parent = parent
-        self.children: list[int] | None = None
-        self.n_leaves = 1
-        self.n_active = 1
+    parent: list[int] = field(default_factory=list)
+    first_child: list[int] = field(default_factory=list)
+    target_center: list[Vec] = field(default_factory=list)
+    target_radius: list[float] = field(default_factory=list)
+    lo: list[Vec] = field(default_factory=list)
+    hi: list[Vec] = field(default_factory=list)
+    sample_index: list[int] = field(default_factory=list)
+    sample_x: list[Vec] = field(default_factory=list)
+    sample_xp: list[Vec] = field(default_factory=list)
+    radius: list[float] = field(default_factory=list)
+    label: list[Label] = field(default_factory=list)
+    n_leaves: list[int] = field(default_factory=list)
+    n_active: list[int] = field(default_factory=list)
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
-
-    @property
-    def x_plus(self) -> Vec:
-        # Duck-typed for successor_box().
-        return self.sample_xp
-
-    def target_box(self) -> Box:
-        return Box(self.target_center, self.target_radius)
+    def __len__(self) -> int:
+        return len(self.parent)
 
 
-def _sign_vectors(n: int) -> tuple[tuple[float, ...], ...]:
-    return tuple(product((-1.0, 1.0), repeat=n))
+def _first_children(parents: list[int], fanout: int) -> list[int]:
+    """Each node's first child (-1 for a leaf), from the parent column.  A
+    parent must be an earlier node (-1 for a root), and the children of a
+    node one contiguous block of ``fanout`` nodes, as ``divide`` makes."""
+    first = [-1] * len(parents)
+    for i, p in enumerate(parents):
+        if p == -1:
+            continue
+        if not 0 <= p < i:
+            raise TreeStructureError(f"node {i} has parent {p}, which is not an earlier node")
+        if first[p] < 0:
+            first[p] = i
+        elif parents[i - 1] != p or i - first[p] >= fanout:
+            raise TreeStructureError(
+                f"node {i} has parent {p}, whose children are not one contiguous "
+                f"block of {fanout} nodes"
+            )
+    for p, f in enumerate(first):
+        if f >= 0 and (f + fanout > len(parents) or parents[f + fanout - 1] != p):
+            raise TreeStructureError(f"node {p} has fewer than {fanout} children")
+    return first
+
+
+def _corners(centers: np.ndarray, radii: np.ndarray) -> tuple[list[Vec], list[Vec]]:
+    """Low and high corners of cells given by (k, n) centers and (k,)
+    half-widths, as lists of tuples."""
+    r = radii[:, None]
+    lo = list(map(tuple, (centers - r).tolist()))
+    return lo, list(map(tuple, (centers + r).tolist()))
 
 
 class PartitionTree:
-    """Subdivision tree; nodes indexed by creation order in a flat list."""
+    """Subdivision tree; nodes are numbered in creation order."""
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.nodes: list[TreeNode] = []
+        self.nodes = Nodes()
         self.roots: list[int] = []
         self.label_log: list[tuple[int | None, int, int, int]] = []
-        self._signs = _sign_vectors(dim)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
+        # The 2^n sign vectors, in the order a split lays out its children.
+        self._signs = np.array(list(product((-1.0, 1.0), repeat=dim)))
+        self.fanout = len(self._signs)
 
     # -- construction ---------------------------------------------------
 
-    def _attach(self, node: TreeNode) -> int:
-        idx = len(self.nodes)
-        self.nodes.append(node)
-        return idx
+    @classmethod
+    def from_columns(cls, dim: int, **columns: list) -> PartitionTree:
+        """A tree from the stored columns of its node table: ``parent``,
+        ``target_center``, ``target_radius``, ``radius``, ``sample_index``,
+        ``sample_x``, ``sample_xp`` and ``label``.  The first children, the
+        cell corners and the counters are derived; see ``_first_children``
+        for the layout the parent column must have."""
+        tree = cls(dim)
+        parent = columns["parent"]
+        lo, hi = _corners(
+            np.array(columns["target_center"], dtype=float).reshape(-1, dim),
+            np.array(columns["target_radius"], dtype=float),
+        )
+        tree.nodes = Nodes(
+            **columns, first_child=_first_children(parent, tree.fanout), lo=lo, hi=hi
+        )
+        tree.roots = [i for i, p in enumerate(parent) if p == -1]
+        tree.recount()
+        return tree
 
-    def divide(self, node_id: int, dataset: Dataset) -> list[int]:
-        """Split a live leaf into 2^n half-radius children.
+    def _grow(
+        self, parents: list[int], centers: np.ndarray, radii: np.ndarray, dataset: Dataset
+    ) -> list[int]:
+        """Append one INCLUDED leaf per row of ``centers``, each with its
+        nearest sample; one nearest-neighbour call serves every row."""
+        idx, dist = dataset.nearest(centers)
+        nodes = self.nodes
+        first = len(nodes)
+        k = len(parents)
+        lo, hi = _corners(centers, radii)
+        nodes.parent += parents
+        nodes.first_child += [-1] * k
+        nodes.target_center += map(tuple, centers.tolist())
+        nodes.target_radius += radii.tolist()
+        nodes.lo += lo
+        nodes.hi += hi
+        nodes.sample_index += idx.tolist()
+        nodes.sample_x += map(tuple, dataset.x[idx].tolist())
+        nodes.sample_xp += map(tuple, dataset.x_plus[idx].tolist())
+        nodes.radius += (radii + dist).tolist()
+        nodes.label += [Label.INCLUDED] * k
+        nodes.n_leaves += [1] * k
+        nodes.n_active += [1] * k
+        return list(range(first, first + k))
+
+    def divide(self, ids: Sequence[int], dataset: Dataset) -> list[int]:
+        """Split every live leaf of ``ids`` into 2^n half-radius children.
 
         Child target centers sit at the parent's center offset by half the
         child radius along every sign pattern; each child picks the nearest
         dataset sample and records ``r = r_target + dist`` so the sample
-        ball still contains the child cell.  Children start INCLUDED.
+        ball still contains the child cell.  Children start INCLUDED.  The
+        children of ``ids[j]`` are the j-th block of 2^n new nodes; the
+        returned list holds every block in ``ids`` order.
         """
-        node = self.nodes[node_id]
-        if not node.is_leaf:
-            raise TreeStructureError(f"node {node_id} is not a leaf")
-        if node.label is not Label.INCLUDED:
-            raise TreeStructureError(
-                f"node {node_id} is retired (label {int(node.label)}); "
-                "only live partitions subdivide"
-            )
-        half = node.target_radius / 2.0
-        centers = self.child_centers(node)
-        idx, dist = dataset.nearest(centers)
-        children = [
-            self._attach(TreeNode(center, half, j, tuple(x), tuple(xp), half + d, node_id))
-            for center, j, d, x, xp in zip(
-                centers,
-                idx.tolist(),
-                dist.tolist(),
-                dataset.x[idx].tolist(),
-                dataset.x_plus[idx].tolist(),
-            )
-        ]
-        node.children = children
-        # The divided cell's single leaf became 2^n included leaves.
-        delta = len(children) - 1
-        i = node_id
-        while i >= 0:
-            n = self.nodes[i]
-            n.n_leaves += delta
-            n.n_active += delta
-            i = n.parent
+        nodes = self.nodes
+        ids = list(ids)
+        for i in ids:
+            if nodes.first_child[i] >= 0 or nodes.label[i] is not Label.INCLUDED:
+                raise TreeStructureError(f"node {i} is not a live leaf; only those divide")
+        if len(set(ids)) != len(ids):
+            raise TreeStructureError("a leaf can be divided only once")
+        if not ids:
+            return []
+        k = self.fanout
+        half = np.array([nodes.target_radius[i] for i in ids]) / 2.0
+        centers = np.array([nodes.target_center[i] for i in ids])
+        child_centers = centers[:, None, :] + half[:, None, None] * self._signs
+        first = len(nodes)
+        children = self._grow(
+            np.repeat(ids, k).tolist(),
+            child_centers.reshape(-1, self.dim),
+            np.repeat(half, k),
+            dataset,
+        )
+        # Each divided cell's single leaf became 2^n included leaves.
+        delta = k - 1
+        first_child, parent = nodes.first_child, nodes.parent
+        n_leaves, n_active = nodes.n_leaves, nodes.n_active
+        for j, i in enumerate(ids):
+            first_child[i] = first + j * k
+            while i >= 0:
+                n_leaves[i] += delta
+                n_active[i] += delta
+                i = parent[i]
         return children
-
-    def child_centers(self, node: TreeNode) -> list[Vec]:
-        """Centers of a node's 2^n dyadic halves, in sign-vector order."""
-        half = node.target_radius / 2.0
-        return [
-            tuple(c + half * s for c, s in zip(node.target_center, sign))
-            for sign in self._signs
-        ]
 
     def set_label(self, node_id: int, label: Label | int, sweep: int | None = None) -> None:
         """Relabel a leaf.  Only INCLUDED -> {EXCLUDED, UNKNOWN} mutates;
         re-confirming the current label is a no-op; anything else is a
         re-activation attempt and is rejected."""
         label = Label(label)
-        node = self.nodes[node_id]
-        if not node.is_leaf:
+        nodes = self.nodes
+        if nodes.first_child[node_id] >= 0:
             raise TreeStructureError(f"node {node_id} is not a leaf")
-        if label is node.label:
+        old = nodes.label[node_id]
+        if label is old:
             return
-        if node.label is not Label.INCLUDED:
+        if old is not Label.INCLUDED:
             raise LabelTransitionError(
-                f"leaf {node_id} is {node.label.name} and cannot become {label.name}"
+                f"leaf {node_id} is {old.name} and cannot become {label.name}"
             )
-        old = node.label
-        node.label = label
+        nodes.label[node_id] = label
         self.label_log.append((sweep, node_id, int(old), int(label)))
+        n_active, parent = nodes.n_active, nodes.parent
         i = node_id
         while i >= 0:
-            n = self.nodes[i]
-            n.n_active -= 1
-            i = n.parent
+            n_active[i] -= 1
+            i = parent[i]
 
     def recount(self) -> None:
         """Re-derive every subtree counter from the leaf labels.
 
         Children always have larger indices than their parent, so one
-        reverse pass over the node list works bottom-up.
+        reverse pass over the interior nodes works bottom-up.
         """
         nodes = self.nodes
-        for node in reversed(nodes):
-            if node.children is None:
-                node.n_leaves = 1
-                node.n_active = 1 if node.label is Label.INCLUDED else 0
-            else:
-                node.n_leaves = sum(nodes[c].n_leaves for c in node.children)
-                node.n_active = sum(nodes[c].n_active for c in node.children)
+        k = self.fanout
+        included = Label.INCLUDED
+        n_leaves = [1] * len(nodes)
+        n_active = [int(label is included) for label in nodes.label]
+        first_child = nodes.first_child
+        for i in reversed([i for i, f in enumerate(first_child) if f >= 0]):
+            f = first_child[i]
+            n_leaves[i] = sum(n_leaves[f:f + k])
+            n_active[i] = sum(n_active[f:f + k])
+        nodes.n_leaves[:] = n_leaves
+        nodes.n_active[:] = n_active
 
     # -- queries ---------------------------------------------------------
 
     def iter_leaves(self) -> Iterator[int]:
         """All leaves in depth-first creation order."""
         stack = list(reversed(self.roots))
-        nodes = self.nodes
+        first_child = self.nodes.first_child
+        k = self.fanout
         while stack:
             i = stack.pop()
-            node = nodes[i]
-            if node.children is None:
+            f = first_child[i]
+            if f < 0:
                 yield i
             else:
-                stack.extend(reversed(node.children))
+                stack.extend(range(f + k - 1, f - 1, -1))
 
     def active_leaves(self) -> list[int]:
-        nodes = self.nodes
+        label = self.nodes.label
         included = Label.INCLUDED  # one enum lookup, not one per leaf
-        return [i for i in self.iter_leaves() if nodes[i].label is included]
+        return [i for i in self.iter_leaves() if label[i] is included]
 
     def candidate_set(self) -> BoxList:
         """Union of target boxes of included leaves (disjoint interiors)."""
-        return BoxList(
-            tuple(self.nodes[i].target_box() for i in self.active_leaves())
-        )
+        nodes = self.nodes
+        return BoxList(tuple(
+            Box(nodes.target_center[i], nodes.target_radius[i])
+            for i in self.active_leaves()
+        ))
 
     def active_volume(self) -> float:
-        # One scan of the node list: fsum is exactly rounded, so the leaves'
-        # order does not change the sum.
+        # One scan of the node table: fsum is exactly rounded, so the
+        # leaves' order does not change the sum.
         n = self.dim
         included = Label.INCLUDED
+        nodes = self.nodes
         return math.fsum([
-            (2.0 * node.target_radius) ** n
-            for node in self.nodes
-            if node.children is None and node.label is included
+            (2.0 * r) ** n
+            for r, f, label in zip(nodes.target_radius, nodes.first_child, nodes.label)
+            if f < 0 and label is included
         ])
 
     def leaf_counts(self) -> dict[str, int]:
-        labels = Counter([node.label for node in self.nodes if node.children is None])
+        nodes = self.nodes
+        labels = Counter([
+            label for label, f in zip(nodes.label, nodes.first_child) if f < 0
+        ])
         return {
             "included": labels[Label.INCLUDED],
             "excluded": labels[Label.EXCLUDED],
@@ -263,19 +307,20 @@ class PartitionTree:
         """First interior node whose children are not exactly its 2^n dyadic
         halves in sign-vector order, or None when every split is exact."""
         nodes = self.nodes
-        for i, node in enumerate(nodes):
-            if node.children is None:
-                continue
-            half = node.target_radius / 2.0
-            cells = [(nodes[c].target_center, nodes[c].target_radius) for c in node.children]
-            if cells != [(c, half) for c in self.child_centers(node)]:
-                return i
-        return None
+        first_child = np.array(nodes.first_child, dtype=np.int64)
+        interior = np.flatnonzero(first_child >= 0)
+        centers = np.array(nodes.target_center, dtype=float).reshape(-1, self.dim)
+        radii = np.array(nodes.target_radius, dtype=float)
+        half = radii[interior, None] / 2.0
+        kids = first_child[interior, None] + np.arange(self.fanout)
+        want = centers[interior, None] + half[..., None] * self._signs
+        exact = (centers[kids] == want).all(axis=(1, 2)) & (radii[kids] == half).all(axis=1)
+        return None if exact.all() else int(interior[np.argmin(exact)])
 
     def min_root_radius(self) -> float:
-        return min(self.nodes[i].target_radius for i in self.roots)
+        return min(self.nodes.target_radius[i] for i in self.roots)
 
-    def overlapping(self, qlo: Vec, qhi: Vec, tol: float = GEOM_TOL) -> list[Rect]:
+    def overlapping(self, qlo: Vec, qhi: Vec) -> list[Rect]:
         """Target rectangles of included leaves meeting the probe rectangle.
 
         A subtree whose leaves are all included is reported as its single
@@ -289,15 +334,19 @@ class PartitionTree:
             )
         out: list[Rect] = []
         nodes = self.nodes
+        los, his = nodes.lo, nodes.hi
+        n_active, n_leaves, first_child = nodes.n_active, nodes.n_leaves, nodes.first_child
+        k = self.fanout
+        tol = GEOM_TOL
         stack = list(reversed(self.roots))
         dims = range(self.dim)
         while stack:
-            node = nodes[stack.pop()]
-            active = node.n_active
+            i = stack.pop()
+            active = n_active[i]
             if not active:
                 continue
-            lo = node.lo
-            hi = node.hi
+            lo = los[i]
+            hi = his[i]
             # Closed intersection test, as in geometry.rects_intersect.
             for d in dims:
                 al = lo[d]
@@ -307,10 +356,11 @@ class PartitionTree:
                 if (al if al > bl else bl) > (ah if ah < bh else bh) + tol:
                     break
             else:
-                if active == node.n_leaves:
+                if active == n_leaves[i]:
                     out.append((lo, hi))
                 else:
-                    stack.extend(reversed(node.children))
+                    f = first_child[i]
+                    stack.extend(range(f + k - 1, f - 1, -1))
         return out
 
 
@@ -337,25 +387,10 @@ def new_tree(domain: BoxList | Sequence[Box], dataset: Dataset) -> PartitionTree
             ):
                 raise ValueError(f"domain boxes {a} and {b} have overlapping interiors")
     tree = PartitionTree(dim)
-    idx, dist = dataset.nearest([box.center for box in boxes])
-    for box, j, d in zip(boxes, idx.tolist(), dist.tolist()):
-        root = TreeNode(
-            target_center=box.center,
-            target_radius=box.radius,
-            sample_index=j,
-            sample_x=tuple(dataset.x[j].tolist()),
-            sample_xp=tuple(dataset.x_plus[j].tolist()),
-            radius=box.radius + d,
-            parent=-1,
-        )
-        tree.roots.append(tree._attach(root))
-    return tree
-
-
-def sample_ball_contains_cell(node: TreeNode, tol: float = GEOM_TOL) -> bool:
-    """Check ``r >= r_target + dist(center, sample)``, which guarantees the
-    sample-centered ball contains the node's target cell."""
-    return (
-        node.radius + tol
-        >= node.target_radius + chebyshev(node.target_center, node.sample_x)
+    tree.roots = tree._grow(
+        [-1] * len(boxes),
+        np.array([box.center for box in boxes]),
+        np.array([box.radius for box in boxes]),
+        dataset,
     )
+    return tree

@@ -55,7 +55,6 @@ class RasterReport:
 def check_fixpoint(
     result: SynthResult,
     config: SynthConfig | None = None,
-    tol: float = GEOM_TOL,
 ) -> Certificate:
     """Exact re-certification of the final set.
 
@@ -91,14 +90,13 @@ def check_fixpoint(
             METHOD_EXACT,
         )
     tree.recount()
+    nodes = tree.nodes
     checked = 0
     for i in tree.active_leaves():
-        node = tree.nodes[i]
         checked += 1
-        slack = node.radius + tol - (
-            node.target_radius + chebyshev(node.target_center, node.sample_x)
-        )
-        if slack < 0:
+        if nodes.radius[i] + GEOM_TOL < nodes.target_radius[i] + chebyshev(
+            nodes.target_center[i], nodes.sample_x[i]
+        ):
             return Certificate(
                 False,
                 checked,
@@ -106,10 +104,10 @@ def check_fixpoint(
                 METHOD_EXACT,
             )
         # The successor box's rectangle, as Box(sample_xp, L * r).rect().
-        r = lipschitz * node.radius
-        xp = node.sample_xp
+        r = lipschitz * nodes.radius[i]
+        xp = nodes.sample_xp[i]
         succ = (tuple([c - r for c in xp]), tuple([c + r for c in xp]))
-        leftovers = uncovered_fragments(succ, tree, tol, limit=1)
+        leftovers = uncovered_fragments(succ, tree, limit=1)
         if leftovers:
             return Certificate(
                 False,
@@ -221,10 +219,10 @@ class _UnionMembership:
         self._uncertain = uncertain & ~covered
         self._exact = boxes if self._uncertain.any() else None
 
-    def contains(self, pts: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
+    def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         inside_bbox = np.all(
-            (pts >= self._glo - tol) & (pts <= self._ghi + tol), axis=1
+            (pts >= self._glo - GEOM_TOL) & (pts <= self._ghi + GEOM_TOL), axis=1
         )
         idx = np.floor((pts - self._glo) / self._pitch).astype(np.int64)
         np.clip(idx, 0, np.array(self._shape) - 1, out=idx)
@@ -233,7 +231,7 @@ class _UnionMembership:
         if self._exact is not None:
             maybe = self._uncertain[keys] & inside_bbox & ~result
             for j in np.nonzero(maybe)[0]:
-                if self._exact.contains_point(tuple(pts[j]), tol):
+                if self._exact.contains_point(tuple(pts[j])):
                     result[j] = True
         return result
 

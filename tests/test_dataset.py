@@ -32,7 +32,7 @@ def test_load_two_rows(tmp_path):
     f = tmp_path / "d.csv"
     f.write_text("0,0,0,0\n1,1,0.5,0.5\n")
     ds = load_dataset(f)
-    assert ds.m == 2
+    assert len(ds) == 2
     assert ds.x[1].tolist() == [1.0, 1.0]
     assert ds.x_plus[1].tolist() == [0.5, 0.5]
 
@@ -47,7 +47,7 @@ def test_load_header_comments_metadata(tmp_path):
         "0.5,0.5,0.1,0.1\n"
     )
     ds = load_dataset(f)
-    assert ds.m == 2
+    assert len(ds) == 2
     assert ds.metadata["system"] == "linear2d"
     assert ds.metadata["seed"] == 7
     assert ds.metadata["lipschitz"] == pytest.approx(0.8225)
@@ -69,6 +69,22 @@ def test_load_comment_rules(tmp_path):
     ds = load_dataset(f)
     assert ds.x.tolist() == [[0.0, 0.0], [0.5, 0.5]]
     assert ds.metadata == {"seed": 3, "note": "a#b", "indented": 1, "tab": 2, "m": 2}
+
+
+def test_load_blank_only_lines(tmp_path):
+    # A line of blanks is skipped like an empty one, wherever it is, and
+    # the line numbers in errors still count it.
+    f = tmp_path / "d.csv"
+    f.write_text("0,0,0,0\n   \n1,1,1,1\n")
+    assert load_dataset(f).x.tolist() == [[0.0, 0.0], [1.0, 1.0]]
+    f.write_text(" \t\nx1,x2,xp1,xp2\n\t\n0,0,0,0\n \n\n1,1,1,1\n  ")
+    assert load_dataset(f).x.tolist() == [[0.0, 0.0], [1.0, 1.0]]
+    f.write_text("0,0,0,0\n  \n0,0\n")
+    with pytest.raises(DimensionMismatchError, match=r"d\.csv:3: 2 columns, expected 4"):
+        load_dataset(f)
+    f.write_text("0,0,0,0\n  \n0,0,nan,0\n")
+    with pytest.raises(NonFiniteSampleError, match=r"d\.csv:3: non-finite"):
+        load_dataset(f)
 
 
 def test_load_dimension_error(tmp_path):

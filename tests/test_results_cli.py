@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import math
@@ -102,7 +103,7 @@ def test_cli_gen_synth_verify_flow(tmp_path, capsys):
         "--m", "2000", "--seed", "7", "--out", str(data),
     ]) == 0
     ds = load_dataset(data)
-    assert ds.m == 2000 and ds.metadata["seed"] == 7
+    assert len(ds) == 2000 and ds.metadata["seed"] == 7
 
     assert main([
         "-q", "synth", "--data", str(data), "--system", "linear2d",
@@ -131,7 +132,7 @@ def test_cli_gen_grid_mode(tmp_path):
         "--tau", "0.25", "--out", str(data),
     ]) == 0
     ds = load_dataset(data)
-    assert ds.m == 1 + 4 + 16
+    assert len(ds) == 1 + 4 + 16
     assert ds.metadata["mode"] == "grid"
 
 
@@ -199,6 +200,39 @@ def test_cli_verify_rejects_shifted_child(tmp_path, capsys):
     assert report["first_failure"] == {
         "node": parents[node], "reason": "children do not tile their parent",
     }
+
+
+def test_cli_verify_rejects_children_that_are_not_one_block(tmp_path, capsys):
+    # Move a retired leaf (so the restated sections still match the tree)
+    # from its parent's block to the root: the root then has 5 children and
+    # the old parent 3.  Such a file used to load and fail only the tiling
+    # check.
+    doc = _synth_linear_result(tmp_path)
+    parents, labels = doc["tree"]["parent"], doc["tree"]["label"]
+    interior = set(parents)
+    leaf = next(
+        i for i, p in enumerate(parents) if p > 0 and labels[i] != 1 and i not in interior
+    )
+    parents[leaf] = 0
+    result = tmp_path / "bad.json"
+    result.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["-q", "verify", str(result)]) == 3
+    assert (
+        f"node {leaf} has parent 0, whose children are not one contiguous block of 4 nodes"
+        in capsys.readouterr().err
+    )
+
+
+def test_load_rejects_short_child_block(lin_oracle):
+    doc = result_to_document(small_result(lin_oracle), RunManifest(command="test"))
+    tree = doc["tree"]
+    last = len(tree["parent"]) - 1
+    for column in ("parent", "target_center", "target_radius", "radius",
+                   "sample_index", "sample_x", "sample_xp", "label"):
+        del tree[column][last]
+    with pytest.raises(ResultFormatError, match="has fewer than 4 children"):
+        result_from_document(doc)
 
 
 def _drop_last_kept_cell(doc):
@@ -371,6 +405,37 @@ def test_cli_verify_rejects_malformed_node_table(tmp_path, capsys, bad_parent):
     assert "malformed result document" in capsys.readouterr().err
 
 
+# sha256 of a result file's bytes after its manifest (the first section),
+# taken before the tree was stored as columns: the same data must give the
+# same partition, written the same way.
+_PINNED_RESULTS = {
+    "linear2d-sequential": (
+        ["--system", "linear2d", "--m", "1500", "--seed", "3"],
+        ["--lipschitz", "0.8225", "--tau", "0.02"],
+        "7f672e9e3f82caf29a88e57c7f112e0b7d917be0dd3008e416992f1972849c15",
+    ),
+    "nonlinear2d-batch": (
+        ["--system", "nonlinear2d", "--m", "2000", "--seed", "0"],
+        ["--lipschitz", "5.728", "--tau", "0.01", "--mode", "batch"],
+        "4ce2a7f9a5d71d54e5541162a7f93d090075cd5d618e1211adc642755ce90d1b",
+    ),
+}
+
+
+@pytest.mark.parametrize("run", list(_PINNED_RESULTS))
+def test_cli_result_bytes_are_pinned(tmp_path, capsys, run):
+    gen_args, synth_args, digest = _PINNED_RESULTS[run]
+    data = tmp_path / "d.csv"
+    result = tmp_path / "r.json"
+    assert main(["-q", "gen", *gen_args, "--out", str(data)]) == 0
+    assert main(["-q", "synth", "--data", str(data), gen_args[0], gen_args[1],
+                 *synth_args, "--out", str(result)]) == 0
+    raw = result.read_bytes()
+    assert raw.startswith(b'{"manifest":')
+    body = raw[raw.index(b',"config":'):]
+    assert hashlib.sha256(body).hexdigest() == digest
+
+
 def test_cli_rerun_reproduces_result(tmp_path, capsys):
     data = tmp_path / "d.csv"
     main(["-q", "gen", "--system", "linear2d", "--m", "1200", "--seed", "8",
@@ -407,7 +472,7 @@ def test_cli_gen_from_map_table(tmp_path):
         "--out", str(out),
     ]) == 0
     ds = load_dataset(out)
-    assert ds.m == 1 + 4 + 16
+    assert len(ds) == 1 + 4 + 16
     assert (ds.x_plus == 0.0).all()
     # table missing the requested centers: surfaced as a data error
     assert main([

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from pinvset.dataset import Dataset, SystemOracle, gen_uniform
-from pinvset.geometry import Box, BoxList, CoverageClass
+from pinvset.geometry import Box, BoxList, CoverageClass, classify_coverage
 from pinvset.synthesis import (
     ConfigError,
     SynthConfig,
     Termination,
     UpdateMode,
-    classify_leaf,
     sweep,
     synthesize,
 )
@@ -32,27 +31,37 @@ def dense_dataset(oracle, m=400, seed=5):
     return gen_uniform(oracle, m, seed)
 
 
-def test_classify_leaf_cases():
+def successor_rect(tree, leaf, lipschitz):
+    """The rectangle of a leaf's successor box, as the sweep builds it."""
+    return Box(tree.nodes.sample_xp[leaf], lipschitz * tree.nodes.radius[leaf]).rect()
+
+
+def test_successor_box_classification_cases():
     oracle = collapse_oracle()
     ds = dense_dataset(oracle)
     tree = new_tree(oracle.domain, ds)
-    root = tree.nodes[tree.roots[0]]
-    assert classify_leaf(root, tree, 1e-9) is CoverageClass.FULLY_COVERED
+    root = tree.roots[0]
+    assert (
+        classify_coverage(successor_rect(tree, root, 1e-9), tree)
+        is CoverageClass.FULLY_COVERED
+    )
     ds2 = dense_dataset(escape_oracle())
     tree2 = new_tree(escape_oracle().domain, ds2)
     assert (
-        classify_leaf(tree2.nodes[tree2.roots[0]], tree2, 1e-9)
+        classify_coverage(successor_rect(tree2, tree2.roots[0], 1e-9), tree2)
         is CoverageClass.DISJOINT
     )
 
 
-def test_classify_leaf_requires_included():
-    oracle = collapse_oracle()
+def test_sweep_skips_retired_leaves():
+    # The escaping map would exclude the root if a sweep classified it.
+    oracle = escape_oracle()
     ds = dense_dataset(oracle)
     tree = new_tree(oracle.domain, ds)
     tree.set_label(tree.roots[0], Label.EXCLUDED)
-    with pytest.raises(ValueError):
-        classify_leaf(tree.nodes[tree.roots[0]], tree, 1e-9)
+    stats = sweep(tree, ds, SynthConfig(lipschitz=1e-9, tau=0.1))
+    assert not stats.changed
+    assert tree.label_log == [(None, tree.roots[0], 1, 0)]
 
 
 def test_sweep_fixpoint_on_collapsing_map():
@@ -121,7 +130,7 @@ def test_depth_floor_respected(lin_oracle):
     tree = new_tree(lin_oracle.domain, ds)
     tau = 0.05
     synthesize(tree, ds, SynthConfig(lipschitz=lin_oracle.lipschitz, tau=tau))
-    assert min(n.target_radius for n in tree.nodes) >= tau / 2
+    assert min(tree.nodes.target_radius) >= tau / 2
 
 
 def test_label_history_is_monotone(lin_oracle):
@@ -146,9 +155,7 @@ def test_sequential_determinism(lin_oracle):
     assert a.volume == b.volume
     assert a.sweeps == b.sweeps
     assert a.leaf_counts == b.leaf_counts
-    assert [n.target_center for n in a.tree.nodes] == [
-        n.target_center for n in b.tree.nodes
-    ]
+    assert a.tree.nodes == b.tree.nodes
     assert a.tree.label_log == b.tree.label_log
 
 
@@ -240,7 +247,7 @@ def test_result_reads_its_set_from_the_tree(lin_oracle):
     res = synthesize(tree, ds, SynthConfig(lipschitz=lin_oracle.lipschitz, tau=0.05))
     volume, counts = res.volume, res.leaf_counts
     leaf = tree.active_leaves()[0]
-    cell = tree.nodes[leaf].target_box()
+    cell = Box(tree.nodes.target_center[leaf], tree.nodes.target_radius[leaf])
     tree.set_label(leaf, Label.EXCLUDED)
     # No copy of the set is stored beside the tree, so none can go stale.
     assert cell not in res.pi_set

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,6 @@ from pinvset.tree import (
     LabelTransitionError,
     TreeStructureError,
     new_tree,
-    sample_ball_contains_cell,
 )
 
 
@@ -35,21 +35,22 @@ def test_new_tree_linear_domain(lin_oracle):
     ds = gen_uniform(lin_oracle, 20, seed=0)
     tree = new_tree(lin_oracle.domain, ds)
     assert len(tree.roots) == 1
-    root = tree.nodes[tree.roots[0]]
-    assert root.target_center == (0.375, -0.375)
-    assert root.target_radius == 0.625
-    assert root.label is Label.INCLUDED
-    assert root.radius == pytest.approx(
-        0.625 + chebyshev(root.target_center, root.sample_x)
+    nodes, root = tree.nodes, tree.roots[0]
+    assert nodes.target_center[root] == (0.375, -0.375)
+    assert nodes.target_radius[root] == 0.625
+    assert nodes.label[root] is Label.INCLUDED
+    assert nodes.parent[root] == -1 and nodes.first_child[root] == -1
+    assert nodes.radius[root] == pytest.approx(
+        0.625 + chebyshev(nodes.target_center[root], nodes.sample_x[root])
     )
 
 
 def test_new_tree_sample_at_center_gives_tight_radius():
     ds = make_dataset([(0.3, 0.3), (0.0, 0.0)])
     tree = new_tree(BoxList((Box((0.0, 0.0), 1.0),)), ds)
-    root = tree.nodes[tree.roots[0]]
-    assert root.sample_index == 1
-    assert root.radius == 1.0
+    root = tree.roots[0]
+    assert tree.nodes.sample_index[root] == 1
+    assert tree.nodes.radius[root] == 1.0
 
 
 def test_new_tree_two_roots_tile():
@@ -71,54 +72,63 @@ def test_new_tree_rejects_bad_inputs():
 def test_divide_node_geometry():
     ds = make_dataset([(0.3, 0.3)])
     tree = new_tree(square_domain(), ds)
-    children = tree.divide(tree.roots[0], ds)
-    assert len(children) == 4
-    centers = {tree.nodes[c].target_center for c in children}
-    assert centers == {(-0.25, -0.25), (-0.25, 0.25), (0.25, -0.25), (0.25, 0.25)}
+    nodes = tree.nodes
+    children = tree.divide(tree.roots, ds)
+    assert children == [1, 2, 3, 4]
+    assert nodes.first_child[tree.roots[0]] == 1
+    # one contiguous block, in sign-vector order
+    assert [nodes.target_center[c] for c in children] == [
+        (-0.25, -0.25), (-0.25, 0.25), (0.25, -0.25), (0.25, 0.25)
+    ]
+    assert [nodes.lo[c] for c in children][-1] == (0.0, 0.0)
+    assert [nodes.hi[c] for c in children][0] == (0.0, 0.0)
     for c in children:
-        node = tree.nodes[c]
-        assert node.target_radius == 0.25
-        assert node.label is Label.INCLUDED
+        assert nodes.target_radius[c] == 0.25
+        assert nodes.label[c] is Label.INCLUDED
+        assert nodes.parent[c] == tree.roots[0] and nodes.first_child[c] == -1
     # nearest sample at (0.3, 0.3): the (+,+) child gets r = 0.25 + 0.05
-    plus = next(c for c in children if tree.nodes[c].target_center == (0.25, 0.25))
-    assert tree.nodes[plus].radius == pytest.approx(0.3)
+    assert nodes.radius[children[-1]] == pytest.approx(0.3)
 
 
 def test_divide_with_grid_data_collapses_radius(nonlin_oracle):
     ds = gen_dyadic_grid(nonlin_oracle, 0.25)
     tree = new_tree(nonlin_oracle.domain, ds)
-    ids = [tree.roots[0]]
+    ids = tree.roots
     for _ in range(2):
-        nxt = []
-        for i in ids:
-            nxt.extend(tree.divide(i, ds))
-        ids = nxt
+        ids = tree.divide(ids, ds)
+    nodes = tree.nodes
     for i in ids:
-        node = tree.nodes[i]
-        assert node.radius == node.target_radius
-        assert node.sample_x == node.target_center
+        assert nodes.radius[i] == nodes.target_radius[i]
+        assert nodes.sample_x[i] == nodes.target_center[i]
 
 
 def test_divide_non_leaf_rejected():
     ds = make_dataset([(0.0, 0.0)])
     tree = new_tree(square_domain(), ds)
-    tree.divide(tree.roots[0], ds)
+    children = tree.divide(tree.roots, ds)
     with pytest.raises(TreeStructureError):
-        tree.divide(tree.roots[0], ds)
+        tree.divide(tree.roots, ds)
+    with pytest.raises(TreeStructureError):
+        tree.divide(children[:1] * 2, ds)  # one leaf twice in a wave
+    tree.set_label(children[0], Label.EXCLUDED)
+    with pytest.raises(TreeStructureError):
+        tree.divide(children[:1], ds)  # a retired leaf
+    assert tree.divide([], ds) == []
+    assert len(tree.nodes) == 5
 
 
 def test_leaves_active_and_candidate_set():
     ds = make_dataset([(0.0, 0.0)])
     tree = new_tree(square_domain(), ds)
     assert tree.active_leaves() == [tree.roots[0]]
-    children = tree.divide(tree.roots[0], ds)
+    children = tree.divide(tree.roots, ds)
     assert tree.active_leaves() == children
     tree.set_label(children[0], Label.EXCLUDED)
     tree.set_label(children[1], Label.UNKNOWN)
     assert tree.active_leaves() == children[2:]
     cs = tree.candidate_set()
     assert [b.center for b in cs] == [
-        tree.nodes[c].target_center for c in children[2:]
+        tree.nodes.target_center[c] for c in children[2:]
     ]
     for c in children[2:]:
         tree.set_label(c, Label.EXCLUDED)
@@ -142,7 +152,7 @@ def test_label_transitions():
 def test_label_on_interior_rejected():
     ds = make_dataset([(0.0, 0.0)])
     tree = new_tree(square_domain(), ds)
-    tree.divide(tree.roots[0], ds)
+    tree.divide(tree.roots, ds)
     with pytest.raises(TreeStructureError):
         tree.set_label(tree.roots[0], Label.EXCLUDED)
 
@@ -154,10 +164,10 @@ def test_tiling_preserved_under_division(rng):
     for _ in range(40):
         leaves = [i for i in tree.iter_leaves()]
         i = int(rng.choice(leaves))
-        if tree.nodes[i].label is Label.INCLUDED:
-            tree.divide(i, ds)
+        if tree.nodes.label[i] is Label.INCLUDED:
+            tree.divide([i], ds)
         leaf_vol = math.fsum(
-            (2 * tree.nodes[j].target_radius) ** 2 for j in tree.iter_leaves()
+            (2 * tree.nodes.target_radius[j]) ** 2 for j in tree.iter_leaves()
         )
         assert leaf_vol == pytest.approx(domain_vol, rel=1e-9)
 
@@ -166,29 +176,94 @@ def test_sample_ball_contains_cell_everywhere(rng):
     ds = make_dataset([tuple(p) for p in rng.uniform(-0.5, 0.5, size=(50, 2))])
     tree = new_tree(square_domain(), ds)
     for _ in range(60):
-        leaves = [i for i in tree.iter_leaves() if tree.nodes[i].label is Label.INCLUDED]
-        tree.divide(int(rng.choice(leaves)), ds)
-    for i in range(len(tree.nodes)):
-        assert sample_ball_contains_cell(tree.nodes[i])
+        tree.divide([int(rng.choice(tree.active_leaves()))], ds)
+    nodes = tree.nodes
+    for i in range(len(nodes)):
+        # r >= r_target + dist(center, sample): the ball contains the cell
+        assert nodes.radius[i] >= nodes.target_radius[i] + chebyshev(
+            nodes.target_center[i], nodes.sample_x[i]
+        )
+
+
+def test_wave_division_matches_one_leaf_at_a_time(rng):
+    # One divide call per wave must number and fill the nodes exactly as
+    # dividing the same leaves one by one, in order.
+    ds = make_dataset([tuple(p) for p in rng.uniform(-0.5, 0.5, size=(40, 2))])
+    a = new_tree(square_domain(), ds)
+    b = new_tree(square_domain(), ds)
+    wave_a = wave_b = a.roots
+    for _ in range(3):
+        wave_a = a.divide(wave_a, ds)
+        wave_b = [c for i in wave_b for c in b.divide([i], ds)]
+        assert wave_a == wave_b
+    assert a.nodes == b.nodes
+
+
+def test_recount_matches_incremental_counters(rng):
+    ds = make_dataset([tuple(p) for p in rng.uniform(-0.5, 0.5, size=(40, 2))])
+    tree = new_tree(square_domain(), ds)
+    for _ in range(30):
+        live = tree.active_leaves()
+        i = int(rng.choice(live))
+        if rng.random() < 0.6:
+            tree.divide([i], ds)
+        else:
+            tree.set_label(i, Label.EXCLUDED)
+    counters = (list(tree.nodes.n_leaves), list(tree.nodes.n_active))
+    tree.recount()
+    assert (tree.nodes.n_leaves, tree.nodes.n_active) == counters
+    assert tree.nodes.n_active[0] == len(tree.active_leaves())
+
+
+def untiled_reference(tree):
+    """A plain loop over the interior nodes, as ``first_untiled`` was written."""
+    nodes, k = tree.nodes, tree.fanout
+    for i, f in enumerate(nodes.first_child):
+        if f < 0:
+            continue
+        half = nodes.target_radius[i] / 2.0
+        want = [
+            tuple(c + half * s for c, s in zip(nodes.target_center[i], sign))
+            for sign in product((-1.0, 1.0), repeat=tree.dim)
+        ]
+        if nodes.target_center[f:f + k] != want or nodes.target_radius[f:f + k] != [half] * k:
+            return i
+    return None
+
+
+def test_first_untiled_matches_loop(rng):
+    ds = make_dataset([tuple(p) for p in rng.uniform(-0.5, 0.5, size=(40, 2))])
+    tree = new_tree(square_domain(), ds)
+    assert tree.first_untiled() is None
+    for _ in range(25):
+        tree.divide([int(rng.choice(tree.active_leaves()))], ds)
+    assert tree.first_untiled() is None is untiled_reference(tree)
+    nodes = tree.nodes
+    for _ in range(20):
+        j = int(rng.integers(1, len(nodes)))
+        center, radius = nodes.target_center[j], nodes.target_radius[j]
+        if rng.random() < 0.5:
+            nodes.target_center[j] = (center[0], center[1] + 2.0 ** -int(rng.integers(3, 40)))
+        else:
+            nodes.target_radius[j] = radius * 1.5
+        assert tree.first_untiled() == untiled_reference(tree) == nodes.parent[j]
+        nodes.target_center[j], nodes.target_radius[j] = center, radius
 
 
 def test_children_halve_resolution():
     ds = make_dataset([(0.0, 0.0)])
     tree = new_tree(square_domain(), ds)
-    frontier = [tree.roots[0]]
+    frontier = tree.roots
     for level in range(1, 4):
-        nxt = []
-        for i in frontier:
-            nxt.extend(tree.divide(i, ds))
-        for c in nxt:
-            assert tree.nodes[c].target_radius == 0.5 / 2 ** level
-        frontier = nxt
+        frontier = tree.divide(frontier, ds)
+        for c in frontier:
+            assert tree.nodes.target_radius[c] == 0.5 / 2 ** level
 
 
 def test_overlapping_collapses_full_subtrees():
     ds = make_dataset([(0.0, 0.0)])
     tree = new_tree(square_domain(), ds)
-    children = tree.divide(tree.roots[0], ds)
+    children = tree.divide(tree.roots, ds)
     # all leaves active: the whole root collapses into one rectangle
     rects = tree.overlapping((-0.5, -0.5), (0.5, 0.5))
     assert rects == [((-0.5, -0.5), (0.5, 0.5))]
@@ -225,8 +300,8 @@ def test_tree_coverage_matches_plain_scan_property(n, data):
             break
         i = live[data.draw(st.integers(0, len(live) - 1))]
         action = data.draw(st.sampled_from(("divide", "exclude", "unknown")))
-        if action == "divide" and tree.nodes[i].target_radius > 1 / 16:
-            tree.divide(i, ds)
+        if action == "divide" and tree.nodes.target_radius[i] > 1 / 16:
+            tree.divide([i], ds)
         elif action == "exclude":
             tree.set_label(i, Label.EXCLUDED)
         elif action == "unknown":

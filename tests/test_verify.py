@@ -70,7 +70,7 @@ def test_check_fixpoint_empty_set_passes():
 def test_check_fixpoint_detects_tampered_radius(lin_oracle):
     res = synth_linear(lin_oracle)
     leaf = res.tree.active_leaves()[0]
-    res.tree.nodes[leaf].radius *= 0.5  # ball no longer contains its cell
+    res.tree.nodes.radius[leaf] *= 0.5  # ball no longer contains its cell
     cert = check_fixpoint(res)
     assert not cert.passed
     assert cert.first_failure["leaf"] == leaf
