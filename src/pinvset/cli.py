@@ -112,6 +112,7 @@ def cmd_gen(args) -> int:
 def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     dataset = load_dataset(args.data)
+    overlay = load_overlay(args.overlay) if args.overlay else None
     domain = _resolve_domain(args, dataset.metadata)
     config = SynthConfig(
         lipschitz=args.lipschitz,
@@ -142,7 +143,6 @@ def cmd_synth(args) -> int:
         if tree.dim != 2:
             logger.warning("event=svg-skipped reason=dim dim=%d", tree.dim)
         else:
-            overlay = load_overlay(args.overlay) if args.overlay else None
             Path(args.svg).write_text(render_tree_svg(tree, overlay=overlay), encoding="utf-8")
             logger.info("event=svg out=%s", args.svg)
     print(json.dumps({
@@ -177,13 +177,12 @@ def cmd_verify(args) -> int:
         system = args.system or manifest.dataset_meta.get("system")
         if not system:
             raise UsageError("--monte-carlo needs --system (or dataset metadata in the result)")
-        pi_set = result.pi_set
-        if pi_set.is_empty:
+        if not result.tree.n_included():
             logger.info("event=monte-carlo skipped=empty-set")
         else:
             oracle = get_system(system)
             mc = monte_carlo_invariance(
-                pi_set, oracle, args.monte_carlo, args.horizon, args.seed
+                result.tree, oracle, args.monte_carlo, args.horizon, args.seed
             )
             mc_passed = mc.passed
             logger.info(

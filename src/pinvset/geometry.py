@@ -110,15 +110,6 @@ class BoxList:
     def contains_point(self, y: Sequence[float]) -> bool:
         return any(b.contains_point(y) for b in self.boxes)
 
-    def bounding_rect(self) -> Rect:
-        if self.is_empty:
-            raise ValueError("empty union has no bounding rectangle")
-        rects = [b.rect() for b in self.boxes]
-        n = self.boxes[0].dim
-        lo = tuple(min(r[0][d] for r in rects) for d in range(n))
-        hi = tuple(max(r[1][d] for r in rects) for d in range(n))
-        return lo, hi
-
     def overlapping(self, qlo: Vec, qhi: Vec) -> list[Rect]:
         if self.boxes and (len(qlo) != self.boxes[0].dim or len(qhi) != len(qlo)):
             raise DimensionMismatchError(

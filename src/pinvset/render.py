@@ -8,8 +8,10 @@ order equals tree creation order.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
+from .dataset import DatasetError
 from .tree import Label, PartitionTree
 
 FILL = {
@@ -74,16 +76,20 @@ def render_tree_svg(
 
 
 def load_overlay(path) -> list[tuple[float, float]]:
-    """Read polyline vertices from a CSV of x,y rows ('#' lines ignored)."""
+    """Read polyline vertices from a CSV of finite x,y rows; blank and '#'
+    lines are skipped, and any other row raises ``DatasetError``."""
     points: list[tuple[float, float]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            cells = line.split(",")
             try:
-                points.append((float(cells[0]), float(cells[1])))
-            except (ValueError, IndexError):
-                continue
+                x, y = map(float, line.split(","))
+                ok = math.isfinite(x) and math.isfinite(y)
+            except ValueError:
+                ok = False
+            if not ok:
+                raise DatasetError(f"{path}:{lineno}: overlay row is not two finite numbers")
+            points.append((x, y))
     return points

@@ -117,7 +117,12 @@ def _all_finite(values) -> bool:
 
 
 def _tree_from_dict(d: dict) -> PartitionTree:
+    dim = d["dim"]
+    if type(dim) is not int or dim < 1:
+        raise ResultFormatError(f"the tree's dim {dim!r} is not an integer >= 1")
     count = len(d["parent"])
+    if not count:
+        raise ResultFormatError("the node table has no node")
     for key in _PARSE:
         if len(d[key]) != count:
             raise ResultFormatError(f"the {key} column does not have {count} nodes")
@@ -127,7 +132,6 @@ def _tree_from_dict(d: dict) -> PartitionTree:
         if not _all_finite(chain.from_iterable(column) if vector else column):
             i = next(i for i, v in enumerate(column) if not _all_finite(v if vector else [v]))
             raise ResultFormatError(f"node {i} has a {key} that is not finite")
-    dim = int(d["dim"])
     for key in _VECTORS:
         lengths = list(map(len, d[key]))
         if lengths.count(dim) != count:

@@ -170,15 +170,16 @@ def synthesize(tree: PartitionTree, dataset: Dataset, config: SynthConfig) -> Sy
     sweeps = config.max_sweeps
     for z in range(1, config.max_sweeps + 1):
         stats = sweep(tree, dataset, config, z)
-        logger.info(
-            "sweep=%d active=%d divisions=%d exclusions=%d unknowns=%d volume=%.12g",
-            z,
-            sum(tree.nodes.n_active[i] for i in tree.roots),
-            stats.divisions,
-            stats.exclusions,
-            stats.unknowns,
-            tree.active_volume(),
-        )
+        if logger.isEnabledFor(logging.INFO):  # the volume costs a scan of the tree
+            logger.info(
+                "sweep=%d active=%d divisions=%d exclusions=%d unknowns=%d volume=%.12g",
+                z,
+                tree.n_included(),
+                stats.divisions,
+                stats.exclusions,
+                stats.unknowns,
+                tree.active_volume(),
+            )
         if not stats.changed:
             terminated = Termination.FIXPOINT
             sweeps = z

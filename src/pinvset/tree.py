@@ -26,6 +26,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -117,9 +118,13 @@ class PartitionTree:
         self.nodes = Nodes()
         self.roots: list[int] = []
         self.label_log: list[tuple[int | None, int, int, int]] = []
-        # The 2^n sign vectors, in the order a split lays out its children.
-        self._signs = np.array(list(product((-1.0, 1.0), repeat=dim)))
-        self.fanout = len(self._signs)
+        self.fanout = 1 << dim
+
+    @cached_property
+    def _signs(self) -> np.ndarray:
+        """The 2^n sign vectors, in the order a split lays out its children;
+        built on first use, so a tree without splits never holds 2^n rows."""
+        return np.array(list(product((-1.0, 1.0), repeat=self.dim)))
 
     # -- construction ---------------------------------------------------
 
@@ -272,6 +277,10 @@ class PartitionTree:
         included = Label.INCLUDED  # one enum lookup, not one per leaf
         return [i for i in self.iter_leaves() if label[i] is included]
 
+    def n_included(self) -> int:
+        """The number of included leaves, from the roots' counters."""
+        return sum(self.nodes.n_active[i] for i in self.roots)
+
     def candidate_set(self) -> BoxList:
         """Union of target boxes of included leaves (disjoint interiors)."""
         nodes = self.nodes
@@ -309,6 +318,8 @@ class PartitionTree:
         nodes = self.nodes
         first_child = np.array(nodes.first_child, dtype=np.int64)
         interior = np.flatnonzero(first_child >= 0)
+        if not len(interior):
+            return None
         centers = np.array(nodes.target_center, dtype=float).reshape(-1, self.dim)
         radii = np.array(nodes.target_radius, dtype=float)
         half = radii[interior, None] / 2.0

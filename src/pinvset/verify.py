@@ -12,7 +12,9 @@ leaf labels, and only then lets the tree answer overlap queries.
 ``raster_coverage`` is a brute-force sampling oracle used to cross-validate
 the exact classifier, and ``monte_carlo_invariance`` is a falsifier that
 rolls true trajectories forward; only the exact check constitutes the
-deterministic guarantee.
+deterministic guarantee.  The falsifier, too, reads everything from the
+tree: start points come from its included leaves, and membership of an
+iterate from one bitmap per root filled from the split structure.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .geometry import (
     uncovered_fragments,
 )
 from .synthesis import ConfigError, SynthConfig, SynthResult
+from .tree import PartitionTree
 
 METHOD_EXACT = "exact-coverage"
 METHOD_RASTER = "raster"
@@ -160,84 +163,93 @@ def raster_coverage(query: Box, union: BoxList, cell: float) -> RasterReport:
     return RasterReport(fraction, verdict)
 
 
-class _UnionMembership:
-    """Vectorized membership test for a box union.
+# Cells in all the membership bitmaps of one tree together.
+MAX_BITMAP_CELLS = 1 << 22
 
-    Rasterizes the union onto a uniform bitmap at the finest box side;
-    cells fully inside some box are certain hits, untouched cells certain
-    misses, and partially covered edge cells fall back to an exact scan of
-    the boxes.
-    Dyadic tilings align exactly, so their bitmaps have no uncertain cells.
+
+class _TreeMembership:
+    """Vectorized membership test for the union of a tree's included cells.
+
+    One bitmap per root with included leaves (1 included, 2 mixed), at the
+    depth of its deepest fully included subtree or the deepest that keeps
+    all bitmaps within ``MAX_BITMAP_CELLS``.  A node's integer corner is
+    twice its parent's plus its sign bits, so the split structure alone
+    fills it.  The tree's own closed test, ``overlapping(p, p)``, answers a
+    point within ``GEOM_TOL`` of a lattice line whose cell is not included
+    (a neighbour may be) and one in a mixed cell.
     """
 
-    def __init__(self, boxes: BoxList, max_cells: int = 1 << 22):
-        self.boxes = boxes
-        self.dim = boxes[0].dim
-        glo, ghi = boxes.bounding_rect()
-        self._glo = np.array(glo)
-        self._ghi = np.array(ghi)
-        pitch = min(2.0 * b.radius for b in boxes)
-        if pitch <= 0.0:
-            pitch = max(max(h - l for l, h in zip(glo, ghi)), 1.0)
-        per_dim_cap = max(2, int(round(max_cells ** (1.0 / self.dim))))
-        for l, h in zip(glo, ghi):
-            if (h - l) / pitch > per_dim_cap:
-                pitch = (h - l) / per_dim_cap
-        self._pitch = pitch
-        shape = tuple(
-            max(1, int(math.ceil((h - l) / pitch - 1e-9))) for l, h in zip(glo, ghi)
-        )
-        self._shape = shape
-        covered = np.zeros(shape, dtype=bool)
-        uncertain = np.zeros(shape, dtype=bool)
-        snap = 1e-9
-        for b in boxes:
-            lo, hi = b.rect()
-            full = []
-            touch = []
-            for d in range(self.dim):
-                a = (lo[d] - glo[d]) / pitch
-                bb = (hi[d] - glo[d]) / pitch
-                full.append(
-                    slice(
-                        max(0, int(math.ceil(a - snap))),
-                        min(shape[d], int(math.floor(bb + snap))),
-                    )
-                )
-                touch.append(
-                    slice(
-                        max(0, int(math.floor(a + snap))),
-                        min(shape[d], int(math.ceil(bb - snap))),
-                    )
-                )
-            covered[tuple(full)] = True
-            region = np.zeros(shape, dtype=bool)
-            region[tuple(touch)] = True
-            region[tuple(full)] = False
-            uncertain |= region
-        self._covered = covered
-        self._uncertain = uncertain & ~covered
-        self._exact = boxes if self._uncertain.any() else None
+    def __init__(self, tree: PartitionTree):
+        self.tree = tree
+        nodes = tree.nodes
+        n_active, n_leaves, first_child = nodes.n_active, nodes.n_leaves, nodes.first_child
+        n = tree.dim
+        roots = [r for r in tree.roots if n_active[r]]
+        per_root = MAX_BITMAP_CELLS // max(len(roots), 1)
+        cap = max(per_root.bit_length() - 1, 0) // n
+        self.bitmaps = []
+        for root in roots:
+            full = []  # (depth, integer corner) of the maximal fully included subtrees
+            stack = [(root, 0, (0,) * n)]
+            while stack:
+                i, depth, corner = stack.pop()
+                if n_active[i] == n_leaves[i]:
+                    full.append((depth, corner))
+                elif n_active[i]:
+                    stack += [
+                        (first_child[i] + j, depth + 1,
+                         tuple(2 * c + (j >> (n - 1 - d) & 1) for d, c in enumerate(corner)))
+                        for j in range(tree.fanout)
+                    ]
+            level = min(cap, max(depth for depth, _ in full))
+            cells = np.zeros((1 << level,) * n, dtype=np.uint8)
+            for depth, corner in full:
+                s = level - depth
+                if s >= 0:
+                    cells[tuple(slice(c << s, (c + 1) << s) for c in corner)] = 1
+                else:
+                    cells[tuple(c >> -s for c in corner)] = 2
+            pitch = 2.0 * nodes.target_radius[root] / len(cells)
+            self.bitmaps.append((nodes.lo[root], pitch, cells))
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        inside_bbox = np.all(
-            (pts >= self._glo - GEOM_TOL) & (pts <= self._ghi + GEOM_TOL), axis=1
-        )
-        idx = np.floor((pts - self._glo) / self._pitch).astype(np.int64)
-        np.clip(idx, 0, np.array(self._shape) - 1, out=idx)
-        keys = tuple(idx[:, d] for d in range(self.dim))
-        result = self._covered[keys] & inside_bbox
-        if self._exact is not None:
-            maybe = self._uncertain[keys] & inside_bbox & ~result
-            for j in np.nonzero(maybe)[0]:
-                if self._exact.contains_point(tuple(pts[j])):
-                    result[j] = True
-        return result
+        # Column by column: ops on an (N, n) array loop over rows of length n.
+        cols = np.asarray(pts, dtype=float).T
+        hit = np.zeros(cols.shape[1], dtype=bool)
+        ask = np.zeros_like(hit)
+        for lo, pitch, cells in self.bitmaps:
+            side, t = len(cells), GEOM_TOL / pitch
+            inside = np.ones_like(hit)
+            edge = np.zeros_like(hit)
+            keys = []
+            for col, g in zip(cols, lo):
+                u = (col - g) / pitch
+                inside &= (u >= -t) & (u <= side + t)
+                edge |= np.abs(u - np.rint(u)) <= t
+                keys.append(np.fmin(np.fmax(np.floor(u), 0.0), side - 1).astype(np.intp))
+            state = cells[tuple(keys)]
+            found = inside & (state == 1)
+            hit |= found
+            ask |= inside & ~found & (edge | (state == 2))
+        for j in np.flatnonzero(ask & ~hit):
+            p = tuple(cols[:, j].tolist())
+            hit[j] = bool(self.tree.overlapping(p, p))
+        return hit
+
+
+def _start_points(tree: PartitionTree, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform points of the union of included cells: a leaf with probability
+    proportional to its volume, then a uniform point in its cell."""
+    nodes = tree.nodes
+    leaves = tree.active_leaves()
+    radii = np.array([nodes.target_radius[i] for i in leaves])
+    weight = (radii / radii.max()) ** tree.dim
+    pick = rng.choice(leaves, size=samples, p=weight / weight.sum())
+    return rng.uniform(np.array(nodes.lo)[pick], np.array(nodes.hi)[pick])
 
 
 def monte_carlo_invariance(
-    pi_set: BoxList,
+    tree: PartitionTree,
     oracle: SystemOracle,
     samples: int = 100_000,
     horizon: int = 50,
@@ -245,29 +257,19 @@ def monte_carlo_invariance(
 ) -> Certificate:
     """Trajectory falsifier: roll the true map forward from points of the set.
 
-    Draws points uniformly from the union (rejection over its bounding
-    box), iterates the oracle ``horizon`` steps, and fails at the first
+    Draws start points uniformly from the union of the tree's included
+    cells, iterates the oracle ``horizon`` steps, and fails at the first
     iterate that leaves the union.  Passing is evidence, not proof; the
     exact coverage check is the guarantee.
     """
-    if pi_set.is_empty:
+    if not tree.n_included():
         raise ValueError("cannot sample trajectories from an empty set")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    member = _UnionMembership(pi_set)
-    rng = np.random.default_rng(seed)
-    glo, ghi = pi_set.bounding_rect()
-    lo = np.array(glo)
-    hi = np.array(ghi)
-    pts = np.empty((0, pi_set[0].dim))
-    while len(pts) < samples:
-        batch = rng.uniform(lo, hi, size=(max(samples, 4 * (samples - len(pts))), len(lo)))
-        accepted = batch[member.contains(batch)]
-        pts = np.vstack((pts, accepted))
-    pts = pts[:samples]
-    start = pts.copy()
+    member = _TreeMembership(tree)
+    start = pts = _start_points(tree, samples, np.random.default_rng(seed))
     for step in range(1, horizon + 1):
         pts = oracle.map_points(pts)
         ok = member.contains(pts)

@@ -154,7 +154,7 @@ def test_criterion_5_certificate_soundness(
         checked += 1
         if not result.pi_set.is_empty:
             mc = monte_carlo_invariance(
-                result.pi_set, oracle, MC_SAMPLES, MC_HORIZON, seed=checked
+                result.tree, oracle, MC_SAMPLES, MC_HORIZON, seed=checked
             )
             assert mc.passed, f"Monte Carlo escape: {mc.first_failure}"
             mc_checked += 1

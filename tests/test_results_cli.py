@@ -5,13 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from pinvset.cli import main
-from pinvset.dataset import gen_uniform, load_dataset
-from pinvset.render import render_tree_svg
+from pinvset.dataset import Dataset, gen_uniform, load_dataset
+from pinvset.geometry import Box, BoxList
+from pinvset.render import load_overlay, render_tree_svg
 from pinvset.results import (
     ResultFormatError,
     RunManifest,
@@ -20,7 +22,7 @@ from pinvset.results import (
     result_to_document,
     save_result,
 )
-from pinvset.synthesis import SynthConfig, synthesize
+from pinvset.synthesis import SynthConfig, SynthResult, Termination, synthesize
 from pinvset.tree import new_tree
 from pinvset.verify import check_fixpoint
 
@@ -558,3 +560,69 @@ def test_cli_report_single_result(tmp_path, capsys):
     assert main(["-q", "report", "--dir", str(outdir)]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 2  # header + one row
+
+
+def test_cli_verify_one_root_of_high_dim_stays_small(tmp_path, capsys):
+    # A tree without splits never builds the 2^n sign vectors: at dim 18
+    # they alone would be 2^18 rows of 18 floats.
+    n = 18
+    origin = (0.0,) * n
+    ds = Dataset([origin], [origin])
+    tree = new_tree(BoxList((Box(origin, 1.0),)), ds)
+    result = SynthResult(tree, 1, Termination.FIXPOINT, SynthConfig(lipschitz=0.5, tau=0.5))
+    path = tmp_path / "r.json"
+    save_result(path, result, RunManifest(command="test"))
+    tracemalloc.start()
+    try:
+        assert main(["-q", "verify", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+@pytest.mark.parametrize("dim", [2.5, True, "2", 0, None])
+def test_cli_verify_rejects_bad_dim(tmp_path, capsys, dim):
+    doc = _synth_linear_result(tmp_path)
+    doc["tree"]["dim"] = dim
+    result = tmp_path / "bad.json"
+    result.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["-q", "verify", str(result)]) == 3
+    assert "is not an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", [2, 16])
+def test_cli_verify_rejects_empty_node_table(tmp_path, capsys, dim):
+    doc = _synth_linear_result(tmp_path)
+    doc["tree"] = {"dim": dim, **{key: [] for key in doc["tree"] if key != "dim"}}
+    doc["domain"] = doc["pi_set"] = {"centers": [], "radii": []}
+    doc["volume"] = 0.0
+    doc["leaf_counts"] = {"included": 0, "excluded": 0, "unknown": 0}
+    result = tmp_path / "bad.json"
+    result.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["-q", "verify", str(result)]) == 3
+    assert "the node table has no node" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["1,abc", "1", "1,2,3", "nan,0.5", "0.5,inf"])
+def test_cli_synth_rejects_bad_overlay_before_synthesis(tmp_path, capsys, row):
+    data = tmp_path / "d.csv"
+    overlay = tmp_path / "o.csv"
+    overlay.write_text(f"# boundary\n0,0\n{row}\n1,1\n")
+    main(["-q", "gen", "--system", "linear2d", "--m", "300", "--seed", "1",
+          "--out", str(data)])
+    capsys.readouterr()
+    assert main(["-q", "synth", "--data", str(data), "--system", "linear2d",
+                 "--lipschitz", "0.8225", "--tau", "0.05", "--out", str(tmp_path / "r.json"),
+                 "--svg", str(tmp_path / "r.svg"), "--overlay", str(overlay)]) == 3
+    assert f"{overlay}:3: overlay row is not two finite numbers" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_load_overlay_skips_comments_and_blank_lines(tmp_path):
+    overlay = tmp_path / "o.csv"
+    overlay.write_text("# x,y\n0,0.5\n\n  1e-3 , -2\n")
+    assert load_overlay(overlay) == [(0.0, 0.5), (1e-3, -2.0)]

@@ -291,3 +291,23 @@ def test_logged_active_count_matches_walk(lin_oracle, caplog, monkeypatch):
         if token.startswith("active=")
     ]
     assert len(logged) >= 2 and logged == walked
+
+
+@pytest.mark.parametrize("level, calls_per_sweep", [("WARNING", 0), ("INFO", 1)])
+def test_sweep_log_volume_only_when_info_enabled(lin_oracle, caplog, monkeypatch, level,
+                                                 calls_per_sweep):
+    from pinvset.tree import PartitionTree
+
+    calls = []
+    real_volume = PartitionTree.active_volume
+
+    def counting_volume(tree):
+        calls.append(1)
+        return real_volume(tree)
+
+    monkeypatch.setattr(PartitionTree, "active_volume", counting_volume)
+    ds = gen_uniform(lin_oracle, 800, seed=6)
+    tree = new_tree(lin_oracle.domain, ds)
+    with caplog.at_level(level, logger="pinvset.synthesis"):
+        res = synthesize(tree, ds, SynthConfig(lipschitz=lin_oracle.lipschitz, tau=0.05))
+    assert res.sweeps >= 2 and len(calls) == calls_per_sweep * res.sweeps

@@ -1,17 +1,24 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import RASTER_CELL, margin_separated_instance
 
+from pinvset import verify
 from pinvset.dataset import Dataset, gen_uniform
-from pinvset.geometry import Box, BoxList, CoverageClass, classify_coverage
+from pinvset.geometry import Box, BoxList, CoverageClass, classify_coverage, rect_to_cubes
 from pinvset.synthesis import SynthConfig, SynthResult, Termination, synthesize
-from pinvset.tree import new_tree
+from pinvset.tree import Label, new_tree
 from pinvset.verify import (
+    MAX_BITMAP_CELLS,
     check_fixpoint,
     monte_carlo_invariance,
     raster_coverage,
-    _UnionMembership,
+    _start_points,
+    _TreeMembership,
 )
 
 
@@ -126,22 +133,95 @@ def test_exact_classifier_agrees_with_raster(rng):
 # -- union membership ----------------------------------------------------
 
 
+def _random_tree(data, n):
+    """A random tree over one, two or three unit-cube roots: each step
+    divides or retires a live leaf."""
+    ds = Dataset([(0.5,) * n], [(0.5,) * n])
+    roots = data.draw(st.integers(1, 3))
+    tree = new_tree(rect_to_cubes((0.0,) * n, (float(roots),) + (1.0,) * (n - 1)), ds)
+    for _ in range(data.draw(st.integers(0, 12))):
+        live = tree.active_leaves()
+        if not live:
+            break
+        i = live[data.draw(st.integers(0, len(live) - 1))]
+        action = data.draw(st.sampled_from(("divide", "exclude", "unknown")))
+        if action == "divide" and tree.nodes.target_radius[i] > 1 / 32:
+            tree.divide([i], ds)
+        elif action == "exclude":
+            tree.set_label(i, Label.EXCLUDED)
+        elif action == "unknown":
+            tree.set_label(i, Label.UNKNOWN)
+    return tree, roots
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3), data=st.data())
+def test_union_membership_matches_plain_scan_property(n, data):
+    tree, roots = _random_tree(data, n)
+    # A small cell budget pushes the bitmap above its cap, so mixed cells
+    # are answered by the tree.
+    budget = data.draw(st.sampled_from((MAX_BITMAP_CELLS, 64, 1)))
+    # Lattice coordinates put points on cell faces and corners; arbitrary
+    # floats cover the general case.
+    coord = st.one_of(
+        st.integers(-4, 32 * roots + 4).map(lambda k: k / 32),
+        st.floats(-0.25, roots + 0.25, allow_nan=False),
+    )
+    pts = np.array(data.draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=40)))
+    with patch.object(verify, "MAX_BITMAP_CELLS", budget):
+        member = _TreeMembership(tree)
+    scan = tree.candidate_set()
+    want = [scan.contains_point(tuple(p)) for p in pts]
+    assert member.contains(pts).tolist() == want
+
+
 def test_union_membership_on_dyadic_tiling(lin_oracle, rng):
     res = synth_linear(lin_oracle)
-    member = _UnionMembership(res.pi_set)
-    assert member._exact is None  # tiling aligns exactly: no uncertain cells
+    member = _TreeMembership(res.tree)
     pts = rng.uniform(-1.1, 1.1, size=(4000, 2))
-    want = np.array([res.pi_set.contains_point(tuple(p)) for p in pts])
-    got = member.contains(pts)
-    assert (got == want).all()
-
-
-def test_union_membership_unaligned_falls_back(rng):
-    boxes = BoxList((Box((0.0, 0.0), 0.5), Box((0.77, 0.13), 0.31)))
-    member = _UnionMembership(boxes)
-    pts = rng.uniform(-1.5, 1.5, size=(3000, 2))
-    want = np.array([boxes.contains_point(tuple(p)) for p in pts])
+    scan = res.tree.candidate_set()
+    want = np.array([scan.contains_point(tuple(p)) for p in pts])
     assert (member.contains(pts) == want).all()
+
+
+def test_union_membership_above_the_cap(rng):
+    # Split the low corner down to depth 13 and drop the high child at every
+    # level: the bitmap stops at depth 11, and its mixed cells ask the tree.
+    ds = Dataset([(0.5, 0.5)], [(0.5, 0.5)])
+    tree = new_tree(BoxList((Box((0.5, 0.5), 0.5),)), ds)
+    corner = tree.roots[0]
+    for _ in range(13):
+        children = tree.divide([corner], ds)
+        tree.set_label(children[-1], Label.EXCLUDED)
+        corner = children[0]
+    member = _TreeMembership(tree)
+    (_, _, cells), = member.bitmaps
+    assert cells.shape == (2 ** 11, 2 ** 11) and (cells == 2).any()
+    deep = rng.uniform(0.0, 2.0 ** -10, size=(3000, 2))
+    faces = np.floor(deep * 2 ** 14) / 2 ** 14
+    pts = np.vstack((deep, faces, rng.uniform(-0.1, 1.1, size=(1000, 2))))
+    scan = tree.candidate_set()
+    want = [scan.contains_point(tuple(p)) for p in pts]
+    assert member.contains(pts).tolist() == want
+
+
+def test_start_points_are_uniform_on_the_set(rng):
+    # Three included cells of side 1/2 and three of side 1/4.
+    ds = Dataset([(0.5, 0.5)], [(0.5, 0.5)])
+    tree = new_tree(BoxList((Box((0.5, 0.5), 0.5),)), ds)
+    children = tree.divide(tree.roots, ds)
+    grandchildren = tree.divide(children[:1], ds)
+    tree.set_label(grandchildren[0], Label.EXCLUDED)
+    pts = _start_points(tree, 40000, rng)
+    leaves = tree.active_leaves()
+    nodes = tree.nodes
+    inside = np.array([
+        ((pts >= nodes.lo[i]) & (pts <= nodes.hi[i])).all(axis=1) for i in leaves
+    ])
+    assert inside.any(axis=0).all()
+    volumes = np.array([(2.0 * nodes.target_radius[i]) ** 2 for i in leaves])
+    expected = len(pts) * volumes / volumes.sum()
+    assert (np.abs(inside.sum(axis=1) - expected) <= 6.0 * np.sqrt(expected)).all()
 
 
 # -- Monte Carlo falsifier -----------------------------------------------------------
@@ -150,27 +230,29 @@ def test_union_membership_unaligned_falls_back(rng):
 def test_monte_carlo_certified_set_survives(lin_oracle):
     res = synth_linear(lin_oracle)
     assert check_fixpoint(res).passed
-    cert = monte_carlo_invariance(res.pi_set, lin_oracle, samples=20000, horizon=50, seed=1)
+    cert = monte_carlo_invariance(res.tree, lin_oracle, samples=20000, horizon=50, seed=1)
     assert cert.passed
     assert cert.method == "monte-carlo"
 
 
 def test_monte_carlo_catches_escaping_set(lin_oracle):
     res = hand_built_failing_result(lin_oracle)
-    cert = monte_carlo_invariance(res.pi_set, lin_oracle, samples=500, horizon=5, seed=0)
+    cert = monte_carlo_invariance(res.tree, lin_oracle, samples=500, horizon=5, seed=0)
     assert not cert.passed
     assert cert.first_failure["step"] == 1
 
 
 def test_monte_carlo_zero_horizon_trivially_passes(lin_oracle):
     res = hand_built_failing_result(lin_oracle)
-    cert = monte_carlo_invariance(res.pi_set, lin_oracle, samples=100, horizon=0, seed=0)
+    cert = monte_carlo_invariance(res.tree, lin_oracle, samples=100, horizon=0, seed=0)
     assert cert.passed
 
 
 def test_monte_carlo_rejects_empty_set(lin_oracle):
+    res = hand_built_failing_result(lin_oracle)
+    res.tree.set_label(res.tree.roots[0], Label.EXCLUDED)
     with pytest.raises(ValueError):
-        monte_carlo_invariance(BoxList(()), lin_oracle, samples=10, horizon=1)
+        monte_carlo_invariance(res.tree, lin_oracle, samples=10, horizon=1)
 
 
 def test_soundness_chain(lin_oracle, nonlin_oracle):
@@ -182,5 +264,5 @@ def test_soundness_chain(lin_oracle, nonlin_oracle):
         cert = check_fixpoint(res)
         assert cert.passed
         if not res.pi_set.is_empty:
-            mc = monte_carlo_invariance(res.pi_set, oracle, samples=20000, horizon=50, seed=3)
+            mc = monte_carlo_invariance(res.tree, oracle, samples=20000, horizon=50, seed=3)
             assert mc.passed
