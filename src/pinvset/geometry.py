@@ -6,9 +6,16 @@ hyperrectangles, carried as ``(lo, hi)`` corner-tuple pairs so the hot loops
 stay allocation-light.
 
 All sets are closed: boundary contact counts as membership and as
-intersection.  Coverage of a box by a union is decided by exact fragment
-subtraction, never by sampling, so an exactly tiled union classifies as fully
-covering.
+intersection.  Coverage of a box by a ``BoxList`` is decided by fragment
+subtraction with the slack ``GEOM_TOL``, never by sampling, so an exactly
+tiled union classifies as fully covering; it is the independent reference
+for the partition tree, which decides coverage with no tolerance
+(``PartitionTree.classify``).
+
+A successor box is built once, by ``successor_rect``: its float corners, a
+proven bound on their rounding and, on demand, its exact corners as
+fractions.  ``balls_contain_cells`` decides exactly whether a sample ball
+contains a cell.
 """
 
 from __future__ import annotations
@@ -17,11 +24,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-# Absolute slack for geometric comparisons.  Dyadic subdivision keeps tile
-# coordinates exact in binary floating point; this only has to absorb the
-# rounding of decimal domain corners and of mapped successor states.
+import numpy as np
+
+# Absolute slack of the BoxList reference, of ``PartitionTree.overlapping``,
+# of Monte Carlo membership and of ``new_tree``'s overlap check.  The sweep
+# and the certificate use none.
 GEOM_TOL = 1e-12
 
 Vec = tuple[float, ...]
@@ -121,6 +130,48 @@ class BoxList:
             if rects_intersect(lo, hi, qlo, qhi):
                 out.append((lo, hi))
         return out
+
+
+class Successor(NamedTuple):
+    """The rectangle ``x_plus ± L·r`` of a successor box, from ``successor_rect``.
+
+    ``lo`` and ``hi`` are its corners rounded to floats; each lies within
+    ``slack`` of the exact corner of the stored floats ``x_plus``,
+    ``lipschitz`` and ``radius``, which ``exact()`` returns as fractions.
+    """
+
+    lo: Vec
+    hi: Vec
+    slack: float
+    x_plus: Vec
+    lipschitz: float
+    radius: float
+
+    def exact(self) -> tuple[tuple, tuple]:
+        from fractions import Fraction
+
+        reach = Fraction(self.lipschitz) * Fraction(self.radius)
+        center = [Fraction(c) for c in self.x_plus]
+        return tuple([c - reach for c in center]), tuple([c + reach for c in center])
+
+
+def successor_rect(x_plus: Vec, lipschitz: float, r: float) -> Successor:
+    """The rectangle of the successor box ``Box(x_plus, lipschitz * r)``.
+
+    With u = 2^-53, p = fl(L·r) is within u·L·r + 2^-1075 of L·r, and
+    fl(x ∓ p) within u·|x ∓ p| of x ∓ p; so each corner is within
+    2^-52·(max|x| + 2p) + 2^-1074 of the exact one.  ``slack`` is twice
+    that, which also absorbs the rounding of ``corner ± slack``.
+    """
+    reach = lipschitz * r
+    return Successor(
+        tuple([c - reach for c in x_plus]),
+        tuple([c + reach for c in x_plus]),
+        (max(map(abs, x_plus)) + 2.0 * reach) * 2.0 ** -51 + 2.0 ** -1073,
+        x_plus,
+        lipschitz,
+        r,
+    )
 
 
 def as_rect(obj: Box | Rect) -> Rect:
@@ -253,18 +304,22 @@ def _escaping(qlo: Vec, qhi: Vec, covers: list[Rect]) -> Iterator[Rect]:
         stack.extend([(plo, phi, i) for plo, phi in _cut(flo, fhi, clo, chi)])
 
 
-def classify_coverage(query: Box | Rect, union) -> CoverageClass:
-    """Exact three-way classification of a box against a union of boxes.
+def classify_coverage(query: Box | Rect | Successor, union) -> CoverageClass:
+    """Three-way classification of a box against a union of boxes.
 
     FULLY_COVERED: the query minus all cover boxes has zero volume.
     DISJOINT: no cover box meets the query, not even along a boundary.
     PARTIAL: otherwise.
 
-    The union is a ``BoxList`` or the partition tree: anything whose
-    ``overlapping(qlo, qhi)`` lists the cover rectangles meeting the query.
-    The first escaping fragment settles the verdict as PARTIAL; running
-    out of fragments settles FULLY_COVERED.
+    The union is the partition tree, which decides exactly in one walk
+    (``PartitionTree.classify``; a ``Successor`` query is for it), or a
+    ``BoxList``, the reference: the first fragment of the query that
+    escapes every cover settles the verdict as PARTIAL, running out of
+    fragments settles FULLY_COVERED, and overlaps thinner than
+    ``GEOM_TOL`` do not count.
     """
+    if not isinstance(union, BoxList):
+        return union.classify(query)
     qlo, qhi = as_rect(query)
     covers = union.overlapping(qlo, qhi)
     if not covers:
@@ -274,11 +329,43 @@ def classify_coverage(query: Box | Rect, union) -> CoverageClass:
     return CoverageClass.FULLY_COVERED
 
 
-def uncovered_fragments(query: Box | Rect, union, limit: int | None = None) -> list[Rect]:
+def uncovered_fragments(
+    query: Box | Rect | Successor, union, limit: int | None = None
+) -> list[Rect]:
     """Fragments of the query left uncovered by the union (possibly none),
-    at most ``limit`` of them; the union is taken as in classify_coverage."""
+    at most ``limit`` of them.  A ``BoxList`` lists them by subtraction;
+    the partition tree names one, cut from the first gap its walk finds."""
+    if not isinstance(union, BoxList):
+        fragment = union.uncovered(query)
+        return [] if fragment is None or limit == 0 else [fragment]
     qlo, qhi = as_rect(query)
     return list(islice(_escaping(qlo, qhi, union.overlapping(qlo, qhi)), limit))
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a + b as the rounded sum and its exact error (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def balls_contain_cells(radius, lo, hi, sample) -> np.ndarray:
+    """Row by row, exactly whether the sample ball ``[x - r, x + r]``
+    contains the cell ``[lo, hi]``: ``r >= x - lo`` and ``r >= hi - x`` on
+    every axis, which for a cell ``c ± r_target`` is
+    ``r >= r_target + max_d |c_d - x_d|``.
+
+    Each difference is carried as its rounded value and its exact error.
+    Rounding is monotone, so r decides against the rounded value unless the
+    two are equal, and then the sign of the error does.
+    """
+    r = np.asarray(radius, dtype=float)[:, None]
+    x = np.asarray(sample, dtype=float)
+    held = np.ones(len(r), dtype=bool)
+    for a, b in ((x, -np.asarray(lo, dtype=float)), (np.asarray(hi, dtype=float), -x)):
+        d, err = _two_sum(a, b)
+        held &= ((r > d) | ((r == d) & (err <= 0.0))).all(axis=1)
+    return held
 
 
 def successor_box(pair, r: float, lipschitz: float) -> Box:

@@ -86,6 +86,7 @@ def _tree_sections(tree: PartitionTree) -> dict:
 
 
 _VECTORS = ("target_center", "sample_x", "sample_xp")
+_INTEGERS = ("parent", "sample_index", "label")
 # The node columns a result file stores, in file order, and how each is
 # read back from JSON.
 _PARSE = {
@@ -101,9 +102,11 @@ _PARSE = {
 
 
 def _tree_to_dict(tree: PartitionTree) -> dict:
-    # orjson writes the tuples of the vector columns as arrays and the
-    # Label members as their integer values.
-    return {"dim": tree.dim, **{key: list(getattr(tree.nodes, key)) for key in _PARSE}}
+    # orjson writes the tuples of the vector columns as arrays.  The labels
+    # are plain integers, as the loader requires.
+    columns = {key: list(getattr(tree.nodes, key)) for key in _PARSE}
+    columns["label"] = list(map(int, columns["label"]))
+    return {"dim": tree.dim, **columns}
 
 
 def _all_finite(values) -> bool:
@@ -132,6 +135,12 @@ def _tree_from_dict(d: dict) -> PartitionTree:
         if not _all_finite(chain.from_iterable(column) if vector else column):
             i = next(i for i, v in enumerate(column) if not _all_finite(v if vector else [v]))
             raise ResultFormatError(f"node {i} has a {key} that is not finite")
+    for key in _INTEGERS:
+        # Only a JSON integer: int() would truncate 3.7, and a bool is an int.
+        column = d[key]
+        if set(map(type, column)) != {int}:
+            i = next(i for i, v in enumerate(column) if type(v) is not int)
+            raise ResultFormatError(f"node {i} has a {key} that is not an integer")
     for key in _VECTORS:
         lengths = list(map(len, d[key]))
         if lengths.count(dim) != count:

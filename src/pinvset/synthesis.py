@@ -2,7 +2,8 @@
 
 Each sweep visits every leaf that was included when the sweep started, in
 depth-first order, and classifies the Lipschitz successor box of its sample
-against the candidate set:
+against the candidate set, exactly and with no tolerance (one walk of the
+tree, ``PartitionTree.classify``):
 
   fully covered  -> the leaf stays included,
   disjoint       -> the leaf is excluded (its cell provably escapes),
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .dataset import Dataset
-from .geometry import BoxList, CoverageClass, classify_coverage
+from .geometry import BoxList, CoverageClass, classify_coverage, successor_rect
 from .tree import Label, PartitionTree
 
 logger = logging.getLogger(__name__)
@@ -126,12 +127,7 @@ def sweep(
     while wave:
         split = []
         for i in wave:
-            # The successor box's rectangle, as Box(sample_xp, L * r).rect().
-            r = lipschitz * radius[i]
-            xp = sample_xp[i]
-            verdict = classify_coverage(
-                (tuple([c - r for c in xp]), tuple([c + r for c in xp])), tree
-            )
+            verdict = classify_coverage(successor_rect(sample_xp[i], lipschitz, radius[i]), tree)
             if verdict is CoverageClass.FULLY_COVERED:
                 continue
             if verdict is CoverageClass.PARTIAL and target_radius[i] / 2.0 >= tau:

@@ -9,10 +9,17 @@ every existing node as one contiguous block in sign-vector order.  Leaves
 carry a membership label with respect to the live candidate set; interior
 nodes are purely structural.  The result file stores the same columns.
 
+A cell's corners ``lo``/``hi`` are a root's ``center ± radius``, and a
+split cuts its parent at the parent's center: on each axis the low child
+spans [lo, center] and the high one [center, hi].  So the children tile
+their parent exactly in floating point, whatever the roots; for dyadic
+roots the corners are also ``center ± radius`` of every node.
+
 Subtree counters (total leaves / included leaves) are maintained on every
-division and relabeling so that coverage queries can return one coarse
-rectangle for any fully-included subtree instead of walking its leaves.
-``recount`` re-derives them from the leaf labels alone, for trees that come
+division and relabeling, so that a coverage walk (``classify``) settles a
+fully included or fully retired subtree at its root instead of walking its
+leaves; it compares corners only and needs no tolerance.  ``recount``
+re-derives the counters from the leaf labels alone, for trees that come
 from a file and for the verifier, which trusts no bookkeeping.
 
 The tree is a single-writer structure: divisions and relabelings must be
@@ -36,11 +43,25 @@ from .dataset import Dataset
 from .geometry import (
     Box,
     BoxList,
+    CoverageClass,
     DimensionMismatchError,
     GEOM_TOL,
     Rect,
+    Successor,
     Vec,
+    as_rect,
+    balls_contain_cells,
 )
+
+
+_UNSETTLED = object()  # a comparison that the corners' rounding bounds leave open
+
+
+def _slab(dim: int, axis: int, a: float, b: float) -> Rect:
+    """The region a < x[axis] < b, as corners with infinite bounds elsewhere."""
+    lo, hi = [-math.inf] * dim, [math.inf] * dim
+    lo[axis], hi[axis] = a, b
+    return tuple(lo), tuple(hi)
 
 
 class Label(IntEnum):
@@ -102,12 +123,17 @@ def _first_children(parents: list[int], fanout: int) -> list[int]:
     return first
 
 
-def _corners(centers: np.ndarray, radii: np.ndarray) -> tuple[list[Vec], list[Vec]]:
-    """Low and high corners of cells given by (k, n) centers and (k,)
-    half-widths, as lists of tuples."""
-    r = radii[:, None]
-    lo = list(map(tuple, (centers - r).tolist()))
-    return lo, list(map(tuple, (centers + r).tolist()))
+def _split_corners(
+    lo: np.ndarray, hi: np.ndarray, centers: np.ndarray, signs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Corners of the children of (k, n) cells cut at their centers, as
+    (k, 2^n, n) arrays in sign-vector order: on each axis the low half
+    spans [lo, center] and the high half [center, hi]."""
+    low = signs < 0.0
+    return (
+        np.where(low, lo[:, None], centers[:, None]),
+        np.where(low, centers[:, None], hi[:, None]),
+    )
 
 
 class PartitionTree:
@@ -137,37 +163,62 @@ class PartitionTree:
         for the layout the parent column must have."""
         tree = cls(dim)
         parent = columns["parent"]
-        lo, hi = _corners(
-            np.array(columns["target_center"], dtype=float).reshape(-1, dim),
-            np.array(columns["target_radius"], dtype=float),
-        )
-        tree.nodes = Nodes(
-            **columns, first_child=_first_children(parent, tree.fanout), lo=lo, hi=hi
-        )
+        first_child = _first_children(parent, tree.fanout)
         tree.roots = [i for i, p in enumerate(parent) if p == -1]
+        centers = np.array(columns["target_center"], dtype=float).reshape(-1, dim)
+        radii = np.array(columns["target_radius"], dtype=float)[:, None]
+        lo, hi = centers - radii, centers + radii
+        # The splits' corners, level by level down from the roots.
+        first = np.array(first_child, dtype=np.int64)
+        level = np.array(tree.roots, dtype=np.int64)
+        while len(level := level[first[level] >= 0]):
+            kids = first[level][:, None] + np.arange(tree.fanout)
+            lo[kids], hi[kids] = _split_corners(lo[level], hi[level], centers[level], tree._signs)
+            level = kids.ravel()
+        tree.nodes = Nodes(
+            **columns,
+            first_child=first_child,
+            lo=list(map(tuple, lo.tolist())),
+            hi=list(map(tuple, hi.tolist())),
+        )
         tree.recount()
         return tree
 
     def _grow(
-        self, parents: list[int], centers: np.ndarray, radii: np.ndarray, dataset: Dataset
+        self,
+        parents: list[int],
+        centers: np.ndarray,
+        radii: np.ndarray,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        dataset: Dataset,
     ) -> list[int]:
-        """Append one INCLUDED leaf per row of ``centers``, each with its
-        nearest sample; one nearest-neighbour call serves every row."""
+        """Append one INCLUDED leaf per row of ``centers`` (cells with
+        corners ``lo``/``hi``), each with its nearest sample; one
+        nearest-neighbour call serves every row.  The ball radius is the
+        rounded ``r_target + dist``; where that ball misses part of the cell,
+        it is the next float above the largest rounded corner distance."""
         idx, dist = dataset.nearest(centers)
+        xs = dataset.x[idx]
+        radius = radii + dist
+        held = balls_contain_cells(radius, lo, hi, xs)
+        if not held.all():
+            # nextafter(fl(v)) >= v for every v, so one step up suffices.
+            reach = np.maximum(xs - lo, hi - xs).max(axis=1)
+            radius = np.where(held, radius, np.nextafter(np.maximum(radius, reach), np.inf))
         nodes = self.nodes
         first = len(nodes)
         k = len(parents)
-        lo, hi = _corners(centers, radii)
         nodes.parent += parents
         nodes.first_child += [-1] * k
         nodes.target_center += map(tuple, centers.tolist())
         nodes.target_radius += radii.tolist()
-        nodes.lo += lo
-        nodes.hi += hi
+        nodes.lo += map(tuple, lo.tolist())
+        nodes.hi += map(tuple, hi.tolist())
         nodes.sample_index += idx.tolist()
-        nodes.sample_x += map(tuple, dataset.x[idx].tolist())
+        nodes.sample_x += map(tuple, xs.tolist())
         nodes.sample_xp += map(tuple, dataset.x_plus[idx].tolist())
-        nodes.radius += (radii + dist).tolist()
+        nodes.radius += radius.tolist()
         nodes.label += [Label.INCLUDED] * k
         nodes.n_leaves += [1] * k
         nodes.n_active += [1] * k
@@ -193,14 +244,23 @@ class PartitionTree:
         if not ids:
             return []
         k = self.fanout
+        n = self.dim
         half = np.array([nodes.target_radius[i] for i in ids]) / 2.0
         centers = np.array([nodes.target_center[i] for i in ids])
         child_centers = centers[:, None, :] + half[:, None, None] * self._signs
+        lo, hi = _split_corners(
+            np.array([nodes.lo[i] for i in ids]),
+            np.array([nodes.hi[i] for i in ids]),
+            centers,
+            self._signs,
+        )
         first = len(nodes)
         children = self._grow(
             np.repeat(ids, k).tolist(),
-            child_centers.reshape(-1, self.dim),
+            child_centers.reshape(-1, n),
             np.repeat(half, k),
+            lo.reshape(-1, n),
+            hi.reshape(-1, n),
             dataset,
         )
         # Each divided cell's single leaf became 2^n included leaves.
@@ -331,6 +391,195 @@ class PartitionTree:
     def min_root_radius(self) -> float:
         return min(self.nodes.target_radius[i] for i in self.roots)
 
+    def classify(self, query: Rect | Successor) -> CoverageClass:
+        """How a query rectangle meets the union of included cells.
+
+        One depth-first walk over the nodes that meet the closed query
+        decides it by comparing corners.  A fully included node that meets
+        it *touches* the query.  A retired node whose cell meets the query's
+        interior, or a part of the query outside every root cell, is a
+        *gap*.  The walk stops once it has found both.  Not touched:
+        DISJOINT; touched with no gap: FULLY_COVERED; both: PARTIAL.
+
+        A plain rectangle is taken as exact.  One without interior has no
+        volume to cover: like the BoxList reference, it is PARTIAL when it
+        touches the union.  A ``Successor`` stands for its exact rectangle:
+        the walk first runs on its rounded corners, each widened to the
+        interval its rounding bound allows, and only when some comparison
+        falls inside such an interval does it run again on the exact
+        corners, as fractions (which compare exactly with floats).
+        """
+        return self._decide(query)[0]
+
+    def uncovered(self, query: Rect | Successor) -> Rect | None:
+        """A fragment of the query that no included cell covers, from the
+        walk of ``classify``: the query cut to the first gap found (the
+        whole query when none was found), as floats; None when covered."""
+        verdict, corners, gap = self._decide(query)
+        if verdict is CoverageClass.FULLY_COVERED:
+            return None
+        (clo, chi), (glo, ghi) = corners, gap or corners
+        return (
+            tuple([float(max(a, b)) for a, b in zip(clo, glo)]),
+            tuple([float(min(a, b)) for a, b in zip(chi, ghi)]),
+        )
+
+    def _decide(self, query: Rect | Successor) -> tuple[CoverageClass, Rect, Rect | None]:
+        """The verdict of ``classify``, the query corners it was decided on
+        and the first gap found."""
+        successor = isinstance(query, Successor)
+        qlo, qhi = (query.lo, query.hi) if successor else as_rect(query)
+        if len(qlo) != self.dim or len(qhi) != self.dim:
+            raise DimensionMismatchError(
+                f"query corners of dim {len(qlo)} and {len(qhi)} do not match "
+                f"tree dim {self.dim}"
+            )
+        if successor:
+            s = query.slack
+            found = None if s == math.inf else self._walk(
+                tuple([a - s for a in qlo]),
+                tuple([a + s for a in qlo]),
+                tuple([b - s for b in qhi]),
+                tuple([b + s for b in qhi]),
+                exact=False,
+            )
+            if found is None:
+                qlo, qhi = query.exact()
+                found = self._walk(qlo, qlo, qhi, qhi, exact=True)
+            solid = query.radius > 0.0
+        else:
+            found = self._walk(qlo, qlo, qhi, qhi, exact=True)
+            solid = all(a < b for a, b in zip(qlo, qhi))
+        touched, gap = found
+        if not touched:
+            verdict = CoverageClass.DISJOINT
+        elif gap is None and solid:
+            verdict = CoverageClass.FULLY_COVERED
+        else:
+            verdict = CoverageClass.PARTIAL
+        return verdict, (qlo, qhi), gap
+
+    def _walk(self, l0, l1, h0, h1, exact: bool) -> tuple[bool, Rect | None] | None:
+        """Whether the query touches the included cells, and its first gap,
+        for a query whose low corner lies in [l0, l1] and high corner in
+        [h0, h1] axis by axis.  None when a comparison the walk makes is not
+        settled by those intervals, which cannot happen when ``exact`` (the
+        corners are known: l0 == l1 and h0 == h1)."""
+        nodes = self.nodes
+        los, his, centers = nodes.lo, nodes.hi, nodes.target_center
+        n_active, n_leaves, first_child = nodes.n_active, nodes.n_leaves, nodes.first_child
+        k = self.fanout
+        dims = range(self.dim)
+        touched = False
+        gap = None
+        stack = list(reversed(self.roots))
+        while stack:
+            i = stack.pop()
+            active = n_active[i]
+            if touched and active == n_leaves[i] or gap is not None and not active:
+                continue  # nothing new to learn here
+            lo = los[i]
+            hi = his[i]
+            face = False
+            for d in dims:
+                c = lo[d]
+                e = hi[d]
+                if c < h0[d] and l1[d] < e:
+                    continue  # the interiors overlap on this axis
+                if c > h1[d] or l0[d] > e:
+                    break  # apart
+                face = True  # they only touch; unsettled unless exact
+            else:
+                if face and not exact:
+                    return None
+                while True:  # settle node i, or step down to its one child that meets the query
+                    active = n_active[i]
+                    if active == n_leaves[i]:
+                        touched = True
+                    elif not active:
+                        if not face and gap is None:
+                            gap = (los[i], his[i])
+                    else:
+                        # Children split at the center.  When the query lies on
+                        # one side of it on every axis, only that child meets
+                        # it, and as its parent does; otherwise test them all.
+                        f = first_child[i]
+                        m = centers[i]
+                        j = 0
+                        for d in dims:
+                            if h1[d] < m[d]:
+                                j += j
+                            elif l0[d] > m[d]:
+                                j += j + 1
+                            else:
+                                stack.extend(range(f + k - 1, f - 1, -1))
+                                break
+                        else:
+                            i = f + j
+                            continue
+                    break
+                if touched and gap is not None:
+                    break
+        if touched and gap is None:
+            # Only a part outside the roots can still make it PARTIAL.
+            gap = self._outside(l0, l1, h0, h1, exact)
+            if gap is _UNSETTLED:
+                return None
+        return touched, gap
+
+    @cached_property
+    def _root_faces(self) -> list[list[float]]:
+        """The coordinates of the root cells' faces, axis by axis, sorted."""
+        los, his = self.nodes.lo, self.nodes.hi
+        return [
+            sorted({c for i in self.roots for c in (los[i][d], his[i][d])})
+            for d in range(self.dim)
+        ]
+
+    def _outside(self, l0, l1, h0, h1, exact: bool):
+        """A region outside every root cell that meets the query's interior,
+        as the bounds of one slab product (root faces, or -inf/inf where the
+        query bounds it); None when the root cells cover the query.  The
+        corners are given as in ``_walk``; ``_UNSETTLED`` when a root face
+        lies inside one of their intervals."""
+        los, his = self.nodes.lo, self.nodes.hi
+        roots = self.roots
+        dims = range(self.dim)
+        for i in roots:
+            lo = los[i]
+            hi = his[i]
+            for d in dims:
+                if lo[d] > l0[d] or h1[d] > hi[d]:
+                    break
+            else:
+                return None
+        faces = self._root_faces
+        for d in dims:
+            # A slab past the roots' bounding box on one axis is outside them all.
+            if l1[d] < faces[d][0]:
+                return _slab(self.dim, d, -math.inf, faces[d][0])
+            if h0[d] > faces[d][-1]:
+                return _slab(self.dim, d, faces[d][-1], math.inf)
+        if not exact and any(
+            l0[d] <= c <= l1[d] or h0[d] <= c <= h1[d] for d in dims for c in faces[d]
+        ):
+            return _UNSETTLED
+        # No face lies inside a corner's interval, so l0 and h1 order the
+        # faces as the exact corners do.  Cut each axis at the faces inside
+        # the query: every slab product is then in one root or in none.
+        slabs = []
+        for d in dims:
+            cuts = [c for c in faces[d] if l0[d] < c < h1[d]]
+            slabs.append(list(zip([-math.inf, *cuts], [*cuts, math.inf])))
+        for cell in product(*slabs):
+            part = [(max(a, l0[d]), min(b, h1[d])) for d, (a, b) in enumerate(cell)]
+            if not any(
+                all(los[i][d] <= a and b <= his[i][d] for d, (a, b) in enumerate(part))
+                for i in roots
+            ):
+                return tuple(a for a, _ in cell), tuple(b for _, b in cell)
+        return None
+
     def overlapping(self, qlo: Vec, qhi: Vec) -> list[Rect]:
         """Target rectangles of included leaves meeting the probe rectangle.
 
@@ -398,10 +647,14 @@ def new_tree(domain: BoxList | Sequence[Box], dataset: Dataset) -> PartitionTree
             ):
                 raise ValueError(f"domain boxes {a} and {b} have overlapping interiors")
     tree = PartitionTree(dim)
+    centers = np.array([box.center for box in boxes])
+    radii = np.array([box.radius for box in boxes])
     tree.roots = tree._grow(
         [-1] * len(boxes),
-        np.array([box.center for box in boxes]),
-        np.array([box.radius for box in boxes]),
+        centers,
+        radii,
+        centers - radii[:, None],
+        centers + radii[:, None],
         dataset,
     )
     return tree

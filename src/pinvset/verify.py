@@ -1,13 +1,15 @@
 """Independent certification of synthesized sets.
 
 ``check_fixpoint`` re-derives every active leaf's successor box from the
-stored sample data and re-classifies it against the final union using only
-the geometry primitives; it never looks at any synthesis bookkeeping, so a
-certificate obtained from a deserialized result file stands on its own.
-Its cover index is the result's own partition tree
-(``PartitionTree.overlapping``): the certificate first checks that every
-split tiles its parent exactly and re-derives the subtree counters from the
-leaf labels, and only then lets the tree answer overlap queries.
+stored sample data and re-classifies it against the final union; it never
+looks at any synthesis bookkeeping, so a certificate obtained from a
+deserialized result file stands on its own.  It decides with no tolerance:
+the sample-ball check ``r >= r_target + dist`` is exact
+(``balls_contain_cells``), and coverage is one walk of the result's own
+partition tree (``PartitionTree.classify``), which compares corners and
+falls back to fractions near a face.  The certificate first checks that
+every split makes its parent's dyadic halves and re-derives the subtree
+counters from the leaf labels, and only then lets the tree answer.
 
 ``raster_coverage`` is a brute-force sampling oracle used to cross-validate
 the exact classifier, and ``monte_carlo_invariance`` is a falsifier that
@@ -30,7 +32,8 @@ from .geometry import (
     BoxList,
     CoverageClass,
     GEOM_TOL,
-    chebyshev,
+    balls_contain_cells,
+    successor_rect,
     uncovered_fragments,
 )
 from .synthesis import ConfigError, SynthConfig, SynthResult
@@ -67,6 +70,7 @@ def check_fixpoint(
     included leaf's sample ball must still contain its cell
     (``r >= r_target + dist``), and the sample's successor box of radius
     ``L * r`` must be fully covered by the union of included leaf cells.
+    Both are decided in exact arithmetic on the stored floats.
     An empty union passes vacuously.  Raises when the supplied config
     disagrees with the one recorded in the result.
     """
@@ -94,22 +98,25 @@ def check_fixpoint(
         )
     tree.recount()
     nodes = tree.nodes
+    leaves = tree.active_leaves()
+    held = balls_contain_cells(
+        [nodes.radius[i] for i in leaves],
+        *(
+            np.array([column[i] for i in leaves], dtype=float).reshape(-1, tree.dim)
+            for column in (nodes.lo, nodes.hi, nodes.sample_x)
+        ),
+    )
     checked = 0
-    for i in tree.active_leaves():
+    for i, ball in zip(leaves, held.tolist()):
         checked += 1
-        if nodes.radius[i] + GEOM_TOL < nodes.target_radius[i] + chebyshev(
-            nodes.target_center[i], nodes.sample_x[i]
-        ):
+        if not ball:
             return Certificate(
                 False,
                 checked,
                 {"leaf": i, "reason": "sample ball does not contain the cell"},
                 METHOD_EXACT,
             )
-        # The successor box's rectangle, as Box(sample_xp, L * r).rect().
-        r = lipschitz * nodes.radius[i]
-        xp = nodes.sample_xp[i]
-        succ = (tuple([c - r for c in xp]), tuple([c + r for c in xp]))
+        succ = successor_rect(nodes.sample_xp[i], lipschitz, nodes.radius[i])
         leftovers = uncovered_fragments(succ, tree, limit=1)
         if leftovers:
             return Certificate(

@@ -1,4 +1,5 @@
-"""Shared test utilities: lattice-snapped coverage instances.
+"""Shared test utilities: lattice-snapped coverage instances and an
+all-fraction coverage reference.
 
 Instances are built on a coarse lattice so every covered or uncovered
 region is a union of full lattice cells, and covers that merely touch the
@@ -9,9 +10,12 @@ margins all exceed the raster cell, so oracle agreement must be exact.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import product
+
 import numpy as np
 
-from pinvset.geometry import Box, BoxList
+from pinvset.geometry import Box, BoxList, CoverageClass
 
 LATTICE_PITCH = 0.25
 RASTER_CELL = LATTICE_PITCH / 8.0
@@ -41,3 +45,34 @@ def margin_separated_instance(rng: np.random.Generator, n: int) -> tuple[Box, Bo
                 covers.append(cover)
                 break
     return query, BoxList(tuple(covers))
+
+
+def exact_coverage(query, union: BoxList) -> CoverageClass:
+    """The verdict of a closed query rectangle against a union of closed
+    boxes, in fractions: the query's corners (floats or fractions) and the
+    boxes' float corners are taken as exact.  The query is cut at every
+    face inside it, and each piece is covered when one box holds it.  Like
+    the BoxList reference, a query without interior is never covered."""
+    qlo, qhi = ([Fraction(c) for c in corner] for corner in query)
+    boxes = [
+        ([Fraction(c) for c in lo], [Fraction(c) for c in hi])
+        for lo, hi in (b.rect() for b in union)
+    ]
+    meets = [
+        (lo, hi) for lo, hi in boxes
+        if all(l <= qh and ql <= h for l, h, ql, qh in zip(lo, hi, qlo, qhi))
+    ]
+    if not meets:
+        return CoverageClass.DISJOINT
+    if not all(a < b for a, b in zip(qlo, qhi)):
+        return CoverageClass.PARTIAL
+    axes = []
+    for d, (a, b) in enumerate(zip(qlo, qhi)):
+        cuts = sorted({c for lo, hi in meets for c in (lo[d], hi[d]) if a < c < b})
+        axes.append(list(zip([a, *cuts], [*cuts, b])))
+    for piece in product(*axes):
+        if not any(
+            all(l <= a and b <= h for l, h, (a, b) in zip(lo, hi, piece)) for lo, hi in meets
+        ):
+            return CoverageClass.PARTIAL
+    return CoverageClass.FULLY_COVERED

@@ -1,12 +1,16 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinvset.geometry import (
     Box,
     BoxList,
     CoverageClass,
     DimensionMismatchError,
+    balls_contain_cells,
     box_intersect,
     box_subtract,
     classify_coverage,
@@ -202,3 +206,26 @@ def test_rect_to_cubes():
         rect_to_cubes((0.0, 0.0), (1.5, 1.0))
     with pytest.raises(ValueError):
         rect_to_cubes((0.0, 0.0), (0.0, 1.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_ball_check_matches_fractions_property(data):
+    # Radii within a few ulps of the exact r_target + dist, and samples
+    # whose distance to the center is not a float sum.
+    n = data.draw(st.integers(1, 3))
+    coord = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=True)
+    center = data.draw(st.tuples(*[coord] * n))
+    sample = data.draw(st.tuples(*[coord] * n))
+    target = data.draw(st.sampled_from((2.0 ** -40, 1 / 3, 0.5, 1.0, 1.7)))
+    radius = target + max(abs(c - x) for c, x in zip(center, sample))
+    for _ in range(data.draw(st.integers(0, 3))):
+        radius = math.nextafter(radius, data.draw(st.sampled_from((-math.inf, math.inf))))
+    lo = tuple(c - target for c in center)
+    hi = tuple(c + target for c in center)
+    want = all(
+        Fraction(radius) >= Fraction(x) - Fraction(l) and Fraction(radius) >= Fraction(h) - Fraction(x)
+        for l, h, x in zip(lo, hi, sample)
+    )
+    got = balls_contain_cells([radius], [lo], [hi], [sample])
+    assert got.tolist() == [want]

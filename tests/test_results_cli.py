@@ -284,6 +284,41 @@ def test_cli_verify_rejects_vector_of_wrong_length(tmp_path, capsys, key):
     assert "malformed result document" in capsys.readouterr().err
 
 
+def _half_parent(doc):
+    parents = doc["tree"]["parent"]
+    node = next(i for i, p in enumerate(parents) if p >= 0)
+    parents[node] += 0.5
+    return "parent", node
+
+
+def _fractional_sample(doc):
+    doc["tree"]["sample_index"][0] = 3.7
+    return "sample_index", 0
+
+
+def _float_label(doc, value=1.0):
+    labels = doc["tree"]["label"]
+    node = labels.index(1)
+    labels[node] = value
+    return "label", node
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_half_parent, _fractional_sample, _float_label, lambda doc: _float_label(doc, True)],
+    ids=["parent+0.5", "sample_index=3.7", "label=1.0", "label=true"],
+)
+def test_cli_verify_rejects_non_integer_node_column(tmp_path, capsys, edit):
+    # int() truncated 3.7 and Label() took 1.0 and true, so these verified.
+    doc = _synth_linear_result(tmp_path)
+    key, node = edit(doc)
+    result = tmp_path / "bad.json"
+    result.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["-q", "verify", str(result)]) == 3
+    assert f"node {node} has a {key} that is not an integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("lipschitz", ["nan", "inf", "0", "-0.5"])
 def test_cli_synth_rejects_bad_lipschitz(tmp_path, capsys, lipschitz):
     data = tmp_path / "d.csv"

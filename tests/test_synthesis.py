@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pinvset import geometry
 from pinvset.dataset import Dataset, SystemOracle, gen_uniform
 from pinvset.geometry import Box, BoxList, CoverageClass, classify_coverage
 from pinvset.synthesis import (
@@ -11,7 +12,8 @@ from pinvset.synthesis import (
     sweep,
     synthesize,
 )
-from pinvset.tree import Label, new_tree
+from pinvset.results import RunManifest, load_result, save_result
+from pinvset.tree import Label, PartitionTree, new_tree
 from pinvset.verify import check_fixpoint
 
 
@@ -311,3 +313,48 @@ def test_sweep_log_volume_only_when_info_enabled(lin_oracle, caplog, monkeypatch
     with caplog.at_level(level, logger="pinvset.synthesis"):
         res = synthesize(tree, ds, SynthConfig(lipschitz=lin_oracle.lipschitz, tau=0.05))
     assert res.sweeps >= 2 and len(calls) == calls_per_sweep * res.sweeps
+
+
+def test_domain_scaled_down_gives_the_same_partition(lin_oracle, tmp_path):
+    # At 1e-11 the cells are far below the old 1e-12 coverage slack, and the
+    # domain's corners are no longer dyadic: the partition must not change,
+    # and its children must still tile their parents exactly.
+    runs = []
+    for scale in (1.0, 1e-11):
+        (box,) = lin_oracle.domain
+        domain = BoxList((Box(tuple(c * scale for c in box.center), box.radius * scale),))
+        oracle = SystemOracle("scaled", lin_oracle.map_points, lin_oracle.lipschitz, domain)
+        ds = gen_uniform(oracle, 1500, seed=3)
+        res = synthesize(
+            new_tree(domain, ds), ds, SynthConfig(lipschitz=oracle.lipschitz, tau=0.02 * scale)
+        )
+        assert check_fixpoint(res).passed
+        save_result(tmp_path / "r.json", res, RunManifest(command="test"))
+        loaded = load_result(tmp_path / "r.json")[1]
+        assert loaded.tree.nodes == res.tree.nodes
+        assert check_fixpoint(loaded).passed
+        runs.append((res.sweeps, res.leaf_counts, len(res.tree.nodes)))
+    assert runs[0] == runs[1]
+    assert runs[0][1]["excluded"] > 0 and runs[0][1]["unknown"] > 0
+
+
+def test_sweep_and_certificate_take_no_tolerance_path(lin_oracle, nonlin_oracle, monkeypatch):
+    # Box subtraction and the 1e-12 overlap tests are the BoxList reference's
+    # and the Monte Carlo fallback's; a run and its certificate use neither.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a tolerance path was taken")
+
+    for name in ("_escaping", "_cut", "_overlap_positive", "box_subtract", "rects_intersect"):
+        monkeypatch.setattr(geometry, name, forbidden)
+    monkeypatch.setattr(BoxList, "overlapping", forbidden)
+    monkeypatch.setattr(PartitionTree, "overlapping", forbidden)
+    runs = ((lin_oracle, 0.02, UpdateMode.SEQUENTIAL), (nonlin_oracle, 0.01, UpdateMode.BATCH))
+    for oracle, tau, mode in runs:
+        ds = gen_uniform(oracle, 4000, seed=0)
+        res = synthesize(
+            new_tree(oracle.domain, ds), ds,
+            SynthConfig(lipschitz=oracle.lipschitz, tau=tau, mode=mode),
+        )
+        counts = res.leaf_counts
+        assert counts["included"] and counts["excluded"] + counts["unknown"]
+        assert check_fixpoint(res).passed

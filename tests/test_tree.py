@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import exact_coverage
+
 from pinvset.dataset import Dataset, gen_dyadic_grid, gen_uniform
 from pinvset.geometry import (
     Box,
     BoxList,
     CoverageClass,
     DimensionMismatchError,
+    balls_contain_cells,
     chebyshev,
     classify_coverage,
+    successor_rect,
     uncovered_fragments,
 )
 from pinvset.tree import (
@@ -315,8 +319,138 @@ def test_tree_coverage_matches_plain_scan_property(n, data):
     corners = [sorted(data.draw(st.tuples(coord, coord))) for _ in range(n)]
     query = (tuple(c[0] for c in corners), tuple(c[1] for c in corners))
     scan = tree.candidate_set()
-    want = classify_coverage(query, scan)
+    # On the lattice every gap is 0 or at least 1/16, so the BoxList
+    # reference, whose slack is 1e-12, is exact there.  Off it, a corner
+    # within 1e-12 of a face can differ from that reference by design: the
+    # tree has no slack, so the fraction reference decides.
+    lattice = all((16 * c).is_integer() for c in query[0] + query[1])
+    want = classify_coverage(query, scan) if lattice else exact_coverage(query, scan)
     assert classify_coverage(query, tree) is want
     escaped = uncovered_fragments(query, tree, limit=1)
     assert (escaped == []) == (want is CoverageClass.FULLY_COVERED)
-    assert (escaped == []) == (uncovered_fragments(query, scan, limit=1) == [])
+    if lattice:
+        assert (escaped == []) == (uncovered_fragments(query, scan, limit=1) == [])
+
+
+def one_cell_kept():
+    """[-0.5, 0.5]^2 split once, with only the low corner cell [-0.5, 0]^2
+    included."""
+    ds = make_dataset([(0.0, 0.0)])
+    tree = new_tree(square_domain(), ds)
+    children = tree.divide(tree.roots, ds)
+    for c in children[1:]:
+        tree.set_label(c, Label.EXCLUDED)
+    return tree
+
+
+def test_query_slightly_wider_than_its_cover_is_partial():
+    tree = one_cell_kept()
+    cell = ((-0.5, -0.5), (0.0, 0.0))
+    assert tree.classify(cell) is CoverageClass.FULLY_COVERED
+    assert tree.uncovered(cell) is None
+    # 5e-13 past the face into an excluded cell, and past the domain.
+    wider = ((-0.5, -0.5), (5e-13, 0.0))
+    outside = ((-0.5 - 5e-13, -0.5), (0.0, 0.0))
+    for query in (wider, outside):
+        # The BoxList reference's 1e-12 slack reads both as covered.
+        assert classify_coverage(query, tree.candidate_set()) is CoverageClass.FULLY_COVERED
+        assert classify_coverage(query, tree) is CoverageClass.PARTIAL
+    assert tree.uncovered(wider) == ((0.0, -0.5), (5e-13, 0.0))
+    assert tree.uncovered(outside) == ((-0.5 - 5e-13, -0.5), (-0.5, 0.0))
+
+
+def test_successor_below_one_ulp_is_covered():
+    tree = one_cell_kept()
+    # L * r = 1e-21 is below an ulp of 0.25, so the float rectangle is a point.
+    succ = successor_rect((-0.25, -0.25), 1e-20, 0.1)
+    assert succ.lo == succ.hi
+    assert tree.classify(succ) is CoverageClass.FULLY_COVERED
+    # On the domain's face the exact rectangle crosses it by 1e-21.
+    face = successor_rect((-0.5, -0.25), 1e-20, 0.1)
+    assert face.lo == face.hi
+    assert tree.classify(face) is CoverageClass.PARTIAL
+    assert tree.uncovered(face) == ((-0.5, -0.25), (-0.5, -0.25))
+
+
+def test_classify_across_roots():
+    # Three unit roots in an L: [0, 2] x [0, 1] and [0, 1] x [1, 2].
+    ds = make_dataset([(0.5, 0.5)])
+    roots = (Box((0.5, 0.5), 0.5), Box((1.5, 0.5), 0.5), Box((0.5, 1.5), 0.5))
+    tree = new_tree(BoxList(roots), ds)
+    straddle = ((0.75, 0.25), (1.25, 0.75))
+    assert tree.classify(straddle) is CoverageClass.FULLY_COVERED
+    assert tree.uncovered(straddle) is None
+    # In the roots' bounding box, but partly in the notch [1, 2] x [1, 2].
+    notch = ((0.75, 0.75), (1.25, 1.25))
+    assert tree.classify(notch) is CoverageClass.PARTIAL
+    assert tree.uncovered(notch) == ((1.0, 1.0), (1.25, 1.25))
+    # Past the bounding box.
+    below = ((0.75, -0.25), (1.25, 0.25))
+    assert tree.uncovered(below) == ((0.75, -0.25), (1.25, 0.0))
+    # With the second root excluded, the part of the straddle in it is the gap.
+    tree.set_label(tree.roots[1], Label.EXCLUDED)
+    assert tree.classify(straddle) is CoverageClass.PARTIAL
+    assert tree.uncovered(straddle) == ((1.0, 0.25), (1.25, 0.75))
+    assert tree.classify(((1.25, 0.25), (1.75, 0.75))) is CoverageClass.DISJOINT
+
+
+def _near(v, ulps):
+    """A float ``ulps`` steps from v (negative steps go down)."""
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.inf if ulps > 0 else -math.inf)
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_roots=st.booleans(), data=st.data())
+def test_successor_near_faces_matches_fractions_property(two_roots, data):
+    # A random tree over one root or two side by side, with faces on a 1/32
+    # lattice whose lines are exact floats.
+    ds = make_dataset([(0.5, 0.5)])
+    domain = BoxList((Box((0.5, 0.5), 0.5), Box((1.5, 0.5), 0.5))[: 1 + two_roots])
+    tree = new_tree(domain, ds)
+    for _ in range(data.draw(st.integers(0, 10))):
+        live = tree.active_leaves()
+        if not live:
+            break
+        i = live[data.draw(st.integers(0, len(live) - 1))]
+        action = data.draw(st.sampled_from(("divide", "exclude", "unknown")))
+        if action == "divide" and tree.nodes.target_radius[i] > 1 / 32:
+            tree.divide([i], ds)
+        elif action == "exclude":
+            tree.set_label(i, Label.EXCLUDED)
+        elif action == "unknown":
+            tree.set_label(i, Label.UNKNOWN)
+    # A successor whose corners fall within a few ulps of lattice lines: a
+    # center near one line and a reach that puts the corner near another.
+    lipschitz = data.draw(st.sampled_from((0.8225, 1.0, 5.728, 1e-20)))
+    radius = data.draw(st.sampled_from((1 / 64, 0.03, 0.1, 0.37)))
+    reach = lipschitz * radius
+    center = []
+    for _ in range(2):
+        line = data.draw(st.integers(-4, 72)) / 32
+        side = data.draw(st.sampled_from((-1.0, 0.0, 1.0)))
+        center.append(_near(line + side * reach, data.draw(st.integers(-3, 3))))
+    succ = successor_rect(tuple(center), lipschitz, radius)
+    verdict, fragment = tree.classify(succ), tree.uncovered(succ)
+    scan = tree.candidate_set()
+    assert verdict is exact_coverage(succ.exact(), scan)
+    assert (fragment is None) == (verdict is CoverageClass.FULLY_COVERED)
+    if fragment is not None:
+        # The fragment is uncovered: its interior misses every included cell.
+        flo, fhi = fragment
+        for box in scan:
+            lo, hi = box.rect()
+            assert any(min(b, h) <= max(a, l) for a, b, l, h in zip(flo, fhi, lo, hi))
+
+
+def test_grow_rounds_the_ball_radius_up_where_the_sum_falls_short():
+    # 1 + 2^-60 rounds down to 1.0, so the ball of radius 1.0 would miss
+    # the cell's far edge by 2^-60; the stored radius is the next float up.
+    ds = make_dataset([(2.0 ** -60, 0.0)])
+    tree = new_tree(BoxList((Box((0.0, 0.0), 1.0),)), ds)
+    root = tree.roots[0]
+    assert tree.nodes.radius[root] == math.nextafter(1.0, 2.0)
+    cell, sample = ([(-1.0, -1.0)], [(1.0, 1.0)]), [(2.0 ** -60, 0.0)]
+    assert balls_contain_cells([math.nextafter(1.0, 2.0)], *cell, sample).all()
+    assert not balls_contain_cells([1.0], *cell, sample).any()

@@ -9,7 +9,14 @@ from helpers import RASTER_CELL, margin_separated_instance
 
 from pinvset import verify
 from pinvset.dataset import Dataset, gen_uniform
-from pinvset.geometry import Box, BoxList, CoverageClass, classify_coverage, rect_to_cubes
+from pinvset.geometry import (
+    Box,
+    BoxList,
+    CoverageClass,
+    classify_coverage,
+    rect_to_cubes,
+    successor_rect,
+)
 from pinvset.synthesis import SynthConfig, SynthResult, Termination, synthesize
 from pinvset.tree import Label, new_tree
 from pinvset.verify import (
@@ -81,6 +88,35 @@ def test_check_fixpoint_detects_tampered_radius(lin_oracle):
     cert = check_fixpoint(res)
     assert not cert.passed
     assert cert.first_failure["leaf"] == leaf
+
+
+def test_check_fixpoint_rejects_radius_short_by_1e13(lin_oracle):
+    # Within the old 1e-12 slack, so this leaf used to pass.
+    res = synth_linear(lin_oracle)
+    leaf = res.tree.active_leaves()[0]
+    res.tree.nodes.radius[leaf] -= 1e-13
+    cert = check_fixpoint(res)
+    assert not cert.passed
+    assert cert.checked_leaves == 1
+    assert cert.first_failure == {"leaf": leaf, "reason": "sample ball does not contain the cell"}
+
+
+def test_check_fixpoint_fragment_is_uncovered(lin_oracle):
+    # Exclude one kept leaf: some leaf whose successor box reached into it
+    # now fails, naming a fragment of that box inside the retired cell.
+    res = synth_linear(lin_oracle)
+    tree, nodes = res.tree, res.tree.nodes
+    for i in tree.active_leaves():
+        tree.set_label(i, Label.EXCLUDED)
+        cert = check_fixpoint(res)
+        if not cert.passed:
+            break
+    leaf, (flo, fhi) = cert.first_failure["leaf"], cert.first_failure["fragment"]
+    succ = successor_rect(nodes.sample_xp[leaf], res.config.lipschitz, nodes.radius[leaf])
+    assert all(a <= f <= g <= b for a, f, g, b in zip(succ.lo, flo, fhi, succ.hi))
+    for box in tree.candidate_set():
+        lo, hi = box.rect()
+        assert any(min(g, h) <= max(f, l) for f, g, l, h in zip(flo, fhi, lo, hi))
 
 
 def test_check_fixpoint_lipschitz_mismatch(lin_oracle):
