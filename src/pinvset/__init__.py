@@ -15,11 +15,8 @@ from .geometry import (  # noqa: E402
     BoxList,
     CoverageClass,
     DimensionMismatchError,
-    box_intersect,
-    box_subtract,
     classify_coverage,
     rect_to_cubes,
-    successor_box,
 )
 from .dataset import (  # noqa: E402
     Dataset,

@@ -1,16 +1,14 @@
-"""Axis-aligned box algebra in the max norm.
+"""Axis-aligned boxes in the max norm.
 
 A ``Box`` is a closed max-norm ball: a hypercube given by a center and a
-half-width.  Intersections and subtraction fragments are general axis-aligned
-hyperrectangles, carried as ``(lo, hi)`` corner-tuple pairs so the hot loops
-stay allocation-light.
+half-width.  General axis-aligned hyperrectangles are carried as
+``(lo, hi)`` corner-tuple pairs.
 
 All sets are closed: boundary contact counts as membership and as
-intersection.  Coverage of a box by a ``BoxList`` is decided by fragment
-subtraction with the slack ``GEOM_TOL``, never by sampling, so an exactly
-tiled union classifies as fully covering; it is the independent reference
-for the partition tree, which decides coverage with no tolerance
-(``PartitionTree.classify``).
+intersection.  Whether a box is covered by the kept cells is decided by
+the partition tree alone, in one walk that compares corners and takes no
+tolerance (``PartitionTree.classify``); ``classify_coverage`` and
+``uncovered_fragments`` are its entry points.
 
 A successor box is built once, by ``successor_rect``: its float corners, a
 proven bound on their rounding and, on demand, its exact corners as
@@ -23,14 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import product
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-# Absolute slack of the BoxList reference, of ``PartitionTree.overlapping``,
-# of Monte Carlo membership and of ``new_tree``'s overlap check.  The sweep
-# and the certificate use none.
+# Absolute slack of point membership (``Box.contains_point``), of
+# ``PartitionTree.overlapping``, of Monte Carlo membership and of
+# ``raster_coverage``.  No coverage decision uses it.
 GEOM_TOL = 1e-12
 
 Vec = tuple[float, ...]
@@ -119,18 +117,6 @@ class BoxList:
     def contains_point(self, y: Sequence[float]) -> bool:
         return any(b.contains_point(y) for b in self.boxes)
 
-    def overlapping(self, qlo: Vec, qhi: Vec) -> list[Rect]:
-        if self.boxes and (len(qlo) != self.boxes[0].dim or len(qhi) != len(qlo)):
-            raise DimensionMismatchError(
-                f"probe of dim {len(qlo)} does not match union dim {self.boxes[0].dim}"
-            )
-        out = []
-        for b in self.boxes:
-            lo, hi = b.rect()
-            if rects_intersect(lo, hi, qlo, qhi):
-                out.append((lo, hi))
-        return out
-
 
 class Successor(NamedTuple):
     """The rectangle ``x_plus ± L·r`` of a successor box, from ``successor_rect``.
@@ -181,165 +167,23 @@ def as_rect(obj: Box | Rect) -> Rect:
     return tuple(map(float, lo)), tuple(map(float, hi))
 
 
-def rect_volume(rect: Rect) -> float:
-    lo, hi = rect
-    v = 1.0
-    for a, b in zip(lo, hi):
-        w = b - a
-        if w <= 0.0:
-            return 0.0
-        v *= w
-    return v
+def classify_coverage(query: Box | Rect | Successor, tree) -> CoverageClass:
+    """Three-way classification of a box against the included cells of a
+    partition tree, decided exactly in one walk (``PartitionTree.classify``).
 
-
-def rects_intersect(alo: Vec, ahi: Vec, blo: Vec, bhi: Vec) -> bool:
-    """Closed intersection test; boundary contact counts."""
-    for al, ah, bl, bh in zip(alo, ahi, blo, bhi):
-        if (al if al > bl else bl) > (ah if ah < bh else bh) + GEOM_TOL:
-            return False
-    return True
-
-
-def _overlap_positive(alo: Vec, ahi: Vec, blo: Vec, bhi: Vec) -> bool:
-    """True when the overlap has positive width in every dimension; both
-    rectangles must have the same dimension."""
-    tol = GEOM_TOL
-    for d in range(len(alo)):
-        ah = ahi[d]
-        bh = bhi[d]
-        al = alo[d]
-        bl = blo[d]
-        if (ah if ah < bh else bh) - (al if al > bl else bl) <= tol:
-            return False
-    return True
-
-
-def box_intersect(a: Box | Rect, b: Box | Rect) -> Rect | None:
-    """Coordinatewise intersection, or None when empty.
-
-    The result is a hyperrectangle, not generally a cube.  Contact along a
-    face returns the degenerate (zero-width) rectangle, consistent with the
-    closed-set convention.
-    """
-    alo, ahi = as_rect(a)
-    blo, bhi = as_rect(b)
-    if len(alo) != len(blo):
-        raise DimensionMismatchError(
-            f"cannot intersect boxes of dim {len(alo)} and {len(blo)}"
-        )
-    lo = tuple(max(x, y) for x, y in zip(alo, blo))
-    hi = tuple(min(x, y) for x, y in zip(ahi, bhi))
-    for a_, b_ in zip(lo, hi):
-        if a_ > b_ + GEOM_TOL:
-            return None
-    return lo, hi
-
-
-def box_subtract(query: Box | Rect, cover: Box | Rect) -> list[Rect]:
-    """Decompose ``query \\ cover`` into disjoint hyperrectangles.
-
-    Coordinate sweep: at most two fragments per dimension, fragments have
-    pairwise-disjoint interiors, and their total volume equals
-    ``vol(query) - vol(query & cover)``.  A cover that removes no volume
-    (disjoint or face contact only) returns the query unchanged.  Fragments
-    thinner than ``GEOM_TOL`` in any dimension are dropped.
-    """
-    qlo, qhi = as_rect(query)
-    clo, chi = as_rect(cover)
-    if len(qlo) != len(clo):
-        raise DimensionMismatchError(
-            f"cannot subtract boxes of dim {len(clo)} from dim {len(qlo)}"
-        )
-    if not _overlap_positive(qlo, qhi, clo, chi):
-        return [(qlo, qhi)]
-    return _cut(qlo, qhi, clo, chi)
-
-
-def _cut(qlo: Vec, qhi: Vec, clo: Vec, chi: Vec) -> list[Rect]:
-    """The coordinate sweep of ``box_subtract`` on corner tuples whose
-    overlap is already known to be positive."""
-    tol = GEOM_TOL
-    lo = list(qlo)
-    hi = list(qhi)
-    pieces: list[Rect] = []
-    for d in range(len(lo)):
-        c = clo[d]
-        if c > lo[d] + tol:
-            phi = hi.copy()
-            phi[d] = c
-            if all(b - a > tol for a, b in zip(lo, phi)):
-                pieces.append((tuple(lo), tuple(phi)))
-            lo[d] = c
-        c = chi[d]
-        if c < hi[d] - tol:
-            plo = lo.copy()
-            plo[d] = c
-            if all(b - a > tol for a, b in zip(plo, hi)):
-                pieces.append((tuple(plo), tuple(hi)))
-            hi[d] = c
-    # The remaining core [lo, hi] is query & cover and is discarded.
-    return pieces
-
-
-def _escaping(qlo: Vec, qhi: Vec, covers: list[Rect]) -> Iterator[Rect]:
-    """Fragments of the query that survive every cover, depth-first.
-
-    Each fragment meets the covers in list order and is cut only by the
-    next cover that removes volume from it, so a consumer that stops at the
-    first escaping fragment does no further subtraction.
-    """
-    ncov = len(covers)
-    stack: list[tuple[Vec, Vec, int]] = [(qlo, qhi, 0)]
-    while stack:
-        flo, fhi, i = stack.pop()
-        while i < ncov:
-            clo, chi = covers[i]
-            if _overlap_positive(flo, fhi, clo, chi):
-                break
-            i += 1
-        else:
-            yield flo, fhi
-            continue
-        i += 1
-        stack.extend([(plo, phi, i) for plo, phi in _cut(flo, fhi, clo, chi)])
-
-
-def classify_coverage(query: Box | Rect | Successor, union) -> CoverageClass:
-    """Three-way classification of a box against a union of boxes.
-
-    FULLY_COVERED: the query minus all cover boxes has zero volume.
-    DISJOINT: no cover box meets the query, not even along a boundary.
+    FULLY_COVERED: the query minus the included cells has zero volume.
+    DISJOINT: no included cell meets the query, not even along a boundary.
     PARTIAL: otherwise.
-
-    The union is the partition tree, which decides exactly in one walk
-    (``PartitionTree.classify``; a ``Successor`` query is for it), or a
-    ``BoxList``, the reference: the first fragment of the query that
-    escapes every cover settles the verdict as PARTIAL, running out of
-    fragments settles FULLY_COVERED, and overlaps thinner than
-    ``GEOM_TOL`` do not count.
     """
-    if not isinstance(union, BoxList):
-        return union.classify(query)
-    qlo, qhi = as_rect(query)
-    covers = union.overlapping(qlo, qhi)
-    if not covers:
-        return CoverageClass.DISJOINT
-    if next(_escaping(qlo, qhi, covers), None) is not None:
-        return CoverageClass.PARTIAL
-    return CoverageClass.FULLY_COVERED
+    return tree.classify(query)
 
 
-def uncovered_fragments(
-    query: Box | Rect | Successor, union, limit: int | None = None
-) -> list[Rect]:
-    """Fragments of the query left uncovered by the union (possibly none),
-    at most ``limit`` of them.  A ``BoxList`` lists them by subtraction;
-    the partition tree names one, cut from the first gap its walk finds."""
-    if not isinstance(union, BoxList):
-        fragment = union.uncovered(query)
-        return [] if fragment is None or limit == 0 else [fragment]
-    qlo, qhi = as_rect(query)
-    return list(islice(_escaping(qlo, qhi, union.overlapping(qlo, qhi)), limit))
+def uncovered_fragments(query: Box | Rect | Successor, tree) -> list[Rect]:
+    """A fragment of the query that no included cell covers, cut from the
+    first gap the tree's walk finds, as a one-item list; empty when the
+    query is covered."""
+    fragment = tree.uncovered(query)
+    return [] if fragment is None else [fragment]
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -368,20 +212,6 @@ def balls_contain_cells(radius, lo, hi, sample) -> np.ndarray:
     return held
 
 
-def successor_box(pair, r: float, lipschitz: float) -> Box:
-    """Over-approximation of the one-step image of the ball around a sample.
-
-    For a map with max-norm Lipschitz bound L, every state within r of the
-    sampled state maps within L*r of the sampled successor, so the image of
-    the radius-r ball lies inside the radius ``L*r`` ball at ``x_plus``.
-    """
-    if lipschitz <= 0.0:
-        raise ValueError(f"Lipschitz bound must be positive, got {lipschitz}")
-    if r < 0.0:
-        raise ValueError(f"ball radius must be nonnegative, got {r}")
-    return Box(pair.x_plus, lipschitz * r)
-
-
 def chebyshev(a: Sequence[float], b: Sequence[float]) -> float:
     """Max-norm distance between two points."""
     if len(a) != len(b):
@@ -390,11 +220,14 @@ def chebyshev(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def rect_to_cubes(lo: Sequence[float], hi: Sequence[float]) -> BoxList:
-    """Tile an axis-aligned rectangle with equal cubes.
+    """Tile an axis-aligned rectangle with equal cubes, last axis fastest.
 
-    Every side must be an integer multiple of the shortest side, to within
-    a relative 1e-9; otherwise the rectangle has no equal-cube tiling and a
-    ValueError is raised.  A cube yields a single box.
+    The cubes' side is the rectangle's shortest side.  Their faces, as
+    ``Box.rect`` computes them, must tile the rectangle exactly in floating
+    point: on each axis consecutive cubes share a face, and the outer
+    faces are ``lo`` and ``hi``.  Otherwise a ValueError names the axis and
+    the two faces that differ, since the sliver between them would belong
+    to no root cell.  A cube yields a single box.
     """
     lo = tuple(float(v) for v in lo)
     hi = tuple(float(v) for v in hi)
@@ -404,30 +237,16 @@ def rect_to_cubes(lo: Sequence[float], hi: Sequence[float]) -> BoxList:
     if any(w <= 0 for w in widths):
         raise ValueError(f"degenerate domain rectangle {lo}..{hi}")
     side = min(widths)
-    counts = []
-    for w in widths:
-        k = w / side
-        ki = round(k)
-        if ki < 1 or abs(k - ki) > 1e-9:
-            raise ValueError(
-                "domain is not tileable by equal cubes: "
-                f"side ratio {k} is not an integer"
-            )
-        counts.append(ki)
     radius = side / 2.0
-    boxes = []
-    idx = [0] * len(lo)
-    while True:
-        center = tuple(lo[d] + (2 * idx[d] + 1) * radius for d in range(len(lo)))
-        boxes.append(Box(center, radius))
-        d = len(lo) - 1
-        while d >= 0:
-            idx[d] += 1
-            if idx[d] < counts[d]:
-                break
-            idx[d] = 0
-            d -= 1
-        if d < 0:
-            break
-    return BoxList(tuple(boxes))
-
+    axes = []
+    for d, (a, b, w) in enumerate(zip(lo, hi, widths)):
+        centers = [a + (2 * k + 1) * radius for k in range(round(w / side))]
+        faces = [a, *(f for c in centers for f in (c - radius, c + radius)), b]
+        for x, y in zip(faces[::2], faces[1::2]):
+            if x != y:
+                raise ValueError(
+                    f"domain is not tileable by equal cubes: on axis {d}, "
+                    f"faces {x!r} and {y!r} differ"
+                )
+        axes.append(centers)
+    return BoxList(tuple(Box(center, radius) for center in product(*axes)))

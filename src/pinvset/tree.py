@@ -402,12 +402,12 @@ class PartitionTree:
         DISJOINT; touched with no gap: FULLY_COVERED; both: PARTIAL.
 
         A plain rectangle is taken as exact.  One without interior has no
-        volume to cover: like the BoxList reference, it is PARTIAL when it
-        touches the union.  A ``Successor`` stands for its exact rectangle:
-        the walk first runs on its rounded corners, each widened to the
-        interval its rounding bound allows, and only when some comparison
-        falls inside such an interval does it run again on the exact
-        corners, as fractions (which compare exactly with floats).
+        volume to cover: it is PARTIAL when it touches the union.  A
+        ``Successor`` stands for its exact rectangle: the walk first runs on
+        its rounded corners, each widened to the interval its rounding bound
+        allows, and only when some comparison falls inside such an interval
+        does it run again on the exact corners, as fractions (which compare
+        exactly with floats).
         """
         return self._decide(query)[0]
 
@@ -536,6 +536,11 @@ class PartitionTree:
             for d in range(self.dim)
         ]
 
+    def root_bounds(self) -> Rect:
+        """The bounding rectangle of the root cells."""
+        faces = self._root_faces
+        return tuple(f[0] for f in faces), tuple(f[-1] for f in faces)
+
     def _outside(self, l0, l1, h0, h1, exact: bool):
         """A region outside every root cell that meets the query's interior,
         as the bounds of one slab product (root faces, or -inf/inf where the
@@ -607,7 +612,7 @@ class PartitionTree:
                 continue
             lo = los[i]
             hi = his[i]
-            # Closed intersection test, as in geometry.rects_intersect.
+            # Closed intersection test, widened by GEOM_TOL.
             for d in dims:
                 al = lo[d]
                 ah = hi[d]
@@ -642,8 +647,7 @@ def new_tree(domain: BoxList | Sequence[Box], dataset: Dataset) -> PartitionTree
         for b in range(a + 1, len(boxes)):
             (alo, ahi), (blo, bhi) = boxes[a].rect(), boxes[b].rect()
             if all(
-                min(ah, bh) - max(al, bl) > GEOM_TOL
-                for al, ah, bl, bh in zip(alo, ahi, blo, bhi)
+                min(ah, bh) > max(al, bl) for al, ah, bl, bh in zip(alo, ahi, blo, bhi)
             ):
                 raise ValueError(f"domain boxes {a} and {b} have overlapping interiors")
     tree = PartitionTree(dim)

@@ -117,7 +117,7 @@ def check_fixpoint(
                 METHOD_EXACT,
             )
         succ = successor_rect(nodes.sample_xp[i], lipschitz, nodes.radius[i])
-        leftovers = uncovered_fragments(succ, tree, limit=1)
+        leftovers = uncovered_fragments(succ, tree)
         if leftovers:
             return Certificate(
                 False,

@@ -1,5 +1,5 @@
-"""Shared test utilities: lattice-snapped coverage instances and an
-all-fraction coverage reference.
+"""Shared test utilities: lattice-snapped coverage instances, the
+all-fraction coverage reference and a contraction grid in fractions.
 
 Instances are built on a coarse lattice so every covered or uncovered
 region is a union of full lattice cells, and covers that merely touch the
@@ -47,17 +47,20 @@ def margin_separated_instance(rng: np.random.Generator, n: int) -> tuple[Box, Bo
     return query, BoxList(tuple(covers))
 
 
-def exact_coverage(query, union: BoxList) -> CoverageClass:
-    """The verdict of a closed query rectangle against a union of closed
-    boxes, in fractions: the query's corners (floats or fractions) and the
-    boxes' float corners are taken as exact.  The query is cut at every
-    face inside it, and each piece is covered when one box holds it.  Like
-    the BoxList reference, a query without interior is never covered."""
-    qlo, qhi = ([Fraction(c) for c in corner] for corner in query)
-    boxes = [
-        ([Fraction(c) for c in lo], [Fraction(c) for c in hi])
-        for lo, hi in (b.rect() for b in union)
-    ]
+def _fraction_rect(obj) -> tuple[list[Fraction], list[Fraction]]:
+    lo, hi = obj.rect() if isinstance(obj, Box) else obj
+    return [Fraction(c) for c in lo], [Fraction(c) for c in hi]
+
+
+def exact_coverage(query, union) -> CoverageClass:
+    """The verdict of a closed query against a union of closed boxes, in
+    fractions; the partition tree is tested against it.  The query and
+    each member of the union are a ``Box`` or a ``(lo, hi)`` corner pair,
+    whose corners (floats or fractions) are taken as exact.  The query is
+    cut at every face inside it, and each piece is covered when one box
+    holds it.  As in the tree, a query without interior is never covered."""
+    qlo, qhi = _fraction_rect(query)
+    boxes = [_fraction_rect(b) for b in union]
     meets = [
         (lo, hi) for lo, hi in boxes
         if all(l <= qh and ql <= h for l, h, ql, qh in zip(lo, hi, qlo, qhi))
@@ -76,3 +79,27 @@ def exact_coverage(query, union: BoxList) -> CoverageClass:
         ):
             return CoverageClass.PARTIAL
     return CoverageClass.FULLY_COVERED
+
+
+def contraction_grid(rho: Fraction, tau: Fraction, lam: Fraction, lips: Fraction):
+    """The cells of side 2·tau that tile [-rho, rho]^2, and each cell's
+    successor box under the map x -> lam·x with Lipschitz bound lips:
+    lam·c ± lips·tau around the cell's center c.  Every corner is a
+    fraction, so ``exact_coverage`` decides on the exact geometry."""
+    per_axis = rho / tau
+    assert per_axis.denominator == 1, "2·rho must be a whole number of cells"
+    faces = [-rho + 2 * k * tau for k in range(int(per_axis) + 1)]
+    cells = [
+        ((faces[i], faces[j]), (faces[i + 1], faces[j + 1]))
+        for i in range(len(faces) - 1)
+        for j in range(len(faces) - 1)
+    ]
+    reach = lips * tau
+    successors = [
+        (
+            tuple(lam * (a + b) / 2 - reach for a, b in zip(lo, hi)),
+            tuple(lam * (a + b) / 2 + reach for a, b in zip(lo, hi)),
+        )
+        for lo, hi in cells
+    ]
+    return cells, successors

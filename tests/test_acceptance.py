@@ -6,11 +6,12 @@ criteria pin trends and emptiness counts, never per-seed volumes.
 """
 
 import statistics
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import RASTER_CELL, margin_separated_instance
+from helpers import RASTER_CELL, contraction_grid, exact_coverage, margin_separated_instance
 
 from pinvset.bounds import (
     BoundForm,
@@ -20,7 +21,7 @@ from pinvset.bounds import (
     uniform_sample_bound,
 )
 from pinvset.dataset import gen_dyadic_grid, gen_uniform, linear2d, nonlinear2d
-from pinvset.geometry import classify_coverage
+from pinvset.geometry import CoverageClass
 from pinvset.synthesis import SynthConfig, Termination, synthesize
 from pinvset.tree import new_tree
 from pinvset.verify import check_fixpoint, monte_carlo_invariance, raster_coverage
@@ -173,7 +174,7 @@ def test_criterion_6_oracle_equivalence():
     for n in (2, 3):
         for _ in range(1000):
             query, union = margin_separated_instance(rng, n)
-            exact = classify_coverage(query, union)
+            exact = exact_coverage(query, union)
             sampled = raster_coverage(query, union, cell=RASTER_CELL).verdict
             total += 1
             agreements += exact is sampled
@@ -218,7 +219,6 @@ def test_criterion_8_contractivity_suite():
         gauge_unit_max,
         unit_max_ball,
     )
-    from pinvset.geometry import Box, BoxList, CoverageClass, successor_box
 
     rng = np.random.default_rng(271828)
     s = unit_max_ball(2)
@@ -246,28 +246,14 @@ def test_criterion_8_contractivity_suite():
             bound_ok = False
             break
 
-    tau = 0.1
-    window = contraction_window(s, lam, lips, tau)
-    rho = 0.7
-    centers = [
-        (-rho + (2 * i + 1) * tau, -rho + (2 * j + 1) * tau)
-        for i in range(7)
-        for j in range(7)
-    ]
-    union = BoxList(tuple(Box(c, tau) for c in centers))
-
-    class Pair:
-        def __init__(self, x, x_plus):
-            self.x = x
-            self.x_plus = x_plus
-
-    grid_ok = window is not None and window[0] <= rho <= window[1]
-    grid_ok = grid_ok and all(
-        classify_coverage(
-            successor_box(Pair(c, (0.5 * c[0], 0.5 * c[1])), tau, lips), union
-        )
-        is CoverageClass.FULLY_COVERED
-        for c in centers
+    # The 7x7 cells of side 2·tau tiling rho·S, in exact rationals: float
+    # cubes around -0.7 + (2i+1)·0.1 miss their neighbours' faces by an ulp.
+    rho, tau = Fraction(7, 10), Fraction(1, 10)
+    window = contraction_window(s, lam, lips, float(tau))
+    cells, successors = contraction_grid(rho, tau, Fraction(lam), Fraction(lips))
+    grid_ok = window is not None and window[0] <= float(rho) <= window[1]
+    grid_ok = grid_ok and len(cells) == 49 and all(
+        exact_coverage(succ, cells) is CoverageClass.FULLY_COVERED for succ in successors
     )
     ok = homogeneous and subadditive and membership and bound_ok and grid_ok
     _report(

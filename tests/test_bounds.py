@@ -1,8 +1,11 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+
+from helpers import contraction_grid, exact_coverage
 
 from pinvset.bounds import (
     BoundForm,
@@ -20,7 +23,7 @@ from pinvset.bounds import (
     uniform_sample_bound,
     unit_max_ball,
 )
-from pinvset.geometry import Box, BoxList, CoverageClass, classify_coverage, successor_box
+from pinvset.geometry import CoverageClass
 
 # Frozen references computed with mpmath at 60 digits for
 # delta=0.05, vol=1.5625, n=2, resolution=0.01.
@@ -114,29 +117,20 @@ def test_successor_gauge_bound_empirical(rng):
 
 
 def test_contraction_window_grid_passes_coverage_certificate():
-    # Cover rho*S with radius-tau balls whose window admits rho, then check
+    # Cover rho*S with radius-tau cells whose window admits rho, then check
     # the one-step certificate directly: every successor box stays covered.
-    class Pair:
-        def __init__(self, x, x_plus):
-            self.x = x
-            self.x_plus = x_plus
-
+    # The cells are exact rationals; as float cubes around
+    # -0.7 + (2i+1)*0.1, adjacent faces would miss by an ulp.
     s = unit_max_ball(2)
     lam = lips = 0.5
-    tau = 0.1
-    window = contraction_window(s, lam, lips, tau)
+    rho, tau = Fraction(7, 10), Fraction(1, 10)
+    window = contraction_window(s, lam, lips, float(tau))
     assert window is not None
-    rho = 0.7
-    assert window[0] <= rho <= window[1]
-    centers = [
-        (-rho + (2 * i + 1) * tau, -rho + (2 * j + 1) * tau)
-        for i in range(7)
-        for j in range(7)
-    ]
-    union = BoxList(tuple(Box(c, tau) for c in centers))
-    for c in centers:
-        succ = successor_box(Pair(c, (0.5 * c[0], 0.5 * c[1])), tau, lips)
-        assert classify_coverage(succ, union) is CoverageClass.FULLY_COVERED
+    assert window[0] <= float(rho) <= window[1]
+    cells, successors = contraction_grid(rho, tau, Fraction(lam), Fraction(lips))
+    assert len(cells) == 49
+    for succ in successors:
+        assert exact_coverage(succ, cells) is CoverageClass.FULLY_COVERED
 
 
 # -- covering bounds -----------------------------------------------------------

@@ -5,43 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pinvset.dataset import Dataset
 from pinvset.geometry import (
     Box,
     BoxList,
     CoverageClass,
     DimensionMismatchError,
     balls_contain_cells,
-    box_intersect,
-    box_subtract,
     classify_coverage,
     chebyshev,
     rect_to_cubes,
-    rect_volume,
-    successor_box,
+    successor_rect,
     uncovered_fragments,
 )
+from pinvset.tree import Label, new_tree
 
 
-class Pair:
-    def __init__(self, x, x_plus):
-        self.x = x
-        self.x_plus = x_plus
-
-
-def raster_uncovered_area(query, cover, cell=0.01):
-    """Independent oracle: count query-grid cells whose centers miss the cover."""
-    (qlo, qhi) = query
-    (clo, chi) = cover
-    nx = round((qhi[0] - qlo[0]) / cell)
-    ny = round((qhi[1] - qlo[1]) / cell)
-    misses = 0
-    for i in range(nx):
-        x = qlo[0] + (i + 0.5) * cell
-        for j in range(ny):
-            y = qlo[1] + (j + 0.5) * cell
-            if not (clo[0] <= x <= chi[0] and clo[1] <= y <= chi[1]):
-                misses += 1
-    return misses * cell * cell
+def tree_of(*roots):
+    """A tree whose roots are the given boxes, all included."""
+    return new_tree(BoxList(roots), Dataset([(0.0, 0.0)], [(0.0, 0.0)]))
 
 
 def test_contains_point_boundary_and_outside():
@@ -75,114 +57,65 @@ def test_box_volume():
     assert Box((0.0, 0.0), 0.01).volume() == pytest.approx(0.0004)
 
 
-def test_box_intersect_cases():
-    a = Box((0.0, 0.0), 0.5)
-    assert box_intersect(a, Box((0.5, 0.5), 0.5)) == ((0.0, 0.0), (0.5, 0.5))
-    assert box_intersect(a, Box((2.0, 2.0), 0.5)) is None
-    assert box_intersect(a, Box((0.0, 0.0), 0.1)) == ((-0.1, -0.1), (0.1, 0.1))
-    with pytest.raises(DimensionMismatchError):
-        box_intersect(a, Box((0.0, 0.0, 0.0), 1.0))
-
-
-def test_box_subtract_basic():
-    q = ((-0.5, -0.5), (0.5, 0.5))
-    assert box_subtract(q, q) == []
-    assert box_subtract(q, ((2.0, 2.0), (3.0, 3.0))) == [q]
-
-
-def test_box_subtract_area_matches_raster_oracle():
-    q = ((-0.5, -0.5), (0.5, 0.5))
-    c = ((0.0, 0.0), (1.0, 1.0))
-    expected = raster_uncovered_area(q, c)
-    assert expected == pytest.approx(0.75)
-    frags = box_subtract(q, c)
-    assert math.fsum(rect_volume(f) for f in frags) == pytest.approx(expected, abs=1e-12)
-
-
-def test_box_subtract_completeness_random(rng):
-    for _ in range(400):
-        n = int(rng.integers(1, 4))
-        qc = rng.uniform(-1, 1, n)
-        qr = rng.uniform(0.05, 1.0)
-        cc = rng.uniform(-1.5, 1.5, n)
-        cr = rng.uniform(0.05, 1.2)
-        q = Box(tuple(qc), qr).rect()
-        c = Box(tuple(cc), cr).rect()
-        frags = box_subtract(q, c)
-        inter = box_intersect(q, c)
-        inter_vol = rect_volume(inter) if inter is not None else 0.0
-        total = math.fsum(rect_volume(f) for f in frags) + inter_vol
-        assert total == pytest.approx(rect_volume(q), rel=1e-12, abs=1e-15)
-        # fragments must be pairwise interior-disjoint
-        for i in range(len(frags)):
-            for j in range(i + 1, len(frags)):
-                both = box_intersect(frags[i], frags[j])
-                assert both is None or rect_volume(both) <= 1e-12
-
-
-def test_box_subtract_fragment_count_bound(rng):
-    for _ in range(200):
-        n = int(rng.integers(1, 5))
-        q = Box(tuple(rng.uniform(-1, 1, n)), float(rng.uniform(0.1, 1))).rect()
-        c = Box(tuple(rng.uniform(-1, 1, n)), float(rng.uniform(0.1, 1))).rect()
-        assert len(box_subtract(q, c)) <= 2 * n
-
-
 def test_classify_coverage_examples():
-    union = BoxList((Box((0.0, 0.0), 0.5),))
-    assert classify_coverage(Box((0.0, 0.0), 0.1), union) is CoverageClass.FULLY_COVERED
-    assert classify_coverage(Box((10.0, 10.0), 0.1), union) is CoverageClass.DISJOINT
-    assert classify_coverage(Box((0.5, 0.0), 0.2), union) is CoverageClass.PARTIAL
+    tree = tree_of(Box((0.0, 0.0), 0.5))
+    assert classify_coverage(Box((0.0, 0.0), 0.1), tree) is CoverageClass.FULLY_COVERED
+    assert classify_coverage(Box((10.0, 10.0), 0.1), tree) is CoverageClass.DISJOINT
+    assert classify_coverage(Box((0.5, 0.0), 0.2), tree) is CoverageClass.PARTIAL
 
 
 def test_classify_coverage_exact_tiling():
-    tiles = BoxList(
-        tuple(
-            Box((sx * 0.25, sy * 0.25), 0.25)
-            for sx in (-1, 1)
-            for sy in (-1, 1)
-        )
-    )
-    assert classify_coverage(Box((0.0, 0.0), 0.5), tiles) is CoverageClass.FULLY_COVERED
-    # remove one tile: the query is only partially covered
-    assert (
-        classify_coverage(Box((0.0, 0.0), 0.5), BoxList(tiles.boxes[:3]))
-        is CoverageClass.PARTIAL
-    )
+    tiles = [Box((sx * 0.25, sy * 0.25), 0.25) for sx in (-1, 1) for sy in (-1, 1)]
+    query = Box((0.0, 0.0), 0.5)
+    tree = tree_of(*tiles)
+    assert classify_coverage(query, tree) is CoverageClass.FULLY_COVERED
+    # one tile missing, as a retired root or as no root at all
+    tree.set_label(tree.roots[3], Label.EXCLUDED)
+    assert classify_coverage(query, tree) is CoverageClass.PARTIAL
+    assert classify_coverage(query, tree_of(*tiles[:3])) is CoverageClass.PARTIAL
 
 
 def test_classify_touching_cover_is_not_disjoint():
     # face contact has zero volume but still defeats a DISJOINT verdict
-    union = BoxList((Box((1.0, 0.0), 0.5),))
-    assert classify_coverage(Box((0.0, 0.0), 0.5), union) is CoverageClass.PARTIAL
+    tree = tree_of(Box((1.0, 0.0), 0.5))
+    assert classify_coverage(Box((0.0, 0.0), 0.5), tree) is CoverageClass.PARTIAL
 
 
 def test_uncovered_fragments_reports_leftover():
-    union = BoxList((Box((0.0, 0.0), 0.5),))
-    frags = uncovered_fragments(Box((0.5, 0.0), 0.2), union)
-    assert frags
-    assert math.fsum(rect_volume(f) for f in frags) == pytest.approx(0.2 * 0.4)
-    assert uncovered_fragments(Box((0.0, 0.0), 0.2), union) == []
+    tree = tree_of(Box((0.0, 0.0), 0.5))
+    (fragment,) = uncovered_fragments(Box((0.5, 0.0), 0.2), tree)
+    assert fragment == ((0.5, -0.2), (0.7, 0.2))
+    # it meets no kept cell's interior
+    for cell in tree.candidate_set():
+        lo, hi = cell.rect()
+        assert any(min(h, fh) <= max(l, fl) for l, h, fl, fh in zip(lo, hi, *fragment))
+    assert uncovered_fragments(Box((0.0, 0.0), 0.2), tree) == []
 
 
 def test_successor_box_values():
-    b = successor_box(Pair((0.0, 0.0), (0.3, -0.2)), 0.45, 0.8225)
-    assert b.center == (0.3, -0.2)
-    assert b.radius == pytest.approx(0.370125)
-    assert successor_box(Pair((1.0, 1.0), (1.0, 1.0)), 0.0, 1.0).radius == 0.0
-    assert successor_box(Pair((0.0, 0.0), (0.0, 0.0)), 0.01, 5.728).radius == pytest.approx(0.05728)
-    with pytest.raises(ValueError):
-        successor_box(Pair((0.0, 0.0), (0.0, 0.0)), 0.1, 0.0)
+    succ = successor_rect((0.3, -0.2), 0.8225, 0.45)
+    assert succ.lo == pytest.approx((0.3 - 0.370125, -0.2 - 0.370125))
+    assert succ.hi == pytest.approx((0.3 + 0.370125, -0.2 + 0.370125))
+    exact_lo, exact_hi = succ.exact()
+    reach = Fraction(0.8225) * Fraction(0.45)
+    assert exact_lo == (Fraction(0.3) - reach, Fraction(-0.2) - reach)
+    assert exact_hi == (Fraction(0.3) + reach, Fraction(-0.2) + reach)
+    for got, want in zip(succ.lo + succ.hi, exact_lo + exact_hi):
+        assert abs(Fraction(got) - want) <= Fraction(succ.slack)
+    point = successor_rect((1.0, 1.0), 1.0, 0.0)
+    assert point.lo == point.hi == (1.0, 1.0)
 
 
 def test_successor_box_radius_scales_linearly(rng):
-    pair = Pair((0.1, 0.2), (0.3, -0.1))
+    x_plus = (0.3, -0.1)
     for _ in range(50):
         r = float(rng.uniform(0, 2))
         alpha = float(rng.uniform(0, 3))
         lips = float(rng.uniform(0.1, 6))
-        assert successor_box(pair, alpha * r, lips).radius == pytest.approx(
-            alpha * successor_box(pair, r, lips).radius, rel=1e-12, abs=1e-15
+        scaled = successor_rect(x_plus, lips, alpha * r)
+        base = successor_rect(x_plus, lips, r)
+        assert scaled.hi[0] - scaled.lo[0] == pytest.approx(
+            alpha * (base.hi[0] - base.lo[0]), rel=1e-12, abs=1e-15
         )
 
 
@@ -202,8 +135,13 @@ def test_rect_to_cubes():
     assert len(two) == 2
     assert {b.center for b in two} == {(0.5, 0.5), (1.5, 0.5)}
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="on axis 0, faces 2.0 and 1.5 differ"):
         rect_to_cubes((0.0, 0.0), (1.5, 1.0))
+    # The middle cube's center 3 * 0.05 rounds to 0.15000000000000002, so its
+    # low face misses its neighbour's high face 0.1, and the sliver between
+    # them would be in no root.
+    with pytest.raises(ValueError, match=r"on axis 0, faces 0\.1 and 0\.10000000000000002 differ"):
+        rect_to_cubes((0.0, 0.0), (0.3, 0.1))
     with pytest.raises(ValueError):
         rect_to_cubes((0.0, 0.0), (0.0, 1.0))
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from pinvset.results import (
     save_result,
 )
 from pinvset.synthesis import SynthConfig, SynthResult, Termination, synthesize
-from pinvset.tree import new_tree
+from pinvset.tree import Label, PartitionTree, new_tree
 from pinvset.verify import check_fixpoint
 
 
@@ -370,6 +371,38 @@ def test_cli_verify_reports_trusted_lipschitz(tmp_path, capsys, caplog):
     assert report["lipschitz"] == 0.8225
     line = next(r.getMessage() for r in caplog.records if "event=verify" in r.getMessage())
     assert "lipschitz=0.8225" in line.split()
+
+
+def test_cli_verify_reports_trusted_domain(tmp_path, capsys):
+    # An extra included root at (50, 50) whose sample maps to itself still
+    # certifies; the report's domain, the roots' bounding rectangle, shows it.
+    _synth_linear_result(tmp_path)
+    capsys.readouterr()
+    assert main(["-q", "verify", str(tmp_path / "r.json")]) == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert report["domain"] == [[-0.25, -1.0], [1.0, 0.25]]
+    manifest, result, _ = load_result(tmp_path / "r.json")
+    extra = {
+        "parent": -1, "target_center": (50.0, 50.0), "target_radius": 0.5, "radius": 0.5,
+        "sample_index": 0, "sample_x": (50.0, 50.0), "sample_xp": (50.0, 50.0),
+        "label": Label.INCLUDED,
+    }
+    columns = {key: [*getattr(result.tree.nodes, key), value] for key, value in extra.items()}
+    path = tmp_path / "extra.json"
+    save_result(path, replace(result, tree=PartitionTree.from_columns(2, **columns)), manifest)
+    assert main(["-q", "verify", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert report["domain"] == [[-0.25, -1.0], [50.5, 50.5]]
+
+
+def test_cli_rejects_domain_whose_cubes_miss_by_an_ulp(tmp_path, capsys):
+    assert main(["-q", "gen", "--system", "linear2d", "--domain=0,0:0.3,0.1",
+                 "--m", "10", "--out", str(tmp_path / "d.csv")]) == 2
+    assert (
+        "domain is not tileable by equal cubes: on axis 0, "
+        "faces 0.1 and 0.10000000000000002 differ" in capsys.readouterr().err
+    )
+    assert not (tmp_path / "d.csv").exists()
 
 
 @pytest.mark.parametrize("module", ["scipy", "orjson"])

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from pinvset import geometry
 from pinvset.dataset import Dataset, SystemOracle, gen_uniform
 from pinvset.geometry import Box, BoxList, CoverageClass, classify_coverage
 from pinvset.synthesis import (
@@ -339,14 +338,12 @@ def test_domain_scaled_down_gives_the_same_partition(lin_oracle, tmp_path):
 
 
 def test_sweep_and_certificate_take_no_tolerance_path(lin_oracle, nonlin_oracle, monkeypatch):
-    # Box subtraction and the 1e-12 overlap tests are the BoxList reference's
-    # and the Monte Carlo fallback's; a run and its certificate use neither.
+    # GEOM_TOL's users are point membership and the Monte Carlo fallback's
+    # probe; a run and its certificate use neither.
     def forbidden(*args, **kwargs):
         raise AssertionError("a tolerance path was taken")
 
-    for name in ("_escaping", "_cut", "_overlap_positive", "box_subtract", "rects_intersect"):
-        monkeypatch.setattr(geometry, name, forbidden)
-    monkeypatch.setattr(BoxList, "overlapping", forbidden)
+    monkeypatch.setattr(Box, "contains_point", forbidden)
     monkeypatch.setattr(PartitionTree, "overlapping", forbidden)
     runs = ((lin_oracle, 0.02, UpdateMode.SEQUENTIAL), (nonlin_oracle, 0.01, UpdateMode.BATCH))
     for oracle, tau, mode in runs:

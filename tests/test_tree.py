@@ -318,18 +318,10 @@ def test_tree_coverage_matches_plain_scan_property(n, data):
     )
     corners = [sorted(data.draw(st.tuples(coord, coord))) for _ in range(n)]
     query = (tuple(c[0] for c in corners), tuple(c[1] for c in corners))
-    scan = tree.candidate_set()
-    # On the lattice every gap is 0 or at least 1/16, so the BoxList
-    # reference, whose slack is 1e-12, is exact there.  Off it, a corner
-    # within 1e-12 of a face can differ from that reference by design: the
-    # tree has no slack, so the fraction reference decides.
-    lattice = all((16 * c).is_integer() for c in query[0] + query[1])
-    want = classify_coverage(query, scan) if lattice else exact_coverage(query, scan)
+    want = exact_coverage(query, tree.candidate_set())
     assert classify_coverage(query, tree) is want
-    escaped = uncovered_fragments(query, tree, limit=1)
+    escaped = uncovered_fragments(query, tree)
     assert (escaped == []) == (want is CoverageClass.FULLY_COVERED)
-    if lattice:
-        assert (escaped == []) == (uncovered_fragments(query, scan, limit=1) == [])
 
 
 def one_cell_kept():
@@ -352,8 +344,7 @@ def test_query_slightly_wider_than_its_cover_is_partial():
     wider = ((-0.5, -0.5), (5e-13, 0.0))
     outside = ((-0.5 - 5e-13, -0.5), (0.0, 0.0))
     for query in (wider, outside):
-        # The BoxList reference's 1e-12 slack reads both as covered.
-        assert classify_coverage(query, tree.candidate_set()) is CoverageClass.FULLY_COVERED
+        assert exact_coverage(query, tree.candidate_set()) is CoverageClass.PARTIAL
         assert classify_coverage(query, tree) is CoverageClass.PARTIAL
     assert tree.uncovered(wider) == ((0.0, -0.5), (5e-13, 0.0))
     assert tree.uncovered(outside) == ((-0.5 - 5e-13, -0.5), (-0.5, 0.0))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import RASTER_CELL, margin_separated_instance
+from helpers import RASTER_CELL, exact_coverage, margin_separated_instance
 
 from pinvset import verify
 from pinvset.dataset import Dataset, gen_uniform
@@ -13,7 +13,6 @@ from pinvset.geometry import (
     Box,
     BoxList,
     CoverageClass,
-    classify_coverage,
     rect_to_cubes,
     successor_rect,
 )
@@ -159,7 +158,7 @@ def test_exact_classifier_agrees_with_raster(rng):
     for n in (2, 3):
         for _ in range(250):
             query, union = margin_separated_instance(rng, n)
-            exact = classify_coverage(query, union)
+            exact = exact_coverage(query, union)
             report = raster_coverage(query, union, cell=RASTER_CELL)
             assert exact is report.verdict
             verdicts[exact] += 1
