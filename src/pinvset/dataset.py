@@ -7,12 +7,16 @@ commands that never ask for a neighbor load no scipy.  Exactness matters:
 the NN distance feeds directly into the certificate radii, so ties are
 broken explicitly by lowest index rather than left to the tree's traversal
 order.
+
+A dataset is stored as CSV, which is streamed at both ends: the writer
+formats the rows in blocks, and the reader hands the file's name to
+``np.loadtxt`` after one scan of the raw bytes for comments and the
+header.  Neither holds the text of the whole body more than once.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -155,7 +159,7 @@ class Dataset:
     def _index(self):
         from scipy.spatial import cKDTree
 
-        return cKDTree(self.x)
+        return cKDTree(self.x, balanced_tree=False, compact_nodes=False)
 
     def __len__(self) -> int:
         return len(self.x)
@@ -284,40 +288,66 @@ def _parse_meta_value(raw: str):
     return v
 
 
-_BLANKS = " \t\r\f\v"
-# A line that holds only blanks, matched with the newline before it.
-_BLANK_LINE = re.compile(rf"\n[{_BLANKS}]+(?=\n|\Z)")
+# Blanks around a line's content.  '\n' and '\r' never occur inside a line:
+# a line ends at '\n', '\r\n' or '\r', as it does for numpy's text-mode read.
+_BLANKS = b" \t\f\v"
+
+# Rows formatted by one ``orjson`` call in ``save_dataset``.
+CSV_BLOCK_ROWS = 1 << 14
 
 
-def _data_lines(lines: list[str]):
-    """(line number, stripped text) of every non-blank, non-comment line."""
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
+def _line_end(raw: bytes, pos: int) -> int:
+    """Offset of the line break ending the line that holds offset ``pos``."""
+    end = raw.find(b"\n", pos)
+    if end == -1:
+        end = len(raw)
+    cr = raw.find(b"\r", pos, end)
+    return end if cr == -1 else cr
 
 
-def _comments(text: str):
-    """(line start, '#' offset, body) of every line whose first non-blank
-    character is '#'.
+def _comment_metadata(raw: bytes) -> dict:
+    """``key=value`` pairs of every comment line: a line whose first
+    non-blank byte is '#'.  A '#' later in a data row ends the row but
+    carries no metadata.
 
-    Scans for '#' with ``str.find``, so a CSV with one metadata line costs
-    one pass in C over the text.
+    Scans for '#' with ``bytes.find`` and decodes only the comments, so a
+    CSV with one metadata line costs one pass in C over the bytes.
     """
-    pos = text.find("#")
+    metadata: dict = {}
+    pos = raw.find(b"#")
     while pos != -1:
-        start = text.rfind("\n", 0, pos) + 1
-        end = text.find("\n", pos)
-        if end == -1:
-            end = len(text)
-        if not text[start:pos].strip():
-            yield start, pos, text[pos + 1:end]
-        pos = text.find("#", end)
+        # The line starts after the last '\n' or '\r' before the '#'.
+        # Looking for '\r' only back to that '\n' keeps each search inside
+        # one line, so a file of many comments is not scanned once each.
+        start = raw.rfind(b"\n", 0, pos) + 1
+        start = raw.rfind(b"\r", start, pos) + 1 or start
+        end = _line_end(raw, pos)
+        if not raw[start:pos].strip(_BLANKS):
+            for token in raw[pos + 1:end].decode("utf-8").split():
+                if "=" in token:
+                    k, _, v = token.partition("=")
+                    metadata[k.strip()] = _parse_meta_value(v.strip())
+        pos = raw.find(b"#", end)
+    return metadata
 
 
-def _row_linenos(lines: list[str], skip: int) -> list[int]:
-    """Line number of each parsed data row, the header (line ``skip``) excluded."""
-    return [lineno for lineno, _ in _data_lines(lines) if lineno > skip]
+def _content_lines(raw: bytes):
+    """(line number, content) of every line with content, its text before
+    any '#' with the blanks stripped.  Lines are numbered from 1."""
+    lineno = pos = 0
+    while pos < len(raw):
+        end = _line_end(raw, pos)
+        lineno += 1
+        content = raw[pos:end].partition(b"#")[0].strip(_BLANKS)
+        if content:
+            yield lineno, content.decode("utf-8")
+        pos = end + 2 if raw.startswith(b"\r\n", end) else end + 1
+
+
+def _data_rows(path: Path, skip: int) -> list[tuple[int, str]]:
+    """(line number, content) of each data row, the header (line ``skip``)
+    excluded."""
+    return [row for row in _content_lines(path.read_bytes()) if row[0] > skip]
 
 
 def _floats(line: str) -> list[float] | None:
@@ -337,37 +367,41 @@ def _check_row(path: Path, lineno: int, line: str, cols: int) -> None:
         )
 
 
+def _parse_rows(path: Path, skip: int, cols: int) -> np.ndarray:
+    """The data rows parsed from their stripped contents, for files that
+    numpy cannot read as they are (a line of blanks, an indented comment);
+    a bad row is named by its ``path:line``."""
+    rows = _data_rows(path, skip)
+    try:
+        return np.loadtxt([line for _, line in rows], delimiter=",", ndmin=2)
+    except ValueError as exc:
+        for lineno, line in rows:  # name the first offending line
+            _check_row(path, lineno, line, cols)
+        raise MalformedRowError(f"{path}: {exc}") from None
+
+
 def load_dataset(path: str | Path) -> Dataset:
     """Read sample pairs from CSV.
 
     Rows are ``x_1,..,x_n,xp_1,..,xp_n``; lines whose first non-blank
     character is '#' are comments and may carry ``key=value`` metadata; an
-    optional non-numeric header row is skipped.
+    optional non-numeric header row is skipped.  A line ends at '\\n',
+    '\\r\\n' or '\\r'.
+
+    One scan of the raw bytes finds the metadata, the header and the first
+    data row; then ``np.loadtxt`` reads the file by its name, in chunks.
+    Only when numpy refuses the file (a line of blanks, an indented
+    comment, a bad row) are the rows parsed from their stripped contents,
+    which names a bad row's ``path:line``.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    metadata: dict = {}
-    kept: list[str] = []  # the text with each comment's indentation cut out
-    done = 0
-    for start, pos, comment in _comments(text):
-        for token in comment.split():
-            if "=" in token:
-                k, _, v = token.partition("=")
-                metadata[k.strip()] = _parse_meta_value(v.strip())
-        if pos > start:  # np.loadtxt would read the blanks as a row
-            kept.append(text[done:start])
-            done = pos
-    if kept:
-        text = "".join(kept) + text[done:]
-    # np.loadtxt skips an empty line but reads a line of blanks as a
-    # one-column row: empty every such line, in one regex pass.
-    text = _BLANK_LINE.sub("\n", text.lstrip(_BLANKS))
-    lines = text.splitlines()
-    data = _data_lines(lines)
-    skip = 0
-    first = next(data, None)
+    raw = path.read_bytes()
+    metadata = _comment_metadata(raw)
+    lines = _content_lines(raw)
+    skip, first = 0, next(lines, None)
     if first is not None and _floats(first[1]) is None:
-        skip, first = first[0], next(data, None)  # header row
+        skip, first = first[0], next(lines, None)  # header row
+    del raw, lines  # numpy reads the file itself
     if first is None:
         raise EmptyDatasetError(f"{path}: no data rows")
     lineno, line = first
@@ -376,16 +410,16 @@ def load_dataset(path: str | Path) -> Dataset:
         raise MalformedRowError(f"{path}:{lineno}: odd column count {cols}")
     _check_row(path, lineno, line, cols)
     try:
-        rows = np.loadtxt(lines, delimiter=",", comments="#", skiprows=skip, ndmin=2)
-    except ValueError as exc:
-        for lineno, line in data:  # name the first offending line
-            _check_row(path, lineno, line, cols)
-        raise MalformedRowError(f"{path}: {exc}") from None
+        rows = np.loadtxt(
+            path, delimiter=",", comments="#", skiprows=skip, ndmin=2, encoding="utf-8"
+        )
+    except ValueError:
+        rows = _parse_rows(path, skip, cols)
     n = cols // 2
     x, x_plus = rows[:, :n], rows[:, n:]
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
-        lineno = _row_linenos(lines, skip)[int(np.argmin(finite))]
+        lineno = _data_rows(path, skip)[int(np.argmin(finite))][0]
         raise NonFiniteSampleError(f"{path}:{lineno}: non-finite value in data row")
     return Dataset(x, x_plus, metadata)
 
@@ -394,8 +428,9 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write CSV with a metadata comment line and a header.
 
     Every float is written as its shortest round-trip decimal, so loading
-    gives back the same bits; the whole body is formatted in one ``orjson``
-    call.
+    gives back the same bits.  The rows are formatted and written in blocks
+    of ``CSV_BLOCK_ROWS``, one ``orjson`` call each, so the text of the
+    whole body is never held at once.
     """
     import orjson
 
@@ -405,10 +440,12 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
         head = "# " + " ".join(f"{k}={v}" for k, v in dataset.metadata.items()) + "\n"
     header = [f"x{d + 1}" for d in range(n)] + [f"xp{d + 1}" for d in range(n)]
     head += ",".join(header) + "\n"
-    body = orjson.dumps(
-        np.hstack((dataset.x, dataset.x_plus)), option=orjson.OPT_SERIALIZE_NUMPY
-    )
     with Path(path).open("wb") as fh:
         fh.write(head.encode("utf-8"))
-        fh.write(body[2:-2].replace(b"],[", b"\n"))
-        fh.write(b"\n")
+        for i in range(0, len(dataset.x), CSV_BLOCK_ROWS):
+            block = np.hstack((
+                dataset.x[i:i + CSV_BLOCK_ROWS], dataset.x_plus[i:i + CSV_BLOCK_ROWS]
+            ))
+            body = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+            fh.write(body[2:-2].replace(b"],[", b"\n"))
+            fh.write(b"\n")

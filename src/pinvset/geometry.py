@@ -31,6 +31,10 @@ import numpy as np
 # ``raster_coverage``.  No coverage decision uses it.
 GEOM_TOL = 1e-12
 
+# Most cubes ``rect_to_cubes`` tiles a domain with; each is a root of the
+# partition tree.
+MAX_DOMAIN_CUBES = 1 << 16
+
 Vec = tuple[float, ...]
 Rect = tuple[Vec, Vec]
 
@@ -227,20 +231,31 @@ def rect_to_cubes(lo: Sequence[float], hi: Sequence[float]) -> BoxList:
     point: on each axis consecutive cubes share a face, and the outer
     faces are ``lo`` and ``hi``.  Otherwise a ValueError names the axis and
     the two faces that differ, since the sliver between them would belong
-    to no root cell.  A cube yields a single box.
+    to no root cell.  A cube yields a single box.  A corner that is not
+    finite, or a tiling of more than ``MAX_DOMAIN_CUBES`` cubes, is refused
+    with a ValueError before any cube is built.
     """
     lo = tuple(float(v) for v in lo)
     hi = tuple(float(v) for v in hi)
     if len(lo) != len(hi):
         raise DimensionMismatchError("corner dimensions differ")
+    for name, corner in (("lower", lo), ("upper", hi)):
+        if not all(map(math.isfinite, corner)):
+            raise ValueError(f"domain {name} corner {corner} is not finite")
     widths = [b - a for a, b in zip(lo, hi)]
     if any(w <= 0 for w in widths):
         raise ValueError(f"degenerate domain rectangle {lo}..{hi}")
     side = min(widths)
+    ratios = [w / side for w in widths]
+    if not math.prod(ratios) <= MAX_DOMAIN_CUBES:  # also refuses inf and nan
+        raise ValueError(
+            f"domain rectangle {lo}..{hi} needs more than {MAX_DOMAIN_CUBES} "
+            f"cubes of side {side!r}"
+        )
     radius = side / 2.0
     axes = []
-    for d, (a, b, w) in enumerate(zip(lo, hi, widths)):
-        centers = [a + (2 * k + 1) * radius for k in range(round(w / side))]
+    for d, (a, b, r) in enumerate(zip(lo, hi, ratios)):
+        centers = [a + (2 * k + 1) * radius for k in range(round(r))]
         faces = [a, *(f for c in centers for f in (c - radius, c + radius)), b]
         for x, y in zip(faces[::2], faces[1::2]):
             if x != y:

@@ -1,5 +1,6 @@
 """Shared test utilities: lattice-snapped coverage instances, the
-all-fraction coverage reference and a contraction grid in fractions.
+all-fraction coverage reference, a contraction grid in fractions, and
+plain references for the dataset CSV writer and reader.
 
 Instances are built on a coarse lattice so every covered or uncovered
 region is a union of full lattice cells, and covers that merely touch the
@@ -10,12 +11,16 @@ margins all exceed the raster cell, so oracle agreement must be exact.
 
 from __future__ import annotations
 
+import math
+import re
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
+import orjson
 
-from pinvset.geometry import Box, BoxList, CoverageClass
+from pinvset.dataset import EmptyDatasetError, MalformedRowError, NonFiniteSampleError
+from pinvset.geometry import Box, BoxList, CoverageClass, DimensionMismatchError
 
 LATTICE_PITCH = 0.25
 RASTER_CELL = LATTICE_PITCH / 8.0
@@ -103,3 +108,73 @@ def contraction_grid(rho: Fraction, tau: Fraction, lam: Fraction, lips: Fraction
         for lo, hi in cells
     ]
     return cells, successors
+
+
+def reference_csv_rows(rows: np.ndarray) -> bytes:
+    """The CSV body of an (M, 2n) array formatted in one ``orjson`` call:
+    each float as its shortest round-trip decimal, one row a line."""
+    if not len(rows):
+        return b""
+    body = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)
+    return body[2:-2].replace(b"],[", b"\n") + b"\n"
+
+
+def _meta_value(raw: str):
+    for kind in (int, float):
+        try:
+            return kind(raw)
+        except ValueError:
+            pass
+    return raw
+
+
+def _cells(content: str) -> list[float] | None:
+    try:
+        return [float(c) for c in content.split(",")]
+    except ValueError:
+        return None
+
+
+def reference_load(text: str, path) -> tuple[list[list[float]], dict]:
+    """The rows and metadata of a dataset CSV, read line by line in plain
+    Python; a bad file raises the error class ``load_dataset`` raises, with
+    the same ``path:line``.
+
+    A line ends at \\n, \\r\\n or \\r.  A line whose first non-blank
+    character is '#' is a comment, and its ``key=value`` tokens are
+    metadata.  A line's content is its text before any '#', stripped of
+    blanks; a line without content is skipped.  The first content line is
+    a header when one of its cells is not a number.  The first data row
+    fixes an even column count; every data row must hold that many numbers,
+    and only then must every number be finite."""
+    metadata = {}
+    content = []
+    for lineno, line in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
+        stripped = line.strip(" \t\f\v")
+        if stripped.startswith("#"):
+            for token in stripped[1:].split():
+                if "=" in token:
+                    key, _, value = token.partition("=")
+                    metadata[key] = _meta_value(value)
+        body = line.split("#")[0].strip(" \t\f\v")
+        if body:
+            content.append((lineno, body))
+    if content and _cells(content[0][1]) is None:
+        content = content[1:]  # header
+    if not content:
+        raise EmptyDatasetError(f"{path}: no data rows")
+    cols = len(content[0][1].split(","))
+    if cols % 2:
+        raise MalformedRowError(f"{path}:{content[0][0]}: odd column count {cols}")
+    rows = []
+    for lineno, body in content:
+        row = _cells(body)
+        if row is None:
+            raise MalformedRowError(f"{path}:{lineno}: non-numeric cell")
+        if len(row) != cols:
+            raise DimensionMismatchError(f"{path}:{lineno}: {len(row)} columns")
+        rows.append(row)
+    for (lineno, _), row in zip(content, rows):
+        if not all(map(math.isfinite, row)):
+            raise NonFiniteSampleError(f"{path}:{lineno}: non-finite value")
+    return rows, metadata

@@ -1,10 +1,16 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from helpers import reference_csv_rows, reference_load
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pinvset.dataset as dataset_module
 from pinvset.dataset import (
     Dataset,
+    DatasetError,
     EmptyDatasetError,
     MalformedRowError,
     NonFiniteSampleError,
@@ -154,6 +160,132 @@ def test_load_names_non_finite_row(tmp_path):
     f.write_text("# m=3\nx1,x2,xp1,xp2\n0,0,0,0\n\n0.5,0.5,nan,0.1\n1,1,inf,0\n")
     with pytest.raises(NonFiniteSampleError, match=r"d\.csv:5: "):
         load_dataset(f)
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, 4, 7])
+def test_save_writes_blocks_like_one_call(tmp_path, monkeypatch, m):
+    # With blocks of 3 rows, 0..7 rows cover no block, a partial one, an
+    # exact one, one and a row, and two and a row.
+    monkeypatch.setattr(dataset_module, "CSV_BLOCK_ROWS", 3)
+    rng = np.random.default_rng(m)
+    rows = rng.normal(scale=10.0 ** rng.integers(-8, 8, size=(m, 4)))
+    f = tmp_path / "d.csv"
+    data = SimpleNamespace(x=rows[:, :2], x_plus=rows[:, 2:], dim=2, metadata={"m": m})
+    save_dataset(data, f)
+    assert f.read_bytes() == f"# m={m}\nx1,x2,xp1,xp2\n".encode() + reference_csv_rows(rows)
+
+
+_BLANK_LINES = st.text(" \t\f\v", max_size=3)
+_COMMENT_LINES = st.builds(
+    lambda indent, tokens: f"{indent}#" + " ".join(tokens),
+    st.sampled_from(["", " ", "\t", " \t "]),
+    st.lists(
+        st.builds(
+            "{}={}".format,
+            st.sampled_from(["m", "seed", "system", "tau"]),
+            st.one_of(st.integers(-5, 10**6).map(str),
+                      st.sampled_from(["linear2d", "0.5", "1e-3", "a#b", ""])),
+        ),
+        max_size=3,
+    ),
+)
+_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-1000, 1000).map(str),
+    st.sampled_from(["-0", ".5", "5.", "1E5", " 2.5", "3 "]),
+)
+_BAD_CELLS = st.sampled_from(["x", "", "1.2.3", "nan", "inf", "-inf"])
+
+
+@st.composite
+def _csv_texts(draw):
+    """A dataset CSV text mixing blank-only lines, indented comments,
+    trailing '#' on rows, the three line endings, an optional header and
+    final newline, and sometimes one bad row."""
+    n = draw(st.integers(1, 2))
+    rows = draw(st.lists(st.lists(_CELLS, min_size=2 * n, max_size=2 * n), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        kind = draw(st.sampled_from(["cell", "drop", "add"]))
+        if kind == "cell":
+            row[draw(st.integers(0, len(row) - 1))] = draw(_BAD_CELLS)
+        elif kind == "drop":
+            row.pop()
+        else:
+            row.append("0")
+    lines = [
+        draw(st.sampled_from(["", " ", "\t"])) + ",".join(row)
+        + draw(st.sampled_from(["", " ", "#", " # note=1", "\t#x"]))
+        for row in rows
+    ]
+    if draw(st.booleans()):
+        header = [f"x{d + 1}" for d in range(n)] + [f"xp{d + 1}" for d in range(n)]
+        lines.insert(0, ",".join(header) + draw(st.sampled_from(["", " # cols"])))
+    extras = draw(st.lists(
+        st.tuples(st.integers(0, len(lines)), _BLANK_LINES | _COMMENT_LINES), max_size=6,
+    ))
+    for at, extra in sorted(extras, key=lambda e: -e[0]):
+        lines.insert(at, extra)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if not draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_csv_texts())
+def test_load_matches_plain_reference(tmp_path_factory, text):
+    # Covers numpy's read of the file and, for blank-only lines and
+    # indented comments, the stripped-lines parse; both must agree with a
+    # line-by-line parse in plain Python.
+    f = tmp_path_factory.mktemp("ingest") / "d.csv"
+    f.write_bytes(text.encode())
+    try:
+        rows, metadata = reference_load(text, f)
+    except (DatasetError, DimensionMismatchError) as expected:
+        with pytest.raises(type(expected)) as got:
+            load_dataset(f)
+        assert type(got.value) is type(expected)
+        assert str(got.value).split(": ")[0] == str(expected).split(": ")[0]
+        return
+    ds = load_dataset(f)
+    got = np.hstack((ds.x, ds.x_plus))
+    assert got.view(np.int64).tolist() == np.array(rows).view(np.int64).tolist()
+    assert ds.metadata == metadata
+
+
+def test_load_cr_only_line_endings(tmp_path):
+    # '\r' ends a line for the header skip as it does for numpy: no row is
+    # dropped or read as a header.
+    f = tmp_path / "d.csv"
+    f.write_bytes(b"# m=2\rx1,x2,xp1,xp2\r0,0,0,0\r\n1,1,1,1\r")
+    ds = load_dataset(f)
+    assert ds.x.tolist() == [[0.0, 0.0], [1.0, 1.0]]
+    assert ds.metadata == {"m": 2}
+    f.write_bytes(b"x1,x2,xp1,xp2\r0,0,0,0\r1,1,nan,1\r")
+    with pytest.raises(NonFiniteSampleError, match=r"d\.csv:3: "):
+        load_dataset(f)
+
+
+def test_csv_io_memory_below_file_size(tmp_path, lin_oracle):
+    # Neither end holds the CSV text more than once: the writer formats
+    # blocks of rows, and numpy reads the file by its name.
+    ds = gen_uniform(lin_oracle, 200_000, seed=0)
+    f = tmp_path / "d.csv"
+    tracemalloc.start()
+    try:
+        save_dataset(ds, f)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = load_dataset(f)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = f.stat().st_size
+    assert len(back) == 200_000 and size > 15 * 2**20
+    assert save_peak < 1.0 * size, save_peak / size
+    assert load_peak < 1.5 * size, load_peak / size
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

@@ -139,12 +139,25 @@ def test_cli_gen_grid_mode(tmp_path):
     assert ds.metadata["mode"] == "grid"
 
 
-def test_cli_usage_errors(tmp_path):
+def test_cli_usage_errors(tmp_path, capsys):
     assert main(["-q", "gen", "--system", "bogus", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["-q", "gen", "--system", "linear2d", "--mode", "uniform",
                  "--out", str(tmp_path / "x.csv")]) == 2  # missing --m
     assert main(["-q", "bounds", "--n", "2", "--tau", "0.01"]) == 2  # no vol/domain
     assert main(["-q", "nonsense"]) == 2
+    # A domain corner that is not finite, or a domain of 10^9 cubes, is
+    # refused with a reason before any cube is built.
+    capsys.readouterr()
+    for domain, reason in [
+        ("0,0:inf,1", "domain upper corner (inf, 1.0) is not finite"),
+        ("0,0:nan,1", "domain upper corner (nan, 1.0) is not finite"),
+    ]:
+        assert main(["-q", "bounds", f"--domain={domain}", "--n", "2", "--tau", "0.01"]) == 2
+        assert reason in capsys.readouterr().err
+    assert main(["-q", "gen", "--system", "linear2d", "--domain=0,0:1e9,1", "--m", "10",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert "needs more than 65536 cubes of side 1.0" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_io_errors(tmp_path):
