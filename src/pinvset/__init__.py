@@ -59,7 +59,6 @@ from .verify import (  # noqa: E402
     Certificate,
     check_fixpoint,
     monte_carlo_invariance,
-    raster_coverage,
 )
 from .results import (  # noqa: E402
     RunManifest,

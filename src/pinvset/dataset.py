@@ -24,13 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import (
-    Box,
-    BoxList,
-    DimensionMismatchError,
-    Vec,
-    chebyshev,
-)
+from .geometry import Box, BoxList, DimensionMismatchError, Vec
 
 
 class DatasetError(Exception):
@@ -128,11 +122,7 @@ def tabulated_oracle(
 
 class Dataset:
     """Sample states ``x`` and successors ``x_plus`` with an exact max-norm
-    NN index.
-
-    ``nearest_linear`` is a linear scan kept as the reference
-    implementation.
-    """
+    NN index."""
 
     def __init__(self, x, x_plus, metadata: dict | None = None):
         x = np.array(x, dtype=float)
@@ -183,21 +173,6 @@ class Dataset:
             balls = self._index.query_ball_point(qs[tied], best[tied], p=math.inf)
             idx[tied] = [min(ball) for ball in balls]
         return idx, best
-
-    def nearest_linear(self, q: Sequence[float]) -> tuple[int, float]:
-        """Reference linear scan with the same exact tie rule."""
-        if len(q) != self.dim:
-            raise DimensionMismatchError(
-                f"query dim {len(q)} does not match dataset dim {self.dim}"
-            )
-        best_d = math.inf
-        best_i = -1
-        for j, x in enumerate(self.x.tolist()):
-            d = chebyshev(q, x)
-            if d < best_d:
-                best_d = d
-                best_i = j
-        return best_i, best_d
 
 
 def gen_uniform(
@@ -367,17 +342,45 @@ def _check_row(path: Path, lineno: int, line: str, cols: int) -> None:
         )
 
 
+def _numpy_refuses(lines: list[str]) -> bool:
+    try:
+        np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError:
+        return True
+    return False
+
+
 def _parse_rows(path: Path, skip: int, cols: int) -> np.ndarray:
     """The data rows parsed from their stripped contents, for files that
     numpy cannot read as they are (a line of blanks, an indented comment);
     a bad row is named by its ``path:line``."""
     rows = _data_rows(path, skip)
+    lines = [line for _, line in rows]
     try:
-        return np.loadtxt([line for _, line in rows], delimiter=",", ndmin=2)
+        return np.loadtxt(lines, delimiter=",", ndmin=2)
     except ValueError as exc:
-        for lineno, line in rows:  # name the first offending line
-            _check_row(path, lineno, line, cols)
-        raise MalformedRowError(f"{path}: {exc}") from None
+        error = exc
+    # Name the first offending line.  Python's float, which ``_check_row``
+    # uses, accepts spellings that numpy refuses (such as '1_0'), so look
+    # for a row numpy refuses before the first one Python refuses.  Those
+    # rows all have ``cols`` cells, so numpy refuses a block of them just
+    # when it refuses one of its rows: halving the block finds the first
+    # such row after parsing about twice the rows.
+    end = next(
+        (j for j, line in enumerate(lines) if len(_floats(line) or []) != cols), len(lines)
+    )
+    lo, hi = 0, end
+    if _numpy_refuses(lines[:end]):
+        while hi - lo > 1:  # lines[lo:hi] holds the first row numpy refuses
+            mid = (lo + hi) // 2
+            if _numpy_refuses(lines[lo:mid]):
+                hi = mid
+            else:
+                lo = mid
+        raise MalformedRowError(f"{path}:{rows[lo][0]}: non-numeric cell in data row")
+    for lineno, line in rows[end:end + 1]:
+        _check_row(path, lineno, line, cols)
+    raise MalformedRowError(f"{path}: {error}")
 
 
 def load_dataset(path: str | Path) -> Dataset:

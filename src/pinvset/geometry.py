@@ -27,8 +27,8 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 # Absolute slack of point membership (``Box.contains_point``), of
-# ``PartitionTree.overlapping``, of Monte Carlo membership and of
-# ``raster_coverage``.  No coverage decision uses it.
+# ``PartitionTree.overlapping`` and of Monte Carlo membership.  No coverage
+# decision uses it.
 GEOM_TOL = 1e-12
 
 # Most cubes ``rect_to_cubes`` tiles a domain with; each is a root of the
@@ -216,13 +216,6 @@ def balls_contain_cells(radius, lo, hi, sample) -> np.ndarray:
     return held
 
 
-def chebyshev(a: Sequence[float], b: Sequence[float]) -> float:
-    """Max-norm distance between two points."""
-    if len(a) != len(b):
-        raise DimensionMismatchError(f"points of dim {len(a)} and {len(b)}")
-    return max(abs(x - y) for x, y in zip(a, b))
-
-
 def rect_to_cubes(lo: Sequence[float], hi: Sequence[float]) -> BoxList:
     """Tile an axis-aligned rectangle with equal cubes, last axis fastest.
 
@@ -233,7 +226,8 @@ def rect_to_cubes(lo: Sequence[float], hi: Sequence[float]) -> BoxList:
     the two faces that differ, since the sliver between them would belong
     to no root cell.  A cube yields a single box.  A corner that is not
     finite, or a tiling of more than ``MAX_DOMAIN_CUBES`` cubes, is refused
-    with a ValueError before any cube is built.
+    with a ValueError before any cube is built.  The partition tree takes
+    only roots of this shape, in any order (``tree._check_roots``).
     """
     lo = tuple(float(v) for v in lo)
     hi = tuple(float(v) for v in hi)

@@ -34,10 +34,7 @@ def render_tree_svg(
     if tree.dim != 2:
         raise ValueError(f"SVG rendering supports dim 2 only, got dim {tree.dim}")
     nodes = tree.nodes
-    xmin = min(nodes.lo[i][0] for i in tree.roots)
-    ymin = min(nodes.lo[i][1] for i in tree.roots)
-    xmax = max(nodes.hi[i][0] for i in tree.roots)
-    ymax = max(nodes.hi[i][1] for i in tree.roots)
+    (xmin, ymin), (xmax, ymax) = tree.root_bounds
     scale = width_px / (xmax - xmin)
     height_px = (ymax - ymin) * scale
 

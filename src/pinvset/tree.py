@@ -13,7 +13,9 @@ A cell's corners ``lo``/``hi`` are a root's ``center ± radius``, and a
 split cuts its parent at the parent's center: on each axis the low child
 spans [lo, center] and the high one [center, hi].  So the children tile
 their parent exactly in floating point, whatever the roots; for dyadic
-roots the corners are also ``center ± radius`` of every node.
+roots the corners are also ``center ± radius`` of every node.  The roots
+are equal cubes on a full grid whose neighbours share exact faces
+(``_check_roots``), so together they tile one rectangle, ``root_bounds``.
 
 Subtree counters (total leaves / included leaves) are maintained on every
 division and relabeling, so that a coverage walk (``classify``) settles a
@@ -136,6 +138,41 @@ def _split_corners(
     )
 
 
+def _check_roots(centers: np.ndarray, radii: np.ndarray) -> None:
+    """Refuse root cells that are not the tiling ``rect_to_cubes`` makes:
+    equal cubes whose centers are the full product of their values on each
+    axis, where neighbouring values ``a < b`` share the exact face
+    ``a + r == b - r``.  Then the roots tile ``root_bounds`` exactly.
+    ``centers`` is (k, n) and ``radii`` (k,), in any order; the test sorts,
+    in O(k log k)."""
+    r = radii[0]
+    unequal = np.flatnonzero(radii != r)
+    if len(unequal):
+        raise ValueError(
+            f"root cells are not equal cubes: radii {float(r)!r} and "
+            f"{float(radii[unequal[0]])!r} differ"
+        )
+    axes = [np.unique(column) for column in centers.T]
+    shape = [len(values) for values in axes]
+    full = math.prod(shape) == len(centers)  # first, so that the grid has k rows
+    if full:
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(len(centers), -1)
+        full = (centers[np.lexsort(centers.T[::-1])] == grid).all()
+    if not full:
+        raise ValueError(
+            f"root cells are not a full grid: {len(centers)} centers take "
+            f"{' x '.join(map(str, shape))} values on the axes"
+        )
+    for d, values in enumerate(axes):
+        apart = np.flatnonzero(values[:-1] + r != values[1:] - r)
+        if len(apart):
+            a, b = values[apart[0]:apart[0] + 2].tolist()
+            raise ValueError(
+                f"neighbouring root cells do not share a face: on axis {d}, "
+                f"faces {a + float(r)!r} and {b - float(r)!r} differ"
+            )
+
+
 class PartitionTree:
     """Subdivision tree; nodes are numbered in creation order."""
 
@@ -167,6 +204,7 @@ class PartitionTree:
         tree.roots = [i for i, p in enumerate(parent) if p == -1]
         centers = np.array(columns["target_center"], dtype=float).reshape(-1, dim)
         radii = np.array(columns["target_radius"], dtype=float)[:, None]
+        _check_roots(centers[tree.roots], radii[tree.roots, 0])
         lo, hi = centers - radii, centers + radii
         # The splits' corners, level by level down from the roots.
         first = np.array(first_child, dtype=np.int64)
@@ -389,7 +427,7 @@ class PartitionTree:
         return None if exact.all() else int(interior[np.argmin(exact)])
 
     def min_root_radius(self) -> float:
-        return min(self.nodes.target_radius[i] for i in self.roots)
+        return self.nodes.target_radius[self.roots[0]]  # the roots are equal cubes
 
     def classify(self, query: Rect | Successor) -> CoverageClass:
         """How a query rectangle meets the union of included cells.
@@ -528,62 +566,30 @@ class PartitionTree:
         return touched, gap
 
     @cached_property
-    def _root_faces(self) -> list[list[float]]:
-        """The coordinates of the root cells' faces, axis by axis, sorted."""
-        los, his = self.nodes.lo, self.nodes.hi
-        return [
-            sorted({c for i in self.roots for c in (los[i][d], his[i][d])})
-            for d in range(self.dim)
-        ]
-
     def root_bounds(self) -> Rect:
-        """The bounding rectangle of the root cells."""
-        faces = self._root_faces
-        return tuple(f[0] for f in faces), tuple(f[-1] for f in faces)
+        """The rectangle the root cells tile (see ``_check_roots``)."""
+        los, his = self.nodes.lo, self.nodes.hi
+        return (
+            tuple(map(min, zip(*[los[i] for i in self.roots]))),
+            tuple(map(max, zip(*[his[i] for i in self.roots]))),
+        )
 
     def _outside(self, l0, l1, h0, h1, exact: bool):
-        """A region outside every root cell that meets the query's interior,
-        as the bounds of one slab product (root faces, or -inf/inf where the
-        query bounds it); None when the root cells cover the query.  The
-        corners are given as in ``_walk``; ``_UNSETTLED`` when a root face
-        lies inside one of their intervals."""
-        los, his = self.nodes.lo, self.nodes.hi
-        roots = self.roots
+        """A region outside the root cells that meets the query's interior,
+        as a slab past one face of ``root_bounds``; None when that
+        rectangle, which the roots tile, holds the query.  The corners are
+        given as in ``_walk``; ``_UNSETTLED`` when the query is neither
+        held nor past a face for every corner in their intervals."""
+        blo, bhi = self.root_bounds
         dims = range(self.dim)
-        for i in roots:
-            lo = los[i]
-            hi = his[i]
-            for d in dims:
-                if lo[d] > l0[d] or h1[d] > hi[d]:
-                    break
-            else:
-                return None
-        faces = self._root_faces
+        if all(blo[d] <= l0[d] and h1[d] <= bhi[d] for d in dims):
+            return None
         for d in dims:
-            # A slab past the roots' bounding box on one axis is outside them all.
-            if l1[d] < faces[d][0]:
-                return _slab(self.dim, d, -math.inf, faces[d][0])
-            if h0[d] > faces[d][-1]:
-                return _slab(self.dim, d, faces[d][-1], math.inf)
-        if not exact and any(
-            l0[d] <= c <= l1[d] or h0[d] <= c <= h1[d] for d in dims for c in faces[d]
-        ):
-            return _UNSETTLED
-        # No face lies inside a corner's interval, so l0 and h1 order the
-        # faces as the exact corners do.  Cut each axis at the faces inside
-        # the query: every slab product is then in one root or in none.
-        slabs = []
-        for d in dims:
-            cuts = [c for c in faces[d] if l0[d] < c < h1[d]]
-            slabs.append(list(zip([-math.inf, *cuts], [*cuts, math.inf])))
-        for cell in product(*slabs):
-            part = [(max(a, l0[d]), min(b, h1[d])) for d, (a, b) in enumerate(cell)]
-            if not any(
-                all(los[i][d] <= a and b <= his[i][d] for d, (a, b) in enumerate(part))
-                for i in roots
-            ):
-                return tuple(a for a, _ in cell), tuple(b for _, b in cell)
-        return None
+            if l1[d] < blo[d]:
+                return _slab(self.dim, d, -math.inf, blo[d])
+            if h0[d] > bhi[d]:
+                return _slab(self.dim, d, bhi[d], math.inf)
+        return _UNSETTLED  # never when exact: then l0 == l1 and h0 == h1
 
     def overlapping(self, qlo: Vec, qhi: Vec) -> list[Rect]:
         """Target rectangles of included leaves meeting the probe rectangle.
@@ -630,11 +636,9 @@ class PartitionTree:
 
 
 def new_tree(domain: BoxList | Sequence[Box], dataset: Dataset) -> PartitionTree:
-    """Fresh tree: one INCLUDED root per domain box.
-
-    Domain boxes must have pairwise-disjoint interiors so the leaf cells
-    tile the domain at every moment.
-    """
+    """Fresh tree: one INCLUDED root per domain box.  The boxes must tile
+    a rectangle as ``rect_to_cubes`` makes them (``_check_roots``), so the
+    leaf cells tile it at every moment."""
     boxes = tuple(domain)
     if not boxes:
         raise ValueError("domain must contain at least one box")
@@ -643,16 +647,10 @@ def new_tree(domain: BoxList | Sequence[Box], dataset: Dataset) -> PartitionTree
     dim = boxes[0].dim
     if dataset.dim != dim:
         raise ValueError(f"dataset dim {dataset.dim} does not match domain dim {dim}")
-    for a in range(len(boxes)):
-        for b in range(a + 1, len(boxes)):
-            (alo, ahi), (blo, bhi) = boxes[a].rect(), boxes[b].rect()
-            if all(
-                min(ah, bh) > max(al, bl) for al, ah, bl, bh in zip(alo, ahi, blo, bhi)
-            ):
-                raise ValueError(f"domain boxes {a} and {b} have overlapping interiors")
-    tree = PartitionTree(dim)
     centers = np.array([box.center for box in boxes])
     radii = np.array([box.radius for box in boxes])
+    _check_roots(centers, radii)
+    tree = PartitionTree(dim)
     tree.roots = tree._grow(
         [-1] * len(boxes),
         centers,

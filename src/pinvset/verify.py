@@ -11,36 +11,25 @@ falls back to fractions near a face.  The certificate first checks that
 every split makes its parent's dyadic halves and re-derives the subtree
 counters from the leaf labels, and only then lets the tree answer.
 
-``raster_coverage`` is a brute-force sampling oracle used to cross-validate
-the exact classifier, and ``monte_carlo_invariance`` is a falsifier that
-rolls true trajectories forward; only the exact check constitutes the
-deterministic guarantee.  The falsifier, too, reads everything from the
-tree: start points come from its included leaves, and membership of an
-iterate from one bitmap per root filled from the split structure.
+``monte_carlo_invariance`` is a falsifier that rolls true trajectories
+forward; only the exact check constitutes the deterministic guarantee.
+The falsifier, too, reads everything from the tree: start points come
+from its included leaves, and membership of an iterate from one bitmap
+per root filled from the split structure.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import SystemOracle
-from .geometry import (
-    Box,
-    BoxList,
-    CoverageClass,
-    GEOM_TOL,
-    balls_contain_cells,
-    successor_rect,
-    uncovered_fragments,
-)
+from .geometry import GEOM_TOL, balls_contain_cells, successor_rect, uncovered_fragments
 from .synthesis import ConfigError, SynthConfig, SynthResult
 from .tree import PartitionTree
 
 METHOD_EXACT = "exact-coverage"
-METHOD_RASTER = "raster"
 METHOD_MONTE_CARLO = "monte-carlo"
 
 
@@ -50,12 +39,6 @@ class Certificate:
     checked_leaves: int
     first_failure: dict | None
     method: str
-
-
-@dataclass
-class RasterReport:
-    covered_fraction: float
-    verdict: CoverageClass
 
 
 def check_fixpoint(
@@ -129,45 +112,6 @@ def check_fixpoint(
                 METHOD_EXACT,
             )
     return Certificate(True, checked, None, METHOD_EXACT)
-
-
-def raster_coverage(query: Box, union: BoxList, cell: float) -> RasterReport:
-    """Sampling oracle: covered fraction of a point grid over the query box.
-
-    The grid uses at most ``cell`` pitch per axis (cell centers), so a
-    covered or uncovered region thicker than the pitch cannot be missed;
-    verdicts within one cell of a boundary are advisory only, the exact
-    classifier is authoritative.
-    """
-    if cell <= 0.0 or cell > query.radius:
-        raise ValueError(
-            f"raster cell must lie in (0, query radius]; got {cell} "
-            f"for radius {query.radius}"
-        )
-    lo, hi = query.rect()
-    axes = []
-    for l, h in zip(lo, hi):
-        k = max(1, int(math.ceil((h - l) / cell - 1e-12)))
-        pitch = (h - l) / k
-        axes.append(l + (np.arange(k) + 0.5) * pitch)
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    covered = np.zeros(len(pts), dtype=bool)
-    for b in union:
-        blo, bhi = b.rect()
-        inside = np.ones(len(pts), dtype=bool)
-        for d in range(query.dim):
-            inside &= (pts[:, d] >= blo[d] - GEOM_TOL) & (pts[:, d] <= bhi[d] + GEOM_TOL)
-        covered |= inside
-    hits = int(covered.sum())
-    fraction = hits / len(pts)
-    if hits == len(pts):
-        verdict = CoverageClass.FULLY_COVERED
-    elif hits == 0:
-        verdict = CoverageClass.DISJOINT
-    else:
-        verdict = CoverageClass.PARTIAL
-    return RasterReport(fraction, verdict)
 
 
 # Cells in all the membership bitmaps of one tree together.

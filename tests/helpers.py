@@ -1,6 +1,7 @@
 """Shared test utilities: lattice-snapped coverage instances, the
-all-fraction coverage reference, a contraction grid in fractions, and
-plain references for the dataset CSV writer and reader.
+all-fraction coverage reference and the raster sampling oracle, a
+contraction grid in fractions, the linear-scan nearest-neighbour
+reference, and plain references for the dataset CSV writer and reader.
 
 Instances are built on a coarse lattice so every covered or uncovered
 region is a union of full lattice cells, and covers that merely touch the
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -20,7 +22,7 @@ import numpy as np
 import orjson
 
 from pinvset.dataset import EmptyDatasetError, MalformedRowError, NonFiniteSampleError
-from pinvset.geometry import Box, BoxList, CoverageClass, DimensionMismatchError
+from pinvset.geometry import Box, BoxList, CoverageClass, DimensionMismatchError, GEOM_TOL
 
 LATTICE_PITCH = 0.25
 RASTER_CELL = LATTICE_PITCH / 8.0
@@ -84,6 +86,75 @@ def exact_coverage(query, union) -> CoverageClass:
         ):
             return CoverageClass.PARTIAL
     return CoverageClass.FULLY_COVERED
+
+
+@dataclass
+class RasterReport:
+    covered_fraction: float
+    verdict: CoverageClass
+
+
+def raster_coverage(query: Box, union: BoxList, cell: float) -> RasterReport:
+    """Sampling oracle: covered fraction of a point grid over the query box.
+
+    The grid uses at most ``cell`` pitch per axis (cell centers), so a
+    covered or uncovered region thicker than the pitch cannot be missed;
+    verdicts within one cell of a boundary are advisory only, the exact
+    classifier is authoritative.
+    """
+    if cell <= 0.0 or cell > query.radius:
+        raise ValueError(
+            f"raster cell must lie in (0, query radius]; got {cell} "
+            f"for radius {query.radius}"
+        )
+    lo, hi = query.rect()
+    axes = []
+    for l, h in zip(lo, hi):
+        k = max(1, int(math.ceil((h - l) / cell - 1e-12)))
+        pitch = (h - l) / k
+        axes.append(l + (np.arange(k) + 0.5) * pitch)
+    grids = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    covered = np.zeros(len(pts), dtype=bool)
+    for b in union:
+        blo, bhi = b.rect()
+        inside = np.ones(len(pts), dtype=bool)
+        for d in range(query.dim):
+            inside &= (pts[:, d] >= blo[d] - GEOM_TOL) & (pts[:, d] <= bhi[d] + GEOM_TOL)
+        covered |= inside
+    hits = int(covered.sum())
+    fraction = hits / len(pts)
+    if hits == len(pts):
+        verdict = CoverageClass.FULLY_COVERED
+    elif hits == 0:
+        verdict = CoverageClass.DISJOINT
+    else:
+        verdict = CoverageClass.PARTIAL
+    return RasterReport(fraction, verdict)
+
+
+def chebyshev(a, b) -> float:
+    """Max-norm distance between two points."""
+    if len(a) != len(b):
+        raise DimensionMismatchError(f"points of dim {len(a)} and {len(b)}")
+    return max(abs(x - y) for x, y in zip(a, b))
+
+
+def nearest_linear(dataset, q) -> tuple[int, float]:
+    """The nearest sample to q by a linear scan, with ``Dataset.nearest``'s
+    exact tie rule: the lowest index."""
+    if len(q) != dataset.dim:
+        raise DimensionMismatchError(
+            f"query dim {len(q)} does not match dataset dim {dataset.dim}"
+        )
+    best_d = math.inf
+    best_i = -1
+    for j, x in enumerate(dataset.x.tolist()):
+        d = chebyshev(q, x)
+        if d < best_d:
+            best_d = d
+            best_i = j
+    return best_i, best_d
 
 
 def contraction_grid(rho: Fraction, tau: Fraction, lam: Fraction, lips: Fraction):

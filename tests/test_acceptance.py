@@ -11,7 +11,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import RASTER_CELL, contraction_grid, exact_coverage, margin_separated_instance
+from helpers import (
+    RASTER_CELL,
+    contraction_grid,
+    exact_coverage,
+    margin_separated_instance,
+    raster_coverage,
+)
 
 from pinvset.bounds import (
     BoundForm,
@@ -24,7 +30,7 @@ from pinvset.dataset import gen_dyadic_grid, gen_uniform, linear2d, nonlinear2d
 from pinvset.geometry import CoverageClass
 from pinvset.synthesis import SynthConfig, Termination, synthesize
 from pinvset.tree import new_tree
-from pinvset.verify import check_fixpoint, monte_carlo_invariance, raster_coverage
+from pinvset.verify import check_fixpoint, monte_carlo_invariance
 
 LINEAR_REF_VOLUME = 1.1844
 NONLINEAR_REF_VOLUME = 3.467

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import reference_csv_rows, reference_load
+from helpers import nearest_linear, reference_csv_rows, reference_load
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -111,6 +111,20 @@ def test_load_non_numeric_cell(tmp_path):
     f = tmp_path / "d.csv"
     f.write_text("0,0,0,0\nx,y,z,w\n")
     with pytest.raises(MalformedRowError):
+        load_dataset(f)
+
+
+@pytest.mark.parametrize("text,line", [
+    ("x1,x2,xp1,xp2\n0,0,0,0\n1_0,0,0,0\n", 3),
+    ("1_0,0,0,0\n0,0,0,0\n", 1),
+    ("0,0,0,0\n  \n0,0,0,0\n0,2_5,0,0\n0,0,0\n", 4),
+    ("0,0,0,0\n0,0,0,0\n0,0,0\n0,2_5,0,0\n", 3),
+])
+def test_load_names_row_numpy_refuses(tmp_path, text, line):
+    # Python's float takes '1_0' and numpy does not: the row is still named.
+    f = tmp_path / "us.csv"
+    f.write_text(text)
+    with pytest.raises((MalformedRowError, DimensionMismatchError), match=rf"us\.csv:{line}: "):
         load_dataset(f)
 
 
@@ -440,7 +454,7 @@ def test_nearest_matches_linear_scan_exactly(rng):
     ds = make_dataset(rng.uniform(-2, 3, size=(400, 2)))
     qs = rng.uniform(-3, 4, size=(1000, 2))
     idx, dist = ds.nearest(qs)
-    want = [ds.nearest_linear(q) for q in qs.tolist()]
+    want = [nearest_linear(ds, q) for q in qs.tolist()]
     assert idx.tolist() == [i for i, _ in want]
     assert dist.tolist() == [d for _, d in want]
 
@@ -448,7 +462,7 @@ def test_nearest_matches_linear_scan_exactly(rng):
 def test_nearest_matches_linear_scan_3d(rng):
     ds = make_dataset(rng.uniform(-1, 1, size=(200, 3)))
     qs = rng.uniform(-1.5, 1.5, size=(300, 3))
-    assert ds.nearest(qs)[0].tolist() == [ds.nearest_linear(q)[0] for q in qs.tolist()]
+    assert ds.nearest(qs)[0].tolist() == [nearest_linear(ds, q)[0] for q in qs.tolist()]
 
 
 def test_nearest_with_duplicate_points_breaks_ties_low():
@@ -477,7 +491,7 @@ def test_nearest_matches_linear_scan_property(n, m, lattice, data):
     qs = data.draw(st.lists(point, min_size=1, max_size=20))
     ds = make_dataset(pts)
     idx, dist = ds.nearest(qs)
-    want = [ds.nearest_linear(q) for q in qs]
+    want = [nearest_linear(ds, q) for q in qs]
     assert idx.tolist() == [i for i, _ in want]
     assert dist.tolist() == [d for _, d in want]
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import chebyshev
+
 from pinvset.dataset import Dataset
 from pinvset.geometry import (
     Box,
@@ -13,7 +15,6 @@ from pinvset.geometry import (
     DimensionMismatchError,
     balls_contain_cells,
     classify_coverage,
-    chebyshev,
     rect_to_cubes,
     successor_rect,
     uncovered_fragments,
@@ -69,10 +70,12 @@ def test_classify_coverage_exact_tiling():
     query = Box((0.0, 0.0), 0.5)
     tree = tree_of(*tiles)
     assert classify_coverage(query, tree) is CoverageClass.FULLY_COVERED
-    # one tile missing, as a retired root or as no root at all
+    # one tile missing: as a retired root; with no root at all, the roots
+    # are not a full grid and no tree is built
     tree.set_label(tree.roots[3], Label.EXCLUDED)
     assert classify_coverage(query, tree) is CoverageClass.PARTIAL
-    assert classify_coverage(query, tree_of(*tiles[:3])) is CoverageClass.PARTIAL
+    with pytest.raises(ValueError, match="not a full grid"):
+        tree_of(*tiles[:3])
 
 
 def test_classify_touching_cover_is_not_disjoint():

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,7 +23,7 @@ from pinvset.results import (
     save_result,
 )
 from pinvset.synthesis import SynthConfig, SynthResult, Termination, synthesize
-from pinvset.tree import Label, PartitionTree, new_tree
+from pinvset.tree import new_tree
 from pinvset.verify import check_fixpoint
 
 
@@ -386,26 +385,34 @@ def test_cli_verify_reports_trusted_lipschitz(tmp_path, capsys, caplog):
     assert "lipschitz=0.8225" in line.split()
 
 
-def test_cli_verify_reports_trusted_domain(tmp_path, capsys):
-    # An extra included root at (50, 50) whose sample maps to itself still
-    # certifies; the report's domain, the roots' bounding rectangle, shows it.
-    _synth_linear_result(tmp_path)
+def test_cli_verify_reports_trusted_domain(tmp_path, capsys, caplog):
+    # The report's domain is the rectangle the roots tile.  An extra
+    # included root at (50, 50), whose sample maps to itself and which the
+    # restated sections include, breaks that tiling, so the file is refused.
+    doc = _synth_linear_result(tmp_path)
     capsys.readouterr()
     assert main(["-q", "verify", str(tmp_path / "r.json")]) == 0
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert report["domain"] == [[-0.25, -1.0], [1.0, 0.25]]
-    manifest, result, _ = load_result(tmp_path / "r.json")
     extra = {
-        "parent": -1, "target_center": (50.0, 50.0), "target_radius": 0.5, "radius": 0.5,
-        "sample_index": 0, "sample_x": (50.0, 50.0), "sample_xp": (50.0, 50.0),
-        "label": Label.INCLUDED,
+        "parent": -1, "target_center": [50.0, 50.0], "target_radius": 0.5, "radius": 0.5,
+        "sample_index": 0, "sample_x": [50.0, 50.0], "sample_xp": [50.0, 50.0], "label": 1,
     }
-    columns = {key: [*getattr(result.tree.nodes, key), value] for key, value in extra.items()}
-    path = tmp_path / "extra.json"
-    save_result(path, replace(result, tree=PartitionTree.from_columns(2, **columns)), manifest)
-    assert main(["-q", "verify", str(path)]) == 0
-    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert report["domain"] == [[-0.25, -1.0], [50.5, 50.5]]
+    for key, value in extra.items():
+        doc["tree"][key].append(value)
+    for section in ("domain", "pi_set"):
+        doc[section]["centers"].append([50.0, 50.0])
+        doc[section]["radii"].append(0.5)
+    doc["volume"] = math.fsum((2.0 * r) ** 2 for r in doc["pi_set"]["radii"])
+    doc["leaf_counts"]["included"] += 1
+    (tmp_path / "extra").mkdir()
+    path = tmp_path / "extra" / "extra.json"
+    path.write_text(json.dumps(doc))
+    assert main(["-q", "verify", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "root cells are not equal cubes: radii 0.625 and 0.5 differ" in err
+    assert main(["report", "--dir", str(tmp_path / "extra")]) == 2
+    assert "not equal cubes" in caplog.text
 
 
 def test_cli_rejects_domain_whose_cubes_miss_by_an_ulp(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import math
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import exact_coverage
+from helpers import chebyshev, exact_coverage
 
 from pinvset.dataset import Dataset, gen_dyadic_grid, gen_uniform
 from pinvset.geometry import (
@@ -13,9 +14,10 @@ from pinvset.geometry import (
     BoxList,
     CoverageClass,
     DimensionMismatchError,
+    MAX_DOMAIN_CUBES,
     balls_contain_cells,
-    chebyshev,
     classify_coverage,
+    rect_to_cubes,
     successor_rect,
     uncovered_fragments,
 )
@@ -364,10 +366,14 @@ def test_successor_below_one_ulp_is_covered():
 
 
 def test_classify_across_roots():
-    # Three unit roots in an L: [0, 2] x [0, 1] and [0, 1] x [1, 2].
+    # Four unit roots on a 2 x 2 grid over [0, 2]^2; the last, [1, 2]^2, is
+    # excluded, so the kept roots make an L.
     ds = make_dataset([(0.5, 0.5)])
-    roots = (Box((0.5, 0.5), 0.5), Box((1.5, 0.5), 0.5), Box((0.5, 1.5), 0.5))
+    roots = (
+        Box((0.5, 0.5), 0.5), Box((1.5, 0.5), 0.5), Box((0.5, 1.5), 0.5), Box((1.5, 1.5), 0.5)
+    )
     tree = new_tree(BoxList(roots), ds)
+    tree.set_label(tree.roots[3], Label.EXCLUDED)
     straddle = ((0.75, 0.25), (1.25, 0.75))
     assert tree.classify(straddle) is CoverageClass.FULLY_COVERED
     assert tree.uncovered(straddle) is None
@@ -383,6 +389,69 @@ def test_classify_across_roots():
     assert tree.classify(straddle) is CoverageClass.PARTIAL
     assert tree.uncovered(straddle) == ((1.0, 0.25), (1.25, 0.75))
     assert tree.classify(((1.25, 0.25), (1.75, 0.75))) is CoverageClass.DISJOINT
+
+
+def _roots_tree(boxes):
+    return new_tree(BoxList(tuple(boxes)), make_dataset([(0.0,) * boxes[0].dim]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lo=st.lists(st.integers(-8, 8).map(lambda k: k / 4), min_size=1, max_size=3),
+    counts=st.lists(st.integers(1, 4), min_size=2, max_size=2),
+    side=st.sampled_from((0.25, 0.5, 1.0, 0.1)),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_root_rule_accepts_rect_to_cubes_in_any_order(lo, counts, side, seed):
+    hi = [a + k * side for a, k in zip(lo, [1, *counts])]  # axis 0 is the shortest
+    try:
+        boxes = list(rect_to_cubes(lo, hi))
+    except ValueError:
+        return  # faces that miss by an ulp: rect_to_cubes refuses them itself
+    np.random.default_rng(seed).shuffle(boxes)
+    tree = _roots_tree(boxes)
+    assert len(tree.roots) == len(boxes)
+    assert tree.root_bounds == (tuple(lo), tuple(hi))
+
+
+def test_root_rule_accepts_a_single_box_and_a_grid_of_quarters():
+    for box in (Box((0.3, -7.0), 0.1), Box((1.0,), 0.0), Box((0.1, 0.2, 0.3), 2.5)):
+        assert _roots_tree([box]).root_bounds == box.rect()
+    quarters = [Box((x, y), 0.25) for y in (0.25, -0.25) for x in (-0.25, 0.25)]
+    assert _roots_tree(quarters).root_bounds == ((-0.5, -0.5), (0.5, 0.5))
+
+
+@pytest.mark.parametrize("boxes,reason", [
+    pytest.param(
+        [Box((0.5, 0.5), 0.5), Box((1.5, 0.5), 0.5), Box((0.5, 1.5), 0.5)],
+        "not a full grid", id="L",
+    ),
+    pytest.param([Box((0.5, 0.5), 0.5), Box((1.25, 0.5), 0.25)], "not equal cubes", id="radii"),
+    pytest.param([Box((0.0, 0.0), 1.0), Box((0.5, 0.0), 1.0)], "do not share a face", id="overlap"),
+    pytest.param([Box((0.0, 0.0), 1.0), Box((0.5, 0.5), 1.0)], "not a full grid", id="diagonal"),
+    pytest.param([Box((0.0, 0.0), 1.0), Box((0.0, 0.0), 1.0)], "not a full grid", id="duplicate"),
+    # Four centers on 2 x 2 values, one of them twice and one cell missing.
+    pytest.param(
+        [Box((0.5, 0.5), 0.5), Box((1.5, 0.5), 0.5), Box((0.5, 1.5), 0.5), Box((0.5, 0.5), 0.5)],
+        "not a full grid", id="duplicate-for-missing",
+    ),
+    pytest.param([Box((0.5,), 0.5), Box((1.0,), 0.5), Box((1.5,), 0.5)], "do not share a face",
+                 id="overlap-1d"),
+    pytest.param([Box((0.5, 0.5), 0.5), Box((3.5, 0.5), 0.5)], "do not share a face", id="apart"),
+    # 0.1 + 0.1 != 0.3 - 0.1: the faces miss by one ulp.
+    pytest.param([Box((0.1,), 0.1), Box((0.3,), 0.1)], "faces 0.2 and 0.19999999999999998",
+                 id="ulp"),
+])
+def test_root_rule_refuses(boxes, reason):
+    with pytest.raises(ValueError, match=reason):
+        _roots_tree(boxes)
+
+
+def test_root_rule_takes_a_strip_of_the_most_cubes():
+    boxes = rect_to_cubes((0.0, 0.0), (float(MAX_DOMAIN_CUBES), 1.0))
+    tree = _roots_tree(boxes)
+    assert len(tree.roots) == MAX_DOMAIN_CUBES
+    assert tree.root_bounds == ((0.0, 0.0), (float(MAX_DOMAIN_CUBES), 1.0))
 
 
 def _near(v, ulps):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import RASTER_CELL, exact_coverage, margin_separated_instance
+from helpers import RASTER_CELL, exact_coverage, margin_separated_instance, raster_coverage
 
 from pinvset import verify
 from pinvset.dataset import Dataset, gen_uniform
@@ -22,7 +22,6 @@ from pinvset.verify import (
     MAX_BITMAP_CELLS,
     check_fixpoint,
     monte_carlo_invariance,
-    raster_coverage,
     _start_points,
     _TreeMembership,
 )
