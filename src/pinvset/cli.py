@@ -261,7 +261,10 @@ def cmd_report(args) -> int:
         )
         groups.setdefault(key, []).append(result.volume)
     if not groups:
-        raise UsageError(f"no readable result files under {args.dir}")
+        # Files that are there but unreadable are a data fault (exit 3);
+        # no result files at all is a usage error (exit 2).
+        error = ResultFormatError if paths else UsageError
+        raise error(f"no readable result files under {args.dir}")
     header = "system,m,tau,runs,empty,vol_min,vol_q1,vol_median,vol_q3,vol_max"
     lines = [header]
     for key in sorted(groups, key=lambda k: (k[0], k[1] if k[1] is not None else -1, k[2])):

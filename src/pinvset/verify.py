@@ -15,11 +15,12 @@ counters from the leaf labels, and only then lets the tree answer.
 forward; only the exact check constitutes the deterministic guarantee.
 The falsifier, too, reads everything from the tree: start points come
 from its included leaves, and membership of an iterate from one bitmap
-per root filled from the split structure.
+over the rectangle the roots tile, filled from the split structure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,20 +115,23 @@ def check_fixpoint(
     return Certificate(True, checked, None, METHOD_EXACT)
 
 
-# Cells in all the membership bitmaps of one tree together.
+# Cells in the membership bitmap of one tree.
 MAX_BITMAP_CELLS = 1 << 22
 
 
 class _TreeMembership:
     """Vectorized membership test for the union of a tree's included cells.
 
-    One bitmap per root with included leaves (1 included, 2 mixed), at the
-    depth of its deepest fully included subtree or the deepest that keeps
-    all bitmaps within ``MAX_BITMAP_CELLS``.  A node's integer corner is
-    twice its parent's plus its sign bits, so the split structure alone
-    fills it.  The tree's own closed test, ``overlapping(p, p)``, answers a
-    point within ``GEOM_TOL`` of a lattice line whose cell is not included
-    (a neighbour may be) and one in a mixed cell.
+    One bitmap over ``root_bounds`` (1 included, 2 mixed), which the roots
+    tile as a grid of g_d roots on axis d, with ``g_d * 2**level`` cells on
+    that axis: ``level`` is the depth of the deepest fully included subtree,
+    or the deepest that keeps the bitmap within ``MAX_BITMAP_CELLS``.  A
+    root's integer corner is its rank among the roots' lower faces on each
+    axis, and a node's is twice its parent's plus its sign bits, so the
+    split structure alone fills it.  The tree's own closed test,
+    ``overlapping(p, p)``, answers a point within ``GEOM_TOL`` of a lattice
+    line whose cell is not included (a neighbour may be) and one in a mixed
+    cell.
     """
 
     def __init__(self, tree: PartitionTree):
@@ -135,54 +139,54 @@ class _TreeMembership:
         nodes = tree.nodes
         n_active, n_leaves, first_child = nodes.n_active, nodes.n_leaves, nodes.first_child
         n = tree.dim
-        roots = [r for r in tree.roots if n_active[r]]
-        per_root = MAX_BITMAP_CELLS // max(len(roots), 1)
-        cap = max(per_root.bit_length() - 1, 0) // n
-        self.bitmaps = []
-        for root in roots:
-            full = []  # (depth, integer corner) of the maximal fully included subtrees
-            stack = [(root, 0, (0,) * n)]
-            while stack:
-                i, depth, corner = stack.pop()
-                if n_active[i] == n_leaves[i]:
-                    full.append((depth, corner))
-                elif n_active[i]:
-                    stack += [
-                        (first_child[i] + j, depth + 1,
-                         tuple(2 * c + (j >> (n - 1 - d) & 1) for d, c in enumerate(corner)))
-                        for j in range(tree.fanout)
-                    ]
-            level = min(cap, max(depth for depth, _ in full))
-            cells = np.zeros((1 << level,) * n, dtype=np.uint8)
-            for depth, corner in full:
-                s = level - depth
-                if s >= 0:
-                    cells[tuple(slice(c << s, (c + 1) << s) for c in corner)] = 1
-                else:
-                    cells[tuple(c >> -s for c in corner)] = 2
-            pitch = 2.0 * nodes.target_radius[root] / len(cells)
-            self.bitmaps.append((nodes.lo[root], pitch, cells))
+        rank = [
+            {face: k for k, face in enumerate(sorted({nodes.lo[r][d] for r in tree.roots}))}
+            for d in range(n)
+        ]
+        grid = [len(faces) for faces in rank]
+        cap = max((MAX_BITMAP_CELLS // math.prod(grid)).bit_length() - 1, 0) // n
+        full = []  # (depth, integer corner) of the maximal fully included subtrees
+        stack = [
+            (r, 0, tuple(faces[c] for faces, c in zip(rank, nodes.lo[r])))
+            for r in tree.roots
+            if n_active[r]
+        ]
+        while stack:
+            i, depth, corner = stack.pop()
+            if n_active[i] == n_leaves[i]:
+                full.append((depth, corner))
+            elif n_active[i]:
+                stack += [
+                    (first_child[i] + j, depth + 1,
+                     tuple(2 * c + (j >> (n - 1 - d) & 1) for d, c in enumerate(corner)))
+                    for j in range(tree.fanout)
+                ]
+        level = min(cap, max((depth for depth, _ in full), default=0))
+        self.cells = np.zeros(tuple(g << level for g in grid), dtype=np.uint8)
+        for depth, corner in full:
+            s = level - depth
+            if s >= 0:
+                self.cells[tuple(slice(c << s, (c + 1) << s) for c in corner)] = 1
+            else:
+                self.cells[tuple(c >> -s for c in corner)] = 2
+        self.lo = tree.root_bounds[0]
+        self.pitch = 2.0 * nodes.target_radius[tree.roots[0]] / (1 << level)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         # Column by column: ops on an (N, n) array loop over rows of length n.
         cols = np.asarray(pts, dtype=float).T
-        hit = np.zeros(cols.shape[1], dtype=bool)
-        ask = np.zeros_like(hit)
-        for lo, pitch, cells in self.bitmaps:
-            side, t = len(cells), GEOM_TOL / pitch
-            inside = np.ones_like(hit)
-            edge = np.zeros_like(hit)
-            keys = []
-            for col, g in zip(cols, lo):
-                u = (col - g) / pitch
-                inside &= (u >= -t) & (u <= side + t)
-                edge |= np.abs(u - np.rint(u)) <= t
-                keys.append(np.fmin(np.fmax(np.floor(u), 0.0), side - 1).astype(np.intp))
-            state = cells[tuple(keys)]
-            found = inside & (state == 1)
-            hit |= found
-            ask |= inside & ~found & (edge | (state == 2))
-        for j in np.flatnonzero(ask & ~hit):
+        t = GEOM_TOL / self.pitch
+        inside = np.ones(cols.shape[1], dtype=bool)
+        edge = np.zeros_like(inside)
+        keys = []
+        for col, g, side in zip(cols, self.lo, self.cells.shape):
+            u = (col - g) / self.pitch
+            inside &= (u >= -t) & (u <= side + t)
+            edge |= np.abs(u - np.rint(u)) <= t
+            keys.append(np.fmin(np.fmax(np.floor(u), 0.0), side - 1).astype(np.intp))
+        state = self.cells[tuple(keys)]
+        hit = inside & (state == 1)
+        for j in np.flatnonzero(inside & ~hit & (edge | (state == 2))):
             p = tuple(cols[:, j].tolist())
             hit[j] = bool(self.tree.overlapping(p, p))
         return hit

@@ -1,7 +1,8 @@
 """Shared test utilities: lattice-snapped coverage instances, the
 all-fraction coverage reference and the raster sampling oracle, a
-contraction grid in fractions, the linear-scan nearest-neighbour
-reference, and plain references for the dataset CSV writer and reader.
+contraction grid in fractions, the linear-scan and KD-tree
+nearest-neighbour references, and plain references for the dataset CSV
+writer and reader.
 
 Instances are built on a coarse lattice so every covered or uncovered
 region is a union of full lattice cells, and covers that merely touch the
@@ -155,6 +156,24 @@ def nearest_linear(dataset, q) -> tuple[int, float]:
             best_d = d
             best_i = j
     return best_i, best_d
+
+
+def nearest_kdtree(dataset, qs) -> tuple[np.ndarray, np.ndarray]:
+    """Max-norm nearest neighbours of a batch by ``scipy.spatial.cKDTree``,
+    with ``Dataset.nearest``'s tie rule: the two nearest distances expose a
+    tie, and a tied query takes the lowest index among every sample at
+    exactly that distance."""
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(dataset.x, balanced_tree=False, compact_nodes=False)
+    qs = np.asarray(qs, dtype=float)
+    dist, idx = tree.query(qs, k=2, p=math.inf)
+    best, idx = dist[:, 0], idx[:, 0]
+    tied = np.flatnonzero(dist[:, 1] == best)
+    if len(tied):
+        balls = tree.query_ball_point(qs[tied], best[tied], p=math.inf)
+        idx[tied] = [min(ball) for ball in balls]
+    return idx, best
 
 
 def contraction_grid(rho: Fraction, tau: Fraction, lam: Fraction, lips: Fraction):

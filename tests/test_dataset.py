@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import nearest_linear, reference_csv_rows, reference_load
+from helpers import nearest_kdtree, nearest_linear, reference_csv_rows, reference_load
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -494,6 +494,91 @@ def test_nearest_matches_linear_scan_property(n, m, lattice, data):
     want = [nearest_linear(ds, q) for q in qs]
     assert idx.tolist() == [i for i, _ in want]
     assert dist.tolist() == [d for _, d in want]
+
+
+def _assert_same_answer(ds, qs, scan=True):
+    """``Dataset.nearest`` agrees with cKDTree, and with the linear scan, on
+    the indices and on the bits of the distances."""
+    idx, dist = ds.nearest(qs)
+    want_idx, want_dist = nearest_kdtree(ds, qs)
+    assert idx.tolist() == want_idx.tolist()
+    assert dist.view(np.int64).tolist() == want_dist.view(np.int64).tolist()
+    if scan:
+        want = [nearest_linear(ds, q) for q in np.asarray(qs, dtype=float).tolist()]
+        assert idx.tolist() == [i for i, _ in want]
+        assert dist.view(np.int64).tolist() == np.array([d for _, d in want]).view(np.int64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3), m=st.integers(1, 80), data=st.data())
+def test_nearest_matches_references_property(n, m, data):
+    # The index cuts the data's box into equal slabs, so eighths put
+    # samples and queries on cell faces and make ties common; drawing
+    # with replacement makes duplicates common.  Queries reach far outside
+    # the data.
+    eighths = st.integers(-16, 16).map(lambda k: k / 8)
+    coord = st.one_of(eighths, st.floats(-2.0, 2.0, allow_nan=False))
+    base = data.draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=m))
+    picks = data.draw(st.lists(st.integers(0, len(base) - 1), min_size=m, max_size=m))
+    pts = np.array([base[k] for k in picks])
+    if data.draw(st.booleans()):  # every sample shares one coordinate on an axis
+        pts[:, data.draw(st.integers(0, n - 1))] = data.draw(eighths)
+    far = st.floats(-1e6, 1e6, allow_nan=False)
+    qs = data.draw(st.lists(st.tuples(*[st.one_of(coord, far)] * n), min_size=1, max_size=30))
+    _assert_same_answer(Dataset(pts, pts), qs)
+
+
+def test_nearest_on_cell_faces_of_a_shuffled_lattice(rng):
+    # 33 x 33 samples 1/32 apart; the index cuts their box into 16 slabs
+    # per axis, so every cell face holds samples.  Queries 1/64 apart sit
+    # on samples, on faces and midway between samples (ties of 2 and 4).
+    axis = np.arange(33) / 32
+    pts = rng.permutation(np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2))
+    q_axis = np.arange(-4, 69, 3) / 64
+    qs = np.stack(np.meshgrid(q_axis, q_axis), axis=-1).reshape(-1, 2)
+    _assert_same_answer(Dataset(pts, pts), qs)
+
+
+@pytest.mark.parametrize("past", [0.3, 5.0, 1e6])
+def test_nearest_far_from_half_the_domain(rng, past):
+    # Samples on the lower half of [-1, 1]^2 in x1; queries spread past
+    # the data's box by the given factor of its half-width.
+    pts = rng.uniform((-1.0, -1.0), (0.0, 1.0), size=(3000, 2))
+    center, half = np.array([-0.5, 0.0]), np.array([0.5, 1.0]) * (1.0 + past)
+    qs = rng.uniform(center - half, center + half, size=(3000, 2))
+    _assert_same_answer(Dataset(pts, pts), qs, scan=False)
+    _assert_same_answer(Dataset(pts, pts), qs[:40])
+
+
+def test_nearest_on_grid_data_ties_past_a_face(lin_oracle):
+    # Far past a face of grid data, every sample on that face is at the
+    # same distance: the lowest index wins.
+    ds = gen_dyadic_grid(lin_oracle, 0.01)
+    qs = np.array([(5.0, -0.3), (-7.0, 0.1), (0.3, 40.0), (100.0, 100.0)])
+    _assert_same_answer(ds, qs, scan=False)
+
+
+def test_nearest_single_sample_and_empty_batch():
+    ds = make_dataset([(0.25, -0.5)])
+    idx, dist = ds.nearest([(0.25, -0.5), (3.0, 1.0), (-1e9, 0.0)])
+    assert idx.tolist() == [0, 0, 0]
+    assert dist.tolist() == [0.0, 2.75, 1e9 + 0.25]
+    idx, dist = ds.nearest(np.zeros((0, 2)))
+    assert idx.shape == dist.shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "points, query",
+    [
+        ([(0.0, 0.0)], (float("nan"), 0.0)),
+        ([(0.0, 0.0)], (float("inf"), 0.0)),
+        ([(-1e308, 0.0), (0.0, 0.0)], (1e308, 0.0)),  # the distance overflows
+    ],
+    ids=["nan", "inf", "overflow"],
+)
+def test_nearest_refuses_queries_without_a_finite_distance(points, query):
+    with pytest.raises(ValueError, match="finite"):
+        make_dataset(points).nearest([query])
 
 
 def test_empty_dataset_rejected():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from pinvset.cli import main
-from pinvset.dataset import Dataset, gen_uniform, load_dataset
+from pinvset.dataset import Dataset, gen_uniform, load_dataset, save_dataset
 from pinvset.geometry import Box, BoxList
 from pinvset.render import load_overlay, render_tree_svg
 from pinvset.results import (
@@ -286,6 +286,16 @@ def test_cli_rejects_section_that_contradicts_tree(tmp_path, capsys, caplog, sec
     )
 
 
+def test_cli_report_exit_codes(tmp_path, capsys):
+    # No result files is a usage error (2); result files that are all
+    # unreadable are a data fault (3).  Both name the directory.
+    assert main(["-q", "report", "--dir", str(tmp_path)]) == 2
+    assert f"no readable result files under {tmp_path}" in capsys.readouterr().err
+    (tmp_path / "bad.json").write_text('{"manifest": {}}')
+    assert main(["-q", "report", "--dir", str(tmp_path)]) == 3
+    assert f"no readable result files under {tmp_path}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["target_center", "sample_x", "sample_xp"])
 def test_cli_verify_rejects_vector_of_wrong_length(tmp_path, capsys, key):
     doc = _synth_linear_result(tmp_path)
@@ -411,7 +421,7 @@ def test_cli_verify_reports_trusted_domain(tmp_path, capsys, caplog):
     assert main(["-q", "verify", str(path)]) == 3
     err = capsys.readouterr().err
     assert "root cells are not equal cubes: radii 0.625 and 0.5 differ" in err
-    assert main(["report", "--dir", str(tmp_path / "extra")]) == 2
+    assert main(["report", "--dir", str(tmp_path / "extra")]) == 3
     assert "not equal cubes" in caplog.text
 
 
@@ -427,7 +437,7 @@ def test_cli_rejects_domain_whose_cubes_miss_by_an_ulp(tmp_path, capsys):
 
 @pytest.mark.parametrize("module", ["scipy", "orjson"])
 def test_import_cli_does_not_load(module):
-    # gen, verify and report never need scipy; only NN queries and C-sets do.
+    # Importing the CLI loads neither; only C-sets (PolytopeCSet) import scipy.
     # orjson is imported by the two writers only.
     import pinvset
 
@@ -440,6 +450,34 @@ def test_import_cli_does_not_load(module):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+def test_cli_chain_does_not_load_scipy(tmp_path):
+    # The nearest-neighbour index is numpy only: gen (from a system and
+    # from a map table), synth and verify run without importing scipy.
+    import pinvset
+
+    data, copy, result = tmp_path / "d.csv", tmp_path / "c.csv", tmp_path / "r.json"
+    grid = ["--mode", "grid", "--tau", "0.05"]
+    steps = [
+        ["-q", "gen", "--system", "linear2d", *grid, "--out", str(data)],
+        ["-q", "gen", "--map-table", str(data), "--lipschitz", "0.8225",
+         "--domain=-0.25,-1:1,0.25", *grid, "--out", str(copy)],
+        ["-q", "synth", "--data", str(data), "--system", "linear2d",
+         "--lipschitz", "0.8225", "--tau", "0.05", "--out", str(result)],
+        ["-q", "verify", str(result), "--monte-carlo", "1000", "--horizon", "3",
+         "--system", "linear2d"],
+    ]
+    code = (
+        "import sys; from pinvset.cli import main; "
+        f"codes = [main(argv) for argv in {steps!r}]; "
+        "print(codes, any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(pinvset.__file__).parent.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip().splitlines()[-1] == "[0, 0, 0, 0] False"
 
 
 @pytest.mark.parametrize("value", [float("nan"), None], ids=["nan", "null"])
@@ -522,6 +560,42 @@ def test_cli_result_bytes_are_pinned(tmp_path, capsys, run):
                  *synth_args, "--out", str(result)]) == 0
     raw = result.read_bytes()
     assert raw.startswith(b'{"manifest":')
+    body = raw[raw.index(b',"config":'):]
+    assert hashlib.sha256(body).hexdigest() == digest
+
+
+# Data on the half of the domain below its midpoint in x1: the tree's
+# cells on the other half ask for neighbours far from every sample.  The
+# digests are those the KD-tree index gave.
+_HALF_DOMAIN_RESULTS = {
+    "linear2d": (
+        0.375,
+        ["--lipschitz", "0.8225", "--tau", "0.01"],
+        "9eb5ca1fc9efcc98fa2bf29b510396c40415298abc3f38c9247be3750db1cdf4",
+    ),
+    "nonlinear2d": (
+        0.0,
+        ["--lipschitz", "5.728", "--tau", "0.01"],
+        "1a78a818567ed76d4f491777e74b37e530a81cb61f36171534d69c52bef943b6",
+    ),
+}
+
+
+@pytest.mark.parametrize("system", list(_HALF_DOMAIN_RESULTS))
+def test_cli_synth_on_half_the_domain(tmp_path, capsys, system):
+    middle, synth_args, digest = _HALF_DOMAIN_RESULTS[system]
+    data = tmp_path / "d.csv"
+    result = tmp_path / "r.json"
+    assert main(["-q", "gen", "--system", system, "--m", "3000", "--seed", "1",
+                 "--out", str(data)]) == 0
+    full = load_dataset(data)
+    low = full.x[:, 0] < middle
+    save_dataset(Dataset(full.x[low], full.x_plus[low], full.metadata), data)
+    capsys.readouterr()
+    assert main(["-q", "synth", "--data", str(data), "--system", system,
+                 *synth_args, "--out", str(result)]) == 0
+    assert json.loads(capsys.readouterr().out)["certified"] is True
+    raw = result.read_bytes()
     body = raw[raw.index(b',"config":'):]
     assert hashlib.sha256(body).hexdigest() == digest
 

@@ -1,3 +1,5 @@
+import gc
+import time
 from unittest.mock import patch
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from helpers import RASTER_CELL, exact_coverage, margin_separated_instance, raster_coverage
 
 from pinvset import verify
-from pinvset.dataset import Dataset, gen_uniform
+from pinvset.dataset import Dataset, SystemOracle, gen_uniform
 from pinvset.geometry import (
     Box,
     BoxList,
@@ -229,7 +231,7 @@ def test_union_membership_above_the_cap(rng):
         tree.set_label(children[-1], Label.EXCLUDED)
         corner = children[0]
     member = _TreeMembership(tree)
-    (_, _, cells), = member.bitmaps
+    cells = member.cells
     assert cells.shape == (2 ** 11, 2 ** 11) and (cells == 2).any()
     deep = rng.uniform(0.0, 2.0 ** -10, size=(3000, 2))
     faces = np.floor(deep * 2 ** 14) / 2 ** 14
@@ -237,6 +239,19 @@ def test_union_membership_above_the_cap(rng):
     scan = tree.candidate_set()
     want = [scan.contains_point(tuple(p)) for p in pts]
     assert member.contains(pts).tolist() == want
+
+
+def test_union_membership_on_a_face_of_an_excluded_cell():
+    # A point on the face between an included cell and an excluded one
+    # falls in the excluded cell's bitmap entry; the tree's closed test
+    # must answer it.
+    ds = Dataset([(0.5, 0.5)], [(0.5, 0.5)])
+    tree = new_tree(BoxList((Box((0.5, 0.5), 0.5),)), ds)
+    children = tree.divide([tree.roots[0]], ds)
+    tree.set_label(children[-1], Label.EXCLUDED)  # the high corner
+    member = _TreeMembership(tree)
+    pts = np.array([(0.5, 0.75), (0.75, 0.5), (0.75, 0.75), (0.25, 0.75)])
+    assert member.contains(pts).tolist() == [True, True, False, True]
 
 
 def test_start_points_are_uniform_on_the_set(rng):
@@ -287,6 +302,30 @@ def test_monte_carlo_rejects_empty_set(lin_oracle):
     res.tree.set_label(res.tree.roots[0], Label.EXCLUDED)
     with pytest.raises(ValueError):
         monte_carlo_invariance(res.tree, lin_oracle, samples=10, horizon=1)
+
+
+def test_monte_carlo_time_does_not_grow_with_the_root_count():
+    # One bitmap over the rectangle the roots tile: 4,096 unit roots in a
+    # strip cost about what 64 do (one bitmap per root made it 70x).
+    def best_time(roots):
+        domain = rect_to_cubes((0.0, 0.0), (float(roots), 1.0))
+        ds = Dataset([(0.5, 0.5)], [(0.5, 0.5)])
+        tree = new_tree(domain, ds)
+        identity = SystemOracle("identity", lambda pts: pts, 1.0, domain)
+        times = []
+        gc.collect()
+        gc.disable()  # a collection of the suite's heap is not what is timed
+        try:
+            for _ in range(5):
+                start = time.perf_counter()
+                cert = monte_carlo_invariance(tree, identity, samples=10_000, horizon=5)
+                times.append(time.perf_counter() - start)
+                assert cert.passed
+        finally:
+            gc.enable()
+        return min(times)
+
+    assert best_time(4096) < 10.0 * best_time(64)
 
 
 def test_soundness_chain(lin_oracle, nonlin_oracle):
