@@ -11,8 +11,6 @@ and the bounds module quantifies how much data the procedure needs.
 __version__ = "0.1.0"
 
 from .geometry import (  # noqa: E402
-    Box,
-    BoxList,
     CoverageClass,
     DimensionMismatchError,
     classify_coverage,

@@ -31,7 +31,7 @@ from .dataset import (
     save_dataset,
     tabulated_oracle,
 )
-from .geometry import BoxList, rect_to_cubes
+from .geometry import Rect, rect_to_cubes
 from .render import load_overlay, render_tree_svg
 from .results import (
     ResultFormatError,
@@ -56,21 +56,22 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_domain(spec: str) -> BoxList:
-    """Parse 'lo1,lo2:hi1,hi2' into an equal-cube tiling of the rectangle."""
+def _parse_domain(spec: str) -> Rect:
+    """Parse 'lo1,lo2:hi1,hi2' into a rectangle that equal cubes tile."""
     try:
         lo_s, hi_s = spec.split(":")
-        lo = [float(v) for v in lo_s.split(",")]
-        hi = [float(v) for v in hi_s.split(",")]
+        lo = tuple(float(v) for v in lo_s.split(","))
+        hi = tuple(float(v) for v in hi_s.split(","))
     except ValueError:
         raise UsageError(f"bad domain spec {spec!r}; expected 'lo1,lo2:hi1,hi2'") from None
     try:
-        return rect_to_cubes(lo, hi)
+        rect_to_cubes(lo, hi)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    return lo, hi
 
 
-def _resolve_domain(args, dataset_meta: dict | None = None) -> BoxList:
+def _resolve_domain(args, dataset_meta: dict | None = None) -> Rect:
     if getattr(args, "domain", None):
         return _parse_domain(args.domain)
     system = getattr(args, "system", None) or (dataset_meta or {}).get("system")
@@ -82,17 +83,16 @@ def _resolve_domain(args, dataset_meta: dict | None = None) -> BoxList:
 def cmd_gen(args) -> int:
     if args.system:
         oracle = get_system(args.system)
-        domain = _parse_domain(args.domain) if args.domain else oracle.domain
     elif args.map_table:
         if not args.domain:
             raise UsageError("--map-table needs an explicit --domain")
         if args.lipschitz is None:
             raise UsageError("--map-table needs --lipschitz")
-        domain = _parse_domain(args.domain)
-        table = load_dataset(args.map_table)
-        oracle = tabulated_oracle(table, args.lipschitz, domain)
     else:
         raise UsageError("pass --system or --map-table")
+    domain = _resolve_domain(args)
+    if not args.system:
+        oracle = tabulated_oracle(load_dataset(args.map_table), args.lipschitz, domain)
     if args.mode == "uniform":
         if args.m is None:
             raise UsageError("--m is required in uniform mode")
@@ -200,8 +200,8 @@ def cmd_verify(args) -> int:
         # Trusted input: the certificate holds only if this bounds the map.
         "lipschitz": _json_number(result.config.lipschitz),
         # Trusted input too: the rectangle the root cells tile.  Loading
-        # checks that they tile it, but nothing checks the rectangle against
-        # the system's constraint set.
+        # checks that the roots are its ``rect_to_cubes`` cubes, but nothing
+        # checks the rectangle against the system's constraint set.
         "domain": [list(map(_json_number, corner)) for corner in result.tree.root_bounds],
     }
     print(json.dumps(report))
@@ -212,7 +212,8 @@ def cmd_bounds(args) -> int:
     if args.vol is not None:
         vol = args.vol
     elif args.domain:
-        vol = _parse_domain(args.domain).volume()
+        lo, hi = _parse_domain(args.domain)
+        vol = math.prod(b - a for a, b in zip(lo, hi))
     else:
         raise UsageError("pass --vol or --domain")
     epsilon = args.epsilon if args.epsilon is not None else args.tau

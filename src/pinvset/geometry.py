@@ -1,8 +1,9 @@
 """Axis-aligned boxes in the max norm.
 
-A ``Box`` is a closed max-norm ball: a hypercube given by a center and a
-half-width.  General axis-aligned hyperrectangles are carried as
-``(lo, hi)`` corner-tuple pairs.
+Every box is a ``Rect``: an axis-aligned rectangle carried as its
+``(lo, hi)`` corner tuples.  The domain is one such rectangle, and
+``rect_to_cubes`` is the only code that cuts it into the equal cubes that
+become the partition tree's roots.
 
 All sets are closed: boundary contact counts as membership and as
 intersection.  Whether a box is covered by the kept cells is decided by
@@ -19,16 +20,13 @@ contains a cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from itertools import product
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-# Absolute slack of point membership (``Box.contains_point``), of
-# ``PartitionTree.overlapping`` and of Monte Carlo membership.  No coverage
-# decision uses it.
+# Absolute slack of ``PartitionTree.overlapping`` and of Monte Carlo
+# membership.  No coverage decision uses it.
 GEOM_TOL = 1e-12
 
 # Most cubes ``rect_to_cubes`` tiles a domain with; each is a root of the
@@ -49,77 +47,6 @@ class CoverageClass(Enum):
     FULLY_COVERED = "fully-covered"
     DISJOINT = "disjoint"
     PARTIAL = "partial"
-
-
-@dataclass(frozen=True, slots=True)
-class Box:
-    """Closed max-norm ball: ``{y : max_i |center_i - y_i| <= radius}``."""
-
-    center: Vec
-    radius: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-        if not all(map(math.isfinite, self.center)):
-            raise ValueError(f"box center must be finite, got {self.center}")
-        if not self.radius >= 0.0:  # NaN fails too
-            raise ValueError(f"box radius must be nonnegative, got {self.radius}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.center)
-
-    def rect(self) -> Rect:
-        r = self.radius
-        return (
-            tuple(c - r for c in self.center),
-            tuple(c + r for c in self.center),
-        )
-
-    def volume(self) -> float:
-        return (2.0 * self.radius) ** self.dim
-
-    def contains_point(self, y: Sequence[float]) -> bool:
-        if len(y) != self.dim:
-            raise DimensionMismatchError(
-                f"point has dim {len(y)}, box has dim {self.dim}"
-            )
-        r = self.radius + GEOM_TOL
-        return all(abs(c - v) <= r for c, v in zip(self.center, y))
-
-
-@dataclass(frozen=True, slots=True)
-class BoxList:
-    """Ordered union of boxes; may be empty (the empty set)."""
-
-    boxes: tuple[Box, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "boxes", tuple(self.boxes))
-        dims = {b.dim for b in self.boxes}
-        if len(dims) > 1:
-            raise DimensionMismatchError(f"mixed box dimensions {sorted(dims)}")
-
-    def __len__(self) -> int:
-        return len(self.boxes)
-
-    def __iter__(self) -> Iterator[Box]:
-        return iter(self.boxes)
-
-    def __getitem__(self, i: int) -> Box:
-        return self.boxes[i]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.boxes
-
-    def volume(self) -> float:
-        # Assumes pairwise-disjoint interiors, which holds for tree tilings.
-        return math.fsum(b.volume() for b in self.boxes)
-
-    def contains_point(self, y: Sequence[float]) -> bool:
-        return any(b.contains_point(y) for b in self.boxes)
 
 
 class Successor(NamedTuple):
@@ -146,7 +73,8 @@ class Successor(NamedTuple):
 
 
 def successor_rect(x_plus: Vec, lipschitz: float, r: float) -> Successor:
-    """The rectangle of the successor box ``Box(x_plus, lipschitz * r)``.
+    """The rectangle of the successor box: the cube of radius ``lipschitz * r``
+    around ``x_plus``.
 
     With u = 2^-53, p = fl(L·r) is within u·L·r + 2^-1075 of L·r, and
     fl(x ∓ p) within u·|x ∓ p| of x ∓ p; so each corner is within
@@ -164,14 +92,12 @@ def successor_rect(x_plus: Vec, lipschitz: float, r: float) -> Successor:
     )
 
 
-def as_rect(obj: Box | Rect) -> Rect:
-    if isinstance(obj, Box):
-        return obj.rect()
+def as_rect(obj: Rect) -> Rect:
     lo, hi = obj
     return tuple(map(float, lo)), tuple(map(float, hi))
 
 
-def classify_coverage(query: Box | Rect | Successor, tree) -> CoverageClass:
+def classify_coverage(query: Rect | Successor, tree) -> CoverageClass:
     """Three-way classification of a box against the included cells of a
     partition tree, decided exactly in one walk (``PartitionTree.classify``).
 
@@ -182,7 +108,7 @@ def classify_coverage(query: Box | Rect | Successor, tree) -> CoverageClass:
     return tree.classify(query)
 
 
-def uncovered_fragments(query: Box | Rect | Successor, tree) -> list[Rect]:
+def uncovered_fragments(query: Rect | Successor, tree) -> list[Rect]:
     """A fragment of the query that no included cell covers, cut from the
     first gap the tree's walk finds, as a one-item list; empty when the
     query is covered."""
@@ -216,18 +142,19 @@ def balls_contain_cells(radius, lo, hi, sample) -> np.ndarray:
     return held
 
 
-def rect_to_cubes(lo: Sequence[float], hi: Sequence[float]) -> BoxList:
-    """Tile an axis-aligned rectangle with equal cubes, last axis fastest.
+def rect_to_cubes(lo: Sequence[float], hi: Sequence[float]) -> tuple[np.ndarray, float]:
+    """Tile an axis-aligned rectangle with equal cubes: their centers as a
+    ``(k, n)`` array, last axis fastest, and their radius.
 
-    The cubes' side is the rectangle's shortest side.  Their faces, as
-    ``Box.rect`` computes them, must tile the rectangle exactly in floating
-    point: on each axis consecutive cubes share a face, and the outer
-    faces are ``lo`` and ``hi``.  Otherwise a ValueError names the axis and
-    the two faces that differ, since the sliver between them would belong
-    to no root cell.  A cube yields a single box.  A corner that is not
+    The cubes' side is the rectangle's shortest side.  Their faces,
+    ``center ± radius``, must tile the rectangle exactly in floating point:
+    on each axis consecutive cubes share a face, and the outer faces are
+    ``lo`` and ``hi``.  Otherwise a ValueError names the axis and the two
+    faces that differ, since the sliver between them would belong to no
+    root cell.  A cube yields a single center.  A corner that is not
     finite, or a tiling of more than ``MAX_DOMAIN_CUBES`` cubes, is refused
     with a ValueError before any cube is built.  The partition tree takes
-    only roots of this shape, in any order (``tree._check_roots``).
+    no other root set (``new_tree``, ``PartitionTree.from_columns``).
     """
     lo = tuple(float(v) for v in lo)
     hi = tuple(float(v) for v in hi)
@@ -258,4 +185,5 @@ def rect_to_cubes(lo: Sequence[float], hi: Sequence[float]) -> BoxList:
                     f"faces {x!r} and {y!r} differ"
                 )
         axes.append(centers)
-    return BoxList(tuple(Box(center, radius) for center in product(*axes)))
+    grid = np.meshgrid(*axes, indexing="ij")
+    return np.stack(grid, axis=-1).reshape(-1, len(lo)), radius

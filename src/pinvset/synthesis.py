@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .dataset import Dataset
-from .geometry import BoxList, CoverageClass, classify_coverage, successor_rect
+from .geometry import CoverageClass, classify_coverage, successor_rect
 from .tree import Label, PartitionTree
 
 logger = logging.getLogger(__name__)
@@ -86,10 +86,6 @@ class SynthResult:
     config: SynthConfig
 
     @property
-    def pi_set(self) -> BoxList:
-        return self.tree.candidate_set()
-
-    @property
     def volume(self) -> float:
         return self.tree.active_volume()
 
@@ -98,12 +94,7 @@ class SynthResult:
         return self.tree.leaf_counts()
 
 
-def sweep(
-    tree: PartitionTree,
-    dataset: Dataset,
-    config: SynthConfig,
-    sweep_index: int | None = None,
-) -> SweepStats:
+def sweep(tree: PartitionTree, dataset: Dataset, config: SynthConfig) -> SweepStats:
     """One pass over the included leaves present at sweep start.
 
     The pass runs in waves: the leaves present at sweep start, then the
@@ -136,12 +127,12 @@ def sweep(
             label = Label.EXCLUDED if verdict is CoverageClass.DISJOINT else Label.UNKNOWN
             retired.append((i, label))
             if not batch:
-                tree.set_label(i, label, sweep_index)
+                tree.set_label(i, label)
         divisions += len(split)
         wave = tree.divide(split, dataset)
     if batch:
         for i, label in retired:
-            tree.set_label(i, label, sweep_index)
+            tree.set_label(i, label)
     exclusions = sum(label is Label.EXCLUDED for _, label in retired)
     unknowns = len(retired) - exclusions
     changed = bool(divisions or retired)
@@ -165,7 +156,7 @@ def synthesize(tree: PartitionTree, dataset: Dataset, config: SynthConfig) -> Sy
     terminated = Termination.SAFEGUARD
     sweeps = config.max_sweeps
     for z in range(1, config.max_sweeps + 1):
-        stats = sweep(tree, dataset, config, z)
+        stats = sweep(tree, dataset, config)
         if logger.isEnabledFor(logging.INFO):  # the volume costs a scan of the tree
             logger.info(
                 "sweep=%d active=%d divisions=%d exclusions=%d unknowns=%d volume=%.12g",

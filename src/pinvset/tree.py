@@ -14,8 +14,9 @@ split cuts its parent at the parent's center: on each axis the low child
 spans [lo, center] and the high one [center, hi].  So the children tile
 their parent exactly in floating point, whatever the roots; for dyadic
 roots the corners are also ``center ± radius`` of every node.  The roots
-are equal cubes on a full grid whose neighbours share exact faces
-(``_check_roots``), so together they tile one rectangle, ``root_bounds``.
+are the cubes ``rect_to_cubes`` cuts from one rectangle, ``root_bounds``:
+``new_tree`` makes them so, and ``from_columns`` takes no other root set.
+Their faces tile that rectangle exactly.
 
 Subtree counters (total leaves / included leaves) are maintained on every
 division and relabeling, so that a coverage walk (``classify``) settles a
@@ -43,8 +44,6 @@ import numpy as np
 
 from .dataset import Dataset
 from .geometry import (
-    Box,
-    BoxList,
     CoverageClass,
     DimensionMismatchError,
     GEOM_TOL,
@@ -53,6 +52,7 @@ from .geometry import (
     Vec,
     as_rect,
     balls_contain_cells,
+    rect_to_cubes,
 )
 
 
@@ -138,41 +138,6 @@ def _split_corners(
     )
 
 
-def _check_roots(centers: np.ndarray, radii: np.ndarray) -> None:
-    """Refuse root cells that are not the tiling ``rect_to_cubes`` makes:
-    equal cubes whose centers are the full product of their values on each
-    axis, where neighbouring values ``a < b`` share the exact face
-    ``a + r == b - r``.  Then the roots tile ``root_bounds`` exactly.
-    ``centers`` is (k, n) and ``radii`` (k,), in any order; the test sorts,
-    in O(k log k)."""
-    r = radii[0]
-    unequal = np.flatnonzero(radii != r)
-    if len(unequal):
-        raise ValueError(
-            f"root cells are not equal cubes: radii {float(r)!r} and "
-            f"{float(radii[unequal[0]])!r} differ"
-        )
-    axes = [np.unique(column) for column in centers.T]
-    shape = [len(values) for values in axes]
-    full = math.prod(shape) == len(centers)  # first, so that the grid has k rows
-    if full:
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(len(centers), -1)
-        full = (centers[np.lexsort(centers.T[::-1])] == grid).all()
-    if not full:
-        raise ValueError(
-            f"root cells are not a full grid: {len(centers)} centers take "
-            f"{' x '.join(map(str, shape))} values on the axes"
-        )
-    for d, values in enumerate(axes):
-        apart = np.flatnonzero(values[:-1] + r != values[1:] - r)
-        if len(apart):
-            a, b = values[apart[0]:apart[0] + 2].tolist()
-            raise ValueError(
-                f"neighbouring root cells do not share a face: on axis {d}, "
-                f"faces {a + float(r)!r} and {b - float(r)!r} differ"
-            )
-
-
 class PartitionTree:
     """Subdivision tree; nodes are numbered in creation order."""
 
@@ -180,7 +145,6 @@ class PartitionTree:
         self.dim = dim
         self.nodes = Nodes()
         self.roots: list[int] = []
-        self.label_log: list[tuple[int | None, int, int, int]] = []
         self.fanout = 1 << dim
 
     @cached_property
@@ -197,15 +161,32 @@ class PartitionTree:
         ``target_center``, ``target_radius``, ``radius``, ``sample_index``,
         ``sample_x``, ``sample_xp`` and ``label``.  The first children, the
         cell corners and the counters are derived; see ``_first_children``
-        for the layout the parent column must have."""
+        for the layout the parent column must have.  The roots must be the
+        cubes ``rect_to_cubes`` cuts from the rectangle they span, in any
+        order, as ``new_tree`` makes them."""
         tree = cls(dim)
         parent = columns["parent"]
         first_child = _first_children(parent, tree.fanout)
-        tree.roots = [i for i, p in enumerate(parent) if p == -1]
+        tree.roots = roots = [i for i, p in enumerate(parent) if p == -1]
         centers = np.array(columns["target_center"], dtype=float).reshape(-1, dim)
         radii = np.array(columns["target_radius"], dtype=float)[:, None]
-        _check_roots(centers[tree.roots], radii[tree.roots, 0])
         lo, hi = centers - radii, centers + radii
+        bounds = lo[roots].min(axis=0), hi[roots].max(axis=0)
+        try:
+            want, radius = rect_to_cubes(*bounds)
+        except ValueError as exc:
+            raise ValueError(f"the root cells do not tile a rectangle: {exc}") from None
+        got = centers[roots]
+        if not (
+            len(got) == len(want)
+            and (radii[roots] == radius).all()
+            and (got[np.lexsort(got.T[::-1])] == want).all()
+        ):
+            raise ValueError(
+                f"the root cells are not the cubes that tile "
+                f"{tuple(bounds[0].tolist())}..{tuple(bounds[1].tolist())}: "
+                f"rect_to_cubes makes {len(want)} of radius {radius!r}"
+            )
         # The splits' corners, level by level down from the roots.
         first = np.array(first_child, dtype=np.int64)
         level = np.array(tree.roots, dtype=np.int64)
@@ -313,7 +294,7 @@ class PartitionTree:
                 i = parent[i]
         return children
 
-    def set_label(self, node_id: int, label: Label | int, sweep: int | None = None) -> None:
+    def set_label(self, node_id: int, label: Label | int) -> None:
         """Relabel a leaf.  Only INCLUDED -> {EXCLUDED, UNKNOWN} mutates;
         re-confirming the current label is a no-op; anything else is a
         re-activation attempt and is rejected."""
@@ -329,7 +310,6 @@ class PartitionTree:
                 f"leaf {node_id} is {old.name} and cannot become {label.name}"
             )
         nodes.label[node_id] = label
-        self.label_log.append((sweep, node_id, int(old), int(label)))
         n_active, parent = nodes.n_active, nodes.parent
         i = node_id
         while i >= 0:
@@ -378,14 +358,6 @@ class PartitionTree:
     def n_included(self) -> int:
         """The number of included leaves, from the roots' counters."""
         return sum(self.nodes.n_active[i] for i in self.roots)
-
-    def candidate_set(self) -> BoxList:
-        """Union of target boxes of included leaves (disjoint interiors)."""
-        nodes = self.nodes
-        return BoxList(tuple(
-            Box(nodes.target_center[i], nodes.target_radius[i])
-            for i in self.active_leaves()
-        ))
 
     def active_volume(self) -> float:
         # One scan of the node table: fsum is exactly rounded, so the
@@ -567,7 +539,7 @@ class PartitionTree:
 
     @cached_property
     def root_bounds(self) -> Rect:
-        """The rectangle the root cells tile (see ``_check_roots``)."""
+        """The rectangle the root cells tile (see ``from_columns``)."""
         los, his = self.nodes.lo, self.nodes.hi
         return (
             tuple(map(min, zip(*[los[i] for i in self.roots]))),
@@ -635,28 +607,21 @@ class PartitionTree:
         return out
 
 
-def new_tree(domain: BoxList | Sequence[Box], dataset: Dataset) -> PartitionTree:
-    """Fresh tree: one INCLUDED root per domain box.  The boxes must tile
-    a rectangle as ``rect_to_cubes`` makes them (``_check_roots``), so the
-    leaf cells tile it at every moment."""
-    boxes = tuple(domain)
-    if not boxes:
-        raise ValueError("domain must contain at least one box")
-    if len(dataset) < 1:
-        raise ValueError("dataset must be nonempty")
-    dim = boxes[0].dim
+def new_tree(domain: Rect, dataset: Dataset) -> PartitionTree:
+    """Fresh tree over the rectangle ``domain = (lo, hi)``: one INCLUDED root
+    per cube of ``rect_to_cubes(lo, hi)``, so the leaf cells tile the
+    rectangle at every moment."""
+    centers, radius = rect_to_cubes(*domain)
+    dim = centers.shape[1]
     if dataset.dim != dim:
         raise ValueError(f"dataset dim {dataset.dim} does not match domain dim {dim}")
-    centers = np.array([box.center for box in boxes])
-    radii = np.array([box.radius for box in boxes])
-    _check_roots(centers, radii)
     tree = PartitionTree(dim)
     tree.roots = tree._grow(
-        [-1] * len(boxes),
+        [-1] * len(centers),
         centers,
-        radii,
-        centers - radii[:, None],
-        centers + radii[:, None],
+        np.full(len(centers), radius),
+        centers - radius,
+        centers + radius,
         dataset,
     )
     return tree

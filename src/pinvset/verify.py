@@ -9,7 +9,11 @@ the sample-ball check ``r >= r_target + dist`` is exact
 partition tree (``PartitionTree.classify``), which compares corners and
 falls back to fractions near a face.  The certificate first checks that
 every split makes its parent's dyadic halves and re-derives the subtree
-counters from the leaf labels, and only then lets the tree answer.
+counters from the leaf labels, and only then lets the tree answer.  The
+roots need no check here: a tree has only the roots ``rect_to_cubes``
+cuts from the rectangle they span (``new_tree`` makes no others, and
+``PartitionTree.from_columns`` refuses others when a result is loaded),
+so they tile ``root_bounds`` exactly.
 
 ``monte_carlo_invariance`` is a falsifier that rolls true trajectories
 forward; only the exact check constitutes the deterministic guarantee.

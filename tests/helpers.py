@@ -1,6 +1,7 @@
-"""Shared test utilities: lattice-snapped coverage instances, the
-all-fraction coverage reference and the raster sampling oracle, a
-contraction grid in fractions, the linear-scan and KD-tree
+"""Shared test utilities: cubes as rectangles, a tree's kept cells and a
+tree of given roots, lattice-snapped coverage instances, the all-fraction
+coverage reference and the raster sampling oracle, a contraction grid in
+fractions, the linear-scan and KD-tree
 nearest-neighbour references, and plain references for the dataset CSV
 writer and reader.
 
@@ -23,26 +24,72 @@ import numpy as np
 import orjson
 
 from pinvset.dataset import EmptyDatasetError, MalformedRowError, NonFiniteSampleError
-from pinvset.geometry import Box, BoxList, CoverageClass, DimensionMismatchError, GEOM_TOL
+from pinvset.geometry import CoverageClass, DimensionMismatchError, GEOM_TOL, Rect
+from pinvset.tree import Label, PartitionTree
 
 LATTICE_PITCH = 0.25
 RASTER_CELL = LATTICE_PITCH / 8.0
 
 
-def _lattice_cube(rng: np.random.Generator, n: int, min_cells: int, max_cells: int, span: int) -> Box:
+def cube(center, radius) -> Rect:
+    """The closed max-norm ball ``center ± radius`` as a rectangle."""
+    return tuple(c - radius for c in center), tuple(c + radius for c in center)
+
+
+def kept_cells(tree) -> list[Rect]:
+    """The cells of the tree's included leaves, in leaf order, read from
+    the node table: the union the tree's coverage walk answers for."""
+    nodes = tree.nodes
+    return [
+        (nodes.lo[i], nodes.hi[i])
+        for i in tree.iter_leaves()
+        if nodes.label[i] is Label.INCLUDED
+    ]
+
+
+def roots_tree(cubes) -> PartitionTree:
+    """A tree of unsplit included roots, the given ``(center, radius)``
+    cubes, read through ``PartitionTree.from_columns`` as a result file is;
+    each root's sample sits at its center."""
+    centers = [tuple(map(float, c)) for c, _ in cubes]
+    radii = [float(r) for _, r in cubes]
+    k = len(centers)
+    return PartitionTree.from_columns(
+        len(centers[0]),
+        parent=[-1] * k,
+        target_center=list(centers),
+        target_radius=radii,
+        radius=list(radii),
+        sample_index=list(range(k)),
+        sample_x=list(centers),
+        sample_xp=list(centers),
+        label=[Label.INCLUDED] * k,
+    )
+
+
+def in_cells(cells: list[Rect], point) -> bool:
+    """Whether a point lies in one of the closed cells widened by GEOM_TOL,
+    compared as ``PartitionTree.overlapping`` compares a point probe."""
+    return any(
+        all(l <= v + GEOM_TOL and v <= h + GEOM_TOL for l, h, v in zip(lo, hi, point))
+        for lo, hi in cells
+    )
+
+
+def _lattice_cube(rng: np.random.Generator, n: int, min_cells: int, max_cells: int, span: int) -> Rect:
     w = int(rng.integers(min_cells, max_cells + 1))
     lo = [int(rng.integers(-span, span - w + 1)) for _ in range(n)]
     center = tuple((l + w / 2.0) * LATTICE_PITCH for l in lo)
-    return Box(center, w * LATTICE_PITCH / 2.0)
+    return cube(center, w * LATTICE_PITCH / 2.0)
 
 
-def _touches_without_overlap(query: Box, cover: Box) -> bool:
-    (qlo, qhi), (clo, chi) = query.rect(), cover.rect()
+def _touches_without_overlap(query: Rect, cover: Rect) -> bool:
+    (qlo, qhi), (clo, chi) = query, cover
     overlaps = [min(qh, ch) - max(ql, cl) for ql, qh, cl, ch in zip(qlo, qhi, clo, chi)]
     return min(overlaps) == 0.0
 
 
-def margin_separated_instance(rng: np.random.Generator, n: int) -> tuple[Box, BoxList]:
+def margin_separated_instance(rng: np.random.Generator, n: int) -> tuple[Rect, list[Rect]]:
     """A query cube and a cover union whose boundaries never just touch."""
     query = _lattice_cube(rng, n, 2, 4, span=4)
     covers = []
@@ -52,19 +99,19 @@ def margin_separated_instance(rng: np.random.Generator, n: int) -> tuple[Box, Bo
             if not _touches_without_overlap(query, cover):
                 covers.append(cover)
                 break
-    return query, BoxList(tuple(covers))
+    return query, covers
 
 
 def _fraction_rect(obj) -> tuple[list[Fraction], list[Fraction]]:
-    lo, hi = obj.rect() if isinstance(obj, Box) else obj
+    lo, hi = obj
     return [Fraction(c) for c in lo], [Fraction(c) for c in hi]
 
 
 def exact_coverage(query, union) -> CoverageClass:
     """The verdict of a closed query against a union of closed boxes, in
     fractions; the partition tree is tested against it.  The query and
-    each member of the union are a ``Box`` or a ``(lo, hi)`` corner pair,
-    whose corners (floats or fractions) are taken as exact.  The query is
+    each member of the union are a ``(lo, hi)`` corner pair, whose corners
+    (floats or fractions) are taken as exact.  The query is
     cut at every face inside it, and each piece is covered when one box
     holds it.  As in the tree, a query without interior is never covered."""
     qlo, qhi = _fraction_rect(query)
@@ -95,7 +142,7 @@ class RasterReport:
     verdict: CoverageClass
 
 
-def raster_coverage(query: Box, union: BoxList, cell: float) -> RasterReport:
+def raster_coverage(query: Rect, union: list[Rect], cell: float) -> RasterReport:
     """Sampling oracle: covered fraction of a point grid over the query box.
 
     The grid uses at most ``cell`` pitch per axis (cell centers), so a
@@ -103,12 +150,13 @@ def raster_coverage(query: Box, union: BoxList, cell: float) -> RasterReport:
     verdicts within one cell of a boundary are advisory only, the exact
     classifier is authoritative.
     """
-    if cell <= 0.0 or cell > query.radius:
+    lo, hi = query
+    half = min(h - l for l, h in zip(lo, hi)) / 2.0
+    if cell <= 0.0 or cell > half:
         raise ValueError(
-            f"raster cell must lie in (0, query radius]; got {cell} "
-            f"for radius {query.radius}"
+            f"raster cell must lie in (0, query half-width]; got {cell} "
+            f"for half-width {half}"
         )
-    lo, hi = query.rect()
     axes = []
     for l, h in zip(lo, hi):
         k = max(1, int(math.ceil((h - l) / cell - 1e-12)))
@@ -117,10 +165,9 @@ def raster_coverage(query: Box, union: BoxList, cell: float) -> RasterReport:
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     covered = np.zeros(len(pts), dtype=bool)
-    for b in union:
-        blo, bhi = b.rect()
+    for blo, bhi in union:
         inside = np.ones(len(pts), dtype=bool)
-        for d in range(query.dim):
+        for d in range(len(lo)):
             inside &= (pts[:, d] >= blo[d] - GEOM_TOL) & (pts[:, d] <= bhi[d] + GEOM_TOL)
         covered |= inside
     hits = int(covered.sum())

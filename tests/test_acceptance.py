@@ -116,7 +116,7 @@ def test_criterion_2_nonlinear_deterministic_reproduction(nonlin_grid_run):
 
 def test_criterion_3_nonlinear_uniform_statistics(nonlin_uniform_runs):
     runs, _ = nonlin_uniform_runs
-    empty_low = sum(1 for r in runs[2000] if r.pi_set.is_empty)
+    empty_low = sum(1 for r in runs[2000] if not r.tree.n_included())
     vols_high = [r.volume for r in runs[10000]]
     nonempty_high = sum(1 for v in vols_high if v > 0)
     ok = (
@@ -159,7 +159,7 @@ def test_criterion_5_certificate_soundness(
         assert result.terminated_by is Termination.FIXPOINT
         assert check_fixpoint(result).passed
         checked += 1
-        if not result.pi_set.is_empty:
+        if result.tree.n_included():
             mc = monte_carlo_invariance(
                 result.tree, oracle, MC_SAMPLES, MC_HORIZON, seed=checked
             )

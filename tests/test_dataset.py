@@ -24,7 +24,7 @@ from pinvset.dataset import (
     save_dataset,
     tabulated_oracle,
 )
-from pinvset.geometry import Box, BoxList, DimensionMismatchError
+from pinvset.geometry import DimensionMismatchError, rect_to_cubes
 
 
 def make_dataset(points):
@@ -311,7 +311,7 @@ def test_dataset_rejects_non_finite(bad):
 
 
 def test_gen_uniform_rejects_non_finite_map():
-    domain = BoxList((Box((0.0, 0.0), 1.0),))
+    domain = ((-1.0, -1.0), (1.0, 1.0))
     oracle = SystemOracle("blowup", lambda pts: np.full_like(pts, np.inf), 1.0, domain)
     with pytest.raises(NonFiniteSampleError):
         gen_uniform(oracle, 10, seed=0)
@@ -324,7 +324,8 @@ def test_gen_uniform_in_domain_and_deterministic(lin_oracle):
     a = gen_uniform(lin_oracle, 100, seed=1)
     b = gen_uniform(lin_oracle, 100, seed=1)
     assert (a.x == b.x).all() and (a.x_plus == b.x_plus).all()
-    assert all(lin_oracle.domain.contains_point(x) for x in a.x.tolist())
+    lo, hi = lin_oracle.domain
+    assert ((a.x >= lo) & (a.x <= hi)).all()
     c = gen_uniform(lin_oracle, 100, seed=2)
     assert (c.x != a.x).any()
 
@@ -339,10 +340,9 @@ def test_gen_uniform_byte_identical(lin_oracle, tmp_path):
 def test_gen_uniform_successors_can_exit_domain(nonlin_oracle):
     assert nonlin_oracle((1.0, 1.0)) == pytest.approx((-0.2, 1.9))
     ds = gen_uniform(nonlin_oracle, 10000, seed=0)
-    outside = [
-        xp for xp in ds.x_plus.tolist() if not nonlin_oracle.domain.contains_point(xp)
-    ]
-    assert outside  # the map pushes some states out of the square
+    lo, hi = nonlin_oracle.domain
+    inside = ((ds.x_plus >= lo) & (ds.x_plus <= hi)).all(axis=1)
+    assert not inside.all()  # the map pushes some states out of the square
 
 
 def test_gen_uniform_rejects_zero(lin_oracle):
@@ -351,7 +351,7 @@ def test_gen_uniform_rejects_zero(lin_oracle):
 
 
 def test_dyadic_grid_level_counts(lin_oracle):
-    domain = BoxList((Box((0.375, -0.375), 0.625),))
+    domain = ((-0.25, -1.0), (1.0, 0.25))  # one cube (0.375, -0.375) ± 0.625
     assert len(dyadic_grid_points(domain, 0.3125)) == 1 + 4
     assert len(dyadic_grid_points(domain, 1.0)) == 1
     # levels with target radius >= tau: 0.625/2^l >= 0.01 holds through l=5,
@@ -366,10 +366,10 @@ def test_dyadic_grid_matches_tree_centers(lin_oracle):
     domain = lin_oracle.domain
     pts = dyadic_grid_points(domain, 0.15625)
     assert len(pts) == 1 + 4 + 16
-    root = domain[0]
-    lo, _ = root.rect()
+    (center,), root_radius = rect_to_cubes(*domain)
+    lo = center - root_radius
     for level, count in ((0, 1), (1, 4), (2, 16)):
-        radius = root.radius / 2 ** level
+        radius = root_radius / 2 ** level
         expected = {
             (lo[0] + (2 * i + 1) * radius, lo[1] + (2 * j + 1) * radius)
             for i in range(2 ** level)
@@ -379,15 +379,16 @@ def test_dyadic_grid_matches_tree_centers(lin_oracle):
 
 
 def _odometer_grid(domain, tau):
-    """Reference enumeration: per box and level, an odometer over the
+    """Reference enumeration: per root cube and level, an odometer over the
     per-axis centers with the last coordinate turning fastest."""
     points = []
-    for box in domain:
-        n = box.dim
-        lo, _ = box.rect()
+    centers, root_radius = rect_to_cubes(*domain)
+    for center in centers.tolist():
+        n = len(center)
+        lo = [c - root_radius for c in center]
         level = 0
-        while level == 0 or box.radius / 2 ** level >= tau:
-            radius = box.radius / 2 ** level
+        while level == 0 or root_radius / 2 ** level >= tau:
+            radius = root_radius / 2 ** level
             per_dim = [[lo[d] + (2 * i + 1) * radius for i in range(2 ** level)]
                        for d in range(n)]
             idx = [0] * n
@@ -406,18 +407,19 @@ def _odometer_grid(domain, tau):
     return points
 
 
+# Each domain rectangle is cut into its boxes by rect_to_cubes.
 @pytest.mark.parametrize("boxes,tau", [
-    ([((0.375, -0.375), 0.625)], 0.01),
-    ([((0.1,), 0.3), ((0.7,), 0.3)], 0.004),
-    ([((-0.25, 0.75), 0.5), ((0.75, 0.75), 0.5)], 0.03),
-    ([((0.1, -0.2, 0.3), 0.7)], 0.05),
-    ([((0.0, 0.0, 0.0), 0.5), ((1.0, 0.0, 0.0), 0.5)], 0.1),
+    (((-0.25, -1.0), (1.0, 0.25)), 0.01),
+    (((-0.2,), (1.0,)), 0.004),
+    (((-0.75, 0.25), (1.25, 1.25)), 0.03),
+    (((-0.625, -0.875, -0.375), (0.75, 0.5, 1.0)), 0.05),
+    (((-0.5, -0.5, -0.5), (1.5, 0.5, 0.5)), 0.1),
+    (((0.0, 0.0), (3.0, 1.0)), 0.1),
 ])
 def test_dyadic_grid_points_match_odometer_bitwise(boxes, tau):
-    domain = BoxList(tuple(Box(c, r) for c, r in boxes))
-    pts = dyadic_grid_points(domain, tau)
-    want = np.array(_odometer_grid(domain, tau))
-    assert pts.shape == want.shape == (len(want), domain[0].dim)
+    pts = dyadic_grid_points(boxes, tau)
+    want = np.array(_odometer_grid(boxes, tau))
+    assert pts.shape == want.shape == (len(want), len(boxes[0]))
     assert (pts.view(np.int64) == want.view(np.int64)).all()
 
 
@@ -591,7 +593,7 @@ def test_empty_dataset_rejected():
 
 def test_builtin_lipschitz_bounds_hold(lin_oracle, nonlin_oracle, rng):
     for oracle, samples in ((lin_oracle, 10 ** 5), (nonlin_oracle, 10 ** 5)):
-        lo, hi = oracle.domain[0].rect()
+        lo, hi = oracle.domain
         p = rng.uniform(lo, hi, size=(samples, 2))
         q = rng.uniform(lo, hi, size=(samples, 2))
         num = np.abs(oracle.map_points(p) - oracle.map_points(q)).max(axis=1)
@@ -614,7 +616,7 @@ def test_get_system_unknown():
 
 def test_tabulated_oracle():
     table = Dataset([(0.0, 0.0), (1.0, 0.0)], [(0.1, 0.1), (0.2, 0.0)])
-    oracle = tabulated_oracle(table, 1.0, BoxList((Box((0.5, 0.0), 0.5),)))
+    oracle = tabulated_oracle(table, 1.0, ((0.0, -0.5), (1.0, 0.5)))
     assert oracle((0.0, 0.0)) == (0.1, 0.1)
     with pytest.raises(Exception):
         oracle((0.5, 0.5))

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import chebyshev
+from helpers import chebyshev, cube, kept_cells, roots_tree
 
 from pinvset.dataset import Dataset
 from pinvset.geometry import (
-    Box,
-    BoxList,
     CoverageClass,
     DimensionMismatchError,
     balls_contain_cells,
@@ -22,21 +20,9 @@ from pinvset.geometry import (
 from pinvset.tree import Label, new_tree
 
 
-def tree_of(*roots):
-    """A tree whose roots are the given boxes, all included."""
-    return new_tree(BoxList(roots), Dataset([(0.0, 0.0)], [(0.0, 0.0)]))
-
-
-def test_contains_point_boundary_and_outside():
-    b = Box((0.0, 0.0), 0.5)
-    assert b.contains_point((0.5, -0.5))
-    assert not b.contains_point((0.6, 0.0))
-    assert Box((1.0, 1.0), 0.0).contains_point((1.0, 1.0))
-
-
-def test_contains_point_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        Box((0.0, 0.0), 1.0).contains_point((0.0, 0.0, 0.0))
+def tree_of(domain):
+    """A tree over the rectangle, one included root per cube."""
+    return new_tree(domain, Dataset([(0.0, 0.0)], [(0.0, 0.0)]))
 
 
 @pytest.mark.parametrize("center,radius", [
@@ -48,51 +34,54 @@ def test_contains_point_dimension_mismatch():
     pytest.param((-float("inf"), 0.0), 0.1, id="center--inf"),
 ])
 def test_box_rejects_negative_or_nan_radius(center, radius):
+    # The cube center ± radius is no domain, so it becomes no root.
     with pytest.raises(ValueError):
-        Box(center, radius)
+        rect_to_cubes(*cube(center, radius))
+    with pytest.raises(ValueError):
+        tree_of(cube(center, radius))
 
 
 def test_box_volume():
-    assert Box((0.375, -0.375), 0.625).volume() == 1.5625
-    assert Box((1.0, 2.0, 3.0), 0.0).volume() == 0.0
-    assert Box((0.0, 0.0), 0.01).volume() == pytest.approx(0.0004)
+    # The volume of a one-cube domain, as the tree sums it.
+    assert tree_of(cube((0.375, -0.375), 0.625)).active_volume() == 1.5625
+    assert tree_of(cube((0.0, 0.0), 0.01)).active_volume() == pytest.approx(0.0004)
 
 
 def test_classify_coverage_examples():
-    tree = tree_of(Box((0.0, 0.0), 0.5))
-    assert classify_coverage(Box((0.0, 0.0), 0.1), tree) is CoverageClass.FULLY_COVERED
-    assert classify_coverage(Box((10.0, 10.0), 0.1), tree) is CoverageClass.DISJOINT
-    assert classify_coverage(Box((0.5, 0.0), 0.2), tree) is CoverageClass.PARTIAL
+    tree = tree_of(cube((0.0, 0.0), 0.5))
+    assert classify_coverage(cube((0.0, 0.0), 0.1), tree) is CoverageClass.FULLY_COVERED
+    assert classify_coverage(cube((10.0, 10.0), 0.1), tree) is CoverageClass.DISJOINT
+    assert classify_coverage(cube((0.5, 0.0), 0.2), tree) is CoverageClass.PARTIAL
 
 
 def test_classify_coverage_exact_tiling():
-    tiles = [Box((sx * 0.25, sy * 0.25), 0.25) for sx in (-1, 1) for sy in (-1, 1)]
-    query = Box((0.0, 0.0), 0.5)
-    tree = tree_of(*tiles)
+    # The query's four quarters: the children of its one root cube.
+    query = cube((0.0, 0.0), 0.5)
+    tree = tree_of(query)
+    tiles = tree.divide(tree.roots, Dataset([(0.0, 0.0)], [(0.0, 0.0)]))
     assert classify_coverage(query, tree) is CoverageClass.FULLY_COVERED
-    # one tile missing: as a retired root; with no root at all, the roots
-    # are not a full grid and no tree is built
-    tree.set_label(tree.roots[3], Label.EXCLUDED)
+    # one tile missing: as a retired leaf; three tiles alone are not the
+    # cubes of the rectangle they span, so no tree has them as its roots
+    tree.set_label(tiles[3], Label.EXCLUDED)
     assert classify_coverage(query, tree) is CoverageClass.PARTIAL
-    with pytest.raises(ValueError, match="not a full grid"):
-        tree_of(*tiles[:3])
+    with pytest.raises(ValueError, match="are not the cubes that tile"):
+        roots_tree([(tree.nodes.target_center[i], 0.25) for i in tiles[:3]])
 
 
 def test_classify_touching_cover_is_not_disjoint():
     # face contact has zero volume but still defeats a DISJOINT verdict
-    tree = tree_of(Box((1.0, 0.0), 0.5))
-    assert classify_coverage(Box((0.0, 0.0), 0.5), tree) is CoverageClass.PARTIAL
+    tree = tree_of(cube((1.0, 0.0), 0.5))
+    assert classify_coverage(cube((0.0, 0.0), 0.5), tree) is CoverageClass.PARTIAL
 
 
 def test_uncovered_fragments_reports_leftover():
-    tree = tree_of(Box((0.0, 0.0), 0.5))
-    (fragment,) = uncovered_fragments(Box((0.5, 0.0), 0.2), tree)
+    tree = tree_of(cube((0.0, 0.0), 0.5))
+    (fragment,) = uncovered_fragments(cube((0.5, 0.0), 0.2), tree)
     assert fragment == ((0.5, -0.2), (0.7, 0.2))
     # it meets no kept cell's interior
-    for cell in tree.candidate_set():
-        lo, hi = cell.rect()
+    for lo, hi in kept_cells(tree):
         assert any(min(h, fh) <= max(l, fl) for l, h, fl, fh in zip(lo, hi, *fragment))
-    assert uncovered_fragments(Box((0.0, 0.0), 0.2), tree) == []
+    assert uncovered_fragments(cube((0.0, 0.0), 0.2), tree) == []
 
 
 def test_successor_box_values():
@@ -129,14 +118,18 @@ def test_chebyshev():
 
 
 def test_rect_to_cubes():
-    single = rect_to_cubes((-0.25, -1.0), (1.0, 0.25))
-    assert len(single) == 1
-    assert single[0].center == (0.375, -0.375)
-    assert single[0].radius == 0.625
+    centers, radius = rect_to_cubes((-0.25, -1.0), (1.0, 0.25))
+    assert centers.tolist() == [[0.375, -0.375]]
+    assert radius == 0.625
 
-    two = rect_to_cubes((0.0, 0.0), (2.0, 1.0))
-    assert len(two) == 2
-    assert {b.center for b in two} == {(0.5, 0.5), (1.5, 0.5)}
+    centers, radius = rect_to_cubes((0.0, 0.0), (2.0, 1.0))
+    assert centers.tolist() == [[0.5, 0.5], [1.5, 0.5]]
+    assert radius == 0.5
+    # last axis fastest
+    centers, _ = rect_to_cubes((0.0, 0.0, 0.0), (2.0, 1.0, 2.0))
+    assert centers.tolist() == [
+        [0.5, 0.5, 0.5], [0.5, 0.5, 1.5], [1.5, 0.5, 0.5], [1.5, 0.5, 1.5]
+    ]
 
     with pytest.raises(ValueError, match="on axis 0, faces 2.0 and 1.5 differ"):
         rect_to_cubes((0.0, 0.0), (1.5, 1.0))

@@ -12,7 +12,6 @@ import pytest
 
 from pinvset.cli import main
 from pinvset.dataset import Dataset, gen_uniform, load_dataset, save_dataset
-from pinvset.geometry import Box, BoxList
 from pinvset.render import load_overlay, render_tree_svg
 from pinvset.results import (
     ResultFormatError,
@@ -420,9 +419,56 @@ def test_cli_verify_reports_trusted_domain(tmp_path, capsys, caplog):
     path.write_text(json.dumps(doc))
     assert main(["-q", "verify", str(path)]) == 3
     err = capsys.readouterr().err
-    assert "root cells are not equal cubes: radii 0.625 and 0.5 differ" in err
+    assert (
+        "the root cells do not tile a rectangle: domain is not tileable by equal "
+        "cubes: on axis 1, faces 49.75 and 50.5 differ" in err
+    )
     assert main(["report", "--dir", str(tmp_path / "extra")]) == 3
-    assert "not equal cubes" in caplog.text
+    assert "do not tile a rectangle" in caplog.text
+
+
+def _roots_document(doc: dict, centers: list, radius: float) -> dict:
+    """``doc`` with its tree replaced by unsplit included roots, the cubes
+    ``center ± radius`` in [-0.5, 0.5]^2.  Their samples sit at the origin
+    and map to it, and each sample's ball of radius 0.5 holds its cell.  The
+    sections that restate the tree restate these roots."""
+    k = len(centers)
+    doc["tree"] = {
+        "dim": 2, "parent": [-1] * k, "target_center": centers,
+        "target_radius": [radius] * k, "radius": [0.5] * k,
+        "sample_index": [0] * k, "sample_x": [[0.0, 0.0]] * k,
+        "sample_xp": [[0.0, 0.0]] * k, "label": [1] * k,
+    }
+    doc["domain"] = doc["pi_set"] = {"centers": centers, "radii": [radius] * k}
+    doc["volume"] = math.fsum([(2.0 * radius) ** 2] * k)
+    doc["leaf_counts"] = {"included": k, "excluded": 0, "unknown": 0}
+    return doc
+
+
+@pytest.mark.parametrize("centers,radius,reason", [
+    # The one root cube of the square [-0.5, 0.5]^2 certifies: the origin
+    # maps to itself.
+    pytest.param([[0.0, 0.0]], 0.5, None, id="one-cube"),
+    # A 2 x 2 grid of its quarters is no root set synth writes.
+    pytest.param(
+        [[x, y] for x in (-0.25, 0.25) for y in (-0.25, 0.25)], 0.25,
+        "the root cells are not the cubes that tile (-0.5, -0.5)..(0.5, 0.5): "
+        "rect_to_cubes makes 1 of radius 0.5", id="quarters",
+    ),
+    pytest.param([[0.0, 0.0]], 0.0, "the root cells do not tile a rectangle: degenerate",
+                 id="zero-radius"),
+])
+def test_cli_verify_takes_only_the_roots_synth_writes(tmp_path, capsys, centers, radius, reason):
+    path = tmp_path / "roots.json"
+    doc = _roots_document(_synth_linear_result(tmp_path), centers, radius)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["-q", "verify", str(path)])
+    if reason is None:
+        assert code == 0 and json.loads(capsys.readouterr().out)["passed"] is True
+    else:
+        assert code == 3
+        assert reason in capsys.readouterr().err
 
 
 def test_cli_rejects_domain_whose_cubes_miss_by_an_ulp(tmp_path, capsys):
@@ -435,15 +481,16 @@ def test_cli_rejects_domain_whose_cubes_miss_by_an_ulp(tmp_path, capsys):
     assert not (tmp_path / "d.csv").exists()
 
 
-@pytest.mark.parametrize("module", ["scipy", "orjson"])
+@pytest.mark.parametrize("module", ["scipy", "orjson", "pinvset.nnindex"])
 def test_import_cli_does_not_load(module):
-    # Importing the CLI loads neither; only C-sets (PolytopeCSet) import scipy.
-    # orjson is imported by the two writers only.
+    # Importing the CLI loads none of these; only C-sets (PolytopeCSet) import
+    # scipy, orjson is imported by the two writers only, and the NN index by
+    # the first nearest-neighbour query.
     import pinvset
 
     code = (
         f"import sys, pinvset.cli; "
-        f"print(any(m.split('.')[0] == {module!r} for m in sys.modules))"
+        f"print(any(m == {module!r} or m.startswith({module + '.'!r}) for m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(pinvset.__file__).parent.parent))
     out = subprocess.run(
@@ -547,6 +594,13 @@ _PINNED_RESULTS = {
         ["--lipschitz", "5.728", "--tau", "0.01", "--mode", "batch"],
         "4ce2a7f9a5d71d54e5541162a7f93d090075cd5d618e1211adc642755ce90d1b",
     ),
+    # Two root cubes tile a --domain of 2 x 1; grid data does not depend on
+    # the uniform stream.  Pinned before the domain became one rectangle.
+    "linear2d-two-roots": (
+        ["--system", "linear2d", "--mode", "grid", "--tau", "0.01", "--domain=-1,-0.5:1,0.5"],
+        ["--domain=-1,-0.5:1,0.5", "--lipschitz", "0.8225", "--tau", "0.01"],
+        "6c279ab9ae9f0aa0e33263e854cd3d01556614259bc872cda960b71acafee64c",
+    ),
 }
 
 
@@ -620,10 +674,9 @@ def test_cli_rerun_reproduces_result(tmp_path, capsys):
 def test_cli_gen_from_map_table(tmp_path):
     # tabulate the collapse-to-origin map on the grid centers of [-1,1]^2
     from pinvset.dataset import dyadic_grid_points
-    from pinvset.geometry import Box, BoxList
 
     table = tmp_path / "table.csv"
-    domain = BoxList((Box((0.0, 0.0), 1.0),))
+    domain = ((-1.0, -1.0), (1.0, 1.0))
     rows = [
         ",".join(map(repr, (*x, 0.0, 0.0)))
         for x in dyadic_grid_points(domain, 0.25).tolist()
@@ -730,7 +783,7 @@ def test_cli_verify_one_root_of_high_dim_stays_small(tmp_path, capsys):
     n = 18
     origin = (0.0,) * n
     ds = Dataset([origin], [origin])
-    tree = new_tree(BoxList((Box(origin, 1.0),)), ds)
+    tree = new_tree(((-1.0,) * n, (1.0,) * n), ds)
     result = SynthResult(tree, 1, Termination.FIXPOINT, SynthConfig(lipschitz=0.5, tau=0.5))
     path = tmp_path / "r.json"
     save_result(path, result, RunManifest(command="test"))

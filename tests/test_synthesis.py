@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from helpers import cube, kept_cells
+
 from pinvset.dataset import Dataset, SystemOracle, gen_uniform
-from pinvset.geometry import Box, BoxList, CoverageClass, classify_coverage
+from pinvset.geometry import CoverageClass, classify_coverage
 from pinvset.synthesis import (
     ConfigError,
     SynthConfig,
@@ -18,13 +22,12 @@ from pinvset.verify import check_fixpoint
 
 def collapse_oracle():
     """Everything maps to the origin; stays invariant for any tiny ball."""
-    domain = BoxList((Box((0.0, 0.0), 0.5),))
-    return SystemOracle("collapse", np.zeros_like, 1e-9, domain)
+    return SystemOracle("collapse", np.zeros_like, 1e-9, cube((0.0, 0.0), 0.5))
 
 
 def escape_oracle():
     """Everything maps far outside the domain."""
-    domain = BoxList((Box((0.0, 0.0), 0.5),))
+    domain = cube((0.0, 0.0), 0.5)
     return SystemOracle("escape", lambda pts: np.full_like(pts, 50.0), 1e-9, domain)
 
 
@@ -34,7 +37,7 @@ def dense_dataset(oracle, m=400, seed=5):
 
 def successor_rect(tree, leaf, lipschitz):
     """The rectangle of a leaf's successor box, as the sweep builds it."""
-    return Box(tree.nodes.sample_xp[leaf], lipschitz * tree.nodes.radius[leaf]).rect()
+    return cube(tree.nodes.sample_xp[leaf], lipschitz * tree.nodes.radius[leaf])
 
 
 def test_successor_box_classification_cases():
@@ -60,9 +63,10 @@ def test_sweep_skips_retired_leaves():
     ds = dense_dataset(oracle)
     tree = new_tree(oracle.domain, ds)
     tree.set_label(tree.roots[0], Label.EXCLUDED)
+    labels = list(tree.nodes.label)
     stats = sweep(tree, ds, SynthConfig(lipschitz=1e-9, tau=0.1))
     assert not stats.changed
-    assert tree.label_log == [(None, tree.roots[0], 1, 0)]
+    assert tree.nodes.label == labels == [Label.EXCLUDED]
 
 
 def test_sweep_fixpoint_on_collapsing_map():
@@ -80,7 +84,7 @@ def test_sweep_excludes_everything_on_escaping_map():
     tree = new_tree(oracle.domain, ds)
     stats = sweep(tree, ds, SynthConfig(lipschitz=1e-9, tau=0.1))
     assert stats.changed and stats.exclusions == 1
-    assert tree.candidate_set().is_empty
+    assert tree.n_included() == 0
 
 
 def test_synthesize_collapsing_map_keeps_domain():
@@ -99,7 +103,7 @@ def test_synthesize_escaping_map_returns_empty():
     tree = new_tree(oracle.domain, ds)
     res = synthesize(tree, ds, SynthConfig(lipschitz=1e-9, tau=0.1))
     assert res.terminated_by is Termination.FIXPOINT
-    assert res.pi_set.is_empty
+    assert kept_cells(tree) == []
     assert res.volume == 0.0
 
 
@@ -119,7 +123,7 @@ def test_volume_monotone_across_sweeps(lin_oracle):
     config = SynthConfig(lipschitz=lin_oracle.lipschitz, tau=0.02)
     vols = [tree.active_volume()]
     for z in range(1, 100):
-        stats = sweep(tree, ds, config, z)
+        stats = sweep(tree, ds, config)
         vols.append(tree.active_volume())
         if not stats.changed:
             break
@@ -134,15 +138,26 @@ def test_depth_floor_respected(lin_oracle):
     assert min(tree.nodes.target_radius) >= tau / 2
 
 
-def test_label_history_is_monotone(lin_oracle):
+def test_label_history_is_monotone(lin_oracle, monkeypatch):
+    # Every relabel a run makes, as (leaf, old label, new label).
+    relabels = []
+    set_label = PartitionTree.set_label
+
+    def recording(tree, node_id, label):
+        old = tree.nodes.label[node_id]
+        set_label(tree, node_id, label)
+        relabels.append((node_id, old, tree.nodes.label[node_id]))
+
+    monkeypatch.setattr(PartitionTree, "set_label", recording)
     ds = gen_uniform(lin_oracle, 3000, seed=2)
     tree = new_tree(lin_oracle.domain, ds)
     synthesize(tree, ds, SynthConfig(lipschitz=lin_oracle.lipschitz, tau=0.02))
-    seen = {}
-    for _, node, old, new in tree.label_log:
-        assert old == 1 and new in (0, -1)
-        assert node not in seen
-        seen[node] = new
+    assert relabels
+    for _, old, new in relabels:
+        assert old is Label.INCLUDED and new in (Label.EXCLUDED, Label.UNKNOWN)
+    leaves = [node for node, _, _ in relabels]
+    assert len(set(leaves)) == len(leaves)  # each leaf changes once
+    assert all(tree.nodes.label[node] is new for node, _, new in relabels)
 
 
 def test_sequential_determinism(lin_oracle):
@@ -157,7 +172,6 @@ def test_sequential_determinism(lin_oracle):
     assert a.sweeps == b.sweeps
     assert a.leaf_counts == b.leaf_counts
     assert a.tree.nodes == b.tree.nodes
-    assert a.tree.label_log == b.tree.label_log
 
 
 def test_batch_mode_also_certifies(lin_oracle, nonlin_oracle):
@@ -181,7 +195,7 @@ def test_batch_mode_also_certifies(lin_oracle, nonlin_oracle):
 
 def test_batch_mode_deterministic(lin_oracle):
     vols = set()
-    logs = []
+    tables = []
     for _ in range(2):
         ds = gen_uniform(lin_oracle, 1500, seed=9)
         tree = new_tree(lin_oracle.domain, ds)
@@ -191,9 +205,9 @@ def test_batch_mode_deterministic(lin_oracle):
             SynthConfig(lipschitz=lin_oracle.lipschitz, tau=0.02, mode=UpdateMode.BATCH),
         )
         vols.add(res.volume)
-        logs.append(tree.label_log)
+        tables.append(tree.nodes)  # the labels are a column of the node table
     assert len(vols) == 1
-    assert logs[0] == logs[1]
+    assert tables[0] == tables[1]
 
 
 def test_safeguard_trips_and_reports(lin_oracle):
@@ -221,13 +235,10 @@ def test_config_validation(lin_oracle):
 
 
 def test_multi_root_domain(lin_oracle):
-    from pinvset.geometry import rect_to_cubes
-
-    domain = rect_to_cubes((0.0, 0.0), (2.0, 1.0))  # two unit cubes
-    oracle = collapse_oracle()
     xs = [(x, y) for x in (0.5, 1.5) for y in (0.25, 0.75)]
     ds = Dataset(xs, [(0.5, 0.5)] * len(xs))
-    tree = new_tree(domain, ds)
+    tree = new_tree(((0.0, 0.0), (2.0, 1.0)), ds)  # two unit cubes
+    assert len(tree.roots) == 2
     res = synthesize(tree, ds, SynthConfig(lipschitz=1e-9, tau=0.1))
     assert res.terminated_by is Termination.FIXPOINT
     assert res.volume == pytest.approx(2.0)
@@ -238,8 +249,10 @@ def test_result_volume_matches_pi_set(lin_oracle):
     ds = gen_uniform(lin_oracle, 2000, seed=1)
     tree = new_tree(lin_oracle.domain, ds)
     res = synthesize(tree, ds, SynthConfig(lipschitz=lin_oracle.lipschitz, tau=0.02))
-    assert res.volume == pytest.approx(res.pi_set.volume(), rel=1e-12)
-    assert res.leaf_counts["included"] == len(res.pi_set)
+    cells = kept_cells(tree)
+    volumes = [math.prod(b - a for a, b in zip(lo, hi)) for lo, hi in cells]
+    assert res.volume == pytest.approx(math.fsum(volumes), rel=1e-12)
+    assert res.leaf_counts["included"] == len(cells)
 
 
 def test_result_reads_its_set_from_the_tree(lin_oracle):
@@ -248,11 +261,12 @@ def test_result_reads_its_set_from_the_tree(lin_oracle):
     res = synthesize(tree, ds, SynthConfig(lipschitz=lin_oracle.lipschitz, tau=0.05))
     volume, counts = res.volume, res.leaf_counts
     leaf = tree.active_leaves()[0]
-    cell = Box(tree.nodes.target_center[leaf], tree.nodes.target_radius[leaf])
+    cell = (tree.nodes.lo[leaf], tree.nodes.hi[leaf])
     tree.set_label(leaf, Label.EXCLUDED)
     # No copy of the set is stored beside the tree, so none can go stale.
-    assert cell not in res.pi_set
-    assert res.volume == pytest.approx(volume - cell.volume(), rel=1e-12)
+    assert cell not in kept_cells(res.tree)
+    cell_volume = (2.0 * tree.nodes.target_radius[leaf]) ** 2
+    assert res.volume == pytest.approx(volume - cell_volume, rel=1e-12)
     assert res.leaf_counts["excluded"] == counts["excluded"] + 1
 
 
@@ -320,8 +334,8 @@ def test_domain_scaled_down_gives_the_same_partition(lin_oracle, tmp_path):
     # and its children must still tile their parents exactly.
     runs = []
     for scale in (1.0, 1e-11):
-        (box,) = lin_oracle.domain
-        domain = BoxList((Box(tuple(c * scale for c in box.center), box.radius * scale),))
+        # linear2d's domain, the cube (0.375, -0.375) ± 0.625, scaled
+        domain = cube((0.375 * scale, -0.375 * scale), 0.625 * scale)
         oracle = SystemOracle("scaled", lin_oracle.map_points, lin_oracle.lipschitz, domain)
         ds = gen_uniform(oracle, 1500, seed=3)
         res = synthesize(
@@ -338,12 +352,11 @@ def test_domain_scaled_down_gives_the_same_partition(lin_oracle, tmp_path):
 
 
 def test_sweep_and_certificate_take_no_tolerance_path(lin_oracle, nonlin_oracle, monkeypatch):
-    # GEOM_TOL's users are point membership and the Monte Carlo fallback's
-    # probe; a run and its certificate use neither.
+    # GEOM_TOL's users are Monte Carlo membership and its fallback probe,
+    # ``overlapping``; a run and its certificate use neither.
     def forbidden(*args, **kwargs):
         raise AssertionError("a tolerance path was taken")
 
-    monkeypatch.setattr(Box, "contains_point", forbidden)
     monkeypatch.setattr(PartitionTree, "overlapping", forbidden)
     runs = ((lin_oracle, 0.02, UpdateMode.SEQUENTIAL), (nonlin_oracle, 0.01, UpdateMode.BATCH))
     for oracle, tau, mode in runs:

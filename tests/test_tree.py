@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import chebyshev, exact_coverage
+from helpers import chebyshev, cube, exact_coverage, kept_cells, roots_tree
 
 from pinvset.dataset import Dataset, gen_dyadic_grid, gen_uniform
 from pinvset.geometry import (
-    Box,
-    BoxList,
     CoverageClass,
     DimensionMismatchError,
     MAX_DOMAIN_CUBES,
@@ -34,7 +32,7 @@ def make_dataset(points):
 
 
 def square_domain():
-    return BoxList((Box((0.0, 0.0), 0.5),))
+    return ((-0.5, -0.5), (0.5, 0.5))
 
 
 def test_new_tree_linear_domain(lin_oracle):
@@ -53,7 +51,7 @@ def test_new_tree_linear_domain(lin_oracle):
 
 def test_new_tree_sample_at_center_gives_tight_radius():
     ds = make_dataset([(0.3, 0.3), (0.0, 0.0)])
-    tree = new_tree(BoxList((Box((0.0, 0.0), 1.0),)), ds)
+    tree = new_tree(((-1.0, -1.0), (1.0, 1.0)), ds)
     root = tree.roots[0]
     assert tree.nodes.sample_index[root] == 1
     assert tree.nodes.radius[root] == 1.0
@@ -61,18 +59,19 @@ def test_new_tree_sample_at_center_gives_tight_radius():
 
 def test_new_tree_two_roots_tile():
     ds = make_dataset([(0.5, 0.5)])
-    domain = BoxList((Box((0.5, 0.5), 0.5), Box((1.5, 0.5), 0.5)))
-    tree = new_tree(domain, ds)
-    assert len(tree.roots) == 2
+    tree = new_tree(((0.0, 0.0), (2.0, 1.0)), ds)
+    assert [tree.nodes.target_center[i] for i in tree.roots] == [(0.5, 0.5), (1.5, 0.5)]
     assert tree.active_volume() == pytest.approx(2.0)
 
 
 def test_new_tree_rejects_bad_inputs():
     ds = make_dataset([(0.0, 0.0)])
     with pytest.raises(ValueError):
-        new_tree(BoxList(()), ds)
+        new_tree(((0.0, 0.0), (0.0, 1.0)), ds)  # no interior
     with pytest.raises(ValueError):
-        new_tree(BoxList((Box((0.0, 0.0), 1.0), Box((0.5, 0.5), 1.0))), ds)
+        new_tree(((0.0, 0.0), (1.5, 1.0)), ds)  # not tiled by equal cubes
+    with pytest.raises(ValueError):
+        new_tree(((0.0,), (1.0,)), ds)  # of another dimension than the data
 
 
 def test_divide_node_geometry():
@@ -132,13 +131,11 @@ def test_leaves_active_and_candidate_set():
     tree.set_label(children[0], Label.EXCLUDED)
     tree.set_label(children[1], Label.UNKNOWN)
     assert tree.active_leaves() == children[2:]
-    cs = tree.candidate_set()
-    assert [b.center for b in cs] == [
-        tree.nodes.target_center[c] for c in children[2:]
-    ]
+    assert kept_cells(tree) == [(tree.nodes.lo[c], tree.nodes.hi[c]) for c in children[2:]]
+    assert tree.n_included() == 2
     for c in children[2:]:
         tree.set_label(c, Label.EXCLUDED)
-    assert tree.candidate_set().is_empty
+    assert tree.active_leaves() == [] and tree.n_included() == 0
 
 
 def test_label_transitions():
@@ -146,9 +143,9 @@ def test_label_transitions():
     tree = new_tree(square_domain(), ds)
     leaf = tree.roots[0]
     tree.set_label(leaf, Label.INCLUDED)  # re-confirmation is a no-op
-    assert tree.label_log == []
-    tree.set_label(leaf, Label.EXCLUDED, sweep=3)
-    assert tree.label_log == [(3, leaf, 1, 0)]
+    assert tree.nodes.label[leaf] is Label.INCLUDED and tree.n_included() == 1
+    tree.set_label(leaf, Label.EXCLUDED)
+    assert tree.nodes.label[leaf] is Label.EXCLUDED and tree.n_included() == 0
     with pytest.raises(LabelTransitionError):
         tree.set_label(leaf, Label.INCLUDED)
     with pytest.raises(LabelTransitionError):
@@ -291,7 +288,7 @@ def test_overlapping_rejects_probe_of_other_dimension():
     with pytest.raises(DimensionMismatchError):
         tree.overlapping((0.0,), (1.0,))
     with pytest.raises(DimensionMismatchError):
-        classify_coverage(Box((0.0, 0.0, 0.0), 1.0), tree)
+        classify_coverage(cube((0.0, 0.0, 0.0), 1.0), tree)
 
 
 @settings(max_examples=300, deadline=None)
@@ -299,7 +296,7 @@ def test_overlapping_rejects_probe_of_other_dimension():
 def test_tree_coverage_matches_plain_scan_property(n, data):
     # A random tree over [-1, 1]^n: each step divides or retires a live leaf.
     ds = make_dataset([(0.0,) * n])
-    tree = new_tree(BoxList((Box((0.0,) * n, 1.0),)), ds)
+    tree = new_tree(((-1.0,) * n, (1.0,) * n), ds)
     for _ in range(data.draw(st.integers(0, 12))):
         live = tree.active_leaves()
         if not live:
@@ -320,7 +317,7 @@ def test_tree_coverage_matches_plain_scan_property(n, data):
     )
     corners = [sorted(data.draw(st.tuples(coord, coord))) for _ in range(n)]
     query = (tuple(c[0] for c in corners), tuple(c[1] for c in corners))
-    want = exact_coverage(query, tree.candidate_set())
+    want = exact_coverage(query, kept_cells(tree))
     assert classify_coverage(query, tree) is want
     escaped = uncovered_fragments(query, tree)
     assert (escaped == []) == (want is CoverageClass.FULLY_COVERED)
@@ -346,7 +343,7 @@ def test_query_slightly_wider_than_its_cover_is_partial():
     wider = ((-0.5, -0.5), (5e-13, 0.0))
     outside = ((-0.5 - 5e-13, -0.5), (0.0, 0.0))
     for query in (wider, outside):
-        assert exact_coverage(query, tree.candidate_set()) is CoverageClass.PARTIAL
+        assert exact_coverage(query, kept_cells(tree)) is CoverageClass.PARTIAL
         assert classify_coverage(query, tree) is CoverageClass.PARTIAL
     assert tree.uncovered(wider) == ((0.0, -0.5), (5e-13, 0.0))
     assert tree.uncovered(outside) == ((-0.5 - 5e-13, -0.5), (-0.5, 0.0))
@@ -366,17 +363,21 @@ def test_successor_below_one_ulp_is_covered():
 
 
 def test_classify_across_roots():
-    # Four unit roots on a 2 x 2 grid over [0, 2]^2; the last, [1, 2]^2, is
-    # excluded, so the kept roots make an L.
+    # Two roots of side 2 over [0, 4] x [0, 2].  The first is split into
+    # unit cells, and the last of them, [1, 2]^2, is excluded, so the kept
+    # unit cells make an L.
     ds = make_dataset([(0.5, 0.5)])
-    roots = (
-        Box((0.5, 0.5), 0.5), Box((1.5, 0.5), 0.5), Box((0.5, 1.5), 0.5), Box((1.5, 1.5), 0.5)
-    )
-    tree = new_tree(BoxList(roots), ds)
-    tree.set_label(tree.roots[3], Label.EXCLUDED)
+    tree = new_tree(((0.0, 0.0), (4.0, 2.0)), ds)
+    cells = tree.divide(tree.roots[:1], ds)
+    assert [tree.nodes.target_center[i] for i in cells] == [
+        (0.5, 0.5), (0.5, 1.5), (1.5, 0.5), (1.5, 1.5)
+    ]
+    tree.set_label(cells[3], Label.EXCLUDED)
     straddle = ((0.75, 0.25), (1.25, 0.75))
     assert tree.classify(straddle) is CoverageClass.FULLY_COVERED
     assert tree.uncovered(straddle) is None
+    across = ((1.75, 0.25), (2.25, 0.75))  # from the first root into the second
+    assert tree.classify(across) is CoverageClass.FULLY_COVERED
     # In the roots' bounding box, but partly in the notch [1, 2] x [1, 2].
     notch = ((0.75, 0.75), (1.25, 1.25))
     assert tree.classify(notch) is CoverageClass.PARTIAL
@@ -384,15 +385,21 @@ def test_classify_across_roots():
     # Past the bounding box.
     below = ((0.75, -0.25), (1.25, 0.25))
     assert tree.uncovered(below) == ((0.75, -0.25), (1.25, 0.0))
-    # With the second root excluded, the part of the straddle in it is the gap.
-    tree.set_label(tree.roots[1], Label.EXCLUDED)
+    # With the cell [1, 2] x [0, 1] excluded, the part of a query in it is
+    # the gap.
+    tree.set_label(cells[2], Label.EXCLUDED)
     assert tree.classify(straddle) is CoverageClass.PARTIAL
     assert tree.uncovered(straddle) == ((1.0, 0.25), (1.25, 0.75))
+    assert tree.classify(across) is CoverageClass.PARTIAL
+    assert tree.uncovered(across) == ((1.75, 0.25), (2.0, 0.75))
     assert tree.classify(((1.25, 0.25), (1.75, 0.75))) is CoverageClass.DISJOINT
 
 
-def _roots_tree(boxes):
-    return new_tree(BoxList(tuple(boxes)), make_dataset([(0.0,) * boxes[0].dim]))
+def _cubes_tree(lo, hi):
+    """A tree whose roots are ``rect_to_cubes(lo, hi)``, read through
+    ``from_columns``."""
+    centers, radius = rect_to_cubes(lo, hi)
+    return roots_tree([(c, radius) for c in centers])
 
 
 @settings(max_examples=100, deadline=None)
@@ -405,51 +412,66 @@ def _roots_tree(boxes):
 def test_root_rule_accepts_rect_to_cubes_in_any_order(lo, counts, side, seed):
     hi = [a + k * side for a, k in zip(lo, [1, *counts])]  # axis 0 is the shortest
     try:
-        boxes = list(rect_to_cubes(lo, hi))
+        centers, radius = rect_to_cubes(lo, hi)
     except ValueError:
         return  # faces that miss by an ulp: rect_to_cubes refuses them itself
-    np.random.default_rng(seed).shuffle(boxes)
-    tree = _roots_tree(boxes)
-    assert len(tree.roots) == len(boxes)
+    np.random.default_rng(seed).shuffle(centers)
+    tree = roots_tree([(c, radius) for c in centers])
+    assert len(tree.roots) == len(centers)
     assert tree.root_bounds == (tuple(lo), tuple(hi))
 
 
-def test_root_rule_accepts_a_single_box_and_a_grid_of_quarters():
-    for box in (Box((0.3, -7.0), 0.1), Box((1.0,), 0.0), Box((0.1, 0.2, 0.3), 2.5)):
-        assert _roots_tree([box]).root_bounds == box.rect()
-    quarters = [Box((x, y), 0.25) for y in (0.25, -0.25) for x in (-0.25, 0.25)]
-    assert _roots_tree(quarters).root_bounds == ((-0.5, -0.5), (0.5, 0.5))
+def test_root_rule_accepts_a_single_cube():
+    for lo, hi in (
+        ((0.25, -7.125), (0.375, -7.0)),
+        ((-0.5, 1.5, -4.0), (4.5, 6.5, 1.0)),
+        ((1.0,), (1.5,)),
+    ):
+        tree = _cubes_tree(lo, hi)
+        assert len(tree.roots) == 1
+        assert tree.root_bounds == (lo, hi)
 
 
-@pytest.mark.parametrize("boxes,reason", [
+@pytest.mark.parametrize("cubes,reason", [
     pytest.param(
-        [Box((0.5, 0.5), 0.5), Box((1.5, 0.5), 0.5), Box((0.5, 1.5), 0.5)],
-        "not a full grid", id="L",
+        [((0.5, 0.5), 0.5), ((1.5, 0.5), 0.5), ((0.5, 1.5), 0.5)],
+        "rect_to_cubes makes 1 of radius 1.0", id="L",
     ),
-    pytest.param([Box((0.5, 0.5), 0.5), Box((1.25, 0.5), 0.25)], "not equal cubes", id="radii"),
-    pytest.param([Box((0.0, 0.0), 1.0), Box((0.5, 0.0), 1.0)], "do not share a face", id="overlap"),
-    pytest.param([Box((0.0, 0.0), 1.0), Box((0.5, 0.5), 1.0)], "not a full grid", id="diagonal"),
-    pytest.param([Box((0.0, 0.0), 1.0), Box((0.0, 0.0), 1.0)], "not a full grid", id="duplicate"),
+    # A 2 x 2 grid of quarters: the square they span is one cube.
+    pytest.param(
+        [((x, y), 0.25) for y in (0.25, -0.25) for x in (-0.25, 0.25)],
+        "rect_to_cubes makes 1 of radius 0.5", id="quarters",
+    ),
+    pytest.param([((0.5, 0.5), 0.5), ((1.25, 0.5), 0.25)], "faces 2.0 and 1.5 differ",
+                 id="radii"),
+    pytest.param([((0.0, 0.0), 1.0), ((0.5, 0.0), 1.0)], "faces 1.0 and 1.5 differ",
+                 id="overlap"),
+    pytest.param([((0.0, 0.0), 1.0), ((0.5, 0.5), 1.0)], "rect_to_cubes makes 1 of",
+                 id="diagonal"),
+    pytest.param([((0.0, 0.0), 1.0), ((0.0, 0.0), 1.0)], "rect_to_cubes makes 1 of",
+                 id="duplicate"),
     # Four centers on 2 x 2 values, one of them twice and one cell missing.
     pytest.param(
-        [Box((0.5, 0.5), 0.5), Box((1.5, 0.5), 0.5), Box((0.5, 1.5), 0.5), Box((0.5, 0.5), 0.5)],
-        "not a full grid", id="duplicate-for-missing",
+        [((0.5, 0.5), 0.5), ((1.5, 0.5), 0.5), ((0.5, 1.5), 0.5), ((0.5, 0.5), 0.5)],
+        "rect_to_cubes makes 1 of", id="duplicate-for-missing",
     ),
-    pytest.param([Box((0.5,), 0.5), Box((1.0,), 0.5), Box((1.5,), 0.5)], "do not share a face",
+    pytest.param([((0.5,), 0.5), ((1.0,), 0.5), ((1.5,), 0.5)], "rect_to_cubes makes 1 of",
                  id="overlap-1d"),
-    pytest.param([Box((0.5, 0.5), 0.5), Box((3.5, 0.5), 0.5)], "do not share a face", id="apart"),
-    # 0.1 + 0.1 != 0.3 - 0.1: the faces miss by one ulp.
-    pytest.param([Box((0.1,), 0.1), Box((0.3,), 0.1)], "faces 0.2 and 0.19999999999999998",
+    pytest.param([((0.5, 0.5), 0.5), ((3.5, 0.5), 0.5)], "rect_to_cubes makes 4 of",
+                 id="apart"),
+    # 0.1 + 0.1 != 0.3 - 0.1: the faces miss by one ulp, and the segment
+    # [0, 0.4] they span is one cube.
+    pytest.param([((0.1,), 0.1), ((0.3,), 0.1)], "rect_to_cubes makes 1 of radius 0.2",
                  id="ulp"),
+    pytest.param([((1.0,), 0.0)], "degenerate domain rectangle", id="zero-radius"),
 ])
-def test_root_rule_refuses(boxes, reason):
+def test_root_rule_refuses(cubes, reason):
     with pytest.raises(ValueError, match=reason):
-        _roots_tree(boxes)
+        roots_tree(cubes)
 
 
 def test_root_rule_takes_a_strip_of_the_most_cubes():
-    boxes = rect_to_cubes((0.0, 0.0), (float(MAX_DOMAIN_CUBES), 1.0))
-    tree = _roots_tree(boxes)
+    tree = _cubes_tree((0.0, 0.0), (float(MAX_DOMAIN_CUBES), 1.0))
     assert len(tree.roots) == MAX_DOMAIN_CUBES
     assert tree.root_bounds == ((0.0, 0.0), (float(MAX_DOMAIN_CUBES), 1.0))
 
@@ -467,8 +489,7 @@ def test_successor_near_faces_matches_fractions_property(two_roots, data):
     # A random tree over one root or two side by side, with faces on a 1/32
     # lattice whose lines are exact floats.
     ds = make_dataset([(0.5, 0.5)])
-    domain = BoxList((Box((0.5, 0.5), 0.5), Box((1.5, 0.5), 0.5))[: 1 + two_roots])
-    tree = new_tree(domain, ds)
+    tree = new_tree(((0.0, 0.0), (1.0 + two_roots, 1.0)), ds)
     for _ in range(data.draw(st.integers(0, 10))):
         live = tree.active_leaves()
         if not live:
@@ -493,14 +514,13 @@ def test_successor_near_faces_matches_fractions_property(two_roots, data):
         center.append(_near(line + side * reach, data.draw(st.integers(-3, 3))))
     succ = successor_rect(tuple(center), lipschitz, radius)
     verdict, fragment = tree.classify(succ), tree.uncovered(succ)
-    scan = tree.candidate_set()
+    scan = kept_cells(tree)
     assert verdict is exact_coverage(succ.exact(), scan)
     assert (fragment is None) == (verdict is CoverageClass.FULLY_COVERED)
     if fragment is not None:
         # The fragment is uncovered: its interior misses every included cell.
         flo, fhi = fragment
-        for box in scan:
-            lo, hi = box.rect()
+        for lo, hi in scan:
             assert any(min(b, h) <= max(a, l) for a, b, l, h in zip(flo, fhi, lo, hi))
 
 
@@ -508,7 +528,7 @@ def test_grow_rounds_the_ball_radius_up_where_the_sum_falls_short():
     # 1 + 2^-60 rounds down to 1.0, so the ball of radius 1.0 would miss
     # the cell's far edge by 2^-60; the stored radius is the next float up.
     ds = make_dataset([(2.0 ** -60, 0.0)])
-    tree = new_tree(BoxList((Box((0.0, 0.0), 1.0),)), ds)
+    tree = new_tree(((-1.0, -1.0), (1.0, 1.0)), ds)
     root = tree.roots[0]
     assert tree.nodes.radius[root] == math.nextafter(1.0, 2.0)
     cell, sample = ([(-1.0, -1.0)], [(1.0, 1.0)]), [(2.0 ** -60, 0.0)]

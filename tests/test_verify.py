@@ -7,17 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import RASTER_CELL, exact_coverage, margin_separated_instance, raster_coverage
+from helpers import (
+    RASTER_CELL,
+    cube,
+    exact_coverage,
+    in_cells,
+    kept_cells,
+    margin_separated_instance,
+    raster_coverage,
+)
 
 from pinvset import verify
 from pinvset.dataset import Dataset, SystemOracle, gen_uniform
-from pinvset.geometry import (
-    Box,
-    BoxList,
-    CoverageClass,
-    rect_to_cubes,
-    successor_rect,
-)
+from pinvset.geometry import CoverageClass, successor_rect
 from pinvset.synthesis import SynthConfig, SynthResult, Termination, synthesize
 from pinvset.tree import Label, new_tree
 from pinvset.verify import (
@@ -36,12 +38,12 @@ def synth_linear(lin_oracle, tau=0.02, m=4000, seed=4):
 
 
 def hand_built_failing_result(lin_oracle):
-    """A one-box 'set' near the domain corner whose image escapes it."""
+    """A one-cell 'set' near the domain corner whose image escapes it."""
     x = (0.9, 0.9)
     x_plus = lin_oracle(x)
     assert x_plus == pytest.approx((0.55917, -0.29295))
     ds = Dataset([x], [x_plus])
-    tree = new_tree(BoxList((Box(x, 0.05),)), ds)
+    tree = new_tree(((0.875, 0.875), (0.9375, 0.9375)), ds)
     config = SynthConfig(lipschitz=lin_oracle.lipschitz, tau=0.01)
     return SynthResult(tree=tree, sweeps=1, terminated_by=Termination.FIXPOINT, config=config)
 
@@ -71,12 +73,12 @@ def test_check_fixpoint_empty_set_passes():
     from pinvset.dataset import SystemOracle
     import numpy as np
 
-    domain = BoxList((Box((0.0, 0.0), 0.5),))
+    domain = cube((0.0, 0.0), 0.5)
     oracle = SystemOracle("escape", lambda pts: np.full_like(pts, 50.0), 1e-9, domain)
     ds = gen_uniform(oracle, 200, seed=0)
     tree = new_tree(domain, ds)
     res = synthesize(tree, ds, SynthConfig(lipschitz=1e-9, tau=0.1))
-    assert res.pi_set.is_empty
+    assert kept_cells(tree) == []
     cert = check_fixpoint(res)
     assert cert.passed and cert.checked_leaves == 0
 
@@ -114,8 +116,7 @@ def test_check_fixpoint_fragment_is_uncovered(lin_oracle):
     leaf, (flo, fhi) = cert.first_failure["leaf"], cert.first_failure["fragment"]
     succ = successor_rect(nodes.sample_xp[leaf], res.config.lipschitz, nodes.radius[leaf])
     assert all(a <= f <= g <= b for a, f, g, b in zip(succ.lo, flo, fhi, succ.hi))
-    for box in tree.candidate_set():
-        lo, hi = box.rect()
+    for lo, hi in kept_cells(tree):
         assert any(min(g, h) <= max(f, l) for f, g, l, h in zip(flo, fhi, lo, hi))
 
 
@@ -130,28 +131,28 @@ def test_check_fixpoint_lipschitz_mismatch(lin_oracle):
 
 
 def test_raster_nested_disjoint_partial():
-    union = BoxList((Box((0.0, 0.0), 0.5),))
-    nested = raster_coverage(Box((0.0, 0.0), 0.1), union, cell=0.02)
+    union = [cube((0.0, 0.0), 0.5)]
+    nested = raster_coverage(cube((0.0, 0.0), 0.1), union, cell=0.02)
     assert nested.verdict is CoverageClass.FULLY_COVERED
     assert nested.covered_fraction == 1.0
-    away = raster_coverage(Box((5.0, 5.0), 0.1), union, cell=0.02)
+    away = raster_coverage(cube((5.0, 5.0), 0.1), union, cell=0.02)
     assert away.verdict is CoverageClass.DISJOINT
     assert away.covered_fraction == 0.0
 
 
 def test_raster_half_overlap_fraction():
     # query [-0.5,0.5]^2 against cover [0,1]^2: a quarter is covered
-    union = BoxList((Box((0.5, 0.5), 0.5),))
-    report = raster_coverage(Box((0.0, 0.0), 0.5), union, cell=0.01)
+    union = [cube((0.5, 0.5), 0.5)]
+    report = raster_coverage(cube((0.0, 0.0), 0.5), union, cell=0.01)
     assert report.verdict is CoverageClass.PARTIAL
     assert report.covered_fraction == pytest.approx(0.25, abs=2 * 0.01)
 
 
 def test_raster_cell_validation():
     with pytest.raises(ValueError):
-        raster_coverage(Box((0.0, 0.0), 0.1), BoxList(()), cell=0.2)
+        raster_coverage(cube((0.0, 0.0), 0.1), [], cell=0.2)
     with pytest.raises(ValueError):
-        raster_coverage(Box((0.0, 0.0), 0.1), BoxList(()), cell=0.0)
+        raster_coverage(cube((0.0, 0.0), 0.1), [], cell=0.0)
 
 
 def test_exact_classifier_agrees_with_raster(rng):
@@ -174,7 +175,7 @@ def _random_tree(data, n):
     divides or retires a live leaf."""
     ds = Dataset([(0.5,) * n], [(0.5,) * n])
     roots = data.draw(st.integers(1, 3))
-    tree = new_tree(rect_to_cubes((0.0,) * n, (float(roots),) + (1.0,) * (n - 1)), ds)
+    tree = new_tree(((0.0,) * n, (float(roots),) + (1.0,) * (n - 1)), ds)
     for _ in range(data.draw(st.integers(0, 12))):
         live = tree.active_leaves()
         if not live:
@@ -206,8 +207,8 @@ def test_union_membership_matches_plain_scan_property(n, data):
     pts = np.array(data.draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=40)))
     with patch.object(verify, "MAX_BITMAP_CELLS", budget):
         member = _TreeMembership(tree)
-    scan = tree.candidate_set()
-    want = [scan.contains_point(tuple(p)) for p in pts]
+    scan = kept_cells(tree)
+    want = [in_cells(scan, p) for p in pts.tolist()]
     assert member.contains(pts).tolist() == want
 
 
@@ -215,8 +216,8 @@ def test_union_membership_on_dyadic_tiling(lin_oracle, rng):
     res = synth_linear(lin_oracle)
     member = _TreeMembership(res.tree)
     pts = rng.uniform(-1.1, 1.1, size=(4000, 2))
-    scan = res.tree.candidate_set()
-    want = np.array([scan.contains_point(tuple(p)) for p in pts])
+    scan = kept_cells(res.tree)
+    want = np.array([in_cells(scan, p) for p in pts.tolist()])
     assert (member.contains(pts) == want).all()
 
 
@@ -224,7 +225,7 @@ def test_union_membership_above_the_cap(rng):
     # Split the low corner down to depth 13 and drop the high child at every
     # level: the bitmap stops at depth 11, and its mixed cells ask the tree.
     ds = Dataset([(0.5, 0.5)], [(0.5, 0.5)])
-    tree = new_tree(BoxList((Box((0.5, 0.5), 0.5),)), ds)
+    tree = new_tree(((0.0, 0.0), (1.0, 1.0)), ds)
     corner = tree.roots[0]
     for _ in range(13):
         children = tree.divide([corner], ds)
@@ -236,8 +237,8 @@ def test_union_membership_above_the_cap(rng):
     deep = rng.uniform(0.0, 2.0 ** -10, size=(3000, 2))
     faces = np.floor(deep * 2 ** 14) / 2 ** 14
     pts = np.vstack((deep, faces, rng.uniform(-0.1, 1.1, size=(1000, 2))))
-    scan = tree.candidate_set()
-    want = [scan.contains_point(tuple(p)) for p in pts]
+    scan = kept_cells(tree)
+    want = [in_cells(scan, p) for p in pts.tolist()]
     assert member.contains(pts).tolist() == want
 
 
@@ -246,7 +247,7 @@ def test_union_membership_on_a_face_of_an_excluded_cell():
     # falls in the excluded cell's bitmap entry; the tree's closed test
     # must answer it.
     ds = Dataset([(0.5, 0.5)], [(0.5, 0.5)])
-    tree = new_tree(BoxList((Box((0.5, 0.5), 0.5),)), ds)
+    tree = new_tree(((0.0, 0.0), (1.0, 1.0)), ds)
     children = tree.divide([tree.roots[0]], ds)
     tree.set_label(children[-1], Label.EXCLUDED)  # the high corner
     member = _TreeMembership(tree)
@@ -257,7 +258,7 @@ def test_union_membership_on_a_face_of_an_excluded_cell():
 def test_start_points_are_uniform_on_the_set(rng):
     # Three included cells of side 1/2 and three of side 1/4.
     ds = Dataset([(0.5, 0.5)], [(0.5, 0.5)])
-    tree = new_tree(BoxList((Box((0.5, 0.5), 0.5),)), ds)
+    tree = new_tree(((0.0, 0.0), (1.0, 1.0)), ds)
     children = tree.divide(tree.roots, ds)
     grandchildren = tree.divide(children[:1], ds)
     tree.set_label(grandchildren[0], Label.EXCLUDED)
@@ -308,7 +309,7 @@ def test_monte_carlo_time_does_not_grow_with_the_root_count():
     # One bitmap over the rectangle the roots tile: 4,096 unit roots in a
     # strip cost about what 64 do (one bitmap per root made it 70x).
     def best_time(roots):
-        domain = rect_to_cubes((0.0, 0.0), (float(roots), 1.0))
+        domain = ((0.0, 0.0), (float(roots), 1.0))
         ds = Dataset([(0.5, 0.5)], [(0.5, 0.5)])
         tree = new_tree(domain, ds)
         identity = SystemOracle("identity", lambda pts: pts, 1.0, domain)
@@ -336,6 +337,6 @@ def test_soundness_chain(lin_oracle, nonlin_oracle):
         res = synthesize(tree, ds, SynthConfig(lipschitz=oracle.lipschitz, tau=tau))
         cert = check_fixpoint(res)
         assert cert.passed
-        if not res.pi_set.is_empty:
+        if res.tree.n_included():
             mc = monte_carlo_invariance(res.tree, oracle, samples=20000, horizon=50, seed=3)
             assert mc.passed
