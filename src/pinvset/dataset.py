@@ -13,8 +13,9 @@ commands that ask for no neighbour (``gen`` on a builtin system,
 ``verify``, ``--version``) never load it.
 
 The domain is one rectangle, ``(lo, hi)``: the generators draw from it
-or cut it with ``rect_to_cubes``, as ``new_tree`` does, so grid samples
-sit exactly at the tree's centers.
+or cut it with ``rect_to_cubes``, as ``new_tree`` does.  The grid halves
+the root cubes by the tree's own split rule, so grid samples sit exactly
+at the tree's centers on every domain.
 
 A dataset is stored as CSV, which is streamed at both ends: the writer
 formats the rows in blocks, and the reader hands the file's name to
@@ -201,24 +202,25 @@ def dyadic_grid_points(domain: Rect, tau: float) -> np.ndarray:
 
     Level 0 is the root center; level l >= 1 exists when the level's target
     radius ``root_radius / 2**l`` is still at least tau (a node divides only
-    while its children stay at or above the resolution floor).  Returns an
-    ``(N, n)`` array: root by root, level by level, each level's centers in
-    row-major order with the last coordinate varying fastest.
+    while its children stay at or above the resolution floor).  A split
+    halves each axis on its own, so a level is the product of per-axis
+    values, each the last level's ``v ± r``, as ``PartitionTree._split``
+    computes them.  Returns an ``(N, n)`` array: root by root, level by
+    level, in row-major order with the last coordinate varying fastest.
     """
     if tau <= 0.0:
         raise ValueError(f"resolution floor must be positive, got {tau}")
     centers, root_radius = rect_to_cubes(*domain)
     levels: list[np.ndarray] = []
-    for lo in centers - root_radius:
-        level = 0
+    for center in centers:
+        axes, radius = list(center[:, None]), root_radius
         while True:
-            radius = root_radius / (2 ** level)
-            if level > 0 and radius < tau:
+            grid = np.meshgrid(*axes, indexing="ij")
+            levels.append(np.stack([a.ravel() for a in grid], axis=1))
+            radius /= 2.0
+            if radius < tau:
                 break
-            odd = 2 * np.arange(2 ** level) + 1
-            axes = np.meshgrid(*[l + odd * radius for l in lo], indexing="ij")
-            levels.append(np.stack([a.ravel() for a in axes], axis=1))
-            level += 1
+            axes = [np.stack((v - radius, v + radius), axis=1).ravel() for v in axes]
     return np.concatenate(levels)
 
 
@@ -230,7 +232,9 @@ def gen_dyadic_grid(
     """Deterministic dataset placing a sample at every dyadic target center.
 
     With this data every division finds a sample exactly at the requested
-    center, so partition radii collapse to the target radii.
+    center, so partition radii collapse to the target radii (on a
+    non-dyadic domain, up to the step up where rounded corners lie past
+    ``center ± r_target``).
     """
     pts = dyadic_grid_points(domain if domain is not None else oracle.domain, tau)
     meta = {

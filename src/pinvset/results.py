@@ -198,14 +198,22 @@ def result_to_document(
     }
 
 
+def _json_number(section: dict, key: str, integer: bool = False) -> float | int:
+    """``section[key]`` if a JSON number (integer): not "0.02", 3.7 or true."""
+    value = section[key]
+    if type(value) is int or type(value) is float and not integer:
+        return value if integer else float(value)
+    raise ResultFormatError(f"{key} {value!r} is not a JSON {'integer' if integer else 'number'}")
+
+
 def result_from_document(doc: dict) -> tuple[RunManifest, SynthResult, Certificate | None]:
     try:
         manifest = RunManifest.from_dict(doc["manifest"])
         cfg = doc["config"]
         config = SynthConfig(
-            lipschitz=float(cfg["lipschitz"]),
-            tau=float(cfg["tau"]),
-            max_sweeps=int(cfg["max_sweeps"]),
+            lipschitz=_json_number(cfg, "lipschitz"),
+            tau=_json_number(cfg, "tau"),
+            max_sweeps=_json_number(cfg, "max_sweeps", integer=True),
             mode=UpdateMode(cfg["update_mode"]),
         )
         tree = _tree_from_dict(doc["tree"])
@@ -214,12 +222,12 @@ def result_from_document(doc: dict) -> tuple[RunManifest, SynthResult, Certifica
                 raise ResultFormatError(f"the {key} section does not match the tree")
         result = SynthResult(
             tree=tree,
-            sweeps=int(doc["sweeps"]),
+            sweeps=_json_number(doc, "sweeps", integer=True),
             terminated_by=Termination(doc["terminated_by"]),
             config=config,
         )
         certificate = _certificate_from_dict(doc.get("certificate"))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ResultFormatError(f"malformed result document: {exc}") from exc
     return manifest, result, certificate
 

@@ -9,14 +9,13 @@ every existing node as one contiguous block in sign-vector order.  Leaves
 carry a membership label with respect to the live candidate set; interior
 nodes are purely structural.  The result file stores the same columns.
 
-A cell's corners ``lo``/``hi`` are a root's ``center ± radius``, and a
-split cuts its parent at the parent's center: on each axis the low child
-spans [lo, center] and the high one [center, hi].  So the children tile
-their parent exactly in floating point, whatever the roots; for dyadic
-roots the corners are also ``center ± radius`` of every node.  The roots
-are the cubes ``rect_to_cubes`` cuts from one rectangle, ``root_bounds``:
-``new_tree`` makes them so, and ``from_columns`` takes no other root set.
-Their faces tile that rectangle exactly.
+The roots are the cubes ``rect_to_cubes`` cuts from one rectangle,
+``root_bounds``, whose faces tile it exactly; a root's corners ``lo``/``hi``
+are its ``center ± radius``.  One rule, ``PartitionTree._split``, makes
+every other cell, cutting its parent at the parent's center, so the
+children tile their parent exactly in floating point, whatever the roots.
+``new_tree`` and ``divide`` make no other cells, and ``from_columns`` takes
+no others: a tree is a tiling by construction, in memory and when loaded.
 
 Subtree counters (total leaves / included leaves) are maintained on every
 division and relabeling, so that a coverage walk (``classify``) settles a
@@ -125,19 +124,6 @@ def _first_children(parents: list[int], fanout: int) -> list[int]:
     return first
 
 
-def _split_corners(
-    lo: np.ndarray, hi: np.ndarray, centers: np.ndarray, signs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Corners of the children of (k, n) cells cut at their centers, as
-    (k, 2^n, n) arrays in sign-vector order: on each axis the low half
-    spans [lo, center] and the high half [center, hi]."""
-    low = signs < 0.0
-    return (
-        np.where(low, lo[:, None], centers[:, None]),
-        np.where(low, centers[:, None], hi[:, None]),
-    )
-
-
 class PartitionTree:
     """Subdivision tree; nodes are numbered in creation order."""
 
@@ -153,6 +139,24 @@ class PartitionTree:
         built on first use, so a tree without splits never holds 2^n rows."""
         return np.array(list(product((-1.0, 1.0), repeat=self.dim)))
 
+    def _split(
+        self, centers: np.ndarray, radii: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The split rule, for (k, n) cells: child s of a cell has target
+        center ``c + (r/2)·s`` and radius ``r/2``, and is cut at the cell's
+        center (on each axis the low half spans [lo, c], the high [c, hi]).
+        Returns the children's centers, radii and corners, one row per
+        child; cell j's children are rows j·2^n onward, in sign-vector order."""
+        n, signs = self.dim, self._signs
+        half = radii / 2.0
+        low = signs < 0.0
+        return (
+            (centers[:, None] + half[:, None, None] * signs).reshape(-1, n),
+            np.repeat(half, self.fanout),
+            np.where(low, lo[:, None], centers[:, None]).reshape(-1, n),
+            np.where(low, centers[:, None], hi[:, None]).reshape(-1, n),
+        )
+
     # -- construction ---------------------------------------------------
 
     @classmethod
@@ -163,14 +167,15 @@ class PartitionTree:
         cell corners and the counters are derived; see ``_first_children``
         for the layout the parent column must have.  The roots must be the
         cubes ``rect_to_cubes`` cuts from the rectangle they span, in any
-        order, as ``new_tree`` makes them."""
+        order, and every other node's target center and radius the bits
+        ``_split`` gives its parent's, as ``new_tree`` and ``divide`` do."""
         tree = cls(dim)
         parent = columns["parent"]
         first_child = _first_children(parent, tree.fanout)
         tree.roots = roots = [i for i, p in enumerate(parent) if p == -1]
         centers = np.array(columns["target_center"], dtype=float).reshape(-1, dim)
-        radii = np.array(columns["target_radius"], dtype=float)[:, None]
-        lo, hi = centers - radii, centers + radii
+        radii = np.array(columns["target_radius"], dtype=float)
+        lo, hi = centers - radii[:, None], centers + radii[:, None]
         bounds = lo[roots].min(axis=0), hi[roots].max(axis=0)
         try:
             want, radius = rect_to_cubes(*bounds)
@@ -187,13 +192,24 @@ class PartitionTree:
                 f"{tuple(bounds[0].tolist())}..{tuple(bounds[1].tolist())}: "
                 f"rect_to_cubes makes {len(want)} of radius {radius!r}"
             )
-        # The splits' corners, level by level down from the roots.
+        # The splits, level by level down from the roots.
         first = np.array(first_child, dtype=np.int64)
         level = np.array(tree.roots, dtype=np.int64)
         while len(level := level[first[level] >= 0]):
-            kids = first[level][:, None] + np.arange(tree.fanout)
-            lo[kids], hi[kids] = _split_corners(lo[level], hi[level], centers[level], tree._signs)
-            level = kids.ravel()
+            kids = (first[level][:, None] + np.arange(tree.fanout)).ravel()
+            want, half, lo[kids], hi[kids] = tree._split(
+                centers[level], radii[level], lo[level], hi[level]
+            )
+            bad = (centers[kids].view(np.int64) != want.view(np.int64)).any(axis=1)
+            bad |= radii[kids].view(np.int64) != half.view(np.int64)
+            if bad.any():
+                j = min(np.flatnonzero(bad), key=kids.__getitem__)
+                i = kids[j]
+                raise TreeStructureError(
+                    f"node {i} is not the half of its parent {parent[i]} that a split makes: "
+                    f"{centers[i].tolist()} ± {radii[i]!r}, not {want[j].tolist()} ± {half[j]!r}"
+                )
+            level = kids
         tree.nodes = Nodes(
             **columns,
             first_child=first_child,
@@ -246,10 +262,9 @@ class PartitionTree:
     def divide(self, ids: Sequence[int], dataset: Dataset) -> list[int]:
         """Split every live leaf of ``ids`` into 2^n half-radius children.
 
-        Child target centers sit at the parent's center offset by half the
-        child radius along every sign pattern; each child picks the nearest
+        The children are the cells ``_split`` makes; each picks the nearest
         dataset sample and records ``r = r_target + dist`` so the sample
-        ball still contains the child cell.  Children start INCLUDED.  The
+        ball still contains its cell.  Children start INCLUDED.  The
         children of ``ids[j]`` are the j-th block of 2^n new nodes; the
         returned list holds every block in ``ids`` order.
         """
@@ -263,23 +278,15 @@ class PartitionTree:
         if not ids:
             return []
         k = self.fanout
-        n = self.dim
-        half = np.array([nodes.target_radius[i] for i in ids]) / 2.0
-        centers = np.array([nodes.target_center[i] for i in ids])
-        child_centers = centers[:, None, :] + half[:, None, None] * self._signs
-        lo, hi = _split_corners(
-            np.array([nodes.lo[i] for i in ids]),
-            np.array([nodes.hi[i] for i in ids]),
-            centers,
-            self._signs,
-        )
         first = len(nodes)
         children = self._grow(
             np.repeat(ids, k).tolist(),
-            child_centers.reshape(-1, n),
-            np.repeat(half, k),
-            lo.reshape(-1, n),
-            hi.reshape(-1, n),
+            *self._split(
+                np.array([nodes.target_center[i] for i in ids]),
+                np.array([nodes.target_radius[i] for i in ids]),
+                np.array([nodes.lo[i] for i in ids]),
+                np.array([nodes.hi[i] for i in ids]),
+            ),
             dataset,
         )
         # Each divided cell's single leaf became 2^n included leaves.
@@ -381,22 +388,6 @@ class PartitionTree:
             "excluded": labels[Label.EXCLUDED],
             "unknown": labels[Label.UNKNOWN],
         }
-
-    def first_untiled(self) -> int | None:
-        """First interior node whose children are not exactly its 2^n dyadic
-        halves in sign-vector order, or None when every split is exact."""
-        nodes = self.nodes
-        first_child = np.array(nodes.first_child, dtype=np.int64)
-        interior = np.flatnonzero(first_child >= 0)
-        if not len(interior):
-            return None
-        centers = np.array(nodes.target_center, dtype=float).reshape(-1, self.dim)
-        radii = np.array(nodes.target_radius, dtype=float)
-        half = radii[interior, None] / 2.0
-        kids = first_child[interior, None] + np.arange(self.fanout)
-        want = centers[interior, None] + half[..., None] * self._signs
-        exact = (centers[kids] == want).all(axis=(1, 2)) & (radii[kids] == half).all(axis=1)
-        return None if exact.all() else int(interior[np.argmin(exact)])
 
     def min_root_radius(self) -> float:
         return self.nodes.target_radius[self.roots[0]]  # the roots are equal cubes

@@ -7,11 +7,11 @@ deserialized result file stands on its own.  It decides with no tolerance:
 the sample-ball check ``r >= r_target + dist`` is exact
 (``balls_contain_cells``), and coverage is one walk of the result's own
 partition tree (``PartitionTree.classify``), which compares corners and
-falls back to fractions near a face.  The certificate first checks that
-every split makes its parent's dyadic halves and re-derives the subtree
-counters from the leaf labels, and only then lets the tree answer.  The
-roots need no check here: a tree has only the roots ``rect_to_cubes``
-cuts from the rectangle they span (``new_tree`` makes no others, and
+falls back to fractions near a face.  The certificate first re-derives
+the subtree counters from the leaf labels, and only then lets the tree
+answer.  The cells need no check here: a tree has only the roots
+``rect_to_cubes`` cuts from the rectangle they span and the children the
+one split rule makes (``new_tree`` and ``divide`` make no others, and
 ``PartitionTree.from_columns`` refuses others when a result is loaded),
 so they tile ``root_bounds`` exactly.
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .dataset import SystemOracle
 from .geometry import GEOM_TOL, balls_contain_cells, successor_rect, uncovered_fragments
-from .synthesis import ConfigError, SynthConfig, SynthResult
+from .synthesis import ConfigError, SynthResult
 from .tree import PartitionTree
 
 METHOD_EXACT = "exact-coverage"
@@ -46,44 +46,25 @@ class Certificate:
     method: str
 
 
-def check_fixpoint(
-    result: SynthResult,
-    config: SynthConfig | None = None,
-) -> Certificate:
+def check_fixpoint(result: SynthResult) -> Certificate:
     """Exact re-certification of the final set.
 
     The recorded config must be valid (a finite positive Lipschitz bound
-    and resolution floor).  The tree's cells must tile exactly (every split
-    makes its parent's 2^n dyadic halves, in sign-vector order), every
-    included leaf's sample ball must still contain its cell
-    (``r >= r_target + dist``), and the sample's successor box of radius
-    ``L * r`` must be fully covered by the union of included leaf cells.
-    Both are decided in exact arithmetic on the stored floats.
-    An empty union passes vacuously.  Raises when the supplied config
-    disagrees with the one recorded in the result.
+    and resolution floor).  Every included leaf's sample ball must still
+    contain its cell (``r >= r_target + dist``), and the sample's successor
+    box of radius ``L * r`` must be fully covered by the union of included
+    leaf cells.  Both are decided in exact arithmetic on the stored floats.
+    An empty union passes vacuously.
     """
     try:
         result.config.validate()
     except ConfigError as exc:
         return Certificate(False, 0, {"reason": f"invalid config: {exc}"}, METHOD_EXACT)
-    if config is not None and config.lipschitz != result.config.lipschitz:
-        raise ValueError(
-            f"Lipschitz bound mismatch: result has {result.config.lipschitz}, "
-            f"caller supplied {config.lipschitz}"
-        )
     lipschitz = result.config.lipschitz
     tree = result.tree
-    # The tree is the cover index below.  Its coarse answers stand for the
-    # union of included leaves only if every split tiles its parent and the
+    # The tree is the cover index below.  Its cells tile by construction;
+    # its coarse answers stand for the union of included leaves only if the
     # subtree counters come from the leaf labels.
-    untiled = tree.first_untiled()
-    if untiled is not None:
-        return Certificate(
-            False,
-            0,
-            {"node": untiled, "reason": "children do not tile their parent"},
-            METHOD_EXACT,
-        )
     tree.recount()
     nodes = tree.nodes
     leaves = tree.active_leaves()
@@ -155,15 +136,16 @@ class _TreeMembership:
             for r in tree.roots
             if n_active[r]
         ]
+        bits = None  # each child's sign bits, in the order a split lays them out
         while stack:
             i, depth, corner = stack.pop()
             if n_active[i] == n_leaves[i]:
                 full.append((depth, corner))
             elif n_active[i]:
+                bits = bits or (tree._signs > 0.0).tolist()
                 stack += [
-                    (first_child[i] + j, depth + 1,
-                     tuple(2 * c + (j >> (n - 1 - d) & 1) for d, c in enumerate(corner)))
-                    for j in range(tree.fanout)
+                    (first_child[i] + j, depth + 1, tuple(2 * c + b for c, b in zip(corner, s)))
+                    for j, s in enumerate(bits)
                 ]
         level = min(cap, max((depth for depth, _ in full), default=0))
         self.cells = np.zeros(tuple(g << level for g in grid), dtype=np.uint8)

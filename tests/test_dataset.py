@@ -24,7 +24,9 @@ from pinvset.dataset import (
     save_dataset,
     tabulated_oracle,
 )
-from pinvset.geometry import DimensionMismatchError, rect_to_cubes
+from pinvset.geometry import DimensionMismatchError, balls_contain_cells, rect_to_cubes
+from pinvset.synthesis import SynthConfig, synthesize
+from pinvset.tree import new_tree
 
 
 def make_dataset(points):
@@ -407,20 +409,48 @@ def _odometer_grid(domain, tau):
     return points
 
 
-# Each domain rectangle is cut into its boxes by rect_to_cubes.
+# Each domain rectangle is cut into its boxes by rect_to_cubes.  On these
+# dyadic domains the odometer's values are the split rule's; the ids are
+# those of a list that also held the non-dyadic segment [-0.2, 1.0] at
+# index 1, where they are not (test_dyadic_grid_hits_every_tree_center).
 @pytest.mark.parametrize("boxes,tau", [
     (((-0.25, -1.0), (1.0, 0.25)), 0.01),
-    (((-0.2,), (1.0,)), 0.004),
     (((-0.75, 0.25), (1.25, 1.25)), 0.03),
     (((-0.625, -0.875, -0.375), (0.75, 0.5, 1.0)), 0.05),
     (((-0.5, -0.5, -0.5), (1.5, 0.5, 0.5)), 0.1),
     (((0.0, 0.0), (3.0, 1.0)), 0.1),
-])
+], ids=["boxes0-0.01", "boxes2-0.03", "boxes3-0.05", "boxes4-0.1", "boxes5-0.1"])
 def test_dyadic_grid_points_match_odometer_bitwise(boxes, tau):
     pts = dyadic_grid_points(boxes, tau)
     want = np.array(_odometer_grid(boxes, tau))
     assert pts.shape == want.shape == (len(want), len(boxes[0]))
     assert (pts.view(np.int64) == want.view(np.int64)).all()
+
+
+# On these non-dyadic domains the odometer's values, lo + (2i+1)·r, missed
+# 1,167 of the square's 1,365 tree centers and 176 of the segment's 255.
+@pytest.mark.parametrize("domain,tau,step,lipschitz", [
+    (((0.0, 0.0), (0.3, 0.3)), 0.3 / 64, get_system("linear2d").map_points, 0.8225),
+    (((-0.2,), (1.0,)), 0.004, lambda x: 0.9 * x + 0.2, 0.9),
+], ids=["square", "segment"])
+def test_dyadic_grid_hits_every_tree_center(domain, tau, step, lipschitz):
+    pts = dyadic_grid_points(domain, tau)
+    ds = Dataset(pts, step(pts))
+    tree = new_tree(domain, ds)
+    wave = tree.roots
+    while wave:
+        wave = tree.divide([i for i in wave if tree.nodes.target_radius[i] / 2.0 >= tau], ds)
+    assert len(tree.nodes) == len(pts)
+    assert (ds.nearest(np.array(tree.nodes.target_center))[1] == 0.0).all()
+    # A synth's samples sit at its centers, so each radius is the target
+    # radius, widened only where the cell's rounded corners reach past it.
+    res = synthesize(new_tree(domain, ds), ds, SynthConfig(lipschitz=lipschitz, tau=tau))
+    nodes = res.tree.nodes
+    assert len(nodes) > 1 + len(res.tree.roots)
+    assert nodes.sample_x == nodes.target_center
+    radius, target = np.array(nodes.radius), np.array(nodes.target_radius)
+    tight = balls_contain_cells(target, nodes.lo, nodes.hi, nodes.target_center)
+    assert (radius[tight] == target[tight]).all() and (radius[~tight] > target[~tight]).all()
 
 
 def test_gen_dyadic_grid_contains_exact_centers(nonlin_oracle):

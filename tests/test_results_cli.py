@@ -201,6 +201,7 @@ def _synth_linear_result(tmp_path) -> dict:
 
 
 def test_cli_verify_rejects_shifted_child(tmp_path, capsys):
+    # Such a file used to load, and fail only the certificate's tiling check.
     doc = _synth_linear_result(tmp_path)
     parents = doc["tree"]["parent"]
     # an interior non-root node: not in pi_set, but its cell is a cover
@@ -209,11 +210,11 @@ def test_cli_verify_rejects_shifted_child(tmp_path, capsys):
     result = tmp_path / "shifted.json"
     result.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["-q", "verify", str(result)]) == 1
-    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert report["first_failure"] == {
-        "node": parents[node], "reason": "children do not tile their parent",
-    }
+    assert main(["-q", "verify", str(result)]) == 3
+    assert (
+        f"node {node} is not the half of its parent {parents[node]} that a split makes"
+        in capsys.readouterr().err
+    )
 
 
 def test_cli_verify_rejects_children_that_are_not_one_block(tmp_path, capsys):
@@ -310,35 +311,67 @@ def _half_parent(doc):
     parents = doc["tree"]["parent"]
     node = next(i for i, p in enumerate(parents) if p >= 0)
     parents[node] += 0.5
-    return "parent", node
+    return f"node {node} has a parent that is not an integer"
 
 
 def _fractional_sample(doc):
     doc["tree"]["sample_index"][0] = 3.7
-    return "sample_index", 0
+    return "node 0 has a sample_index that is not an integer"
 
 
 def _float_label(doc, value=1.0):
     labels = doc["tree"]["label"]
     node = labels.index(1)
     labels[node] = value
-    return "label", node
+    return f"node {node} has a label that is not an integer"
+
+
+def _set(section, key, value):
+    def edit(doc):
+        (doc[section] if section else doc)[key] = value
+        kind = "number" if key in ("lipschitz", "tau") else "integer"
+        return f"{key} {value!r} is not a JSON {kind}"
+
+    return edit
+
+
+def _huge_lipschitz(doc):
+    # A JSON integer past the float range: float() raised OverflowError,
+    # which verify did not catch.
+    doc["config"]["lipschitz"] = 10 ** 400
+    return "int too large to convert to float"
 
 
 @pytest.mark.parametrize(
     "edit",
-    [_half_parent, _fractional_sample, _float_label, lambda doc: _float_label(doc, True)],
-    ids=["parent+0.5", "sample_index=3.7", "label=1.0", "label=true"],
+    [
+        _half_parent,
+        _fractional_sample,
+        _float_label,
+        lambda doc: _float_label(doc, True),
+        _set("config", "lipschitz", "0.8225"),
+        _set("config", "tau", "0.02"),
+        _set("config", "max_sweeps", 3.7),
+        _set("config", "max_sweeps", True),
+        _set(None, "sweeps", "3"),
+        _huge_lipschitz,
+    ],
+    ids=[
+        "parent+0.5", "sample_index=3.7", "label=1.0", "label=true",
+        "lipschitz=str", "tau=str", "max_sweeps=3.7", "max_sweeps=true", "sweeps=str",
+        "lipschitz=10**400",
+    ],
 )
 def test_cli_verify_rejects_non_integer_node_column(tmp_path, capsys, edit):
-    # int() truncated 3.7 and Label() took 1.0 and true, so these verified.
+    # int() truncated 3.7 and Label() took 1.0 and true, so these verified;
+    # so did config values and sweeps that float() and int() coerced.
     doc = _synth_linear_result(tmp_path)
-    key, node = edit(doc)
+    message = edit(doc)
     result = tmp_path / "bad.json"
     result.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["-q", "verify", str(result)]) == 3
-    assert f"node {node} has a {key} that is not an integer" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lipschitz", ["nan", "inf", "0", "-0.5"])

@@ -1,5 +1,4 @@
 import math
-from itertools import product
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from pinvset.geometry import (
 from pinvset.tree import (
     Label,
     LabelTransitionError,
+    PartitionTree,
     TreeStructureError,
     new_tree,
 )
@@ -218,39 +218,33 @@ def test_recount_matches_incremental_counters(rng):
     assert tree.nodes.n_active[0] == len(tree.active_leaves())
 
 
-def untiled_reference(tree):
-    """A plain loop over the interior nodes, as ``first_untiled`` was written."""
-    nodes, k = tree.nodes, tree.fanout
-    for i, f in enumerate(nodes.first_child):
-        if f < 0:
-            continue
-        half = nodes.target_radius[i] / 2.0
-        want = [
-            tuple(c + half * s for c, s in zip(nodes.target_center[i], sign))
-            for sign in product((-1.0, 1.0), repeat=tree.dim)
-        ]
-        if nodes.target_center[f:f + k] != want or nodes.target_radius[f:f + k] != [half] * k:
-            return i
-    return None
-
-
-def test_first_untiled_matches_loop(rng):
-    ds = make_dataset([tuple(p) for p in rng.uniform(-0.5, 0.5, size=(40, 2))])
-    tree = new_tree(square_domain(), ds)
-    assert tree.first_untiled() is None
-    for _ in range(25):
-        tree.divide([int(rng.choice(tree.active_leaves()))], ds)
-    assert tree.first_untiled() is None is untiled_reference(tree)
-    nodes = tree.nodes
-    for _ in range(20):
-        j = int(rng.integers(1, len(nodes)))
-        center, radius = nodes.target_center[j], nodes.target_radius[j]
-        if rng.random() < 0.5:
-            nodes.target_center[j] = (center[0], center[1] + 2.0 ** -int(rng.integers(3, 40)))
-        else:
-            nodes.target_radius[j] = radius * 1.5
-        assert tree.first_untiled() == untiled_reference(tree) == nodes.parent[j]
-        nodes.target_center[j], nodes.target_radius[j] = center, radius
+def test_from_columns_refuses_a_child_the_split_does_not_make(rng):
+    keys = ("parent", "target_center", "target_radius", "radius", "sample_index",
+            "sample_x", "sample_xp", "label")
+    for domain in (square_domain(), ((0.0, 0.0), (0.3, 0.3))):
+        ds = make_dataset([tuple(p) for p in rng.uniform(*domain, size=(40, 2))])
+        tree = new_tree(domain, ds)
+        for _ in range(25):
+            tree.divide([int(rng.choice(tree.active_leaves()))], ds)
+        nodes = tree.nodes
+        assert PartitionTree.from_columns(
+            2, **{key: list(getattr(nodes, key)) for key in keys}
+        ).nodes == nodes
+        for _ in range(20):
+            columns = {key: list(getattr(nodes, key)) for key in keys}
+            j = int(rng.integers(1, len(nodes)))
+            center, radius = nodes.target_center[j], nodes.target_radius[j]
+            if rng.random() < 0.5:
+                columns["target_center"][j] = (
+                    center[0], center[1] + 2.0 ** -int(rng.integers(3, 40))
+                )
+            else:
+                columns["target_radius"][j] = radius * 1.5
+            with pytest.raises(
+                TreeStructureError,
+                match=rf"^node {j} is not the half of its parent {nodes.parent[j]} ",
+            ):
+                PartitionTree.from_columns(2, **columns)
 
 
 def test_children_halve_resolution():

@@ -120,13 +120,6 @@ def test_check_fixpoint_fragment_is_uncovered(lin_oracle):
         assert any(min(g, h) <= max(f, l) for f, g, l, h in zip(flo, fhi, lo, hi))
 
 
-def test_check_fixpoint_lipschitz_mismatch(lin_oracle):
-    res = synth_linear(lin_oracle)
-    with pytest.raises(ValueError):
-        check_fixpoint(res, SynthConfig(lipschitz=1.0, tau=res.config.tau))
-    assert check_fixpoint(res, res.config).passed
-
-
 # -- raster oracle ----------------------------------------------------------------
 
 
