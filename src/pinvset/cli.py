@@ -31,7 +31,7 @@ from .dataset import (
     save_dataset,
     tabulated_oracle,
 )
-from .geometry import Rect, rect_to_cubes
+from .geometry import DimensionMismatchError, Rect, rect_to_cubes
 from .render import load_overlay, render_tree_svg
 from .results import (
     ResultFormatError,
@@ -80,6 +80,14 @@ def _resolve_domain(args, dataset_meta: dict | None = None) -> Rect:
     raise UsageError("no domain: pass --domain or --system (or use a dataset with metadata)")
 
 
+def _read(load, path):
+    """``load(path)``, with a row of the wrong width a data fault (exit 3)."""
+    try:
+        return load(path)
+    except DimensionMismatchError as exc:
+        raise DatasetError(str(exc)) from None
+
+
 def cmd_gen(args) -> int:
     if args.system:
         oracle = get_system(args.system)
@@ -92,7 +100,7 @@ def cmd_gen(args) -> int:
         raise UsageError("pass --system or --map-table")
     domain = _resolve_domain(args)
     if not args.system:
-        oracle = tabulated_oracle(load_dataset(args.map_table), args.lipschitz, domain)
+        oracle = tabulated_oracle(_read(load_dataset, args.map_table), args.lipschitz, domain)
     if args.mode == "uniform":
         if args.m is None:
             raise UsageError("--m is required in uniform mode")
@@ -111,8 +119,8 @@ def cmd_gen(args) -> int:
 
 def cmd_synth(args) -> int:
     t0 = time.perf_counter()
-    dataset = load_dataset(args.data)
-    overlay = load_overlay(args.overlay) if args.overlay else None
+    dataset = _read(load_dataset, args.data)
+    overlay = _read(load_overlay, args.overlay) if args.overlay else None
     domain = _resolve_domain(args, dataset.metadata)
     config = SynthConfig(
         lipschitz=args.lipschitz,

@@ -21,6 +21,8 @@ A dataset is stored as CSV, which is streamed at both ends: the writer
 formats the rows in blocks, and the reader hands the file's name to
 ``np.loadtxt`` after one scan of the raw bytes for comments and the
 header.  Neither holds the text of the whole body more than once.
+``read_csv`` is the one CSV reader: ``load_dataset`` splits its columns
+into states and successors, and the SVG overlay is read by it too.
 """
 
 from __future__ import annotations
@@ -259,7 +261,7 @@ def _parse_meta_value(raw: str):
 
 # Blanks around a line's content.  '\n' and '\r' never occur inside a line:
 # a line ends at '\n', '\r\n' or '\r', as it does for numpy's text-mode read.
-_BLANKS = b" \t\f\v"
+_BLANKS = " \t\f\v"
 
 # Rows formatted by one ``orjson`` call in ``save_dataset``.
 CSV_BLOCK_ROWS = 1 << 14
@@ -291,8 +293,9 @@ def _comment_metadata(raw: bytes) -> dict:
         start = raw.rfind(b"\n", 0, pos) + 1
         start = raw.rfind(b"\r", start, pos) + 1 or start
         end = _line_end(raw, pos)
-        if not raw[start:pos].strip(_BLANKS):
-            for token in raw[pos + 1:end].decode("utf-8").split():
+        if not raw[start:pos].strip(_BLANKS.encode()):
+            # A line that is not UTF-8 is refused by ``_content_lines``.
+            for token in raw[pos + 1:end].decode("utf-8", "replace").split():
                 if "=" in token:
                     k, _, v = token.partition("=")
                     metadata[k.strip()] = _parse_meta_value(v.strip())
@@ -300,23 +303,27 @@ def _comment_metadata(raw: bytes) -> dict:
     return metadata
 
 
-def _content_lines(raw: bytes):
+def _content_lines(raw: bytes, path: Path):
     """(line number, content) of every line with content, its text before
-    any '#' with the blanks stripped.  Lines are numbered from 1."""
+    any '#' with the blanks stripped.  Lines are numbered from 1, and a line
+    that is not UTF-8 text is refused by its ``path:line``."""
     lineno = pos = 0
     while pos < len(raw):
         end = _line_end(raw, pos)
         lineno += 1
-        content = raw[pos:end].partition(b"#")[0].strip(_BLANKS)
+        try:
+            content = raw[pos:end].decode("utf-8").partition("#")[0].strip(_BLANKS)
+        except UnicodeDecodeError:
+            raise MalformedRowError(f"{path}:{lineno}: line is not UTF-8 text") from None
         if content:
-            yield lineno, content.decode("utf-8")
+            yield lineno, content
         pos = end + 2 if raw.startswith(b"\r\n", end) else end + 1
 
 
 def _data_rows(path: Path, skip: int) -> list[tuple[int, str]]:
     """(line number, content) of each data row, the header (line ``skip``)
     excluded."""
-    return [row for row in _content_lines(path.read_bytes()) if row[0] > skip]
+    return [row for row in _content_lines(path.read_bytes(), path) if row[0] > skip]
 
 
 def _floats(line: str) -> list[float] | None:
@@ -326,78 +333,68 @@ def _floats(line: str) -> list[float] | None:
         return None
 
 
-def _check_row(path: Path, lineno: int, line: str, cols: int) -> None:
-    values = _floats(line)
-    if values is None:
-        raise MalformedRowError(f"{path}:{lineno}: non-numeric cell in data row")
-    if len(values) != cols:
-        raise DimensionMismatchError(
-            f"{path}:{lineno}: {len(values)} columns, expected {cols}"
-        )
-
-
-def _numpy_refuses(lines: list[str]) -> bool:
+def _width(lines: list[str]) -> int | None:
+    """The column count numpy reads the rows with, or None if it refuses
+    them."""
     try:
-        np.loadtxt(lines, delimiter=",", ndmin=2)
+        return np.loadtxt(lines, delimiter=",", ndmin=2).shape[1]
     except ValueError:
-        return True
-    return False
+        return None
 
 
 def _parse_rows(path: Path, skip: int, cols: int) -> np.ndarray:
     """The data rows parsed from their stripped contents, for files that
-    numpy cannot read as they are (a line of blanks, an indented comment);
-    a bad row is named by its ``path:line``."""
+    numpy cannot read as they are (a line of blanks, an indented comment,
+    a bad row); a bad row is named by its ``path:line``."""
     rows = _data_rows(path, skip)
     lines = [line for _, line in rows]
     try:
         return np.loadtxt(lines, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        error = exc
-    # Name the first offending line.  Python's float, which ``_check_row``
-    # uses, accepts spellings that numpy refuses (such as '1_0'), so look
-    # for a row numpy refuses before the first one Python refuses.  Those
-    # rows all have ``cols`` cells, so numpy refuses a block of them just
-    # when it refuses one of its rows: halving the block finds the first
-    # such row after parsing about twice the rows.
-    end = next(
-        (j for j, line in enumerate(lines) if len(_floats(line) or []) != cols), len(lines)
-    )
-    lo, hi = 0, end
-    if _numpy_refuses(lines[:end]):
-        while hi - lo > 1:  # lines[lo:hi] holds the first row numpy refuses
-            mid = (lo + hi) // 2
-            if _numpy_refuses(lines[lo:mid]):
-                hi = mid
-            else:
-                lo = mid
-        raise MalformedRowError(f"{path}:{rows[lo][0]}: non-numeric cell in data row")
-    for lineno, line in rows[end:end + 1]:
-        _check_row(path, lineno, line, cols)
-    raise MalformedRowError(f"{path}: {error}")
+    except ValueError:
+        pass
+    # A block of rows is bad when numpy refuses it or reads it with other
+    # than ``cols`` columns, which is exactly when one of its rows is bad:
+    # halving the block finds the first bad row after parsing about twice
+    # the rows.
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:  # lines[lo:hi] holds the first bad row
+        mid = (lo + hi) // 2
+        if _width(lines[lo:mid]) != cols:
+            hi = mid
+        else:
+            lo = mid
+    lineno, width = rows[lo][0], _width(lines[lo:hi])
+    if width is None:
+        raise MalformedRowError(f"{path}:{lineno}: non-numeric cell in data row")
+    raise DimensionMismatchError(f"{path}:{lineno}: {width} columns, expected {cols}")
 
 
-def load_dataset(path: str | Path) -> Dataset:
-    """Read sample pairs from CSV.
+def read_csv(path: str | Path) -> tuple[np.ndarray, dict]:
+    """The rows of a CSV as one float array, and its metadata; the one CSV
+    reader, for datasets and overlays alike.
 
-    Rows are ``x_1,..,x_n,xp_1,..,xp_n``; lines whose first non-blank
-    character is '#' are comments and may carry ``key=value`` metadata; an
-    optional non-numeric header row is skipped.  A line ends at '\\n',
-    '\\r\\n' or '\\r'.
+    Lines whose first non-blank character is '#' are comments and may
+    carry ``key=value`` metadata; an optional non-numeric header row is
+    skipped, and a '#' later in a row ends it.  A line ends at '\\n',
+    '\\r\\n' or '\\r'.  The first data row fixes an even column count (a
+    state and its successor, or an overlay's x,y), and every row must hold
+    that many finite numbers.
 
     One scan of the raw bytes finds the metadata, the header and the first
     data row; then ``np.loadtxt`` reads the file by its name, in chunks.
     Only when numpy refuses the file (a line of blanks, an indented
-    comment, a bad row) are the rows parsed from their stripped contents,
-    which names a bad row's ``path:line``.
+    comment, a bad row, bytes that are not UTF-8) are the rows parsed from
+    their stripped contents, which names a bad line's ``path:line``.
     """
     path = Path(path)
     raw = path.read_bytes()
     metadata = _comment_metadata(raw)
-    lines = _content_lines(raw)
+    lines = _content_lines(raw, path)
     skip, first = 0, next(lines, None)
+    # A header row has a cell Python's float refuses; numpy refuses those
+    # cells too, and a row that only numpy refuses ('1_0') is a bad row.
     if first is not None and _floats(first[1]) is None:
-        skip, first = first[0], next(lines, None)  # header row
+        skip, first = first[0], next(lines, None)
     del raw, lines  # numpy reads the file itself
     if first is None:
         raise EmptyDatasetError(f"{path}: no data rows")
@@ -405,20 +402,25 @@ def load_dataset(path: str | Path) -> Dataset:
     cols = line.count(",") + 1
     if cols % 2 != 0:
         raise MalformedRowError(f"{path}:{lineno}: odd column count {cols}")
-    _check_row(path, lineno, line, cols)
     try:
         rows = np.loadtxt(
             path, delimiter=",", comments="#", skiprows=skip, ndmin=2, encoding="utf-8"
         )
     except ValueError:
         rows = _parse_rows(path, skip, cols)
-    n = cols // 2
-    x, x_plus = rows[:, :n], rows[:, n:]
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         lineno = _data_rows(path, skip)[int(np.argmin(finite))][0]
         raise NonFiniteSampleError(f"{path}:{lineno}: non-finite value in data row")
-    return Dataset(x, x_plus, metadata)
+    return rows, metadata
+
+
+def load_dataset(path: str | Path) -> Dataset:
+    """Read sample pairs from a CSV of rows ``x_1,..,x_n,xp_1,..,xp_n``,
+    as ``read_csv`` reads it."""
+    rows, metadata = read_csv(path)
+    n = rows.shape[1] // 2
+    return Dataset(rows[:, :n], rows[:, n:], metadata)
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:

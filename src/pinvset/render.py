@@ -2,16 +2,17 @@
 
 Leaf cells are drawn as squares colored by label; an optional polyline
 overlay (for a reference set boundary or barrier level set) is drawn on
-top.  Output is deterministic: fixed float formatting, no timestamps, leaf
-order equals tree creation order.
+top, its vertices read from CSV by ``dataset.read_csv``, in the dialect
+of the datasets.  Output is deterministic: fixed float formatting, no
+timestamps, leaf order equals tree creation order.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
-from .dataset import DatasetError
+from .dataset import read_csv
+from .geometry import DimensionMismatchError
 from .tree import Label, PartitionTree
 
 FILL = {
@@ -73,20 +74,10 @@ def render_tree_svg(
 
 
 def load_overlay(path) -> list[tuple[float, float]]:
-    """Read polyline vertices from a CSV of finite x,y rows; blank and '#'
-    lines are skipped, and any other row raises ``DatasetError``."""
-    points: list[tuple[float, float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                x, y = map(float, line.split(","))
-                ok = math.isfinite(x) and math.isfinite(y)
-            except ValueError:
-                ok = False
-            if not ok:
-                raise DatasetError(f"{path}:{lineno}: overlay row is not two finite numbers")
-            points.append((x, y))
-    return points
+    """Polyline vertices from a CSV of ``x,y`` rows, read by
+    ``dataset.read_csv`` as a dataset is; a file of other than two columns
+    raises ``DimensionMismatchError``."""
+    rows, _ = read_csv(path)
+    if rows.shape[1] != 2:
+        raise DimensionMismatchError(f"{path}: {rows.shape[1]} columns, expected 2")
+    return list(map(tuple, rows.tolist()))

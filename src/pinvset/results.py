@@ -45,17 +45,6 @@ class RunManifest:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunManifest":
-        return cls(
-            command=d.get("command", ""),
-            version=d.get("version", ""),
-            dataset_sha256=d.get("dataset_sha256"),
-            dataset_meta=d.get("dataset_meta", {}) or {},
-            seed=d.get("seed"),
-            duration_s=d.get("duration_s", 0.0),
-        )
-
 
 def file_sha256(path: str | Path) -> str:
     h = hashlib.sha256()
@@ -166,10 +155,10 @@ def _certificate_from_dict(d: dict | None) -> Certificate | None:
     if d is None:
         return None
     return Certificate(
-        passed=bool(d["passed"]),
-        checked_leaves=int(d["checked_leaves"]),
-        first_failure=d.get("first_failure"),
-        method=d.get("method", "exact-coverage"),
+        passed=_json_value(d, "passed", bool),
+        checked_leaves=_json_value(d, "checked_leaves", int),
+        first_failure=d["first_failure"],
+        method=d["method"],
     )
 
 
@@ -198,22 +187,27 @@ def result_to_document(
     }
 
 
-def _json_number(section: dict, key: str, integer: bool = False) -> float | int:
-    """``section[key]`` if a JSON number (integer): not "0.02", 3.7 or true."""
+_JSON_KINDS = {float: "number", int: "integer", bool: "boolean", dict: "object"}
+
+
+def _json_value(section: dict, key: str, kind: type):
+    """``section[key]`` if a JSON value of ``kind`` (a float is any number):
+    not "0.02", 3.7, true or "x" where those do not belong."""
     value = section[key]
-    if type(value) is int or type(value) is float and not integer:
-        return value if integer else float(value)
-    raise ResultFormatError(f"{key} {value!r} is not a JSON {'integer' if integer else 'number'}")
+    if type(value) is kind or kind is float and type(value) is int:
+        return kind(value)
+    raise ResultFormatError(f"{key} {value!r} is not a JSON {_JSON_KINDS[kind]}")
 
 
 def result_from_document(doc: dict) -> tuple[RunManifest, SynthResult, Certificate | None]:
     try:
-        manifest = RunManifest.from_dict(doc["manifest"])
+        manifest = RunManifest(**_json_value(doc, "manifest", dict))
+        _json_value(doc["manifest"], "dataset_meta", dict)
         cfg = doc["config"]
         config = SynthConfig(
-            lipschitz=_json_number(cfg, "lipschitz"),
-            tau=_json_number(cfg, "tau"),
-            max_sweeps=_json_number(cfg, "max_sweeps", integer=True),
+            lipschitz=_json_value(cfg, "lipschitz", float),
+            tau=_json_value(cfg, "tau", float),
+            max_sweeps=_json_value(cfg, "max_sweeps", int),
             mode=UpdateMode(cfg["update_mode"]),
         )
         tree = _tree_from_dict(doc["tree"])
@@ -222,7 +216,7 @@ def result_from_document(doc: dict) -> tuple[RunManifest, SynthResult, Certifica
                 raise ResultFormatError(f"the {key} section does not match the tree")
         result = SynthResult(
             tree=tree,
-            sweeps=_json_number(doc, "sweeps", integer=True),
+            sweeps=_json_value(doc, "sweeps", int),
             terminated_by=Termination(doc["terminated_by"]),
             config=config,
         )

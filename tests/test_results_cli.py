@@ -11,7 +11,15 @@ from pathlib import Path
 import pytest
 
 from pinvset.cli import main
-from pinvset.dataset import Dataset, gen_uniform, load_dataset, save_dataset
+from pinvset.dataset import (
+    Dataset,
+    EmptyDatasetError,
+    MalformedRowError,
+    gen_uniform,
+    load_dataset,
+    save_dataset,
+)
+from pinvset.geometry import DimensionMismatchError
 from pinvset.render import load_overlay, render_tree_svg
 from pinvset.results import (
     ResultFormatError,
@@ -286,6 +294,24 @@ def test_cli_rejects_section_that_contradicts_tree(tmp_path, capsys, caplog, sec
     )
 
 
+def test_cli_report_skips_manifest_of_the_wrong_type(tmp_path, capsys, caplog):
+    # report read dataset_meta with .get and died on a string.
+    doc = _synth_linear_result(tmp_path)
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    (runs / "good.json").write_text(json.dumps(doc))
+    doc["manifest"]["dataset_meta"] = "x"
+    (runs / "bad.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["-q", "report", "--dir", str(runs)]) == 0
+    header, row = capsys.readouterr().out.strip().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["runs"] == "1"
+    assert any(
+        "event=report-skip" in r.getMessage() and "dataset_meta 'x' is not a JSON object"
+        in r.getMessage() for r in caplog.records
+    )
+
+
 def test_cli_report_exit_codes(tmp_path, capsys):
     # No result files is a usage error (2); result files that are all
     # unreadable are a data fault (3).  Both name the directory.
@@ -329,8 +355,9 @@ def _float_label(doc, value=1.0):
 def _set(section, key, value):
     def edit(doc):
         (doc[section] if section else doc)[key] = value
-        kind = "number" if key in ("lipschitz", "tau") else "integer"
-        return f"{key} {value!r} is not a JSON {kind}"
+        kinds = {"lipschitz": "number", "tau": "number", "manifest": "object",
+                 "dataset_meta": "object", "passed": "boolean"}
+        return f"{key} {value!r} is not a JSON {kinds.get(key, 'integer')}"
 
     return edit
 
@@ -355,11 +382,18 @@ def _huge_lipschitz(doc):
         _set("config", "max_sweeps", True),
         _set(None, "sweeps", "3"),
         _huge_lipschitz,
+        _set(None, "manifest", "x"),
+        _set(None, "manifest", []),
+        _set("manifest", "dataset_meta", "x"),
+        _set("certificate", "passed", "false"),
+        _set("certificate", "checked_leaves", 3.5),
+        _set("certificate", "checked_leaves", True),
     ],
     ids=[
         "parent+0.5", "sample_index=3.7", "label=1.0", "label=true",
         "lipschitz=str", "tau=str", "max_sweeps=3.7", "max_sweeps=true", "sweeps=str",
-        "lipschitz=10**400",
+        "lipschitz=10**400", "manifest=str", "manifest=list", "dataset_meta=str",
+        "passed=str", "checked_leaves=3.5", "checked_leaves=true",
     ],
 )
 def test_cli_verify_rejects_non_integer_node_column(tmp_path, capsys, edit):
@@ -855,8 +889,20 @@ def test_cli_verify_rejects_empty_node_table(tmp_path, capsys, dim):
     assert "the node table has no node" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("row", ["1,abc", "1", "1,2,3", "nan,0.5", "0.5,inf"])
+# A bad overlay row and the reason the dataset reader gives for it.
+_OVERLAY_REASONS = {
+    "1,abc": "non-numeric cell in data row",
+    "1": "1 columns, expected 2",
+    "1,2,3": "3 columns, expected 2",
+    "nan,0.5": "non-finite value in data row",
+    "0.5,inf": "non-finite value in data row",
+}
+
+
+@pytest.mark.parametrize("row", list(_OVERLAY_REASONS))
 def test_cli_synth_rejects_bad_overlay_before_synthesis(tmp_path, capsys, row):
+    # The overlay is read by the dataset reader, and its reasons are the
+    # dataset's; every one exits 3.
     data = tmp_path / "d.csv"
     overlay = tmp_path / "o.csv"
     overlay.write_text(f"# boundary\n0,0\n{row}\n1,1\n")
@@ -866,7 +912,7 @@ def test_cli_synth_rejects_bad_overlay_before_synthesis(tmp_path, capsys, row):
     assert main(["-q", "synth", "--data", str(data), "--system", "linear2d",
                  "--lipschitz", "0.8225", "--tau", "0.05", "--out", str(tmp_path / "r.json"),
                  "--svg", str(tmp_path / "r.svg"), "--overlay", str(overlay)]) == 3
-    assert f"{overlay}:3: overlay row is not two finite numbers" in capsys.readouterr().err
+    assert f"{overlay}:3: {_OVERLAY_REASONS[row]}" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
 
@@ -874,3 +920,67 @@ def test_load_overlay_skips_comments_and_blank_lines(tmp_path):
     overlay = tmp_path / "o.csv"
     overlay.write_text("# x,y\n0,0.5\n\n  1e-3 , -2\n")
     assert load_overlay(overlay) == [(0.0, 0.5), (1e-3, -2.0)]
+
+
+def test_load_overlay_reads_the_dataset_dialect(tmp_path):
+    # A header row and a '#' that ends a row, as in a dataset CSV.
+    overlay = tmp_path / "o.csv"
+    overlay.write_text("x,y\n0,0\n0.5,0.5 # end\n")
+    assert load_overlay(overlay) == [(0.0, 0.0), (0.5, 0.5)]
+
+
+@pytest.mark.parametrize("text,error,reason", [
+    ("0,0\n1_0,2\n", MalformedRowError, "o.csv:2: non-numeric cell in data row"),
+    ("# a boundary\n\n# with no vertex\n", EmptyDatasetError, "o.csv: no data rows"),
+    ("0,0,1,1\n1,1,0,0\n", DimensionMismatchError, "o.csv: 4 columns, expected 2"),
+])
+def test_load_overlay_refuses(tmp_path, text, error, reason):
+    # Python's float reads '1_0' as 10; the dataset reader refuses it.
+    overlay = tmp_path / "o.csv"
+    overlay.write_text(text)
+    with pytest.raises(error, match=reason):
+        load_overlay(overlay)
+
+
+def _synth_exit(tmp_path, *args):
+    return main(["-q", "synth", "--lipschitz", "0.8225", "--tau", "0.05",
+                 "--out", str(tmp_path / "r.json"), *args])
+
+
+def test_cli_rows_of_the_wrong_width_exit_3(tmp_path, capsys):
+    # A row of the wrong width is a data-format fault, in a dataset, a map
+    # table or an overlay; a --domain of the wrong dimension is still a
+    # usage error.
+    bad = tmp_path / "cnt.csv"
+    bad.write_text("x1,x2,xp1,xp2\n0,0,0,0\n1,1,1\n")
+    assert _synth_exit(tmp_path, "--data", str(bad), "--system", "linear2d") == 3
+    assert f"{bad}:3: 3 columns, expected 4" in capsys.readouterr().err
+    assert main(["-q", "gen", "--map-table", str(bad), "--lipschitz", "1",
+                 "--domain=0,0:1,1", "--mode", "grid", "--tau", "0.5",
+                 "--out", str(tmp_path / "g.csv")]) == 3
+    assert f"{bad}:3: 3 columns, expected 4" in capsys.readouterr().err
+
+    data = tmp_path / "d.csv"
+    main(["-q", "gen", "--system", "linear2d", "--m", "300", "--seed", "1",
+          "--out", str(data)])
+    overlay = tmp_path / "o.csv"
+    overlay.write_text("0,0,1,1\n")
+    capsys.readouterr()
+    assert _synth_exit(tmp_path, "--data", str(data), "--system", "linear2d",
+                       "--svg", str(tmp_path / "r.svg"), "--overlay", str(overlay)) == 3
+    assert f"{overlay}: 4 columns, expected 2" in capsys.readouterr().err
+    assert _synth_exit(tmp_path, "--data", str(data), "--domain=0,0,0:1,1,1") == 2
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("text,line", [
+    (b"# seed=3 \xff\nx1,x2,xp1,xp2\n0,0,0,0\n", 1),
+    (b"x1,x2,xp1,xp2\n0,0,0,0\n1,1,1,1\n0,\xff,0,0\n", 4),
+])
+def test_cli_refuses_bytes_that_are_not_utf8(tmp_path, capsys, text, line):
+    # A comment or a data row that is not UTF-8 is a data-format fault
+    # named by its line, not a decoding error without a file name.
+    data = tmp_path / "d.csv"
+    data.write_bytes(text)
+    assert _synth_exit(tmp_path, "--data", str(data), "--system", "linear2d") == 3
+    assert f"{data}:{line}: line is not UTF-8 text" in capsys.readouterr().err
