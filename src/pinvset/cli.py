@@ -135,10 +135,9 @@ def cmd_synth(args) -> int:
         command=" ".join(args.argv_echo),
         dataset_sha256=file_sha256(args.data),
         dataset_meta=dataset.metadata,
-        seed=dataset.metadata.get("seed"),
         duration_s=time.perf_counter() - t0,
     )
-    save_result(args.out, result, manifest, certificate)
+    save_result(args.out, result, manifest)
     logger.info(
         "event=synth volume=%.12g sweeps=%d terminated_by=%s certified=%s out=%s",
         result.volume,
@@ -170,8 +169,19 @@ def _json_number(value: float) -> float | str:
     return value if math.isfinite(value) else repr(value)
 
 
+def _meta_value(manifest: RunManifest, key: str, kind: type):
+    """``dataset_meta[key]``, or None when absent or null.  synth writes the
+    dataset's comment metadata as it finds it, so a value of another type is
+    a data fault of this file (ResultFormatError), found where it is read."""
+    value = manifest.dataset_meta.get(key)
+    if value is not None and type(value) is not kind:
+        name = {int: "integer", str: "string"}[kind]
+        raise ResultFormatError(f"dataset_meta.{key} {value!r} is not a JSON {name}")
+    return value
+
+
 def cmd_verify(args) -> int:
-    manifest, result, _ = load_result(args.result)
+    manifest, result = load_result(args.result)
     certificate = check_fixpoint(result)
     logger.info(
         "event=verify method=%s passed=%s checked=%d lipschitz=%r",
@@ -182,7 +192,7 @@ def cmd_verify(args) -> int:
     )
     mc_passed = True
     if args.monte_carlo:
-        system = args.system or manifest.dataset_meta.get("system")
+        system = args.system or _meta_value(manifest, "system", str)
         if not system:
             raise UsageError("--monte-carlo needs --system (or dataset metadata in the result)")
         if not result.tree.n_included():
@@ -258,16 +268,13 @@ def cmd_report(args) -> int:
     groups: dict[tuple, list[float]] = {}
     for path in paths:
         try:
-            manifest, result, _ = load_result(path)
+            manifest, result = load_result(path)
+            system = _meta_value(manifest, "system", str) or "unknown"
+            m = _meta_value(manifest, "m", int)
         except (ResultFormatError, OSError) as exc:
             logger.warning("event=report-skip file=%s error=%s", path, exc)
             continue
-        meta = manifest.dataset_meta
-        key = (
-            str(meta.get("system", "unknown")),
-            meta.get("m"),
-            result.config.tau,
-        )
+        key = (system, m, result.config.tau)
         groups.setdefault(key, []).append(result.volume)
     if not groups:
         # Files that are there but unreadable are a data fault (exit 3);

@@ -1,13 +1,14 @@
 """Result-file schema: one self-describing JSON document per run.
 
-Sections: manifest (provenance), config, domain, tree (the node table:
-one list per column, as ``tree.Nodes`` holds it), pi_set,
-volume/sweeps/leaf_counts/terminated_by, certificate.  The node table
-stores everything the independent verifier needs (target geometry,
+Sections, in file order: manifest (provenance), config, tree (the node
+table: one list per column, as ``tree.Nodes`` holds it), sweeps and
+terminated_by; a document with any other section is refused.  The node
+table stores everything the independent verifier needs (target geometry,
 sample state and successor, ball radius, label), so a result file can be
-re-certified without the dataset.  The domain, pi_set, volume and
-leaf_counts sections restate the tree for readers of the file: they are
-derived from it on save and checked against it on load.  Serialization
+re-certified without the dataset.  Each fact is stored once: the domain,
+the kept set, its volume, the leaf counts and the certificate are all
+derived from the tree (``verify`` recomputes the certificate), so the
+file holds no copy of them that could disagree.  Serialization
 round-trips exactly: JSON numbers are written as shortest round-trip
 decimals (``orjson``, compact) and parsed back to the same floats by the
 stdlib ``json``, which also loads the NaN of a hand-edited config so that
@@ -26,7 +27,6 @@ from pathlib import Path
 from . import __version__
 from .synthesis import SynthConfig, SynthResult, Termination, UpdateMode
 from .tree import Label, PartitionTree
-from .verify import Certificate
 
 
 class ResultFormatError(ValueError):
@@ -39,7 +39,6 @@ class RunManifest:
     version: str = __version__
     dataset_sha256: str | None = None
     dataset_meta: dict = field(default_factory=dict)
-    seed: int | None = None
     duration_s: float = 0.0
 
     def to_dict(self) -> dict:
@@ -52,26 +51,6 @@ def file_sha256(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _tree_sections(tree: PartitionTree) -> dict:
-    """The sections that restate the tree: the domain (the roots' cells),
-    pi_set (the included leaves' cells, in leaf order), their volume and the
-    leaf counts by label."""
-    centers, radii = tree.nodes.target_center, tree.nodes.target_radius
-    kept = tree.active_leaves()
-    return {
-        "domain": {
-            "centers": [list(centers[i]) for i in tree.roots],
-            "radii": [radii[i] for i in tree.roots],
-        },
-        "pi_set": {
-            "centers": [list(centers[i]) for i in kept],
-            "radii": [radii[i] for i in kept],
-        },
-        "volume": tree.active_volume(),
-        "leaf_counts": tree.leaf_counts(),
-    }
 
 
 _VECTORS = ("target_center", "sample_x", "sample_xp")
@@ -140,34 +119,7 @@ def _tree_from_dict(d: dict) -> PartitionTree:
     )
 
 
-def _certificate_to_dict(cert: Certificate | None) -> dict | None:
-    if cert is None:
-        return None
-    return {
-        "method": cert.method,
-        "passed": cert.passed,
-        "checked_leaves": cert.checked_leaves,
-        "first_failure": cert.first_failure,
-    }
-
-
-def _certificate_from_dict(d: dict | None) -> Certificate | None:
-    if d is None:
-        return None
-    return Certificate(
-        passed=_json_value(d, "passed", bool),
-        checked_leaves=_json_value(d, "checked_leaves", int),
-        first_failure=d["first_failure"],
-        method=d["method"],
-    )
-
-
-def result_to_document(
-    result: SynthResult,
-    manifest: RunManifest,
-    certificate: Certificate | None = None,
-) -> dict:
-    sections = _tree_sections(result.tree)
+def result_to_document(result: SynthResult, manifest: RunManifest) -> dict:
     return {
         "manifest": manifest.to_dict(),
         "config": {
@@ -176,18 +128,17 @@ def result_to_document(
             "max_sweeps": result.config.max_sweeps,
             "update_mode": result.config.mode.value,
         },
-        "domain": sections["domain"],
         "tree": _tree_to_dict(result.tree),
-        "pi_set": sections["pi_set"],
-        "volume": sections["volume"],
         "sweeps": result.sweeps,
         "terminated_by": result.terminated_by.value,
-        "leaf_counts": sections["leaf_counts"],
-        "certificate": _certificate_to_dict(certificate),
     }
 
 
-_JSON_KINDS = {float: "number", int: "integer", bool: "boolean", dict: "object"}
+# The sections of a result document, in file order.
+_SECTIONS = ("manifest", "config", "tree", "sweeps", "terminated_by")
+
+
+_JSON_KINDS = {float: "number", int: "integer", dict: "object"}
 
 
 def _json_value(section: dict, key: str, kind: type):
@@ -199,8 +150,13 @@ def _json_value(section: dict, key: str, kind: type):
     raise ResultFormatError(f"{key} {value!r} is not a JSON {_JSON_KINDS[kind]}")
 
 
-def result_from_document(doc: dict) -> tuple[RunManifest, SynthResult, Certificate | None]:
+def result_from_document(doc: dict) -> tuple[RunManifest, SynthResult]:
+    if type(doc) is not dict:
+        raise ResultFormatError("malformed result document: not a JSON object")
     try:
+        unknown = next((key for key in doc if key not in _SECTIONS), None)
+        if unknown is not None:
+            raise ResultFormatError(f"unknown section {unknown!r}")
         manifest = RunManifest(**_json_value(doc, "manifest", dict))
         _json_value(doc["manifest"], "dataset_meta", dict)
         cfg = doc["config"]
@@ -210,35 +166,24 @@ def result_from_document(doc: dict) -> tuple[RunManifest, SynthResult, Certifica
             max_sweeps=_json_value(cfg, "max_sweeps", int),
             mode=UpdateMode(cfg["update_mode"]),
         )
-        tree = _tree_from_dict(doc["tree"])
-        for key, derived in _tree_sections(tree).items():
-            if doc[key] != derived:
-                raise ResultFormatError(f"the {key} section does not match the tree")
         result = SynthResult(
-            tree=tree,
+            tree=_tree_from_dict(doc["tree"]),
             sweeps=_json_value(doc, "sweeps", int),
             terminated_by=Termination(doc["terminated_by"]),
             config=config,
         )
-        certificate = _certificate_from_dict(doc.get("certificate"))
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ResultFormatError(f"malformed result document: {exc}") from exc
-    return manifest, result, certificate
+    return manifest, result
 
 
-def save_result(
-    path: str | Path,
-    result: SynthResult,
-    manifest: RunManifest,
-    certificate: Certificate | None = None,
-) -> None:
+def save_result(path: str | Path, result: SynthResult, manifest: RunManifest) -> None:
     import orjson
 
-    doc = result_to_document(result, manifest, certificate)
-    Path(path).write_bytes(orjson.dumps(doc))
+    Path(path).write_bytes(orjson.dumps(result_to_document(result, manifest)))
 
 
-def load_result(path: str | Path) -> tuple[RunManifest, SynthResult, Certificate | None]:
+def load_result(path: str | Path) -> tuple[RunManifest, SynthResult]:
     try:
         with Path(path).open("r", encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -45,33 +45,34 @@ def small_result(lin_oracle, tau=0.05, m=1500, seed=2):
 
 def test_result_round_trip_identity(lin_oracle, tmp_path):
     res = small_result(lin_oracle)
-    manifest = RunManifest(command="test", seed=2)
+    manifest = RunManifest(command="test")
     path = tmp_path / "r.json"
-    save_result(path, res, manifest, check_fixpoint(res))
-    loaded_manifest, loaded, cert = load_result(path)
-    assert cert is not None and cert.passed
-    assert loaded_manifest.command == "test"
+    save_result(path, res, manifest)
+    loaded_manifest, loaded = load_result(path)
+    assert loaded_manifest == manifest
     doc_a = result_to_document(res, manifest)
     doc_b = result_to_document(loaded, loaded_manifest)
-    assert doc_a["tree"] == doc_b["tree"]
-    assert doc_a["pi_set"] == doc_b["pi_set"]
-    assert doc_a["config"] == doc_b["config"]
-    assert loaded.volume == res.volume
+    assert list(doc_a) == ["manifest", "config", "tree", "sweeps", "terminated_by"]
+    assert doc_a == doc_b
+    assert loaded.volume == res.volume and loaded.leaf_counts == res.leaf_counts
     # the reloaded tree certifies on its own
     assert check_fixpoint(loaded).passed
 
 
 def test_result_from_document_rejects_mismatched_union(lin_oracle):
     doc = result_to_document(small_result(lin_oracle), RunManifest(command="test"))
-    # claims an empty set while the tree still has live leaves
+    # claims an empty set while the tree still has live leaves: the set is
+    # the tree's to state, so the section is refused whatever it holds
     doc["pi_set"] = {"centers": [], "radii": []}
-    with pytest.raises(ResultFormatError, match="the pi_set section does not match the tree"):
+    with pytest.raises(ResultFormatError, match="unknown section 'pi_set'"):
         result_from_document(doc)
 
 
 def test_result_from_document_rejects_garbage():
     with pytest.raises(ResultFormatError):
         result_from_document({"manifest": {}})
+    with pytest.raises(ResultFormatError, match="not a JSON object"):
+        result_from_document("abc")
 
 
 def test_load_result_rejects_bad_json(tmp_path):
@@ -212,7 +213,7 @@ def test_cli_verify_rejects_shifted_child(tmp_path, capsys):
     # Such a file used to load, and fail only the certificate's tiling check.
     doc = _synth_linear_result(tmp_path)
     parents = doc["tree"]["parent"]
-    # an interior non-root node: not in pi_set, but its cell is a cover
+    # an interior non-root node: not a kept leaf, but its cell is a cover
     node = next(i for i in range(len(parents)) if parents[i] >= 0 and i in set(parents))
     doc["tree"]["target_center"][node][0] += 1e-3
     result = tmp_path / "shifted.json"
@@ -226,10 +227,9 @@ def test_cli_verify_rejects_shifted_child(tmp_path, capsys):
 
 
 def test_cli_verify_rejects_children_that_are_not_one_block(tmp_path, capsys):
-    # Move a retired leaf (so the restated sections still match the tree)
-    # from its parent's block to the root: the root then has 5 children and
-    # the old parent 3.  Such a file used to load and fail only the tiling
-    # check.
+    # Move a retired leaf from its parent's block to the root: the root then
+    # has 5 children and the old parent 3.  Such a file used to load and fail
+    # only the tiling check.
     doc = _synth_linear_result(tmp_path)
     parents, labels = doc["tree"]["parent"], doc["tree"]["label"]
     interior = set(parents)
@@ -258,58 +258,112 @@ def test_load_rejects_short_child_block(lin_oracle):
         result_from_document(doc)
 
 
-def _drop_last_kept_cell(doc):
-    doc["pi_set"]["centers"].pop()
-    doc["pi_set"]["radii"].pop()
-
-
-_SECTION_EDITS = {
-    "volume": lambda doc: doc.update(volume=99.0),
-    "leaf_counts": lambda doc: doc["leaf_counts"].update(included=1),
-    "pi_set": _drop_last_kept_cell,
-    "domain": lambda doc: doc.update(domain={"centers": [[5.0, 5.0]], "radii": [0.625]}),
+# Each key a result file used to hold beside the tree, by its path, with a
+# stale value that disagrees with the tree.
+_STALE_SECTIONS = {
+    "domain": {"centers": [[5.0, 5.0]], "radii": [0.625]},
+    "pi_set": {"centers": [], "radii": []},
+    "volume": 99.0,
+    "leaf_counts": {"included": 1, "excluded": 0, "unknown": 0},
+    "certificate": {
+        "method": "exact-fixpoint", "passed": True, "checked_leaves": 1, "first_failure": None,
+    },
+    "manifest.seed": 99,
 }
 
 
-@pytest.mark.parametrize("section", list(_SECTION_EDITS))
+@pytest.mark.parametrize("section", list(_STALE_SECTIONS))
 def test_cli_rejects_section_that_contradicts_tree(tmp_path, capsys, caplog, section):
-    # These sections restate the tree; a file whose copy disagrees with its
-    # own tree used to verify, and report aggregated the edited volume.
+    # A file states each fact once, in the tree; these sections restated it
+    # (and manifest.seed restated dataset_meta.seed).  A file that carries
+    # one is refused by name, so a stale copy never sits in a file that
+    # verifies, and report aggregates only the good file.
     doc = _synth_linear_result(tmp_path)
     runs = tmp_path / "runs"
     runs.mkdir()
     (runs / "good.json").write_text(json.dumps(doc))
-    _SECTION_EDITS[section](doc)
+    head, _, key = section.rpartition(".")
+    (doc[head] if head else doc)[key] = _STALE_SECTIONS[section]
+    reason = f"unexpected keyword argument {key!r}" if head else f"unknown section {key!r}"
     bad = runs / "bad.json"
     bad.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["-q", "verify", str(bad)]) == 3
-    assert f"the {section} section does not match the tree" in capsys.readouterr().err
+    assert reason in capsys.readouterr().err
     assert main(["-q", "report", "--dir", str(runs)]) == 0
     header, row = capsys.readouterr().out.strip().splitlines()
     assert dict(zip(header.split(","), row.split(",")))["runs"] == "1"
     assert any(
         "event=report-skip" in r.getMessage() and "bad.json" in r.getMessage()
-        for r in caplog.records
+        and reason in r.getMessage() for r in caplog.records
     )
 
 
+def _synth_with_comment(tmp_path, old: str, new: str) -> Path:
+    """The result of synth on linear2d data whose metadata comment has
+    ``old`` replaced by ``new``; synth writes that metadata as it finds it."""
+    data = tmp_path / "c.csv"
+    result = tmp_path / "c.json"
+    main(["-q", "gen", "--system", "linear2d", "--m", "1500", "--seed", "3",
+          "--out", str(data)])
+    comment, rest = data.read_text().split("\n", 1)
+    assert old in comment
+    data.write_text(comment.replace(old, new) + "\n" + rest)
+    assert main(["-q", "synth", "--data", str(data), "--system", "linear2d",
+                 "--lipschitz", "0.8225", "--tau", "0.02", "--out", str(result)]) == 0
+    return result
+
+
 def test_cli_report_skips_manifest_of_the_wrong_type(tmp_path, capsys, caplog):
-    # report read dataset_meta with .get and died on a string.
+    # report read dataset_meta with .get and died on a string, and sorted
+    # or hashed m and system as it found them.
     doc = _synth_linear_result(tmp_path)
     runs = tmp_path / "runs"
     runs.mkdir()
     (runs / "good.json").write_text(json.dumps(doc))
-    doc["manifest"]["dataset_meta"] = "x"
-    (runs / "bad.json").write_text(json.dumps(doc))
+    reasons = {}
+    for name, key, value, reason in [
+        ("str", "dataset_meta", "x", "dataset_meta 'x' is not a JSON object"),
+        ("list", "system", ["linear2d"],
+         "dataset_meta.system ['linear2d'] is not a JSON string"),
+        ("m-list", "m", [1], "dataset_meta.m [1] is not a JSON integer"),
+    ]:
+        edited = json.loads(json.dumps(doc))
+        meta = edited["manifest"]
+        (meta if key == "dataset_meta" else meta["dataset_meta"])[key] = value
+        (runs / f"{name}.json").write_text(json.dumps(edited))
+        reasons[name] = reason
+    # A CSV comment alone gives synth an m that is not an integer; the
+    # result still verifies, and report skips it.
+    comment = _synth_with_comment(tmp_path, "m=1500", "m=abc")
+    assert main(["-q", "verify", str(comment)]) == 0
+    (runs / "comment.json").write_bytes(comment.read_bytes())
+    reasons["comment"] = "dataset_meta.m 'abc' is not a JSON integer"
     capsys.readouterr()
     assert main(["-q", "report", "--dir", str(runs)]) == 0
     header, row = capsys.readouterr().out.strip().splitlines()
     assert dict(zip(header.split(","), row.split(",")))["runs"] == "1"
-    assert any(
-        "event=report-skip" in r.getMessage() and "dataset_meta 'x' is not a JSON object"
-        in r.getMessage() for r in caplog.records
-    )
+    skips = [r.getMessage() for r in caplog.records if "event=report-skip" in r.getMessage()]
+    assert len(skips) == len(reasons)
+    for name, reason in reasons.items():
+        assert any(f"{name}.json" in line and reason in line for line in skips)
+
+
+def test_cli_verify_monte_carlo_refuses_system_of_the_wrong_type(tmp_path, capsys):
+    # The oracle's name comes from the data's comment; one that is not a
+    # string is a fault of the file (exit 3), not an unknown system (exit 2)
+    # or a crash.  Named on the command line, the system is used instead.
+    path = _synth_with_comment(tmp_path, "system=linear2d", "system=7")
+    doc = json.loads(path.read_text())
+    doc["manifest"]["dataset_meta"]["system"] = ["linear2d"]
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    mc = ["--monte-carlo", "200", "--horizon", "5"]
+    for result, value in [(path, "7"), (edited, "['linear2d']")]:
+        capsys.readouterr()
+        assert main(["-q", "verify", str(result), *mc]) == 3
+        assert f"dataset_meta.system {value} is not a JSON string" in capsys.readouterr().err
+        assert main(["-q", "verify", str(result), *mc, "--system", "linear2d"]) == 0
 
 
 def test_cli_report_exit_codes(tmp_path, capsys):
@@ -356,7 +410,7 @@ def _set(section, key, value):
     def edit(doc):
         (doc[section] if section else doc)[key] = value
         kinds = {"lipschitz": "number", "tau": "number", "manifest": "object",
-                 "dataset_meta": "object", "passed": "boolean"}
+                 "dataset_meta": "object"}
         return f"{key} {value!r} is not a JSON {kinds.get(key, 'integer')}"
 
     return edit
@@ -385,15 +439,11 @@ def _huge_lipschitz(doc):
         _set(None, "manifest", "x"),
         _set(None, "manifest", []),
         _set("manifest", "dataset_meta", "x"),
-        _set("certificate", "passed", "false"),
-        _set("certificate", "checked_leaves", 3.5),
-        _set("certificate", "checked_leaves", True),
     ],
     ids=[
         "parent+0.5", "sample_index=3.7", "label=1.0", "label=true",
         "lipschitz=str", "tau=str", "max_sweeps=3.7", "max_sweeps=true", "sweeps=str",
         "lipschitz=10**400", "manifest=str", "manifest=list", "dataset_meta=str",
-        "passed=str", "checked_leaves=3.5", "checked_leaves=true",
     ],
 )
 def test_cli_verify_rejects_non_integer_node_column(tmp_path, capsys, edit):
@@ -463,8 +513,8 @@ def test_cli_verify_reports_trusted_lipschitz(tmp_path, capsys, caplog):
 
 def test_cli_verify_reports_trusted_domain(tmp_path, capsys, caplog):
     # The report's domain is the rectangle the roots tile.  An extra
-    # included root at (50, 50), whose sample maps to itself and which the
-    # restated sections include, breaks that tiling, so the file is refused.
+    # included root at (50, 50), whose sample maps to itself, breaks that
+    # tiling, so the file is refused.
     doc = _synth_linear_result(tmp_path)
     capsys.readouterr()
     assert main(["-q", "verify", str(tmp_path / "r.json")]) == 0
@@ -476,11 +526,6 @@ def test_cli_verify_reports_trusted_domain(tmp_path, capsys, caplog):
     }
     for key, value in extra.items():
         doc["tree"][key].append(value)
-    for section in ("domain", "pi_set"):
-        doc[section]["centers"].append([50.0, 50.0])
-        doc[section]["radii"].append(0.5)
-    doc["volume"] = math.fsum((2.0 * r) ** 2 for r in doc["pi_set"]["radii"])
-    doc["leaf_counts"]["included"] += 1
     (tmp_path / "extra").mkdir()
     path = tmp_path / "extra" / "extra.json"
     path.write_text(json.dumps(doc))
@@ -497,8 +542,7 @@ def test_cli_verify_reports_trusted_domain(tmp_path, capsys, caplog):
 def _roots_document(doc: dict, centers: list, radius: float) -> dict:
     """``doc`` with its tree replaced by unsplit included roots, the cubes
     ``center ± radius`` in [-0.5, 0.5]^2.  Their samples sit at the origin
-    and map to it, and each sample's ball of radius 0.5 holds its cell.  The
-    sections that restate the tree restate these roots."""
+    and map to it, and each sample's ball of radius 0.5 holds its cell."""
     k = len(centers)
     doc["tree"] = {
         "dim": 2, "parent": [-1] * k, "target_center": centers,
@@ -506,9 +550,6 @@ def _roots_document(doc: dict, centers: list, radius: float) -> dict:
         "sample_index": [0] * k, "sample_x": [[0.0, 0.0]] * k,
         "sample_xp": [[0.0, 0.0]] * k, "label": [1] * k,
     }
-    doc["domain"] = doc["pi_set"] = {"centers": centers, "radii": [radius] * k}
-    doc["volume"] = math.fsum([(2.0 * radius) ** 2] * k)
-    doc["leaf_counts"] = {"included": k, "excluded": 0, "unknown": 0}
     return doc
 
 
@@ -648,25 +689,27 @@ def test_cli_verify_rejects_malformed_node_table(tmp_path, capsys, bad_parent):
 
 
 # sha256 of a result file's bytes after its manifest (the first section),
-# taken before the tree was stored as columns: the same data must give the
-# same partition, written the same way.
+# first taken before the tree was stored as columns.  When the sections that
+# restated the tree went, each digest was taken again from the old file with
+# those sections deleted and the rest re-serialized by orjson: the same data
+# must give the same partition, written the same way.
 _PINNED_RESULTS = {
     "linear2d-sequential": (
         ["--system", "linear2d", "--m", "1500", "--seed", "3"],
         ["--lipschitz", "0.8225", "--tau", "0.02"],
-        "7f672e9e3f82caf29a88e57c7f112e0b7d917be0dd3008e416992f1972849c15",
+        "310d9fd691a5059f4e25636f1e9b88b20e6274b21639001dd687f7a312bdb1d1",
     ),
     "nonlinear2d-batch": (
         ["--system", "nonlinear2d", "--m", "2000", "--seed", "0"],
         ["--lipschitz", "5.728", "--tau", "0.01", "--mode", "batch"],
-        "4ce2a7f9a5d71d54e5541162a7f93d090075cd5d618e1211adc642755ce90d1b",
+        "d416d96e084b8393818bd6690197bdb71110a57ed30e678bf31811e3a2ee4e7e",
     ),
     # Two root cubes tile a --domain of 2 x 1; grid data does not depend on
     # the uniform stream.  Pinned before the domain became one rectangle.
     "linear2d-two-roots": (
         ["--system", "linear2d", "--mode", "grid", "--tau", "0.01", "--domain=-1,-0.5:1,0.5"],
         ["--domain=-1,-0.5:1,0.5", "--lipschitz", "0.8225", "--tau", "0.01"],
-        "6c279ab9ae9f0aa0e33263e854cd3d01556614259bc872cda960b71acafee64c",
+        "7b03c7eeda7eff9de471b5b9a45d654475b343f865bdee84d57fd02a5bc68a03",
     ),
 }
 
@@ -687,17 +730,18 @@ def test_cli_result_bytes_are_pinned(tmp_path, capsys, run):
 
 # Data on the half of the domain below its midpoint in x1: the tree's
 # cells on the other half ask for neighbours far from every sample.  The
-# digests are those the KD-tree index gave.
+# digests are those the KD-tree index gave, re-taken as above when the
+# restated sections went.
 _HALF_DOMAIN_RESULTS = {
     "linear2d": (
         0.375,
         ["--lipschitz", "0.8225", "--tau", "0.01"],
-        "9eb5ca1fc9efcc98fa2bf29b510396c40415298abc3f38c9247be3750db1cdf4",
+        "0fe3aa40c35c372857f6fc9b3b32ab7324ca71f24d23e14feb27c68998d1aac2",
     ),
     "nonlinear2d": (
         0.0,
         ["--lipschitz", "5.728", "--tau", "0.01"],
-        "1a78a818567ed76d4f491777e74b37e530a81cb61f36171534d69c52bef943b6",
+        "597bb29923426531ace403ec2a4176fb15370c10f35afda8231e7421dafe8b18",
     ),
 }
 
@@ -879,9 +923,6 @@ def test_cli_verify_rejects_bad_dim(tmp_path, capsys, dim):
 def test_cli_verify_rejects_empty_node_table(tmp_path, capsys, dim):
     doc = _synth_linear_result(tmp_path)
     doc["tree"] = {"dim": dim, **{key: [] for key in doc["tree"] if key != "dim"}}
-    doc["domain"] = doc["pi_set"] = {"centers": [], "radii": []}
-    doc["volume"] = 0.0
-    doc["leaf_counts"] = {"included": 0, "excluded": 0, "unknown": 0}
     result = tmp_path / "bad.json"
     result.write_text(json.dumps(doc))
     capsys.readouterr()
