@@ -44,14 +44,8 @@ from .bounds import (  # noqa: E402
     BoundForm,
     BoundQuery,
     FormulaSignWarning,
-    PolytopeCSet,
-    contraction_window,
     covering_lower_bound,
-    gauge,
-    gauge_unit_max,
-    successor_gauge_bound,
     uniform_sample_bound,
-    unit_max_ball,
 )
 from .verify import (  # noqa: E402
     Certificate,

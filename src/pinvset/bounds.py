@@ -1,4 +1,4 @@
-"""Sample-count bounds and Minkowski-gauge machinery for contractive sets.
+"""Sample-count bounds.
 
 Two sampling regimes are quantified: a deterministic grid, where the sample
 count needed to resolve the domain at resolution tau is a covering-number
@@ -20,130 +20,9 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .geometry import DimensionMismatchError
-
 
 class FormulaSignWarning(UserWarning):
     """A verbatim bound evaluated to a nonpositive sample count."""
-
-
-class CSetInvalidError(ValueError):
-    """Row set does not describe a compact set with the origin interior."""
-
-
-@dataclass(frozen=True)
-class PolytopeCSet:
-    """Compact convex polytope with the origin interior: {x : rows @ x <= 1}.
-
-    Compactness is equivalent to the rows positively spanning R^n (the
-    recession cone {d : rows @ d <= 0} must be trivial); this is checked at
-    construction with 2n small LPs, one per signed coordinate direction.
-    """
-
-    rows: np.ndarray
-
-    def __post_init__(self) -> None:
-        from scipy.optimize import linprog  # local, so the CLI starts without scipy
-
-        rows = np.asarray(self.rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[0] < 1:
-            raise CSetInvalidError("rows must be a nonempty 2-D array")
-        object.__setattr__(self, "rows", rows)
-        n = rows.shape[1]
-        for d in range(n):
-            for sign in (1.0, -1.0):
-                c = np.zeros(n)
-                c[d] = -sign  # linprog minimizes; we want max of sign * e_d
-                res = linprog(
-                    c,
-                    A_ub=rows,
-                    b_ub=np.zeros(rows.shape[0]),
-                    bounds=[(-1.0, 1.0)] * n,
-                    method="highs",
-                )
-                if not res.success:
-                    raise CSetInvalidError(f"recession LP failed: {res.message}")
-                if -res.fun > 1e-9:
-                    raise CSetInvalidError(
-                        "rows do not positively span: unbounded direction "
-                        f"found along coordinate {d}"
-                    )
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
-
-
-def unit_max_ball(n: int) -> PolytopeCSet:
-    """The unit max-norm ball as a C-set (rows +-e_i)."""
-    return PolytopeCSet(np.vstack((np.eye(n), -np.eye(n))))
-
-
-def gauge(cset: PolytopeCSet, x) -> float:
-    """Minkowski gauge: the least lambda >= 0 with x in lambda * S.
-
-    For an H-represented C-set this is ``max(0, max_i h_i . x)`` exactly.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != cset.dim:
-        raise DimensionMismatchError(
-            f"point dim {x.shape[-1]} does not match set dim {cset.dim}"
-        )
-    return float(max(0.0, float(np.max(cset.rows @ x))))
-
-
-def gauge_many(cset: PolytopeCSet, pts: np.ndarray) -> np.ndarray:
-    """Gauge of each row of an (N, n) array."""
-    pts = np.asarray(pts, dtype=float)
-    return np.maximum(0.0, (pts @ cset.rows.T).max(axis=1))
-
-
-def gauge_unit_max(cset: PolytopeCSet) -> float:
-    """Largest gauge value over the unit max-norm ball.
-
-    Each row functional h . u is maximized over ||u||_inf <= 1 at
-    u = sign(h) with value ||h||_1, so the maximum is max_i ||h_i||_1.
-    """
-    return float(np.abs(cset.rows).sum(axis=1).max())
-
-
-def successor_gauge_bound(
-    cset: PolytopeCSet, contraction: float, lipschitz: float, radius: float
-) -> float:
-    """Certified gauge bound over the successor box of a ball inside the set.
-
-    If the set contracts by factor ``contraction`` per step and the ball of
-    ``radius`` sits inside it, every point of the Lipschitz successor box
-    has gauge at most ``contraction + lipschitz * radius * gauge_unit_max``.
-    """
-    return contraction + lipschitz * radius * gauge_unit_max(cset)
-
-
-def max_certified_radius(
-    cset: PolytopeCSet, contraction: float, lipschitz: float, rho: float
-) -> float:
-    """Largest ball radius whose successor box stays inside ``rho * S``."""
-    return (rho - contraction) / (lipschitz * gauge_unit_max(cset))
-
-
-def contraction_window(
-    cset: PolytopeCSet, contraction: float, lipschitz: float, radius: float
-) -> tuple[float, float] | None:
-    """Admissible scalings rho for a radius-r covering of ``rho * S``.
-
-    Balls of this radius centered inside ``rho * S`` stay inside S and
-    their successor boxes stay inside ``rho * S`` precisely when rho lies in
-    ``[contraction + L * u * r, 1 - r * u]`` with u the unit-ball gauge
-    maximum; an empty interval means the radius is too coarse.
-    """
-    u = gauge_unit_max(cset)
-    lo = contraction + lipschitz * u * radius
-    hi = 1.0 - radius * u
-    if lo > hi:
-        return None
-    return (lo, hi)
 
 
 def covering_lower_bound(

@@ -71,12 +71,26 @@ def _parse_domain(spec: str) -> Rect:
     return lo, hi
 
 
-def _resolve_domain(args, dataset_meta: dict | None = None) -> Rect:
+def _file_system(name, path):
+    """The builtin system a file's metadata names.  The value comes from
+    the file, so one that is not a builtin's name is a data fault of that
+    file (exit 3), not a usage error."""
+    if type(name) is str:
+        try:
+            return get_system(name)
+        except UnknownSystemError:
+            pass
+    raise DatasetError(f"{path}: metadata system={name!r} names no builtin system")
+
+
+def _resolve_domain(args, dataset_meta: dict | None = None, path=None) -> Rect:
     if getattr(args, "domain", None):
         return _parse_domain(args.domain)
-    system = getattr(args, "system", None) or (dataset_meta or {}).get("system")
-    if system:
-        return get_system(system).domain
+    if getattr(args, "system", None):
+        return get_system(args.system).domain
+    system = (dataset_meta or {}).get("system")
+    if system is not None:
+        return _file_system(system, path).domain
     raise UsageError("no domain: pass --domain or --system (or use a dataset with metadata)")
 
 
@@ -121,7 +135,7 @@ def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     dataset = _read(load_dataset, args.data)
     overlay = _read(load_overlay, args.overlay) if args.overlay else None
-    domain = _resolve_domain(args, dataset.metadata)
+    domain = _resolve_domain(args, dataset.metadata, args.data)
     config = SynthConfig(
         lipschitz=args.lipschitz,
         tau=args.tau,
@@ -198,7 +212,7 @@ def cmd_verify(args) -> int:
         if not result.tree.n_included():
             logger.info("event=monte-carlo skipped=empty-set")
         else:
-            oracle = get_system(system)
+            oracle = get_system(system) if args.system else _file_system(system, args.result)
             mc = monte_carlo_invariance(
                 result.tree, oracle, args.monte_carlo, args.horizon, args.seed
             )
@@ -218,8 +232,8 @@ def cmd_verify(args) -> int:
         # Trusted input: the certificate holds only if this bounds the map.
         "lipschitz": _json_number(result.config.lipschitz),
         # Trusted input too: the rectangle the root cells tile.  Loading
-        # checks that the roots are its ``rect_to_cubes`` cubes, but nothing
-        # checks the rectangle against the system's constraint set.
+        # derives the roots from it (its ``rect_to_cubes`` cubes), but
+        # nothing checks the rectangle against the system's constraint set.
         "domain": [list(map(_json_number, corner)) for corner in result.tree.root_bounds],
     }
     print(json.dumps(report))

@@ -2,8 +2,8 @@
 
 ``CellIndex`` answers with the distance a linear scan computes,
 ``max_d |x_d - q_d|`` in floating point, and the lowest index among every
-sample at exactly that distance.  It is numpy only, so ``synth`` never
-imports scipy; only ``bounds.PolytopeCSet`` does.  ``Dataset`` imports
+sample at exactly that distance.  It is numpy only: no pinvset module
+imports scipy.  ``Dataset`` imports
 this module on its first query, so commands that ask for no neighbour
 never load it.
 

@@ -1,14 +1,17 @@
 """Result-file schema: one self-describing JSON document per run.
 
-Sections, in file order: manifest (provenance), config, tree (the node
-table: one list per column, as ``tree.Nodes`` holds it), sweeps and
-terminated_by; a document with any other section is refused.  The node
-table stores everything the independent verifier needs (target geometry,
-sample state and successor, ball radius, label), so a result file can be
-re-certified without the dataset.  Each fact is stored once: the domain,
-the kept set, its volume, the leaf counts and the certificate are all
-derived from the tree (``verify`` recomputes the certificate), so the
-file holds no copy of them that could disagree.  Serialization
+Sections, in file order: manifest (provenance), config, tree, sweeps and
+terminated_by; a document with any other section is refused.  The tree
+section is the rectangle ``root_bounds`` and the node columns that a
+split does not determine (parent, ball radius, sample index, state and
+successor, label), one list per column as ``tree.Nodes`` holds it; any
+other key is refused.  That is everything the independent verifier needs,
+so a result file can be re-certified without the dataset.  Each fact is
+stored once: the cells are derived from ``root_bounds`` and the parent
+column by the split rule (``PartitionTree.from_columns``), and the kept
+set, its volume, the leaf counts and the certificate from the tree
+(``verify`` recomputes the certificate), so the file holds no copy of
+them that could disagree.  Serialization
 round-trips exactly: JSON numbers are written as shortest round-trip
 decimals (``orjson``, compact) and parsed back to the same floats by the
 stdlib ``json``, which also loads the NaN of a hand-edited config so that
@@ -53,14 +56,13 @@ def file_sha256(path: str | Path) -> str:
     return h.hexdigest()
 
 
-_VECTORS = ("target_center", "sample_x", "sample_xp")
+_VECTORS = ("sample_x", "sample_xp")
 _INTEGERS = ("parent", "sample_index", "label")
 # The node columns a result file stores, in file order, and how each is
-# read back from JSON.
+# read back from JSON.  The cells are not stored: ``from_columns`` derives
+# them from ``root_bounds`` and the parent column.
 _PARSE = {
     "parent": int,
-    "target_center": tuple,
-    "target_radius": float,
     "radius": float,
     "sample_index": int,
     "sample_x": tuple,
@@ -70,11 +72,11 @@ _PARSE = {
 
 
 def _tree_to_dict(tree: PartitionTree) -> dict:
-    # orjson writes the tuples of the vector columns as arrays.  The labels
-    # are plain integers, as the loader requires.
+    # orjson writes the tuples of the vector columns as arrays.  The corners
+    # and the labels are lists and plain integers, as the loader requires.
     columns = {key: list(getattr(tree.nodes, key)) for key in _PARSE}
     columns["label"] = list(map(int, columns["label"]))
-    return {"dim": tree.dim, **columns}
+    return {"root_bounds": list(map(list, tree.root_bounds)), **columns}
 
 
 def _all_finite(values) -> bool:
@@ -88,16 +90,29 @@ def _all_finite(values) -> bool:
 
 
 def _tree_from_dict(d: dict) -> PartitionTree:
-    dim = d["dim"]
-    if type(dim) is not int or dim < 1:
-        raise ResultFormatError(f"the tree's dim {dim!r} is not an integer >= 1")
+    unknown = next((key for key in d if key != "root_bounds" and key not in _PARSE), None)
+    if unknown is not None:
+        raise ResultFormatError(f"unknown tree column {unknown!r}")
+    bounds = d["root_bounds"]
+    if not (
+        type(bounds) is list
+        and len(bounds) == 2
+        and type(bounds[0]) is list
+        and type(bounds[1]) is list
+        and len(bounds[0]) == len(bounds[1]) > 0
+        and _all_finite(chain(*bounds))
+    ):
+        raise ResultFormatError(
+            f"root_bounds {bounds!r} is not two corners of finite JSON numbers of one length"
+        )
+    dim = len(bounds[0])
     count = len(d["parent"])
     if not count:
         raise ResultFormatError("the node table has no node")
     for key in _PARSE:
         if len(d[key]) != count:
             raise ResultFormatError(f"the {key} column does not have {count} nodes")
-    for key in (*_VECTORS, "target_radius", "radius"):
+    for key in (*_VECTORS, "radius"):
         column = d[key]
         vector = key in _VECTORS
         if not _all_finite(chain.from_iterable(column) if vector else column):
@@ -115,7 +130,7 @@ def _tree_from_dict(d: dict) -> PartitionTree:
             i = next(i for i, n in enumerate(lengths) if n != dim)
             raise ResultFormatError(f"node {i} has a {key} not of length {dim}")
     return PartitionTree.from_columns(
-        dim, **{key: list(map(parse, d[key])) for key, parse in _PARSE.items()}
+        bounds, **{key: list(map(parse, d[key])) for key, parse in _PARSE.items()}
     )
 
 
@@ -167,7 +182,7 @@ def result_from_document(doc: dict) -> tuple[RunManifest, SynthResult]:
             mode=UpdateMode(cfg["update_mode"]),
         )
         result = SynthResult(
-            tree=_tree_from_dict(doc["tree"]),
+            tree=_tree_from_dict(_json_value(doc, "tree", dict)),
             sweeps=_json_value(doc, "sweeps", int),
             terminated_by=Termination(doc["terminated_by"]),
             config=config,

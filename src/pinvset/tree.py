@@ -7,15 +7,17 @@ ball that is guaranteed to contain the cell, its parent, its first child
 (-1 for a leaf) and its label.  A split appends its 2^n children after
 every existing node as one contiguous block in sign-vector order.  Leaves
 carry a membership label with respect to the live candidate set; interior
-nodes are purely structural.  The result file stores the same columns.
+nodes are purely structural.
 
 The roots are the cubes ``rect_to_cubes`` cuts from one rectangle,
 ``root_bounds``, whose faces tile it exactly; a root's corners ``lo``/``hi``
 are its ``center ± radius``.  One rule, ``PartitionTree._split``, makes
 every other cell, cutting its parent at the parent's center, so the
 children tile their parent exactly in floating point, whatever the roots.
-``new_tree`` and ``divide`` make no other cells, and ``from_columns`` takes
-no others: a tree is a tiling by construction, in memory and when loaded.
+``new_tree``, ``divide`` and ``from_columns`` make no other cells: a tree
+is a tiling by construction, in memory and when loaded.  So the result
+file stores ``root_bounds`` and the parent column, not the cells, and
+``from_columns`` derives every cell from them.
 
 Subtree counters (total leaves / included leaves) are maintained on every
 division and relabeling, so that a coverage walk (``classify``) settles a
@@ -127,11 +129,13 @@ def _first_children(parents: list[int], fanout: int) -> list[int]:
 class PartitionTree:
     """Subdivision tree; nodes are numbered in creation order."""
 
-    def __init__(self, dim: int):
-        self.dim = dim
+    def __init__(self, root_bounds: Rect):
+        lo, hi = root_bounds
+        self.root_bounds: Rect = (tuple(map(float, lo)), tuple(map(float, hi)))
+        self.dim = len(lo)
         self.nodes = Nodes()
         self.roots: list[int] = []
-        self.fanout = 1 << dim
+        self.fanout = 1 << self.dim
 
     @cached_property
     def _signs(self) -> np.ndarray:
@@ -160,59 +164,49 @@ class PartitionTree:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_columns(cls, dim: int, **columns: list) -> PartitionTree:
-        """A tree from the stored columns of its node table: ``parent``,
-        ``target_center``, ``target_radius``, ``radius``, ``sample_index``,
-        ``sample_x``, ``sample_xp`` and ``label``.  The first children, the
-        cell corners and the counters are derived; see ``_first_children``
-        for the layout the parent column must have.  The roots must be the
-        cubes ``rect_to_cubes`` cuts from the rectangle they span, in any
-        order, and every other node's target center and radius the bits
-        ``_split`` gives its parent's, as ``new_tree`` and ``divide`` do."""
-        tree = cls(dim)
+    def from_columns(cls, root_bounds: Rect, **columns: list) -> PartitionTree:
+        """A tree over the rectangle ``root_bounds`` from the stored columns
+        of its node table: ``parent``, ``radius``, ``sample_index``,
+        ``sample_x``, ``sample_xp`` and ``label``.  Every cell is derived as
+        ``new_tree`` and ``divide`` make it: the roots, in node order, are
+        the cubes ``rect_to_cubes`` cuts from ``root_bounds`` (a tree with
+        another number of roots is refused), and every other node is the
+        half of its parent that ``_split`` makes.  The first children and the
+        counters are derived too; see ``_first_children`` for the layout the
+        parent column must have."""
+        try:
+            root_centers, root_radius = rect_to_cubes(*root_bounds)
+        except ValueError as exc:
+            raise ValueError(f"root_bounds: {exc}") from None
+        tree = cls(root_bounds)
         parent = columns["parent"]
         first_child = _first_children(parent, tree.fanout)
         tree.roots = roots = [i for i, p in enumerate(parent) if p == -1]
-        centers = np.array(columns["target_center"], dtype=float).reshape(-1, dim)
-        radii = np.array(columns["target_radius"], dtype=float)
-        lo, hi = centers - radii[:, None], centers + radii[:, None]
-        bounds = lo[roots].min(axis=0), hi[roots].max(axis=0)
-        try:
-            want, radius = rect_to_cubes(*bounds)
-        except ValueError as exc:
-            raise ValueError(f"the root cells do not tile a rectangle: {exc}") from None
-        got = centers[roots]
-        if not (
-            len(got) == len(want)
-            and (radii[roots] == radius).all()
-            and (got[np.lexsort(got.T[::-1])] == want).all()
-        ):
-            raise ValueError(
-                f"the root cells are not the cubes that tile "
-                f"{tuple(bounds[0].tolist())}..{tuple(bounds[1].tolist())}: "
-                f"rect_to_cubes makes {len(want)} of radius {radius!r}"
+        if len(roots) != len(root_centers):
+            raise TreeStructureError(
+                f"the tree has {len(roots)} roots, but rect_to_cubes cuts "
+                f"{len(root_centers)} cubes from root_bounds "
+                f"{tree.root_bounds[0]}..{tree.root_bounds[1]}"
             )
+        shape = (len(parent), tree.dim)
+        centers, lo, hi = np.empty(shape), np.empty(shape), np.empty(shape)
+        radii = np.empty(len(parent))
+        centers[roots], radii[roots] = root_centers, root_radius
+        lo[roots], hi[roots] = root_centers - root_radius, root_centers + root_radius
         # The splits, level by level down from the roots.
         first = np.array(first_child, dtype=np.int64)
-        level = np.array(tree.roots, dtype=np.int64)
+        level = np.array(roots, dtype=np.int64)
         while len(level := level[first[level] >= 0]):
             kids = (first[level][:, None] + np.arange(tree.fanout)).ravel()
-            want, half, lo[kids], hi[kids] = tree._split(
+            centers[kids], radii[kids], lo[kids], hi[kids] = tree._split(
                 centers[level], radii[level], lo[level], hi[level]
             )
-            bad = (centers[kids].view(np.int64) != want.view(np.int64)).any(axis=1)
-            bad |= radii[kids].view(np.int64) != half.view(np.int64)
-            if bad.any():
-                j = min(np.flatnonzero(bad), key=kids.__getitem__)
-                i = kids[j]
-                raise TreeStructureError(
-                    f"node {i} is not the half of its parent {parent[i]} that a split makes: "
-                    f"{centers[i].tolist()} ± {radii[i]!r}, not {want[j].tolist()} ± {half[j]!r}"
-                )
             level = kids
         tree.nodes = Nodes(
             **columns,
             first_child=first_child,
+            target_center=list(map(tuple, centers.tolist())),
+            target_radius=radii.tolist(),
             lo=list(map(tuple, lo.tolist())),
             hi=list(map(tuple, hi.tolist())),
         )
@@ -528,15 +522,6 @@ class PartitionTree:
                 return None
         return touched, gap
 
-    @cached_property
-    def root_bounds(self) -> Rect:
-        """The rectangle the root cells tile (see ``from_columns``)."""
-        los, his = self.nodes.lo, self.nodes.hi
-        return (
-            tuple(map(min, zip(*[los[i] for i in self.roots]))),
-            tuple(map(max, zip(*[his[i] for i in self.roots]))),
-        )
-
     def _outside(self, l0, l1, h0, h1, exact: bool):
         """A region outside the root cells that meets the query's interior,
         as a slab past one face of ``root_bounds``; None when that
@@ -603,10 +588,9 @@ def new_tree(domain: Rect, dataset: Dataset) -> PartitionTree:
     per cube of ``rect_to_cubes(lo, hi)``, so the leaf cells tile the
     rectangle at every moment."""
     centers, radius = rect_to_cubes(*domain)
-    dim = centers.shape[1]
-    if dataset.dim != dim:
-        raise ValueError(f"dataset dim {dataset.dim} does not match domain dim {dim}")
-    tree = PartitionTree(dim)
+    tree = PartitionTree(domain)
+    if dataset.dim != tree.dim:
+        raise ValueError(f"dataset dim {dataset.dim} does not match domain dim {tree.dim}")
     tree.roots = tree._grow(
         [-1] * len(centers),
         centers,

@@ -10,10 +10,11 @@ partition tree (``PartitionTree.classify``), which compares corners and
 falls back to fractions near a face.  The certificate first re-derives
 the subtree counters from the leaf labels, and only then lets the tree
 answer.  The cells need no check here: a tree has only the roots
-``rect_to_cubes`` cuts from the rectangle they span and the children the
-one split rule makes (``new_tree`` and ``divide`` make no others, and
-``PartitionTree.from_columns`` refuses others when a result is loaded),
-so they tile ``root_bounds`` exactly.
+``rect_to_cubes`` cuts from ``root_bounds`` and the children the one split
+rule makes (``new_tree`` and ``divide`` make no others, and
+``PartitionTree.from_columns`` derives the same cells from ``root_bounds``
+and the parent column when a result is loaded), so they tile
+``root_bounds`` exactly.
 
 ``monte_carlo_invariance`` is a falsifier that rolls true trajectories
 forward; only the exact check constitutes the deterministic guarantee.

@@ -1,9 +1,10 @@
 """Shared test utilities: cubes as rectangles, a tree's kept cells and a
-tree of given roots, lattice-snapped coverage instances, the all-fraction
-coverage reference and the raster sampling oracle, a contraction grid in
-fractions, the linear-scan and KD-tree
-nearest-neighbour references, and plain references for the dataset CSV
-writer and reader.
+tree of unsplit roots over a rectangle, lattice-snapped coverage
+instances, the all-fraction coverage reference and the raster sampling
+oracle, the Minkowski gauge of polytopic C-sets (scipy's ``linprog``
+checks that a row set bounds one) and a contraction grid in fractions,
+the linear-scan and KD-tree nearest-neighbour references, and plain
+references for the dataset CSV writer and reader.
 
 Instances are built on a coarse lattice so every covered or uncovered
 region is a union of full lattice cells, and covers that merely touch the
@@ -47,23 +48,20 @@ def kept_cells(tree) -> list[Rect]:
     ]
 
 
-def roots_tree(cubes) -> PartitionTree:
-    """A tree of unsplit included roots, the given ``(center, radius)``
-    cubes, read through ``PartitionTree.from_columns`` as a result file is;
-    each root's sample sits at its center."""
-    centers = [tuple(map(float, c)) for c, _ in cubes]
-    radii = [float(r) for _, r in cubes]
-    k = len(centers)
+def roots_tree(lo, hi, count: int) -> PartitionTree:
+    """A tree of ``count`` unsplit included roots over the rectangle
+    ``lo..hi``, read through ``PartitionTree.from_columns`` as a result file
+    is.  Every sample sits at ``lo`` and maps to itself, with a ball as wide
+    as the rectangle's longest side."""
+    reach = float(max(b - a for a, b in zip(lo, hi)))
     return PartitionTree.from_columns(
-        len(centers[0]),
-        parent=[-1] * k,
-        target_center=list(centers),
-        target_radius=radii,
-        radius=list(radii),
-        sample_index=list(range(k)),
-        sample_x=list(centers),
-        sample_xp=list(centers),
-        label=[Label.INCLUDED] * k,
+        (lo, hi),
+        parent=[-1] * count,
+        radius=[reach] * count,
+        sample_index=[0] * count,
+        sample_x=[tuple(lo)] * count,
+        sample_xp=[tuple(lo)] * count,
+        label=[Label.INCLUDED] * count,
     )
 
 
@@ -221,6 +219,123 @@ def nearest_kdtree(dataset, qs) -> tuple[np.ndarray, np.ndarray]:
         balls = tree.query_ball_point(qs[tied], best[tied], p=math.inf)
         idx[tied] = [min(ball) for ball in balls]
     return idx, best
+
+
+class CSetInvalidError(ValueError):
+    """Row set does not describe a compact set with the origin interior."""
+
+
+@dataclass(frozen=True)
+class PolytopeCSet:
+    """Compact convex polytope with the origin interior: {x : rows @ x <= 1}.
+
+    Compactness is equivalent to the rows positively spanning R^n (the
+    recession cone {d : rows @ d <= 0} must be trivial); this is checked at
+    construction with 2n small LPs, one per signed coordinate direction.
+    """
+
+    rows: np.ndarray
+
+    def __post_init__(self) -> None:
+        from scipy.optimize import linprog
+
+        rows = np.asarray(self.rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[0] < 1:
+            raise CSetInvalidError("rows must be a nonempty 2-D array")
+        object.__setattr__(self, "rows", rows)
+        n = rows.shape[1]
+        for d in range(n):
+            for sign in (1.0, -1.0):
+                c = np.zeros(n)
+                c[d] = -sign  # linprog minimizes; we want max of sign * e_d
+                res = linprog(
+                    c,
+                    A_ub=rows,
+                    b_ub=np.zeros(rows.shape[0]),
+                    bounds=[(-1.0, 1.0)] * n,
+                    method="highs",
+                )
+                if not res.success:
+                    raise CSetInvalidError(f"recession LP failed: {res.message}")
+                if -res.fun > 1e-9:
+                    raise CSetInvalidError(
+                        "rows do not positively span: unbounded direction "
+                        f"found along coordinate {d}"
+                    )
+
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[1]
+
+
+def unit_max_ball(n: int) -> PolytopeCSet:
+    """The unit max-norm ball as a C-set (rows +-e_i)."""
+    return PolytopeCSet(np.vstack((np.eye(n), -np.eye(n))))
+
+
+def gauge(cset: PolytopeCSet, x) -> float:
+    """Minkowski gauge: the least lambda >= 0 with x in lambda * S.
+
+    For an H-represented C-set this is ``max(0, max_i h_i . x)`` exactly.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != cset.dim:
+        raise DimensionMismatchError(
+            f"point dim {x.shape[-1]} does not match set dim {cset.dim}"
+        )
+    return float(max(0.0, float(np.max(cset.rows @ x))))
+
+
+def gauge_many(cset: PolytopeCSet, pts: np.ndarray) -> np.ndarray:
+    """Gauge of each row of an (N, n) array."""
+    pts = np.asarray(pts, dtype=float)
+    return np.maximum(0.0, (pts @ cset.rows.T).max(axis=1))
+
+
+def gauge_unit_max(cset: PolytopeCSet) -> float:
+    """Largest gauge value over the unit max-norm ball.
+
+    Each row functional h . u is maximized over ||u||_inf <= 1 at
+    u = sign(h) with value ||h||_1, so the maximum is max_i ||h_i||_1.
+    """
+    return float(np.abs(cset.rows).sum(axis=1).max())
+
+
+def successor_gauge_bound(
+    cset: PolytopeCSet, contraction: float, lipschitz: float, radius: float
+) -> float:
+    """Certified gauge bound over the successor box of a ball inside the set.
+
+    If the set contracts by factor ``contraction`` per step and the ball of
+    ``radius`` sits inside it, every point of the Lipschitz successor box
+    has gauge at most ``contraction + lipschitz * radius * gauge_unit_max``.
+    """
+    return contraction + lipschitz * radius * gauge_unit_max(cset)
+
+
+def max_certified_radius(
+    cset: PolytopeCSet, contraction: float, lipschitz: float, rho: float
+) -> float:
+    """Largest ball radius whose successor box stays inside ``rho * S``."""
+    return (rho - contraction) / (lipschitz * gauge_unit_max(cset))
+
+
+def contraction_window(
+    cset: PolytopeCSet, contraction: float, lipschitz: float, radius: float
+) -> tuple[float, float] | None:
+    """Admissible scalings rho for a radius-r covering of ``rho * S``.
+
+    Balls of this radius centered inside ``rho * S`` stay inside S and
+    their successor boxes stay inside ``rho * S`` precisely when rho lies in
+    ``[contraction + L * u * r, 1 - r * u]`` with u the unit-ball gauge
+    maximum; an empty interval means the radius is too coarse.
+    """
+    u = gauge_unit_max(cset)
+    lo = contraction + lipschitz * u * radius
+    hi = 1.0 - radius * u
+    if lo > hi:
+        return None
+    return (lo, hi)
 
 
 def contraction_grid(rho: Fraction, tau: Fraction, lam: Fraction, lips: Fraction):

@@ -14,9 +14,13 @@ import pytest
 from helpers import (
     RASTER_CELL,
     contraction_grid,
+    contraction_window,
     exact_coverage,
+    gauge_many,
+    gauge_unit_max,
     margin_separated_instance,
     raster_coverage,
+    unit_max_ball,
 )
 
 from pinvset.bounds import (
@@ -219,13 +223,6 @@ def test_criterion_7_bounds():
 
 
 def test_criterion_8_contractivity_suite():
-    from pinvset.bounds import (
-        contraction_window,
-        gauge_many,
-        gauge_unit_max,
-        unit_max_ball,
-    )
-
     rng = np.random.default_rng(271828)
     s = unit_max_ball(2)
     pts = rng.uniform(-2, 2, size=(5000, 2))

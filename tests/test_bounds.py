@@ -5,23 +5,26 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import contraction_grid, exact_coverage
-
-from pinvset.bounds import (
-    BoundForm,
-    BoundQuery,
+from helpers import (
     CSetInvalidError,
-    FormulaSignWarning,
     PolytopeCSet,
+    contraction_grid,
     contraction_window,
-    covering_lower_bound,
+    exact_coverage,
     gauge,
     gauge_many,
     gauge_unit_max,
     max_certified_radius,
     successor_gauge_bound,
-    uniform_sample_bound,
     unit_max_ball,
+)
+
+from pinvset.bounds import (
+    BoundForm,
+    BoundQuery,
+    FormulaSignWarning,
+    covering_lower_bound,
+    uniform_sample_bound,
 )
 from pinvset.geometry import CoverageClass
 

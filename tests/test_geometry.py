@@ -64,8 +64,10 @@ def test_classify_coverage_exact_tiling():
     # cubes of the rectangle they span, so no tree has them as its roots
     tree.set_label(tiles[3], Label.EXCLUDED)
     assert classify_coverage(query, tree) is CoverageClass.PARTIAL
-    with pytest.raises(ValueError, match="are not the cubes that tile"):
-        roots_tree([(tree.nodes.target_center[i], 0.25) for i in tiles[:3]])
+    lo = tuple(map(min, zip(*[tree.nodes.lo[i] for i in tiles[:3]])))
+    hi = tuple(map(max, zip(*[tree.nodes.hi[i] for i in tiles[:3]])))
+    with pytest.raises(ValueError, match="the tree has 3 roots, but rect_to_cubes cuts 1 "):
+        roots_tree(lo, hi, 3)
 
 
 def test_classify_touching_cover_is_not_disjoint():

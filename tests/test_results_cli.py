@@ -6,9 +6,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinvset.cli import main
 from pinvset.dataset import (
@@ -29,8 +33,8 @@ from pinvset.results import (
     result_to_document,
     save_result,
 )
-from pinvset.synthesis import SynthConfig, SynthResult, Termination, synthesize
-from pinvset.tree import new_tree
+from pinvset.synthesis import SynthConfig, SynthResult, Termination, UpdateMode, synthesize
+from pinvset.tree import Nodes, new_tree
 from pinvset.verify import check_fixpoint
 
 
@@ -167,6 +171,54 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def _bits(value):
+    """``value`` with every float as its hex form, so that == compares bits
+    (0.0 and -0.0 differ) and types (a Label is not an int)."""
+    if type(value) is tuple:
+        return tuple(map(_bits, value))
+    return value.hex() if type(value) is float else (type(value), value)
+
+
+# Domains of dim n: a dyadic cube, one whose side is no power of two, and
+# a rectangle of two root cubes.
+_ROUND_TRIP_DOMAINS = {
+    "dyadic": lambda n: ((-0.5,) * n, (0.5,) * n),
+    "non-dyadic": lambda n: ((0.0,) * n, (0.3,) * n),
+    "two-roots": lambda n: ((0.0,) * n, (2.0,) + (1.0,) * (n - 1)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from((1, 2)),
+    domain=st.sampled_from(sorted(_ROUND_TRIP_DOMAINS)),
+    mode=st.sampled_from(list(UpdateMode)),
+    m=st.integers(1, 60),
+    depth=st.integers(0, 5),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_result_round_trip_is_bit_exact(tmp_path_factory, n, domain, mode, m, depth, seed):
+    # The file stores root_bounds and the parent column instead of the
+    # cells; loading derives the cells, and every column of the node table,
+    # stored or derived, comes back bit for bit.
+    lo, hi = _ROUND_TRIP_DOMAINS[domain](n)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(lo, hi, size=(m, n))
+    middle = (np.array(lo) + np.array(hi)) / 2.0
+    ds = Dataset(x, middle + 0.5 * (x - middle) + rng.normal(scale=0.05, size=(m, n)))
+    side = min(b - a for a, b in zip(lo, hi))
+    config = SynthConfig(lipschitz=0.5, tau=side / 2 ** (depth + 1), mode=mode)
+    result = synthesize(new_tree((lo, hi), ds), ds, config)
+    path = tmp_path_factory.mktemp("round-trip") / "r.json"
+    save_result(path, result, RunManifest(command="test"))
+    tree = load_result(path)[1].tree
+    assert _bits(tree.root_bounds) == _bits(result.tree.root_bounds)
+    assert tree.roots == result.tree.roots
+    for column in fields(Nodes):
+        got, want = getattr(tree.nodes, column.name), getattr(result.tree.nodes, column.name)
+        assert list(map(_bits, got)) == list(map(_bits, want)), column.name
+
+
 def test_cli_io_errors(tmp_path):
     assert main(["-q", "synth", "--data", str(tmp_path / "missing.csv"),
                  "--system", "linear2d", "--lipschitz", "0.8225",
@@ -209,23 +261,6 @@ def _synth_linear_result(tmp_path) -> dict:
     return json.loads(result.read_text())
 
 
-def test_cli_verify_rejects_shifted_child(tmp_path, capsys):
-    # Such a file used to load, and fail only the certificate's tiling check.
-    doc = _synth_linear_result(tmp_path)
-    parents = doc["tree"]["parent"]
-    # an interior non-root node: not a kept leaf, but its cell is a cover
-    node = next(i for i in range(len(parents)) if parents[i] >= 0 and i in set(parents))
-    doc["tree"]["target_center"][node][0] += 1e-3
-    result = tmp_path / "shifted.json"
-    result.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(["-q", "verify", str(result)]) == 3
-    assert (
-        f"node {node} is not the half of its parent {parents[node]} that a split makes"
-        in capsys.readouterr().err
-    )
-
-
 def test_cli_verify_rejects_children_that_are_not_one_block(tmp_path, capsys):
     # Move a retired leaf from its parent's block to the root: the root then
     # has 5 children and the old parent 3.  Such a file used to load and fail
@@ -251,8 +286,7 @@ def test_load_rejects_short_child_block(lin_oracle):
     doc = result_to_document(small_result(lin_oracle), RunManifest(command="test"))
     tree = doc["tree"]
     last = len(tree["parent"]) - 1
-    for column in ("parent", "target_center", "target_radius", "radius",
-                   "sample_index", "sample_x", "sample_xp", "label"):
+    for column in ("parent", "radius", "sample_index", "sample_x", "sample_xp", "label"):
         del tree[column][last]
     with pytest.raises(ResultFormatError, match="has fewer than 4 children"):
         result_from_document(doc)
@@ -269,22 +303,31 @@ _STALE_SECTIONS = {
         "method": "exact-fixpoint", "passed": True, "checked_leaves": 1, "first_failure": None,
     },
     "manifest.seed": 99,
+    # The cells of the root and the dim, which follow from root_bounds.
+    "tree.target_center": [[0.375, -0.375]],
+    "tree.target_radius": [0.625],
+    "tree.dim": 2,
 }
 
 
 @pytest.mark.parametrize("section", list(_STALE_SECTIONS))
 def test_cli_rejects_section_that_contradicts_tree(tmp_path, capsys, caplog, section):
     # A file states each fact once, in the tree; these sections restated it
-    # (and manifest.seed restated dataset_meta.seed).  A file that carries
-    # one is refused by name, so a stale copy never sits in a file that
-    # verifies, and report aggregates only the good file.
+    # (manifest.seed restated dataset_meta.seed, and the tree's cells and
+    # dim its root_bounds).  A file that carries one is refused by name, so
+    # a stale copy never sits in a file that verifies, and report
+    # aggregates only the good file.
     doc = _synth_linear_result(tmp_path)
     runs = tmp_path / "runs"
     runs.mkdir()
     (runs / "good.json").write_text(json.dumps(doc))
     head, _, key = section.rpartition(".")
     (doc[head] if head else doc)[key] = _STALE_SECTIONS[section]
-    reason = f"unexpected keyword argument {key!r}" if head else f"unknown section {key!r}"
+    reason = {
+        "": f"unknown section {key!r}",
+        "manifest": f"unexpected keyword argument {key!r}",
+        "tree": f"unknown tree column {key!r}",
+    }[head]
     bad = runs / "bad.json"
     bad.write_text(json.dumps(doc))
     capsys.readouterr()
@@ -351,19 +394,50 @@ def test_cli_report_skips_manifest_of_the_wrong_type(tmp_path, capsys, caplog):
 
 def test_cli_verify_monte_carlo_refuses_system_of_the_wrong_type(tmp_path, capsys):
     # The oracle's name comes from the data's comment; one that is not a
-    # string is a fault of the file (exit 3), not an unknown system (exit 2)
-    # or a crash.  Named on the command line, the system is used instead.
+    # string, or names no builtin system, is a fault of the file (exit 3),
+    # not an unknown system (exit 2) or a crash.  Named on the command
+    # line, the system is used instead.
     path = _synth_with_comment(tmp_path, "system=linear2d", "system=7")
     doc = json.loads(path.read_text())
-    doc["manifest"]["dataset_meta"]["system"] = ["linear2d"]
-    edited = tmp_path / "edited.json"
-    edited.write_text(json.dumps(doc))
+    results = {}
+    for name, value in [("list", ["linear2d"]), ("foo", "foo")]:
+        doc["manifest"]["dataset_meta"]["system"] = value
+        results[name] = tmp_path / f"{name}.json"
+        results[name].write_text(json.dumps(doc))
     mc = ["--monte-carlo", "200", "--horizon", "5"]
-    for result, value in [(path, "7"), (edited, "['linear2d']")]:
+    for result, reason in [
+        (path, "dataset_meta.system 7 is not a JSON string"),
+        (results["list"], "dataset_meta.system ['linear2d'] is not a JSON string"),
+        (results["foo"], f"{results['foo']}: metadata system='foo' names no builtin system"),
+    ]:
         capsys.readouterr()
         assert main(["-q", "verify", str(result), *mc]) == 3
-        assert f"dataset_meta.system {value} is not a JSON string" in capsys.readouterr().err
+        assert reason in capsys.readouterr().err
         assert main(["-q", "verify", str(result), *mc, "--system", "linear2d"]) == 0
+    assert main(["-q", "verify", str(results["foo"]), *mc, "--system", "foo"]) == 2
+
+
+@pytest.mark.parametrize("value", ["7", "foo"])
+def test_cli_synth_refuses_a_system_its_data_names_that_is_no_builtin(tmp_path, capsys, value):
+    # Without --system or --domain, synth takes the domain of the system the
+    # dataset's comment names.  A value there that names no builtin is a
+    # fault of the data (exit 3, naming the file); a --system that names
+    # none is a usage error (exit 2).
+    data = tmp_path / "d.csv"
+    main(["-q", "gen", "--system", "linear2d", "--m", "300", "--seed", "1",
+          "--out", str(data)])
+    comment, rest = data.read_text().split("\n", 1)
+    data.write_text(comment.replace("system=linear2d", f"system={value}") + "\n" + rest)
+    synth = ["-q", "synth", "--data", str(data), "--lipschitz", "0.8225", "--tau", "0.05",
+             "--out", str(tmp_path / "r.json")]
+    capsys.readouterr()
+    assert main(synth) == 3
+    shown = "7" if value == "7" else "'foo'"
+    assert f"{data}: metadata system={shown} names no builtin system" in capsys.readouterr().err
+    assert main([*synth, "--system", "foo"]) == 2
+    assert "unknown system 'foo'" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+    assert main([*synth, "--system", "linear2d"]) == 0
 
 
 def test_cli_report_exit_codes(tmp_path, capsys):
@@ -376,7 +450,7 @@ def test_cli_report_exit_codes(tmp_path, capsys):
     assert f"no readable result files under {tmp_path}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["target_center", "sample_x", "sample_xp"])
+@pytest.mark.parametrize("key", ["sample_x", "sample_xp"])
 def test_cli_verify_rejects_vector_of_wrong_length(tmp_path, capsys, key):
     doc = _synth_linear_result(tmp_path)
     doc["tree"][key][0].append(0.0)
@@ -513,16 +587,16 @@ def test_cli_verify_reports_trusted_lipschitz(tmp_path, capsys, caplog):
 
 def test_cli_verify_reports_trusted_domain(tmp_path, capsys, caplog):
     # The report's domain is the rectangle the roots tile.  An extra
-    # included root at (50, 50), whose sample maps to itself, breaks that
-    # tiling, so the file is refused.
+    # included root, whose sample maps to itself, is one root more than
+    # rect_to_cubes cuts from that rectangle, so the file is refused.
     doc = _synth_linear_result(tmp_path)
     capsys.readouterr()
     assert main(["-q", "verify", str(tmp_path / "r.json")]) == 0
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert report["domain"] == [[-0.25, -1.0], [1.0, 0.25]]
     extra = {
-        "parent": -1, "target_center": [50.0, 50.0], "target_radius": 0.5, "radius": 0.5,
-        "sample_index": 0, "sample_x": [50.0, 50.0], "sample_xp": [50.0, 50.0], "label": 1,
+        "parent": -1, "radius": 0.5, "sample_index": 0, "sample_x": [50.0, 50.0],
+        "sample_xp": [50.0, 50.0], "label": 1,
     }
     for key, value in extra.items():
         doc["tree"][key].append(value)
@@ -532,43 +606,47 @@ def test_cli_verify_reports_trusted_domain(tmp_path, capsys, caplog):
     assert main(["-q", "verify", str(path)]) == 3
     err = capsys.readouterr().err
     assert (
-        "the root cells do not tile a rectangle: domain is not tileable by equal "
-        "cubes: on axis 1, faces 49.75 and 50.5 differ" in err
+        "the tree has 2 roots, but rect_to_cubes cuts 1 cubes from root_bounds "
+        "(-0.25, -1.0)..(1.0, 0.25)" in err
     )
     assert main(["report", "--dir", str(tmp_path / "extra")]) == 3
-    assert "do not tile a rectangle" in caplog.text
+    assert "the tree has 2 roots" in caplog.text
 
 
-def _roots_document(doc: dict, centers: list, radius: float) -> dict:
-    """``doc`` with its tree replaced by unsplit included roots, the cubes
-    ``center ± radius`` in [-0.5, 0.5]^2.  Their samples sit at the origin
-    and map to it, and each sample's ball of radius 0.5 holds its cell."""
-    k = len(centers)
+def _roots_document(doc: dict, root_bounds: list, count: int) -> dict:
+    """``doc`` with its tree replaced by ``count`` unsplit included roots
+    over ``root_bounds``.  Their samples sit at the origin and map to it,
+    and each sample's ball of radius 0.5 holds a cell of [-0.5, 0.5]^2."""
     doc["tree"] = {
-        "dim": 2, "parent": [-1] * k, "target_center": centers,
-        "target_radius": [radius] * k, "radius": [0.5] * k,
-        "sample_index": [0] * k, "sample_x": [[0.0, 0.0]] * k,
-        "sample_xp": [[0.0, 0.0]] * k, "label": [1] * k,
+        "root_bounds": root_bounds, "parent": [-1] * count, "radius": [0.5] * count,
+        "sample_index": [0] * count, "sample_x": [[0.0, 0.0]] * count,
+        "sample_xp": [[0.0, 0.0]] * count, "label": [1] * count,
     }
     return doc
 
 
-@pytest.mark.parametrize("centers,radius,reason", [
+@pytest.mark.parametrize("root_bounds,count,reason", [
     # The one root cube of the square [-0.5, 0.5]^2 certifies: the origin
     # maps to itself.
-    pytest.param([[0.0, 0.0]], 0.5, None, id="one-cube"),
-    # A 2 x 2 grid of its quarters is no root set synth writes.
+    pytest.param([[-0.5, -0.5], [0.5, 0.5]], 1, None, id="one-cube"),
+    # Four roots, as many as its quarters, are not the one cube synth writes.
     pytest.param(
-        [[x, y] for x in (-0.25, 0.25) for y in (-0.25, 0.25)], 0.25,
-        "the root cells are not the cubes that tile (-0.5, -0.5)..(0.5, 0.5): "
-        "rect_to_cubes makes 1 of radius 0.5", id="quarters",
+        [[-0.5, -0.5], [0.5, 0.5]], 4,
+        "the tree has 4 roots, but rect_to_cubes cuts 1 cubes from root_bounds "
+        "(-0.5, -0.5)..(0.5, 0.5)", id="quarters",
     ),
-    pytest.param([[0.0, 0.0]], 0.0, "the root cells do not tile a rectangle: degenerate",
+    pytest.param([[-0.5, 0.0], [0.5, 0.0]], 1, "root_bounds: degenerate domain rectangle",
                  id="zero-radius"),
+    pytest.param(
+        [[0.0, 0.0], [0.3, 0.1]], 3,
+        "root_bounds: domain is not tileable by equal cubes: on axis 0, "
+        "faces 0.1 and 0.10000000000000002 differ", id="not-tileable",
+    ),
 ])
-def test_cli_verify_takes_only_the_roots_synth_writes(tmp_path, capsys, centers, radius, reason):
+def test_cli_verify_takes_only_the_roots_synth_writes(tmp_path, capsys, root_bounds, count,
+                                                      reason):
     path = tmp_path / "roots.json"
-    doc = _roots_document(_synth_linear_result(tmp_path), centers, radius)
+    doc = _roots_document(_synth_linear_result(tmp_path), root_bounds, count)
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     code = main(["-q", "verify", str(path)])
@@ -591,7 +669,7 @@ def test_cli_rejects_domain_whose_cubes_miss_by_an_ulp(tmp_path, capsys):
 
 @pytest.mark.parametrize("module", ["scipy", "orjson", "pinvset.nnindex"])
 def test_import_cli_does_not_load(module):
-    # Importing the CLI loads none of these; only C-sets (PolytopeCSet) import
+    # Importing the CLI loads none of these; no pinvset module imports
     # scipy, orjson is imported by the two writers only, and the NN index by
     # the first nearest-neighbour query.
     import pinvset
@@ -690,26 +768,28 @@ def test_cli_verify_rejects_malformed_node_table(tmp_path, capsys, bad_parent):
 
 # sha256 of a result file's bytes after its manifest (the first section),
 # first taken before the tree was stored as columns.  When the sections that
-# restated the tree went, each digest was taken again from the old file with
-# those sections deleted and the rest re-serialized by orjson: the same data
-# must give the same partition, written the same way.
+# restated the tree went, and again when the cells left the tree section
+# (target_center, target_radius and dim out, root_bounds first in), each
+# digest was taken again from the old file with that edit made and the rest
+# re-serialized by orjson: the same data must give the same partition,
+# written the same way.
 _PINNED_RESULTS = {
     "linear2d-sequential": (
         ["--system", "linear2d", "--m", "1500", "--seed", "3"],
         ["--lipschitz", "0.8225", "--tau", "0.02"],
-        "310d9fd691a5059f4e25636f1e9b88b20e6274b21639001dd687f7a312bdb1d1",
+        "c278342e80aff10efe284c72de959d556fc80c5a5dbf1f71d802e7b89ea53b48",
     ),
     "nonlinear2d-batch": (
         ["--system", "nonlinear2d", "--m", "2000", "--seed", "0"],
         ["--lipschitz", "5.728", "--tau", "0.01", "--mode", "batch"],
-        "d416d96e084b8393818bd6690197bdb71110a57ed30e678bf31811e3a2ee4e7e",
+        "6d529fe6c64ec83e5b267f3376358344307bd41cf1650d44891d01377111e57a",
     ),
     # Two root cubes tile a --domain of 2 x 1; grid data does not depend on
     # the uniform stream.  Pinned before the domain became one rectangle.
     "linear2d-two-roots": (
         ["--system", "linear2d", "--mode", "grid", "--tau", "0.01", "--domain=-1,-0.5:1,0.5"],
         ["--domain=-1,-0.5:1,0.5", "--lipschitz", "0.8225", "--tau", "0.01"],
-        "7b03c7eeda7eff9de471b5b9a45d654475b343f865bdee84d57fd02a5bc68a03",
+        "55479f622eb6ffd5894484ef926472d27b5bea96b5895a3aa9d64fc92f773ca8",
     ),
 }
 
@@ -731,17 +811,17 @@ def test_cli_result_bytes_are_pinned(tmp_path, capsys, run):
 # Data on the half of the domain below its midpoint in x1: the tree's
 # cells on the other half ask for neighbours far from every sample.  The
 # digests are those the KD-tree index gave, re-taken as above when the
-# restated sections went.
+# restated sections went and when the cells left the file.
 _HALF_DOMAIN_RESULTS = {
     "linear2d": (
         0.375,
         ["--lipschitz", "0.8225", "--tau", "0.01"],
-        "0fe3aa40c35c372857f6fc9b3b32ab7324ca71f24d23e14feb27c68998d1aac2",
+        "40f9f3939e63b7a6c62198a3c03a6c5561cc327f4b8beb138904850bfbaeb04d",
     ),
     "nonlinear2d": (
         0.0,
         ["--lipschitz", "5.728", "--tau", "0.01"],
-        "597bb29923426531ace403ec2a4176fb15370c10f35afda8231e7421dafe8b18",
+        "a1245e9f8dc5608f2d43b7cbf8384134e312ad602d54ccc117895d68191c8963",
     ),
 }
 
@@ -908,21 +988,42 @@ def test_cli_verify_one_root_of_high_dim_stays_small(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
-@pytest.mark.parametrize("dim", [2.5, True, "2", 0, None])
-def test_cli_verify_rejects_bad_dim(tmp_path, capsys, dim):
+@pytest.mark.parametrize("root_bounds", [
+    pytest.param(2.5, id="2.5"),
+    pytest.param(True, id="True"),
+    pytest.param("2", id="2"),
+    pytest.param(0, id="0"),
+    pytest.param(None, id="None"),
+    pytest.param([], id="empty"),
+    pytest.param([[], []], id="no-axis"),
+    pytest.param([[-0.25, -1.0]], id="one-corner"),
+    pytest.param([[-0.25, -1.0], [1.0]], id="short-corner"),
+    pytest.param([[-0.25, -1.0], [1.0, 0.25], [2.0, 2.0]], id="three-corners"),
+    pytest.param([[-0.25, True], [1.0, 0.25]], id="true-coordinate"),
+    pytest.param([[-0.25, "-1"], [1.0, 0.25]], id="string-coordinate"),
+    pytest.param([[-0.25, float("nan")], [1.0, 0.25]], id="nan-coordinate"),
+    pytest.param([[-0.25, -1.0], "1.0,0.25"], id="string-corner"),
+])
+def test_cli_verify_rejects_bad_dim(tmp_path, capsys, root_bounds):
+    # The dim is the length of root_bounds' corners, so a bad dim is a
+    # root_bounds that is not two corners of JSON numbers of one length.
     doc = _synth_linear_result(tmp_path)
-    doc["tree"]["dim"] = dim
+    doc["tree"]["root_bounds"] = root_bounds
     result = tmp_path / "bad.json"
     result.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["-q", "verify", str(result)]) == 3
-    assert "is not an integer >= 1" in capsys.readouterr().err
+    assert (
+        f"root_bounds {root_bounds!r} is not two corners of finite JSON numbers of one length"
+        in capsys.readouterr().err
+    )
 
 
 @pytest.mark.parametrize("dim", [2, 16])
 def test_cli_verify_rejects_empty_node_table(tmp_path, capsys, dim):
     doc = _synth_linear_result(tmp_path)
-    doc["tree"] = {"dim": dim, **{key: [] for key in doc["tree"] if key != "dim"}}
+    doc["tree"] = {key: [] for key in doc["tree"]}
+    doc["tree"]["root_bounds"] = [[0.0] * dim, [1.0] * dim]
     result = tmp_path / "bad.json"
     result.write_text(json.dumps(doc))
     capsys.readouterr()

@@ -21,7 +21,6 @@ from pinvset.geometry import (
 from pinvset.tree import (
     Label,
     LabelTransitionError,
-    PartitionTree,
     TreeStructureError,
     new_tree,
 )
@@ -218,35 +217,6 @@ def test_recount_matches_incremental_counters(rng):
     assert tree.nodes.n_active[0] == len(tree.active_leaves())
 
 
-def test_from_columns_refuses_a_child_the_split_does_not_make(rng):
-    keys = ("parent", "target_center", "target_radius", "radius", "sample_index",
-            "sample_x", "sample_xp", "label")
-    for domain in (square_domain(), ((0.0, 0.0), (0.3, 0.3))):
-        ds = make_dataset([tuple(p) for p in rng.uniform(*domain, size=(40, 2))])
-        tree = new_tree(domain, ds)
-        for _ in range(25):
-            tree.divide([int(rng.choice(tree.active_leaves()))], ds)
-        nodes = tree.nodes
-        assert PartitionTree.from_columns(
-            2, **{key: list(getattr(nodes, key)) for key in keys}
-        ).nodes == nodes
-        for _ in range(20):
-            columns = {key: list(getattr(nodes, key)) for key in keys}
-            j = int(rng.integers(1, len(nodes)))
-            center, radius = nodes.target_center[j], nodes.target_radius[j]
-            if rng.random() < 0.5:
-                columns["target_center"][j] = (
-                    center[0], center[1] + 2.0 ** -int(rng.integers(3, 40))
-                )
-            else:
-                columns["target_radius"][j] = radius * 1.5
-            with pytest.raises(
-                TreeStructureError,
-                match=rf"^node {j} is not the half of its parent {nodes.parent[j]} ",
-            ):
-                PartitionTree.from_columns(2, **columns)
-
-
 def test_children_halve_resolution():
     ds = make_dataset([(0.0, 0.0)])
     tree = new_tree(square_domain(), ds)
@@ -390,10 +360,17 @@ def test_classify_across_roots():
 
 
 def _cubes_tree(lo, hi):
-    """A tree whose roots are ``rect_to_cubes(lo, hi)``, read through
-    ``from_columns``."""
+    """A tree of as many roots as ``rect_to_cubes(lo, hi)`` cuts, read
+    through ``from_columns``; its root cells must be those cubes, in order."""
     centers, radius = rect_to_cubes(lo, hi)
-    return roots_tree([(c, radius) for c in centers])
+    tree = roots_tree(lo, hi, len(centers))
+    nodes = tree.nodes
+    assert tree.roots == list(range(len(centers)))
+    assert nodes.target_center == list(map(tuple, centers.tolist()))
+    assert nodes.target_radius == [radius] * len(centers)
+    assert nodes.lo == list(map(tuple, (centers - radius).tolist()))
+    assert nodes.hi == list(map(tuple, (centers + radius).tolist()))
+    return tree
 
 
 @settings(max_examples=100, deadline=None)
@@ -401,17 +378,14 @@ def _cubes_tree(lo, hi):
     lo=st.lists(st.integers(-8, 8).map(lambda k: k / 4), min_size=1, max_size=3),
     counts=st.lists(st.integers(1, 4), min_size=2, max_size=2),
     side=st.sampled_from((0.25, 0.5, 1.0, 0.1)),
-    seed=st.integers(0, 2 ** 32 - 1),
 )
-def test_root_rule_accepts_rect_to_cubes_in_any_order(lo, counts, side, seed):
+def test_root_rule_takes_the_cubes_of_root_bounds(lo, counts, side):
     hi = [a + k * side for a, k in zip(lo, [1, *counts])]  # axis 0 is the shortest
     try:
-        centers, radius = rect_to_cubes(lo, hi)
+        rect_to_cubes(lo, hi)
     except ValueError:
         return  # faces that miss by an ulp: rect_to_cubes refuses them itself
-    np.random.default_rng(seed).shuffle(centers)
-    tree = roots_tree([(c, radius) for c in centers])
-    assert len(tree.roots) == len(centers)
+    tree = _cubes_tree(lo, hi)
     assert tree.root_bounds == (tuple(lo), tuple(hi))
 
 
@@ -426,42 +400,31 @@ def test_root_rule_accepts_a_single_cube():
         assert tree.root_bounds == (lo, hi)
 
 
-@pytest.mark.parametrize("cubes,reason", [
-    pytest.param(
-        [((0.5, 0.5), 0.5), ((1.5, 0.5), 0.5), ((0.5, 1.5), 0.5)],
-        "rect_to_cubes makes 1 of radius 1.0", id="L",
-    ),
-    # A 2 x 2 grid of quarters: the square they span is one cube.
-    pytest.param(
-        [((x, y), 0.25) for y in (0.25, -0.25) for x in (-0.25, 0.25)],
-        "rect_to_cubes makes 1 of radius 0.5", id="quarters",
-    ),
-    pytest.param([((0.5, 0.5), 0.5), ((1.25, 0.5), 0.25)], "faces 2.0 and 1.5 differ",
-                 id="radii"),
-    pytest.param([((0.0, 0.0), 1.0), ((0.5, 0.0), 1.0)], "faces 1.0 and 1.5 differ",
-                 id="overlap"),
-    pytest.param([((0.0, 0.0), 1.0), ((0.5, 0.5), 1.0)], "rect_to_cubes makes 1 of",
-                 id="diagonal"),
-    pytest.param([((0.0, 0.0), 1.0), ((0.0, 0.0), 1.0)], "rect_to_cubes makes 1 of",
-                 id="duplicate"),
-    # Four centers on 2 x 2 values, one of them twice and one cell missing.
-    pytest.param(
-        [((0.5, 0.5), 0.5), ((1.5, 0.5), 0.5), ((0.5, 1.5), 0.5), ((0.5, 0.5), 0.5)],
-        "rect_to_cubes makes 1 of", id="duplicate-for-missing",
-    ),
-    pytest.param([((0.5,), 0.5), ((1.0,), 0.5), ((1.5,), 0.5)], "rect_to_cubes makes 1 of",
-                 id="overlap-1d"),
-    pytest.param([((0.5, 0.5), 0.5), ((3.5, 0.5), 0.5)], "rect_to_cubes makes 4 of",
-                 id="apart"),
-    # 0.1 + 0.1 != 0.3 - 0.1: the faces miss by one ulp, and the segment
-    # [0, 0.4] they span is one cube.
-    pytest.param([((0.1,), 0.1), ((0.3,), 0.1)], "rect_to_cubes makes 1 of radius 0.2",
-                 id="ulp"),
-    pytest.param([((1.0,), 0.0)], "degenerate domain rectangle", id="zero-radius"),
+# Root sets an older result file could hold as cubes, each now given as the
+# rectangle the cubes span and their number.  That rectangle is not tiled
+# by as many cubes, or by equal cubes at all, so none is a tree's root set.
+@pytest.mark.parametrize("lo,hi,count,reason", [
+    pytest.param((0.0, 0.0), (2.0, 2.0), 3, "the tree has 3 roots, but rect_to_cubes cuts 1",
+                 id="L"),
+    pytest.param((-0.5, -0.5), (0.5, 0.5), 4, "the tree has 4 roots, but rect_to_cubes cuts 1",
+                 id="quarters"),
+    pytest.param((0.0, 0.0), (1.5, 1.0), 2, "faces 2.0 and 1.5 differ", id="radii"),
+    pytest.param((-1.0, -1.0), (1.5, 1.0), 2, "faces 1.0 and 1.5 differ", id="overlap"),
+    pytest.param((-1.0, -1.0), (1.5, 1.5), 2, "rect_to_cubes cuts 1 cubes", id="diagonal"),
+    pytest.param((-1.0, -1.0), (1.0, 1.0), 2, "rect_to_cubes cuts 1 cubes", id="duplicate"),
+    pytest.param((0.0, 0.0), (2.0, 2.0), 4, "rect_to_cubes cuts 1 cubes",
+                 id="duplicate-for-missing"),
+    pytest.param((0.0,), (2.0,), 3, "rect_to_cubes cuts 1 cubes", id="overlap-1d"),
+    pytest.param((0.0, 0.0), (4.0, 1.0), 2, "rect_to_cubes cuts 4 cubes", id="apart"),
+    # 0.1 + 0.1 != 0.3 - 0.1: the two cubes' faces miss by one ulp, and the
+    # segment [0, 0.4] they span is one cube.
+    pytest.param((0.0,), (0.4,), 2, "rect_to_cubes cuts 1 cubes", id="ulp"),
+    pytest.param((1.0,), (1.0,), 1, "root_bounds: degenerate domain rectangle",
+                 id="zero-radius"),
 ])
-def test_root_rule_refuses(cubes, reason):
+def test_root_rule_refuses(lo, hi, count, reason):
     with pytest.raises(ValueError, match=reason):
-        roots_tree(cubes)
+        roots_tree(lo, hi, count)
 
 
 def test_root_rule_takes_a_strip_of_the_most_cubes():
