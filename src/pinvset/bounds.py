@@ -11,6 +11,11 @@ and the resolution term appears with inconsistent sign between the two
 printed variants.  Both raw forms are evaluated verbatim here (with a
 warning when the result is nonpositive); the CANONICAL form divides by
 ``-log(1 - p)`` and is the one tests and the CLI rely on.
+
+Every input must be a finite float, and so must every bound: a volume or
+resolution that is not, a hit probability that underflows to 0 and a
+bound that overflows (or, for the covering bound, underflows) are refused
+with a ValueError that says which.
 """
 
 from __future__ import annotations
@@ -36,18 +41,26 @@ def covering_lower_bound(
     giving the classical covering-number lower bound
     ``(1/eps)^n vol / vol(B_1)``.
     """
-    if vol_domain <= 0.0:
-        raise ValueError(f"domain volume must be positive, got {vol_domain}")
-    if epsilon <= 0.0:
-        raise ValueError(f"resolution must be positive, got {epsilon}")
+    if not (math.isfinite(vol_domain) and vol_domain > 0.0):
+        raise ValueError(f"domain volume must be finite and positive, got {vol_domain}")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"resolution must be finite and positive, got {epsilon}")
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    value = (1.0 / epsilon) ** dim * vol_domain
-    if count == "cells":
-        return value
-    if count == "balls":
-        return value / (2.0 ** dim)
-    raise ValueError(f"count must be 'cells' or 'balls', got {count!r}")
+    if count not in ("cells", "balls"):
+        raise ValueError(f"count must be 'cells' or 'balls', got {count!r}")
+    try:
+        value = (1.0 / epsilon) ** dim * vol_domain
+        if count == "balls":
+            value = value / (2.0 ** dim)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ValueError(
+            f"the {count} covering bound for volume {vol_domain!r}, dimension {dim} and "
+            f"resolution {epsilon!r} overflows or underflows a float"
+        )
+    return value
 
 
 class BoundForm(Enum):
@@ -69,17 +82,20 @@ class BoundQuery:
     def validate(self) -> None:
         if not (0.0 < self.delta <= 1.0):
             raise ValueError(f"confidence delta must lie in (0, 1], got {self.delta}")
-        if self.vol_domain <= 0.0:
-            raise ValueError(f"domain volume must be positive, got {self.vol_domain}")
+        if not (math.isfinite(self.vol_domain) and self.vol_domain > 0.0):
+            raise ValueError(f"domain volume must be finite and positive, got {self.vol_domain}")
         if self.dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
-        if self.resolution <= 0.0:
-            raise ValueError(f"resolution must be positive, got {self.resolution}")
-        if self.resolution ** self.dim >= self.vol_domain:
+        if not (math.isfinite(self.resolution) and self.resolution > 0.0):
+            raise ValueError(f"resolution must be finite and positive, got {self.resolution}")
+        try:
+            p = self.resolution ** self.dim / self.vol_domain
+        except OverflowError:
+            p = math.inf
+        if not 0.0 < p < 1.0:
             raise ValueError(
-                "resolution cell volume "
-                f"{self.resolution ** self.dim} reaches the domain volume "
-                f"{self.vol_domain}; the hit probability must be < 1"
+                f"the hit probability {self.resolution!r}^{self.dim} / {self.vol_domain!r} "
+                f"is {p!r} as a float; it must lie in (0, 1)"
             )
 
 
@@ -105,9 +121,13 @@ def uniform_sample_bound(query: BoundQuery, form: BoundForm = BoundForm.CANONICA
         value = num / log_den
     elif form is BoundForm.CANONICAL:
         num = math.log(1.0 / delta) + math.log(vol) + n * math.log(1.0 / res)
-        return float(math.ceil(num / -log_den))
+        value = num / -log_den
     else:
         raise ValueError(f"unknown bound form {form!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"the {form.value} bound overflows a float: {value!r}")
+    if form is BoundForm.CANONICAL:
+        return float(math.ceil(value))
     if value <= 0.0:
         warnings.warn(
             f"{form.value} bound evaluated to {value:.6g} <= 0; the published "

@@ -33,6 +33,11 @@ GEOM_TOL = 1e-12
 # partition tree.
 MAX_DOMAIN_CUBES = 1 << 16
 
+# Rows per block of ``balls_contain_cells``.  It carries each difference
+# with its rounding error, in several arrays the size of a block; blocks keep
+# those off the peak memory of loading a result, where every node is checked.
+_BALL_ROWS = 4096
+
 Vec = tuple[float, ...]
 Rect = tuple[Vec, Vec]
 
@@ -135,10 +140,14 @@ def balls_contain_cells(radius, lo, hi, sample) -> np.ndarray:
     """
     r = np.asarray(radius, dtype=float)[:, None]
     x = np.asarray(sample, dtype=float)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
     held = np.ones(len(r), dtype=bool)
-    for a, b in ((x, -np.asarray(lo, dtype=float)), (np.asarray(hi, dtype=float), -x)):
-        d, err = _two_sum(a, b)
-        held &= ((r > d) | ((r == d) & (err <= 0.0))).all(axis=1)
+    for j in range(0, len(r), _BALL_ROWS):
+        rows = slice(j, j + _BALL_ROWS)
+        for a, b in ((x[rows], -lo[rows]), (hi[rows], -x[rows])):
+            d, err = _two_sum(a, b)
+            held[rows] &= ((r[rows] > d) | ((r[rows] == d) & (err <= 0.0))).all(axis=1)
     return held
 
 
@@ -152,9 +161,10 @@ def rect_to_cubes(lo: Sequence[float], hi: Sequence[float]) -> tuple[np.ndarray,
     ``lo`` and ``hi``.  Otherwise a ValueError names the axis and the two
     faces that differ, since the sliver between them would belong to no
     root cell.  A cube yields a single center.  A corner that is not
-    finite, or a tiling of more than ``MAX_DOMAIN_CUBES`` cubes, is refused
-    with a ValueError before any cube is built.  The partition tree takes
-    no other root set (``new_tree``, ``PartitionTree.from_columns``).
+    finite, a volume that is not a finite float (the tree's volume sums the
+    cells' volumes) or a tiling of more than ``MAX_DOMAIN_CUBES`` cubes is
+    refused with a ValueError before any cube is built.  The partition tree
+    takes no other root set (``new_tree``, ``PartitionTree.from_columns``).
     """
     lo = tuple(float(v) for v in lo)
     hi = tuple(float(v) for v in hi)
@@ -166,6 +176,8 @@ def rect_to_cubes(lo: Sequence[float], hi: Sequence[float]) -> tuple[np.ndarray,
     widths = [b - a for a, b in zip(lo, hi)]
     if any(w <= 0 for w in widths):
         raise ValueError(f"degenerate domain rectangle {lo}..{hi}")
+    if not math.isfinite(math.prod(widths)):
+        raise ValueError(f"the volume of domain rectangle {lo}..{hi} is not a finite float")
     side = min(widths)
     ratios = [w / side for w in widths]
     if not math.prod(ratios) <= MAX_DOMAIN_CUBES:  # also refuses inf and nan

@@ -2,20 +2,18 @@
 
 Sections, in file order: manifest (provenance), config, tree, sweeps and
 terminated_by; a document with any other section is refused.  The tree
-section is the rectangle ``root_bounds`` and the node columns that a
-split does not determine (parent, ball radius, sample index, state and
-successor, label), one list per column as ``tree.Nodes`` holds it; any
-other key is refused.  That is everything the independent verifier needs,
-so a result file can be re-certified without the dataset.  Each fact is
-stored once: the cells are derived from ``root_bounds`` and the parent
-column by the split rule (``PartitionTree.from_columns``), and the kept
-set, its volume, the leaf counts and the certificate from the tree
-(``verify`` recomputes the certificate), so the file holds no copy of
-them that could disagree.  Serialization
-round-trips exactly: JSON numbers are written as shortest round-trip
-decimals (``orjson``, compact) and parsed back to the same floats by the
-stdlib ``json``, which also loads the NaN of a hand-edited config so that
-``verify`` can reject it.
+section is the rectangle ``root_bounds`` and the node columns that no rule
+derives (parent, sample index, state and successor, label), one list per
+column as ``tree.Nodes`` holds it; any other key, ``radius`` too, is
+refused.  That is all the independent verifier needs: a result file is
+re-certified without the dataset.  Each fact is stored once:
+``PartitionTree.from_columns`` derives the cells from ``root_bounds`` and
+the parent column, and each ball radius from its cell and sample; the kept
+set, its volume, the leaf counts and the certificate come from the tree
+(``verify`` recomputes the certificate).  Serialization round-trips
+exactly: numbers are written as shortest round-trip decimals (``orjson``,
+compact) and parsed back to the same floats by the stdlib ``json``, which
+also loads the NaN of a hand-edited config so that ``verify`` rejects it.
 """
 
 from __future__ import annotations
@@ -56,14 +54,11 @@ def file_sha256(path: str | Path) -> str:
     return h.hexdigest()
 
 
-_VECTORS = ("sample_x", "sample_xp")
-_INTEGERS = ("parent", "sample_index", "label")
 # The node columns a result file stores, in file order, and how each is
-# read back from JSON.  The cells are not stored: ``from_columns`` derives
-# them from ``root_bounds`` and the parent column.
+# read back from JSON: a vector (tuple) or an integer.  The cells and the
+# radii are not stored: ``from_columns`` derives them.
 _PARSE = {
     "parent": int,
-    "radius": float,
     "sample_index": int,
     "sample_x": tuple,
     "sample_xp": tuple,
@@ -109,24 +104,19 @@ def _tree_from_dict(d: dict) -> PartitionTree:
     count = len(d["parent"])
     if not count:
         raise ResultFormatError("the node table has no node")
-    for key in _PARSE:
-        if len(d[key]) != count:
+    for key, parse in _PARSE.items():
+        column = d[key]
+        if len(column) != count:
             raise ResultFormatError(f"the {key} column does not have {count} nodes")
-    for key in (*_VECTORS, "radius"):
-        column = d[key]
-        vector = key in _VECTORS
-        if not _all_finite(chain.from_iterable(column) if vector else column):
-            i = next(i for i, v in enumerate(column) if not _all_finite(v if vector else [v]))
+        if parse is not tuple:
+            # Only a JSON integer: int() would truncate 3.7, and a bool is an int.
+            if set(map(type, column)) != {int}:
+                i = next(i for i, v in enumerate(column) if type(v) is not int)
+                raise ResultFormatError(f"node {i} has a {key} that is not an integer")
+        elif not _all_finite(chain.from_iterable(column)):
+            i = next(i for i, v in enumerate(column) if not _all_finite(v))
             raise ResultFormatError(f"node {i} has a {key} that is not finite")
-    for key in _INTEGERS:
-        # Only a JSON integer: int() would truncate 3.7, and a bool is an int.
-        column = d[key]
-        if set(map(type, column)) != {int}:
-            i = next(i for i, v in enumerate(column) if type(v) is not int)
-            raise ResultFormatError(f"node {i} has a {key} that is not an integer")
-    for key in _VECTORS:
-        lengths = list(map(len, d[key]))
-        if lengths.count(dim) != count:
+        elif (lengths := list(map(len, column))).count(dim) != count:
             i = next(i for i, n in enumerate(lengths) if n != dim)
             raise ResultFormatError(f"node {i} has a {key} not of length {dim}")
     return PartitionTree.from_columns(

@@ -3,7 +3,7 @@
 A node is a row number: row i of each list in ``PartitionTree.nodes`` holds
 node i's target box (the partition cell), the sample pair nearest to its
 target center, the radius ``r = r_target + dist`` of the sample-centered
-ball that is guaranteed to contain the cell, its parent, its first child
+ball that contains the cell (``ball_radii``), its parent, its first child
 (-1 for a leaf) and its label.  A split appends its 2^n children after
 every existing node as one contiguous block in sign-vector order.  Leaves
 carry a membership label with respect to the live candidate set; interior
@@ -16,8 +16,8 @@ every other cell, cutting its parent at the parent's center, so the
 children tile their parent exactly in floating point, whatever the roots.
 ``new_tree``, ``divide`` and ``from_columns`` make no other cells: a tree
 is a tiling by construction, in memory and when loaded.  So the result
-file stores ``root_bounds`` and the parent column, not the cells, and
-``from_columns`` derives every cell from them.
+file stores ``root_bounds`` and the parent column, not the cells or the
+radii: ``from_columns`` derives every cell from them, and its radius too.
 
 Subtree counters (total leaves / included leaves) are maintained on every
 division and relabeling, so that a coverage walk (``classify``) settles a
@@ -126,6 +126,24 @@ def _first_children(parents: list[int], fanout: int) -> list[int]:
     return first
 
 
+def ball_radii(first: int, target_radius, centers, lo, hi, samples) -> list[float]:
+    """The ball radii of nodes ``first``, ``first + 1``, ...: the rounded
+    ``r_target + max_d |c_d - x_d|`` of each cell and its sample; where that
+    ball misses part of the cell, the next float above the largest rounded
+    corner distance (nextafter(fl(v)) >= v, so one step up suffices).  A
+    radius that is not finite is refused, naming its node."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        radius = target_radius + np.abs(samples - centers).max(axis=1)
+        held = balls_contain_cells(radius, lo, hi, samples)
+        if not held.all():
+            reach = np.maximum(samples - lo, hi - samples).max(axis=1)
+            radius = np.where(held, radius, np.nextafter(np.maximum(radius, reach), np.inf))
+    bad = np.flatnonzero(~np.isfinite(radius))
+    if len(bad):
+        raise ValueError(f"node {first + bad[0]} has a ball radius that is not finite")
+    return radius.tolist()
+
+
 class PartitionTree:
     """Subdivision tree; nodes are numbered in creation order."""
 
@@ -166,14 +184,14 @@ class PartitionTree:
     @classmethod
     def from_columns(cls, root_bounds: Rect, **columns: list) -> PartitionTree:
         """A tree over the rectangle ``root_bounds`` from the stored columns
-        of its node table: ``parent``, ``radius``, ``sample_index``,
-        ``sample_x``, ``sample_xp`` and ``label``.  Every cell is derived as
+        of its node table: ``parent``, ``sample_index``, ``sample_x``,
+        ``sample_xp`` and ``label``.  Every cell and radius is derived as
         ``new_tree`` and ``divide`` make it: the roots, in node order, are
         the cubes ``rect_to_cubes`` cuts from ``root_bounds`` (a tree with
-        another number of roots is refused), and every other node is the
-        half of its parent that ``_split`` makes.  The first children and the
-        counters are derived too; see ``_first_children`` for the layout the
-        parent column must have."""
+        another number of roots is refused), every other node is the half of
+        its parent that ``_split`` makes, and ``ball_radii`` gives the radii.
+        The first children and the counters are derived too; see
+        ``_first_children`` for the layout the parent column must have."""
         try:
             root_centers, root_radius = rect_to_cubes(*root_bounds)
         except ValueError as exc:
@@ -209,6 +227,7 @@ class PartitionTree:
             target_radius=radii.tolist(),
             lo=list(map(tuple, lo.tolist())),
             hi=list(map(tuple, hi.tolist())),
+            radius=ball_radii(0, radii, centers, lo, hi, np.array(columns["sample_x"], float)),
         )
         tree.recount()
         return tree
@@ -222,22 +241,14 @@ class PartitionTree:
         hi: np.ndarray,
         dataset: Dataset,
     ) -> list[int]:
-        """Append one INCLUDED leaf per row of ``centers`` (cells with
-        corners ``lo``/``hi``), each with its nearest sample; one
-        nearest-neighbour call serves every row.  The ball radius is the
-        rounded ``r_target + dist``; where that ball misses part of the cell,
-        it is the next float above the largest rounded corner distance."""
-        idx, dist = dataset.nearest(centers)
-        xs = dataset.x[idx]
-        radius = radii + dist
-        held = balls_contain_cells(radius, lo, hi, xs)
-        if not held.all():
-            # nextafter(fl(v)) >= v for every v, so one step up suffices.
-            reach = np.maximum(xs - lo, hi - xs).max(axis=1)
-            radius = np.where(held, radius, np.nextafter(np.maximum(radius, reach), np.inf))
+        """Append one INCLUDED leaf per row of ``centers``, cells with corners
+        ``lo``/``hi``, each with its nearest sample (one query for all rows)."""
         nodes = self.nodes
         first = len(nodes)
+        idx = dataset.nearest(centers)[0]
+        xs = dataset.x[idx]
         k = len(parents)
+        nodes.radius += ball_radii(first, radii, centers, lo, hi, xs)  # first: it may refuse
         nodes.parent += parents
         nodes.first_child += [-1] * k
         nodes.target_center += map(tuple, centers.tolist())
@@ -247,7 +258,6 @@ class PartitionTree:
         nodes.sample_index += idx.tolist()
         nodes.sample_x += map(tuple, xs.tolist())
         nodes.sample_xp += map(tuple, dataset.x_plus[idx].tolist())
-        nodes.radius += radius.tolist()
         nodes.label += [Label.INCLUDED] * k
         nodes.n_leaves += [1] * k
         nodes.n_active += [1] * k
@@ -257,10 +267,10 @@ class PartitionTree:
         """Split every live leaf of ``ids`` into 2^n half-radius children.
 
         The children are the cells ``_split`` makes; each picks the nearest
-        dataset sample and records ``r = r_target + dist`` so the sample
-        ball still contains its cell.  Children start INCLUDED.  The
-        children of ``ids[j]`` are the j-th block of 2^n new nodes; the
-        returned list holds every block in ``ids`` order.
+        dataset sample, whose ball of radius ``ball_radii`` contains the
+        cell.  Children start INCLUDED.  The children of ``ids[j]`` are the
+        j-th block of 2^n new nodes; the returned list holds every block in
+        ``ids`` order.
         """
         nodes = self.nodes
         ids = list(ids)

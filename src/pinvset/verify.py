@@ -14,7 +14,9 @@ answer.  The cells need no check here: a tree has only the roots
 rule makes (``new_tree`` and ``divide`` make no others, and
 ``PartitionTree.from_columns`` derives the same cells from ``root_bounds``
 and the parent column when a result is loaded), so they tile
-``root_bounds`` exactly.
+``root_bounds`` exactly.  The ball radii are derived too, by ``ball_radii``
+from each cell and sample, yet the ball check stays: ``check_fixpoint``
+takes any result in memory, and trusts no bookkeeping.
 
 ``monte_carlo_invariance`` is a falsifier that rolls true trajectories
 forward; only the exact check constitutes the deterministic guarantee.

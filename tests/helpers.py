@@ -3,8 +3,9 @@ tree of unsplit roots over a rectangle, lattice-snapped coverage
 instances, the all-fraction coverage reference and the raster sampling
 oracle, the Minkowski gauge of polytopic C-sets (scipy's ``linprog``
 checks that a row set bounds one) and a contraction grid in fractions,
-the linear-scan and KD-tree nearest-neighbour references, and plain
-references for the dataset CSV writer and reader.
+the linear-scan and KD-tree nearest-neighbour references, the reference
+synthesizer (the paper's loop, plain and slow), and plain references for
+the dataset CSV writer and reader.
 
 Instances are built on a coarse lattice so every covered or uncovered
 region is a union of full lattice cells, and covers that merely touch the
@@ -51,13 +52,10 @@ def kept_cells(tree) -> list[Rect]:
 def roots_tree(lo, hi, count: int) -> PartitionTree:
     """A tree of ``count`` unsplit included roots over the rectangle
     ``lo..hi``, read through ``PartitionTree.from_columns`` as a result file
-    is.  Every sample sits at ``lo`` and maps to itself, with a ball as wide
-    as the rectangle's longest side."""
-    reach = float(max(b - a for a, b in zip(lo, hi)))
+    is.  Every sample sits at ``lo`` and maps to itself."""
     return PartitionTree.from_columns(
         (lo, hi),
         parent=[-1] * count,
-        radius=[reach] * count,
         sample_index=[0] * count,
         sample_x=[tuple(lo)] * count,
         sample_xp=[tuple(lo)] * count,
@@ -132,6 +130,111 @@ def exact_coverage(query, union) -> CoverageClass:
         ):
             return CoverageClass.PARTIAL
     return CoverageClass.FULLY_COVERED
+
+
+@dataclass
+class RefCell:
+    """One cell of ``reference_synthesize``: its parent (-1 for a root), its
+    target center and radius, corners, sample, ball radius and label."""
+
+    parent: int
+    center: tuple
+    r_target: float
+    lo: tuple
+    hi: tuple
+    sample: int
+    radius: float
+    label: Label = Label.INCLUDED
+    children: list[int] | None = None
+
+
+def reference_synthesize(x, x_plus, domain: Rect, lipschitz: float, tau: float, batch: bool,
+                         max_sweeps: int = 10_000) -> tuple[list[RefCell], int]:
+    """The synthesis loop as the paper states it, kept slow and plain: the
+    cells in creation order and the sweep count.
+
+    The roots are the equal cubes that tile the domain, last axis fastest.
+    A cell's sample is its nearest by a linear scan of max-norm distances,
+    lowest index on ties, and its ball radius is fl(r_target + d), stepped
+    to the next float above the largest rounded corner distance when that
+    ball misses the cell (decided in fractions).  Each sweep takes the
+    included leaves in depth-first order, then the children of their splits,
+    first in first out.  A leaf's successor box, the exact ``x⁺ ± L·r``, is
+    classified against the included leaf cells by ``exact_coverage``:
+    covered, it stays; partial, it splits while its children's radius is at
+    least ``tau`` (child s is centred at ``c + (r/2)·s`` and cut at ``c``);
+    otherwise it is retired, EXCLUDED when disjoint and UNKNOWN when
+    partial.  Sequential mode retires at once; batch mode at the end of the
+    sweep.  The loop stops at the first sweep that changes nothing."""
+    x = [tuple(map(float, p)) for p in x]
+    x_plus = [tuple(map(float, p)) for p in x_plus]
+    cells: list[RefCell] = []
+
+    def add(parent, center, r_target, lo, hi):
+        dists = [max(abs(v - c) for v, c in zip(p, center)) for p in x]
+        sample = dists.index(min(dists))
+        xs = x[sample]
+        radius = r_target + dists[sample]
+        axes = list(zip(xs, lo, hi))
+        reach = max(max(Fraction(v) - Fraction(l), Fraction(h) - Fraction(v)) for v, l, h in axes)
+        if reach > radius:  # the ball misses part of the cell
+            radius = math.nextafter(max(max(v - l, h - v) for v, l, h in axes), math.inf)
+        cells.append(RefCell(parent, center, r_target, lo, hi, sample, radius))
+        return len(cells) - 1
+
+    def divide(i):
+        cell = cells[i]
+        half = cell.r_target / 2.0
+        cell.children = [
+            add(i, tuple(c + half * sd for c, sd in zip(cell.center, s)),
+                half,
+                tuple(l if sd < 0 else c for l, c, sd in zip(cell.lo, cell.center, s)),
+                tuple(c if sd < 0 else h for h, c, sd in zip(cell.hi, cell.center, s)))
+            for s in product((-1.0, 1.0), repeat=len(cell.center))
+        ]
+        return cell.children
+
+    def included_leaves(ids):
+        for i in ids:
+            if cells[i].children:
+                yield from included_leaves(cells[i].children)
+            elif cells[i].label is Label.INCLUDED:
+                yield i
+
+    lo, hi = domain
+    side = min(b - a for a, b in zip(lo, hi))
+    r0 = side / 2.0
+    axes = [[a + (2 * k + 1) * r0 for k in range(round((b - a) / side))] for a, b in zip(lo, hi)]
+    roots = [
+        add(-1, center, r0, tuple(c - r0 for c in center), tuple(c + r0 for c in center))
+        for center in product(*axes)
+    ]
+    for sweep in range(1, max_sweeps + 1):
+        queue = list(included_leaves(roots))
+        retired, divisions = [], 0
+        while queue:
+            i = queue.pop(0)
+            cell = cells[i]
+            reach = Fraction(lipschitz) * Fraction(cell.radius)
+            center = [Fraction(c) for c in x_plus[cell.sample]]
+            successor = ([c - reach for c in center], [c + reach for c in center])
+            union = [(cells[j].lo, cells[j].hi) for j in included_leaves(roots)]
+            verdict = exact_coverage(successor, union)
+            if verdict is CoverageClass.FULLY_COVERED:
+                continue
+            if verdict is CoverageClass.PARTIAL and cell.r_target / 2.0 >= tau:
+                queue += divide(i)
+                divisions += 1
+                continue
+            label = Label.EXCLUDED if verdict is CoverageClass.DISJOINT else Label.UNKNOWN
+            retired.append((i, label))
+            if not batch:
+                cell.label = label
+        for i, label in retired:
+            cells[i].label = label
+        if not (divisions or retired):
+            return cells, sweep
+    return cells, max_sweeps
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -221,3 +222,42 @@ def test_bound_query_validation():
     with pytest.raises(ValueError):
         # resolution cell as large as the domain: hit probability reaches 1
         uniform_sample_bound(BoundQuery(0.5, 1.0, 2, 1.0))
+
+
+@pytest.mark.parametrize("vol,dim,eps,count,reason", [
+    (math.inf, 2, 0.1, "cells", "domain volume must be finite and positive, got inf"),
+    (math.nan, 2, 0.1, "cells", "domain volume must be finite and positive, got nan"),
+    (1.0, 2, math.nan, "cells", "resolution must be finite and positive, got nan"),
+    (1.0, 2, math.inf, "cells", "resolution must be finite and positive, got inf"),
+    (1.0, 2, 1e-200, "cells", "overflows or underflows"),  # 1e400
+    (1e-300, 3, 1e10, "cells", "overflows or underflows"),  # 1e-330
+])
+def test_covering_lower_bound_refuses_what_is_not_a_finite_float(vol, dim, eps, count, reason):
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        covering_lower_bound(vol, dim, eps, count)
+
+
+@pytest.mark.parametrize("query,reason", [
+    (BoundQuery(0.05, math.inf, 2, 0.01), "domain volume must be finite and positive, got inf"),
+    (BoundQuery(0.05, math.nan, 2, 0.01), "domain volume must be finite and positive, got nan"),
+    (BoundQuery(0.05, 1.0, 2, math.nan), "resolution must be finite and positive, got nan"),
+    (BoundQuery(math.nan, 1.0, 2, 0.01), "confidence delta must lie in (0, 1], got nan"),
+    # res^n underflows to 0: the hit probability is 0, and log1p(-0) divided by zero.
+    (BoundQuery(0.05, 1.0, 2, 1e-200), "is 0.0 as a float; it must lie in (0, 1)"),
+    # res^n overflows: the cell is larger than any domain.
+    (BoundQuery(0.05, 1.0, 2, 1e200), "is inf as a float; it must lie in (0, 1)"),
+])
+def test_bound_query_refuses_what_is_not_a_finite_float(query, reason):
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        query.validate()
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        uniform_sample_bound(query)
+
+
+def test_uniform_bound_refuses_a_bound_that_overflows():
+    # p = 5e-324, the least float: -log1p(-p) is p, and the bound 747 / p is no float.
+    query = BoundQuery(0.05, 1.0, 1, 5e-324)
+    query.validate()
+    for form in BoundForm:
+        with pytest.raises(ValueError, match=f"the {form.value} bound overflows a float"):
+            uniform_sample_bound(query, form)

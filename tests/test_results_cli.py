@@ -20,6 +20,7 @@ from pinvset.dataset import (
     EmptyDatasetError,
     MalformedRowError,
     gen_uniform,
+    linear2d,
     load_dataset,
     save_dataset,
 )
@@ -150,6 +151,37 @@ def test_cli_gen_grid_mode(tmp_path):
     assert ds.metadata["mode"] == "grid"
 
 
+_HUGE_DOMAIN = "--domain=-8e307,-8e307:8e307,8e307"  # each side is finite, the area is not
+
+
+@pytest.mark.parametrize("args,reason", [
+    pytest.param(["bounds", "--vol", "inf", "--n", "2", "--tau", "0.01"],
+                 "domain volume must be finite and positive, got inf", id="bounds-vol-inf"),
+    pytest.param(["bounds", "--vol", "nan", "--n", "2", "--tau", "0.01"],
+                 "domain volume must be finite and positive, got nan", id="bounds-vol-nan"),
+    pytest.param(["bounds", "--vol", "1", "--n", "2", "--tau", "1e-200"],
+                 "the cells covering bound for volume 1.0, dimension 2 and resolution 1e-200 "
+                 "overflows or underflows a float", id="bounds-overflow"),
+    pytest.param(["bounds", _HUGE_DOMAIN, "--n", "2", "--tau", "0.01"],
+                 "the volume of domain rectangle (-8e+307, -8e+307)..(8e+307, 8e+307) is not "
+                 "a finite float", id="bounds-domain"),
+    pytest.param(["gen", "--system", "linear2d", _HUGE_DOMAIN, "--m", "10", "--out", "x.csv"],
+                 "the volume of domain rectangle", id="gen"),
+    pytest.param(["synth", "--data", "d.csv", _HUGE_DOMAIN, "--lipschitz", "0.5", "--tau", "0.1",
+                  "--out", "r.json"], "the volume of domain rectangle", id="synth"),
+])
+def test_cli_refuses_a_volume_that_is_not_a_finite_float(tmp_path, capsys, monkeypatch, args,
+                                                         reason):
+    # Each ended in a traceback (OverflowError or ZeroDivisionError) or
+    # failed by accident; each is now a usage error with its reason.
+    monkeypatch.chdir(tmp_path)
+    Path("d.csv").write_text("x1,x2,xp1,xp2\n0,0,0,0\n")
+    assert main(["-q", *args]) == 2
+    err = capsys.readouterr().err
+    assert reason in err and "Traceback" not in err
+    assert not Path("x.csv").exists() and not Path("r.json").exists()
+
+
 def test_cli_usage_errors(tmp_path, capsys):
     assert main(["-q", "gen", "--system", "bogus", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["-q", "gen", "--system", "linear2d", "--mode", "uniform",
@@ -243,7 +275,9 @@ def test_cli_verify_detects_tampering(tmp_path, capsys):
     leaf = next(
         i for i in range(len(labels)) if labels[i] == 1 and i not in is_parent
     )
-    doc["tree"]["radius"][leaf] *= 0.5
+    # Move the leaf's sample two domain widths away: the radius the loader
+    # derives from the cell and the sample grows, and the successor box with it.
+    doc["tree"]["sample_x"][leaf][0] += 2.5
     result.write_text(json.dumps(doc))
     assert main(["-q", "verify", str(result)]) == 1
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
@@ -286,7 +320,7 @@ def test_load_rejects_short_child_block(lin_oracle):
     doc = result_to_document(small_result(lin_oracle), RunManifest(command="test"))
     tree = doc["tree"]
     last = len(tree["parent"]) - 1
-    for column in ("parent", "radius", "sample_index", "sample_x", "sample_xp", "label"):
+    for column in ("parent", "sample_index", "sample_x", "sample_xp", "label"):
         del tree[column][last]
     with pytest.raises(ResultFormatError, match="has fewer than 4 children"):
         result_from_document(doc)
@@ -307,6 +341,8 @@ _STALE_SECTIONS = {
     "tree.target_center": [[0.375, -0.375]],
     "tree.target_radius": [0.625],
     "tree.dim": 2,
+    # The ball radius, which follows from the cell and its sample.
+    "tree.radius": [1.0],
 }
 
 
@@ -314,7 +350,8 @@ _STALE_SECTIONS = {
 def test_cli_rejects_section_that_contradicts_tree(tmp_path, capsys, caplog, section):
     # A file states each fact once, in the tree; these sections restated it
     # (manifest.seed restated dataset_meta.seed, and the tree's cells and
-    # dim its root_bounds).  A file that carries one is refused by name, so
+    # dim its root_bounds, and the radii the cells and samples).  A file that
+    # carries one is refused by name, so
     # a stale copy never sits in a file that verifies, and report
     # aggregates only the good file.
     doc = _synth_linear_result(tmp_path)
@@ -595,7 +632,7 @@ def test_cli_verify_reports_trusted_domain(tmp_path, capsys, caplog):
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert report["domain"] == [[-0.25, -1.0], [1.0, 0.25]]
     extra = {
-        "parent": -1, "radius": 0.5, "sample_index": 0, "sample_x": [50.0, 50.0],
+        "parent": -1, "sample_index": 0, "sample_x": [50.0, 50.0],
         "sample_xp": [50.0, 50.0], "label": 1,
     }
     for key, value in extra.items():
@@ -615,10 +652,9 @@ def test_cli_verify_reports_trusted_domain(tmp_path, capsys, caplog):
 
 def _roots_document(doc: dict, root_bounds: list, count: int) -> dict:
     """``doc`` with its tree replaced by ``count`` unsplit included roots
-    over ``root_bounds``.  Their samples sit at the origin and map to it,
-    and each sample's ball of radius 0.5 holds a cell of [-0.5, 0.5]^2."""
+    over ``root_bounds``.  Their samples sit at the origin and map to it."""
     doc["tree"] = {
-        "root_bounds": root_bounds, "parent": [-1] * count, "radius": [0.5] * count,
+        "root_bounds": root_bounds, "parent": [-1] * count,
         "sample_index": [0] * count, "sample_x": [[0.0, 0.0]] * count,
         "sample_xp": [[0.0, 0.0]] * count, "label": [1] * count,
     }
@@ -642,6 +678,13 @@ def _roots_document(doc: dict, root_bounds: list, count: int) -> dict:
         "root_bounds: domain is not tileable by equal cubes: on axis 0, "
         "faces 0.1 and 0.10000000000000002 differ", id="not-tileable",
     ),
+    # One cube of finite sides whose area overflows: its volume ended verify
+    # in an OverflowError traceback.
+    pytest.param(
+        [[-8e307, -8e307], [8e307, 8e307]], 1,
+        "root_bounds: the volume of domain rectangle (-8e+307, -8e+307)..(8e+307, 8e+307) "
+        "is not a finite float", id="volume-overflows",
+    ),
 ])
 def test_cli_verify_takes_only_the_roots_synth_writes(tmp_path, capsys, root_bounds, count,
                                                       reason):
@@ -655,6 +698,53 @@ def test_cli_verify_takes_only_the_roots_synth_writes(tmp_path, capsys, root_bou
     else:
         assert code == 3
         assert reason in capsys.readouterr().err
+
+
+def test_cli_refuses_a_ball_radius_that_overflows(tmp_path, capsys):
+    # The one cell of [-8e307, 8e307] has radius 8e307, and a sample at
+    # 1.7e308 lies 1.7e308 from its center: r_target + dist is no float.
+    # The loader derives that radius and refuses the file naming the node;
+    # synth derives the same radius from such data and refuses it too.
+    doc = _synth_linear_result(tmp_path)
+    doc["tree"] = {
+        "root_bounds": [[-8e307], [8e307]], "parent": [-1], "sample_index": [0],
+        "sample_x": [[1.7e308]], "sample_xp": [[0.0]], "label": [1],
+    }
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["-q", "verify", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "node 0 has a ball radius that is not finite" in err and "Traceback" not in err
+    data = tmp_path / "far.csv"
+    data.write_text("x1,xp1\n1.7e308,0\n")
+    assert main(["-q", "synth", "--data", str(data), "--domain=-8e307:8e307",
+                 "--lipschitz", "0.5", "--tau", "1e307", "--out", str(tmp_path / "s.json")]) == 2
+    err = capsys.readouterr().err
+    assert "node 0 has a ball radius that is not finite" in err and "Traceback" not in err
+
+
+def test_radii_stepped_up_by_one_float_round_trip(tmp_path):
+    # On [0, 0.3]^2 the cells' corners are rounded, and a ball of the rounded
+    # r_target + dist misses part of some cells; ball_radii steps those up
+    # to the next float, in synth and on load alike.
+    domain = ((0.0, 0.0), (0.3, 0.3))
+    data = gen_uniform(linear2d(), 100, 0, domain)
+    result = synthesize(new_tree(domain, data), data, SynthConfig(lipschitz=0.8225, tau=0.005))
+    nodes = result.tree.nodes
+    plain = [
+        r + max(abs(x - c) for x, c in zip(xs, cs))
+        for r, xs, cs in zip(nodes.target_radius, nodes.sample_x, nodes.target_center)
+    ]
+    stepped = [i for i, (r, p) in enumerate(zip(nodes.radius, plain)) if r != p]
+    assert stepped and all(nodes.radius[i] > plain[i] for i in stepped)
+    path = tmp_path / "r.json"
+    save_result(path, result, RunManifest(command="test"))
+    assert "radius" not in json.loads(path.read_text())["tree"]
+    loaded = load_result(path)[1].tree.nodes
+    for column in fields(Nodes):
+        got, want = getattr(loaded, column.name), getattr(nodes, column.name)
+        assert list(map(_bits, got)) == list(map(_bits, want)), column.name
 
 
 def test_cli_rejects_domain_whose_cubes_miss_by_an_ulp(tmp_path, capsys):
@@ -772,24 +862,25 @@ def test_cli_verify_rejects_malformed_node_table(tmp_path, capsys, bad_parent):
 # (target_center, target_radius and dim out, root_bounds first in), each
 # digest was taken again from the old file with that edit made and the rest
 # re-serialized by orjson: the same data must give the same partition,
-# written the same way.
+# written the same way.  When the radius column left the file, each was
+# taken again the same way, from the old file with tree.radius deleted.
 _PINNED_RESULTS = {
     "linear2d-sequential": (
         ["--system", "linear2d", "--m", "1500", "--seed", "3"],
         ["--lipschitz", "0.8225", "--tau", "0.02"],
-        "c278342e80aff10efe284c72de959d556fc80c5a5dbf1f71d802e7b89ea53b48",
+        "aa5a3069e7c904a509550277911fbdc22e432a2b903c19443bfc76c3b8ad3377",
     ),
     "nonlinear2d-batch": (
         ["--system", "nonlinear2d", "--m", "2000", "--seed", "0"],
         ["--lipschitz", "5.728", "--tau", "0.01", "--mode", "batch"],
-        "6d529fe6c64ec83e5b267f3376358344307bd41cf1650d44891d01377111e57a",
+        "b1f893fe2cd9ccdf4873f730abd0f36fef08ace44e249c0853869d294aae8091",
     ),
     # Two root cubes tile a --domain of 2 x 1; grid data does not depend on
     # the uniform stream.  Pinned before the domain became one rectangle.
     "linear2d-two-roots": (
         ["--system", "linear2d", "--mode", "grid", "--tau", "0.01", "--domain=-1,-0.5:1,0.5"],
         ["--domain=-1,-0.5:1,0.5", "--lipschitz", "0.8225", "--tau", "0.01"],
-        "55479f622eb6ffd5894484ef926472d27b5bea96b5895a3aa9d64fc92f773ca8",
+        "ce9bb214b67207104cfbb91ffb44007d6062848e079ccf0c08109ef0cadfccb5",
     ),
 }
 
@@ -811,17 +902,17 @@ def test_cli_result_bytes_are_pinned(tmp_path, capsys, run):
 # Data on the half of the domain below its midpoint in x1: the tree's
 # cells on the other half ask for neighbours far from every sample.  The
 # digests are those the KD-tree index gave, re-taken as above when the
-# restated sections went and when the cells left the file.
+# restated sections went, when the cells left the file and when the radii did.
 _HALF_DOMAIN_RESULTS = {
     "linear2d": (
         0.375,
         ["--lipschitz", "0.8225", "--tau", "0.01"],
-        "40f9f3939e63b7a6c62198a3c03a6c5561cc327f4b8beb138904850bfbaeb04d",
+        "bf7a10d8b52bea4fe21937fd6fd09dae5090c2f0c25ea8a1a6b1b6d294eb2e63",
     ),
     "nonlinear2d": (
         0.0,
         ["--lipschitz", "5.728", "--tau", "0.01"],
-        "a1245e9f8dc5608f2d43b7cbf8384134e312ad602d54ccc117895d68191c8963",
+        "2139d19f9b7f2a7c8db7019399ed2d5e2b2bc0d8e06066b33f6f43f657d7b426",
     ),
 }
 

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import cube, kept_cells
+from helpers import cube, kept_cells, reference_synthesize
 
 from pinvset.dataset import Dataset, SystemOracle, gen_uniform
 from pinvset.geometry import CoverageClass, classify_coverage
@@ -368,3 +370,58 @@ def test_sweep_and_certificate_take_no_tolerance_path(lin_oracle, nonlin_oracle,
         counts = res.leaf_counts
         assert counts["included"] and counts["excluded"] + counts["unknown"]
         assert check_fixpoint(res).passed
+
+
+# Domains of dim n: a dyadic cube, one whose side is no power of two (its
+# cells' corners round, and some ball radii take the one-float step), and a
+# rectangle of two root cubes.
+_REFERENCE_DOMAINS = {
+    "dyadic": lambda n: ((-0.5,) * n, (0.5,) * n),
+    "non-dyadic": lambda n: ((0.0,) * n, (0.3,) * n),
+    "two-roots": lambda n: ((0.0,) * n, (2.0,) + (1.0,) * (n - 1)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from((1, 2)),
+    domain=st.sampled_from(sorted(_REFERENCE_DOMAINS)),
+    lattice=st.booleans(),
+    m=st.integers(1, 40),
+    contraction=st.floats(0.2, 1.0),
+    lipschitz=st.floats(0.1, 1.5),
+    depth=st.integers(1, 6),
+    mode=st.sampled_from(list(UpdateMode)),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_synthesize_matches_the_reference(n, domain, lattice, m, contraction, lipschitz, depth,
+                                          mode, seed):
+    # synthesize against the loop written as the paper states it, node for
+    # node.  Lattice samples, a quarter of the shortest side apart, sit at
+    # equal distances from many cell centers: the lowest index must win.
+    lo, hi = _REFERENCE_DOMAINS[domain](n)
+    rng = np.random.default_rng(seed)
+    side = min(b - a for a, b in zip(lo, hi))
+    if lattice:
+        steps = rng.integers(0, [round(4 * (b - a) / side) + 1 for a, b in zip(lo, hi)], (m, n))
+        x = np.array(lo) + steps * (side / 4)
+    else:
+        x = rng.uniform(lo, hi, size=(m, n))
+    middle = (np.array(lo) + np.array(hi)) / 2.0
+    x_plus = middle + contraction * (x - middle) + rng.normal(scale=0.02, size=(m, n))
+    # At most 6 levels below each root in 1-D and 4 in 2-D: a few hundred
+    # nodes at most, so the fraction arithmetic stays quick.
+    tau = side / 2 ** (min(depth, 8 - 2 * n) + 1)
+    ds = Dataset(x, x_plus)
+    config = SynthConfig(lipschitz=lipschitz, tau=tau, mode=mode)
+    result = synthesize(new_tree((lo, hi), ds), ds, config)
+    cells, sweeps = reference_synthesize(x, x_plus, (lo, hi), lipschitz, tau,
+                                         mode is UpdateMode.BATCH)
+    nodes = result.tree.nodes
+    hexed = lambda vs: [tuple(v.hex() for v in vec) for vec in vs]
+    assert result.sweeps == sweeps
+    assert nodes.parent == [c.parent for c in cells]
+    assert hexed(nodes.target_center) == hexed([c.center for c in cells])
+    assert [r.hex() for r in nodes.radius] == [c.radius.hex() for c in cells]
+    assert nodes.sample_index == [c.sample for c in cells]
+    assert nodes.label == [c.label for c in cells]
