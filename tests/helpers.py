@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
 import numpy as np
 import orjson
@@ -148,8 +148,9 @@ class RefCell:
     children: list[int] | None = None
 
 
-def reference_synthesize(x, x_plus, domain: Rect, lipschitz: float, tau: float, batch: bool,
-                         max_sweeps: int = 10_000) -> tuple[list[RefCell], int]:
+def reference_synthesize(
+    x, x_plus, domain: Rect, lipschitz: float, tau: float, batch: bool
+) -> tuple[list[RefCell], int]:
     """The synthesis loop as the paper states it, kept slow and plain: the
     cells in creation order and the sweep count.
 
@@ -209,7 +210,7 @@ def reference_synthesize(x, x_plus, domain: Rect, lipschitz: float, tau: float, 
         add(-1, center, r0, tuple(c - r0 for c in center), tuple(c + r0 for c in center))
         for center in product(*axes)
     ]
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in count(1):
         queue = list(included_leaves(roots))
         retired, divisions = [], 0
         while queue:
@@ -234,7 +235,6 @@ def reference_synthesize(x, x_plus, domain: Rect, lipschitz: float, tau: float, 
             cells[i].label = label
         if not (divisions or retired):
             return cells, sweep
-    return cells, max_sweeps
 
 
 @dataclass
