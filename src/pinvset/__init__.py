@@ -35,7 +35,6 @@ from .tree import (  # noqa: E402
 from .synthesis import (  # noqa: E402
     SynthConfig,
     SynthResult,
-    Termination,
     UpdateMode,
     sweep,
     synthesize,

@@ -136,12 +136,7 @@ def cmd_synth(args) -> int:
     dataset = _read(load_dataset, args.data)
     overlay = _read(load_overlay, args.overlay) if args.overlay else None
     domain = _resolve_domain(args, dataset.metadata, args.data)
-    config = SynthConfig(
-        lipschitz=args.lipschitz,
-        tau=args.tau,
-        max_sweeps=args.max_sweeps,
-        mode=UpdateMode(args.mode),
-    )
+    config = SynthConfig(args.lipschitz, args.tau, UpdateMode(args.mode))
     tree = new_tree(domain, dataset)
     result = synthesize(tree, dataset, config)
     certificate = check_fixpoint(result)
@@ -153,10 +148,9 @@ def cmd_synth(args) -> int:
     )
     save_result(args.out, result, manifest)
     logger.info(
-        "event=synth volume=%.12g sweeps=%d terminated_by=%s certified=%s out=%s",
+        "event=synth volume=%.12g sweeps=%d certified=%s out=%s",
         result.volume,
         result.sweeps,
-        result.terminated_by.value,
         certificate.passed,
         args.out,
     )
@@ -169,7 +163,6 @@ def cmd_synth(args) -> int:
     print(json.dumps({
         "volume": result.volume,
         "sweeps": result.sweeps,
-        "terminated_by": result.terminated_by.value,
         "leaf_counts": result.leaf_counts,
         "certified": certificate.passed,
         "out": str(args.out),
@@ -248,15 +241,14 @@ def cmd_bounds(args) -> int:
         vol = math.prod(b - a for a, b in zip(lo, hi))
     else:
         raise UsageError("pass --vol or --domain")
-    epsilon = args.epsilon if args.epsilon is not None else args.tau
-    if epsilon is None:
-        raise UsageError("pass --tau (or --epsilon)")
+    if args.tau is None:
+        raise UsageError("pass --tau")
     query = bounds_mod.BoundQuery(
-        delta=args.delta, vol_domain=vol, dim=args.n, resolution=epsilon
+        delta=args.delta, vol_domain=vol, dim=args.n, resolution=args.tau
     )
     rows = [
-        ("covering-cells", bounds_mod.covering_lower_bound(vol, args.n, epsilon, "cells")),
-        ("covering-balls", bounds_mod.covering_lower_bound(vol, args.n, epsilon, "balls")),
+        ("covering-cells", bounds_mod.covering_lower_bound(vol, args.n, args.tau, "cells")),
+        ("covering-balls", bounds_mod.covering_lower_bound(vol, args.n, args.tau, "balls")),
     ]
     anomalies = []
     with warnings.catch_warnings(record=True) as caught:
@@ -268,7 +260,7 @@ def cmd_bounds(args) -> int:
         ):
             rows.append((form.value, bounds_mod.uniform_sample_bound(query, form)))
         anomalies = [str(w.message) for w in caught]
-    print(f"# vol={vol!r} n={args.n} resolution={epsilon!r} delta={args.delta!r}")
+    print(f"# vol={vol!r} n={args.n} resolution={args.tau!r} delta={args.delta!r}")
     for name, value in rows:
         print(f"{name},{value!r}")
     for msg in anomalies:
@@ -340,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", help="builtin system name (for its domain)")
     p.add_argument("--lipschitz", type=float, required=True)
     p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--max-sweeps", type=int, default=10000)
     p.add_argument("--mode", choices=("sequential", "batch"), default="sequential")
     p.add_argument("--out", required=True, help="result JSON path")
     p.add_argument("--svg", help="optional SVG rendering path (2-D only)")
@@ -360,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", help="'lo1,lo2:hi1,hi2' (alternative to --vol)")
     p.add_argument("--n", type=int, required=True, help="state dimension")
     p.add_argument("--tau", type=float)
-    p.add_argument("--epsilon", type=float)
     p.add_argument("--delta", type=float, default=0.05)
     p.set_defaults(func=cmd_bounds)
 

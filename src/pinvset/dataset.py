@@ -109,12 +109,7 @@ def get_system(name: str) -> SystemOracle:
         ) from None
 
 
-def tabulated_oracle(
-    table: Dataset,
-    lipschitz: float,
-    domain: Rect,
-    name: str = "tabulated",
-) -> SystemOracle:
+def tabulated_oracle(table: Dataset, lipschitz: float, domain: Rect) -> SystemOracle:
     """Oracle backed by an explicit table; defined only at tabulated states."""
 
     def step(pts: np.ndarray) -> np.ndarray:
@@ -125,7 +120,7 @@ def tabulated_oracle(
             raise DatasetError(f"state {state} is not tabulated")
         return table.x_plus[idx]
 
-    return SystemOracle(name, step, lipschitz, domain)
+    return SystemOracle("tabulated", step, lipschitz, domain)
 
 
 class Dataset:

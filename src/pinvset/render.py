@@ -20,23 +20,21 @@ FILL = {
     Label.EXCLUDED: "#f5f5f5",
     Label.UNKNOWN: "#dd8452",
 }
+# The drawing's width in pixels; its height keeps the domain's aspect ratio.
+WIDTH_PX = 720
 
 
 def _fmt(v: float) -> str:
     return f"{v:.6f}"
 
 
-def render_tree_svg(
-    tree: PartitionTree,
-    width_px: int = 720,
-    overlay: Sequence[Sequence[float]] | None = None,
-) -> str:
+def render_tree_svg(tree: PartitionTree, overlay: Sequence[Sequence[float]] | None = None) -> str:
     """Render leaf squares; y grows upward (world coordinates are flipped)."""
     if tree.dim != 2:
         raise ValueError(f"SVG rendering supports dim 2 only, got dim {tree.dim}")
     nodes = tree.nodes
     (xmin, ymin), (xmax, ymax) = tree.root_bounds
-    scale = width_px / (xmax - xmin)
+    scale = WIDTH_PX / (xmax - xmin)
     height_px = (ymax - ymin) * scale
 
     def sx(x: float) -> str:
@@ -48,9 +46,9 @@ def render_tree_svg(
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(width_px)}" height="{_fmt(height_px)}" '
-        f'viewBox="0 0 {_fmt(width_px)} {_fmt(height_px)}">',
-        f'<rect x="0" y="0" width="{_fmt(width_px)}" height="{_fmt(height_px)}" '
+        f'width="{_fmt(WIDTH_PX)}" height="{_fmt(height_px)}" '
+        f'viewBox="0 0 {_fmt(WIDTH_PX)} {_fmt(height_px)}">',
+        f'<rect x="0" y="0" width="{_fmt(WIDTH_PX)}" height="{_fmt(height_px)}" '
         'fill="#ffffff"/>',
     ]
     stroke_w = _fmt(max(0.2, scale * 1e-4))

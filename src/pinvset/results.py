@@ -1,7 +1,7 @@
 """Result-file schema: one self-describing JSON document per run.
 
-Sections, in file order: manifest (provenance), config, tree, sweeps and
-terminated_by; a document with any other section is refused.  The tree
+Sections, in file order: manifest (provenance), config, tree and sweeps;
+a document with any other section or config key is refused.  The tree
 section is the rectangle ``root_bounds`` and the node columns that no rule
 derives (parent, sample index, state and successor, label), one list per
 column as ``tree.Nodes`` holds it; any other key, ``radius`` too, is
@@ -26,7 +26,7 @@ from itertools import chain
 from pathlib import Path
 
 from . import __version__
-from .synthesis import SynthConfig, SynthResult, Termination, UpdateMode
+from .synthesis import SynthConfig, SynthResult, UpdateMode
 from .tree import Label, PartitionTree
 
 
@@ -84,10 +84,14 @@ def _all_finite(values) -> bool:
         return False
 
 
-def _tree_from_dict(d: dict) -> PartitionTree:
-    unknown = next((key for key in d if key != "root_bounds" and key not in _PARSE), None)
+def _refuse_unknown(d: dict, known, what: str) -> None:
+    unknown = next((key for key in d if key not in known), None)
     if unknown is not None:
-        raise ResultFormatError(f"unknown tree column {unknown!r}")
+        raise ResultFormatError(f"unknown {what} {unknown!r}")
+
+
+def _tree_from_dict(d: dict) -> PartitionTree:
+    _refuse_unknown(d, ("root_bounds", *_PARSE), "tree column")
     bounds = d["root_bounds"]
     if not (
         type(bounds) is list
@@ -130,17 +134,16 @@ def result_to_document(result: SynthResult, manifest: RunManifest) -> dict:
         "config": {
             "lipschitz": result.config.lipschitz,
             "tau": result.config.tau,
-            "max_sweeps": result.config.max_sweeps,
             "update_mode": result.config.mode.value,
         },
         "tree": _tree_to_dict(result.tree),
         "sweeps": result.sweeps,
-        "terminated_by": result.terminated_by.value,
     }
 
 
-# The sections of a result document, in file order.
-_SECTIONS = ("manifest", "config", "tree", "sweeps", "terminated_by")
+# The sections of a result document and the keys of its config, in file order.
+_SECTIONS = ("manifest", "config", "tree", "sweeps")
+_CONFIG = ("lipschitz", "tau", "update_mode")
 
 
 _JSON_KINDS = {float: "number", int: "integer", dict: "object"}
@@ -159,22 +162,19 @@ def result_from_document(doc: dict) -> tuple[RunManifest, SynthResult]:
     if type(doc) is not dict:
         raise ResultFormatError("malformed result document: not a JSON object")
     try:
-        unknown = next((key for key in doc if key not in _SECTIONS), None)
-        if unknown is not None:
-            raise ResultFormatError(f"unknown section {unknown!r}")
+        _refuse_unknown(doc, _SECTIONS, "section")
         manifest = RunManifest(**_json_value(doc, "manifest", dict))
         _json_value(doc["manifest"], "dataset_meta", dict)
-        cfg = doc["config"]
+        cfg = _json_value(doc, "config", dict)
+        _refuse_unknown(cfg, _CONFIG, "config key")
         config = SynthConfig(
             lipschitz=_json_value(cfg, "lipschitz", float),
             tau=_json_value(cfg, "tau", float),
-            max_sweeps=_json_value(cfg, "max_sweeps", int),
             mode=UpdateMode(cfg["update_mode"]),
         )
         result = SynthResult(
             tree=_tree_from_dict(_json_value(doc, "tree", dict)),
             sweeps=_json_value(doc, "sweeps", int),
-            terminated_by=Termination(doc["terminated_by"]),
             config=config,
         )
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:

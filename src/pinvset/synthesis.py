@@ -11,9 +11,9 @@ tree, ``PartitionTree.classify``):
                     otherwise marked unknown and dropped from the candidate.
 
 A split's children are classified later in the same sweep.  The loop
-terminates at the first sweep that changes nothing; the surviving union is
-then self-mapping and hence positively invariant (re-checked independently
-by the verifier).
+stops at the first sweep that changes nothing, and it always stops (see
+``synthesize``); the surviving union is then self-mapping and hence
+positively invariant (re-checked independently by the verifier).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count
 
 from .dataset import Dataset
 from .geometry import CoverageClass, classify_coverage, successor_rect
@@ -39,16 +40,10 @@ class UpdateMode(Enum):
     BATCH = "batch"
 
 
-class Termination(Enum):
-    FIXPOINT = "fixpoint"
-    SAFEGUARD = "safeguard"
-
-
 @dataclass(frozen=True)
 class SynthConfig:
     lipschitz: float
     tau: float
-    max_sweeps: int = 10000
     mode: UpdateMode = UpdateMode.SEQUENTIAL
 
     def validate(self) -> None:
@@ -62,16 +57,17 @@ class SynthConfig:
             raise ConfigError(
                 f"resolution floor must be positive and finite, got {self.tau}"
             )
-        if self.max_sweeps < 1:
-            raise ConfigError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
 
 
 @dataclass
 class SweepStats:
-    changed: bool
     divisions: int
     exclusions: int
     unknowns: int
+
+    @property
+    def changed(self) -> bool:
+        return bool(self.divisions or self.exclusions or self.unknowns)
 
 
 @dataclass
@@ -82,7 +78,6 @@ class SynthResult:
 
     tree: PartitionTree
     sweeps: int
-    terminated_by: Termination
     config: SynthConfig
 
     @property
@@ -135,27 +130,23 @@ def sweep(tree: PartitionTree, dataset: Dataset, config: SynthConfig) -> SweepSt
             tree.set_label(i, label)
     exclusions = sum(label is Label.EXCLUDED for _, label in retired)
     unknowns = len(retired) - exclusions
-    changed = bool(divisions or retired)
-    return SweepStats(changed, divisions, exclusions, unknowns)
+    return SweepStats(divisions, exclusions, unknowns)
 
 
 def synthesize(tree: PartitionTree, dataset: Dataset, config: SynthConfig) -> SynthResult:
-    """Run sweeps until the candidate set stabilizes or the safeguard trips.
-
-    The candidate can only lose volume (splits are volume-neutral), and the
-    resolution floor bounds the number of splits, so a fixpoint is reached
-    after finitely many sweeps; max_sweeps is a defensive backstop far above
-    any reachable sweep count.
-    """
+    """Run sweeps until one changes nothing, which always happens: a sweep
+    that changes something splits a leaf, whose children stay at or above
+    the resolution floor, or retires an included leaf, which ``set_label``
+    never re-includes, and there are finitely many of each.  This is the
+    one-step set recursion (F. Blanchini, "Set invariance in control",
+    Automatica 1999), stopped when the set stops changing."""
     config.validate()
     if config.tau > tree.min_root_radius():
         raise ConfigError(
             f"resolution floor {config.tau} exceeds the smallest root radius "
             f"{tree.min_root_radius()}"
         )
-    terminated = Termination.SAFEGUARD
-    sweeps = config.max_sweeps
-    for z in range(1, config.max_sweeps + 1):
+    for z in count(1):
         stats = sweep(tree, dataset, config)
         if logger.isEnabledFor(logging.INFO):  # the volume costs a scan of the tree
             logger.info(
@@ -168,7 +159,4 @@ def synthesize(tree: PartitionTree, dataset: Dataset, config: SynthConfig) -> Sy
                 tree.active_volume(),
             )
         if not stats.changed:
-            terminated = Termination.FIXPOINT
-            sweeps = z
-            break
-    return SynthResult(tree=tree, sweeps=sweeps, terminated_by=terminated, config=config)
+            return SynthResult(tree=tree, sweeps=z, config=config)

@@ -34,7 +34,7 @@ from pinvset.results import (
     result_to_document,
     save_result,
 )
-from pinvset.synthesis import SynthConfig, SynthResult, Termination, UpdateMode, synthesize
+from pinvset.synthesis import SynthConfig, SynthResult, UpdateMode, synthesize
 from pinvset.tree import Nodes, new_tree
 from pinvset.verify import check_fixpoint
 
@@ -57,7 +57,8 @@ def test_result_round_trip_identity(lin_oracle, tmp_path):
     assert loaded_manifest == manifest
     doc_a = result_to_document(res, manifest)
     doc_b = result_to_document(loaded, loaded_manifest)
-    assert list(doc_a) == ["manifest", "config", "tree", "sweeps", "terminated_by"]
+    assert list(doc_a) == ["manifest", "config", "tree", "sweeps"]
+    assert list(doc_a["config"]) == ["lipschitz", "tau", "update_mode"]
     assert doc_a == doc_b
     assert loaded.volume == res.volume and loaded.leaf_counts == res.leaf_counts
     # the reloaded tree certifies on its own
@@ -127,7 +128,7 @@ def test_cli_gen_synth_verify_flow(tmp_path, capsys):
     ]) == 0
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload["certified"] is True
-    assert payload["terminated_by"] == "fixpoint"
+    assert payload["sweeps"] >= 1 and "terminated_by" not in payload
     assert svg.exists() and svg.read_text().startswith("<?xml")
 
     assert main(["-q", "verify", str(result)]) == 0
@@ -201,6 +202,16 @@ def test_cli_usage_errors(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert "needs more than 65536 cubes of side 1.0" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_has_no_sweep_cap_and_one_resolution_flag(tmp_path, capsys):
+    # synth runs to its fixpoint, and bounds takes the floor as --tau only.
+    assert main(["-q", "synth", "--data", str(tmp_path / "d.csv"), "--lipschitz", "1",
+                 "--tau", "0.1", "--out", str(tmp_path / "r.json"), "--max-sweeps", "1"]) == 2
+    assert main(["-q", "bounds", "--vol", "1.0", "--n", "2", "--epsilon", "0.01"]) == 2
+    assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
+    assert main(["-q", "bounds", "--vol", "1.0", "--n", "2"]) == 2
+    assert "error: pass --tau\n" in capsys.readouterr().err
 
 
 def _bits(value):
@@ -343,6 +354,11 @@ _STALE_SECTIONS = {
     "tree.dim": 2,
     # The ball radius, which follows from the cell and its sample.
     "tree.radius": [1.0],
+    # The sweep cap and whether it tripped: the loop always runs to its
+    # fixpoint.  A config key the format never had is refused the same way.
+    "terminated_by": "safeguard",
+    "config.max_sweeps": 10000,
+    "config.foo": 1,
 }
 
 
@@ -350,8 +366,8 @@ _STALE_SECTIONS = {
 def test_cli_rejects_section_that_contradicts_tree(tmp_path, capsys, caplog, section):
     # A file states each fact once, in the tree; these sections restated it
     # (manifest.seed restated dataset_meta.seed, and the tree's cells and
-    # dim its root_bounds, and the radii the cells and samples).  A file that
-    # carries one is refused by name, so
+    # dim its root_bounds, and the radii the cells and samples), or reported
+    # a sweep cap that is gone.  A file that carries one is refused by name, so
     # a stale copy never sits in a file that verifies, and report
     # aggregates only the good file.
     doc = _synth_linear_result(tmp_path)
@@ -364,6 +380,7 @@ def test_cli_rejects_section_that_contradicts_tree(tmp_path, capsys, caplog, sec
         "": f"unknown section {key!r}",
         "manifest": f"unexpected keyword argument {key!r}",
         "tree": f"unknown tree column {key!r}",
+        "config": f"unknown config key {key!r}",
     }[head]
     bad = runs / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -521,7 +538,7 @@ def _set(section, key, value):
     def edit(doc):
         (doc[section] if section else doc)[key] = value
         kinds = {"lipschitz": "number", "tau": "number", "manifest": "object",
-                 "dataset_meta": "object"}
+                 "dataset_meta": "object", "config": "object"}
         return f"{key} {value!r} is not a JSON {kinds.get(key, 'integer')}"
 
     return edit
@@ -543,18 +560,17 @@ def _huge_lipschitz(doc):
         lambda doc: _float_label(doc, True),
         _set("config", "lipschitz", "0.8225"),
         _set("config", "tau", "0.02"),
-        _set("config", "max_sweeps", 3.7),
-        _set("config", "max_sweeps", True),
         _set(None, "sweeps", "3"),
         _huge_lipschitz,
         _set(None, "manifest", "x"),
         _set(None, "manifest", []),
         _set("manifest", "dataset_meta", "x"),
+        _set(None, "config", "x"),
     ],
     ids=[
         "parent+0.5", "sample_index=3.7", "label=1.0", "label=true",
-        "lipschitz=str", "tau=str", "max_sweeps=3.7", "max_sweeps=true", "sweeps=str",
-        "lipschitz=10**400", "manifest=str", "manifest=list", "dataset_meta=str",
+        "lipschitz=str", "tau=str", "sweeps=str",
+        "lipschitz=10**400", "manifest=str", "manifest=list", "dataset_meta=str", "config=str",
     ],
 )
 def test_cli_verify_rejects_non_integer_node_column(tmp_path, capsys, edit):
@@ -863,24 +879,25 @@ def test_cli_verify_rejects_malformed_node_table(tmp_path, capsys, bad_parent):
 # digest was taken again from the old file with that edit made and the rest
 # re-serialized by orjson: the same data must give the same partition,
 # written the same way.  When the radius column left the file, each was
-# taken again the same way, from the old file with tree.radius deleted.
+# taken again the same way, from the old file with tree.radius deleted, and
+# when the sweep cap went, with config.max_sweeps and terminated_by deleted.
 _PINNED_RESULTS = {
     "linear2d-sequential": (
         ["--system", "linear2d", "--m", "1500", "--seed", "3"],
         ["--lipschitz", "0.8225", "--tau", "0.02"],
-        "aa5a3069e7c904a509550277911fbdc22e432a2b903c19443bfc76c3b8ad3377",
+        "635b9ce8765fd5f2e7be5e76d666ab749fe0cc5a4e251c080ed5580d5795db25",
     ),
     "nonlinear2d-batch": (
         ["--system", "nonlinear2d", "--m", "2000", "--seed", "0"],
         ["--lipschitz", "5.728", "--tau", "0.01", "--mode", "batch"],
-        "b1f893fe2cd9ccdf4873f730abd0f36fef08ace44e249c0853869d294aae8091",
+        "eaa1e7047269adf30c03622091fedecec5c60948976d85f18cfa0a702d03da05",
     ),
     # Two root cubes tile a --domain of 2 x 1; grid data does not depend on
     # the uniform stream.  Pinned before the domain became one rectangle.
     "linear2d-two-roots": (
         ["--system", "linear2d", "--mode", "grid", "--tau", "0.01", "--domain=-1,-0.5:1,0.5"],
         ["--domain=-1,-0.5:1,0.5", "--lipschitz", "0.8225", "--tau", "0.01"],
-        "ce9bb214b67207104cfbb91ffb44007d6062848e079ccf0c08109ef0cadfccb5",
+        "9a64fc794d93a30f344febb3e7d0b824eb80229169e9e1fd90ba486a80cbb05c",
     ),
 }
 
@@ -902,17 +919,18 @@ def test_cli_result_bytes_are_pinned(tmp_path, capsys, run):
 # Data on the half of the domain below its midpoint in x1: the tree's
 # cells on the other half ask for neighbours far from every sample.  The
 # digests are those the KD-tree index gave, re-taken as above when the
-# restated sections went, when the cells left the file and when the radii did.
+# restated sections went, when the cells left the file, when the radii did
+# and when the sweep cap did.
 _HALF_DOMAIN_RESULTS = {
     "linear2d": (
         0.375,
         ["--lipschitz", "0.8225", "--tau", "0.01"],
-        "bf7a10d8b52bea4fe21937fd6fd09dae5090c2f0c25ea8a1a6b1b6d294eb2e63",
+        "d0e2fd7ffbb06dd4458c7c9af7c064410658100c1dbd9aa6cec96f8c088b0c7b",
     ),
     "nonlinear2d": (
         0.0,
         ["--lipschitz", "5.728", "--tau", "0.01"],
-        "2139d19f9b7f2a7c8db7019399ed2d5e2b2bc0d8e06066b33f6f43f657d7b426",
+        "4146e5b279c9032c69ebb6aa06d1581978f1c986e09cc3dbcf3c271ca96d0e22",
     ),
 }
 
@@ -1066,7 +1084,7 @@ def test_cli_verify_one_root_of_high_dim_stays_small(tmp_path, capsys):
     origin = (0.0,) * n
     ds = Dataset([origin], [origin])
     tree = new_tree(((-1.0,) * n, (1.0,) * n), ds)
-    result = SynthResult(tree, 1, Termination.FIXPOINT, SynthConfig(lipschitz=0.5, tau=0.5))
+    result = SynthResult(tree, 1, SynthConfig(lipschitz=0.5, tau=0.5))
     path = tmp_path / "r.json"
     save_result(path, result, RunManifest(command="test"))
     tracemalloc.start()

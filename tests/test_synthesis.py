@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from helpers import cube, kept_cells, reference_synthesize
@@ -12,7 +12,6 @@ from pinvset.geometry import CoverageClass, classify_coverage
 from pinvset.synthesis import (
     ConfigError,
     SynthConfig,
-    Termination,
     UpdateMode,
     sweep,
     synthesize,
@@ -94,7 +93,7 @@ def test_synthesize_collapsing_map_keeps_domain():
     ds = dense_dataset(oracle)
     tree = new_tree(oracle.domain, ds)
     res = synthesize(tree, ds, SynthConfig(lipschitz=1e-9, tau=0.1))
-    assert res.terminated_by is Termination.FIXPOINT
+    assert check_fixpoint(res).passed
     assert res.sweeps == 1
     assert res.volume == pytest.approx(1.0)
 
@@ -104,7 +103,7 @@ def test_synthesize_escaping_map_returns_empty():
     ds = dense_dataset(oracle)
     tree = new_tree(oracle.domain, ds)
     res = synthesize(tree, ds, SynthConfig(lipschitz=1e-9, tau=0.1))
-    assert res.terminated_by is Termination.FIXPOINT
+    assert check_fixpoint(res).passed
     assert kept_cells(tree) == []
     assert res.volume == 0.0
 
@@ -113,7 +112,6 @@ def test_synthesize_linear_divides_and_certifies(lin_oracle):
     ds = gen_uniform(lin_oracle, 10000, seed=11)
     tree = new_tree(lin_oracle.domain, ds)
     res = synthesize(tree, ds, SynthConfig(lipschitz=lin_oracle.lipschitz, tau=0.01))
-    assert res.terminated_by is Termination.FIXPOINT
     assert len(tree.nodes) > 1  # corner states leave the domain, forcing splits
     assert res.volume > 0.9
     assert check_fixpoint(res).passed
@@ -189,8 +187,6 @@ def test_batch_mode_also_certifies(lin_oracle, nonlin_oracle):
             ds,
             SynthConfig(lipschitz=oracle.lipschitz, tau=tau, mode=UpdateMode.BATCH),
         )
-        assert r_seq.terminated_by is Termination.FIXPOINT
-        assert r_bat.terminated_by is Termination.FIXPOINT
         assert check_fixpoint(r_seq).passed
         assert check_fixpoint(r_bat).passed
 
@@ -212,16 +208,6 @@ def test_batch_mode_deterministic(lin_oracle):
     assert tables[0] == tables[1]
 
 
-def test_safeguard_trips_and_reports(lin_oracle):
-    ds = gen_uniform(lin_oracle, 2000, seed=3)
-    tree = new_tree(lin_oracle.domain, ds)
-    res = synthesize(
-        tree, ds, SynthConfig(lipschitz=lin_oracle.lipschitz, tau=0.005, max_sweeps=1)
-    )
-    assert res.terminated_by is Termination.SAFEGUARD
-    assert res.sweeps == 1
-
-
 def test_config_validation(lin_oracle):
     ds = gen_uniform(lin_oracle, 100, seed=0)
     tree = new_tree(lin_oracle.domain, ds)
@@ -229,8 +215,6 @@ def test_config_validation(lin_oracle):
         synthesize(tree, ds, SynthConfig(lipschitz=0.0, tau=0.1))
     with pytest.raises(ConfigError):
         synthesize(tree, ds, SynthConfig(lipschitz=1.0, tau=-0.1))
-    with pytest.raises(ConfigError):
-        synthesize(tree, ds, SynthConfig(lipschitz=1.0, tau=0.1, max_sweeps=0))
     with pytest.raises(ConfigError):
         # resolution floor above the root radius
         synthesize(tree, ds, SynthConfig(lipschitz=1.0, tau=0.7))
@@ -242,7 +226,6 @@ def test_multi_root_domain(lin_oracle):
     tree = new_tree(((0.0, 0.0), (2.0, 1.0)), ds)  # two unit cubes
     assert len(tree.roots) == 2
     res = synthesize(tree, ds, SynthConfig(lipschitz=1e-9, tau=0.1))
-    assert res.terminated_by is Termination.FIXPOINT
     assert res.volume == pytest.approx(2.0)
     assert check_fixpoint(res).passed
 
@@ -382,7 +365,13 @@ _REFERENCE_DOMAINS = {
 }
 
 
-@settings(max_examples=40, deadline=None)
+@settings(
+    max_examples=40,
+    deadline=None,
+    # No shrink phase: every shrink step reruns the fraction-based reference,
+    # and shrinking one failure took minutes and hundreds of megabytes.
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
 @given(
     n=st.sampled_from((1, 2)),
     domain=st.sampled_from(sorted(_REFERENCE_DOMAINS)),

@@ -19,7 +19,7 @@ from helpers import (
 from pinvset import verify
 from pinvset.dataset import Dataset, SystemOracle, gen_uniform
 from pinvset.geometry import CoverageClass, successor_rect
-from pinvset.synthesis import SynthConfig, SynthResult, Termination, synthesize
+from pinvset.synthesis import SynthConfig, SynthResult, synthesize
 from pinvset.tree import Label, new_tree
 from pinvset.verify import (
     MAX_BITMAP_CELLS,
@@ -44,7 +44,7 @@ def hand_built_failing_result(lin_oracle):
     ds = Dataset([x], [x_plus])
     tree = new_tree(((0.875, 0.875), (0.9375, 0.9375)), ds)
     config = SynthConfig(lipschitz=lin_oracle.lipschitz, tau=0.01)
-    return SynthResult(tree=tree, sweeps=1, terminated_by=Termination.FIXPOINT, config=config)
+    return SynthResult(tree=tree, sweeps=1, config=config)
 
 
 # -- exact fixpoint certificate --------------------------------------------------
