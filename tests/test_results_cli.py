@@ -544,6 +544,16 @@ def _set(section, key, value):
     return edit
 
 
+def _old_max_sweeps(value):
+    # The sweep cap left the format: any config.max_sweeps, of whatever type,
+    # is refused by name as an unknown config key.
+    def edit(doc):
+        doc["config"]["max_sweeps"] = value
+        return "unknown config key 'max_sweeps'"
+
+    return edit
+
+
 def _huge_lipschitz(doc):
     # A JSON integer past the float range: float() raised OverflowError,
     # which verify did not catch.
@@ -560,6 +570,8 @@ def _huge_lipschitz(doc):
         lambda doc: _float_label(doc, True),
         _set("config", "lipschitz", "0.8225"),
         _set("config", "tau", "0.02"),
+        _old_max_sweeps(3.7),
+        _old_max_sweeps(True),
         _set(None, "sweeps", "3"),
         _huge_lipschitz,
         _set(None, "manifest", "x"),
@@ -569,7 +581,7 @@ def _huge_lipschitz(doc):
     ],
     ids=[
         "parent+0.5", "sample_index=3.7", "label=1.0", "label=true",
-        "lipschitz=str", "tau=str", "sweeps=str",
+        "lipschitz=str", "tau=str", "max_sweeps=3.7", "max_sweeps=true", "sweeps=str",
         "lipschitz=10**400", "manifest=str", "manifest=list", "dataset_meta=str", "config=str",
     ],
 )
