@@ -29,9 +29,8 @@ from .dataset import (
     get_system,
     load_dataset,
     save_dataset,
-    tabulated_oracle,
 )
-from .geometry import DimensionMismatchError, Rect, rect_to_cubes
+from .geometry import Rect, rect_to_cubes
 from .render import load_overlay, render_tree_svg
 from .results import (
     ResultFormatError,
@@ -94,27 +93,9 @@ def _resolve_domain(args, dataset_meta: dict | None = None, path=None) -> Rect:
     raise UsageError("no domain: pass --domain or --system (or use a dataset with metadata)")
 
 
-def _read(load, path):
-    """``load(path)``, with a row of the wrong width a data fault (exit 3)."""
-    try:
-        return load(path)
-    except DimensionMismatchError as exc:
-        raise DatasetError(str(exc)) from None
-
-
 def cmd_gen(args) -> int:
-    if args.system:
-        oracle = get_system(args.system)
-    elif args.map_table:
-        if not args.domain:
-            raise UsageError("--map-table needs an explicit --domain")
-        if args.lipschitz is None:
-            raise UsageError("--map-table needs --lipschitz")
-    else:
-        raise UsageError("pass --system or --map-table")
+    oracle = get_system(args.system)
     domain = _resolve_domain(args)
-    if not args.system:
-        oracle = tabulated_oracle(_read(load_dataset, args.map_table), args.lipschitz, domain)
     if args.mode == "uniform":
         if args.m is None:
             raise UsageError("--m is required in uniform mode")
@@ -133,8 +114,8 @@ def cmd_gen(args) -> int:
 
 def cmd_synth(args) -> int:
     t0 = time.perf_counter()
-    dataset = _read(load_dataset, args.data)
-    overlay = _read(load_overlay, args.overlay) if args.overlay else None
+    dataset = load_dataset(args.data)
+    overlay = load_overlay(args.overlay) if args.overlay else None
     domain = _resolve_domain(args, dataset.metadata, args.data)
     config = SynthConfig(args.lipschitz, args.tau, UpdateMode(args.mode))
     tree = new_tree(domain, dataset)
@@ -234,13 +215,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.vol is not None:
-        vol = args.vol
-    elif args.domain:
-        lo, hi = _parse_domain(args.domain)
-        vol = math.prod(b - a for a, b in zip(lo, hi))
-    else:
-        raise UsageError("pass --vol or --domain")
+    vol = args.vol
     if args.tau is None:
         raise UsageError("pass --tau")
     query = bounds_mod.BoundQuery(
@@ -314,10 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-q", "--quiet", action="store_true", help="suppress progress logs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a dataset from a builtin system or map table")
-    p.add_argument("--system", help="builtin system name")
-    p.add_argument("--map-table", help="CSV of tabulated state/successor pairs")
-    p.add_argument("--lipschitz", type=float, help="Lipschitz bound for --map-table")
+    p = sub.add_parser("gen", help="generate a dataset from a builtin system")
+    p.add_argument("--system", required=True, help="builtin system name")
     p.add_argument("--mode", choices=("uniform", "grid"), default="uniform")
     p.add_argument("--m", type=int, help="sample count (uniform mode)")
     p.add_argument("--tau", type=float, help="resolution floor (grid mode)")
@@ -347,8 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bounds", help="evaluate sample-count bounds")
-    p.add_argument("--vol", type=float, help="domain volume")
-    p.add_argument("--domain", help="'lo1,lo2:hi1,hi2' (alternative to --vol)")
+    p.add_argument("--vol", type=float, required=True, help="domain volume")
     p.add_argument("--n", type=int, required=True, help="state dimension")
     p.add_argument("--tau", type=float)
     p.add_argument("--delta", type=float, default=0.05)

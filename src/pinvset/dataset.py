@@ -9,8 +9,8 @@ that a linear scan computes, ``max_d |x_d - q_d|`` in floating point, and
 the lowest index among every sample at exactly that distance.
 
 The index is ``nnindex.CellIndex``, imported on the first query, so that
-commands that ask for no neighbour (``gen`` on a builtin system,
-``verify``, ``--version``) never load it.
+commands that ask for no neighbour (``gen``, ``verify``, ``--version``)
+never load it.
 
 The domain is one rectangle, ``(lo, hi)``: the generators draw from it
 or cut it with ``rect_to_cubes``, as ``new_tree`` does.  The grid halves
@@ -107,20 +107,6 @@ def get_system(name: str) -> SystemOracle:
         raise UnknownSystemError(
             f"unknown system {name!r}; available: {sorted(SYSTEMS)}"
         ) from None
-
-
-def tabulated_oracle(table: Dataset, lipschitz: float, domain: Rect) -> SystemOracle:
-    """Oracle backed by an explicit table; defined only at tabulated states."""
-
-    def step(pts: np.ndarray) -> np.ndarray:
-        idx, dist = table.nearest(pts)
-        missing = np.flatnonzero(dist != 0.0)
-        if len(missing):
-            state = tuple(pts[missing[0]].tolist())
-            raise DatasetError(f"state {state} is not tabulated")
-        return table.x_plus[idx]
-
-    return SystemOracle("tabulated", step, lipschitz, domain)
 
 
 class Dataset:
@@ -361,7 +347,7 @@ def _parse_rows(path: Path, skip: int, cols: int) -> np.ndarray:
     lineno, width = rows[lo][0], _width(lines[lo:hi])
     if width is None:
         raise MalformedRowError(f"{path}:{lineno}: non-numeric cell in data row")
-    raise DimensionMismatchError(f"{path}:{lineno}: {width} columns, expected {cols}")
+    raise MalformedRowError(f"{path}:{lineno}: {width} columns, expected {cols}")
 
 
 def read_csv(path: str | Path) -> tuple[np.ndarray, dict]:

@@ -4,15 +4,15 @@ Leaf cells are drawn as squares colored by label; an optional polyline
 overlay (for a reference set boundary or barrier level set) is drawn on
 top, its vertices read from CSV by ``dataset.read_csv``, in the dialect
 of the datasets.  Output is deterministic: fixed float formatting, no
-timestamps, leaf order equals tree creation order.
+timestamps, leaves in the depth-first order of ``iter_leaves`` (root by
+root, each split's children in sign-vector order).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .dataset import read_csv
-from .geometry import DimensionMismatchError
+from .dataset import MalformedRowError, read_csv
 from .tree import Label, PartitionTree
 
 FILL = {
@@ -74,8 +74,8 @@ def render_tree_svg(tree: PartitionTree, overlay: Sequence[Sequence[float]] | No
 def load_overlay(path) -> list[tuple[float, float]]:
     """Polyline vertices from a CSV of ``x,y`` rows, read by
     ``dataset.read_csv`` as a dataset is; a file of other than two columns
-    raises ``DimensionMismatchError``."""
+    raises ``MalformedRowError``."""
     rows, _ = read_csv(path)
     if rows.shape[1] != 2:
-        raise DimensionMismatchError(f"{path}: {rows.shape[1]} columns, expected 2")
+        raise MalformedRowError(f"{path}: {rows.shape[1]} columns, expected 2")
     return list(map(tuple, rows.tolist()))

@@ -117,6 +117,9 @@ def _tree_from_dict(d: dict) -> PartitionTree:
             if set(map(type, column)) != {int}:
                 i = next(i for i, v in enumerate(column) if type(v) is not int)
                 raise ResultFormatError(f"node {i} has a {key} that is not an integer")
+            if key == "sample_index" and min(column) < 0:
+                i = next(i for i, v in enumerate(column) if v < 0)
+                raise ResultFormatError(f"node {i} has a sample_index {column[i]} below 0")
         elif not _all_finite(chain.from_iterable(column)):
             i = next(i for i, v in enumerate(column) if not _all_finite(v))
             raise ResultFormatError(f"node {i} has a {key} that is not finite")

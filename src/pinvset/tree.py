@@ -191,14 +191,23 @@ class PartitionTree:
         another number of roots is refused), every other node is the half of
         its parent that ``_split`` makes, and ``ball_radii`` gives the radii.
         The first children and the counters are derived too; see
-        ``_first_children`` for the layout the parent column must have."""
+        ``_first_children`` for the layout the parent column must have.  A
+        split node labelled other than INCLUDED is refused."""
         try:
             root_centers, root_radius = rect_to_cubes(*root_bounds)
         except ValueError as exc:
             raise ValueError(f"root_bounds: {exc}") from None
         tree = cls(root_bounds)
-        parent = columns["parent"]
+        parent, label = columns["parent"], columns["label"]
         first_child = _first_children(parent, tree.fanout)
+        # ``divide`` splits only INCLUDED leaves, and ``set_label`` relabels
+        # only leaves.
+        split = next(
+            (i for i, f in enumerate(first_child) if f >= 0 and label[i] is not Label.INCLUDED),
+            None,
+        )
+        if split is not None:
+            raise TreeStructureError(f"node {split} is split but {label[split].name}")
         tree.roots = roots = [i for i, p in enumerate(parent) if p == -1]
         if len(roots) != len(root_centers):
             raise TreeStructureError(
@@ -349,7 +358,8 @@ class PartitionTree:
     # -- queries ---------------------------------------------------------
 
     def iter_leaves(self) -> Iterator[int]:
-        """All leaves in depth-first creation order."""
+        """All leaves, depth first: root by root, each split's children in
+        sign-vector order."""
         stack = list(reversed(self.roots))
         first_child = self.nodes.first_child
         k = self.fanout

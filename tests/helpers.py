@@ -527,7 +527,7 @@ def reference_load(text: str, path) -> tuple[list[list[float]], dict]:
         if row is None:
             raise MalformedRowError(f"{path}:{lineno}: non-numeric cell")
         if len(row) != cols:
-            raise DimensionMismatchError(f"{path}:{lineno}: {len(row)} columns")
+            raise MalformedRowError(f"{path}:{lineno}: {len(row)} columns")
         rows.append(row)
     for (lineno, _), row in zip(content, rows):
         if not all(map(math.isfinite, row)):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     CSetInvalidError,
@@ -154,6 +156,65 @@ def test_covering_lower_bound_homogeneity(rng):
         full = covering_lower_bound(vol, n, eps, count="balls")
         halved = covering_lower_bound(vol, n, eps / 2, count="balls")
         assert halved == pytest.approx(full * 2 ** n, rel=1e-12)
+
+
+def _float_covering(vol, n, eps, count):
+    """The covering bound as one float expression, inf where it overflows."""
+    try:
+        value = (1.0 / eps) ** n * vol
+        return value / (2.0 ** n) if count == "balls" else value
+    except OverflowError:
+        return math.inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    vol=st.floats(0.1, 10.0),
+    n=st.integers(1, 4),
+    eps=st.floats(0.01, 1.0),
+    count=st.sampled_from(["cells", "balls"]),
+)
+def test_covering_lower_bound_is_the_float_expression_where_finite(vol, n, eps, count):
+    # The exact evaluation changes no bound the float expression gives.
+    value = _float_covering(vol, n, eps, count)
+    assert 0.0 < value < math.inf
+    assert covering_lower_bound(vol, n, eps, count).hex() == value.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    vol=st.floats(1e-300, 1e300),
+    n=st.integers(1, 1200),
+    eps=st.floats(0.25, 1.0),
+    count=st.sampled_from(["cells", "balls"]),
+)
+def test_covering_lower_bound_is_rounded_once_past_an_intermediate_overflow(vol, n, eps, count):
+    # Where the float expression is a positive float, the bound is that
+    # float; where it is not, the bound is the exact value rounded once, or
+    # refused when that is not a positive float either.
+    value = _float_covering(vol, n, eps, count)
+    exact = Fraction(vol) / (Fraction(eps) * (2 if count == "balls" else 1)) ** n
+    try:
+        rounded = float(exact)
+    except OverflowError:
+        rounded = math.inf
+    want = value if 0.0 < value < math.inf else rounded
+    if 0.0 < want < math.inf:
+        assert covering_lower_bound(vol, n, eps, count).hex() == want.hex()
+    else:
+        with pytest.raises(ValueError, match="overflows or underflows a float"):
+            covering_lower_bound(vol, n, eps, count)
+
+
+def test_covering_lower_bound_past_an_intermediate_overflow():
+    # (1/0.5)^1100 overflows a float, and the ball count is exactly the
+    # volume; the cell count, 2^1100, is refused.
+    assert covering_lower_bound(1.0, 1100, 0.5, "balls") == 1.0
+    with pytest.raises(ValueError, match="overflows or underflows a float"):
+        covering_lower_bound(1.0, 1100, 0.5, "cells")
+    # A power of the resolution too large to evaluate exactly is refused.
+    with pytest.raises(ValueError, match="needs more than 1048576 bits to evaluate exactly"):
+        covering_lower_bound(1.0, 10 ** 9, 0.5000001, "balls")
 
 
 def test_covering_lower_bound_validation():

@@ -21,8 +21,8 @@ from pinvset.dataset import (
     gen_uniform,
     get_system,
     load_dataset,
+    linear2d,
     save_dataset,
-    tabulated_oracle,
 )
 from pinvset.geometry import DimensionMismatchError, balls_contain_cells, rect_to_cubes
 from pinvset.synthesis import SynthConfig, synthesize
@@ -88,7 +88,7 @@ def test_load_blank_only_lines(tmp_path):
     f.write_text(" \t\nx1,x2,xp1,xp2\n\t\n0,0,0,0\n \n\n1,1,1,1\n  ")
     assert load_dataset(f).x.tolist() == [[0.0, 0.0], [1.0, 1.0]]
     f.write_text("0,0,0,0\n  \n0,0\n")
-    with pytest.raises(DimensionMismatchError, match=r"d\.csv:3: 2 columns, expected 4"):
+    with pytest.raises(MalformedRowError, match=r"d\.csv:3: 2 columns, expected 4"):
         load_dataset(f)
     f.write_text("0,0,0,0\n  \n0,0,nan,0\n")
     with pytest.raises(NonFiniteSampleError, match=r"d\.csv:3: non-finite"):
@@ -98,7 +98,7 @@ def test_load_blank_only_lines(tmp_path):
 def test_load_dimension_error(tmp_path):
     f = tmp_path / "d.csv"
     f.write_text("0,0,0,0\n0,0\n")
-    with pytest.raises(DimensionMismatchError, match=r"d\.csv:2: 2 columns, expected 4"):
+    with pytest.raises(MalformedRowError, match=r"d\.csv:2: 2 columns, expected 4"):
         load_dataset(f)
 
 
@@ -126,7 +126,7 @@ def test_load_names_row_numpy_refuses(tmp_path, text, line):
     # Python's float takes '1_0' and numpy does not: the row is still named.
     f = tmp_path / "us.csv"
     f.write_text(text)
-    with pytest.raises((MalformedRowError, DimensionMismatchError), match=rf"us\.csv:{line}: "):
+    with pytest.raises(MalformedRowError, match=rf"us\.csv:{line}: "):
         load_dataset(f)
 
 
@@ -259,7 +259,7 @@ def test_load_matches_plain_reference(tmp_path_factory, text):
     f.write_bytes(text.encode())
     try:
         rows, metadata = reference_load(text, f)
-    except (DatasetError, DimensionMismatchError) as expected:
+    except DatasetError as expected:
         with pytest.raises(type(expected)) as got:
             load_dataset(f)
         assert type(got.value) is type(expected)
@@ -644,9 +644,5 @@ def test_get_system_unknown():
         get_system("bogus")
 
 
-def test_tabulated_oracle():
-    table = Dataset([(0.0, 0.0), (1.0, 0.0)], [(0.1, 0.1), (0.2, 0.0)])
-    oracle = tabulated_oracle(table, 1.0, ((0.0, -0.5), (1.0, 0.5)))
-    assert oracle((0.0, 0.0)) == (0.1, 0.1)
-    with pytest.raises(Exception):
-        oracle((0.5, 0.5))
+def test_oracle_call_maps_one_state():
+    assert linear2d()((1.0, 0.0)) == (0.22, -0.5364)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import logging
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinvset.cli import main
+from pinvset.cli import build_parser, main
 from pinvset.dataset import (
     Dataset,
     EmptyDatasetError,
@@ -24,7 +25,6 @@ from pinvset.dataset import (
     load_dataset,
     save_dataset,
 )
-from pinvset.geometry import DimensionMismatchError
 from pinvset.render import load_overlay, render_tree_svg
 from pinvset.results import (
     ResultFormatError,
@@ -35,7 +35,7 @@ from pinvset.results import (
     save_result,
 )
 from pinvset.synthesis import SynthConfig, SynthResult, UpdateMode, synthesize
-from pinvset.tree import Nodes, new_tree
+from pinvset.tree import Label, Nodes, new_tree
 from pinvset.verify import check_fixpoint
 
 
@@ -163,11 +163,9 @@ _HUGE_DOMAIN = "--domain=-8e307,-8e307:8e307,8e307"  # each side is finite, the 
     pytest.param(["bounds", "--vol", "1", "--n", "2", "--tau", "1e-200"],
                  "the cells covering bound for volume 1.0, dimension 2 and resolution 1e-200 "
                  "overflows or underflows a float", id="bounds-overflow"),
-    pytest.param(["bounds", _HUGE_DOMAIN, "--n", "2", "--tau", "0.01"],
-                 "the volume of domain rectangle (-8e+307, -8e+307)..(8e+307, 8e+307) is not "
-                 "a finite float", id="bounds-domain"),
     pytest.param(["gen", "--system", "linear2d", _HUGE_DOMAIN, "--m", "10", "--out", "x.csv"],
-                 "the volume of domain rectangle", id="gen"),
+                 "the volume of domain rectangle (-8e+307, -8e+307)..(8e+307, 8e+307) is not "
+                 "a finite float", id="gen"),
     pytest.param(["synth", "--data", "d.csv", _HUGE_DOMAIN, "--lipschitz", "0.5", "--tau", "0.1",
                   "--out", "r.json"], "the volume of domain rectangle", id="synth"),
 ])
@@ -187,7 +185,7 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["-q", "gen", "--system", "bogus", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["-q", "gen", "--system", "linear2d", "--mode", "uniform",
                  "--out", str(tmp_path / "x.csv")]) == 2  # missing --m
-    assert main(["-q", "bounds", "--n", "2", "--tau", "0.01"]) == 2  # no vol/domain
+    assert main(["-q", "bounds", "--n", "2", "--tau", "0.01"]) == 2  # no --vol
     assert main(["-q", "nonsense"]) == 2
     # A domain corner that is not finite, or a domain of 10^9 cubes, is
     # refused with a reason before any cube is built.
@@ -196,7 +194,8 @@ def test_cli_usage_errors(tmp_path, capsys):
         ("0,0:inf,1", "domain upper corner (inf, 1.0) is not finite"),
         ("0,0:nan,1", "domain upper corner (nan, 1.0) is not finite"),
     ]:
-        assert main(["-q", "bounds", f"--domain={domain}", "--n", "2", "--tau", "0.01"]) == 2
+        assert main(["-q", "gen", "--system", "linear2d", f"--domain={domain}", "--m", "10",
+                     "--out", str(tmp_path / "x.csv")]) == 2
         assert reason in capsys.readouterr().err
     assert main(["-q", "gen", "--system", "linear2d", "--domain=0,0:1e9,1", "--m", "10",
                  "--out", str(tmp_path / "x.csv")]) == 2
@@ -212,6 +211,48 @@ def test_cli_has_no_sweep_cap_and_one_resolution_flag(tmp_path, capsys):
     assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
     assert main(["-q", "bounds", "--vol", "1.0", "--n", "2"]) == 2
     assert "error: pass --tau\n" in capsys.readouterr().err
+
+
+def test_cli_surface(tmp_path, capsys):
+    # Every settable value of the command line, by subcommand, read from the
+    # parser: a new flag is a deliberate edit here.  With SynthConfig's
+    # three fields, 32 in all.
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+    def options(p):
+        return [
+            a.option_strings or [a.dest] for a in p._actions
+            if not isinstance(a, (argparse._HelpAction, argparse._SubParsersAction))
+        ]
+
+    surface = {"": options(parser), **{name: options(p) for name, p in sub.choices.items()}}
+    assert surface == {
+        "": [["--version"], ["-q", "--quiet"]],
+        "gen": [["--system"], ["--mode"], ["--m"], ["--tau"], ["--seed"], ["--domain"],
+                ["--out"]],
+        "synth": [["--data"], ["--domain"], ["--system"], ["--lipschitz"], ["--tau"],
+                  ["--mode"], ["--out"], ["--svg"], ["--overlay"]],
+        "verify": [["result"], ["--monte-carlo"], ["--horizon"], ["--seed"], ["--system"]],
+        "bounds": [["--vol"], ["--n"], ["--tau"], ["--delta"]],
+        "report": [["--dir"], ["--out"]],
+    }
+    assert sum(map(len, surface.values())) + len(fields(SynthConfig)) == 32
+    # gen samples only a builtin system, and bounds takes the volume only.
+    out = ["--out", str(tmp_path / "x.csv")]
+    for argv, flag in [
+        (["gen", "--system", "linear2d", "--map-table", "t.csv", "--m", "10", *out],
+         "--map-table t.csv"),
+        (["gen", "--system", "linear2d", "--lipschitz", "1", "--m", "10", *out],
+         "--lipschitz 1"),
+        (["bounds", "--vol", "1", "--domain=0,0:1,1", "--n", "2", "--tau", "0.01"],
+         "--domain=0,0:1,1"),
+    ]:
+        assert main(["-q", *argv]) == 2
+        assert f"unrecognized arguments: {flag}\n" in capsys.readouterr().err
+    assert main(["-q", "gen", "--m", "10", *out]) == 2
+    assert "the following arguments are required: --system" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def _bits(value):
@@ -382,6 +423,43 @@ def test_cli_rejects_section_that_contradicts_tree(tmp_path, capsys, caplog, sec
         "tree": f"unknown tree column {key!r}",
         "config": f"unknown config key {key!r}",
     }[head]
+    bad = runs / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["-q", "verify", str(bad)]) == 3
+    assert reason in capsys.readouterr().err
+    assert main(["-q", "report", "--dir", str(runs)]) == 0
+    header, row = capsys.readouterr().out.strip().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["runs"] == "1"
+    assert any(
+        "event=report-skip" in r.getMessage() and "bad.json" in r.getMessage()
+        and reason in r.getMessage() for r in caplog.records
+    )
+
+
+@pytest.mark.parametrize("mode", ["sequential", "batch"])
+@pytest.mark.parametrize("column,value", [("label", 0), ("label", -1), ("sample_index", -1)])
+def test_cli_refuses_a_node_synth_never_writes(tmp_path, capsys, caplog, mode, column, value):
+    # divide splits only INCLUDED leaves and set_label relabels only leaves,
+    # so a split node is INCLUDED; a sample index names a row, so it is not
+    # negative.  A file that says otherwise used to verify (exit 0); it is
+    # refused naming the node, and report aggregates only the good file.
+    data, result = tmp_path / "g.csv", tmp_path / "g.json"
+    main(["-q", "gen", "--system", "linear2d", "--mode", "grid", "--tau", "0.05",
+          "--out", str(data)])
+    assert main(["-q", "synth", "--data", str(data), "--system", "linear2d",
+                 "--lipschitz", "0.8225", "--tau", "0.05", "--mode", mode,
+                 "--out", str(result)]) == 0
+    doc = json.loads(result.read_text())
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    (runs / "good.json").write_text(json.dumps(doc))
+    node = max(doc["tree"]["parent"])  # split in the last wave
+    doc["tree"][column][node] = value
+    reason = {
+        "label": f"node {node} is split but {Label(value).name}",
+        "sample_index": f"node {node} has a sample_index -1 below 0",
+    }[column]
     bad = runs / "bad.json"
     bad.write_text(json.dumps(doc))
     capsys.readouterr()
@@ -804,16 +882,14 @@ def test_import_cli_does_not_load(module):
 
 
 def test_cli_chain_does_not_load_scipy(tmp_path):
-    # The nearest-neighbour index is numpy only: gen (from a system and
-    # from a map table), synth and verify run without importing scipy.
+    # The nearest-neighbour index is numpy only: gen, synth and verify run
+    # without importing scipy.
     import pinvset
 
-    data, copy, result = tmp_path / "d.csv", tmp_path / "c.csv", tmp_path / "r.json"
-    grid = ["--mode", "grid", "--tau", "0.05"]
+    data, result = tmp_path / "d.csv", tmp_path / "r.json"
     steps = [
-        ["-q", "gen", "--system", "linear2d", *grid, "--out", str(data)],
-        ["-q", "gen", "--map-table", str(data), "--lipschitz", "0.8225",
-         "--domain=-0.25,-1:1,0.25", *grid, "--out", str(copy)],
+        ["-q", "gen", "--system", "linear2d", "--mode", "grid", "--tau", "0.05",
+         "--out", str(data)],
         ["-q", "synth", "--data", str(data), "--system", "linear2d",
          "--lipschitz", "0.8225", "--tau", "0.05", "--out", str(result)],
         ["-q", "verify", str(result), "--monte-carlo", "1000", "--horizon", "3",
@@ -828,7 +904,7 @@ def test_cli_chain_does_not_load_scipy(tmp_path):
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip().splitlines()[-1] == "[0, 0, 0, 0] False"
+    assert out.strip().splitlines()[-1] == "[0, 0, 0] False"
 
 
 @pytest.mark.parametrize("value", [float("nan"), None], ids=["nan", "null"])
@@ -981,34 +1057,6 @@ def test_cli_rerun_reproduces_result(tmp_path, capsys):
         docs.append(doc)
     capsys.readouterr()
     assert docs[0] == docs[1]
-
-
-def test_cli_gen_from_map_table(tmp_path):
-    # tabulate the collapse-to-origin map on the grid centers of [-1,1]^2
-    from pinvset.dataset import dyadic_grid_points
-
-    table = tmp_path / "table.csv"
-    domain = ((-1.0, -1.0), (1.0, 1.0))
-    rows = [
-        ",".join(map(repr, (*x, 0.0, 0.0)))
-        for x in dyadic_grid_points(domain, 0.25).tolist()
-    ]
-    table.write_text("\n".join(rows) + "\n")
-    out = tmp_path / "gen.csv"
-    assert main([
-        "-q", "gen", "--map-table", str(table), "--lipschitz", "0.5",
-        "--domain=-1,-1:1,1", "--mode", "grid", "--tau", "0.25",
-        "--out", str(out),
-    ]) == 0
-    ds = load_dataset(out)
-    assert len(ds) == 1 + 4 + 16
-    assert (ds.x_plus == 0.0).all()
-    # table missing the requested centers: surfaced as a data error
-    assert main([
-        "-q", "gen", "--map-table", str(table), "--lipschitz", "0.5",
-        "--domain=-1,-1:1,1", "--mode", "grid", "--tau", "0.1",
-        "--out", str(out),
-    ]) == 3
 
 
 def test_cli_synth_empty_set_still_certifies(tmp_path, capsys):
@@ -1195,7 +1243,7 @@ def test_load_overlay_reads_the_dataset_dialect(tmp_path):
 @pytest.mark.parametrize("text,error,reason", [
     ("0,0\n1_0,2\n", MalformedRowError, "o.csv:2: non-numeric cell in data row"),
     ("# a boundary\n\n# with no vertex\n", EmptyDatasetError, "o.csv: no data rows"),
-    ("0,0,1,1\n1,1,0,0\n", DimensionMismatchError, "o.csv: 4 columns, expected 2"),
+    ("0,0,1,1\n1,1,0,0\n", MalformedRowError, "o.csv: 4 columns, expected 2"),
 ])
 def test_load_overlay_refuses(tmp_path, text, error, reason):
     # Python's float reads '1_0' as 10; the dataset reader refuses it.
@@ -1211,16 +1259,11 @@ def _synth_exit(tmp_path, *args):
 
 
 def test_cli_rows_of_the_wrong_width_exit_3(tmp_path, capsys):
-    # A row of the wrong width is a data-format fault, in a dataset, a map
-    # table or an overlay; a --domain of the wrong dimension is still a
-    # usage error.
+    # A row of the wrong width is a data-format fault, in a dataset or an
+    # overlay; a --domain of the wrong dimension is still a usage error.
     bad = tmp_path / "cnt.csv"
     bad.write_text("x1,x2,xp1,xp2\n0,0,0,0\n1,1,1\n")
     assert _synth_exit(tmp_path, "--data", str(bad), "--system", "linear2d") == 3
-    assert f"{bad}:3: 3 columns, expected 4" in capsys.readouterr().err
-    assert main(["-q", "gen", "--map-table", str(bad), "--lipschitz", "1",
-                 "--domain=0,0:1,1", "--mode", "grid", "--tau", "0.5",
-                 "--out", str(tmp_path / "g.csv")]) == 3
     assert f"{bad}:3: 3 columns, expected 4" in capsys.readouterr().err
 
     data = tmp_path / "d.csv"
