@@ -24,7 +24,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 
 class FormulaSignWarning(UserWarning):
@@ -70,7 +69,9 @@ def covering_lower_bound(
         # (1/eps)^n and 2^n can leave the float range where the bound does
         # not: evaluate vol / (c·eps)^n exactly, c = 2 for balls, and round
         # it once (int / int is correctly rounded).
-        p, q = (Fraction(epsilon) * (2 if count == "balls" else 1)).as_integer_ratio()
+        p, q = epsilon.as_integer_ratio()
+        if count == "balls":
+            p *= 2
         a, b = vol_domain.as_integer_ratio()
         if dim * (max(p, q).bit_length() - 1) > _EXACT_BITS:
             raise ValueError(
