@@ -202,9 +202,9 @@ class PartitionTree:
         first_child = _first_children(parent, tree.fanout)
         # ``divide`` splits only INCLUDED leaves, and ``set_label`` relabels
         # only leaves.
+        included = Label.INCLUDED  # one enum lookup, not one per node
         split = next(
-            (i for i, f in enumerate(first_child) if f >= 0 and label[i] is not Label.INCLUDED),
-            None,
+            (i for i, f in enumerate(first_child) if f >= 0 and label[i] is not included), None
         )
         if split is not None:
             raise TreeStructureError(f"node {split} is split but {label[split].name}")
