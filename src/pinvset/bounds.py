@@ -13,14 +13,16 @@ warning when the result is nonpositive); the CANONICAL form divides by
 ``-log(1 - p)`` and is the one tests and the CLI rely on.
 
 Every input must be a finite float, and so must every bound: a volume or
-resolution that is not, a hit probability that underflows to 0 and a
-bound that overflows (or, for the covering bound, underflows) are refused
-with a ValueError that says which.
+resolution that is not is refused with a ValueError that says which; a
+hit probability that underflows to 0 and a bound that overflows (or, for
+the covering bound, underflows) raise its subclass ``BoundRangeError``,
+so that a caller can still print the other bounds.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -30,9 +32,28 @@ class FormulaSignWarning(UserWarning):
     """A verbatim bound evaluated to a nonpositive sample count."""
 
 
-# The most bits of ``(c·eps)^n`` that ``covering_lower_bound`` evaluates
-# exactly: at most about 0.06 s of integer arithmetic on one x86-64 core.
+class BoundRangeError(ValueError):
+    """A bound, or the hit probability it needs, that is no float (it
+    overflows, or underflows to 0) or is too large to evaluate exactly."""
+
+
+# The most bits of a power that ``_exact`` evaluates: at most about 0.06 s
+# of integer arithmetic on one x86-64 core.
 _EXACT_BITS = 1 << 20
+
+
+def _exact(base: tuple[int, int], n: int, scale: tuple[int, int], what: str) -> float:
+    """``base^n · scale``, each given as an integer ratio, evaluated exactly
+    and rounded once (int / int is correctly rounded); inf where that
+    overflows.  A power of more than ``_EXACT_BITS`` bits is refused,
+    naming ``what``."""
+    (p, q), (a, b) = base, scale
+    if n * (max(p, q).bit_length() - 1) > _EXACT_BITS:
+        raise BoundRangeError(f"{what} needs more than {_EXACT_BITS} bits to evaluate exactly")
+    try:
+        return p ** n * a / (q ** n * b)
+    except OverflowError:
+        return math.inf
 
 
 def covering_lower_bound(
@@ -67,23 +88,14 @@ def covering_lower_bound(
         value = math.inf
     if not 0.0 < value < math.inf:
         # (1/eps)^n and 2^n can leave the float range where the bound does
-        # not: evaluate vol / (c·eps)^n exactly, c = 2 for balls, and round
-        # it once (int / int is correctly rounded).
+        # not: evaluate vol / (c·eps)^n exactly, c = 2 for balls.
         p, q = epsilon.as_integer_ratio()
-        if count == "balls":
-            p *= 2
-        a, b = vol_domain.as_integer_ratio()
-        if dim * (max(p, q).bit_length() - 1) > _EXACT_BITS:
-            raise ValueError(
-                f"the {count} covering bound for dimension {dim} and resolution "
-                f"{epsilon!r} needs more than {_EXACT_BITS} bits to evaluate exactly"
-            )
-        try:
-            value = a * q ** dim / (b * p ** dim)
-        except OverflowError:
-            value = math.inf
+        value = _exact(
+            (q, 2 * p if count == "balls" else p), dim, vol_domain.as_integer_ratio(),
+            f"the {count} covering bound for dimension {dim} and resolution {epsilon!r}",
+        )
     if not 0.0 < value < math.inf:
-        raise ValueError(
+        raise BoundRangeError(
             f"the {count} covering bound for volume {vol_domain!r}, dimension {dim} and "
             f"resolution {epsilon!r} overflows or underflows a float"
         )
@@ -106,7 +118,11 @@ class BoundQuery:
     dim: int
     resolution: float
 
-    def validate(self) -> None:
+    def validate(self) -> float:
+        """Refuse a query out of range; return its hit probability
+        ``res^n / vol``, which must lie in (0, 1).  Where ``res^n`` is not a
+        normal float, the probability is evaluated exactly and rounded once;
+        one that is still 0 is a ``BoundRangeError``."""
         if not (0.0 < self.delta <= 1.0):
             raise ValueError(f"confidence delta must lie in (0, 1], got {self.delta}")
         if not (math.isfinite(self.vol_domain) and self.vol_domain > 0.0):
@@ -115,15 +131,25 @@ class BoundQuery:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
         if not (math.isfinite(self.resolution) and self.resolution > 0.0):
             raise ValueError(f"resolution must be finite and positive, got {self.resolution}")
+        res, n, vol = self.resolution, self.dim, self.vol_domain
         try:
-            p = self.resolution ** self.dim / self.vol_domain
+            power = res ** n
         except OverflowError:
-            p = math.inf
+            power = math.inf
+        if sys.float_info.min <= power < math.inf:
+            p = power / vol
+        else:
+            p = _exact(
+                res.as_integer_ratio(), n, vol.as_integer_ratio()[::-1],
+                f"the hit probability {res!r}^{n} / {vol!r}",
+            )
         if not 0.0 < p < 1.0:
-            raise ValueError(
-                f"the hit probability {self.resolution!r}^{self.dim} / {self.vol_domain!r} "
+            error = BoundRangeError if p == 0.0 else ValueError
+            raise error(
+                f"the hit probability {res!r}^{n} / {vol!r} "
                 f"is {p!r} as a float; it must lie in (0, 1)"
             )
+        return p
 
 
 def uniform_sample_bound(query: BoundQuery, form: BoundForm = BoundForm.CANONICAL) -> float:
@@ -136,9 +162,8 @@ def uniform_sample_bound(query: BoundQuery, form: BoundForm = BoundForm.CANONICA
     than the domain.  The raw forms keep their published shape; a
     nonpositive result trips a FormulaSignWarning.
     """
-    query.validate()
+    p = query.validate()
     delta, vol, n, res = query.delta, query.vol_domain, query.dim, query.resolution
-    p = res ** n / vol
     log_den = math.log1p(-p)
     if form is BoundForm.NET_RAW:
         num = math.log(1.0 / delta) + math.log(vol) + n * math.log(res)
@@ -152,7 +177,7 @@ def uniform_sample_bound(query: BoundQuery, form: BoundForm = BoundForm.CANONICA
     else:
         raise ValueError(f"unknown bound form {form!r}")
     if not math.isfinite(value):
-        raise ValueError(f"the {form.value} bound overflows a float: {value!r}")
+        raise BoundRangeError(f"the {form.value} bound overflows a float: {value!r}")
     if form is BoundForm.CANONICAL:
         return float(math.ceil(value))
     if value <= 0.0:

@@ -15,6 +15,7 @@ import math
 import sys
 import time
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -215,29 +216,37 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    vol = args.vol
-    if args.tau is None:
-        raise UsageError("pass --tau")
-    query = bounds_mod.BoundQuery(
-        delta=args.delta, vol_domain=vol, dim=args.n, resolution=args.tau
-    )
+    """Print each bound, or ``# row: reason`` for one that is no float.  An
+    input error exits 2 before any row; so does a table with no number."""
+    vol, n, tau = args.vol, args.n, args.tau
+    query = bounds_mod.BoundQuery(delta=args.delta, vol_domain=vol, dim=n, resolution=tau)
+    try:
+        query.validate()
+    except bounds_mod.BoundRangeError:
+        pass  # each uniform row prints it as its refusal
     rows = [
-        ("covering-cells", bounds_mod.covering_lower_bound(vol, args.n, args.tau, "cells")),
-        ("covering-balls", bounds_mod.covering_lower_bound(vol, args.n, args.tau, "balls")),
+        (f"covering-{count}", partial(bounds_mod.covering_lower_bound, vol, n, tau, count))
+        for count in ("cells", "balls")
+    ] + [
+        (form.value, partial(bounds_mod.uniform_sample_bound, query, form))
+        for form in bounds_mod.BoundForm  # net-raw, synth-raw, canonical
     ]
-    anomalies = []
+    print(f"# vol={vol!r} n={n} resolution={tau!r} delta={args.delta!r}")
+    refused = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", bounds_mod.FormulaSignWarning)
-        for form in (
-            bounds_mod.BoundForm.NET_RAW,
-            bounds_mod.BoundForm.SYNTH_RAW,
-            bounds_mod.BoundForm.CANONICAL,
-        ):
-            rows.append((form.value, bounds_mod.uniform_sample_bound(query, form)))
+        for name, bound in rows:
+            try:
+                value = bound()
+            except bounds_mod.BoundRangeError as exc:
+                refused.append(exc)
+                logger.warning("event=bound-refused row=%s reason=%s", name, exc)
+                print(f"# {name}: {exc}")
+            else:
+                print(f"{name},{value!r}")
         anomalies = [str(w.message) for w in caught]
-    print(f"# vol={vol!r} n={args.n} resolution={args.tau!r} delta={args.delta!r}")
-    for name, value in rows:
-        print(f"{name},{value!r}")
+    if len(refused) == len(rows):
+        raise refused[0]
     for msg in anomalies:
         logger.warning("event=bound-sign-anomaly detail=%s", msg)
         print(f"# warning: {msg}")
@@ -322,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="evaluate sample-count bounds")
     p.add_argument("--vol", type=float, required=True, help="domain volume")
     p.add_argument("--n", type=int, required=True, help="state dimension")
-    p.add_argument("--tau", type=float)
+    p.add_argument("--tau", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.05)
     p.set_defaults(func=cmd_bounds)
 

@@ -3,10 +3,10 @@
 A dataset is two ``(M, n)`` float arrays, the states ``x`` and their
 successors ``x_plus``, with an exact max-norm nearest-neighbor index over
 the states, built on the first query so that commands that never ask for
-a neighbor build nothing.  Exactness matters: the NN distance feeds
-directly into the certificate radii, so the index returns the distance
-that a linear scan computes, ``max_d |x_d - q_d|`` in floating point, and
-the lowest index among every sample at exactly that distance.
+a neighbor build nothing.  The index returns the sample that a linear scan
+finds: the lowest index among every sample at the least distance
+``max_d |x_d - q_d|``, computed in floating point.  The tree then derives
+each ball radius from its cell and that sample (``tree.ball_radii``).
 
 The index is ``nnindex.CellIndex``, imported on the first query, so that
 commands that ask for no neighbour (``gen``, ``verify``, ``--version``)
@@ -143,10 +143,10 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.x)
 
-    def nearest(self, qs) -> tuple[np.ndarray, np.ndarray]:
+    def nearest(self, qs) -> np.ndarray:
         """Exact max-norm nearest neighbors of a (k, n) batch of queries.
 
-        Returns the sample indices and distances, lowest index on ties.
+        Returns the sample indices, lowest index on ties.
         Refuses (ValueError) a query that is not finite or whose distance
         to a sample overflows.
         """

@@ -1,8 +1,8 @@
 """The exact max-norm nearest-neighbour index behind ``Dataset.nearest``.
 
-``CellIndex`` answers with the distance a linear scan computes,
-``max_d |x_d - q_d|`` in floating point, and the lowest index among every
-sample at exactly that distance.  It is numpy only: no pinvset module
+``CellIndex`` answers with the sample a linear scan finds: the lowest index
+among every sample at the least distance ``max_d |x_d - q_d|``, computed
+in floating point.  It is numpy only: no pinvset module
 imports scipy.  ``Dataset`` imports
 this module on its first query, so commands that ask for no neighbour
 never load it.
@@ -143,18 +143,18 @@ class CellIndex:
             code = up[first]
         self.levels.reverse()
 
-    def query(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Indices and distances of the nearest samples to a (k, n) batch."""
+    def query(self, qs: np.ndarray) -> np.ndarray:
+        """Indices of the nearest samples to a (k, n) batch."""
         if not len(qs):
-            return np.zeros(0, dtype=np.intp), np.zeros(0)
+            return np.zeros(0, dtype=np.intp)
         q = np.ascontiguousarray(qs.T)
         with np.errstate(over="ignore", invalid="ignore"):
             reach = np.maximum(q.max(axis=1), self.hi) - np.minimum(q.min(axis=1), self.lo)
         if not np.isfinite(reach).all():
             raise ValueError("queries must be finite, with finite distances to the samples")
         size = max(_BLOCK_PAIRS // (self.fan + int(self.count.max())), 1)
-        blocks = [self._block(list(q[:, s:s + size])) for s in range(0, len(qs), size)]
-        return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+        starts = range(0, len(qs), size)
+        return np.concatenate([self._block(list(q[:, s:s + size])) for s in starts])
 
     def _bound(self, q: list) -> np.ndarray:
         """Per query, an upper bound on its nearest distance: the distance
@@ -173,7 +173,7 @@ class CellIndex:
         dist = _distances(self.cols, self.order[ranks], [c[rows] for c in q])
         return np.minimum.reduceat(dist, np.cumsum(counts) - counts)
 
-    def _block(self, q: list) -> tuple[np.ndarray, np.ndarray]:
+    def _block(self, q: list) -> np.ndarray:
         """``query`` for queries given as n coordinate columns."""
         bound = self._bound(q)
         rows = np.arange(len(q[0]))
@@ -192,4 +192,4 @@ class CellIndex:
         first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
         best = np.minimum.reduceat(dist, first)
         tied = np.where(dist == best[rows], samples, len(self.order))
-        return np.minimum.reduceat(tied, first), best
+        return np.minimum.reduceat(tied, first)

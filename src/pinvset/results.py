@@ -195,6 +195,7 @@ def load_result(path: str | Path) -> tuple[RunManifest, SynthResult]:
     try:
         with Path(path).open("r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # Not JSON, not UTF-8, or nested deeper than the parser recurses.
         raise ResultFormatError(f"{path}: invalid JSON: {exc}") from exc
     return result_from_document(doc)

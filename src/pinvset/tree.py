@@ -19,11 +19,12 @@ is a tiling by construction, in memory and when loaded.  So the result
 file stores ``root_bounds`` and the parent column, not the cells or the
 radii: ``from_columns`` derives every cell from them, and its radius too.
 
-Subtree counters (total leaves / included leaves) are maintained on every
-division and relabeling, so that a coverage walk (``classify``) settles a
-fully included or fully retired subtree at its root instead of walking its
-leaves; it compares corners only and needs no tolerance.  ``recount``
-re-derives the counters from the leaf labels alone, for trees that come
+A node's status says whether all (True), none (False) or some (None) of
+the leaves below it are INCLUDED, so that a coverage walk (``classify``)
+settles a True or False subtree at its root instead of walking its leaves;
+it compares corners only and needs no tolerance.  A split changes no
+status, and a relabeling stops at the first ancestor that keeps its own.
+``recount`` re-derives the statuses from the leaf labels alone, for trees
 from a file and for the verifier, which trusts no bookkeeping.
 
 The tree is a single-writer structure: divisions and relabelings must be
@@ -96,8 +97,7 @@ class Nodes:
     sample_xp: list[Vec] = field(default_factory=list)
     radius: list[float] = field(default_factory=list)
     label: list[Label] = field(default_factory=list)
-    n_leaves: list[int] = field(default_factory=list)
-    n_active: list[int] = field(default_factory=list)
+    status: list[bool | None] = field(default_factory=list)  # all / no / some leaves included
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -190,7 +190,7 @@ class PartitionTree:
         the cubes ``rect_to_cubes`` cuts from ``root_bounds`` (a tree with
         another number of roots is refused), every other node is the half of
         its parent that ``_split`` makes, and ``ball_radii`` gives the radii.
-        The first children and the counters are derived too; see
+        The first children and the statuses are derived too; see
         ``_first_children`` for the layout the parent column must have.  A
         split node labelled other than INCLUDED is refused."""
         try:
@@ -254,7 +254,7 @@ class PartitionTree:
         ``lo``/``hi``, each with its nearest sample (one query for all rows)."""
         nodes = self.nodes
         first = len(nodes)
-        idx = dataset.nearest(centers)[0]
+        idx = dataset.nearest(centers)
         xs = dataset.x[idx]
         k = len(parents)
         nodes.radius += ball_radii(first, radii, centers, lo, hi, xs)  # first: it may refuse
@@ -268,8 +268,7 @@ class PartitionTree:
         nodes.sample_x += map(tuple, xs.tolist())
         nodes.sample_xp += map(tuple, dataset.x_plus[idx].tolist())
         nodes.label += [Label.INCLUDED] * k
-        nodes.n_leaves += [1] * k
-        nodes.n_active += [1] * k
+        nodes.status += [True] * k
         return list(range(first, first + k))
 
     def divide(self, ids: Sequence[int], dataset: Dataset) -> list[int]:
@@ -302,16 +301,10 @@ class PartitionTree:
             ),
             dataset,
         )
-        # Each divided cell's single leaf became 2^n included leaves.
-        delta = k - 1
-        first_child, parent = nodes.first_child, nodes.parent
-        n_leaves, n_active = nodes.n_leaves, nodes.n_active
+        # No status changes: an included leaf became 2^n included leaves.
+        first_child = nodes.first_child
         for j, i in enumerate(ids):
             first_child[i] = first + j * k
-            while i >= 0:
-                n_leaves[i] += delta
-                n_active[i] += delta
-                i = parent[i]
         return children
 
     def set_label(self, node_id: int, label: Label | int) -> None:
@@ -330,14 +323,20 @@ class PartitionTree:
                 f"leaf {node_id} is {old.name} and cannot become {label.name}"
             )
         nodes.label[node_id] = label
-        n_active, parent = nodes.n_active, nodes.parent
-        i = node_id
+        status, parent, first_child = nodes.status, nodes.parent, nodes.first_child
+        k = self.fanout
+        status[node_id] = False
+        i = parent[node_id]
         while i >= 0:
-            n_active[i] -= 1
+            f = first_child[i]
+            new = False if status[f:f + k].count(False) == k else None
+            if new is status[i]:
+                break  # its ancestors keep theirs too
+            status[i] = new
             i = parent[i]
 
     def recount(self) -> None:
-        """Re-derive every subtree counter from the leaf labels.
+        """Re-derive every node's status from the leaf labels.
 
         Children always have larger indices than their parent, so one
         reverse pass over the interior nodes works bottom-up.
@@ -345,15 +344,14 @@ class PartitionTree:
         nodes = self.nodes
         k = self.fanout
         included = Label.INCLUDED
-        n_leaves = [1] * len(nodes)
-        n_active = [int(label is included) for label in nodes.label]
+        status = [label is included for label in nodes.label]
         first_child = nodes.first_child
         for i in reversed([i for i, f in enumerate(first_child) if f >= 0]):
             f = first_child[i]
-            n_leaves[i] = sum(n_leaves[f:f + k])
-            n_active[i] = sum(n_active[f:f + k])
-        nodes.n_leaves[:] = n_leaves
-        nodes.n_active[:] = n_active
+            block = status[f:f + k]
+            s = block[0]
+            status[i] = s if block.count(s) == k else None
+        nodes.status[:] = status
 
     # -- queries ---------------------------------------------------------
 
@@ -377,8 +375,9 @@ class PartitionTree:
         return [i for i in self.iter_leaves() if label[i] is included]
 
     def n_included(self) -> int:
-        """The number of included leaves, from the roots' counters."""
-        return sum(self.nodes.n_active[i] for i in self.roots)
+        """The number of included leaves; every split node is INCLUDED."""
+        nodes = self.nodes
+        return nodes.label.count(Label.INCLUDED) - (len(nodes) - nodes.first_child.count(-1))
 
     def active_volume(self) -> float:
         # One scan of the node table: fsum is exactly rounded, so the
@@ -482,7 +481,7 @@ class PartitionTree:
         corners are known: l0 == l1 and h0 == h1)."""
         nodes = self.nodes
         los, his, centers = nodes.lo, nodes.hi, nodes.target_center
-        n_active, n_leaves, first_child = nodes.n_active, nodes.n_leaves, nodes.first_child
+        status, first_child = nodes.status, nodes.first_child
         k = self.fanout
         dims = range(self.dim)
         touched = False
@@ -490,8 +489,8 @@ class PartitionTree:
         stack = list(reversed(self.roots))
         while stack:
             i = stack.pop()
-            active = n_active[i]
-            if touched and active == n_leaves[i] or gap is not None and not active:
+            s = status[i]
+            if touched and s is True or gap is not None and s is False:
                 continue  # nothing new to learn here
             lo = los[i]
             hi = his[i]
@@ -508,10 +507,10 @@ class PartitionTree:
                 if face and not exact:
                     return None
                 while True:  # settle node i, or step down to its one child that meets the query
-                    active = n_active[i]
-                    if active == n_leaves[i]:
+                    s = status[i]
+                    if s is True:
                         touched = True
-                    elif not active:
+                    elif s is False:
                         if not face and gap is None:
                             gap = (los[i], his[i])
                     else:
@@ -574,15 +573,15 @@ class PartitionTree:
         out: list[Rect] = []
         nodes = self.nodes
         los, his = nodes.lo, nodes.hi
-        n_active, n_leaves, first_child = nodes.n_active, nodes.n_leaves, nodes.first_child
+        status, first_child = nodes.status, nodes.first_child
         k = self.fanout
         tol = GEOM_TOL
         stack = list(reversed(self.roots))
         dims = range(self.dim)
         while stack:
             i = stack.pop()
-            active = n_active[i]
-            if not active:
+            s = status[i]
+            if s is False:
                 continue
             lo = los[i]
             hi = his[i]
@@ -595,7 +594,7 @@ class PartitionTree:
                 if (al if al > bl else bl) > (ah if ah < bh else bh) + tol:
                     break
             else:
-                if active == n_leaves[i]:
+                if s:
                     out.append((lo, hi))
                 else:
                     f = first_child[i]

@@ -8,7 +8,7 @@ the sample-ball check ``r >= r_target + dist`` is exact
 (``balls_contain_cells``), and coverage is one walk of the result's own
 partition tree (``PartitionTree.classify``), which compares corners and
 falls back to fractions near a face.  The certificate first re-derives
-the subtree counters from the leaf labels, and only then lets the tree
+the subtree statuses from the leaf labels, and only then lets the tree
 answer.  The cells need no check here: a tree has only the roots
 ``rect_to_cubes`` cuts from ``root_bounds`` and the children the one split
 rule makes (``new_tree`` and ``divide`` make no others, and
@@ -67,7 +67,7 @@ def check_fixpoint(result: SynthResult) -> Certificate:
     tree = result.tree
     # The tree is the cover index below.  Its cells tile by construction;
     # its coarse answers stand for the union of included leaves only if the
-    # subtree counters come from the leaf labels.
+    # subtree statuses come from the leaf labels.
     tree.recount()
     nodes = tree.nodes
     leaves = tree.active_leaves()
@@ -125,7 +125,7 @@ class _TreeMembership:
     def __init__(self, tree: PartitionTree):
         self.tree = tree
         nodes = tree.nodes
-        n_active, n_leaves, first_child = nodes.n_active, nodes.n_leaves, nodes.first_child
+        status, first_child = nodes.status, nodes.first_child
         n = tree.dim
         rank = [
             {face: k for k, face in enumerate(sorted({nodes.lo[r][d] for r in tree.roots}))}
@@ -137,14 +137,14 @@ class _TreeMembership:
         stack = [
             (r, 0, tuple(faces[c] for faces, c in zip(rank, nodes.lo[r])))
             for r in tree.roots
-            if n_active[r]
+            if status[r] is not False
         ]
         bits = None  # each child's sign bits, in the order a split lays them out
         while stack:
             i, depth, corner = stack.pop()
-            if n_active[i] == n_leaves[i]:
+            if status[i]:
                 full.append((depth, corner))
-            elif n_active[i]:
+            elif status[i] is None:
                 bits = bits or (tree._signs > 0.0).tolist()
                 stack += [
                     (first_child[i] + j, depth + 1, tuple(2 * c + b for c, b in zip(corner, s)))

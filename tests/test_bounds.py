@@ -1,11 +1,12 @@
 import math
 import re
+import sys
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -25,6 +26,7 @@ from helpers import (
 from pinvset.bounds import (
     BoundForm,
     BoundQuery,
+    BoundRangeError,
     FormulaSignWarning,
     covering_lower_bound,
     uniform_sample_bound,
@@ -313,6 +315,52 @@ def test_bound_query_refuses_what_is_not_a_finite_float(query, reason):
         query.validate()
     with pytest.raises(ValueError, match=re.escape(reason)):
         uniform_sample_bound(query)
+
+
+def test_hit_probability_past_a_power_that_is_not_normal():
+    # 1e-10^33 underflows to 0 and 1e-10^31 is subnormal, though neither
+    # probability is near the float range's ends: each is the exact value,
+    # rounded once.  A probability that is 0 even exactly is refused.
+    query = BoundQuery(0.05, 1e-300, 33, 1e-10)
+    assert query.validate() == 1.0000000000000011e-30
+    assert uniform_sample_bound(query) > 0.0
+    assert BoundQuery(0.05, 1e-290, 31, 1e-10).validate() == 1.000000000000001e-20
+    with pytest.raises(BoundRangeError, match=re.escape("0.5^1100 / 1.0 is 0.0 as a float")):
+        BoundQuery(0.05, 1.0, 1100, 0.5).validate()
+    with pytest.raises(BoundRangeError, match="needs more than 1048576 bits to evaluate exactly"):
+        BoundQuery(0.05, 1.0, 10 ** 9, 0.5000001).validate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 64),
+    decades=st.one_of(st.floats(0.0, 340.0), st.floats(300.0, 330.0)),
+    vol_decades=st.floats(-300.0, 300.0),
+)
+def test_hit_probability_is_rounded_once_where_the_power_is_not_normal(n, decades, vol_decades):
+    # res^n near 10^-decades, so that it is often subnormal or 0.  Where
+    # res^n is a normal float, p is res^n / vol as before, bit for bit;
+    # elsewhere it is the exact value rounded once.  Either way a p outside
+    # (0, 1) is refused.
+    res, vol = 10.0 ** (-decades / n), 10.0 ** vol_decades
+    assume(res > 0.0)  # a resolution of 0 is an input error
+    try:
+        power = res ** n
+    except OverflowError:
+        power = math.inf
+    if sys.float_info.min <= power < math.inf:
+        want = power / vol
+    else:
+        try:
+            want = float(Fraction(res) ** n / Fraction(vol))
+        except OverflowError:
+            want = math.inf
+    query = BoundQuery(0.05, vol, n, res)
+    if 0.0 < want < 1.0:
+        assert query.validate().hex() == want.hex()
+    else:
+        with pytest.raises(ValueError, match=re.escape("as a float; it must lie in (0, 1)")):
+            query.validate()
 
 
 def test_uniform_bound_refuses_a_bound_that_overflows():

@@ -441,7 +441,8 @@ def test_dyadic_grid_hits_every_tree_center(domain, tau, step, lipschitz):
     while wave:
         wave = tree.divide([i for i in wave if tree.nodes.target_radius[i] / 2.0 >= tau], ds)
     assert len(tree.nodes) == len(pts)
-    assert (ds.nearest(np.array(tree.nodes.target_center))[1] == 0.0).all()
+    centers = np.array(tree.nodes.target_center)
+    assert (ds.x[ds.nearest(centers)] == centers).all()
     # A synth's samples sit at its centers, so each radius is the target
     # radius, widened only where the cell's rounded corners reach past it.
     res = synthesize(new_tree(domain, ds), ds, SynthConfig(lipschitz=lipschitz, tau=tau))
@@ -465,13 +466,19 @@ def test_gen_dyadic_grid_contains_exact_centers(nonlin_oracle):
 # -- nearest neighbor ----------------------------------------------------------
 
 
+def _distances_at(ds, qs, idx):
+    """The max-norm distance from each query to the sample ``nearest``
+    returned for it, as the linear scan computes it."""
+    return np.abs(ds.x[idx] - np.asarray(qs, dtype=float).reshape(len(idx), ds.dim)).max(axis=1)
+
+
 def test_nearest_basic():
     ds = make_dataset([(0.0, 0.0), (1.0, 1.0)])
     # the middle query is equidistant: lowest index wins
-    idx, dist = ds.nearest([(0.2, 0.1), (0.5, 0.5), (1.0, 1.0)])
+    qs = [(0.2, 0.1), (0.5, 0.5), (1.0, 1.0)]
+    idx = ds.nearest(qs)
     assert idx.tolist() == [0, 0, 1]
-    assert dist.tolist() == pytest.approx([0.2, 0.5, 0.0])
-    assert dist[2] == 0.0
+    assert _distances_at(ds, qs, idx).tolist() == [0.2, 0.5, 0.0]
 
 
 def test_nearest_dimension_mismatch():
@@ -485,21 +492,21 @@ def test_nearest_dimension_mismatch():
 def test_nearest_matches_linear_scan_exactly(rng):
     ds = make_dataset(rng.uniform(-2, 3, size=(400, 2)))
     qs = rng.uniform(-3, 4, size=(1000, 2))
-    idx, dist = ds.nearest(qs)
+    idx = ds.nearest(qs)
     want = [nearest_linear(ds, q) for q in qs.tolist()]
     assert idx.tolist() == [i for i, _ in want]
-    assert dist.tolist() == [d for _, d in want]
+    assert _distances_at(ds, qs, idx).tolist() == [d for _, d in want]
 
 
 def test_nearest_matches_linear_scan_3d(rng):
     ds = make_dataset(rng.uniform(-1, 1, size=(200, 3)))
     qs = rng.uniform(-1.5, 1.5, size=(300, 3))
-    assert ds.nearest(qs)[0].tolist() == [nearest_linear(ds, q)[0] for q in qs.tolist()]
+    assert ds.nearest(qs).tolist() == [nearest_linear(ds, q)[0] for q in qs.tolist()]
 
 
 def test_nearest_with_duplicate_points_breaks_ties_low():
     ds = make_dataset([(0.5, 0.5), (0.5, 0.5), (0.0, 0.0)])
-    assert ds.nearest([(0.5, 0.5), (0.4, 0.4)])[0].tolist() == [0, 0]
+    assert ds.nearest([(0.5, 0.5), (0.4, 0.4)]).tolist() == [0, 0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -522,16 +529,18 @@ def test_nearest_matches_linear_scan_property(n, m, lattice, data):
     pts = [base[k] for k in picks]
     qs = data.draw(st.lists(point, min_size=1, max_size=20))
     ds = make_dataset(pts)
-    idx, dist = ds.nearest(qs)
+    idx = ds.nearest(qs)
     want = [nearest_linear(ds, q) for q in qs]
     assert idx.tolist() == [i for i, _ in want]
-    assert dist.tolist() == [d for _, d in want]
+    assert _distances_at(ds, qs, idx).tolist() == [d for _, d in want]
 
 
 def _assert_same_answer(ds, qs, scan=True):
     """``Dataset.nearest`` agrees with cKDTree, and with the linear scan, on
-    the indices and on the bits of the distances."""
-    idx, dist = ds.nearest(qs)
+    the indices, and the distance to each returned sample is, bit for bit,
+    their least distance."""
+    idx = ds.nearest(qs)
+    dist = _distances_at(ds, qs, idx)
     want_idx, want_dist = nearest_kdtree(ds, qs)
     assert idx.tolist() == want_idx.tolist()
     assert dist.view(np.int64).tolist() == want_dist.view(np.int64).tolist()
@@ -592,11 +601,12 @@ def test_nearest_on_grid_data_ties_past_a_face(lin_oracle):
 
 def test_nearest_single_sample_and_empty_batch():
     ds = make_dataset([(0.25, -0.5)])
-    idx, dist = ds.nearest([(0.25, -0.5), (3.0, 1.0), (-1e9, 0.0)])
+    qs = [(0.25, -0.5), (3.0, 1.0), (-1e9, 0.0)]
+    idx = ds.nearest(qs)
     assert idx.tolist() == [0, 0, 0]
-    assert dist.tolist() == [0.0, 2.75, 1e9 + 0.25]
-    idx, dist = ds.nearest(np.zeros((0, 2)))
-    assert idx.shape == dist.shape == (0,)
+    assert _distances_at(ds, qs, idx).tolist() == [0.0, 2.75, 1e9 + 0.25]
+    idx = ds.nearest(np.zeros((0, 2)))
+    assert idx.shape == (0,) and idx.dtype == np.intp
 
 
 @pytest.mark.parametrize(

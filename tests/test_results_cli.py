@@ -207,10 +207,11 @@ def test_cli_has_no_sweep_cap_and_one_resolution_flag(tmp_path, capsys):
     # synth runs to its fixpoint, and bounds takes the floor as --tau only.
     assert main(["-q", "synth", "--data", str(tmp_path / "d.csv"), "--lipschitz", "1",
                  "--tau", "0.1", "--out", str(tmp_path / "r.json"), "--max-sweeps", "1"]) == 2
-    assert main(["-q", "bounds", "--vol", "1.0", "--n", "2", "--epsilon", "0.01"]) == 2
+    assert main(["-q", "bounds", "--vol", "1.0", "--n", "2", "--tau", "0.01",
+                 "--epsilon", "0.01"]) == 2
     assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
     assert main(["-q", "bounds", "--vol", "1.0", "--n", "2"]) == 2
-    assert "error: pass --tau\n" in capsys.readouterr().err
+    assert "the following arguments are required: --tau" in capsys.readouterr().err
 
 
 def test_cli_surface(tmp_path, capsys):
@@ -522,6 +523,33 @@ def test_cli_report_skips_manifest_of_the_wrong_type(tmp_path, capsys, caplog):
     assert len(skips) == len(reasons)
     for name, reason in reasons.items():
         assert any(f"{name}.json" in line and reason in line for line in skips)
+
+
+@pytest.mark.parametrize("raw,reason", [
+    pytest.param(b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff", id="not-utf-8"),
+    pytest.param(b"[" * 200_000, "maximum recursion depth exceeded", id="nested-too-deep"),
+])
+def test_cli_refuses_a_result_file_that_does_not_parse(tmp_path, capsys, caplog, raw, reason):
+    # A file that is not UTF-8 made verify exit 2 (a usage error) and report
+    # print no table; one nested too deep ended both in a RecursionError
+    # (exit 1, which verify uses for a failed certificate).  Both are a
+    # fault of the file: verify exits 3, and report skips it.
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    (runs / "good.json").write_text(json.dumps(_synth_linear_result(tmp_path)))
+    bad = runs / "bad.json"
+    bad.write_bytes(raw)
+    capsys.readouterr()
+    assert main(["-q", "verify", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert f"{bad}: invalid JSON: " in err and reason in err and "Traceback" not in err
+    assert main(["-q", "report", "--dir", str(runs)]) == 0
+    header, row = capsys.readouterr().out.strip().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["runs"] == "1"
+    assert any(
+        "event=report-skip" in r.getMessage() and "bad.json" in r.getMessage()
+        and reason in r.getMessage() for r in caplog.records
+    )
 
 
 def test_cli_verify_monte_carlo_refuses_system_of_the_wrong_type(tmp_path, capsys):
@@ -1100,6 +1128,25 @@ def test_cli_bounds_table(capsys):
 def test_cli_bounds_invalid_probability(capsys):
     assert main(["-q", "bounds", "--vol", "1.0", "--n", "2",
                  "--tau", "2.0", "--delta", "0.05"]) == 2
+
+
+def test_cli_bounds_prints_every_row_or_its_refusal(capsys, caplog):
+    # The cells bound 2^1100 and the hit probability 2^-1100 are no float;
+    # the ball bound, 1.0, is.  Each refused row is a comment with its
+    # reason and an event=bound-refused line, and the table exits 0.
+    assert main(["-q", "bounds", "--vol", "1", "--n", "1100", "--tau", "0.5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if not line.startswith("#")] == ["covering-balls,1.0"]
+    for row in ("covering-cells", "net-raw", "synth-raw", "canonical"):
+        assert any(line.startswith(f"# {row}: the ") for line in out)
+        assert any(
+            f"event=bound-refused row={row} reason=the " in r.getMessage()
+            for r in caplog.records
+        )
+    assert "# covering-cells: the cells covering bound for volume 1.0, dimension 1100 and " \
+        "resolution 0.5 overflows or underflows a float" in out
+    assert "# canonical: the hit probability 0.5^1100 / 1.0 is 0.0 as a float; it must lie " \
+        "in (0, 1)" in out
 
 
 def test_cli_report(tmp_path, capsys):

@@ -211,10 +211,63 @@ def test_recount_matches_incremental_counters(rng):
             tree.divide([i], ds)
         else:
             tree.set_label(i, Label.EXCLUDED)
-    counters = (list(tree.nodes.n_leaves), list(tree.nodes.n_active))
+    status = list(tree.nodes.status)
     tree.recount()
-    assert (tree.nodes.n_leaves, tree.nodes.n_active) == counters
-    assert tree.nodes.n_active[0] == len(tree.active_leaves())
+    assert tree.nodes.status == status
+    assert tree.n_included() == len(tree.active_leaves())
+
+
+def _status_by_definition(tree):
+    """Each node's status from the labels of its leaves, by a plain walk:
+    True when all are INCLUDED, False when none is, None otherwise."""
+    nodes = tree.nodes
+
+    def leaves(i):
+        f = nodes.first_child[i]
+        return [i] if f < 0 else [j for c in range(f, f + tree.fanout) for j in leaves(c)]
+
+    status = []
+    for i in range(len(nodes)):
+        kept = {nodes.label[j] is Label.INCLUDED for j in leaves(i)}
+        status.append(kept.pop() if len(kept) == 1 else None)
+    return status
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    two_roots=st.booleans(),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["divide", Label.EXCLUDED, Label.UNKNOWN]),
+            st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=3),
+        ),
+        max_size=30,
+    ),
+)
+def test_status_follows_the_leaf_labels_property(n, two_roots, steps):
+    # Random waves of divisions and retirements, as EXCLUDED and as
+    # UNKNOWN: after each, every node's status is its definition from the
+    # leaf labels, recount leaves the column as it is, and n_included
+    # counts the included leaves.
+    lo, hi = (0.0,) * n, (2.0 if two_roots else 1.0,) + (1.0,) * (n - 1)
+    ds = make_dataset(np.random.default_rng(n).uniform(0.0, 1.0, size=(20, n)))
+    tree = new_tree((lo, hi), ds)
+    for op, picks in steps:
+        live = tree.active_leaves()
+        if not live:
+            break
+        chosen = sorted({live[k % len(live)] for k in picks})
+        if op == "divide":
+            tree.divide(chosen, ds)
+        else:
+            for i in chosen:
+                tree.set_label(i, op)
+        want = _status_by_definition(tree)
+        assert tree.nodes.status == want
+        tree.recount()
+        assert tree.nodes.status == want
+        assert tree.n_included() == len(tree.active_leaves())
 
 
 def test_children_halve_resolution():
