@@ -9,6 +9,7 @@ outputs and tables are the only stdout payloads.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import math
@@ -356,6 +357,11 @@ def main(argv: list[str] | None = None) -> int:
         format="%(message)s",
     )
     args.argv_echo = ["pinvset"] + argv
+    # Reference counting frees what a command builds; the cyclic collector
+    # would only traverse its many tree and result objects again and again.
+    # A caller in the same process gets its own setting back.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (UsageError, UnknownSystemError, ConfigError) as exc:
@@ -367,6 +373,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

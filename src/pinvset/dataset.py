@@ -18,19 +18,23 @@ the root cubes by the tree's own split rule, so grid samples sit exactly
 at the tree's centers on every domain.
 
 A dataset is stored as CSV, which is streamed at both ends: the writer
-formats the rows in blocks, and the reader hands the file's name to
-``np.loadtxt`` after one scan of the raw bytes for comments and the
-header.  Neither holds the text of the whole body more than once.
-``read_csv`` is the one CSV reader: ``load_dataset`` splits its columns
-into states and successors, and the SVG overlay is read by it too.
+formats the rows in blocks, one ``orjson`` dump of a block's flat values
+each, and the reader parses a body of plain ``a,b,..`` rows in line-aligned
+blocks with ``orjson`` after a scan of the head for comments and the
+header.  Any other file, and any value that ``orjson`` reads otherwise than
+numpy, goes to ``np.loadtxt``, which reads the file by its name.  Neither
+end holds the text of the whole body more than once.  ``read_csv`` is the
+one CSV reader: ``load_dataset`` splits its columns into states and
+successors, and the SVG overlay is read by it too.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
@@ -114,8 +118,18 @@ class Dataset:
     NN index."""
 
     def __init__(self, x, x_plus, metadata: dict | None = None):
-        x = np.array(x, dtype=float)
-        x_plus = np.array(x_plus, dtype=float)
+        # The arrays are copied, so the data set aliases none of the caller's.
+        self._keep(np.array(x, dtype=float), np.array(x_plus, dtype=float), metadata)
+
+    @classmethod
+    def _adopt(cls, x: np.ndarray, x_plus: np.ndarray, metadata: dict) -> Dataset:
+        """A data set that keeps the float arrays it is given, uncopied:
+        for arrays that this module built and nothing else holds."""
+        dataset = cls.__new__(cls)
+        dataset._keep(x, x_plus, metadata)
+        return dataset
+
+    def _keep(self, x: np.ndarray, x_plus: np.ndarray, metadata: dict | None) -> None:
         if x.size == 0:
             raise EmptyDatasetError("dataset must contain at least one sample pair")
         if x.ndim != 2 or x.shape != x_plus.shape:
@@ -176,7 +190,7 @@ def gen_uniform(
         "seed": seed,
         "lipschitz": oracle.lipschitz,
     }
-    return Dataset(pts, oracle.map_points(pts), meta)
+    return Dataset._adopt(pts, oracle.map_points(pts), meta)
 
 
 def dyadic_grid_points(domain: Rect, tau: float) -> np.ndarray:
@@ -227,7 +241,7 @@ def gen_dyadic_grid(
         "tau": tau,
         "lipschitz": oracle.lipschitz,
     }
-    return Dataset(pts, oracle.map_points(pts), meta)
+    return Dataset._adopt(pts, oracle.map_points(pts), meta)
 
 
 def _parse_meta_value(raw: str):
@@ -246,6 +260,14 @@ _BLANKS = " \t\f\v"
 
 # Rows formatted by one ``orjson`` call in ``save_dataset``.
 CSV_BLOCK_ROWS = 1 << 14
+
+# Bytes that ``read_csv`` reads at a time before reading on to the end of
+# the line: the head it scans, and then each block of a plain body.
+CSV_READ_BYTES = 1 << 18
+
+# The bytes a plain row's numbers are spelled with: deleting them leaves
+# only the row's commas and its '\n'.
+_NUMBER_BYTES = b"0123456789.-+eE"
 
 
 def _line_end(raw: bytes, pos: int) -> int:
@@ -285,9 +307,10 @@ def _comment_metadata(raw: bytes) -> dict:
 
 
 def _content_lines(raw: bytes, path: Path):
-    """(line number, content) of every line with content, its text before
-    any '#' with the blanks stripped.  Lines are numbered from 1, and a line
-    that is not UTF-8 text is refused by its ``path:line``."""
+    """(line number, content, offset) of every line with content: its text
+    before any '#' with the blanks stripped, and where the line starts.
+    Lines are numbered from 1, and a line that is not UTF-8 text is refused
+    by its ``path:line``."""
     lineno = pos = 0
     while pos < len(raw):
         end = _line_end(raw, pos)
@@ -297,13 +320,34 @@ def _content_lines(raw: bytes, path: Path):
         except UnicodeDecodeError:
             raise MalformedRowError(f"{path}:{lineno}: line is not UTF-8 text") from None
         if content:
-            yield lineno, content
+            yield lineno, content, pos
         pos = end + 2 if raw.startswith(b"\r\n", end) else end + 1
 
 
-def _data_rows(path: Path, skip: int) -> list[tuple[int, str]]:
-    """(line number, content) of each data row, the header (line ``skip``)
-    excluded."""
+def _first_row(raw: bytes, path: Path) -> tuple[int, tuple[int, str, int] | None]:
+    """The header's line number (0 without one) and the first data row of
+    ``raw``, as ``_content_lines`` yields it, or None if there is none."""
+    lines = _content_lines(raw, path)
+    skip, first = 0, next(lines, None)
+    # A header row has a cell Python's float refuses; numpy refuses those
+    # cells too, and a row that only numpy refuses ('1_0') is a bad row.
+    if first is not None and _floats(first[1]) is None:
+        skip, first = first[0], next(lines, None)
+    return skip, first
+
+
+def _columns(path: Path, first: tuple[int, str, int]) -> int:
+    """The column count the first data row fixes, which must be even."""
+    lineno, line, _ = first
+    cols = line.count(",") + 1
+    if cols % 2 != 0:
+        raise MalformedRowError(f"{path}:{lineno}: odd column count {cols}")
+    return cols
+
+
+def _data_rows(path: Path, skip: int) -> list[tuple[int, str, int]]:
+    """Each data row as ``_content_lines`` yields it, the header (line
+    ``skip``) excluded."""
     return [row for row in _content_lines(path.read_bytes(), path) if row[0] > skip]
 
 
@@ -328,7 +372,7 @@ def _parse_rows(path: Path, skip: int, cols: int) -> np.ndarray:
     numpy cannot read as they are (a line of blanks, an indented comment,
     a bad row); a bad row is named by its ``path:line``."""
     rows = _data_rows(path, skip)
-    lines = [line for _, line in rows]
+    lines = [line for _, line, _ in rows]
     try:
         return np.loadtxt(lines, delimiter=",", ndmin=2)
     except ValueError:
@@ -350,6 +394,43 @@ def _parse_rows(path: Path, skip: int, cols: int) -> np.ndarray:
     raise MalformedRowError(f"{path}:{lineno}: {width} columns, expected {cols}")
 
 
+def _plain_rows(fh: BinaryIO, block: bytes, cols: int) -> np.ndarray | None:
+    """The rows of a body of plain rows, ``cols`` numbers joined by ',' and
+    ended by '\\n', parsed by ``orjson``: ``block`` first, then the rest of
+    ``fh`` in line-aligned blocks.  None as soon as a block is not plain,
+    ``orjson`` refuses it, or it may hold the integer ``-0``, which
+    ``orjson`` reads as 0 and numpy as -0.0.
+
+    On such a body each value is the one ``np.loadtxt`` reads: both round
+    a decimal to the nearest float.  ``orjson`` refuses every spelling
+    that JSON does not allow ('+1', '.5', '5.', '01') and a number past the
+    float range, which then reach numpy.  The values collect in one
+    growing ``array`` that the result shares, so the rows are not copied
+    once more at the end.
+    """
+    import orjson
+
+    row = b"," * (cols - 1) + b"\n"
+    rows = array("d")
+    while block:
+        separators = block.translate(None, _NUMBER_BYTES)
+        n = len(separators) // len(row)
+        if not block.endswith(b"\n") or separators != row * n:
+            return None
+        try:
+            values = orjson.loads(b"[" + block[:-1].replace(b"\n", b",") + b"]")
+        except orjson.JSONDecodeError:
+            return None
+        part = np.fromiter(values, float, n * cols)
+        # A bare '-0' ends at ',' or '\n'; so may an exponent ('1e-0,'),
+        # which only sends the file to numpy.
+        if not part.all() and (b"-0," in block or b"-0\n" in block):
+            return None
+        rows.frombytes(memoryview(part).cast("B"))
+        block = fh.read(CSV_READ_BYTES) + fh.readline()
+    return np.frombuffer(rows, float).reshape(-1, cols)
+
+
 def read_csv(path: str | Path) -> tuple[np.ndarray, dict]:
     """The rows of a CSV as one float array, and its metadata; the one CSV
     reader, for datasets and overlays alike.
@@ -361,34 +442,40 @@ def read_csv(path: str | Path) -> tuple[np.ndarray, dict]:
     state and its successor, or an overlay's x,y), and every row must hold
     that many finite numbers.
 
-    One scan of the raw bytes finds the metadata, the header and the first
-    data row; then ``np.loadtxt`` reads the file by its name, in chunks.
-    Only when numpy refuses the file (a line of blanks, an indented
-    comment, a bad row, bytes that are not UTF-8) are the rows parsed from
-    their stripped contents, which names a bad line's ``path:line``.
+    The head of the file, its first ``CSV_READ_BYTES`` read on to the end
+    of a line, is scanned for the metadata, the header and the first data
+    row.  From that row on, a body of plain rows (no blanks, comments or
+    '\\r', and a final '\\n') is parsed by ``orjson`` in line-aligned
+    blocks (``_plain_rows``).  Any other file, or one whose first data row
+    lies past the head, is scanned whole, and ``np.loadtxt`` reads it by
+    its name, in chunks.  Only when numpy refuses the file (a line of blanks,
+    an indented comment, a bad row, bytes that are not UTF-8) are the rows
+    parsed from their stripped contents, which names a bad line's
+    ``path:line``.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    metadata = _comment_metadata(raw)
-    lines = _content_lines(raw, path)
-    skip, first = 0, next(lines, None)
-    # A header row has a cell Python's float refuses; numpy refuses those
-    # cells too, and a row that only numpy refuses ('1_0') is a bad row.
-    if first is not None and _floats(first[1]) is None:
-        skip, first = first[0], next(lines, None)
-    del raw, lines  # numpy reads the file itself
-    if first is None:
-        raise EmptyDatasetError(f"{path}: no data rows")
-    lineno, line = first
-    cols = line.count(",") + 1
-    if cols % 2 != 0:
-        raise MalformedRowError(f"{path}:{lineno}: odd column count {cols}")
-    try:
-        rows = np.loadtxt(
-            path, delimiter=",", comments="#", skiprows=skip, ndmin=2, encoding="utf-8"
-        )
-    except ValueError:
-        rows = _parse_rows(path, skip, cols)
+    with path.open("rb") as fh:
+        head = fh.read(CSV_READ_BYTES) + fh.readline()
+        skip, first = _first_row(head, path)
+        rows = None
+        if first is not None:
+            rows = _plain_rows(fh, head[first[2]:], _columns(path, first))
+    if rows is not None:
+        metadata = _comment_metadata(head[:first[2]])
+    else:
+        raw = path.read_bytes()
+        metadata = _comment_metadata(raw)
+        skip, first = _first_row(raw, path)
+        del raw, head  # numpy reads the file itself
+        if first is None:
+            raise EmptyDatasetError(f"{path}: no data rows")
+        cols = _columns(path, first)
+        try:
+            rows = np.loadtxt(
+                path, delimiter=",", comments="#", skiprows=skip, ndmin=2, encoding="utf-8"
+            )
+        except ValueError:
+            rows = _parse_rows(path, skip, cols)
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         lineno = _data_rows(path, skip)[int(np.argmin(finite))][0]
@@ -401,7 +488,7 @@ def load_dataset(path: str | Path) -> Dataset:
     as ``read_csv`` reads it."""
     rows, metadata = read_csv(path)
     n = rows.shape[1] // 2
-    return Dataset(rows[:, :n], rows[:, n:], metadata)
+    return Dataset._adopt(rows[:, :n], rows[:, n:], metadata)
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -409,8 +496,9 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 
     Every float is written as its shortest round-trip decimal, so loading
     gives back the same bits.  The rows are formatted and written in blocks
-    of ``CSV_BLOCK_ROWS``, one ``orjson`` call each, so the text of the
-    whole body is never held at once.
+    of ``CSV_BLOCK_ROWS``: one ``orjson`` dump of the block's values as one
+    flat list, whose every ``2n``-th comma then becomes a '\\n'.  So the
+    text of the whole body is never held at once.
     """
     import orjson
 
@@ -426,6 +514,10 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
             block = np.hstack((
                 dataset.x[i:i + CSV_BLOCK_ROWS], dataset.x_plus[i:i + CSV_BLOCK_ROWS]
             ))
-            body = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
-            fh.write(body[2:-2].replace(b"],[", b"\n"))
-            fh.write(b"\n")
+            dump = orjson.dumps(block.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
+            # '[a,b,c,d]' -> 'a,b\nc,d\n' for 2n = 2: drop '[', end with '\n'
+            # in place of ']', and end each row at its 2n-th comma.
+            text = np.frombuffer(bytearray(dump), np.uint8)[1:]
+            text[-1] = ord("\n")
+            text[np.flatnonzero(text == ord(","))[2 * n - 1::2 * n]] = ord("\n")
+            fh.write(text)

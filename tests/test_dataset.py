@@ -304,6 +304,122 @@ def test_csv_io_memory_below_file_size(tmp_path, lin_oracle):
     assert load_peak < 1.5 * size, load_peak / size
 
 
+def _counting_loadtxt(monkeypatch) -> list:
+    """Make ``np.loadtxt`` record each call, then read as it does."""
+    calls, loadtxt = [], np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return calls
+
+
+# Tokens as a writer spells numbers: shortest-repr floats (subnormals and
+# both zeros included), integers, and two past the float range.
+_CANONICAL_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]).map(repr),
+    st.integers(-(2**64), 2**64).map(str),
+    st.integers(10**29, 10**30 - 1).map(str) | st.integers(-(10**30) + 1, -(10**29)).map(str),
+    st.sampled_from(["-0", str(2**53 + 1), "-1e-400", "1e400"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from([1, 2, 3]), m=st.integers(1, 8), header=st.booleans(), data=st.data())
+def test_plain_body_reads_as_numpy_does(tmp_path_factory, n, m, header, data):
+    # Blocks of a few bytes put row ends on block edges.  Only a bare '-0'
+    # (orjson reads it as 0) and '1e400' (orjson refuses it) reach numpy.
+    rows = data.draw(st.lists(
+        st.lists(_CANONICAL_TOKENS, min_size=2 * n, max_size=2 * n), min_size=m, max_size=m,
+    ))
+    head = f"# m={m}\n" + ("x1," * (2 * n - 1) + "x9\n" if header else "")
+    text = head + "".join(",".join(row) + "\n" for row in rows)
+    f = tmp_path_factory.mktemp("plain") / "d.csv"
+    f.write_text(text)
+    block = data.draw(st.integers(len(head) + 1, len(text) + 1))
+    tokens = {token for row in rows for token in row}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset_module, "CSV_READ_BYTES", block)
+        expected = np.loadtxt(f, delimiter=",", comments="#", skiprows=2 if header else 0, ndmin=2)
+        calls = _counting_loadtxt(mp)
+        if not np.isfinite(expected).all():
+            with pytest.raises(NonFiniteSampleError):
+                load_dataset(f)
+        else:
+            ds = load_dataset(f)
+            got = np.hstack((ds.x, ds.x_plus))
+            assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+            assert ds.metadata == {"m": m}
+    assert bool(calls) == bool(tokens & {"-0", "1e400"})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_dyadic_grid(get_system("linear2d"), 0.004),
+    lambda: gen_dyadic_grid(get_system("nonlinear2d"), 0.01),
+    lambda: gen_uniform(get_system("nonlinear2d"), 5000, seed=1),
+], ids=["linear2d-grid", "nonlinear2d-grid", "uniform"])
+def test_gen_output_reads_without_numpy(tmp_path, monkeypatch, make):
+    # The nonlinear grid runs through the origin: its zeros are '0.0'.
+    ds = make()
+    f = tmp_path / "d.csv"
+    save_dataset(ds, f)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt called")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    back = load_dataset(f)
+    assert back.x.view(np.int64).tolist() == ds.x.view(np.int64).tolist()
+    assert back.x_plus.view(np.int64).tolist() == ds.x_plus.view(np.int64).tolist()
+    assert back.metadata == ds.metadata
+
+
+@pytest.mark.parametrize("text,error", [
+    ("0,-0,1,2\n3,4,5,6\n", None),
+    ("0,1,2,3\r\n4,5,6,7\r\n", None),
+    ("0,1,2,3\r4,5,6,7\r", None),
+    ("0,1,2,3\n# m=2\n4,5,6,7\n", None),
+    ("0,1,2,3\n\n4,5,6,7\n", None),
+    ("0, 1,2,3\n4,5,6,7\n", None),
+    ("0,1,2,3\n4,5,6,7", None),
+    ("0,1,2,3\n45", (MalformedRowError, r"d\.csv:2: 1 columns")),
+    ("0,1,2,3\n+1,5,6,7\n", None),
+    ("0,1,2,3\n.5,5,6,7\n", None),
+    ("0,1,2,3\n5.,5,6,7\n", None),
+    ("0,1,2,3\nnan,5,6,7\n", (NonFiniteSampleError, r"d\.csv:2: non-finite")),
+], ids=["minus-zero", "crlf", "cr", "late-comment", "blank-line", "space",
+        "no-final-newline", "no-final-newline-one-cell", "plus", "leading-dot",
+        "trailing-dot", "nan"])
+def test_non_plain_body_reads_through_numpy(tmp_path, monkeypatch, text, error):
+    f = tmp_path / "d.csv"
+    f.write_bytes(text.encode())
+    expected = None if error else np.loadtxt(f, delimiter=",", comments="#", ndmin=2)
+    calls = _counting_loadtxt(monkeypatch)
+    if error is not None:
+        with pytest.raises(error[0], match=error[1]):
+            load_dataset(f)
+    else:
+        ds = load_dataset(f)
+        got = np.hstack((ds.x, ds.x_plus))
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    assert calls
+
+
+def test_dataset_copies_only_a_callers_arrays(tmp_path, lin_oracle):
+    # A caller's arrays are copied; the loader hands over two column views
+    # of the one array it parsed.
+    x = np.zeros((3, 2))
+    ds = Dataset(x, x)
+    assert not np.shares_memory(ds.x, x) and not np.shares_memory(ds.x_plus, x)
+    f = tmp_path / "d.csv"
+    save_dataset(gen_uniform(lin_oracle, 10, seed=0), f)
+    back = load_dataset(f)
+    assert back.x.base is not None and back.x.base is back.x_plus.base
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_dataset_rejects_non_finite(bad):
     with pytest.raises(NonFiniteSampleError, match="sample 1 "):

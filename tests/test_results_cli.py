@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import json
 import logging
@@ -894,8 +895,8 @@ def test_cli_rejects_domain_whose_cubes_miss_by_an_ulp(tmp_path, capsys):
 @pytest.mark.parametrize("module", ["scipy", "orjson", "pinvset.nnindex"])
 def test_import_cli_does_not_load(module):
     # Importing the CLI loads none of these; no pinvset module imports
-    # scipy, orjson is imported by the two writers only, and the NN index by
-    # the first nearest-neighbour query.
+    # scipy, orjson is imported by the two writers and the CSV reader only,
+    # and the NN index by the first nearest-neighbour query.
     import pinvset
 
     code = (
@@ -907,6 +908,31 @@ def test_import_cli_does_not_load(module):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_runs_without_the_cyclic_collector(monkeypatch, collecting):
+    # A command runs with the collector off, and the caller's setting is
+    # back after it returns, on an error as on success.
+    import pinvset.cli as cli
+
+    seen = []
+
+    def command(args):
+        seen.append(gc.isenabled())
+        if len(seen) == 2:
+            raise ValueError("refused")
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_bounds", command)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        codes = [main(["bounds", "--vol", "1", "--n", "2", "--tau", "0.1"]) for _ in range(2)]
+        now = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert codes == [0, 2] and seen == [False, False] and now is collecting
 
 
 def test_cli_chain_does_not_load_scipy(tmp_path):
