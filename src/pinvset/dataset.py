@@ -19,22 +19,25 @@ at the tree's centers on every domain.
 
 A dataset is stored as CSV, which is streamed at both ends: the writer
 formats the rows in blocks, one ``orjson`` dump of a block's flat values
-each, and the reader parses a body of plain ``a,b,..`` rows in line-aligned
-blocks with ``orjson`` after a scan of the head for comments and the
-header.  Any other file, and any value that ``orjson`` reads otherwise than
-numpy, goes to ``np.loadtxt``, which reads the file by its name.  Neither
-end holds the text of the whole body more than once.  ``read_csv`` is the
-one CSV reader: ``load_dataset`` splits its columns into states and
-successors, and the SVG overlay is read by it too.
+each, and the reader reads the file once, in line-aligned blocks, after a
+scan of the head for comments and the header.  A block of plain ``a,b,..``
+rows is parsed by ``orjson``; any other block, and one that may hold a
+value that ``orjson`` reads otherwise than numpy, by ``np.loadtxt`` from
+its lines.  Each end holds one block of the text at a time.
+``read_csv`` is the one CSV reader: ``load_dataset`` splits its columns
+into states and successors, and the SVG overlay is read by it too.
 """
 
 from __future__ import annotations
 
+import re
+import warnings
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
-from typing import BinaryIO, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -262,7 +265,7 @@ _BLANKS = " \t\f\v"
 CSV_BLOCK_ROWS = 1 << 14
 
 # Bytes that ``read_csv`` reads at a time before reading on to the end of
-# the line: the head it scans, and then each block of a plain body.
+# the line: one block of the file.
 CSV_READ_BYTES = 1 << 18
 
 # The bytes a plain row's numbers are spelled with: deleting them leaves
@@ -306,12 +309,12 @@ def _comment_metadata(raw: bytes) -> dict:
     return metadata
 
 
-def _content_lines(raw: bytes, path: Path):
-    """(line number, content, offset) of every line with content: its text
-    before any '#' with the blanks stripped, and where the line starts.
-    Lines are numbered from 1, and a line that is not UTF-8 text is refused
-    by its ``path:line``."""
-    lineno = pos = 0
+def _content_lines(raw: bytes, path: Path, lineno: int):
+    """(line number, content, offset) of every line of ``raw`` with content:
+    its text before any '#' with the blanks stripped, and where the line
+    starts.  Lines are numbered on from ``lineno``, and a line that is not
+    UTF-8 text is refused by its ``path:line``."""
+    pos = 0
     while pos < len(raw):
         end = _line_end(raw, pos)
         lineno += 1
@@ -324,33 +327,6 @@ def _content_lines(raw: bytes, path: Path):
         pos = end + 2 if raw.startswith(b"\r\n", end) else end + 1
 
 
-def _first_row(raw: bytes, path: Path) -> tuple[int, tuple[int, str, int] | None]:
-    """The header's line number (0 without one) and the first data row of
-    ``raw``, as ``_content_lines`` yields it, or None if there is none."""
-    lines = _content_lines(raw, path)
-    skip, first = 0, next(lines, None)
-    # A header row has a cell Python's float refuses; numpy refuses those
-    # cells too, and a row that only numpy refuses ('1_0') is a bad row.
-    if first is not None and _floats(first[1]) is None:
-        skip, first = first[0], next(lines, None)
-    return skip, first
-
-
-def _columns(path: Path, first: tuple[int, str, int]) -> int:
-    """The column count the first data row fixes, which must be even."""
-    lineno, line, _ = first
-    cols = line.count(",") + 1
-    if cols % 2 != 0:
-        raise MalformedRowError(f"{path}:{lineno}: odd column count {cols}")
-    return cols
-
-
-def _data_rows(path: Path, skip: int) -> list[tuple[int, str, int]]:
-    """Each data row as ``_content_lines`` yields it, the header (line
-    ``skip``) excluded."""
-    return [row for row in _content_lines(path.read_bytes(), path) if row[0] > skip]
-
-
 def _floats(line: str) -> list[float] | None:
     try:
         return [float(c) for c in line.split(",")]
@@ -358,77 +334,77 @@ def _floats(line: str) -> list[float] | None:
         return None
 
 
-def _width(lines: list[str]) -> int | None:
-    """The column count numpy reads the rows with, or None if it refuses
-    them."""
-    try:
-        return np.loadtxt(lines, delimiter=",", ndmin=2).shape[1]
-    except ValueError:
-        return None
+def _numpy_rows(text: bytes, cols: int) -> np.ndarray | None:
+    """The rows numpy reads from ``text``, or None if it refuses them (a bad
+    row, bytes that are not UTF-8) or reads other than ``cols`` columns,
+    which is exactly when one of them is bad."""
+    with warnings.catch_warnings():
+        # Lines of only comments hold no data: numpy warns, and reads 0 rows.
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            # numpy reads a list of lines faster than a file of them.
+            rows = np.loadtxt(text.decode().split("\n"), delimiter=",", comments="#", ndmin=2)
+        except ValueError:  # UnicodeDecodeError too
+            return None
+    return rows if rows.shape[1] == cols or not len(rows) else None
 
 
-def _parse_rows(path: Path, skip: int, cols: int) -> np.ndarray:
-    """The data rows parsed from their stripped contents, for files that
-    numpy cannot read as they are (a line of blanks, an indented comment,
-    a bad row); a bad row is named by its ``path:line``."""
-    rows = _data_rows(path, skip)
-    lines = [line for _, line, _ in rows]
-    try:
-        return np.loadtxt(lines, delimiter=",", ndmin=2)
-    except ValueError:
-        pass
-    # A block of rows is bad when numpy refuses it or reads it with other
-    # than ``cols`` columns, which is exactly when one of its rows is bad:
-    # halving the block finds the first bad row after parsing about twice
+def _parse_rows(block: bytes, path: Path, lineno: int, cols: int) -> np.ndarray:
+    """The data rows of ``block`` parsed from their stripped contents, for a
+    block whose lines numpy refuses (a line of blanks, an indented comment,
+    a bad row); a bad row is named by its ``path:line``, from ``lineno`` on."""
+    rows = list(_content_lines(block, path, lineno))
+    lines = [line.encode() for _, line, _ in rows]
+    parsed = _numpy_rows(b"\n".join(lines), cols)
+    if parsed is not None:
+        return parsed
+    # Halving the lines finds the first bad row after parsing about twice
     # the rows.
     lo, hi = 0, len(lines)
     while hi - lo > 1:  # lines[lo:hi] holds the first bad row
         mid = (lo + hi) // 2
-        if _width(lines[lo:mid]) != cols:
+        if _numpy_rows(b"\n".join(lines[lo:mid]), cols) is None:
             hi = mid
         else:
             lo = mid
-    lineno, width = rows[lo][0], _width(lines[lo:hi])
-    if width is None:
+    lineno, line, _ = rows[lo]
+    width = line.count(",") + 1
+    if _numpy_rows(lines[lo], width) is None:
         raise MalformedRowError(f"{path}:{lineno}: non-numeric cell in data row")
     raise MalformedRowError(f"{path}:{lineno}: {width} columns, expected {cols}")
 
 
-def _plain_rows(fh: BinaryIO, block: bytes, cols: int) -> np.ndarray | None:
-    """The rows of a body of plain rows, ``cols`` numbers joined by ',' and
-    ended by '\\n', parsed by ``orjson``: ``block`` first, then the rest of
-    ``fh`` in line-aligned blocks.  None as soon as a block is not plain,
-    ``orjson`` refuses it, or it may hold the integer ``-0``, which
+def _plain_rows(block: bytes, cols: int) -> np.ndarray | None:
+    """The rows of a block of plain rows, ``cols`` numbers joined by ','
+    and each ended by '\\n', parsed by ``orjson``; None if the block is not
+    plain, ``orjson`` refuses it, or it may hold the integer ``-0``, which
     ``orjson`` reads as 0 and numpy as -0.0.
 
-    On such a body each value is the one ``np.loadtxt`` reads: both round
+    On such a block each value is the one ``np.loadtxt`` reads: both round
     a decimal to the nearest float.  ``orjson`` refuses every spelling
     that JSON does not allow ('+1', '.5', '5.', '01') and a number past the
-    float range, which then reach numpy.  The values collect in one
-    growing ``array`` that the result shares, so the rows are not copied
-    once more at the end.
+    float range, which then reach numpy; so every value it reads is finite.
     """
     import orjson
 
     row = b"," * (cols - 1) + b"\n"
-    rows = array("d")
-    while block:
-        separators = block.translate(None, _NUMBER_BYTES)
-        n = len(separators) // len(row)
-        if not block.endswith(b"\n") or separators != row * n:
-            return None
-        try:
-            values = orjson.loads(b"[" + block[:-1].replace(b"\n", b",") + b"]")
-        except orjson.JSONDecodeError:
-            return None
-        part = np.fromiter(values, float, n * cols)
-        # A bare '-0' ends at ',' or '\n'; so may an exponent ('1e-0,'),
-        # which only sends the file to numpy.
-        if not part.all() and (b"-0," in block or b"-0\n" in block):
-            return None
-        rows.frombytes(memoryview(part).cast("B"))
-        block = fh.read(CSV_READ_BYTES) + fh.readline()
-    return np.frombuffer(rows, float).reshape(-1, cols)
+    # The first line alone turns away most blocks that are not plain.
+    if block[:block.find(b"\n") + 1].translate(None, _NUMBER_BYTES) != row:
+        return None
+    separators = block.translate(None, _NUMBER_BYTES)
+    n = len(separators) // len(row)
+    if not block.endswith(b"\n") or separators != row * n:
+        return None
+    try:
+        values = orjson.loads(b"[" + block[:-1].replace(b"\n", b",") + b"]")
+    except orjson.JSONDecodeError:
+        return None
+    rows = np.fromiter(values, float, n * cols).reshape(n, cols)
+    # A bare '-0' ends at ',' or '\n'; so may an exponent ('1e-0,'), which
+    # only sends the block to numpy.
+    if not rows.all() and (b"-0," in block or b"-0\n" in block):
+        return None
+    return rows
 
 
 def read_csv(path: str | Path) -> tuple[np.ndarray, dict]:
@@ -442,45 +418,62 @@ def read_csv(path: str | Path) -> tuple[np.ndarray, dict]:
     state and its successor, or an overlay's x,y), and every row must hold
     that many finite numbers.
 
-    The head of the file, its first ``CSV_READ_BYTES`` read on to the end
-    of a line, is scanned for the metadata, the header and the first data
-    row.  From that row on, a body of plain rows (no blanks, comments or
-    '\\r', and a final '\\n') is parsed by ``orjson`` in line-aligned
-    blocks (``_plain_rows``).  Any other file, or one whose first data row
-    lies past the head, is scanned whole, and ``np.loadtxt`` reads it by
-    its name, in chunks.  Only when numpy refuses the file (a line of blanks,
-    an indented comment, a bad row, bytes that are not UTF-8) are the rows
-    parsed from their stripped contents, which names a bad line's
-    ``path:line``.
+    The file is read once, in blocks of ``CSV_READ_BYTES`` read on to the
+    end of a line; the first block of rows starts at the first data row,
+    past the comments and the header that the head scan reads.  A block of
+    plain rows (no blanks, comments or '\\r', and a final '\\n') is parsed
+    by ``orjson`` (``_plain_rows``), any other by numpy from its lines, and
+    one that numpy refuses or reads at another width from its stripped
+    lines (``_parse_rows``), which names a bad row's ``path:line``.  A bad
+    row anywhere is refused before a non-finite one.
     """
     path = Path(path)
+    metadata: dict = {}
+    values = array("d")
+    lineno = cols = 0  # the lines before the block; the column count, once fixed
+    header = False  # whether the first content line was a header
+    non_finite = None  # the line of the first non-finite row
     with path.open("rb") as fh:
-        head = fh.read(CSV_READ_BYTES) + fh.readline()
-        skip, first = _first_row(head, path)
-        rows = None
-        if first is not None:
-            rows = _plain_rows(fh, head[first[2]:], _columns(path, first))
-    if rows is not None:
-        metadata = _comment_metadata(head[:first[2]])
-    else:
-        raw = path.read_bytes()
-        metadata = _comment_metadata(raw)
-        skip, first = _first_row(raw, path)
-        del raw, head  # numpy reads the file itself
-        if first is None:
-            raise EmptyDatasetError(f"{path}: no data rows")
-        cols = _columns(path, first)
-        try:
-            rows = np.loadtxt(
-                path, delimiter=",", comments="#", skiprows=skip, ndmin=2, encoding="utf-8"
-            )
-        except ValueError:
-            rows = _parse_rows(path, skip, cols)
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        lineno = _data_rows(path, skip)[int(np.argmin(finite))][0]
-        raise NonFiniteSampleError(f"{path}:{lineno}: non-finite value in data row")
-    return rows, metadata
+        while block := fh.read(CSV_READ_BYTES) + fh.readline():
+            if not cols:
+                # A header row has a cell Python's float refuses; numpy refuses
+                # those cells too, and a row that only numpy refuses ('1_0') is
+                # a bad row.
+                for first, line, pos in _content_lines(block, path, lineno):
+                    if header or _floats(line) is not None:
+                        break
+                    header = True
+                else:
+                    metadata.update(_comment_metadata(block))
+                    lineno += len(block.splitlines())
+                    continue
+                cols = line.count(",") + 1
+                if cols % 2 != 0:
+                    raise MalformedRowError(f"{path}:{first}: odd column count {cols}")
+                metadata.update(_comment_metadata(block[:pos]))
+                block, lineno = block[pos:], first - 1
+            rows = _plain_rows(block, cols)
+            if rows is not None:
+                lineno += len(rows)  # one line per row
+            else:
+                metadata.update(_comment_metadata(block))
+                # numpy ends a line at '\n' or '\r\n', and runs a comment on
+                # past a bare '\r'; a block read on to a '\n' splits no '\r\n'.
+                if b"\r" in block and re.search(rb"\r(?!\n)", block):
+                    block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                rows = _numpy_rows(block, cols)
+                if rows is None:
+                    rows = _parse_rows(block, path, lineno, cols)
+                if non_finite is None and not np.isfinite(rows).all():
+                    j = int(np.argmin(np.isfinite(rows).all(axis=1)))
+                    non_finite = next(islice(_content_lines(block, path, lineno), j, None))[0]
+                lineno += block.count(b"\n")
+            values.frombytes(rows.tobytes())
+    if not cols:
+        raise EmptyDatasetError(f"{path}: no data rows")
+    if non_finite is not None:
+        raise NonFiniteSampleError(f"{path}:{non_finite}: non-finite value in data row")
+    return np.frombuffer(values, float).reshape(-1, cols), metadata
 
 
 def load_dataset(path: str | Path) -> Dataset:

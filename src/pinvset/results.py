@@ -149,7 +149,7 @@ _SECTIONS = ("manifest", "config", "tree", "sweeps")
 _CONFIG = ("lipschitz", "tau", "update_mode")
 
 
-_JSON_KINDS = {float: "number", int: "integer", dict: "object"}
+_JSON_KINDS = {float: "number", int: "integer", dict: "object", str: "string"}
 
 
 def _json_value(section: dict, key: str, kind: type):
@@ -167,7 +167,11 @@ def result_from_document(doc: dict) -> tuple[RunManifest, SynthResult]:
     try:
         _refuse_unknown(doc, _SECTIONS, "section")
         manifest = RunManifest(**_json_value(doc, "manifest", dict))
-        _json_value(doc["manifest"], "dataset_meta", dict)
+        for key, kind in (("command", str), ("version", str), ("dataset_meta", dict),
+                          ("duration_s", float)):
+            _json_value(doc["manifest"], key, kind)
+        if doc["manifest"]["dataset_sha256"] is not None:
+            _json_value(doc["manifest"], "dataset_sha256", str)
         cfg = _json_value(doc, "config", dict)
         _refuse_unknown(cfg, _CONFIG, "config key")
         config = SynthConfig(
@@ -180,6 +184,8 @@ def result_from_document(doc: dict) -> tuple[RunManifest, SynthResult]:
             sweeps=_json_value(doc, "sweeps", int),
             config=config,
         )
+        if result.sweeps < 1:  # synth runs one sweep at least
+            raise ResultFormatError(f"sweeps {result.sweeps} is below 1")
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ResultFormatError(f"malformed result document: {exc}") from exc
     return manifest, result

@@ -1,4 +1,6 @@
 import tracemalloc
+import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -250,22 +252,25 @@ def _csv_texts(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=_csv_texts())
-def test_load_matches_plain_reference(tmp_path_factory, text):
-    # Covers numpy's read of the file and, for blank-only lines and
+@given(text=_csv_texts(), data=st.data())
+def test_load_matches_plain_reference(tmp_path_factory, text, data):
+    # Covers numpy's read of each block and, for blank-only lines and
     # indented comments, the stripped-lines parse; both must agree with a
-    # line-by-line parse in plain Python.
+    # line-by-line parse in plain Python.  Blocks of a few bytes put block
+    # edges inside the mixed lines.
     f = tmp_path_factory.mktemp("ingest") / "d.csv"
     f.write_bytes(text.encode())
-    try:
-        rows, metadata = reference_load(text, f)
-    except DatasetError as expected:
-        with pytest.raises(type(expected)) as got:
-            load_dataset(f)
-        assert type(got.value) is type(expected)
-        assert str(got.value).split(": ")[0] == str(expected).split(": ")[0]
-        return
-    ds = load_dataset(f)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset_module, "CSV_READ_BYTES", data.draw(st.integers(1, len(text) + 1)))
+        try:
+            rows, metadata = reference_load(text, f)
+        except DatasetError as expected:
+            with pytest.raises(type(expected)) as got:
+                load_dataset(f)
+            assert type(got.value) is type(expected)
+            assert str(got.value).split(": ")[0] == str(expected).split(": ")[0]
+            return
+        ds = load_dataset(f)
     got = np.hstack((ds.x, ds.x_plus))
     assert got.view(np.int64).tolist() == np.array(rows).view(np.int64).tolist()
     assert ds.metadata == metadata
@@ -286,22 +291,79 @@ def test_load_cr_only_line_endings(tmp_path):
 
 def test_csv_io_memory_below_file_size(tmp_path, lin_oracle):
     # Neither end holds the CSV text more than once: the writer formats
-    # blocks of rows, and numpy reads the file by its name.
+    # blocks of rows, and the reader parses the file a block at a time,
+    # with orjson, or numpy for its CRLF copy.
     ds = gen_uniform(lin_oracle, 200_000, seed=0)
     f = tmp_path / "d.csv"
     tracemalloc.start()
     try:
         save_dataset(ds, f)
         save_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        back = load_dataset(f)
-        load_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     size = f.stat().st_size
-    assert len(back) == 200_000 and size > 15 * 2**20
+    assert size > 15 * 2**20
     assert save_peak < 1.0 * size, save_peak / size
-    assert load_peak < 1.5 * size, load_peak / size
+    for line_end in (b"\n", b"\r\n"):
+        f.write_bytes(f.read_bytes().replace(b"\n", line_end))
+        tracemalloc.start()
+        try:
+            back = load_dataset(f)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(back) == 200_000
+        assert load_peak < 1.5 * f.stat().st_size, (line_end, load_peak / f.stat().st_size)
+
+
+@pytest.mark.parametrize("tail", ["# end\n", "# end", "  \n\n\t\n", "# a, b\n\n"],
+                         ids=["comment", "comment-no-newline", "blanks", "comma-comment"])
+def test_load_block_without_data_warns_nothing(tmp_path, monkeypatch, tail):
+    # With 1-byte reads each line is a block of its own; numpy warns of a
+    # block that holds no data.
+    monkeypatch.setattr(dataset_module, "CSV_READ_BYTES", 1)
+    f = tmp_path / "d.csv"
+    f.write_text("0,0,0,0\n1,1,1,1\n" + tail)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = load_dataset(f)
+    assert ds.x.tolist() == [[0.0, 0.0], [1.0, 1.0]]
+
+
+def test_load_short_row_in_a_later_block_wins_over_nan(tmp_path, monkeypatch):
+    # The non-finite row in the first block is only raised after the last
+    # block, so the malformed row that a later block holds is named.
+    monkeypatch.setattr(dataset_module, "CSV_READ_BYTES", 16)
+    f = tmp_path / "d.csv"
+    f.write_text("0,0,0,0\nnan,0,0,0\n" + "1,1,1,1\n" * 8 + "0,0\n1,1,1,1\n")
+    with pytest.raises(MalformedRowError, match=r"d\.csv:11: 2 columns, expected 4"):
+        load_dataset(f)
+
+
+@pytest.mark.parametrize("text", [
+    "# m=3\nx1,x2,xp1,xp2\n0,0,0,0\n1,1,1,1\n-2,2,0.5,0\n",
+    "# m=3\r\nx1, x2, xp1, xp2\r\n0, 0, 0, 0\r\n  \r\n1,1,1,1 # c\r\n-2,2,0.5,0",
+], ids=["plain", "non-plain"])
+def test_read_csv_reads_the_file_only_through_its_blocks(tmp_path, monkeypatch, text):
+    # Neither a second read of the whole file nor numpy's read by name.
+    f = tmp_path / "d.csv"
+    f.write_text(text)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the whole file read again")
+
+    loadtxt = np.loadtxt
+
+    def lines_only(lines, *args, **kwargs):
+        if isinstance(lines, (str, bytes, Path)) or hasattr(lines, "read"):
+            refuse()
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    monkeypatch.setattr(np, "loadtxt", lines_only)
+    ds = load_dataset(f)
+    assert ds.x.tolist() == [[0.0, 0.0], [1.0, 1.0], [-2.0, 2.0]]
+    assert ds.metadata == {"m": 3}
 
 
 def _counting_loadtxt(monkeypatch) -> list:

@@ -645,7 +645,8 @@ def _set(section, key, value):
     def edit(doc):
         (doc[section] if section else doc)[key] = value
         kinds = {"lipschitz": "number", "tau": "number", "manifest": "object",
-                 "dataset_meta": "object", "config": "object"}
+                 "dataset_meta": "object", "config": "object", "command": "string",
+                 "version": "string", "dataset_sha256": "string", "duration_s": "number"}
         return f"{key} {value!r} is not a JSON {kinds.get(key, 'integer')}"
 
     return edit
@@ -657,6 +658,15 @@ def _old_max_sweeps(value):
     def edit(doc):
         doc["config"]["max_sweeps"] = value
         return "unknown config key 'max_sweeps'"
+
+    return edit
+
+
+def _sweeps(value):
+    # synth runs one sweep at least, so no count below 1 is a claim it makes.
+    def edit(doc):
+        doc["sweeps"] = value
+        return f"sweeps {value} is below 1"
 
     return edit
 
@@ -685,16 +695,25 @@ def _huge_lipschitz(doc):
         _set(None, "manifest", []),
         _set("manifest", "dataset_meta", "x"),
         _set(None, "config", "x"),
+        _sweeps(-3),
+        _sweeps(0),
+        _set("manifest", "command", 5),
+        _set("manifest", "version", None),
+        _set("manifest", "dataset_sha256", 5),
+        _set("manifest", "duration_s", "abc"),
     ],
     ids=[
         "parent+0.5", "sample_index=3.7", "label=1.0", "label=true",
         "lipschitz=str", "tau=str", "max_sweeps=3.7", "max_sweeps=true", "sweeps=str",
         "lipschitz=10**400", "manifest=str", "manifest=list", "dataset_meta=str", "config=str",
+        "sweeps=-3", "sweeps=0", "command=int", "version=null", "dataset_sha256=int",
+        "duration_s=str",
     ],
 )
 def test_cli_verify_rejects_non_integer_node_column(tmp_path, capsys, edit):
     # int() truncated 3.7 and Label() took 1.0 and true, so these verified;
-    # so did config values and sweeps that float() and int() coerced.
+    # so did config values and sweeps that float() and int() coerced, a
+    # sweep count below 1, and manifest fields of the wrong JSON type.
     doc = _synth_linear_result(tmp_path)
     message = edit(doc)
     result = tmp_path / "bad.json"
