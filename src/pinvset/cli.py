@@ -1,7 +1,9 @@
 """Command-line surface: gen, synth, verify, bounds, report.
 
 Exit codes: 0 success (and certificate passed where applicable),
-1 verification failure, 2 usage error, 3 I/O or data-format error.
+1 verification failure, 2 usage error, 3 I/O or data-format error, or
+out of memory, 4 an unexpected internal error.  No crash exits 1, so a
+1 always means a refuted certificate.
 Progress and diagnostics go to standard error as key=value lines; file
 outputs and tables are the only stdout payloads.
 """
@@ -51,6 +53,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(ValueError):
@@ -373,6 +376,15 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        # numpy's message names the allocation that failed.
+        print(f"error: out of memory: {str(exc) or 'no detail'}", file=sys.stderr)
+        return EXIT_IO
+    except Exception as exc:
+        # Python's own exit code for an uncaught exception is 1, which would
+        # read as a refuted certificate.
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     finally:
         if collecting:
             gc.enable()

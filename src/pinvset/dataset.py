@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -264,8 +264,8 @@ _BLANKS = " \t\f\v"
 # Rows formatted by one ``orjson`` call in ``save_dataset``.
 CSV_BLOCK_ROWS = 1 << 14
 
-# Bytes that ``read_csv`` reads at a time before reading on to the end of
-# the line: one block of the file.
+# Bytes that ``read_csv`` reads at a time; a block of the file is cut
+# after the last line end they hold.
 CSV_READ_BYTES = 1 << 18
 
 # The bytes a plain row's numbers are spelled with: deleting them leaves
@@ -280,6 +280,24 @@ def _line_end(raw: bytes, pos: int) -> int:
         end = len(raw)
     cr = raw.find(b"\r", pos, end)
     return end if cr == -1 else cr
+
+
+def _line_blocks(fh) -> Iterator[bytes]:
+    """The bytes of ``fh`` in blocks of about ``CSV_READ_BYTES``, each cut
+    after a line end ('\\n', '\\r\\n' or '\\r', never between the two bytes
+    of a '\\r\\n'); the last block runs to the end of the file."""
+    tail = b""
+    while chunk := fh.read(CSV_READ_BYTES):
+        chunk = tail + chunk
+        nl = chunk.rfind(b"\n")
+        # A '\r' that ends the chunk may be the first byte of a '\r\n'.
+        end = max(nl, chunk.rfind(b"\r", nl + 1, len(chunk) - 1)) + 1
+        block, tail = chunk[:end], chunk[end:]
+        del chunk  # only the block is held while the caller parses it
+        if block:
+            yield block
+    if tail:
+        yield tail
 
 
 def _comment_metadata(raw: bytes) -> dict:
@@ -418,14 +436,15 @@ def read_csv(path: str | Path) -> tuple[np.ndarray, dict]:
     state and its successor, or an overlay's x,y), and every row must hold
     that many finite numbers.
 
-    The file is read once, in blocks of ``CSV_READ_BYTES`` read on to the
-    end of a line; the first block of rows starts at the first data row,
-    past the comments and the header that the head scan reads.  A block of
-    plain rows (no blanks, comments or '\\r', and a final '\\n') is parsed
-    by ``orjson`` (``_plain_rows``), any other by numpy from its lines, and
-    one that numpy refuses or reads at another width from its stripped
-    lines (``_parse_rows``), which names a bad row's ``path:line``.  A bad
-    row anywhere is refused before a non-finite one.
+    The file is read once, in blocks of about ``CSV_READ_BYTES`` cut at
+    line ends (``_line_blocks``); the first block of rows starts at the
+    first data row, past the comments and the header that the head scan
+    reads.  A block of plain rows (no blanks, comments or '\\r', and a
+    final '\\n') is parsed by ``orjson`` (``_plain_rows``), any other by
+    numpy from its lines, and one that numpy refuses or reads at another
+    width from its stripped lines (``_parse_rows``), which names a bad
+    row's ``path:line``.  A bad row anywhere is refused before a non-finite
+    one.
     """
     path = Path(path)
     metadata: dict = {}
@@ -434,7 +453,7 @@ def read_csv(path: str | Path) -> tuple[np.ndarray, dict]:
     header = False  # whether the first content line was a header
     non_finite = None  # the line of the first non-finite row
     with path.open("rb") as fh:
-        while block := fh.read(CSV_READ_BYTES) + fh.readline():
+        for block in _line_blocks(fh):
             if not cols:
                 # A header row has a cell Python's float refuses; numpy refuses
                 # those cells too, and a row that only numpy refuses ('1_0') is
@@ -458,7 +477,7 @@ def read_csv(path: str | Path) -> tuple[np.ndarray, dict]:
             else:
                 metadata.update(_comment_metadata(block))
                 # numpy ends a line at '\n' or '\r\n', and runs a comment on
-                # past a bare '\r'; a block read on to a '\n' splits no '\r\n'.
+                # past a bare '\r'; no block splits a '\r\n'.
                 if b"\r" in block and re.search(rb"\r(?!\n)", block):
                     block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
                 rows = _numpy_rows(block, cols)

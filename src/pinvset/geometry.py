@@ -13,15 +13,18 @@ tolerance (``PartitionTree.classify``); ``classify_coverage`` and
 
 A successor box is built once, by ``successor_rect``: its float corners, a
 proven bound on their rounding and, on demand, its exact corners as
-fractions.  ``balls_contain_cells`` decides exactly whether a sample ball
-contains a cell.
+fractions.  ``successor_corners`` gives the same corners and bound for many
+boxes in one array pass, widened as ``PartitionTree.classify`` widens them.
+``balls_contain_cells`` decides exactly whether a sample ball contains a
+cell.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple, Sequence
+from itertools import chain
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,6 +35,11 @@ GEOM_TOL = 1e-12
 # Most cubes ``rect_to_cubes`` tiles a domain with; each is a root of the
 # partition tree.
 MAX_DOMAIN_CUBES = 1 << 16
+
+# Rows per block of ``successor_corners``: its arrays and Python lists of
+# corners for a whole wave of the sweep would add to the peak memory of
+# ``synth``.
+_CORNER_ROWS = 256
 
 # Rows per block of ``balls_contain_cells``.  It carries each difference
 # with its rounding error, in several arrays the size of a block; blocks keep
@@ -95,6 +103,30 @@ def successor_rect(x_plus: Vec, lipschitz: float, r: float) -> Successor:
         lipschitz,
         r,
     )
+
+
+def successor_corners(
+    x_plus: Sequence[Vec], lipschitz: float, radius: Sequence[float]
+) -> Iterator[tuple[float, list[float], list[float], list[float], list[float]]]:
+    """``successor_rect(x_plus[j], lipschitz, radius[j])`` for each row j,
+    as ``PartitionTree.classify`` widens it: the slack and the intervals
+    [l0, l1] of the low corner and [h0, h1] of the high corner (each
+    ``corner ∓ slack``), as Python floats.  Computed in array passes over
+    blocks of rows, bit-equal to the scalar code: the same IEEE operations
+    in the same order.  Where the slack is not finite, the widened corners
+    settle nothing, and the caller takes the scalar path."""
+    for j in range(0, len(radius), _CORNER_ROWS):
+        rows = x_plus[j:j + _CORNER_ROWS]
+        x = np.fromiter(chain.from_iterable(rows), float, len(rows) * len(rows[0]))
+        x = x.reshape(len(rows), -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            reach = lipschitz * np.array(radius[j:j + _CORNER_ROWS], dtype=float)
+            lo = x - reach[:, None]
+            hi = x + reach[:, None]
+            slack = (np.abs(x).max(axis=1) + 2.0 * reach) * 2.0 ** -51 + 2.0 ** -1073
+            s = slack[:, None]
+            corners = (lo - s, lo + s, hi - s, hi + s)
+        yield from zip(slack.tolist(), *(c.tolist() for c in corners))
 
 
 def as_rect(obj: Rect) -> Rect:

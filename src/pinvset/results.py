@@ -12,8 +12,12 @@ the parent column, and each ball radius from its cell and sample; the kept
 set, its volume, the leaf counts and the certificate come from the tree
 (``verify`` recomputes the certificate).  Serialization round-trips
 exactly: numbers are written as shortest round-trip decimals (``orjson``,
-compact) and parsed back to the same floats by the stdlib ``json``, which
-also loads the NaN of a hand-edited config so that ``verify`` rejects it.
+compact) and parsed back to the same floats.  ``load_result`` parses with
+``orjson`` and reads every file as the stdlib ``json`` does: bytes that
+orjson refuses (a hand-edited NaN or 1e400, which ``verify`` must still
+reject, a lone surrogate escape, a BOM, bytes that are not UTF-8, nesting
+too deep) and documents where orjson may have read an integer past 64
+bits as a float (``_may_hold_long_int``) are parsed again by the stdlib.
 """
 
 from __future__ import annotations
@@ -54,15 +58,31 @@ def file_sha256(path: str | Path) -> str:
     return h.hexdigest()
 
 
+_LABELS = {label.value: label for label in Label}
+
+
+def _labels(column: list[int]) -> list[Label]:
+    """The labels of a column of integers, looked up in a table: a
+    ``Label(v)`` call per node costs many times more."""
+    labels = list(map(_LABELS.get, column))
+    if None in labels:
+        Label(column[labels.index(None)])  # raises: "... is not a valid Label"
+    return labels
+
+
+def _vectors(column: list[list]) -> list[tuple]:
+    return list(map(tuple, column))
+
+
 # The node columns a result file stores, in file order, and how each is
-# read back from JSON: a vector (tuple) or an integer.  The cells and the
-# radii are not stored: ``from_columns`` derives them.
+# read back from its JSON list: as vectors (tuples), integers or labels.
+# The cells and the radii are not stored: ``from_columns`` derives them.
 _PARSE = {
-    "parent": int,
-    "sample_index": int,
-    "sample_x": tuple,
-    "sample_xp": tuple,
-    "label": Label,
+    "parent": list,
+    "sample_index": list,
+    "sample_x": _vectors,
+    "sample_xp": _vectors,
+    "label": _labels,
 }
 
 
@@ -112,7 +132,7 @@ def _tree_from_dict(d: dict) -> PartitionTree:
         column = d[key]
         if len(column) != count:
             raise ResultFormatError(f"the {key} column does not have {count} nodes")
-        if parse is not tuple:
+        if parse is not _vectors:
             # Only a JSON integer: int() would truncate 3.7, and a bool is an int.
             if set(map(type, column)) != {int}:
                 i = next(i for i, v in enumerate(column) if type(v) is not int)
@@ -127,7 +147,7 @@ def _tree_from_dict(d: dict) -> PartitionTree:
             i = next(i for i, n in enumerate(lengths) if n != dim)
             raise ResultFormatError(f"node {i} has a {key} not of length {dim}")
     return PartitionTree.from_columns(
-        bounds, **{key: list(map(parse, d[key])) for key, parse in _PARSE.items()}
+        bounds, **{key: parse(d[key]) for key, parse in _PARSE.items()}
     )
 
 
@@ -197,10 +217,46 @@ def save_result(path: str | Path, result: SynthResult, manifest: RunManifest) ->
     Path(path).write_bytes(orjson.dumps(result_to_document(result, manifest)))
 
 
+# orjson reads an integer token past 64 bits as a float, where the stdlib
+# keeps the integer; every such float is at least this large in magnitude.
+_INT64 = 2.0 ** 63
+
+
+def _may_hold_long_int(value) -> bool:
+    """Whether the parsed JSON ``value`` holds a number of magnitude 2^63 or
+    more, which may be an integer token that orjson read as a float.  A
+    list of numbers, or of lists of numbers, is settled in one C pass of
+    ``min`` and ``max``; anything else item by item."""
+    if type(value) is dict:
+        return any(map(_may_hold_long_int, value.values()))
+    if type(value) is not list:
+        return type(value) is float and not -_INT64 < value < _INT64
+    try:
+        flat = list(chain.from_iterable(value)) if value and type(value[0]) is list else value
+        return not -_INT64 < min(flat) <= max(flat) < _INT64
+    except (TypeError, ValueError):  # an item that is no number, or no item
+        return any(map(_may_hold_long_int, value))
+
+
+def _parse_json(raw: bytes):
+    """The document in ``raw`` as the stdlib ``json`` parses UTF-8 text,
+    by ``orjson`` where that gives the same values."""
+    import orjson
+
+    try:
+        doc = orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        pass  # NaN, 1e400, a lone surrogate, a BOM, ...: the stdlib decides
+    else:
+        if not _may_hold_long_int(doc):
+            return doc
+    return json.loads(raw.decode("utf-8"))
+
+
 def load_result(path: str | Path) -> tuple[RunManifest, SynthResult]:
     try:
-        with Path(path).open("r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        # The bytes are freed before the tree is built: off the peak memory.
+        doc = _parse_json(Path(path).read_bytes())
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         # Not JSON, not UTF-8, or nested deeper than the parser recurses.
         raise ResultFormatError(f"{path}: invalid JSON: {exc}") from exc

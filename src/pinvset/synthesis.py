@@ -3,7 +3,9 @@
 Each sweep visits every leaf that was included when the sweep started, in
 depth-first order, and classifies the Lipschitz successor box of its sample
 against the candidate set, exactly and with no tolerance (one walk of the
-tree, ``PartitionTree.classify``):
+tree on the box's widened corners, from one ``successor_corners`` pass per
+wave, and ``PartitionTree.classify`` on its exact corners only where the
+widened ones leave the verdict open):
 
   fully covered  -> the leaf stays included,
   disjoint       -> the leaf is excluded (its cell provably escapes),
@@ -25,7 +27,7 @@ from enum import Enum
 from itertools import count
 
 from .dataset import Dataset
-from .geometry import CoverageClass, classify_coverage, successor_rect
+from .geometry import CoverageClass, classify_coverage, successor_corners, successor_rect
 from .tree import Label, PartitionTree
 
 logger = logging.getLogger(__name__)
@@ -112,8 +114,14 @@ def sweep(tree: PartitionTree, dataset: Dataset, config: SynthConfig) -> SweepSt
     wave = tree.active_leaves()
     while wave:
         split = []
-        for i in wave:
-            verdict = classify_coverage(successor_rect(sample_xp[i], lipschitz, radius[i]), tree)
+        corners = successor_corners(
+            [sample_xp[i] for i in wave], lipschitz, [radius[i] for i in wave]
+        )
+        for i, (s, l0, l1, h0, h1) in zip(wave, corners):
+            r = radius[i]
+            verdict = tree.classify_within(l0, l1, h0, h1, r > 0.0) if s < math.inf else None
+            if verdict is None:  # the exact corners decide
+                verdict = classify_coverage(successor_rect(sample_xp[i], lipschitz, r), tree)
             if verdict is CoverageClass.FULLY_COVERED:
                 continue
             if verdict is CoverageClass.PARTIAL and target_radius[i] / 2.0 >= tau:

@@ -6,8 +6,11 @@ looks at any synthesis bookkeeping, so a certificate obtained from a
 deserialized result file stands on its own.  It decides with no tolerance:
 the sample-ball check ``r >= r_target + dist`` is exact
 (``balls_contain_cells``), and coverage is one walk of the result's own
-partition tree (``PartitionTree.classify``), which compares corners and
-falls back to fractions near a face.  The certificate first re-derives
+partition tree, which compares corners: on each box's corners widened by
+their rounding bound (one ``successor_corners`` pass over the kept
+leaves), and where those leave the verdict open or the box escapes, on
+its exact corners (``PartitionTree.classify``, which also names the
+escaping fragment).  The certificate first re-derives
 the subtree statuses from the leaf labels, and only then lets the tree
 answer.  The cells need no check here: a tree has only the roots
 ``rect_to_cubes`` cuts from ``root_bounds`` and the children the one split
@@ -33,7 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import SystemOracle
-from .geometry import GEOM_TOL, balls_contain_cells, successor_rect, uncovered_fragments
+from .geometry import (
+    GEOM_TOL,
+    CoverageClass,
+    balls_contain_cells,
+    successor_corners,
+    successor_rect,
+    uncovered_fragments,
+)
 from .synthesis import ConfigError, SynthResult
 from .tree import PartitionTree
 
@@ -71,15 +81,17 @@ def check_fixpoint(result: SynthResult) -> Certificate:
     tree.recount()
     nodes = tree.nodes
     leaves = tree.active_leaves()
+    radius = [nodes.radius[i] for i in leaves]
     held = balls_contain_cells(
-        [nodes.radius[i] for i in leaves],
+        radius,
         *(
             np.array([column[i] for i in leaves], dtype=float).reshape(-1, tree.dim)
             for column in (nodes.lo, nodes.hi, nodes.sample_x)
         ),
     )
+    corners = successor_corners([nodes.sample_xp[i] for i in leaves], lipschitz, radius)
     checked = 0
-    for i, ball in zip(leaves, held.tolist()):
+    for i, r, ball, (s, l0, l1, h0, h1) in zip(leaves, radius, held.tolist(), corners):
         checked += 1
         if not ball:
             return Certificate(
@@ -88,7 +100,12 @@ def check_fixpoint(result: SynthResult) -> Certificate:
                 {"leaf": i, "reason": "sample ball does not contain the cell"},
                 METHOD_EXACT,
             )
-        succ = successor_rect(nodes.sample_xp[i], lipschitz, nodes.radius[i])
+        verdict = tree.classify_within(l0, l1, h0, h1, r > 0.0) if s < math.inf else None
+        if verdict is CoverageClass.FULLY_COVERED:
+            continue
+        # Not settled on the widened corners, or not covered: the exact
+        # corners decide, and name the fragment that escapes.
+        succ = successor_rect(nodes.sample_xp[i], lipschitz, r)
         leftovers = uncovered_fragments(succ, tree)
         if leftovers:
             return Certificate(

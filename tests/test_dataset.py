@@ -289,6 +289,29 @@ def test_load_cr_only_line_endings(tmp_path):
         load_dataset(f)
 
 
+def test_load_cr_only_file_reads_block_by_block(tmp_path, monkeypatch, lin_oracle):
+    # Blocks were read on to the next '\n', so a file whose lines end in a
+    # bare '\r' was read as one block, whose list of lines set the peak
+    # memory.  Cut at every line end, it reads a block at a time, to the
+    # same bits as its '\n' copy.
+    f = tmp_path / "d.csv"
+    save_dataset(gen_uniform(lin_oracle, 300, seed=0), f)
+    want = load_dataset(f)
+    monkeypatch.setattr(dataset_module, "CSV_READ_BYTES", 1000)
+    blocks = []
+    numpy_rows = dataset_module._numpy_rows
+    monkeypatch.setattr(dataset_module, "_numpy_rows",
+                        lambda text, cols: blocks.append(text) or numpy_rows(text, cols))
+    for line_end in (b"\r", b"\r\n"):
+        f.write_bytes(f.read_bytes().replace(b"\n", line_end))
+        blocks.clear()
+        got = load_dataset(f)
+        assert len(blocks) > 1, line_end
+        assert got.x.tobytes() == want.x.tobytes() and got.x_plus.tobytes() == want.x_plus.tobytes()
+        assert got.metadata == want.metadata
+        f.write_bytes(f.read_bytes().replace(line_end, b"\n"))
+
+
 def test_csv_io_memory_below_file_size(tmp_path, lin_oracle):
     # Neither end holds the CSV text more than once: the writer formats
     # blocks of rows, and the reader parses the file a block at a time,

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import chebyshev, cube, kept_cells, roots_tree
 
+import pinvset.geometry as geometry_module
 from pinvset.dataset import Dataset
 from pinvset.geometry import (
     CoverageClass,
@@ -14,6 +16,7 @@ from pinvset.geometry import (
     balls_contain_cells,
     classify_coverage,
     rect_to_cubes,
+    successor_corners,
     successor_rect,
     uncovered_fragments,
 )
@@ -98,6 +101,44 @@ def test_successor_box_values():
         assert abs(Fraction(got) - want) <= Fraction(succ.slack)
     point = successor_rect((1.0, 1.0), 1.0, 0.0)
     assert point.lo == point.hi == (1.0, 1.0)
+
+
+# Finite floats, drawn often at the edges: ±0.0, subnormals and the largest.
+_EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308, 1e300, 2.0 ** 63]
+)
+_FLOATS = _EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
+_NON_NEGATIVE = _EDGE_FLOATS.filter(lambda v: v >= 0.0) | st.floats(0.0, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    data=st.data(),
+    lipschitz=_NON_NEGATIVE,
+)
+def test_successor_corners_are_bit_equal_to_successor_rect(n, data, lipschitz):
+    # Array passes over blocks of rows must give each row the slack and the
+    # widened corners that successor_rect and classify's widening give, bit
+    # for bit, even where the slack overflows to inf or a corner is nan.
+    rows = data.draw(st.lists(
+        st.tuples(st.tuples(*[_FLOATS] * n), _NON_NEGATIVE), min_size=1, max_size=8
+    ))
+    x_plus = [x for x, _ in rows]
+    radius = [r for _, r in rows]
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+        warnings.simplefilter("error")  # no overflow warning leaks out
+        mp.setattr(geometry_module, "_CORNER_ROWS", data.draw(st.integers(1, 9)))
+        got = list(successor_corners(x_plus, lipschitz, radius))
+    assert len(got) == len(rows)
+    for (x, r), (slack, *corners) in zip(rows, got):
+        succ = successor_rect(x, lipschitz, r)
+        s = succ.slack
+        want = [[a - s for a in succ.lo], [a + s for a in succ.lo],
+                [b - s for b in succ.hi], [b + s for b in succ.hi]]
+        assert slack.hex() == s.hex()
+        assert [list(map(float.hex, c)) for c in corners] == [list(map(float.hex, c)) for c in want]
 
 
 def test_successor_box_radius_scales_linearly(rng):

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import gc
 import hashlib
 import json
@@ -7,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pinvset.cli as cli_module
 from pinvset.cli import build_parser, main
 from pinvset.dataset import (
     Dataset,
@@ -263,6 +266,108 @@ def _bits(value):
     if type(value) is tuple:
         return tuple(map(_bits, value))
     return value.hex() if type(value) is float else (type(value), value)
+
+
+@functools.cache
+def _small_result_bytes() -> bytes:
+    """A small result file as ``save_result`` writes it, with metadata: 77
+    nodes, with leaves of every label."""
+    oracle = linear2d()
+    ds = gen_uniform(oracle, 400, seed=2)
+    config = SynthConfig(lipschitz=oracle.lipschitz, tau=0.05)
+    result = synthesize(new_tree(oracle.domain, ds), ds, config)
+    manifest = RunManifest(command="test", dataset_meta={"system": "linear2d", "m": 400})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "r.json"
+        save_result(path, result, manifest)
+        return path.read_bytes()
+
+
+def _stdlib_load(path):
+    """``load_result`` with the stdlib parser alone: the reference."""
+    try:
+        with Path(path).open("r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise ResultFormatError(f"{path}: invalid JSON: {exc}") from exc
+    return result_from_document(doc)
+
+
+# Number tokens that orjson refuses, reads as another type, or reads alike.
+_TOKENS = ["NaN", "-Infinity", "1e400", "-1e400", "18446744073709551616",
+           "-18446744073709551617", "9223372036854775808", "1e19", "-0", "-0.0", "0.5"]
+# Where a token goes, as a path into the document; "*" is a node drawn at random.
+_SLOTS = [
+    ("tree", "sample_x", "*", 0),
+    ("tree", "sample_xp", "*", 1),
+    ("tree", "root_bounds", 1, 0),
+    ("tree", "sample_index", "*"),
+    ("tree", "parent", "*"),
+    ("tree", "label", "*"),
+    ("sweeps",),
+    ("config", "lipschitz"),
+    ("config", "tau"),
+    ("manifest", "duration_s"),
+    ("manifest", "dataset_meta", "m"),
+]
+
+
+@st.composite
+def _result_bytes(draw) -> bytes:
+    raw = _small_result_bytes()
+    kind = draw(st.sampled_from(["token", "duplicate-key", "lone-surrogate", "bom", "as-saved"]))
+    if kind == "as-saved":
+        return raw
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + raw
+    doc = json.loads(raw)
+    marker = '"@@marker@@"'
+    if kind == "token":
+        *path, last = draw(st.sampled_from(_SLOTS))
+        nodes = len(doc["tree"]["parent"])
+        container = doc
+        for key in path:
+            container = container[draw(st.integers(0, nodes - 1)) if key == "*" else key]
+        container[draw(st.integers(0, nodes - 1)) if last == "*" else last] = marker[1:-1]
+        return json.dumps(doc).replace(marker, draw(st.sampled_from(_TOKENS))).encode()
+    text = json.dumps(doc)
+    if kind == "duplicate-key":
+        # Both parsers keep the last of two equal keys: the value saved.
+        section = draw(st.sampled_from(["manifest", "config", "tree"]))
+        key = draw(st.sampled_from(sorted(doc[section])))
+        value = json.dumps(draw(st.sampled_from([0.25, -1, "x", [0.5], None])))
+        return text.replace(f'"{section}": {{', f'"{section}": {{"{key}": {value}, ', 1).encode()
+    doc["manifest"]["command"] = marker[1:-1]
+    return json.dumps(doc).replace(marker, r'"x\ud800"').encode()
+
+
+def _read_back(load, path):
+    """What ``load`` makes of a file, with every number's type and bits."""
+    try:
+        manifest, result = load(path)
+    except ResultFormatError as exc:
+        return "refused", str(exc)
+    nodes = {f.name: list(map(_bits, getattr(result.tree.nodes, f.name))) for f in fields(Nodes)}
+    return (repr(manifest), repr(result.config), repr(result.sweeps),
+            _bits(result.tree.root_bounds), nodes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=_result_bytes())
+def test_load_result_reads_every_file_as_the_stdlib_does(tmp_path_factory, raw):
+    # load_result parses with orjson, which reads an integer past 64 bits as
+    # a float and refuses NaN, 1e400, a lone surrogate and a BOM.  Every file
+    # still loads to what the stdlib parser alone gives, bit for bit and type
+    # for type, or is refused alike, and verify exits alike.
+    path = tmp_path_factory.mktemp("parity") / "r.json"
+    path.write_bytes(raw)
+    assert _read_back(load_result, path) == _read_back(_stdlib_load, path)
+    codes = []
+    for load in (load_result, _stdlib_load):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli_module, "load_result", load)
+            codes.append(main(["-q", "verify", str(path)]))
+    assert codes[0] == codes[1]
 
 
 # Domains of dim n: a dyadic cube, one whose side is no power of two, and
@@ -914,7 +1019,7 @@ def test_cli_rejects_domain_whose_cubes_miss_by_an_ulp(tmp_path, capsys):
 @pytest.mark.parametrize("module", ["scipy", "orjson", "pinvset.nnindex"])
 def test_import_cli_does_not_load(module):
     # Importing the CLI loads none of these; no pinvset module imports
-    # scipy, orjson is imported by the two writers and the CSV reader only,
+    # scipy, orjson is imported by the two writers and the two readers only,
     # and the NN index by the first nearest-neighbour query.
     import pinvset
 
@@ -952,6 +1057,28 @@ def test_main_runs_without_the_cyclic_collector(monkeypatch, collecting):
     finally:
         (gc.enable if was else gc.disable)()
     assert codes == [0, 2] and seen == [False, False] and now is collecting
+
+
+@pytest.mark.parametrize("error,code,reason", [
+    (RuntimeError("boom"), 4, "error: internal error: RuntimeError: boom"),
+    (MemoryError("Unable to allocate 46. GiB"), 3, "error: out of memory: Unable to allocate"),
+])
+def test_cli_crash_never_reads_as_a_failed_certificate(tmp_path, capsys, monkeypatch, error,
+                                                       code, reason):
+    # An uncaught exception made Python exit 1, which this CLI uses for a
+    # refuted certificate.  Running out of memory exits 3, any other crash 4,
+    # each with one line on stderr and no traceback.
+    path = tmp_path / "r.json"
+    path.write_bytes(_small_result_bytes())
+
+    def crash(result):
+        raise error
+
+    monkeypatch.setattr(cli_module, "check_fixpoint", crash)
+    capsys.readouterr()
+    assert main(["-q", "verify", str(path)]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(reason) and err.count("\n") == 1
 
 
 def test_cli_chain_does_not_load_scipy(tmp_path):

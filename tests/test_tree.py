@@ -22,6 +22,7 @@ from pinvset.tree import (
     Label,
     LabelTransitionError,
     TreeStructureError,
+    _first_children,
     new_tree,
 )
 
@@ -544,3 +545,69 @@ def test_grow_rounds_the_ball_radius_up_where_the_sum_falls_short():
     cell, sample = ([(-1.0, -1.0)], [(1.0, 1.0)]), [(2.0 ** -60, 0.0)]
     assert balls_contain_cells([math.nextafter(1.0, 2.0)], *cell, sample).all()
     assert not balls_contain_cells([1.0], *cell, sample).any()
+
+
+def _first_children_loop(parents, fanout):
+    """The node-by-node scan that ``tree._first_children`` does in arrays:
+    the reference for its result and for the node each fault names."""
+    first = [-1] * len(parents)
+    for i, p in enumerate(parents):
+        if p == -1:
+            continue
+        if not 0 <= p < i:
+            raise TreeStructureError(f"node {i} has parent {p}, which is not an earlier node")
+        if first[p] < 0:
+            first[p] = i
+        elif parents[i - 1] != p or i - first[p] >= fanout:
+            raise TreeStructureError(
+                f"node {i} has parent {p}, whose children are not one contiguous "
+                f"block of {fanout} nodes"
+            )
+    for p, f in enumerate(first):
+        if f >= 0 and (f + fanout > len(parents) or parents[f + fanout - 1] != p):
+            raise TreeStructureError(f"node {p} has fewer than {fanout} children")
+    return first
+
+
+@st.composite
+def _parent_columns(draw):
+    """The parent column of a tree that ``divide`` grows, then up to two
+    edits: a parent moved (past 64 bits too), a node dropped or repeated,
+    two nodes swapped."""
+    fanout = draw(st.sampled_from([2, 4]))
+    parents = [-1] * draw(st.integers(1, 3))
+    leaves = list(range(len(parents)))
+    for _ in range(draw(st.integers(0, 6))):
+        leaf = leaves.pop(draw(st.integers(0, len(leaves) - 1)))
+        leaves += range(len(parents), len(parents) + fanout)
+        parents += [leaf] * fanout
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(parents) - 1))
+        edit = draw(st.sampled_from(["move", "drop", "repeat", "swap"]))
+        if edit == "move":
+            parents[i] = draw(st.sampled_from([-2, 2 ** 64, len(parents)]) | st.integers(-1, i))
+        elif edit == "drop" and len(parents) > 1:
+            del parents[i]
+        elif edit == "repeat":
+            parents.insert(i, parents[i])
+        else:
+            j = draw(st.integers(0, len(parents) - 1))
+            parents[i], parents[j] = parents[j], parents[i]
+    return parents, fanout
+
+
+@settings(max_examples=400, deadline=None)
+@given(column=_parent_columns())
+def test_first_children_matches_the_node_by_node_scan(column):
+    # The loader's array pass over the parent column gives the first
+    # children of the scan it replaced, or refuses the column naming the
+    # same node for the same fault.
+    parents, fanout = column
+    try:
+        want = _first_children_loop(parents, fanout)
+    except TreeStructureError as exc:
+        with pytest.raises(TreeStructureError) as got:
+            _first_children(parents, fanout)
+        assert str(got.value) == str(exc)
+    else:
+        assert _first_children(parents, fanout).tolist() == want
