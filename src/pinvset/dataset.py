@@ -44,6 +44,11 @@ import numpy as np
 from .geometry import DimensionMismatchError, Rect, Vec, rect_to_cubes
 
 
+# Most points ``dyadic_grid_points`` makes: 2^26 points hold about 2 GB of
+# states and successors at n = 2.
+MAX_GRID_POINTS = 1 << 26
+
+
 class DatasetError(Exception):
     """Base class for dataset ingestion failures."""
 
@@ -206,20 +211,29 @@ def dyadic_grid_points(domain: Rect, tau: float) -> np.ndarray:
     halves each axis on its own, so a level is the product of per-axis
     values, each the last level's ``v ± r``, as ``PartitionTree._split``
     computes them.  Returns an ``(N, n)`` array: root by root, level by
-    level, in row-major order with the last coordinate varying fastest.
+    level, in row-major order with the last coordinate varying fastest.  A
+    grid of more than ``MAX_GRID_POINTS`` points is refused with a
+    ValueError before any level is built.
     """
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise ValueError(f"resolution floor must be positive, got {tau}")
     centers, root_radius = rect_to_cubes(*domain)
+    depth, radius = 1, root_radius / 2.0
+    while radius >= tau:
+        depth, radius = depth + 1, radius / 2.0
+    count = len(centers) * sum(1 << (centers.shape[1] * level) for level in range(depth))
+    if count > MAX_GRID_POINTS:
+        raise ValueError(
+            f"a dyadic grid at tau={tau!r} has {count} points, more than the "
+            f"{MAX_GRID_POINTS} allowed"
+        )
     levels: list[np.ndarray] = []
     for center in centers:
         axes, radius = list(center[:, None]), root_radius
-        while True:
+        for _ in range(depth):
             grid = np.meshgrid(*axes, indexing="ij")
             levels.append(np.stack([a.ravel() for a in grid], axis=1))
             radius /= 2.0
-            if radius < tau:
-                break
             axes = [np.stack((v - radius, v + radius), axis=1).ravel() for v in axes]
     return np.concatenate(levels)
 

@@ -1,7 +1,8 @@
 """Axis-aligned boxes in the max norm.
 
 Every box is a ``Rect``: an axis-aligned rectangle carried as its
-``(lo, hi)`` corner tuples.  The domain is one such rectangle, and
+``(lo, hi)`` corner tuples, of floats, or of fractions where a box's
+exact corners are not floats.  The domain is one such rectangle, and
 ``rect_to_cubes`` is the only code that cuts it into the equal cubes that
 become the partition tree's roots.
 
@@ -11,12 +12,13 @@ the partition tree alone, in one walk that compares corners and takes no
 tolerance (``PartitionTree.classify``); ``classify_coverage`` and
 ``uncovered_fragments`` are its entry points.
 
-A successor box is built once, by ``successor_rect``: its float corners, a
-proven bound on their rounding and, on demand, its exact corners as
-fractions.  ``successor_corners`` gives the same corners and bound for many
-boxes in one array pass, widened as ``PartitionTree.classify`` widens them.
-``balls_contain_cells`` decides exactly whether a sample ball contains a
-cell.
+A successor box ``x⁺ ± L·r`` has two forms.  ``successor_corners`` is
+the only code that rounds it: for many boxes in one array pass, each
+corner as an interval of floats that holds the exact corner, which
+``PartitionTree.classify_within`` settles most boxes on.
+``successor_box`` gives its exact corners, as fractions, for
+``PartitionTree.classify`` to decide the rest.  ``balls_contain_cells``
+decides exactly whether a sample ball contains a cell.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from itertools import chain
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -62,59 +64,33 @@ class CoverageClass(Enum):
     PARTIAL = "partial"
 
 
-class Successor(NamedTuple):
-    """The rectangle ``x_plus ± L·r`` of a successor box, from ``successor_rect``.
+def successor_box(x_plus: Vec, lipschitz: float, radius: float) -> Rect:
+    """The exact rectangle of the successor box, the cube of radius
+    ``lipschitz * radius`` around ``x_plus``, its corners as fractions of
+    the stored floats (which compare exactly with floats)."""
+    from fractions import Fraction
 
-    ``lo`` and ``hi`` are its corners rounded to floats; each lies within
-    ``slack`` of the exact corner of the stored floats ``x_plus``,
-    ``lipschitz`` and ``radius``, which ``exact()`` returns as fractions.
-    """
-
-    lo: Vec
-    hi: Vec
-    slack: float
-    x_plus: Vec
-    lipschitz: float
-    radius: float
-
-    def exact(self) -> tuple[tuple, tuple]:
-        from fractions import Fraction
-
-        reach = Fraction(self.lipschitz) * Fraction(self.radius)
-        center = [Fraction(c) for c in self.x_plus]
-        return tuple([c - reach for c in center]), tuple([c + reach for c in center])
-
-
-def successor_rect(x_plus: Vec, lipschitz: float, r: float) -> Successor:
-    """The rectangle of the successor box: the cube of radius ``lipschitz * r``
-    around ``x_plus``.
-
-    With u = 2^-53, p = fl(L·r) is within u·L·r + 2^-1075 of L·r, and
-    fl(x ∓ p) within u·|x ∓ p| of x ∓ p; so each corner is within
-    2^-52·(max|x| + 2p) + 2^-1074 of the exact one.  ``slack`` is twice
-    that, which also absorbs the rounding of ``corner ± slack``.
-    """
-    reach = lipschitz * r
-    return Successor(
-        tuple([c - reach for c in x_plus]),
-        tuple([c + reach for c in x_plus]),
-        (max(map(abs, x_plus)) + 2.0 * reach) * 2.0 ** -51 + 2.0 ** -1073,
-        x_plus,
-        lipschitz,
-        r,
-    )
+    reach = Fraction(lipschitz) * Fraction(radius)
+    center = [Fraction(c) for c in x_plus]
+    return tuple([c - reach for c in center]), tuple([c + reach for c in center])
 
 
 def successor_corners(
     x_plus: Sequence[Vec], lipschitz: float, radius: Sequence[float]
-) -> Iterator[tuple[float, list[float], list[float], list[float], list[float]]]:
-    """``successor_rect(x_plus[j], lipschitz, radius[j])`` for each row j,
-    as ``PartitionTree.classify`` widens it: the slack and the intervals
-    [l0, l1] of the low corner and [h0, h1] of the high corner (each
-    ``corner ∓ slack``), as Python floats.  Computed in array passes over
-    blocks of rows, bit-equal to the scalar code: the same IEEE operations
-    in the same order.  Where the slack is not finite, the widened corners
-    settle nothing, and the caller takes the scalar path."""
+) -> Iterator[tuple[list[float], list[float], list[float], list[float]]]:
+    """For each row j, the successor box of ``x_plus[j]``, ``lipschitz``
+    and ``radius[j]`` as intervals of floats that hold its exact corners:
+    [l0, l1] for the low corner and [h0, h1] for the high corner, axis by
+    axis, as Python floats, the input of ``PartitionTree.classify_within``.
+    Computed in array passes over blocks of rows.
+
+    Rounding bound: with u = 2^-53, p = fl(L·r) is within u·L·r + 2^-1075
+    of L·r, and fl(x ∓ p) within u·|x ∓ p| of x ∓ p; so each rounded corner
+    is within 2^-52·(max|x| + 2p) + 2^-1074 of the exact one.  The slack
+    s = (max|x| + 2p)·2^-51 + 2^-1073 is twice that, which also absorbs the
+    rounding of ``corner ∓ s``.  Where s is not finite, the intervals are
+    infinite or NaN, and settle nothing.
+    """
     for j in range(0, len(radius), _CORNER_ROWS):
         rows = x_plus[j:j + _CORNER_ROWS]
         x = np.fromiter(chain.from_iterable(rows), float, len(rows) * len(rows[0]))
@@ -123,18 +99,12 @@ def successor_corners(
             reach = lipschitz * np.array(radius[j:j + _CORNER_ROWS], dtype=float)
             lo = x - reach[:, None]
             hi = x + reach[:, None]
-            slack = (np.abs(x).max(axis=1) + 2.0 * reach) * 2.0 ** -51 + 2.0 ** -1073
-            s = slack[:, None]
+            s = ((np.abs(x).max(axis=1) + 2.0 * reach) * 2.0 ** -51 + 2.0 ** -1073)[:, None]
             corners = (lo - s, lo + s, hi - s, hi + s)
-        yield from zip(slack.tolist(), *(c.tolist() for c in corners))
+        yield from zip(*(c.tolist() for c in corners))
 
 
-def as_rect(obj: Rect) -> Rect:
-    lo, hi = obj
-    return tuple(map(float, lo)), tuple(map(float, hi))
-
-
-def classify_coverage(query: Rect | Successor, tree) -> CoverageClass:
+def classify_coverage(query: Rect, tree) -> CoverageClass:
     """Three-way classification of a box against the included cells of a
     partition tree, decided exactly in one walk (``PartitionTree.classify``).
 
@@ -145,7 +115,7 @@ def classify_coverage(query: Rect | Successor, tree) -> CoverageClass:
     return tree.classify(query)
 
 
-def uncovered_fragments(query: Rect | Successor, tree) -> list[Rect]:
+def uncovered_fragments(query: Rect, tree) -> list[Rect]:
     """A fragment of the query that no included cell covers, cut from the
     first gap the tree's walk finds, as a one-item list; empty when the
     query is covered."""

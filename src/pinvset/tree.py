@@ -50,9 +50,7 @@ from .geometry import (
     DimensionMismatchError,
     GEOM_TOL,
     Rect,
-    Successor,
     Vec,
-    as_rect,
     balls_contain_cells,
     rect_to_cubes,
 )
@@ -396,9 +394,25 @@ class PartitionTree:
                 stack.extend(range(f + k - 1, f - 1, -1))
 
     def active_leaves(self) -> list[int]:
-        label = self.nodes.label
+        """The included leaves, in ``iter_leaves`` order; a subtree whose
+        status says it holds none is skipped at its root."""
+        nodes = self.nodes
+        label, status, first_child = nodes.label, nodes.status, nodes.first_child
         included = Label.INCLUDED  # one enum lookup, not one per leaf
-        return [i for i in self.iter_leaves() if label[i] is included]
+        k = self.fanout
+        out = []
+        stack = list(reversed(self.roots))
+        while stack:
+            i = stack.pop()
+            if status[i] is False:
+                continue
+            f = first_child[i]
+            if f < 0:
+                if label[i] is included:
+                    out.append(i)
+            else:
+                stack.extend(range(f + k - 1, f - 1, -1))
+        return out
 
     def n_included(self) -> int:
         """The number of included leaves; every split node is INCLUDED."""
@@ -431,7 +445,7 @@ class PartitionTree:
     def min_root_radius(self) -> float:
         return self.nodes.target_radius[self.roots[0]]  # the roots are equal cubes
 
-    def classify(self, query: Rect | Successor) -> CoverageClass:
+    def classify(self, query: Rect) -> CoverageClass:
         """How a query rectangle meets the union of included cells.
 
         One depth-first walk over the nodes that meet the closed query
@@ -441,63 +455,45 @@ class PartitionTree:
         *gap*.  The walk stops once it has found both.  Not touched:
         DISJOINT; touched with no gap: FULLY_COVERED; both: PARTIAL.
 
-        A plain rectangle is taken as exact.  One without interior has no
-        volume to cover: it is PARTIAL when it touches the union.  A
-        ``Successor`` stands for its exact rectangle: the walk first runs on
-        its rounded corners, each widened to the interval its rounding bound
-        allows, and only when some comparison falls inside such an interval
-        does it run again on the exact corners, as fractions (which compare
-        exactly with floats).
+        The query's corners are taken as exact: floats, ints or fractions
+        (``successor_box``), which all compare exactly with the cells' float
+        corners.  A query without interior has no volume to cover: it is
+        PARTIAL when it touches the union.
         """
         return self._decide(query)[0]
 
-    def uncovered(self, query: Rect | Successor) -> Rect | None:
+    def uncovered(self, query: Rect) -> Rect | None:
         """A fragment of the query that no included cell covers, from the
         walk of ``classify``: the query cut to the first gap found (the
-        whole query when none was found), as floats; None when covered."""
-        verdict, corners, gap = self._decide(query)
+        whole query when none was found), rounded to the nearest floats;
+        None when covered."""
+        verdict, gap = self._decide(query)
         if verdict is CoverageClass.FULLY_COVERED:
             return None
-        (clo, chi), (glo, ghi) = corners, gap or corners
+        (qlo, qhi), (glo, ghi) = query, gap or query
         return (
-            tuple([float(max(a, b)) for a, b in zip(clo, glo)]),
-            tuple([float(min(a, b)) for a, b in zip(chi, ghi)]),
+            tuple([float(max(a, b)) for a, b in zip(qlo, glo)]),
+            tuple([float(min(a, b)) for a, b in zip(qhi, ghi)]),
         )
 
-    def _decide(self, query: Rect | Successor) -> tuple[CoverageClass, Rect, Rect | None]:
-        """The verdict of ``classify``, the query corners it was decided on
-        and the first gap found."""
-        successor = isinstance(query, Successor)
-        qlo, qhi = (query.lo, query.hi) if successor else as_rect(query)
+    def _decide(self, query: Rect) -> tuple[CoverageClass, Rect | None]:
+        """The verdict of ``classify`` and the first gap found."""
+        qlo, qhi = query
         if len(qlo) != self.dim or len(qhi) != self.dim:
             raise DimensionMismatchError(
                 f"query corners of dim {len(qlo)} and {len(qhi)} do not match "
                 f"tree dim {self.dim}"
             )
-        if successor:
-            s = query.slack
-            found = None if s == math.inf else self._walk(
-                tuple([a - s for a in qlo]),
-                tuple([a + s for a in qlo]),
-                tuple([b - s for b in qhi]),
-                tuple([b + s for b in qhi]),
-                exact=False,
-            )
-            if found is None:
-                qlo, qhi = query.exact()
-                found = self._walk(qlo, qlo, qhi, qhi, exact=True)
-            solid = query.radius > 0.0
-        else:
-            found = self._walk(qlo, qlo, qhi, qhi, exact=True)
-            solid = all(a < b for a, b in zip(qlo, qhi))
-        return _verdict(*found, solid), (qlo, qhi), found[1]
+        found = self._walk(qlo, qlo, qhi, qhi, exact=True)
+        return _verdict(*found, all(a < b for a, b in zip(qlo, qhi))), found[1]
 
     def classify_within(self, l0, l1, h0, h1, solid: bool) -> CoverageClass | None:
         """The verdict of ``classify`` for a query whose low corner lies in
         [l0, l1] and high corner in [h0, h1] axis by axis, as
-        ``successor_corners`` widens a successor box, and which has interior
+        ``successor_corners`` gives a successor box, and which has interior
         when ``solid``; None when those intervals leave it open.  The
-        caller then asks ``classify``, which settles it on exact corners."""
+        caller then asks ``classify`` on the exact corners
+        (``successor_box``)."""
         found = self._walk(l0, l1, h0, h1, exact=False)
         return None if found is None else _verdict(*found, solid)
 

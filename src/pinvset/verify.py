@@ -6,12 +6,12 @@ looks at any synthesis bookkeeping, so a certificate obtained from a
 deserialized result file stands on its own.  It decides with no tolerance:
 the sample-ball check ``r >= r_target + dist`` is exact
 (``balls_contain_cells``), and coverage is one walk of the result's own
-partition tree, which compares corners: on each box's corners widened by
-their rounding bound (one ``successor_corners`` pass over the kept
+partition tree, which compares corners: on intervals that hold each
+box's exact corners (one ``successor_corners`` pass over the kept
 leaves), and where those leave the verdict open or the box escapes, on
-its exact corners (``PartitionTree.classify``, which also names the
-escaping fragment).  The certificate first re-derives
-the subtree statuses from the leaf labels, and only then lets the tree
+its exact corners (``successor_box``; ``PartitionTree.uncovered`` also
+names the escaping fragment).  The certificate first re-derives the
+subtree statuses from the leaf labels, and only then lets the tree
 answer.  The cells need no check here: a tree has only the roots
 ``rect_to_cubes`` cuts from ``root_bounds`` and the children the one split
 rule makes (``new_tree`` and ``divide`` make no others, and
@@ -40,8 +40,8 @@ from .geometry import (
     GEOM_TOL,
     CoverageClass,
     balls_contain_cells,
+    successor_box,
     successor_corners,
-    successor_rect,
     uncovered_fragments,
 )
 from .synthesis import ConfigError, SynthResult
@@ -91,7 +91,7 @@ def check_fixpoint(result: SynthResult) -> Certificate:
     )
     corners = successor_corners([nodes.sample_xp[i] for i in leaves], lipschitz, radius)
     checked = 0
-    for i, r, ball, (s, l0, l1, h0, h1) in zip(leaves, radius, held.tolist(), corners):
+    for i, r, ball, (l0, l1, h0, h1) in zip(leaves, radius, held.tolist(), corners):
         checked += 1
         if not ball:
             return Certificate(
@@ -100,12 +100,11 @@ def check_fixpoint(result: SynthResult) -> Certificate:
                 {"leaf": i, "reason": "sample ball does not contain the cell"},
                 METHOD_EXACT,
             )
-        verdict = tree.classify_within(l0, l1, h0, h1, r > 0.0) if s < math.inf else None
-        if verdict is CoverageClass.FULLY_COVERED:
+        if tree.classify_within(l0, l1, h0, h1, r > 0.0) is CoverageClass.FULLY_COVERED:
             continue
-        # Not settled on the widened corners, or not covered: the exact
-        # corners decide, and name the fragment that escapes.
-        succ = successor_rect(nodes.sample_xp[i], lipschitz, r)
+        # Not settled on the intervals, or not covered: the exact corners
+        # decide, and name the fragment that escapes.
+        succ = successor_box(nodes.sample_xp[i], lipschitz, r)
         leftovers = uncovered_fragments(succ, tree)
         if leftovers:
             return Certificate(

@@ -16,8 +16,8 @@ from pinvset.geometry import (
     balls_contain_cells,
     classify_coverage,
     rect_to_cubes,
+    successor_box,
     successor_corners,
-    successor_rect,
     uncovered_fragments,
 )
 from pinvset.tree import Label, new_tree
@@ -90,17 +90,22 @@ def test_uncovered_fragments_reports_leftover():
 
 
 def test_successor_box_values():
-    succ = successor_rect((0.3, -0.2), 0.8225, 0.45)
-    assert succ.lo == pytest.approx((0.3 - 0.370125, -0.2 - 0.370125))
-    assert succ.hi == pytest.approx((0.3 + 0.370125, -0.2 + 0.370125))
-    exact_lo, exact_hi = succ.exact()
+    lo, hi = successor_box((0.3, -0.2), 0.8225, 0.45)
     reach = Fraction(0.8225) * Fraction(0.45)
-    assert exact_lo == (Fraction(0.3) - reach, Fraction(-0.2) - reach)
-    assert exact_hi == (Fraction(0.3) + reach, Fraction(-0.2) + reach)
-    for got, want in zip(succ.lo + succ.hi, exact_lo + exact_hi):
-        assert abs(Fraction(got) - want) <= Fraction(succ.slack)
-    point = successor_rect((1.0, 1.0), 1.0, 0.0)
-    assert point.lo == point.hi == (1.0, 1.0)
+    assert lo == (Fraction(0.3) - reach, Fraction(-0.2) - reach)
+    assert hi == (Fraction(0.3) + reach, Fraction(-0.2) + reach)
+    assert [float(v) for v in lo] == pytest.approx([0.3 - 0.370125, -0.2 - 0.370125])
+    assert [float(v) for v in hi] == pytest.approx([0.3 + 0.370125, -0.2 + 0.370125])
+    # The corners' intervals hold the exact corners, a few ulps of 1 wide.
+    ((l0, l1, h0, h1),) = successor_corners([(0.3, -0.2)], 0.8225, [0.45])
+    for a, want, b in zip(l0 + h0, lo + hi, l1 + h1):
+        assert a <= want <= b
+        assert b - a < 1e-15
+    point = successor_box((1.0, 1.0), 1.0, 0.0)
+    assert point == ((1, 1), (1, 1))
+    ((l0, l1, h0, h1),) = successor_corners([(1.0, 1.0)], 1.0, [0.0])
+    assert h0 == l0 and h1 == l1
+    assert all(a < 1.0 < b for a, b in zip(l0, l1))
 
 
 # Finite floats, drawn often at the edges: ±0.0, subnormals and the largest.
@@ -118,10 +123,11 @@ _NON_NEGATIVE = _EDGE_FLOATS.filter(lambda v: v >= 0.0) | st.floats(0.0, allow_i
     data=st.data(),
     lipschitz=_NON_NEGATIVE,
 )
-def test_successor_corners_are_bit_equal_to_successor_rect(n, data, lipschitz):
-    # Array passes over blocks of rows must give each row the slack and the
-    # widened corners that successor_rect and classify's widening give, bit
-    # for bit, even where the slack overflows to inf or a corner is nan.
+def test_successor_corners_hold_the_exact_corners(n, data, lipschitz):
+    # Array passes over blocks of rows must give each row intervals that
+    # hold its exact corners.  Where the rounding bound overflows to inf, or
+    # a corner is nan, the intervals settle nothing: the walk gives up at
+    # the first root.
     rows = data.draw(st.lists(
         st.tuples(st.tuples(*[_FLOATS] * n), _NON_NEGATIVE), min_size=1, max_size=8
     ))
@@ -132,13 +138,15 @@ def test_successor_corners_are_bit_equal_to_successor_rect(n, data, lipschitz):
         mp.setattr(geometry_module, "_CORNER_ROWS", data.draw(st.integers(1, 9)))
         got = list(successor_corners(x_plus, lipschitz, radius))
     assert len(got) == len(rows)
-    for (x, r), (slack, *corners) in zip(rows, got):
-        succ = successor_rect(x, lipschitz, r)
-        s = succ.slack
-        want = [[a - s for a in succ.lo], [a + s for a in succ.lo],
-                [b - s for b in succ.hi], [b + s for b in succ.hi]]
-        assert slack.hex() == s.hex()
-        assert [list(map(float.hex, c)) for c in corners] == [list(map(float.hex, c)) for c in want]
+    origin = (0.0,) * n
+    tree = new_tree(cube(origin, 0.5), Dataset([origin], [origin]))
+    for (x, r), (l0, l1, h0, h1) in zip(rows, got):
+        slack = (max(map(abs, x)) + 2.0 * (lipschitz * r)) * 2.0 ** -51 + 2.0 ** -1073
+        if not math.isfinite(slack):
+            assert tree.classify_within(l0, l1, h0, h1, r > 0.0) is None
+            continue
+        lo, hi = successor_box(x, lipschitz, r)
+        assert all(a <= v <= b for a, v, b in zip(l0 + h0, lo + hi, l1 + h1))
 
 
 def test_successor_box_radius_scales_linearly(rng):
@@ -147,11 +155,13 @@ def test_successor_box_radius_scales_linearly(rng):
         r = float(rng.uniform(0, 2))
         alpha = float(rng.uniform(0, 3))
         lips = float(rng.uniform(0.1, 6))
-        scaled = successor_rect(x_plus, lips, alpha * r)
-        base = successor_rect(x_plus, lips, r)
-        assert scaled.hi[0] - scaled.lo[0] == pytest.approx(
-            alpha * (base.hi[0] - base.lo[0]), rel=1e-12, abs=1e-15
-        )
+        (slo, _), (shi, _) = successor_box(x_plus, lips, alpha * r)
+        (blo, _), (bhi, _) = successor_box(x_plus, lips, r)
+        assert shi - slo == 2 * Fraction(lips) * Fraction(alpha * r)
+        assert float(shi - slo) == pytest.approx(alpha * float(bhi - blo), rel=1e-12, abs=1e-15)
+        # The corners' intervals bound the width from both sides.
+        ((l0, l1, h0, h1),) = successor_corners([x_plus], lips, [alpha * r])
+        assert Fraction(h0[0]) - Fraction(l1[0]) <= shi - slo <= Fraction(h1[0]) - Fraction(l0[0])
 
 
 def test_chebyshev():

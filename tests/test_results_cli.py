@@ -207,6 +207,28 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_cli_gen_refuses_a_grid_too_large_before_building_it(tmp_path, capsys, monkeypatch):
+    # 1,431,655,765 points at tau=1e-5: refused from the count alone.  No
+    # meshgrid runs at all; the roots come from a cut made beforehand.
+    import pinvset.dataset as dataset_module
+
+    cubes = dataset_module.rect_to_cubes(*linear2d().domain)
+    monkeypatch.setattr(dataset_module, "rect_to_cubes", lambda lo, hi: cubes)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(np, "meshgrid", no_grid)
+    out = tmp_path / "x.csv"
+    assert main(["-q", "gen", "--system", "linear2d", "--mode", "grid", "--tau", "1e-5",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: a dyadic grid at tau=1e-05 has 1431655765 points, more than the "
+        "67108864 allowed\n"
+    )
+    assert not out.exists()
+
+
 def test_cli_has_no_sweep_cap_and_one_resolution_flag(tmp_path, capsys):
     # synth runs to its fixpoint, and bounds takes the floor as --tau only.
     assert main(["-q", "synth", "--data", str(tmp_path / "d.csv"), "--lipschitz", "1",

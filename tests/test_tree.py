@@ -15,7 +15,8 @@ from pinvset.geometry import (
     balls_contain_cells,
     classify_coverage,
     rect_to_cubes,
-    successor_rect,
+    successor_box,
+    successor_corners,
     uncovered_fragments,
 )
 from pinvset.tree import (
@@ -269,6 +270,8 @@ def test_status_follows_the_leaf_labels_property(n, two_roots, steps):
         tree.recount()
         assert tree.nodes.status == want
         assert tree.n_included() == len(tree.active_leaves())
+        label = tree.nodes.label
+        assert tree.active_leaves() == [i for i in tree.iter_leaves() if label[i] is Label.INCLUDED]
 
 
 def test_children_halve_resolution():
@@ -369,15 +372,37 @@ def test_query_slightly_wider_than_its_cover_is_partial():
 
 def test_successor_below_one_ulp_is_covered():
     tree = one_cell_kept()
-    # L * r = 1e-21 is below an ulp of 0.25, so the float rectangle is a point.
-    succ = successor_rect((-0.25, -0.25), 1e-20, 0.1)
-    assert succ.lo == succ.hi
+    # L * r = 1e-21 is below an ulp of 0.25, so the box rounds to a point.
+    succ = successor_box((-0.25, -0.25), 1e-20, 0.1)
+    assert [tuple(map(float, corner)) for corner in succ] == [(-0.25, -0.25)] * 2
+    ((l0, l1, h0, h1),) = successor_corners([(-0.25, -0.25)], 1e-20, [0.1])
+    assert tree.classify_within(l0, l1, h0, h1, True) is CoverageClass.FULLY_COVERED
     assert tree.classify(succ) is CoverageClass.FULLY_COVERED
-    # On the domain's face the exact rectangle crosses it by 1e-21.
-    face = successor_rect((-0.5, -0.25), 1e-20, 0.1)
-    assert face.lo == face.hi
+    # On the domain's face the exact rectangle crosses it by 1e-21, which
+    # the intervals leave open.
+    face = successor_box((-0.5, -0.25), 1e-20, 0.1)
+    ((l0, l1, h0, h1),) = successor_corners([(-0.5, -0.25)], 1e-20, [0.1])
+    assert tree.classify_within(l0, l1, h0, h1, True) is None
     assert tree.classify(face) is CoverageClass.PARTIAL
     assert tree.uncovered(face) == ((-0.5, -0.25), (-0.5, -0.25))
+
+
+def test_successor_across_a_face_within_its_rounding_is_open():
+    # [0, 1]^2 split once, with the low corner cell [0, 0.5]^2 excluded.  The
+    # box lies inside that cell, an ulp short of its face x = 0.5, but its
+    # corners' intervals reach past the face into the included cell beyond.
+    # Only the face rule stops the walk there: without it, the face contact
+    # reads as covered and the excluded cell as no gap.
+    ds = make_dataset([(0.5, 0.5)])
+    tree = new_tree(((0.0, 0.0), (1.0, 1.0)), ds)
+    tree.set_label(tree.divide(tree.roots, ds)[0], Label.EXCLUDED)
+    x_plus = (math.nextafter(0.5, 0.0), 0.25)
+    succ = successor_box(x_plus, 1e-20, 0.1)
+    ((l0, l1, h0, h1),) = successor_corners([x_plus], 1e-20, [0.1])
+    assert succ[1][0] < 0.5 < h1[0]
+    assert tree.classify_within(l0, l1, h0, h1, True) is None
+    assert exact_coverage(succ, kept_cells(tree)) is CoverageClass.DISJOINT
+    assert tree.classify(succ) is CoverageClass.DISJOINT
 
 
 def test_classify_across_roots():
@@ -523,10 +548,17 @@ def test_successor_near_faces_matches_fractions_property(two_roots, data):
         line = data.draw(st.integers(-4, 72)) / 32
         side = data.draw(st.sampled_from((-1.0, 0.0, 1.0)))
         center.append(_near(line + side * reach, data.draw(st.integers(-3, 3))))
-    succ = successor_rect(tuple(center), lipschitz, radius)
-    verdict, fragment = tree.classify(succ), tree.uncovered(succ)
+    center = tuple(center)
+    succ = successor_box(center, lipschitz, radius)
     scan = kept_cells(tree)
-    assert verdict is exact_coverage(succ.exact(), scan)
+    want = exact_coverage(succ, scan)
+    # The intervals hold the exact corners, and settle the verdict or
+    # leave it open; the exact corners settle it.
+    ((l0, l1, h0, h1),) = successor_corners([center], lipschitz, [radius])
+    assert all(a <= v <= b for a, v, b in zip(l0 + h0, succ[0] + succ[1], l1 + h1))
+    assert tree.classify_within(l0, l1, h0, h1, radius > 0.0) in (None, want)
+    verdict, fragment = tree.classify(succ), tree.uncovered(succ)
+    assert verdict is want
     assert (fragment is None) == (verdict is CoverageClass.FULLY_COVERED)
     if fragment is not None:
         # The fragment is uncovered: its interior misses every included cell.

@@ -18,7 +18,7 @@ from helpers import (
 
 from pinvset import verify
 from pinvset.dataset import Dataset, SystemOracle, gen_uniform
-from pinvset.geometry import CoverageClass, successor_rect
+from pinvset.geometry import CoverageClass, successor_box
 from pinvset.synthesis import SynthConfig, SynthResult, synthesize
 from pinvset.tree import Label, new_tree
 from pinvset.verify import (
@@ -113,8 +113,10 @@ def test_check_fixpoint_fragment_is_uncovered(lin_oracle):
         if not cert.passed:
             break
     leaf, (flo, fhi) = cert.first_failure["leaf"], cert.first_failure["fragment"]
-    succ = successor_rect(nodes.sample_xp[leaf], res.config.lipschitz, nodes.radius[leaf])
-    assert all(a <= f <= g <= b for a, f, g, b in zip(succ.lo, flo, fhi, succ.hi))
+    # The fragment is cut from the exact corners and rounded to nearest,
+    # which is monotone: it lies within the box's rounded corners.
+    lo, hi = successor_box(nodes.sample_xp[leaf], res.config.lipschitz, nodes.radius[leaf])
+    assert all(float(a) <= f <= g <= float(b) for a, f, g, b in zip(lo, flo, fhi, hi))
     for lo, hi in kept_cells(tree):
         assert any(min(g, h) <= max(f, l) for f, g, l, h in zip(flo, fhi, lo, hi))
 
