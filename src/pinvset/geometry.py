@@ -1,10 +1,9 @@
 """Axis-aligned boxes in the max norm.
 
 Every box is a ``Rect``: an axis-aligned rectangle carried as its
-``(lo, hi)`` corner tuples, of floats, or of fractions where a box's
-exact corners are not floats.  The domain is one such rectangle, and
-``rect_to_cubes`` is the only code that cuts it into the equal cubes that
-become the partition tree's roots.
+``(lo, hi)`` corners, each a sequence of floats.  The domain is one such
+rectangle, and ``rect_to_cubes`` is the only code that cuts it into the
+equal cubes that become the partition tree's roots.
 
 All sets are closed: boundary contact counts as membership and as
 intersection.  Whether a box is covered by the kept cells is decided by
@@ -12,13 +11,14 @@ the partition tree alone, in one walk that compares corners and takes no
 tolerance (``PartitionTree.classify``); ``classify_coverage`` and
 ``uncovered_fragments`` are its entry points.
 
-A successor box ``x⁺ ± L·r`` has two forms.  ``successor_corners`` is
-the only code that rounds it: for many boxes in one array pass, each
-corner as an interval of floats that holds the exact corner, which
-``PartitionTree.classify_within`` settles most boxes on.
-``successor_box`` gives its exact corners, as fractions, for
-``PartitionTree.classify`` to decide the rest.  ``balls_contain_cells``
-decides exactly whether a sample ball contains a cell.
+A successor box ``x⁺ ± L·r`` is classified by a float box that holds
+it: ``successor_corners`` is the only code that rounds it, for many boxes
+in one array pass, and rounds each corner outward by a proven bound.  A
+verdict of FULLY_COVERED or DISJOINT on that box holds for the exact box
+it contains; only a box whose exact corner lies within that bound of a
+cell face may read PARTIAL where the exact box would not.
+``balls_contain_cells`` decides exactly whether a sample ball contains a
+cell.
 """
 
 from __future__ import annotations
@@ -64,44 +64,37 @@ class CoverageClass(Enum):
     PARTIAL = "partial"
 
 
-def successor_box(x_plus: Vec, lipschitz: float, radius: float) -> Rect:
-    """The exact rectangle of the successor box, the cube of radius
-    ``lipschitz * radius`` around ``x_plus``, its corners as fractions of
-    the stored floats (which compare exactly with floats)."""
-    from fractions import Fraction
-
-    reach = Fraction(lipschitz) * Fraction(radius)
-    center = [Fraction(c) for c in x_plus]
-    return tuple([c - reach for c in center]), tuple([c + reach for c in center])
-
-
 def successor_corners(
     x_plus: Sequence[Vec], lipschitz: float, radius: Sequence[float]
-) -> Iterator[tuple[list[float], list[float], list[float], list[float]]]:
-    """For each row j, the successor box of ``x_plus[j]``, ``lipschitz``
-    and ``radius[j]`` as intervals of floats that hold its exact corners:
-    [l0, l1] for the low corner and [h0, h1] for the high corner, axis by
-    axis, as Python floats, the input of ``PartitionTree.classify_within``.
-    Computed in array passes over blocks of rows.
+) -> Iterator[tuple[list[float], list[float]]]:
+    """For each row j, a float box ``(lo, hi)`` that holds the successor
+    box of ``x_plus[j]``, ``lipschitz`` and ``radius[j]``: each corner
+    rounded, then moved outward by a bound on its rounding error, as lists
+    of Python floats.  Computed in array passes over blocks of rows.
 
     Rounding bound: with u = 2^-53, p = fl(L·r) is within u·L·r + 2^-1075
     of L·r, and fl(x ∓ p) within u·|x ∓ p| of x ∓ p; so each rounded corner
     is within 2^-52·(max|x| + 2p) + 2^-1074 of the exact one.  The slack
     s = (max|x| + 2p)·2^-51 + 2^-1073 is twice that, which also absorbs the
-    rounding of ``corner ∓ s``.  Where s is not finite, the intervals are
-    infinite or NaN, and settle nothing.
+    rounding of ``fl(x - p) - s`` and ``fl(x + p) + s``: the box holds the
+    exact one.  Where s is not finite, it is (-inf, inf) on every axis.
+
+    Policy: coverage is decided on this box, exactly and once.  Whatever
+    covers it covers the exact box, and whatever misses it misses the exact
+    box, so FULLY_COVERED and DISJOINT are sound; a box whose exact corner
+    lies within 2s of a cell face may read PARTIAL where the exact box
+    would not.
     """
     for j in range(0, len(radius), _CORNER_ROWS):
         rows = x_plus[j:j + _CORNER_ROWS]
         x = np.fromiter(chain.from_iterable(rows), float, len(rows) * len(rows[0]))
         x = x.reshape(len(rows), -1)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             reach = lipschitz * np.array(radius[j:j + _CORNER_ROWS], dtype=float)
-            lo = x - reach[:, None]
-            hi = x + reach[:, None]
             s = ((np.abs(x).max(axis=1) + 2.0 * reach) * 2.0 ** -51 + 2.0 ** -1073)[:, None]
-            corners = (lo - s, lo + s, hi - s, hi + s)
-        yield from zip(*(c.tolist() for c in corners))
+            lo = (x - reach[:, None]) - s
+            hi = (x + reach[:, None]) + s
+        yield from zip(lo.tolist(), hi.tolist())
 
 
 def classify_coverage(query: Rect, tree) -> CoverageClass:

@@ -3,10 +3,8 @@
 Each sweep visits every leaf that was included when the sweep started, in
 depth-first order, and classifies the Lipschitz successor box of its sample
 against the candidate set, exactly and with no tolerance: one walk of the
-tree on intervals that hold the box's exact corners (from one
-``successor_corners`` pass per wave), and ``PartitionTree.classify`` on
-the exact corners (``successor_box``) only where the intervals leave the
-verdict open:
+tree (``classify_coverage``) on the float box that holds the exact box,
+from one ``successor_corners`` pass per wave:
 
   fully covered  -> the leaf stays included,
   disjoint       -> the leaf is excluded (its cell provably escapes),
@@ -28,7 +26,7 @@ from enum import Enum
 from itertools import count
 
 from .dataset import Dataset
-from .geometry import CoverageClass, classify_coverage, successor_box, successor_corners
+from .geometry import CoverageClass, classify_coverage, successor_corners
 from .tree import Label, PartitionTree
 
 logger = logging.getLogger(__name__)
@@ -118,11 +116,8 @@ def sweep(tree: PartitionTree, dataset: Dataset, config: SynthConfig) -> SweepSt
         corners = successor_corners(
             [sample_xp[i] for i in wave], lipschitz, [radius[i] for i in wave]
         )
-        for i, (l0, l1, h0, h1) in zip(wave, corners):
-            r = radius[i]
-            verdict = tree.classify_within(l0, l1, h0, h1, r > 0.0)
-            if verdict is None:  # the exact corners decide
-                verdict = classify_coverage(successor_box(sample_xp[i], lipschitz, r), tree)
+        for i, box in zip(wave, corners):
+            verdict = classify_coverage(box, tree)
             if verdict is CoverageClass.FULLY_COVERED:
                 continue
             if verdict is CoverageClass.PARTIAL and target_radius[i] / 2.0 >= tau:

@@ -35,6 +35,7 @@ safe to run concurrently with each other, not with writes.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -56,24 +57,11 @@ from .geometry import (
 )
 
 
-_UNSETTLED = object()  # a comparison that the corners' rounding bounds leave open
-
-
 def _slab(dim: int, axis: int, a: float, b: float) -> Rect:
     """The region a < x[axis] < b, as corners with infinite bounds elsewhere."""
     lo, hi = [-math.inf] * dim, [math.inf] * dim
     lo[axis], hi[axis] = a, b
     return tuple(lo), tuple(hi)
-
-
-def _verdict(touched: bool, gap: Rect | None, solid: bool) -> CoverageClass:
-    """A coverage verdict from a walk's findings: whether the query touches
-    the included cells, its first gap, and whether it has interior."""
-    if not touched:
-        return CoverageClass.DISJOINT
-    if gap is None and solid:
-        return CoverageClass.FULLY_COVERED
-    return CoverageClass.PARTIAL
 
 
 class Label(IntEnum):
@@ -455,26 +443,22 @@ class PartitionTree:
         *gap*.  The walk stops once it has found both.  Not touched:
         DISJOINT; touched with no gap: FULLY_COVERED; both: PARTIAL.
 
-        The query's corners are taken as exact: floats, ints or fractions
-        (``successor_box``), which all compare exactly with the cells' float
-        corners.  A query without interior has no volume to cover: it is
-        PARTIAL when it touches the union.
+        The query's corners are floats, taken as exact; a successor box is
+        asked as the float box that holds it (``successor_corners``).  A
+        query without interior has no volume to cover: it is PARTIAL when
+        it touches the union.
         """
         return self._decide(query)[0]
 
     def uncovered(self, query: Rect) -> Rect | None:
         """A fragment of the query that no included cell covers, from the
         walk of ``classify``: the query cut to the first gap found (the
-        whole query when none was found), rounded to the nearest floats;
-        None when covered."""
+        whole query when none was found); None when covered."""
         verdict, gap = self._decide(query)
         if verdict is CoverageClass.FULLY_COVERED:
             return None
         (qlo, qhi), (glo, ghi) = query, gap or query
-        return (
-            tuple([float(max(a, b)) for a, b in zip(qlo, glo)]),
-            tuple([float(min(a, b)) for a, b in zip(qhi, ghi)]),
-        )
+        return tuple(map(max, qlo, glo)), tuple(map(min, qhi, ghi))
 
     def _decide(self, query: Rect) -> tuple[CoverageClass, Rect | None]:
         """The verdict of ``classify`` and the first gap found."""
@@ -484,25 +468,17 @@ class PartitionTree:
                 f"query corners of dim {len(qlo)} and {len(qhi)} do not match "
                 f"tree dim {self.dim}"
             )
-        found = self._walk(qlo, qlo, qhi, qhi, exact=True)
-        return _verdict(*found, all(a < b for a, b in zip(qlo, qhi))), found[1]
+        touched, gap = self._walk(qlo, qhi)
+        if not touched:
+            return CoverageClass.DISJOINT, gap
+        if gap is None and all(map(operator.lt, qlo, qhi)):  # it has interior
+            return CoverageClass.FULLY_COVERED, gap
+        return CoverageClass.PARTIAL, gap
 
-    def classify_within(self, l0, l1, h0, h1, solid: bool) -> CoverageClass | None:
-        """The verdict of ``classify`` for a query whose low corner lies in
-        [l0, l1] and high corner in [h0, h1] axis by axis, as
-        ``successor_corners`` gives a successor box, and which has interior
-        when ``solid``; None when those intervals leave it open.  The
-        caller then asks ``classify`` on the exact corners
-        (``successor_box``)."""
-        found = self._walk(l0, l1, h0, h1, exact=False)
-        return None if found is None else _verdict(*found, solid)
-
-    def _walk(self, l0, l1, h0, h1, exact: bool) -> tuple[bool, Rect | None] | None:
-        """Whether the query touches the included cells, and its first gap,
-        for a query whose low corner lies in [l0, l1] and high corner in
-        [h0, h1] axis by axis.  None when a comparison the walk makes is not
-        settled by those intervals, which cannot happen when ``exact`` (the
-        corners are known: l0 == l1 and h0 == h1)."""
+    def _walk(self, qlo, qhi) -> tuple[bool, Rect | None]:
+        """Whether the query ``[qlo, qhi]`` touches the included cells, and
+        its first gap.  A retired cell that the query merely touches, along
+        a face, is no gap: it meets no volume of the query."""
         nodes = self.nodes
         los, his, centers = nodes.lo, nodes.hi, nodes.target_center
         status, first_child = nodes.status, nodes.first_child
@@ -522,14 +498,12 @@ class PartitionTree:
             for d in dims:
                 c = lo[d]
                 e = hi[d]
-                if c < h0[d] and l1[d] < e:
+                if c < qhi[d] and qlo[d] < e:
                     continue  # the interiors overlap on this axis
-                if c > h1[d] or l0[d] > e:
+                if c > qhi[d] or qlo[d] > e:
                     break  # apart
-                face = True  # they only touch; unsettled unless exact
+                face = True  # they only touch
             else:
-                if face and not exact:
-                    return None
                 while True:  # settle node i, or step down to its one child that meets the query
                     s = status[i]
                     if s is True:
@@ -545,9 +519,9 @@ class PartitionTree:
                         m = centers[i]
                         j = 0
                         for d in dims:
-                            if h1[d] < m[d]:
+                            if qhi[d] < m[d]:
                                 j += j
-                            elif l0[d] > m[d]:
+                            elif qlo[d] > m[d]:
                                 j += j + 1
                             else:
                                 stack.extend(range(f + k - 1, f - 1, -1))
@@ -560,27 +534,20 @@ class PartitionTree:
                     break
         if touched and gap is None:
             # Only a part outside the roots can still make it PARTIAL.
-            gap = self._outside(l0, l1, h0, h1, exact)
-            if gap is _UNSETTLED:
-                return None
+            gap = self._outside(qlo, qhi)
         return touched, gap
 
-    def _outside(self, l0, l1, h0, h1, exact: bool):
+    def _outside(self, qlo, qhi) -> Rect | None:
         """A region outside the root cells that meets the query's interior,
         as a slab past one face of ``root_bounds``; None when that
-        rectangle, which the roots tile, holds the query.  The corners are
-        given as in ``_walk``; ``_UNSETTLED`` when the query is neither
-        held nor past a face for every corner in their intervals."""
+        rectangle, which the roots tile, holds the query."""
         blo, bhi = self.root_bounds
-        dims = range(self.dim)
-        if all(blo[d] <= l0[d] and h1[d] <= bhi[d] for d in dims):
-            return None
-        for d in dims:
-            if l1[d] < blo[d]:
+        for d in range(self.dim):
+            if qlo[d] < blo[d]:
                 return _slab(self.dim, d, -math.inf, blo[d])
-            if h0[d] > bhi[d]:
+            if qhi[d] > bhi[d]:
                 return _slab(self.dim, d, bhi[d], math.inf)
-        return _UNSETTLED  # never when exact: then l0 == l1 and h0 == h1
+        return None
 
     def overlapping(self, qlo: Vec, qhi: Vec) -> list[Rect]:
         """Target rectangles of included leaves meeting the probe rectangle.

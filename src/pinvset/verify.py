@@ -6,18 +6,16 @@ looks at any synthesis bookkeeping, so a certificate obtained from a
 deserialized result file stands on its own.  It decides with no tolerance:
 the sample-ball check ``r >= r_target + dist`` is exact
 (``balls_contain_cells``), and coverage is one walk of the result's own
-partition tree, which compares corners: on intervals that hold each
-box's exact corners (one ``successor_corners`` pass over the kept
-leaves), and where those leave the verdict open or the box escapes, on
-its exact corners (``successor_box``; ``PartitionTree.uncovered`` also
-names the escaping fragment).  The certificate first re-derives the
-subtree statuses from the leaf labels, and only then lets the tree
-answer.  The cells need no check here: a tree has only the roots
-``rect_to_cubes`` cuts from ``root_bounds`` and the children the one split
-rule makes (``new_tree`` and ``divide`` make no others, and
-``PartitionTree.from_columns`` derives the same cells from ``root_bounds``
-and the parent column when a result is loaded), so they tile
-``root_bounds`` exactly.  The ball radii are derived too, by ``ball_radii``
+partition tree, which compares corners, on the float box that holds each
+successor box (one ``successor_corners`` pass over the kept leaves);
+``uncovered_fragments`` names the fragment of that box that escapes.  The
+certificate first re-derives the subtree statuses from the leaf labels,
+and only then lets the tree answer.  The cells need no check here: a tree
+has only the roots ``rect_to_cubes`` cuts from ``root_bounds`` and the
+children the one split rule makes (``new_tree`` and ``divide`` make no
+others, and ``PartitionTree.from_columns`` derives the same cells from
+``root_bounds`` and the parent column when a result is loaded), so they
+tile ``root_bounds`` exactly.  The ball radii are derived too, by ``ball_radii``
 from each cell and sample, yet the ball check stays: ``check_fixpoint``
 takes any result in memory, and trusts no bookkeeping.
 
@@ -38,9 +36,7 @@ import numpy as np
 from .dataset import SystemOracle
 from .geometry import (
     GEOM_TOL,
-    CoverageClass,
     balls_contain_cells,
-    successor_box,
     successor_corners,
     uncovered_fragments,
 )
@@ -66,7 +62,10 @@ def check_fixpoint(result: SynthResult) -> Certificate:
     and resolution floor).  Every included leaf's sample ball must still
     contain its cell (``r >= r_target + dist``), and the sample's successor
     box of radius ``L * r`` must be fully covered by the union of included
-    leaf cells.  Both are decided in exact arithmetic on the stored floats.
+    leaf cells.  Both are decided with no tolerance on the stored floats:
+    the ball in exact arithmetic, the successor box on the float box that
+    holds it (``successor_corners``), which fails a box that ends within
+    its rounding slack of a face past which no included cell lies.
     An empty union passes vacuously.
     """
     try:
@@ -91,7 +90,7 @@ def check_fixpoint(result: SynthResult) -> Certificate:
     )
     corners = successor_corners([nodes.sample_xp[i] for i in leaves], lipschitz, radius)
     checked = 0
-    for i, r, ball, (l0, l1, h0, h1) in zip(leaves, radius, held.tolist(), corners):
+    for i, ball, box in zip(leaves, held.tolist(), corners):
         checked += 1
         if not ball:
             return Certificate(
@@ -100,12 +99,7 @@ def check_fixpoint(result: SynthResult) -> Certificate:
                 {"leaf": i, "reason": "sample ball does not contain the cell"},
                 METHOD_EXACT,
             )
-        if tree.classify_within(l0, l1, h0, h1, r > 0.0) is CoverageClass.FULLY_COVERED:
-            continue
-        # Not settled on the intervals, or not covered: the exact corners
-        # decide, and name the fragment that escapes.
-        succ = successor_box(nodes.sample_xp[i], lipschitz, r)
-        leftovers = uncovered_fragments(succ, tree)
+        leftovers = uncovered_fragments(box, tree)
         if leftovers:
             return Certificate(
                 False,

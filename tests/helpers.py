@@ -1,7 +1,8 @@
 """Shared test utilities: cubes as rectangles, a tree's kept cells and a
 tree of unsplit roots over a rectangle, lattice-snapped coverage
-instances, the all-fraction coverage reference and the raster sampling
-oracle, the Minkowski gauge of polytopic C-sets (scipy's ``linprog``
+instances, the exact successor box, the all-fraction coverage reference
+and the raster sampling oracle, the permuted diagonal affine maps whose
+image of a box is a box, the Minkowski gauge of polytopic C-sets (scipy's ``linprog``
 checks that a row set bounds one) and a contraction grid in fractions,
 the linear-scan and KD-tree nearest-neighbour references, the reference
 synthesizer (the paper's loop, plain and slow), and plain references for
@@ -101,6 +102,15 @@ def margin_separated_instance(rng: np.random.Generator, n: int) -> tuple[Rect, l
 def _fraction_rect(obj) -> tuple[list[Fraction], list[Fraction]]:
     lo, hi = obj
     return [Fraction(c) for c in lo], [Fraction(c) for c in hi]
+
+
+def exact_successor(x_plus, lipschitz: float, radius: float) -> tuple[tuple, tuple]:
+    """The exact successor box, the cube of radius ``lipschitz * radius``
+    around ``x_plus``, its corners as fractions of the stored floats (which
+    compare exactly with floats): the box ``successor_corners`` must hold."""
+    reach = Fraction(lipschitz) * Fraction(radius)
+    center = [Fraction(c) for c in x_plus]
+    return tuple([c - reach for c in center]), tuple([c + reach for c in center])
 
 
 def exact_coverage(query, union) -> CoverageClass:
@@ -235,6 +245,40 @@ def reference_synthesize(
             cells[i].label = label
         if not (divisions or retired):
             return cells, sweep
+
+
+@dataclass(frozen=True)
+class PermutedDiagonal:
+    """The map f(x) = P·diag(a)·x + b: output axis i is
+    ``a[perm[i]] * x[perm[i]] + b[i]``, whose max-norm Lipschitz constant
+    is max|a_i|.  With a and b multiples of 1/16 of magnitude below 2 and
+    states multiples of 2^-20 in [-1, 1] (``states``), every x⁺ and every
+    corner of the image of a dyadic cell is an exact float."""
+
+    perm: tuple[int, ...]
+    a: tuple[float, ...]
+    b: tuple[float, ...]
+
+    @property
+    def lipschitz(self) -> float:
+        return max(map(abs, self.a))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        perm = list(self.perm)
+        return x[:, perm] * np.array(self.a)[perm] + np.array(self.b)
+
+    def image(self, lo, hi) -> tuple[tuple, tuple]:
+        """The exact image of the box [lo, hi], a box."""
+        ends = [
+            sorted((self.a[j] * lo[j] + b, self.a[j] * hi[j] + b))
+            for j, b in zip(self.perm, self.b)
+        ]
+        return tuple(e[0] for e in ends), tuple(e[1] for e in ends)
+
+    @staticmethod
+    def states(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+        """m uniform states in [-1, 1]^n, rounded to multiples of 2^-20."""
+        return np.round(rng.uniform(-1.0, 1.0, size=(m, n)) * 2.0 ** 20) / 2.0 ** 20
 
 
 @dataclass

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import chebyshev, cube, kept_cells, roots_tree
+from helpers import chebyshev, cube, exact_successor, kept_cells, roots_tree
 
 import pinvset.geometry as geometry_module
 from pinvset.dataset import Dataset
@@ -16,7 +16,6 @@ from pinvset.geometry import (
     balls_contain_cells,
     classify_coverage,
     rect_to_cubes,
-    successor_box,
     successor_corners,
     uncovered_fragments,
 )
@@ -90,22 +89,22 @@ def test_uncovered_fragments_reports_leftover():
 
 
 def test_successor_box_values():
-    lo, hi = successor_box((0.3, -0.2), 0.8225, 0.45)
+    lo, hi = exact_successor((0.3, -0.2), 0.8225, 0.45)
     reach = Fraction(0.8225) * Fraction(0.45)
     assert lo == (Fraction(0.3) - reach, Fraction(-0.2) - reach)
     assert hi == (Fraction(0.3) + reach, Fraction(-0.2) + reach)
     assert [float(v) for v in lo] == pytest.approx([0.3 - 0.370125, -0.2 - 0.370125])
     assert [float(v) for v in hi] == pytest.approx([0.3 + 0.370125, -0.2 + 0.370125])
-    # The corners' intervals hold the exact corners, a few ulps of 1 wide.
-    ((l0, l1, h0, h1),) = successor_corners([(0.3, -0.2)], 0.8225, [0.45])
-    for a, want, b in zip(l0 + h0, lo + hi, l1 + h1):
-        assert a <= want <= b
-        assert b - a < 1e-15
-    point = successor_box((1.0, 1.0), 1.0, 0.0)
+    # The float box holds the exact one, a few ulps of 1 wider.
+    ((flo, fhi),) = successor_corners([(0.3, -0.2)], 0.8225, [0.45])
+    for a, want in zip(flo, lo):
+        assert 0 < want - a < 1e-15
+    for a, want in zip(fhi, hi):
+        assert 0 < a - want < 1e-15
+    point = exact_successor((1.0, 1.0), 1.0, 0.0)
     assert point == ((1, 1), (1, 1))
-    ((l0, l1, h0, h1),) = successor_corners([(1.0, 1.0)], 1.0, [0.0])
-    assert h0 == l0 and h1 == l1
-    assert all(a < 1.0 < b for a, b in zip(l0, l1))
+    ((flo, fhi),) = successor_corners([(1.0, 1.0)], 1.0, [0.0])
+    assert all(a < 1.0 < b for a, b in zip(flo, fhi))
 
 
 # Finite floats, drawn often at the edges: ±0.0, subnormals and the largest.
@@ -124,10 +123,9 @@ _NON_NEGATIVE = _EDGE_FLOATS.filter(lambda v: v >= 0.0) | st.floats(0.0, allow_i
     lipschitz=_NON_NEGATIVE,
 )
 def test_successor_corners_hold_the_exact_corners(n, data, lipschitz):
-    # Array passes over blocks of rows must give each row intervals that
-    # hold its exact corners.  Where the rounding bound overflows to inf, or
-    # a corner is nan, the intervals settle nothing: the walk gives up at
-    # the first root.
+    # Array passes over blocks of rows must give each row a float box that
+    # holds its exact box.  Where the rounding bound overflows to inf, the
+    # box is the whole space, which no tree covers.
     rows = data.draw(st.lists(
         st.tuples(st.tuples(*[_FLOATS] * n), _NON_NEGATIVE), min_size=1, max_size=8
     ))
@@ -140,13 +138,15 @@ def test_successor_corners_hold_the_exact_corners(n, data, lipschitz):
     assert len(got) == len(rows)
     origin = (0.0,) * n
     tree = new_tree(cube(origin, 0.5), Dataset([origin], [origin]))
-    for (x, r), (l0, l1, h0, h1) in zip(rows, got):
+    for (x, r), (flo, fhi) in zip(rows, got):
         slack = (max(map(abs, x)) + 2.0 * (lipschitz * r)) * 2.0 ** -51 + 2.0 ** -1073
         if not math.isfinite(slack):
-            assert tree.classify_within(l0, l1, h0, h1, r > 0.0) is None
+            assert (flo, fhi) == ([-math.inf] * n, [math.inf] * n)
+            assert tree.classify((flo, fhi)) is CoverageClass.PARTIAL
             continue
-        lo, hi = successor_box(x, lipschitz, r)
-        assert all(a <= v <= b for a, v, b in zip(l0 + h0, lo + hi, l1 + h1))
+        lo, hi = exact_successor(x, lipschitz, r)
+        assert all(a <= v for a, v in zip(flo, lo))
+        assert all(v <= b for v, b in zip(hi, fhi))
 
 
 def test_successor_box_radius_scales_linearly(rng):
@@ -155,13 +155,14 @@ def test_successor_box_radius_scales_linearly(rng):
         r = float(rng.uniform(0, 2))
         alpha = float(rng.uniform(0, 3))
         lips = float(rng.uniform(0.1, 6))
-        (slo, _), (shi, _) = successor_box(x_plus, lips, alpha * r)
-        (blo, _), (bhi, _) = successor_box(x_plus, lips, r)
+        (slo, _), (shi, _) = exact_successor(x_plus, lips, alpha * r)
+        (blo, _), (bhi, _) = exact_successor(x_plus, lips, r)
         assert shi - slo == 2 * Fraction(lips) * Fraction(alpha * r)
         assert float(shi - slo) == pytest.approx(alpha * float(bhi - blo), rel=1e-12, abs=1e-15)
-        # The corners' intervals bound the width from both sides.
-        ((l0, l1, h0, h1),) = successor_corners([x_plus], lips, [alpha * r])
-        assert Fraction(h0[0]) - Fraction(l1[0]) <= shi - slo <= Fraction(h1[0]) - Fraction(l0[0])
+        # The float box is wider, by its slack on each side: a few ulps.
+        ((flo, fhi),) = successor_corners([x_plus], lips, [alpha * r])
+        excess = Fraction(fhi[0]) - Fraction(flo[0]) - (shi - slo)
+        assert 0 < excess < 2.0 ** -49 * (1 + shi - slo)
 
 
 def test_chebyshev():

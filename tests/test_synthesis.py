@@ -5,7 +5,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from helpers import cube, kept_cells, reference_synthesize
+from helpers import PermutedDiagonal, cube, exact_coverage, kept_cells, reference_synthesize
 
 from pinvset.dataset import Dataset, SystemOracle, gen_uniform
 from pinvset.geometry import CoverageClass, classify_coverage
@@ -414,3 +414,29 @@ def test_synthesize_matches_the_reference(n, domain, lattice, m, contraction, li
     assert [r.hex() for r in nodes.radius] == [c.radius.hex() for c in cells]
     assert nodes.sample_index == [c.sample for c in cells]
     assert nodes.label == [c.label for c in cells]
+
+
+_SLOPES = st.integers(6, 19).map(lambda k: k / 16) | st.integers(-19, -6).map(lambda k: k / 16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    perm=st.permutations((0, 1)),
+    a=st.tuples(_SLOPES, _SLOPES),
+    b=st.tuples(*[st.integers(-6, 6).map(lambda k: k / 16)] * 2),
+    seed=st.integers(0, 2 ** 32 - 1),
+    m=st.integers(100, 4000),
+    tau=st.sampled_from((0.02, 0.05, 0.1)),
+)
+def test_kept_cells_map_into_the_set(perm, a, b, seed, m, tau):
+    # Ground truth from the map itself: with the true L, every kept cell's
+    # exact image lies in the kept union, as the fraction reference decides.
+    f = PermutedDiagonal(tuple(perm), a, b)
+    x = PermutedDiagonal.states(np.random.default_rng(seed), m, 2)
+    ds = Dataset(x, f(x))
+    for mode in UpdateMode:
+        config = SynthConfig(lipschitz=f.lipschitz, tau=tau, mode=mode)
+        tree = synthesize(new_tree(((-1.0, -1.0), (1.0, 1.0)), ds), ds, config).tree
+        cells = kept_cells(tree)
+        for lo, hi in cells:
+            assert exact_coverage(f.image(lo, hi), cells) is CoverageClass.FULLY_COVERED

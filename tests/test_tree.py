@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import chebyshev, cube, exact_coverage, kept_cells, roots_tree
+from helpers import chebyshev, cube, exact_coverage, exact_successor, kept_cells, roots_tree
 
 from pinvset.dataset import Dataset, gen_dyadic_grid, gen_uniform
 from pinvset.geometry import (
@@ -15,7 +16,6 @@ from pinvset.geometry import (
     balls_contain_cells,
     classify_coverage,
     rect_to_cubes,
-    successor_box,
     successor_corners,
     uncovered_fragments,
 )
@@ -372,37 +372,53 @@ def test_query_slightly_wider_than_its_cover_is_partial():
 
 def test_successor_below_one_ulp_is_covered():
     tree = one_cell_kept()
-    # L * r = 1e-21 is below an ulp of 0.25, so the box rounds to a point.
-    succ = successor_box((-0.25, -0.25), 1e-20, 0.1)
+    # L * r = 1e-21 is below an ulp of 0.25, so the exact box rounds to a
+    # point, and the float box that holds it lies inside the kept cell.
+    succ = exact_successor((-0.25, -0.25), 1e-20, 0.1)
     assert [tuple(map(float, corner)) for corner in succ] == [(-0.25, -0.25)] * 2
-    ((l0, l1, h0, h1),) = successor_corners([(-0.25, -0.25)], 1e-20, [0.1])
-    assert tree.classify_within(l0, l1, h0, h1, True) is CoverageClass.FULLY_COVERED
-    assert tree.classify(succ) is CoverageClass.FULLY_COVERED
-    # On the domain's face the exact rectangle crosses it by 1e-21, which
-    # the intervals leave open.
-    face = successor_box((-0.5, -0.25), 1e-20, 0.1)
-    ((l0, l1, h0, h1),) = successor_corners([(-0.5, -0.25)], 1e-20, [0.1])
-    assert tree.classify_within(l0, l1, h0, h1, True) is None
-    assert tree.classify(face) is CoverageClass.PARTIAL
-    assert tree.uncovered(face) == ((-0.5, -0.25), (-0.5, -0.25))
+    ((lo, hi),) = successor_corners([(-0.25, -0.25)], 1e-20, [0.1])
+    assert tree.classify((lo, hi)) is CoverageClass.FULLY_COVERED
+    # On the domain's face the exact box crosses it by 1e-21, and the float
+    # box by its slack; the fragment past the face is cut from the float box.
+    face = exact_successor((-0.5, -0.25), 1e-20, 0.1)
+    ((lo, hi),) = successor_corners([(-0.5, -0.25)], 1e-20, [0.1])
+    assert exact_coverage(face, kept_cells(tree)) is CoverageClass.PARTIAL
+    assert tree.classify((lo, hi)) is CoverageClass.PARTIAL
+    assert lo[0] < -0.5
+    assert tree.uncovered((lo, hi)) == ((lo[0], lo[1]), (-0.5, hi[1]))
 
 
 def test_successor_across_a_face_within_its_rounding_is_open():
-    # [0, 1]^2 split once, with the low corner cell [0, 0.5]^2 excluded.  The
-    # box lies inside that cell, an ulp short of its face x = 0.5, but its
-    # corners' intervals reach past the face into the included cell beyond.
-    # Only the face rule stops the walk there: without it, the face contact
-    # reads as covered and the excluded cell as no gap.
+    # The policy, on record: [0, 1]^2 split once, with the low corner cell
+    # [0, 0.5]^2 excluded.  The exact box lies inside that cell, an ulp
+    # short of its face x = 0.5, so it is DISJOINT; the float box that
+    # holds it reaches past the face into the included cell beyond, so the
+    # walk reads PARTIAL, never DISJOINT or FULLY_COVERED.
     ds = make_dataset([(0.5, 0.5)])
     tree = new_tree(((0.0, 0.0), (1.0, 1.0)), ds)
     tree.set_label(tree.divide(tree.roots, ds)[0], Label.EXCLUDED)
     x_plus = (math.nextafter(0.5, 0.0), 0.25)
-    succ = successor_box(x_plus, 1e-20, 0.1)
-    ((l0, l1, h0, h1),) = successor_corners([x_plus], 1e-20, [0.1])
-    assert succ[1][0] < 0.5 < h1[0]
-    assert tree.classify_within(l0, l1, h0, h1, True) is None
+    succ = exact_successor(x_plus, 1e-20, 0.1)
+    ((lo, hi),) = successor_corners([x_plus], 1e-20, [0.1])
+    assert succ[1][0] < 0.5 < hi[0]
     assert exact_coverage(succ, kept_cells(tree)) is CoverageClass.DISJOINT
-    assert tree.classify(succ) is CoverageClass.DISJOINT
+    assert tree.classify((lo, hi)) is CoverageClass.PARTIAL
+
+
+def test_successor_crossing_a_face_by_less_than_an_ulp_is_partial():
+    # [0, 1]^2 split once, with the cell [0.5, 1] x [0, 0.5] excluded.  The
+    # exact box crosses its face x = 0.5 by 2^-60, less than half an ulp of
+    # 0.5, so the rounded high corner is 0.5 itself: without the slack the
+    # box would only touch the excluded cell and read FULLY_COVERED.
+    ds = make_dataset([(0.5, 0.5)])
+    tree = new_tree(((0.0, 0.0), (1.0, 1.0)), ds)
+    tree.set_label(tree.divide(tree.roots, ds)[2], Label.EXCLUDED)
+    x_plus, radius = (0.5 - 2.0 ** -54, 0.25), 2.0 ** -54 + 2.0 ** -60
+    succ = exact_successor(x_plus, 1.0, radius)
+    assert succ[1][0] == Fraction(1, 2) + Fraction(1, 2 ** 60)
+    assert exact_coverage(succ, kept_cells(tree)) is CoverageClass.PARTIAL
+    ((lo, hi),) = successor_corners([x_plus], 1.0, [radius])
+    assert tree.classify((lo, hi)) is CoverageClass.PARTIAL
 
 
 def test_classify_across_roots():
@@ -549,16 +565,18 @@ def test_successor_near_faces_matches_fractions_property(two_roots, data):
         side = data.draw(st.sampled_from((-1.0, 0.0, 1.0)))
         center.append(_near(line + side * reach, data.draw(st.integers(-3, 3))))
     center = tuple(center)
-    succ = successor_box(center, lipschitz, radius)
+    succ = exact_successor(center, lipschitz, radius)
     scan = kept_cells(tree)
-    want = exact_coverage(succ, scan)
-    # The intervals hold the exact corners, and settle the verdict or
-    # leave it open; the exact corners settle it.
-    ((l0, l1, h0, h1),) = successor_corners([center], lipschitz, [radius])
-    assert all(a <= v <= b for a, v, b in zip(l0 + h0, succ[0] + succ[1], l1 + h1))
-    assert tree.classify_within(l0, l1, h0, h1, radius > 0.0) in (None, want)
-    verdict, fragment = tree.classify(succ), tree.uncovered(succ)
-    assert verdict is want
+    # The float box holds the exact one, and the walk decides it exactly.
+    # A settled verdict on it holds for the exact box.
+    ((lo, hi),) = successor_corners([center], lipschitz, [radius])
+    box = (lo, hi)
+    assert all(a <= v for a, v in zip(lo, succ[0]))
+    assert all(v <= b for v, b in zip(succ[1], hi))
+    verdict, fragment = tree.classify(box), tree.uncovered(box)
+    assert verdict is exact_coverage(box, scan)
+    if verdict is not CoverageClass.PARTIAL:
+        assert exact_coverage(succ, scan) is verdict
     assert (fragment is None) == (verdict is CoverageClass.FULLY_COVERED)
     if fragment is not None:
         # The fragment is uncovered: its interior misses every included cell.
