@@ -23,7 +23,11 @@ takes any result in memory, and trusts no bookkeeping.
 forward; only the exact check constitutes the deterministic guarantee.
 The falsifier, too, reads everything from the tree: start points come
 from its included leaves, and membership of an iterate from one bitmap
-over the rectangle the roots tile, filled from the split structure.
+over the rectangle the roots tile, filled from the split structure and
+padded with empty cells.  An iterate whose floor cell reads included is a
+member after one lookup; only the rest take the full test.  The start
+points roll forward in cache-sized blocks of at most ``MC_BLOCK`` rows,
+and the failure reported is the one a single batch would report.
 """
 
 from __future__ import annotations
@@ -115,6 +119,9 @@ def check_fixpoint(result: SynthResult) -> Certificate:
 
 # Cells in the membership bitmap of one tree.
 MAX_BITMAP_CELLS = 1 << 22
+# Most start points ``monte_carlo_invariance`` rolls forward at once, so
+# that a step's temporaries stay in cache.
+MC_BLOCK = 25_000
 
 
 class _TreeMembership:
@@ -126,10 +133,17 @@ class _TreeMembership:
     or the deepest that keeps the bitmap within ``MAX_BITMAP_CELLS``.  A
     root's integer corner is its rank among the roots' lower faces on each
     axis, and a node's is twice its parent's plus its sign bits, so the
-    split structure alone fills it.  The tree's own closed test,
-    ``overlapping(p, p)``, answers a point within ``GEOM_TOL`` of a lattice
-    line whose cell is not included (a neighbour may be) and one in a mixed
-    cell.
+    split structure alone fills it.  The bitmap carries a pad cell of 0 at
+    both ends of every axis, so that a point off the bitmap reads 0 with no
+    range test; ``cells`` is the interior.
+
+    ``contains`` looks up each point's floor cell, clamped into the pad, and
+    a 1 there is a member.  Every other point (off the bitmap, in an empty
+    or mixed cell, or not finite) takes the full test, ``_settle``, where
+    the tree's own closed test, ``overlapping(p, p)``, answers a point
+    within ``GEOM_TOL`` of a lattice line whose cell is not included (a
+    neighbour may be) and one in a mixed cell.  A point with an infinite or
+    NaN coordinate is no member.
     """
 
     def __init__(self, tree: PartitionTree):
@@ -161,7 +175,10 @@ class _TreeMembership:
                     for j, s in enumerate(bits)
                 ]
         level = min(cap, max((depth for depth, _ in full), default=0))
-        self.cells = np.zeros(tuple(g << level for g in grid), dtype=np.uint8)
+        self._padded = np.zeros(tuple((g << level) + 2 for g in grid), dtype=np.uint8)
+        self.cells = self._padded[(slice(1, -1),) * n]
+        # The flat index of interior cell (0, ..., 0) in the padded bitmap.
+        self._offset = int(np.ravel_multi_index((1,) * n, self._padded.shape))
         for depth, corner in full:
             s = level - depth
             if s >= 0:
@@ -174,15 +191,39 @@ class _TreeMembership:
     def contains(self, pts: np.ndarray) -> np.ndarray:
         # Column by column: ops on an (N, n) array loop over rows of length n.
         cols = np.asarray(pts, dtype=float).T
+        # One lookup of the floor cell, clamped into the pad (NaN lands on
+        # -1, and a u that overflows to inf on ``side``).  A floor cell inside
+        # the bitmap is the cell ``_settle`` keys, and the point is inside,
+        # so a 1 there is a member.
+        flat = 0.0
+        with np.errstate(over="ignore"):
+            for col, g, side in zip(cols, self.lo, self.cells.shape):
+                u = np.subtract(col, g)
+                u /= self.pitch
+                np.floor(u, out=u)
+                np.fmax(u, -1.0, out=u)
+                np.fmin(u, side, out=u)
+                flat = flat * (side + 2) + u
+        flat += self._offset
+        hit = self._padded.take(flat.astype(np.intp)) == 1
+        if not hit.all():
+            rest = np.flatnonzero(~hit)
+            hit[rest] = self._settle(cols[:, rest])
+        return hit
+
+    def _settle(self, cols: np.ndarray) -> np.ndarray:
+        """The full test of the points whose columns are ``cols``."""
         t = GEOM_TOL / self.pitch
         inside = np.ones(cols.shape[1], dtype=bool)
         edge = np.zeros_like(inside)
         keys = []
-        for col, g, side in zip(cols, self.lo, self.cells.shape):
-            u = (col - g) / self.pitch
-            inside &= (u >= -t) & (u <= side + t)
-            edge |= np.abs(u - np.rint(u)) <= t
-            keys.append(np.fmin(np.fmax(np.floor(u), 0.0), side - 1).astype(np.intp))
+        # An infinite or overflowing u reads as outside; its edge is moot.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for col, g, side in zip(cols, self.lo, self.cells.shape):
+                u = (col - g) / self.pitch
+                inside &= (u >= -t) & (u <= side + t)
+                edge |= np.abs(u - np.rint(u)) <= t
+                keys.append(np.fmin(np.fmax(np.floor(u), 0.0), side - 1).astype(np.intp))
         state = self.cells[tuple(keys)]
         hit = inside & (state == 1)
         for j in np.flatnonzero(inside & ~hit & (edge | (state == 2))):
@@ -213,8 +254,10 @@ def monte_carlo_invariance(
 
     Draws start points uniformly from the union of the tree's included
     cells, iterates the oracle ``horizon`` steps, and fails at the first
-    iterate that leaves the union.  Passing is evidence, not proof; the
-    exact coverage check is the guarantee.
+    iterate that leaves the union: the least step, then the least start
+    index.  The points roll forward in contiguous blocks of at most
+    ``MC_BLOCK`` rows, one block after another.  Passing is evidence, not
+    proof; the exact coverage check is the guarantee.
     """
     if not tree.n_included():
         raise ValueError("cannot sample trajectories from an empty set")
@@ -223,20 +266,27 @@ def monte_carlo_invariance(
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     member = _TreeMembership(tree)
-    start = pts = _start_points(tree, samples, np.random.default_rng(seed))
-    for step in range(1, horizon + 1):
-        pts = oracle.map_points(pts)
-        ok = member.contains(pts)
-        if not ok.all():
-            j = int(np.argmin(ok))
-            return Certificate(
-                False,
-                samples,
-                {
+    start = _start_points(tree, samples, np.random.default_rng(seed))
+    # Near-equal blocks, so that with more than one each has at least
+    # MC_BLOCK/2 rows: a map need not give a row the same last bits in a
+    # one-row batch as in a large one.
+    failure = None
+    limit = horizon
+    for block in np.array_split(start, -(-samples // MC_BLOCK)):
+        pts = block
+        for step in range(1, limit + 1):
+            pts = oracle.map_points(pts)
+            ok = member.contains(pts)
+            if not ok.all():
+                # The least step wins, then the least index: an earlier
+                # block's failure at this step stands, so a later block
+                # runs only to the step before it.
+                j = int(np.argmin(ok))
+                failure = {
                     "step": step,
-                    "start": list(map(float, start[j])),
+                    "start": list(map(float, block[j])),
                     "state": list(map(float, pts[j])),
-                },
-                METHOD_MONTE_CARLO,
-            )
-    return Certificate(True, samples, None, METHOD_MONTE_CARLO)
+                }
+                limit = step - 1
+                break
+    return Certificate(failure is None, samples, failure, METHOD_MONTE_CARLO)

@@ -2,8 +2,9 @@
 tree of unsplit roots over a rectangle, lattice-snapped coverage
 instances, the exact successor box, the all-fraction coverage reference
 and the raster sampling oracle, the permuted diagonal affine maps whose
-image of a box is a box, the Minkowski gauge of polytopic C-sets (scipy's ``linprog``
-checks that a row set bounds one) and a contraction grid in fractions,
+image of a box is a box, the one-batch Monte Carlo falsifier, the
+Minkowski gauge of polytopic C-sets (scipy's ``linprog`` checks that a
+row set bounds one) and a contraction grid in fractions,
 the linear-scan and KD-tree nearest-neighbour references, the reference
 synthesizer (the paper's loop, plain and slow), and plain references for
 the dataset CSV writer and reader.
@@ -29,6 +30,7 @@ import orjson
 from pinvset.dataset import EmptyDatasetError, MalformedRowError, NonFiniteSampleError
 from pinvset.geometry import CoverageClass, DimensionMismatchError, GEOM_TOL, Rect
 from pinvset.tree import Label, PartitionTree
+from pinvset.verify import METHOD_MONTE_CARLO, Certificate, _start_points, _TreeMembership
 
 LATTICE_PITCH = 0.25
 RASTER_CELL = LATTICE_PITCH / 8.0
@@ -279,6 +281,25 @@ class PermutedDiagonal:
     def states(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
         """m uniform states in [-1, 1]^n, rounded to multiples of 2^-20."""
         return np.round(rng.uniform(-1.0, 1.0, size=(m, n)) * 2.0 ** 20) / 2.0 ** 20
+
+
+def reference_monte_carlo(
+    tree: PartitionTree, oracle, samples: int, horizon: int, seed: int
+) -> Certificate:
+    """The Monte Carlo falsifier as one batch: the same start points rolled
+    forward all at once, every iterate judged by the membership test's full
+    path (no one-lookup shortcut), failing at the first step that loses a
+    point, at its least index."""
+    member = _TreeMembership(tree)
+    start = pts = _start_points(tree, samples, np.random.default_rng(seed))
+    for step in range(1, horizon + 1):
+        pts = oracle.map_points(pts)
+        ok = member._settle(pts.T)
+        if not ok.all():
+            j = int(np.argmin(ok))
+            failure = {"step": step, "start": start[j].tolist(), "state": pts[j].tolist()}
+            return Certificate(False, samples, failure, METHOD_MONTE_CARLO)
+    return Certificate(True, samples, None, METHOD_MONTE_CARLO)
 
 
 @dataclass

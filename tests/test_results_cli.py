@@ -1081,6 +1081,32 @@ def test_main_runs_without_the_cyclic_collector(monkeypatch, collecting):
     assert codes == [0, 2] and seen == [False, False] and now is collecting
 
 
+def test_script_exits_with_the_code_of_main(tmp_path):
+    # ``python -m pinvset.cli`` and the ``pinvset`` script end through
+    # ``cli.run``, which freezes the collector's objects before it exits:
+    # the exit code is still main's, 1 for a refuted certificate.
+    import pinvset
+
+    doc = json.loads(_small_result_bytes())
+    doc["config"]["lipschitz"] = 0.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(pinvset.__file__).parent.parent))
+    script = [sys.executable, "-m", "pinvset.cli"]
+    version = subprocess.run([*script, "--version"], env=env, capture_output=True, text=True)
+    assert (version.returncode, version.stdout) == (0, "pinvset 0.1.0\n")
+    refuted = subprocess.run([*script, "-q", "verify", str(bad)], env=env, capture_output=True)
+    assert refuted.returncode == 1
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    # Only the script's exit freezes; an in-process caller keeps its heap
+    # collectable.
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == "pinvset 0.1.0\n"
+    assert gc.get_freeze_count() == 0
+
+
 @pytest.mark.parametrize("error,code,reason", [
     (RuntimeError("boom"), 4, "error: internal error: RuntimeError: boom"),
     (MemoryError("Unable to allocate 46. GiB"), 3, "error: out of memory: Unable to allocate"),

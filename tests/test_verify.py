@@ -1,4 +1,5 @@
 import sys
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 
 from helpers import (
     RASTER_CELL,
+    PermutedDiagonal,
     cube,
     exact_coverage,
     in_cells,
     kept_cells,
     margin_separated_instance,
     raster_coverage,
+    reference_monte_carlo,
 )
 
 from pinvset import verify
@@ -165,12 +168,12 @@ def test_exact_classifier_agrees_with_raster(rng):
 # -- union membership ----------------------------------------------------
 
 
-def _random_tree(data, n):
-    """A random tree over one, two or three unit-cube roots: each step
-    divides or retires a live leaf."""
-    ds = Dataset([(0.5,) * n], [(0.5,) * n])
+def _random_tree(data, n, lo=0.0):
+    """A random tree over one, two or three unit-cube roots in a strip from
+    ``lo`` on every axis: each step divides or retires a live leaf."""
+    ds = Dataset([(lo + 0.5,) * n], [(lo + 0.5,) * n])
     roots = data.draw(st.integers(1, 3))
-    tree = new_tree(((0.0,) * n, (float(roots),) + (1.0,) * (n - 1)), ds)
+    tree = new_tree(((lo,) * n, (lo + roots,) + (lo + 1.0,) * (n - 1)), ds)
     for _ in range(data.draw(st.integers(0, 12))):
         live = tree.active_leaves()
         if not live:
@@ -194,17 +197,49 @@ def test_union_membership_matches_plain_scan_property(n, data):
     # are answered by the tree.
     budget = data.draw(st.sampled_from((MAX_BITMAP_CELLS, 64, 1)))
     # Lattice coordinates put points on cell faces and corners; arbitrary
-    # floats cover the general case.
+    # floats cover the general case, and non-finite or huge ones no cell.
     coord = st.one_of(
         st.integers(-4, 32 * roots + 4).map(lambda k: k / 32),
         st.floats(-0.25, roots + 0.25, allow_nan=False),
+        st.sampled_from((np.inf, -np.inf, np.nan, 1e300, -1e300)),
     )
-    pts = np.array(data.draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=40)))
+    drawn = data.draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=40))
+    # The centre of every leaf, so that a retired leaf inside a mixed cell
+    # is always asked about.
+    nodes = tree.nodes
+    centres = [
+        tuple((l + h) / 2 for l, h in zip(nodes.lo[i], nodes.hi[i])) for i in tree.iter_leaves()
+    ]
+    pts = np.array(drawn + centres)
     with patch.object(verify, "MAX_BITMAP_CELLS", budget):
         member = _TreeMembership(tree)
     scan = kept_cells(tree)
     want = [in_cells(scan, p) for p in pts.tolist()]
     assert member.contains(pts).tolist() == want
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** -30])
+@pytest.mark.parametrize("budget", [MAX_BITMAP_CELLS, 1])
+def test_union_membership_of_non_finite_points(budget, scale):
+    # An infinite coordinate made the full test warn on inf - inf; every
+    # such point, and one far off the bitmap (whose u overflows on the small
+    # cells), is no member, on the one-lookup path and on the full test (a
+    # bitmap of one mixed cell).
+    ds = Dataset([(0.5 * scale,) * 2], [(0.5 * scale,) * 2])
+    tree = new_tree(((0.0, 0.0), (scale, scale)), ds)
+    children = tree.divide(tree.roots, ds)
+    tree.set_label(children[-1], Label.EXCLUDED)
+    with patch.object(verify, "MAX_BITMAP_CELLS", budget):
+        member = _TreeMembership(tree)
+    inf, nan, s = float("inf"), float("nan"), scale
+    pts = np.array(
+        [(inf, 0.5 * s), (0.1 * s, -inf), (nan, 0.5 * s), (1e300, 0.0), (0.25 * s, 0.25 * s)]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = member.contains(pts)
+        full = member._settle(pts.T)
+    assert got.tolist() == full.tolist() == [False, False, False, False, True]
 
 
 def test_union_membership_on_dyadic_tiling(lin_oracle, rng):
@@ -332,6 +367,39 @@ def test_monte_carlo_time_does_not_grow_with_the_root_count():
         return count
 
     assert calls(4096) == calls(64) > 0
+
+
+def test_monte_carlo_blocks_report_what_one_batch_reports():
+    # Rolled in blocks of 1, 7, 64 or MC_BLOCK rows, the falsifier reports
+    # the failure that one batch judged by the full membership test reports:
+    # the least step, then the least start index.  A permuted diagonal map
+    # is elementwise, so a row maps to the same bits in any batch.
+    outcomes = set()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        perm=st.permutations((0, 1)),
+        a=st.tuples(*[st.integers(-19, 19).map(lambda k: k / 16)] * 2),
+        b=st.tuples(*[st.integers(-6, 6).map(lambda k: k / 16)] * 2),
+        seed=st.integers(0, 2 ** 32 - 1),
+        samples=st.integers(1, 3000),
+        horizon=st.integers(0, 8),
+        data=st.data(),
+    )
+    def check(perm, a, b, seed, samples, horizon, data):
+        f = PermutedDiagonal(tuple(perm), a, b)
+        tree, _ = _random_tree(data, 2, lo=-1.0)
+        if not tree.n_included():
+            return
+        oracle = SystemOracle("permuted-diagonal", f, f.lipschitz, tree.root_bounds)
+        want = reference_monte_carlo(tree, oracle, samples, horizon, seed)
+        outcomes.add(want.passed)
+        for block in (1, 7, 64, verify.MC_BLOCK):
+            with patch.object(verify, "MC_BLOCK", block):
+                assert monte_carlo_invariance(tree, oracle, samples, horizon, seed) == want
+
+    check()
+    assert outcomes == {True, False}
 
 
 def test_soundness_chain(lin_oracle, nonlin_oracle):
