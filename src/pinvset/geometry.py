@@ -30,8 +30,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-# Absolute slack of ``PartitionTree.overlapping`` and of Monte Carlo
-# membership.  No coverage decision uses it.
+# Absolute slack of ``PartitionTree.overlapping``, its one user, which
+# decides Monte Carlo membership.  No coverage decision uses it.
 GEOM_TOL = 1e-12
 
 # Most cubes ``rect_to_cubes`` tiles a domain with; each is a root of the

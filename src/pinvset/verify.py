@@ -24,8 +24,10 @@ forward; only the exact check constitutes the deterministic guarantee.
 The falsifier, too, reads everything from the tree: start points come
 from its included leaves, and membership of an iterate from one bitmap
 over the rectangle the roots tile, filled from the split structure and
-padded with empty cells.  An iterate whose floor cell reads included is a
-member after one lookup; only the rest take the full test.  The start
+padded with empty cells; a cell reads 1 when it lies in a fully included
+subtree and 0 otherwise.  An iterate whose floor cell reads 1 is a member
+after one lookup; every other iterate is asked of the tree's own closed
+test, ``PartitionTree.overlapping``.  The start
 points roll forward in cache-sized blocks of at most ``MC_BLOCK`` rows,
 and the failure reported is the one a single batch would report.
 """
@@ -38,12 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import SystemOracle
-from .geometry import (
-    GEOM_TOL,
-    balls_contain_cells,
-    successor_corners,
-    uncovered_fragments,
-)
+from .geometry import balls_contain_cells, successor_corners, uncovered_fragments
 from .synthesis import ConfigError, SynthResult
 from .tree import PartitionTree
 
@@ -127,23 +124,22 @@ MC_BLOCK = 25_000
 class _TreeMembership:
     """Vectorized membership test for the union of a tree's included cells.
 
-    One bitmap over ``root_bounds`` (1 included, 2 mixed), which the roots
-    tile as a grid of g_d roots on axis d, with ``g_d * 2**level`` cells on
-    that axis: ``level`` is the depth of the deepest fully included subtree,
-    or the deepest that keeps the bitmap within ``MAX_BITMAP_CELLS``.  A
-    root's integer corner is its rank among the roots' lower faces on each
-    axis, and a node's is twice its parent's plus its sign bits, so the
-    split structure alone fills it.  The bitmap carries a pad cell of 0 at
-    both ends of every axis, so that a point off the bitmap reads 0 with no
-    range test; ``cells`` is the interior.
+    One bitmap over ``root_bounds`` (1 in a cell of a fully included
+    subtree, else 0), which the roots tile as a grid of g_d roots on axis
+    d, with ``g_d * 2**level`` cells on that axis: ``level`` is the depth of
+    the deepest fully included subtree the status walk reaches.  The walk
+    stops at the depth that keeps the bitmap within ``MAX_BITMAP_CELLS``,
+    and a mixed subtree there reads 0.  A root's integer corner is its rank
+    among the roots' lower faces on each axis, and a node's is twice its
+    parent's plus its sign bits, so the split structure alone fills it.
+    The bitmap carries a pad cell of 0 at both ends of every axis, so that
+    a point off the bitmap reads 0 with no range test; ``cells`` is the
+    interior.
 
     ``contains`` looks up each point's floor cell, clamped into the pad, and
-    a 1 there is a member.  Every other point (off the bitmap, in an empty
-    or mixed cell, or not finite) takes the full test, ``_settle``, where
-    the tree's own closed test, ``overlapping(p, p)``, answers a point
-    within ``GEOM_TOL`` of a lattice line whose cell is not included (a
-    neighbour may be) and one in a mixed cell.  A point with an infinite or
-    NaN coordinate is no member.
+    a 1 there is a member.  Every other point goes to ``_settle``, the
+    tree's own closed test, ``overlapping(p, p)``; a point with an infinite
+    or NaN coordinate is no member.
     """
 
     def __init__(self, tree: PartitionTree):
@@ -168,23 +164,20 @@ class _TreeMembership:
             i, depth, corner = stack.pop()
             if status[i]:
                 full.append((depth, corner))
-            elif status[i] is None:
+            elif status[i] is None and depth < cap:
                 bits = bits or (tree._signs > 0.0).tolist()
                 stack += [
                     (first_child[i] + j, depth + 1, tuple(2 * c + b for c, b in zip(corner, s)))
                     for j, s in enumerate(bits)
                 ]
-        level = min(cap, max((depth for depth, _ in full), default=0))
+        level = max((depth for depth, _ in full), default=0)
         self._padded = np.zeros(tuple((g << level) + 2 for g in grid), dtype=np.uint8)
         self.cells = self._padded[(slice(1, -1),) * n]
         # The flat index of interior cell (0, ..., 0) in the padded bitmap.
         self._offset = int(np.ravel_multi_index((1,) * n, self._padded.shape))
         for depth, corner in full:
             s = level - depth
-            if s >= 0:
-                self.cells[tuple(slice(c << s, (c + 1) << s) for c in corner)] = 1
-            else:
-                self.cells[tuple(c >> -s for c in corner)] = 2
+            self.cells[tuple(slice(c << s, (c + 1) << s) for c in corner)] = 1
         self.lo = tree.root_bounds[0]
         self.pitch = 2.0 * nodes.target_radius[tree.roots[0]] / (1 << level)
 
@@ -192,9 +185,8 @@ class _TreeMembership:
         # Column by column: ops on an (N, n) array loop over rows of length n.
         cols = np.asarray(pts, dtype=float).T
         # One lookup of the floor cell, clamped into the pad (NaN lands on
-        # -1, and a u that overflows to inf on ``side``).  A floor cell inside
-        # the bitmap is the cell ``_settle`` keys, and the point is inside,
-        # so a 1 there is a member.
+        # -1, and a u that overflows to inf on ``side``).  A 1 there is a
+        # cell of an included subtree, so the point is a member.
         flat = 0.0
         with np.errstate(over="ignore"):
             for col, g, side in zip(cols, self.lo, self.cells.shape):
@@ -213,20 +205,8 @@ class _TreeMembership:
 
     def _settle(self, cols: np.ndarray) -> np.ndarray:
         """The full test of the points whose columns are ``cols``."""
-        t = GEOM_TOL / self.pitch
-        inside = np.ones(cols.shape[1], dtype=bool)
-        edge = np.zeros_like(inside)
-        keys = []
-        # An infinite or overflowing u reads as outside; its edge is moot.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for col, g, side in zip(cols, self.lo, self.cells.shape):
-                u = (col - g) / self.pitch
-                inside &= (u >= -t) & (u <= side + t)
-                edge |= np.abs(u - np.rint(u)) <= t
-                keys.append(np.fmin(np.fmax(np.floor(u), 0.0), side - 1).astype(np.intp))
-        state = self.cells[tuple(keys)]
-        hit = inside & (state == 1)
-        for j in np.flatnonzero(inside & ~hit & (edge | (state == 2))):
+        hit = np.zeros(cols.shape[1], dtype=bool)
+        for j in np.flatnonzero(np.isfinite(cols).all(axis=0)):
             p = tuple(cols[:, j].tolist())
             hit[j] = bool(self.tree.overlapping(p, p))
         return hit
@@ -239,8 +219,9 @@ def _start_points(tree: PartitionTree, samples: int, rng: np.random.Generator) -
     leaves = tree.active_leaves()
     radii = np.array([nodes.target_radius[i] for i in leaves])
     weight = (radii / radii.max()) ** tree.dim
-    pick = rng.choice(leaves, size=samples, p=weight / weight.sum())
-    return rng.uniform(np.array(nodes.lo)[pick], np.array(nodes.hi)[pick])
+    pick = rng.choice(len(leaves), size=samples, p=weight / weight.sum())
+    lo, hi = (np.array([column[i] for i in leaves]) for column in (nodes.lo, nodes.hi))
+    return rng.uniform(lo[pick], hi[pick])
 
 
 def monte_carlo_invariance(

@@ -337,8 +337,8 @@ def test_domain_scaled_down_gives_the_same_partition(lin_oracle, tmp_path):
 
 
 def test_sweep_and_certificate_take_no_tolerance_path(lin_oracle, nonlin_oracle, monkeypatch):
-    # GEOM_TOL's users are Monte Carlo membership and its fallback probe,
-    # ``overlapping``; a run and its certificate use neither.
+    # GEOM_TOL's one user is ``overlapping``, the full test of Monte Carlo
+    # membership; a run and its certificate never call it.
     def forbidden(*args, **kwargs):
         raise AssertionError("a tolerance path was taken")
 

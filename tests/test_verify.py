@@ -21,7 +21,7 @@ from helpers import (
 
 from pinvset import verify
 from pinvset.dataset import Dataset, SystemOracle, gen_uniform
-from pinvset.geometry import CoverageClass, successor_corners
+from pinvset.geometry import GEOM_TOL, CoverageClass, successor_corners
 from pinvset.synthesis import SynthConfig, SynthResult, synthesize
 from pinvset.tree import Label, new_tree
 from pinvset.verify import (
@@ -193,13 +193,19 @@ def _random_tree(data, n, lo=0.0):
 @given(n=st.integers(1, 3), data=st.data())
 def test_union_membership_matches_plain_scan_property(n, data):
     tree, roots = _random_tree(data, n)
-    # A small cell budget pushes the bitmap above its cap, so mixed cells
-    # are answered by the tree.
+    # A small cell budget pushes the bitmap above its cap, so the cells of
+    # mixed subtrees there are answered by the tree.
     budget = data.draw(st.sampled_from((MAX_BITMAP_CELLS, 64, 1)))
-    # Lattice coordinates put points on cell faces and corners; arbitrary
-    # floats cover the general case, and non-finite or huge ones no cell.
+    # Lattice coordinates put points on cell faces and corners, and offsets
+    # of GEOM_TOL/2 and 3*GEOM_TOL just inside and outside the closed test's
+    # band around them, at interior faces and at the faces of the roots'
+    # rectangle; arbitrary floats cover the general case, and non-finite or
+    # huge ones no cell.
+    offset = st.sampled_from((-3.0, -0.5, 0.5, 3.0)).map(lambda f: f * GEOM_TOL)
     coord = st.one_of(
         st.integers(-4, 32 * roots + 4).map(lambda k: k / 32),
+        st.builds(lambda k, e: k / 32 + e, st.integers(-4, 32 * roots + 4), offset),
+        st.builds(lambda f, e: f + e, st.sampled_from((0.0, 1.0, float(roots))), offset),
         st.floats(-0.25, roots + 0.25, allow_nan=False),
         st.sampled_from((np.inf, -np.inf, np.nan, 1e300, -1e300)),
     )
@@ -253,7 +259,8 @@ def test_union_membership_on_dyadic_tiling(lin_oracle, rng):
 
 def test_union_membership_above_the_cap(rng):
     # Split the low corner down to depth 13 and drop the high child at every
-    # level: the bitmap stops at depth 11, and its mixed cells ask the tree.
+    # level: the bitmap stops at depth 11, and the points of its capped
+    # corner cell ask the tree.
     ds = Dataset([(0.5, 0.5)], [(0.5, 0.5)])
     tree = new_tree(((0.0, 0.0), (1.0, 1.0)), ds)
     corner = tree.roots[0]
@@ -262,9 +269,14 @@ def test_union_membership_above_the_cap(rng):
         tree.set_label(children[-1], Label.EXCLUDED)
         corner = children[0]
     member = _TreeMembership(tree)
-    cells = member.cells
-    assert cells.shape == (2 ** 11, 2 ** 11) and (cells == 2).any()
+    assert member.cells.shape == (2 ** 11, 2 ** 11)
+    assert min(tree.nodes.target_radius) == 2.0 ** -14  # cells of depth 13
     deep = rng.uniform(0.0, 2.0 ** -10, size=(3000, 2))
+    capped = deep[(deep < 2.0 ** -11).all(axis=1)].tolist()
+    with patch.object(tree, "overlapping", wraps=tree.overlapping) as probe:
+        member.contains(deep)
+    asked = {call.args[0] for call in probe.call_args_list}
+    assert capped and asked >= set(map(tuple, capped))
     faces = np.floor(deep * 2 ** 14) / 2 ** 14
     pts = np.vstack((deep, faces, rng.uniform(-0.1, 1.1, size=(1000, 2))))
     scan = kept_cells(tree)
