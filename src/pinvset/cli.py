@@ -27,6 +27,7 @@ from . import __version__
 from . import bounds as bounds_mod
 from .dataset import (
     DatasetError,
+    SystemOracle,
     UnknownSystemError,
     gen_dyadic_grid,
     gen_uniform,
@@ -39,7 +40,6 @@ from .render import load_overlay, render_tree_svg
 from .results import (
     ResultFormatError,
     RunManifest,
-    file_sha256,
     load_result,
     save_result,
 )
@@ -128,7 +128,7 @@ def cmd_synth(args) -> int:
     certificate = check_fixpoint(result)
     manifest = RunManifest(
         command=" ".join(args.argv_echo),
-        dataset_sha256=file_sha256(args.data),
+        dataset_sha256=dataset.sha256,
         dataset_meta=dataset.metadata,
         duration_s=time.perf_counter() - t0,
     )
@@ -173,8 +173,29 @@ def _meta_value(manifest: RunManifest, key: str, kind: type):
     return value
 
 
+def _domain_fault(root_bounds: Rect, oracle: SystemOracle) -> str | None:
+    """Why the rectangle the roots tile does not lie inside the domain of
+    the system ``oracle``, or None if it does."""
+    (lo, hi), (domain_lo, domain_hi) = root_bounds, oracle.domain
+    if len(lo) == len(domain_lo) and all(
+        a <= b <= c <= d for a, b, c, d in zip(domain_lo, lo, hi, domain_hi)
+    ):
+        return None
+    return (
+        f"root_bounds {lo}..{hi} do not lie inside the domain "
+        f"{tuple(domain_lo)}..{tuple(domain_hi)} of system {oracle.name}"
+    )
+
+
 def cmd_verify(args) -> int:
     manifest, result = load_result(args.result)
+    system = args.system or _meta_value(manifest, "system", str)
+    oracle = None
+    if system:
+        oracle = get_system(system) if args.system else _file_system(system, args.result)
+    domain_fault = _domain_fault(result.tree.root_bounds, oracle) if oracle else None
+    if domain_fault:
+        logger.warning("event=domain-refused reason=%s", domain_fault)
     certificate = check_fixpoint(result)
     logger.info(
         "event=verify method=%s passed=%s checked=%d lipschitz=%r",
@@ -185,13 +206,11 @@ def cmd_verify(args) -> int:
     )
     mc_passed = True
     if args.monte_carlo:
-        system = args.system or _meta_value(manifest, "system", str)
-        if not system:
+        if oracle is None:
             raise UsageError("--monte-carlo needs --system (or dataset metadata in the result)")
         if not result.tree.n_included():
             logger.info("event=monte-carlo skipped=empty-set")
         else:
-            oracle = get_system(system) if args.system else _file_system(system, args.result)
             mc = monte_carlo_invariance(
                 result.tree, oracle, args.monte_carlo, args.horizon, args.seed
             )
@@ -210,13 +229,14 @@ def cmd_verify(args) -> int:
         "volume": _json_number(result.volume),
         # Trusted input: the certificate holds only if this bounds the map.
         "lipschitz": _json_number(result.config.lipschitz),
-        # Trusted input too: the rectangle the root cells tile.  Loading
-        # derives the roots from it (its ``rect_to_cubes`` cubes), but
-        # nothing checks the rectangle against the system's constraint set.
+        # The rectangle the root cells tile: loading derives the roots from
+        # it (its ``rect_to_cubes`` cubes), and with a known system it must
+        # lie inside that system's domain.  Without one it is trusted input.
         "domain": [list(map(_json_number, corner)) for corner in result.tree.root_bounds],
     }
     print(json.dumps(report))
-    return EXIT_OK if (certificate.passed and mc_passed) else EXIT_VERIFY_FAILED
+    passed = certificate.passed and mc_passed and not domain_fault
+    return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
 def cmd_bounds(args) -> int:

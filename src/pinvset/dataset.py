@@ -20,7 +20,8 @@ at the tree's centers on every domain.
 A dataset is stored as CSV, which is streamed at both ends: the writer
 formats the rows in blocks, one ``orjson`` dump of a block's flat values
 each, and the reader reads the file once, in line-aligned blocks, after a
-scan of the head for comments and the header.  A block of plain ``a,b,..``
+scan of the head for comments and the header, and hashes (sha256) every
+byte it reads.  A block of plain ``a,b,..``
 rows is parsed by ``orjson``; any other block, and one that may hold a
 value that ``orjson`` reads otherwise than numpy, by ``np.loadtxt`` from
 its lines.  Each end holds one block of the text at a time.
@@ -30,6 +31,7 @@ into states and successors, and the SVG overlay is read by it too.
 
 from __future__ import annotations
 
+import hashlib
 import re
 import warnings
 from array import array
@@ -155,6 +157,7 @@ class Dataset:
         self.x_plus = x_plus
         self.dim = x.shape[1]
         self.metadata: dict = dict(metadata or {})
+        self.sha256: str | None = None  # of the CSV it was loaded from
 
     @cached_property
     def _index(self):
@@ -296,12 +299,14 @@ def _line_end(raw: bytes, pos: int) -> int:
     return end if cr == -1 else cr
 
 
-def _line_blocks(fh) -> Iterator[bytes]:
+def _line_blocks(fh, digest) -> Iterator[bytes]:
     """The bytes of ``fh`` in blocks of about ``CSV_READ_BYTES``, each cut
     after a line end ('\\n', '\\r\\n' or '\\r', never between the two bytes
-    of a '\\r\\n'); the last block runs to the end of the file."""
+    of a '\\r\\n'); the last block runs to the end of the file.  Every byte
+    read goes to the hash object ``digest`` too."""
     tail = b""
     while chunk := fh.read(CSV_READ_BYTES):
+        digest.update(chunk)
         chunk = tail + chunk
         nl = chunk.rfind(b"\n")
         # A '\r' that ends the chunk may be the first byte of a '\r\n'.
@@ -439,9 +444,10 @@ def _plain_rows(block: bytes, cols: int) -> np.ndarray | None:
     return rows
 
 
-def read_csv(path: str | Path) -> tuple[np.ndarray, dict]:
-    """The rows of a CSV as one float array, and its metadata; the one CSV
-    reader, for datasets and overlays alike.
+def read_csv(path: str | Path) -> tuple[np.ndarray, dict, str]:
+    """The rows of a CSV as one float array, its metadata, and the sha256
+    of the bytes parsed (hex); the one CSV reader, for datasets and
+    overlays alike.
 
     Lines whose first non-blank character is '#' are comments and may
     carry ``key=value`` metadata; an optional non-numeric header row is
@@ -466,8 +472,9 @@ def read_csv(path: str | Path) -> tuple[np.ndarray, dict]:
     lineno = cols = 0  # the lines before the block; the column count, once fixed
     header = False  # whether the first content line was a header
     non_finite = None  # the line of the first non-finite row
+    digest = hashlib.sha256()
     with path.open("rb") as fh:
-        for block in _line_blocks(fh):
+        for block in _line_blocks(fh, digest):
             if not cols:
                 # A header row has a cell Python's float refuses; numpy refuses
                 # those cells too, and a row that only numpy refuses ('1_0') is
@@ -506,15 +513,17 @@ def read_csv(path: str | Path) -> tuple[np.ndarray, dict]:
         raise EmptyDatasetError(f"{path}: no data rows")
     if non_finite is not None:
         raise NonFiniteSampleError(f"{path}:{non_finite}: non-finite value in data row")
-    return np.frombuffer(values, float).reshape(-1, cols), metadata
+    return np.frombuffer(values, float).reshape(-1, cols), metadata, digest.hexdigest()
 
 
 def load_dataset(path: str | Path) -> Dataset:
     """Read sample pairs from a CSV of rows ``x_1,..,x_n,xp_1,..,xp_n``,
-    as ``read_csv`` reads it."""
-    rows, metadata = read_csv(path)
+    as ``read_csv`` reads it; ``sha256`` is the digest of the file."""
+    rows, metadata, sha256 = read_csv(path)
     n = rows.shape[1] // 2
-    return Dataset._adopt(rows[:, :n], rows[:, n:], metadata)
+    dataset = Dataset._adopt(rows[:, :n], rows[:, n:], metadata)
+    dataset.sha256 = sha256
+    return dataset
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:

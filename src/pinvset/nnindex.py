@@ -29,6 +29,15 @@ no sample at distance ``U`` or less.  How samples are keyed into cells
 affects the speed only, never the answer, and no rounding margin is
 needed.  A query far from the data stays cheap: the greedy descent finds
 a sample near the data's face, and boxes prune the rest of it.
+
+Memory: the index keeps views of the data's columns, 4 bytes of sample
+order per sample, and per cell its box, plus each leaf's start and count
+and each inner cell's 2^n child slots: about 70 bytes per leaf in the
+plane.  On 2-D data of 2 to 8 samples per leaf that is 13 to 39 bytes per
+sample (17 on the 349,525-row grid).  The build adds the sort's index,
+8 bytes per sample, and a few bytes of Morton code per sample, and
+gathers coordinates ``_GATHER_SAMPLES`` at a time: its traced peak on the
+grid is 20 bytes per sample.
 """
 
 from __future__ import annotations
@@ -47,14 +56,76 @@ _LEAF_SAMPLES = 2
 # leaf fit in it.
 _BLOCK_PAIRS = 1 << 18
 
+# Sorted samples whose coordinates the NN index build gathers at a time.
+_GATHER_SAMPLES = 1 << 16
 
-def _spread_bits(n: int) -> np.ndarray:
-    """For every byte value, the value with its bit b moved to bit b * n."""
+
+def _spread_bits(n: int, dtype: type) -> np.ndarray:
+    """For every byte value, the value with its bit b moved to bit b * n, in
+    ``dtype``.  Bits past its width are dropped: they belong to byte values
+    that no key of a code that fits ``dtype`` holds."""
     byte = np.arange(256, dtype=np.uint64)
     table = np.zeros(256, dtype=np.uint64)
     for b in range(8):
         table |= (byte >> np.uint64(b) & np.uint64(1)) << np.uint64(b * n)
-    return table
+    return table.astype(dtype)
+
+
+def _morton(cols: list, lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
+    """The Morton code of each sample's leaf: bit b of its slab index on
+    axis d moves to bit ``b * n + n - 1 - d``.  The slab indices go through
+    one float buffer, and the codes take the narrowest unsigned dtype that
+    holds ``depth * n`` bits (``np.argsort`` radix-sorts 16 bits or fewer)."""
+    n, m, side = len(cols), len(cols[0]), 1 << depth
+    dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                 if depth * n <= np.iinfo(t).bits)
+    spread = _spread_bits(n, dtype)
+    code = np.zeros(m, dtype)
+    key = np.empty(m, dtype)
+    buf = np.empty(m)
+    for d, (col, low, span) in enumerate(zip(cols, lo, hi - lo)):
+        if 0.0 < span < math.inf:
+            np.subtract(col, low, out=buf)
+            np.divide(buf, span, out=buf)
+            np.multiply(buf, side, out=buf)
+            np.floor(buf, out=buf)
+            np.minimum(buf, side - 1, out=buf)
+            key[...] = buf
+        else:
+            key.fill(0)
+        for b in range(0, depth, 8):
+            code |= spread[key >> b & 255] << (b * n + n - 1 - d)
+    return code
+
+
+def _leaf_boxes(cols: list, order: np.ndarray, start: np.ndarray) -> tuple[list, list]:
+    """Per axis, the least and the greatest coordinate of each leaf's
+    samples, and the empty box after them.  The columns are gathered in
+    runs of ``_GATHER_SAMPLES`` sorted samples; a leaf that two runs share
+    takes the least (greatest) of its two partial boxes."""
+    m, k = len(order), len(start)
+    lo = [np.full(k + 1, math.inf) for _ in cols]
+    hi = [np.full(k + 1, -math.inf) for _ in cols]
+    for s in range(0, m, _GATHER_SAMPLES):
+        samples = order[s:s + _GATHER_SAMPLES]
+        a = np.searchsorted(start, s, "right") - 1  # the leaf that holds sample s
+        b = np.searchsorted(start, s + len(samples))
+        at = np.maximum(start[a:b] - s, 0)
+        for col, low, high in zip(cols, lo, hi):
+            run = col[samples]
+            np.minimum(low[a:b], np.minimum.reduceat(run, at), out=low[a:b])
+            np.maximum(high[a:b], np.maximum.reduceat(run, at), out=high[a:b])
+    return lo, hi
+
+
+def _reduce_runs(ufunc: np.ufunc, values: np.ndarray, starts: np.ndarray,
+                 empty: float) -> np.ndarray:
+    """``ufunc.reduceat(values, starts)`` with ``empty`` after it, reduced
+    straight into one array."""
+    out = np.empty(len(starts) + 1)
+    out[-1] = empty
+    ufunc.reduceat(values, starts, out=out[:-1])
+    return out
 
 
 def _runs(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,7 +163,9 @@ class CellIndex:
     end (lower corner +inf, upper -inf), and each cell above the leaves its
     2^n child slots; an empty child points at the empty box, whose lower
     bound is +inf (``query`` refuses queries at no finite distance).  The
-    module docstring says why the answer is exact.
+    module docstring says why the answer is exact, and what it costs in
+    memory: ``order`` is int32 while M < 2^31, and ``start``, ``count``
+    and the child slots, which every query indexes with, stay intp.
     """
 
     def __init__(self, x: np.ndarray):
@@ -101,45 +174,30 @@ class CellIndex:
         while depth < 63 // n and m >> n * (depth + 1) >= _LEAF_SAMPLES:
             depth += 1
         self.fan = 1 << n if depth else 0  # child slots per cell; one leaf has none
-        side = 1 << depth
-        spread = _spread_bits(n)
         self.cols = [x[:, d] for d in range(n)]
         self.lo = np.array([col.min() for col in self.cols])
         self.hi = np.array([col.max() for col in self.cols])
-        code = np.zeros(m, dtype=np.uint64)
-        for d, (col, lo, span) in enumerate(zip(self.cols, self.lo, self.hi - self.lo)):
-            key = np.zeros(m, dtype=np.uint64)
-            if 0.0 < span < math.inf:
-                key = np.minimum(np.floor((col - lo) / span * side), side - 1).astype(np.uint64)
-            for b in range(0, depth, 8):
-                code |= spread[key >> np.uint64(b) & np.uint64(255)] << np.uint64(b * n + n - 1 - d)
-        self.order = np.argsort(code, kind="stable")
-        code = code[self.order]
+        code = _morton(self.cols, self.lo, self.hi, depth)
+        order = np.argsort(code, kind="stable")
+        code = code[order]
         self.start = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
         self.count = np.diff(np.r_[self.start, m])
         code = code[self.start]
-        lo, hi = [], []
-        for col in self.cols:
-            ordered = col[self.order]
-            lo.append(np.minimum.reduceat(ordered, self.start))
-            hi.append(np.maximum.reduceat(ordered, self.start))
+        self.order = order.astype(np.int32) if m <= np.iinfo(np.int32).max else order
+        del order  # kept alive, the intp order would add to the build's peak
+        lo, hi = _leaf_boxes(self.cols, self.order, self.start)
         # levels[l]: the boxes of the cells at depth l + 1, and the child
         # slots of the cells at depth l (the root is cell 0 at depth 0).
         self.levels = []
         for _ in range(depth):
-            up = code >> np.uint64(n)
+            up = code >> n
             new = np.r_[True, up[1:] != up[:-1]]
             child = np.full((int(new.sum()), self.fan), len(code))
-            slot = (code & np.uint64(self.fan - 1)).astype(np.intp)
-            child[np.cumsum(new) - 1, slot] = np.arange(len(code))
-            self.levels.append((
-                [np.append(a, math.inf) for a in lo],
-                [np.append(a, -math.inf) for a in hi],
-                child.ravel(),
-            ))
+            child[np.cumsum(new) - 1, code & (self.fan - 1)] = np.arange(len(code))
+            self.levels.append((lo, hi, child.ravel()))
             first = np.flatnonzero(new)
-            lo = [np.minimum.reduceat(a, first) for a in lo]
-            hi = [np.maximum.reduceat(a, first) for a in hi]
+            lo = [_reduce_runs(np.minimum, a[:-1], first, math.inf) for a in lo]
+            hi = [_reduce_runs(np.maximum, a[:-1], first, -math.inf) for a in hi]
             code = up[first]
         self.levels.reverse()
 
@@ -154,7 +212,7 @@ class CellIndex:
             raise ValueError("queries must be finite, with finite distances to the samples")
         size = max(_BLOCK_PAIRS // (self.fan + int(self.count.max())), 1)
         starts = range(0, len(qs), size)
-        return np.concatenate([self._block(list(q[:, s:s + size])) for s in starts])
+        return np.concatenate([self._block(list(q[:, s:s + size])) for s in starts], dtype=np.intp)
 
     def _bound(self, q: list) -> np.ndarray:
         """Per query, an upper bound on its nearest distance: the distance

@@ -75,7 +75,7 @@ def load_overlay(path) -> list[tuple[float, float]]:
     """Polyline vertices from a CSV of ``x,y`` rows, read by
     ``dataset.read_csv`` as a dataset is; a file of other than two columns
     raises ``MalformedRowError``."""
-    rows, _ = read_csv(path)
+    rows, _, _ = read_csv(path)
     if rows.shape[1] != 2:
         raise MalformedRowError(f"{path}: {rows.shape[1]} columns, expected 2")
     return list(map(tuple, rows.tolist()))

@@ -22,7 +22,6 @@ bits as a float (``_may_hold_long_int``) are parsed again by the stdlib.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -48,14 +47,6 @@ class RunManifest:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def file_sha256(path: str | Path) -> str:
-    h = hashlib.sha256()
-    with Path(path).open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 _LABELS = {label.value: label for label in Label}

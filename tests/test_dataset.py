@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -24,10 +25,12 @@ from pinvset.dataset import (
     get_system,
     load_dataset,
     linear2d,
+    read_csv,
     save_dataset,
 )
 from pinvset.geometry import DimensionMismatchError, balls_contain_cells, rect_to_cubes
 from pinvset.synthesis import SynthConfig, synthesize
+from pinvset.nnindex import CellIndex
 from pinvset.tree import new_tree
 
 
@@ -387,6 +390,23 @@ def test_read_csv_reads_the_file_only_through_its_blocks(tmp_path, monkeypatch, 
     ds = load_dataset(f)
     assert ds.x.tolist() == [[0.0, 0.0], [1.0, 1.0], [-2.0, 2.0]]
     assert ds.metadata == {"m": 3}
+
+
+@pytest.mark.parametrize("text", [
+    "# m=3\nx1,x2,xp1,xp2\n0,0,0,0\n1,1,1,1\n-2,2,0.5,0\n",
+    "# m=3\r\n# a comment\r\nx1, x2, xp1, xp2\r\n0, 0, 0, 0\r\n# c\r\n"
+    "1,1,1,1 # c\r\n-2,2,0.5,0\r\n",
+], ids=["plain", "crlf-comments"])
+@pytest.mark.parametrize("read_bytes", [1, 7, dataset_module.CSV_READ_BYTES])
+def test_read_csv_digest_is_the_sha256_of_the_file(tmp_path, monkeypatch, text, read_bytes):
+    # The digest is taken in the one pass that parses the file, in blocks
+    # of any size.
+    f = tmp_path / "d.csv"
+    f.write_bytes(text.encode())
+    digest = hashlib.sha256(f.read_bytes()).hexdigest()
+    monkeypatch.setattr(dataset_module, "CSV_READ_BYTES", read_bytes)
+    assert read_csv(f)[2] == digest
+    assert load_dataset(f).sha256 == digest
 
 
 def _counting_loadtxt(monkeypatch) -> list:
@@ -808,6 +828,39 @@ def test_nearest_single_sample_and_empty_batch():
     assert _distances_at(ds, qs, idx).tolist() == [0.0, 2.75, 1e9 + 0.25]
     idx = ds.nearest(np.zeros((0, 2)))
     assert idx.shape == (0,) and idx.dtype == np.intp
+
+
+@pytest.mark.parametrize("n,m", [(1, (1 << 18) + 1000), (3, 1 << 19)])
+def test_nearest_with_morton_codes_past_16_bits(rng, n, m):
+    # Leaves deep enough that a Morton code takes more than 16 bits.  The
+    # samples sit on a lattice of 2^-10 steps with duplicates, and the
+    # queries on samples, midway between them and far outside the data.
+    pts = rng.integers(-(1 << 10), 1 << 10, size=(m, n)) / 1024.0
+    ds = Dataset(pts, pts)
+    qs = np.concatenate((
+        pts[rng.integers(0, m, size=500)],
+        rng.integers(-(1 << 11), 1 << 11, size=(500, n)) / 2048.0,
+        rng.uniform(-1.5, 1.5, size=(500, n)),
+        rng.uniform(-1e3, 1e3, size=(50, n)),
+    ))
+    _assert_same_answer(ds, qs, scan=False)
+    assert len(ds._index.levels) * n > 16
+    _assert_same_answer(ds, qs[::400])
+
+
+def test_nearest_index_build_memory_per_sample(rng):
+    # The build keys the samples through one float buffer and gathers
+    # their coordinates in runs, so its peak is little more than what the
+    # index keeps.  Columns of a wider array, as the loader hands them over.
+    m = 350_000
+    x = rng.uniform(-1.0, 1.0, size=(m, 4))[:, :2]
+    tracemalloc.start()
+    try:
+        CellIndex(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / m < 28, peak / m
 
 
 @pytest.mark.parametrize(

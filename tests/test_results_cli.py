@@ -476,6 +476,12 @@ def _synth_linear_result(tmp_path) -> dict:
     return json.loads(result.read_text())
 
 
+def test_cli_synth_records_the_sha256_of_its_data(tmp_path):
+    doc = _synth_linear_result(tmp_path)
+    digest = hashlib.sha256((tmp_path / "d.csv").read_bytes()).hexdigest()
+    assert doc["manifest"]["dataset_sha256"] == digest
+
+
 def test_cli_verify_rejects_children_that_are_not_one_block(tmp_path, capsys):
     # Move a retired leaf from its parent's block to the root: the root then
     # has 5 children and the old parent 3.  Such a file used to load and fail
@@ -943,9 +949,9 @@ def _roots_document(doc: dict, root_bounds: list, count: int) -> dict:
 
 
 @pytest.mark.parametrize("root_bounds,count,reason", [
-    # The one root cube of the square [-0.5, 0.5]^2 certifies: the origin
-    # maps to itself.
-    pytest.param([[-0.5, -0.5], [0.5, 0.5]], 1, None, id="one-cube"),
+    # The one root cube of the square [-0.25, 0.25]^2, inside linear2d's
+    # domain, certifies: the origin maps to itself.
+    pytest.param([[-0.25, -0.25], [0.25, 0.25]], 1, None, id="one-cube"),
     # Four roots, as many as its quarters, are not the one cube synth writes.
     pytest.param(
         [[-0.5, -0.5], [0.5, 0.5]], 4,
@@ -979,6 +985,26 @@ def test_cli_verify_takes_only_the_roots_synth_writes(tmp_path, capsys, root_bou
     else:
         assert code == 3
         assert reason in capsys.readouterr().err
+
+
+def test_cli_verify_refuses_roots_outside_the_system_domain(tmp_path, capsys, caplog):
+    # The one cube [-0.5, 0.5]^2 certifies (its sample at the origin maps
+    # to itself), but reaches past the domain of linear2d, the system its
+    # data names, on both axes.  nonlinear2d's domain [-1, 1]^2 holds it.
+    path = tmp_path / "wide.json"
+    doc = _roots_document(_synth_linear_result(tmp_path), [[-0.5, -0.5], [0.5, 0.5]], 1)
+    path.write_text(json.dumps(doc))
+    reason = (
+        "root_bounds (-0.5, -0.5)..(0.5, 0.5) do not lie inside the domain "
+        "(-0.25, -1.0)..(1.0, 0.25) of system linear2d"
+    )
+    for system in ([], ["--system", "linear2d"]):
+        capsys.readouterr()
+        caplog.clear()
+        assert main(["-q", "verify", str(path), *system]) == 1
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert f"event=domain-refused reason={reason}" in caplog.text
+    assert main(["-q", "verify", str(path), "--system", "nonlinear2d"]) == 0
 
 
 def test_cli_refuses_a_ball_radius_that_overflows(tmp_path, capsys):
@@ -1288,6 +1314,8 @@ def test_cli_synth_on_half_the_domain(tmp_path, capsys, system):
     raw = result.read_bytes()
     body = raw[raw.index(b',"config":'):]
     assert hashlib.sha256(body).hexdigest() == digest
+    # The roots tile the system's domain, though the data covers half of it.
+    assert main(["-q", "verify", str(result)]) == 0
 
 
 def test_cli_rerun_reproduces_result(tmp_path, capsys):
