@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from . import bounds as bounds_mod
 from .dataset import (
+    SYSTEMS,
     DatasetError,
     SystemOracle,
     UnknownSystemError,
@@ -187,12 +188,19 @@ def _domain_fault(root_bounds: Rect, oracle: SystemOracle) -> str | None:
     )
 
 
+def _domain_system(args, manifest: RunManifest) -> SystemOracle | None:
+    """The system whose domain the roots must lie in: ``--system``, or the
+    builtin that ``dataset_meta.system`` names.  Data collected elsewhere
+    may name a system of its own; its rectangle is then trusted input."""
+    if args.system:
+        return get_system(args.system)
+    name = manifest.dataset_meta.get("system")
+    return SYSTEMS[name]() if type(name) is str and name in SYSTEMS else None
+
+
 def cmd_verify(args) -> int:
     manifest, result = load_result(args.result)
-    system = args.system or _meta_value(manifest, "system", str)
-    oracle = None
-    if system:
-        oracle = get_system(system) if args.system else _file_system(system, args.result)
+    oracle = _domain_system(args, manifest)
     domain_fault = _domain_fault(result.tree.root_bounds, oracle) if oracle else None
     if domain_fault:
         logger.warning("event=domain-refused reason=%s", domain_fault)
@@ -206,11 +214,13 @@ def cmd_verify(args) -> int:
     )
     mc_passed = True
     if args.monte_carlo:
-        if oracle is None:
+        system = args.system or _meta_value(manifest, "system", str)
+        if not system:
             raise UsageError("--monte-carlo needs --system (or dataset metadata in the result)")
         if not result.tree.n_included():
             logger.info("event=monte-carlo skipped=empty-set")
         else:
+            oracle = oracle or _file_system(system, args.result)
             mc = monte_carlo_invariance(
                 result.tree, oracle, args.monte_carlo, args.horizon, args.seed
             )
@@ -233,6 +243,8 @@ def cmd_verify(args) -> int:
         # it (its ``rect_to_cubes`` cubes), and with a known system it must
         # lie inside that system's domain.  Without one it is trusted input.
         "domain": [list(map(_json_number, corner)) for corner in result.tree.root_bounds],
+        # Why verify refuses that rectangle, or null.
+        "domain_refused": domain_fault,
     }
     print(json.dumps(report))
     passed = certificate.passed and mc_passed and not domain_fault

@@ -1002,9 +1002,22 @@ def test_cli_verify_refuses_roots_outside_the_system_domain(tmp_path, capsys, ca
         capsys.readouterr()
         caplog.clear()
         assert main(["-q", "verify", str(path), *system]) == 1
-        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert json.loads(capsys.readouterr().out)["domain_refused"] == reason
         assert f"event=domain-refused reason={reason}" in caplog.text
     assert main(["-q", "verify", str(path), "--system", "nonlinear2d"]) == 0
+    assert json.loads(capsys.readouterr().out)["domain_refused"] is None
+
+
+@pytest.mark.parametrize("value", ["foo", "7"])
+def test_cli_verify_trusts_the_roots_of_a_system_that_is_no_builtin(tmp_path, capsys, value):
+    # Data collected elsewhere may name a system of its own, and synth takes
+    # it with --system or --domain.  verify knows no domain to check the
+    # roots against, so the result verifies; only --monte-carlo needs the map.
+    path = _synth_with_comment(tmp_path, "system=linear2d", f"system={value}")
+    capsys.readouterr()
+    assert main(["-q", "verify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["domain_refused"] is None
+    assert main(["-q", "verify", str(path), "--system", "linear2d"]) == 0
 
 
 def test_cli_refuses_a_ball_radius_that_overflows(tmp_path, capsys):
