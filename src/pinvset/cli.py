@@ -212,7 +212,7 @@ def cmd_verify(args) -> int:
         certificate.checked_leaves,
         result.config.lipschitz,
     )
-    mc_passed = True
+    mc = None
     if args.monte_carlo:
         system = args.system or _meta_value(manifest, "system", str)
         if not system:
@@ -224,7 +224,6 @@ def cmd_verify(args) -> int:
             mc = monte_carlo_invariance(
                 result.tree, oracle, args.monte_carlo, args.horizon, args.seed
             )
-            mc_passed = mc.passed
             logger.info(
                 "event=monte-carlo passed=%s samples=%d horizon=%d first_failure=%s",
                 mc.passed,
@@ -245,9 +244,17 @@ def cmd_verify(args) -> int:
         "domain": [list(map(_json_number, corner)) for corner in result.tree.root_bounds],
         # Why verify refuses that rectangle, or null.
         "domain_refused": domain_fault,
+        # The falsifier's verdict, or null when it did not run (no
+        # --monte-carlo, or an empty set).
+        "monte_carlo": None if mc is None else {
+            "passed": mc.passed,
+            "samples": args.monte_carlo,
+            "horizon": args.horizon,
+            "first_failure": mc.first_failure,
+        },
     }
     print(json.dumps(report))
-    passed = certificate.passed and mc_passed and not domain_fault
+    passed = certificate.passed and (mc is None or mc.passed) and not domain_fault
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 

@@ -143,6 +143,8 @@ def test_cli_gen_synth_verify_flow(tmp_path, capsys):
         "-q", "verify", str(result), "--monte-carlo", "2000",
         "--horizon", "20", "--system", "linear2d",
     ]) == 0
+    mc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["monte_carlo"]
+    assert mc == {"passed": True, "samples": 2000, "horizon": 20, "first_failure": None}
 
 
 def test_cli_gen_grid_mode(tmp_path):
@@ -1006,6 +1008,33 @@ def test_cli_verify_refuses_roots_outside_the_system_domain(tmp_path, capsys, ca
         assert f"event=domain-refused reason={reason}" in caplog.text
     assert main(["-q", "verify", str(path), "--system", "nonlinear2d"]) == 0
     assert json.loads(capsys.readouterr().out)["domain_refused"] is None
+
+
+def test_cli_verify_reports_the_monte_carlo_verdict(tmp_path, capsys):
+    # L = 0.5 is below linear2d's true bound 0.8225: the exact certificate
+    # trusts it and passes, and only the falsifier refutes the set, so the
+    # report must say why verify exits 1.  An empty set runs no falsifier.
+    data = tmp_path / "d.csv"
+    assert main(["-q", "gen", "--system", "linear2d", "--m", "5000", "--seed", "3",
+                 "--out", str(data)]) == 0
+    reports = {}
+    for lipschitz in ("0.5", "50"):
+        result = tmp_path / f"r{lipschitz}.json"
+        assert main(["-q", "synth", "--data", str(data), "--system", "linear2d",
+                     "--lipschitz", lipschitz, "--tau", "0.01", "--out", str(result)]) == 0
+        capsys.readouterr()
+        assert main(["-q", "verify", str(result)]) == 0
+        assert json.loads(capsys.readouterr().out)["monte_carlo"] is None
+        code = main(["-q", "verify", str(result), "--monte-carlo", "2000", "--horizon", "7",
+                     "--system", "linear2d"])
+        reports[lipschitz] = code, json.loads(capsys.readouterr().out)
+    code, report = reports["0.5"]
+    assert code == 1 and report["passed"] is True and report["volume"] > 0.0
+    mc = report["monte_carlo"]
+    assert mc["passed"] is False and (mc["samples"], mc["horizon"]) == (2000, 7)
+    assert set(mc["first_failure"]) == {"step", "start", "state"}
+    code, report = reports["50"]
+    assert code == 0 and report["volume"] == 0.0 and report["monte_carlo"] is None
 
 
 @pytest.mark.parametrize("value", ["foo", "7"])

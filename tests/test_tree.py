@@ -597,6 +597,28 @@ def test_grow_rounds_the_ball_radius_up_where_the_sum_falls_short():
     assert not balls_contain_cells([1.0], *cell, sample).any()
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_every_radius_is_within_res_of_its_target_when_every_res_cell_holds_a_sample(n):
+    # The sample bound's event, on fixed data: one sample in each cell of a
+    # res-tiling of the domain.  Every center lies in a closed res-cell that
+    # holds a sample, so its nearest sample is within res of it, and since
+    # rounding is monotone no ball radius exceeds fl(r_target + res) by more
+    # than its one step up.  Samples sit on cell faces too, where the
+    # distance can reach res.
+    lo, hi, res = (-0.25,) * n, (1.0,) * n, 1.25 / 16
+    rng = np.random.default_rng(13)
+    cells = np.stack(np.meshgrid(*[np.arange(16)] * n, indexing="ij"), -1).reshape(-1, n)
+    offset = rng.choice(np.r_[0.0, 1.0, rng.uniform(size=6)], size=cells.shape)
+    ds = make_dataset([tuple(p) for p in (lo + (cells + offset) * res).tolist()])
+    tree = new_tree((lo, hi), ds)
+    wave = tree.roots
+    for _ in range(6):  # down to target radius 0.625 / 64 < res / 4
+        wave = tree.divide(wave, ds)
+    pairs = list(zip(tree.nodes.radius, tree.nodes.target_radius))
+    assert all(r <= math.nextafter(t + res, math.inf) for r, t in pairs)
+    assert max(r - t for r, t in pairs) > res / 2
+
+
 def _first_children_loop(parents, fanout):
     """The node-by-node scan that ``tree._first_children`` does in arrays:
     the reference for its result and for the node each fault names."""

@@ -1,3 +1,4 @@
+import math
 import sys
 import warnings
 from unittest.mock import patch
@@ -20,7 +21,7 @@ from helpers import (
 )
 
 from pinvset import verify
-from pinvset.dataset import Dataset, SystemOracle, gen_uniform
+from pinvset.dataset import Dataset, SystemOracle, gen_uniform, linear2d
 from pinvset.geometry import GEOM_TOL, CoverageClass, successor_corners
 from pinvset.synthesis import SynthConfig, SynthResult, synthesize
 from pinvset.tree import Label, new_tree
@@ -295,6 +296,27 @@ def test_union_membership_on_a_face_of_an_excluded_cell():
     member = _TreeMembership(tree)
     pts = np.array([(0.5, 0.75), (0.75, 0.5), (0.75, 0.75), (0.25, 0.75)])
     assert member.contains(pts).tolist() == [True, True, False, True]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND in CHANGES.md: the one-lookup path of _TreeMembership.contains counts a point "
+    "that the tree's closed test refuses, wherever one ulp exceeds GEOM_TOL"
+))
+def test_union_membership_lookup_agrees_with_the_tree_past_an_ulp():
+    # linear2d's domain scaled by 2^17 is one root cube; its low-x children
+    # are excluded, so the set's face is x = 49152, where one ulp is 2^-37,
+    # about 7.3e-12.  p lies one ulp outside it, beyond GEOM_TOL: the tree
+    # refuses p, but p - lo rounds up onto the face, whose cell is included.
+    scale = 2.0 ** 17
+    domain = tuple(tuple(scale * v for v in corner) for corner in linear2d().domain)
+    ds = Dataset([(0.0, 0.0)], [(0.0, 0.0)])
+    tree = new_tree(domain, ds)
+    for child in tree.divide(tree.roots, ds):
+        if tree.nodes.hi[child][0] == 49152.0:
+            tree.set_label(child, Label.EXCLUDED)
+    p = (math.nextafter(49152.0, -math.inf), -(2.0 ** 16))
+    assert tree.overlapping(p, p) == []
+    assert _TreeMembership(tree).contains(np.array([p])).tolist() == [False]
 
 
 def test_start_points_are_uniform_on_the_set(rng):
