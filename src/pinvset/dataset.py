@@ -21,7 +21,9 @@ A dataset is stored as CSV, which is streamed at both ends: the writer
 formats the rows in blocks, one ``orjson`` dump of a block's flat values
 each, and the reader reads the file once, in line-aligned blocks, after a
 scan of the head for comments and the header, and hashes (sha256) every
-byte it reads.  A block of plain ``a,b,..``
+byte it reads.  The block reader alone knows the line ends of other
+platforms and the BOM: it hands on each block with its line ends as
+'\\n', and the first without a BOM.  A block of plain ``a,b,..``
 rows is parsed by ``orjson``; any other block, and one that may hold a
 value that ``orjson`` reads otherwise than numpy, by ``np.loadtxt`` from
 its lines.  Each end holds one block of the text at a time.
@@ -32,7 +34,7 @@ into states and successors, and the SVG overlay is read by it too.
 from __future__ import annotations
 
 import hashlib
-import re
+import math
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -269,13 +271,15 @@ def _parse_meta_value(raw: str):
         v = float(raw)
     except ValueError:
         return raw
+    if not math.isfinite(v):
+        return raw  # kept as written: JSON holds no inf or nan
     if v.is_integer() and ("." not in raw and "e" not in raw.lower()):
         return int(v)
     return v
 
 
-# Blanks around a line's content.  '\n' and '\r' never occur inside a line:
-# a line ends at '\n', '\r\n' or '\r', as it does for numpy's text-mode read.
+# Blanks around a line's content; a line ends at '\n' once ``_line_blocks``
+# has read it.
 _BLANKS = " \t\f\v"
 
 # Rows formatted by one ``orjson`` call in ``save_dataset``.
@@ -290,33 +294,30 @@ CSV_READ_BYTES = 1 << 18
 _NUMBER_BYTES = b"0123456789.-+eE"
 
 
-def _line_end(raw: bytes, pos: int) -> int:
-    """Offset of the line break ending the line that holds offset ``pos``."""
-    end = raw.find(b"\n", pos)
-    if end == -1:
-        end = len(raw)
-    cr = raw.find(b"\r", pos, end)
-    return end if cr == -1 else cr
-
-
 def _line_blocks(fh, digest) -> Iterator[bytes]:
     """The bytes of ``fh`` in blocks of about ``CSV_READ_BYTES``, each cut
     after a line end ('\\n', '\\r\\n' or '\\r', never between the two bytes
     of a '\\r\\n'); the last block runs to the end of the file.  Every byte
-    read goes to the hash object ``digest`` too."""
-    tail = b""
-    while chunk := fh.read(CSV_READ_BYTES):
+    read goes to the hash object ``digest`` too; then a UTF-8 BOM that
+    starts the file is dropped, and every line end is handed on as '\\n'."""
+    tail, bom, more = b"", b"\xef\xbb\xbf", True
+    while more:
+        chunk = fh.read(CSV_READ_BYTES)
         digest.update(chunk)
-        chunk = tail + chunk
-        nl = chunk.rfind(b"\n")
-        # A '\r' that ends the chunk may be the first byte of a '\r\n'.
-        end = max(nl, chunk.rfind(b"\r", nl + 1, len(chunk) - 1)) + 1
-        block, tail = chunk[:end], chunk[end:]
+        more, block = bool(chunk), tail + chunk
         del chunk  # only the block is held while the caller parses it
+        end = len(block)
+        if more:
+            nl = block.rfind(b"\n")
+            # A '\r' that ends the chunk may be the first byte of a '\r\n'.
+            end = max(nl, block.rfind(b"\r", nl + 1, end - 1)) + 1
+        block, tail = block[:end], block[end:]
         if block:
+            # The first block holds the whole first line, so the whole BOM.
+            block, bom = block.removeprefix(bom), b""
+            if b"\r" in block:
+                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
             yield block
-    if tail:
-        yield tail
 
 
 def _comment_metadata(raw: bytes) -> dict:
@@ -325,17 +326,13 @@ def _comment_metadata(raw: bytes) -> dict:
     carries no metadata.
 
     Scans for '#' with ``bytes.find`` and decodes only the comments, so a
-    CSV with one metadata line costs one pass in C over the bytes.
+    block without one costs one pass in C over its bytes.
     """
     metadata: dict = {}
     pos = raw.find(b"#")
     while pos != -1:
-        # The line starts after the last '\n' or '\r' before the '#'.
-        # Looking for '\r' only back to that '\n' keeps each search inside
-        # one line, so a file of many comments is not scanned once each.
         start = raw.rfind(b"\n", 0, pos) + 1
-        start = raw.rfind(b"\r", start, pos) + 1 or start
-        end = _line_end(raw, pos)
+        end = raw.find(b"\n", pos) + 1 or len(raw)  # past the line
         if not raw[start:pos].strip(_BLANKS.encode()):
             # A line that is not UTF-8 is refused by ``_content_lines``.
             for token in raw[pos + 1:end].decode("utf-8", "replace").split():
@@ -353,15 +350,15 @@ def _content_lines(raw: bytes, path: Path, lineno: int):
     UTF-8 text is refused by its ``path:line``."""
     pos = 0
     while pos < len(raw):
-        end = _line_end(raw, pos)
+        end = raw.find(b"\n", pos) + 1 or len(raw) + 1  # past the line end
         lineno += 1
         try:
-            content = raw[pos:end].decode("utf-8").partition("#")[0].strip(_BLANKS)
+            content = raw[pos:end - 1].decode("utf-8").partition("#")[0].strip(_BLANKS)
         except UnicodeDecodeError:
             raise MalformedRowError(f"{path}:{lineno}: line is not UTF-8 text") from None
         if content:
             yield lineno, content, pos
-        pos = end + 2 if raw.startswith(b"\r\n", end) else end + 1
+        pos = end
 
 
 def _floats(line: str) -> list[float] | None:
@@ -446,25 +443,24 @@ def _plain_rows(block: bytes, cols: int) -> np.ndarray | None:
 
 def read_csv(path: str | Path) -> tuple[np.ndarray, dict, str]:
     """The rows of a CSV as one float array, its metadata, and the sha256
-    of the bytes parsed (hex); the one CSV reader, for datasets and
-    overlays alike.
+    of the file (hex); the one CSV reader, for datasets and overlays alike.
 
     Lines whose first non-blank character is '#' are comments and may
     carry ``key=value`` metadata; an optional non-numeric header row is
-    skipped, and a '#' later in a row ends it.  A line ends at '\\n',
-    '\\r\\n' or '\\r'.  The first data row fixes an even column count (a
-    state and its successor, or an overlay's x,y), and every row must hold
-    that many finite numbers.
+    skipped, and a '#' later in a row ends it.  A line may end as on any
+    platform, and a UTF-8 BOM may start the file (``_line_blocks``).  The
+    first data row fixes an even column count (a state and its successor,
+    or an overlay's x,y), and every row must hold that many finite numbers.
 
     The file is read once, in blocks of about ``CSV_READ_BYTES`` cut at
-    line ends (``_line_blocks``); the first block of rows starts at the
-    first data row, past the comments and the header that the head scan
-    reads.  A block of plain rows (no blanks, comments or '\\r', and a
-    final '\\n') is parsed by ``orjson`` (``_plain_rows``), any other by
-    numpy from its lines, and one that numpy refuses or reads at another
-    width from its stripped lines (``_parse_rows``), which names a bad
-    row's ``path:line``.  A bad row anywhere is refused before a non-finite
-    one.
+    line ends, each with its line ends as '\\n' (``_line_blocks``); the
+    first block of rows starts at the first data row, past the comments and
+    the header that the head scan reads.  A block of plain rows (no blanks
+    or comments, and a final '\\n') is parsed by ``orjson``
+    (``_plain_rows``), any other by numpy from its lines, and one that
+    numpy refuses or reads at another width from its stripped lines
+    (``_parse_rows``), which names a bad row's ``path:line``.  A bad row
+    anywhere is refused before a non-finite one.
     """
     path = Path(path)
     metadata: dict = {}
@@ -475,6 +471,7 @@ def read_csv(path: str | Path) -> tuple[np.ndarray, dict, str]:
     digest = hashlib.sha256()
     with path.open("rb") as fh:
         for block in _line_blocks(fh, digest):
+            metadata.update(_comment_metadata(block))
             if not cols:
                 # A header row has a cell Python's float refuses; numpy refuses
                 # those cells too, and a row that only numpy refuses ('1_0') is
@@ -484,23 +481,16 @@ def read_csv(path: str | Path) -> tuple[np.ndarray, dict, str]:
                         break
                     header = True
                 else:
-                    metadata.update(_comment_metadata(block))
-                    lineno += len(block.splitlines())
+                    lineno += block.count(b"\n")
                     continue
                 cols = line.count(",") + 1
                 if cols % 2 != 0:
                     raise MalformedRowError(f"{path}:{first}: odd column count {cols}")
-                metadata.update(_comment_metadata(block[:pos]))
                 block, lineno = block[pos:], first - 1
             rows = _plain_rows(block, cols)
             if rows is not None:
                 lineno += len(rows)  # one line per row
             else:
-                metadata.update(_comment_metadata(block))
-                # numpy ends a line at '\n' or '\r\n', and runs a comment on
-                # past a bare '\r'; no block splits a '\r\n'.
-                if b"\r" in block and re.search(rb"\r(?!\n)", block):
-                    block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
                 rows = _numpy_rows(block, cols)
                 if rows is None:
                     rows = _parse_rows(block, path, lineno, cols)

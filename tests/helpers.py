@@ -540,11 +540,13 @@ def reference_csv_rows(rows: np.ndarray) -> bytes:
 
 
 def _meta_value(raw: str):
+    """An integer, else a finite float, else the text as written."""
     for kind in (int, float):
         try:
-            return kind(raw)
+            value = kind(raw)
         except ValueError:
-            pass
+            continue
+        return value if math.isfinite(value) else raw
     return raw
 
 

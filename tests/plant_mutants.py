@@ -81,6 +81,23 @@ MUTANTS = (
            "    return np.ones(len(r), dtype=bool)",
            ("tests/test_tree.py::test_grow_rounds_the_ball_radius_up_where_the_sum_falls_short",),
            "balls_contain_cells holds every ball"),
+    Mutant("src/pinvset/dataset.py",
+           r'                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")',
+           "                pass",
+           ("tests/test_dataset.py::test_load_cr_only_line_endings",
+            "tests/test_dataset.py::test_load_cr_only_file_reads_block_by_block"),
+           "the block reader hands on '\\r\\n' and '\\r' line ends as they are"),
+    Mutant("src/pinvset/dataset.py",
+           '            block, bom = block.removeprefix(bom), b""',
+           '            bom = b""',
+           ("tests/test_dataset.py::test_load_skips_a_utf8_bom",),
+           "a UTF-8 BOM is read as part of the first line"),
+    Mutant("src/pinvset/dataset.py",
+           "    if not math.isfinite(v):",
+           "    if False:",
+           ("tests/test_dataset.py::test_non_finite_metadata_is_kept_as_written",
+            "tests/test_results_cli.py::test_cli_synth_writes_non_finite_metadata_as_written"),
+           "non-finite comment metadata is read as a float, which JSON writes as null"),
 )
 
 _NOT_COPIED = shutil.ignore_patterns(

@@ -370,3 +370,29 @@ def test_uniform_bound_refuses_a_bound_that_overflows():
     for form in BoundForm:
         with pytest.raises(ValueError, match=f"the {form.value} bound overflows a float"):
             uniform_sample_bound(query, form)
+
+
+@pytest.mark.parametrize("res", [2.0 ** -2, 2.0 ** -3])
+def test_canonical_bound_leaves_a_res_cell_empty_at_most_delta_of_the_time(res):
+    # At M = canonical(res, delta), M uniform draws leave some res-cell of
+    # the domain empty with probability at most delta = 0.05.  Over 200
+    # fixed seeds more than 23 such draws happen with probability
+    # P[Bin(200, 0.05) > 23] < 1e-4, and at M // 2 they are the rule.
+    seeds, most = 200, 23
+    tail = sum(math.comb(seeds, k) * 0.05 ** k * 0.95 ** (seeds - k)
+               for k in range(most + 1, seeds + 1))
+    assert tail < 1e-4
+    side = round(2.0 / res)  # [-1, 1]^2 in res-cells: 64 and 256 of them
+    m = int(uniform_sample_bound(BoundQuery(0.05, 4.0, 2, res)))
+    assert m == {2.0 ** -2: 455, 2.0 ** -3: 2183}[res]
+
+    def seeds_with_an_empty_cell(count: int) -> int:
+        empty = 0
+        for seed in range(seeds):
+            pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(count, 2))
+            cell = np.minimum(((pts + 1.0) / res).astype(int), side - 1)
+            empty += len(np.unique(cell[:, 0] * side + cell[:, 1])) < side * side
+        return empty
+
+    assert seeds_with_an_empty_cell(m) <= most
+    assert seeds_with_an_empty_cell(m // 2) > most

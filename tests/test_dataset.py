@@ -296,20 +296,22 @@ def test_load_cr_only_file_reads_block_by_block(tmp_path, monkeypatch, lin_oracl
     # Blocks were read on to the next '\n', so a file whose lines end in a
     # bare '\r' was read as one block, whose list of lines set the peak
     # memory.  Cut at every line end, it reads a block at a time, to the
-    # same bits as its '\n' copy.
+    # same bits as its '\n' copy; with its line ends read as '\n', each
+    # block of rows is plain, and numpy reads none.
     f = tmp_path / "d.csv"
     save_dataset(gen_uniform(lin_oracle, 300, seed=0), f)
     want = load_dataset(f)
     monkeypatch.setattr(dataset_module, "CSV_READ_BYTES", 1000)
+    calls = _counting_loadtxt(monkeypatch)
     blocks = []
-    numpy_rows = dataset_module._numpy_rows
-    monkeypatch.setattr(dataset_module, "_numpy_rows",
-                        lambda text, cols: blocks.append(text) or numpy_rows(text, cols))
+    plain_rows = dataset_module._plain_rows
+    monkeypatch.setattr(dataset_module, "_plain_rows",
+                        lambda block, cols: blocks.append(block) or plain_rows(block, cols))
     for line_end in (b"\r", b"\r\n"):
         f.write_bytes(f.read_bytes().replace(b"\n", line_end))
         blocks.clear()
         got = load_dataset(f)
-        assert len(blocks) > 1, line_end
+        assert len(blocks) > 1 and not calls, line_end
         assert got.x.tobytes() == want.x.tobytes() and got.x_plus.tobytes() == want.x_plus.tobytes()
         assert got.metadata == want.metadata
         f.write_bytes(f.read_bytes().replace(line_end, b"\n"))
@@ -318,7 +320,7 @@ def test_load_cr_only_file_reads_block_by_block(tmp_path, monkeypatch, lin_oracl
 def test_csv_io_memory_below_file_size(tmp_path, lin_oracle):
     # Neither end holds the CSV text more than once: the writer formats
     # blocks of rows, and the reader parses the file a block at a time,
-    # with orjson, or numpy for its CRLF copy.
+    # with orjson, for its CRLF copy too.
     ds = gen_uniform(lin_oracle, 200_000, seed=0)
     f = tmp_path / "d.csv"
     tracemalloc.start()
@@ -409,6 +411,28 @@ def test_read_csv_digest_is_the_sha256_of_the_file(tmp_path, monkeypatch, text, 
     assert load_dataset(f).sha256 == digest
 
 
+@pytest.mark.parametrize("read_bytes", [1, 2, 7, dataset_module.CSV_READ_BYTES])
+@pytest.mark.parametrize("head", ["", "# m=3\n"], ids=["rows", "comment"])
+def test_load_skips_a_utf8_bom(tmp_path, monkeypatch, head, read_bytes):
+    # Read as text, a BOM made the first row a header, or the metadata
+    # comment a header; reads of 1 or 2 bytes split it across chunks.
+    f = tmp_path / "b.csv"
+    f.write_bytes(b"\xef\xbb\xbf" + head.encode() + b"0,0,0,0\n1,1,1,1\n2,2,2,2\n")
+    monkeypatch.setattr(dataset_module, "CSV_READ_BYTES", read_bytes)
+    ds = load_dataset(f)
+    assert ds.x.tolist() == [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
+    assert ds.metadata == ({"m": 3} if head else {})
+    assert ds.sha256 == hashlib.sha256(f.read_bytes()).hexdigest()
+
+
+def test_non_finite_metadata_is_kept_as_written(tmp_path):
+    f = tmp_path / "d.csv"
+    f.write_text("# lipschitz=inf note=nan low=-Infinity big=1e400 m=2 tau=0.5\n0,0,0,0\n")
+    assert load_dataset(f).metadata == {
+        "lipschitz": "inf", "note": "nan", "low": "-Infinity", "big": "1e400", "m": 2, "tau": 0.5,
+    }
+
+
 def _counting_loadtxt(monkeypatch) -> list:
     """Make ``np.loadtxt`` record each call, then read as it does."""
     calls, loadtxt = [], np.loadtxt
@@ -482,10 +506,22 @@ def test_gen_output_reads_without_numpy(tmp_path, monkeypatch, make):
     assert back.metadata == ds.metadata
 
 
+@pytest.mark.parametrize("text", ["0,1,2,3\r\n4,5,6,7\r\n", "0,1,2,3\r4,5,6,7\r"],
+                         ids=["crlf", "cr"])
+def test_crlf_and_cr_bodies_read_without_numpy(tmp_path, monkeypatch, text):
+    # The block reader hands every line end on as '\n', so these are plain rows.
+    f = tmp_path / "d.csv"
+    f.write_bytes(text.encode())
+    expected = np.loadtxt(f, delimiter=",", comments="#", ndmin=2)
+    calls = _counting_loadtxt(monkeypatch)
+    ds = load_dataset(f)
+    got = np.hstack((ds.x, ds.x_plus))
+    assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    assert not calls
+
+
 @pytest.mark.parametrize("text,error", [
     ("0,-0,1,2\n3,4,5,6\n", None),
-    ("0,1,2,3\r\n4,5,6,7\r\n", None),
-    ("0,1,2,3\r4,5,6,7\r", None),
     ("0,1,2,3\n# m=2\n4,5,6,7\n", None),
     ("0,1,2,3\n\n4,5,6,7\n", None),
     ("0, 1,2,3\n4,5,6,7\n", None),
@@ -495,7 +531,7 @@ def test_gen_output_reads_without_numpy(tmp_path, monkeypatch, make):
     ("0,1,2,3\n.5,5,6,7\n", None),
     ("0,1,2,3\n5.,5,6,7\n", None),
     ("0,1,2,3\nnan,5,6,7\n", (NonFiniteSampleError, r"d\.csv:2: non-finite")),
-], ids=["minus-zero", "crlf", "cr", "late-comment", "blank-line", "space",
+], ids=["minus-zero", "late-comment", "blank-line", "space",
         "no-final-newline", "no-final-newline-one-cell", "plus", "leading-dot",
         "trailing-dot", "nan"])
 def test_non_plain_body_reads_through_numpy(tmp_path, monkeypatch, text, error):

@@ -736,6 +736,25 @@ def test_cli_synth_refuses_a_system_its_data_names_that_is_no_builtin(tmp_path, 
     assert main([*synth, "--system", "linear2d"]) == 0
 
 
+def test_cli_synth_writes_non_finite_metadata_as_written(tmp_path):
+    # orjson writes a non-finite float as null, so such a value is kept as
+    # its text when the CSV is read.
+    data = tmp_path / "d.csv"
+    main(["-q", "gen", "--system", "linear2d", "--m", "300", "--seed", "1",
+          "--out", str(data)])
+    comment, rest = data.read_text().split("\n", 1)
+    data.write_text(comment.replace("lipschitz=0.8225", "lipschitz=inf note=nan big=1e400")
+                    + "\n" + rest)
+    result = tmp_path / "r.json"
+    assert main(["-q", "synth", "--data", str(data), "--system", "linear2d",
+                 "--lipschitz", "0.8225", "--tau", "0.05", "--out", str(result)]) == 0
+    meta = json.loads(result.read_text())["manifest"]["dataset_meta"]
+    assert meta == load_dataset(data).metadata == {
+        "system": "linear2d", "mode": "uniform", "m": 300, "seed": 1,
+        "lipschitz": "inf", "note": "nan", "big": "1e400",
+    }
+
+
 def test_cli_report_exit_codes(tmp_path, capsys):
     # No result files is a usage error (2); result files that are all
     # unreadable are a data fault (3).  Both name the directory.
