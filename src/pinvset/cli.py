@@ -15,6 +15,7 @@ import gc
 import json
 import logging
 import math
+import os
 import sys
 import time
 import warnings
@@ -128,7 +129,10 @@ def cmd_synth(args) -> int:
     result = synthesize(tree, dataset, config)
     certificate = check_fixpoint(result)
     manifest = RunManifest(
-        command=" ".join(args.argv_echo),
+        # A file name that is not UTF-8 holds surrogates, which JSON cannot
+        # carry: its bytes are written with backslash escapes.
+        command=" ".join(os.fsencode(a).decode("utf-8", "backslashreplace")
+                         for a in args.argv_echo),
         dataset_sha256=dataset.sha256,
         dataset_meta=dataset.metadata,
         duration_s=time.perf_counter() - t0,

@@ -267,15 +267,22 @@ def gen_dyadic_grid(
 
 
 def _parse_meta_value(raw: str):
+    """``raw`` as a number where it is that number as Python prints it (its
+    ``repr``): an integer in [-2^63, 2^64), the range orjson writes, or a
+    finite float.  Any other value is kept as its text, so no digit is
+    lost, and ``-0``, ``1_000``, ``+5`` and ``1.50`` stay text."""
     try:
-        v = float(raw)
+        v = int(raw)
     except ValueError:
-        return raw
+        try:
+            v = float(raw)
+        except ValueError:
+            return raw
+    if type(v) is int and not -2 ** 63 <= v < 2 ** 64:
+        return raw  # kept as written: orjson writes no integer past 64 bits
     if not math.isfinite(v):
         return raw  # kept as written: JSON holds no inf or nan
-    if v.is_integer() and ("." not in raw and "e" not in raw.lower()):
-        return int(v)
-    return v
+    return v if repr(v) == raw else raw
 
 
 # Blanks around a line's content; a line ends at '\n' once ``_line_blocks``

@@ -12,12 +12,13 @@ the parent column, and each ball radius from its cell and sample; the kept
 set, its volume, the leaf counts and the certificate come from the tree
 (``verify`` recomputes the certificate).  Serialization round-trips
 exactly: numbers are written as shortest round-trip decimals (``orjson``,
-compact) and parsed back to the same floats.  ``load_result`` parses with
-``orjson`` and reads every file as the stdlib ``json`` does: bytes that
-orjson refuses (a hand-edited NaN or 1e400, which ``verify`` must still
-reject, a lone surrogate escape, a BOM, bytes that are not UTF-8, nesting
-too deep) and documents where orjson may have read an integer past 64
-bits as a float (``_may_hold_long_int``) are parsed again by the stdlib.
+compact) and parsed back to the same floats.  ``load_result`` reads every
+file as the stdlib ``json`` reads it, except that in a file that ``orjson``
+parses, an integer outside [-2^63, 2^64) becomes the nearest float, as
+orjson reads it; so an integer column or ``sweeps`` that holds one is
+refused.  Bytes that orjson refuses (a hand-edited NaN or 1e400, which
+``verify`` must still reject, a lone surrogate escape, a BOM, bytes that
+are not UTF-8, nesting too deep) are parsed again by the stdlib.
 """
 
 from __future__ import annotations
@@ -208,47 +209,24 @@ def save_result(path: str | Path, result: SynthResult, manifest: RunManifest) ->
     Path(path).write_bytes(orjson.dumps(result_to_document(result, manifest)))
 
 
-# orjson reads an integer token past 64 bits as a float, where the stdlib
-# keeps the integer; every such float is at least this large in magnitude.
-_INT64 = 2.0 ** 63
-
-
-def _may_hold_long_int(value) -> bool:
-    """Whether the parsed JSON ``value`` holds a number of magnitude 2^63 or
-    more, which may be an integer token that orjson read as a float.  A
-    list of numbers, or of lists of numbers, is settled in one C pass of
-    ``min`` and ``max``; anything else item by item."""
-    if type(value) is dict:
-        return any(map(_may_hold_long_int, value.values()))
-    if type(value) is not list:
-        return type(value) is float and not -_INT64 < value < _INT64
-    try:
-        flat = list(chain.from_iterable(value)) if value and type(value[0]) is list else value
-        return not -_INT64 < min(flat) <= max(flat) < _INT64
-    except (TypeError, ValueError):  # an item that is no number, or no item
-        return any(map(_may_hold_long_int, value))
-
-
 def _parse_json(raw: bytes):
-    """The document in ``raw`` as the stdlib ``json`` parses UTF-8 text,
-    by ``orjson`` where that gives the same values."""
+    """The document in ``raw`` as ``orjson`` parses it, or as the stdlib
+    ``json`` parses UTF-8 text where orjson refuses the bytes."""
     import orjson
 
     try:
-        doc = orjson.loads(raw)
+        return orjson.loads(raw)
     except orjson.JSONDecodeError:
-        pass  # NaN, 1e400, a lone surrogate, a BOM, ...: the stdlib decides
-    else:
-        if not _may_hold_long_int(doc):
-            return doc
-    return json.loads(raw.decode("utf-8"))
+        # NaN, 1e400, a lone surrogate, a BOM, ...: the stdlib decides.
+        return json.loads(raw.decode("utf-8"))
 
 
 def load_result(path: str | Path) -> tuple[RunManifest, SynthResult]:
     try:
         # The bytes are freed before the tree is built: off the peak memory.
         doc = _parse_json(Path(path).read_bytes())
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        # Not JSON, not UTF-8, or nested deeper than the parser recurses.
+    except (ValueError, RecursionError) as exc:
+        # Not JSON, not UTF-8, an integer of more digits than ``int`` reads,
+        # or nested deeper than the parser recurses.
         raise ResultFormatError(f"{path}: invalid JSON: {exc}") from exc
     return result_from_document(doc)

@@ -18,6 +18,7 @@ margins all exceed the raster cell, so oracle agreement must be exact.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -540,14 +541,17 @@ def reference_csv_rows(rows: np.ndarray) -> bytes:
 
 
 def _meta_value(raw: str):
-    """An integer, else a finite float, else the text as written."""
-    for kind in (int, float):
-        try:
-            value = kind(raw)
-        except ValueError:
-            continue
-        return value if math.isfinite(value) else raw
-    return raw
+    """An integer in orjson's range [-2^63, 2^64) spelled in plain decimal,
+    else a finite float that ``json.dumps`` spells as ``raw``, else the text
+    as written."""
+    if re.fullmatch(r"0|-?[1-9][0-9]*", raw):
+        # 20 characters hold 2^64 - 1 and -2^63; int() refuses 4301 digits.
+        return int(raw) if len(raw) <= 20 and -(2 ** 63) <= int(raw) < 2 ** 64 else raw
+    try:
+        value = float(raw)
+    except ValueError:
+        return raw
+    return value if math.isfinite(value) and json.dumps(value) == raw else raw
 
 
 def _cells(content: str) -> list[float] | None:

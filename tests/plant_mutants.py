@@ -98,6 +98,23 @@ MUTANTS = (
            ("tests/test_dataset.py::test_non_finite_metadata_is_kept_as_written",
             "tests/test_results_cli.py::test_cli_synth_writes_non_finite_metadata_as_written"),
            "non-finite comment metadata is read as a float, which JSON writes as null"),
+    Mutant("src/pinvset/dataset.py",
+           "    if type(v) is int and not -2 ** 63 <= v < 2 ** 64:",
+           "    if False:",
+           ("tests/test_dataset.py::test_load_matches_plain_reference",
+            "tests/test_results_cli.py::test_cli_synth_keeps_every_metadata_value"),
+           "comment metadata holds an integer past 64 bits, which orjson cannot write"),
+    Mutant("src/pinvset/results.py",
+           '        return json.loads(raw.decode("utf-8"))',
+           "        raise",
+           ("tests/test_results_cli.py::test_cli_verify_fails_on_bad_config",
+            "tests/test_results_cli.py::test_cli_verify_rejects_non_finite_successor"),
+           "a file that orjson refuses is not parsed again by the stdlib"),
+    Mutant("src/pinvset/cli.py",
+           '        command=" ".join(os.fsencode(a).decode("utf-8", "backslashreplace")',
+           '        command=" ".join(a',
+           ("tests/test_results_cli.py::test_cli_synth_takes_file_names_that_are_not_utf8",),
+           "the manifest's command holds the surrogates of a name that is not UTF-8"),
 )
 
 _NOT_COPIED = shutil.ignore_patterns(

@@ -205,7 +205,9 @@ _COMMENT_LINES = st.builds(
             "{}={}".format,
             st.sampled_from(["m", "seed", "system", "tau"]),
             st.one_of(st.integers(-5, 10**6).map(str),
-                      st.sampled_from(["linear2d", "0.5", "1e-3", "a#b", ""])),
+                      st.sampled_from(["linear2d", "0.5", "1e-3", "a#b", "", "-0", "1_000",
+                                       "+5", "1.50", "9007199254740993",
+                                       "18446744073709551616"])),
         ),
         max_size=3,
     ),

@@ -12,6 +12,7 @@ import tempfile
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pinvset.cli as cli_module
+import pinvset.results as results_module
 from pinvset.cli import build_parser, main
 from pinvset.dataset import (
     Dataset,
@@ -307,11 +309,19 @@ def _small_result_bytes() -> bytes:
         return path.read_bytes()
 
 
+def _orjson_int(token: str):
+    """An integer token as orjson reads it: the nearest float outside
+    [-2^63, 2^64)."""
+    value = int(token)
+    return value if -(2 ** 63) <= value < 2 ** 64 else float(token)
+
+
 def _stdlib_load(path):
-    """``load_result`` with the stdlib parser alone: the reference."""
+    """``load_result`` with the stdlib parser alone, reading an integer as
+    orjson does: the reference."""
     try:
         with Path(path).open("r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=_orjson_int)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ResultFormatError(f"{path}: invalid JSON: {exc}") from exc
     return result_from_document(doc)
@@ -381,8 +391,9 @@ def _read_back(load, path):
 def test_load_result_reads_every_file_as_the_stdlib_does(tmp_path_factory, raw):
     # load_result parses with orjson, which reads an integer past 64 bits as
     # a float and refuses NaN, 1e400, a lone surrogate and a BOM.  Every file
-    # still loads to what the stdlib parser alone gives, bit for bit and type
-    # for type, or is refused alike, and verify exits alike.
+    # still loads to what the stdlib parser gives when it reads such an
+    # integer as orjson does, bit for bit and type for type, or is refused
+    # alike, and verify exits alike.
     path = tmp_path_factory.mktemp("parity") / "r.json"
     path.write_bytes(raw)
     assert _read_back(load_result, path) == _read_back(_stdlib_load, path)
@@ -664,12 +675,16 @@ def test_cli_report_skips_manifest_of_the_wrong_type(tmp_path, capsys, caplog):
 @pytest.mark.parametrize("raw,reason", [
     pytest.param(b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff", id="not-utf-8"),
     pytest.param(b"[" * 200_000, "maximum recursion depth exceeded", id="nested-too-deep"),
+    pytest.param(b'{"sweeps": 1' + b"0" * 5000 + b"}", "Exceeds the limit (4300 digits)",
+                 id="integer-of-5001-digits"),
 ])
 def test_cli_refuses_a_result_file_that_does_not_parse(tmp_path, capsys, caplog, raw, reason):
     # A file that is not UTF-8 made verify exit 2 (a usage error) and report
     # print no table; one nested too deep ended both in a RecursionError
-    # (exit 1, which verify uses for a failed certificate).  Both are a
-    # fault of the file: verify exits 3, and report skips it.
+    # (exit 1, which verify uses for a failed certificate).  An integer of
+    # more digits than int() reads made both exit 2, report for the whole
+    # directory.  Each is a fault of the file: verify exits 3, and report
+    # skips it.
     runs = tmp_path / "runs"
     runs.mkdir()
     (runs / "good.json").write_text(json.dumps(_synth_linear_result(tmp_path)))
@@ -686,6 +701,40 @@ def test_cli_refuses_a_result_file_that_does_not_parse(tmp_path, capsys, caplog,
         "event=report-skip" in r.getMessage() and "bad.json" in r.getMessage()
         and reason in r.getMessage() for r in caplog.records
     )
+
+
+# Seeds at the ends of orjson's integer range [-2^63, 2^64) and past it.
+_SEEDS = [2 ** 63 - 1, 2 ** 64 - 1, 2 ** 64, 2 ** 100]
+
+
+def _no_stdlib_parse(*args, **kwargs):
+    raise AssertionError("load_result parsed a file with the stdlib")
+
+
+@pytest.mark.parametrize("mode", ["sequential", "batch"])
+def test_every_file_pinvset_writes_loads_without_the_fallback(tmp_path, capsys, monkeypatch,
+                                                              mode):
+    # The stdlib parse in load_result is for hand-edited files alone: orjson
+    # parses every result synth writes, of grid and uniform data, and of
+    # seeds at and past the ends of orjson's integer range.
+    monkeypatch.setattr(results_module, "json", SimpleNamespace(loads=_no_stdlib_parse))
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    gens = {"grid": ["--mode", "grid", "--tau", "0.05"]}
+    for seed in _SEEDS:
+        gens[f"seed-{seed}"] = ["--m", "300", "--seed", str(seed)]
+    for name, args in gens.items():
+        data, result = tmp_path / f"{name}.csv", runs / f"{name}.json"
+        assert main(["-q", "gen", "--system", "linear2d", *args, "--out", str(data)]) == 0
+        assert main(["-q", "synth", "--data", str(data), "--system", "linear2d",
+                     "--lipschitz", "0.8225", "--tau", "0.05", "--mode", mode,
+                     "--out", str(result)]) == 0
+        assert main(["-q", "verify", str(result)]) == 0
+    capsys.readouterr()
+    assert main(["-q", "report", "--dir", str(runs)]) == 0
+    header, *rows = capsys.readouterr().out.strip().splitlines()
+    column = header.split(",").index("runs")
+    assert sum(int(row.split(",")[column]) for row in rows) == len(gens)
 
 
 def test_cli_verify_monte_carlo_refuses_system_of_the_wrong_type(tmp_path, capsys):
@@ -753,6 +802,39 @@ def test_cli_synth_writes_non_finite_metadata_as_written(tmp_path):
         "system": "linear2d", "mode": "uniform", "m": 300, "seed": 1,
         "lipschitz": "inf", "note": "nan", "big": "1e400",
     }
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_cli_synth_keeps_every_metadata_value(tmp_path, seed):
+    # Comment metadata was read through float(), so digits past 2^53 were
+    # lost (2^63 - 1 came back as 2^63), and a seed orjson cannot write as
+    # an integer ended synth with exit 4 after the whole synthesis.  An
+    # integer in orjson's range is kept, and one past it is kept as text.
+    data, result = tmp_path / "d.csv", tmp_path / "r.json"
+    assert main(["-q", "gen", "--system", "linear2d", "--m", "300", "--seed", str(seed),
+                 "--out", str(data)]) == 0
+    assert main(["-q", "synth", "--data", str(data), "--system", "linear2d",
+                 "--lipschitz", "0.8225", "--tau", "0.05", "--out", str(result)]) == 0
+    expected = {"system": "linear2d", "mode": "uniform", "m": 300,
+                "seed": seed if seed < 2 ** 64 else str(seed), "lipschitz": 0.8225}
+    for meta in (load_dataset(data).metadata, load_result(result)[0].dataset_meta):
+        assert [(k, type(v), v) for k, v in meta.items()] == [
+            (k, type(v), v) for k, v in expected.items()]
+
+
+def test_cli_synth_takes_file_names_that_are_not_utf8(tmp_path, capsys):
+    # The manifest's command held each such name's surrogate escapes, which
+    # orjson does not write: synth ended with exit 4.  The name's bytes are
+    # written with backslash escapes.
+    data = tmp_path / os.fsdecode(b"d\xff.csv")
+    result = tmp_path / os.fsdecode(b"r\xff.json")
+    assert main(["-q", "gen", "--system", "linear2d", "--m", "300", "--seed", "1",
+                 "--out", str(data)]) == 0
+    assert main(["-q", "synth", "--data", str(data), "--system", "linear2d",
+                 "--lipschitz", "0.8225", "--tau", "0.05", "--out", str(result)]) == 0
+    command = load_result(result)[0].command
+    assert r"d\xff.csv" in command and r"r\xff.json" in command
+    assert main(["-q", "verify", str(result)]) == 0
 
 
 def test_cli_report_exit_codes(tmp_path, capsys):
@@ -825,6 +907,21 @@ def _sweeps(value):
     return edit
 
 
+def _past_64_bits(key):
+    # orjson reads an integer token outside [-2^63, 2^64) as the nearest
+    # float.  Such a token verified while the loader parsed the file again
+    # with the stdlib.
+    def edit(doc):
+        if key == "sweeps":
+            doc["sweeps"] = 2 ** 64
+            return "sweeps 1.8446744073709552e+19 is not a JSON integer"
+        node = len(doc["tree"][key]) - 1
+        doc["tree"][key][node] = 2 ** 64
+        return f"node {node} has a {key} that is not an integer"
+
+    return edit
+
+
 def _huge_lipschitz(doc):
     # A JSON integer past the float range: float() raised OverflowError,
     # which verify did not catch.
@@ -855,13 +952,14 @@ def _huge_lipschitz(doc):
         _set("manifest", "version", None),
         _set("manifest", "dataset_sha256", 5),
         _set("manifest", "duration_s", "abc"),
+        *map(_past_64_bits, ["parent", "sample_index", "label", "sweeps"]),
     ],
     ids=[
         "parent+0.5", "sample_index=3.7", "label=1.0", "label=true",
         "lipschitz=str", "tau=str", "max_sweeps=3.7", "max_sweeps=true", "sweeps=str",
         "lipschitz=10**400", "manifest=str", "manifest=list", "dataset_meta=str", "config=str",
         "sweeps=-3", "sweeps=0", "command=int", "version=null", "dataset_sha256=int",
-        "duration_s=str",
+        "duration_s=str", "parent=2**64", "sample_index=2**64", "label=2**64", "sweeps=2**64",
     ],
 )
 def test_cli_verify_rejects_non_integer_node_column(tmp_path, capsys, edit):
