@@ -119,6 +119,13 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _escaped(arg: str) -> str:
+    """A command-line argument as JSON can carry it: a file name that is
+    not UTF-8 holds surrogates, so its bytes are written with backslash
+    escapes."""
+    return os.fsencode(arg).decode("utf-8", "backslashreplace")
+
+
 def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     dataset = load_dataset(args.data)
@@ -129,10 +136,7 @@ def cmd_synth(args) -> int:
     result = synthesize(tree, dataset, config)
     certificate = check_fixpoint(result)
     manifest = RunManifest(
-        # A file name that is not UTF-8 holds surrogates, which JSON cannot
-        # carry: its bytes are written with backslash escapes.
-        command=" ".join(os.fsencode(a).decode("utf-8", "backslashreplace")
-                         for a in args.argv_echo),
+        command=" ".join(map(_escaped, args.argv_echo)),
         dataset_sha256=dataset.sha256,
         dataset_meta=dataset.metadata,
         duration_s=time.perf_counter() - t0,
@@ -143,7 +147,7 @@ def cmd_synth(args) -> int:
         result.volume,
         result.sweeps,
         certificate.passed,
-        args.out,
+        _escaped(args.out),
     )
     if args.svg:
         if tree.dim != 2:
@@ -156,7 +160,7 @@ def cmd_synth(args) -> int:
         "sweeps": result.sweeps,
         "leaf_counts": result.leaf_counts,
         "certified": certificate.passed,
-        "out": str(args.out),
+        "out": _escaped(args.out),
     }))
     return EXIT_OK if certificate.passed else EXIT_VERIFY_FAILED
 

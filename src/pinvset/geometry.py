@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -65,10 +64,11 @@ class CoverageClass(Enum):
 
 
 def successor_corners(
-    x_plus: Sequence[Vec], lipschitz: float, radius: Sequence[float]
+    x_plus: np.ndarray, lipschitz: float, radius: np.ndarray
 ) -> Iterator[tuple[list[float], list[float]]]:
     """For each row j, a float box ``(lo, hi)`` that holds the successor
-    box of ``x_plus[j]``, ``lipschitz`` and ``radius[j]``: each corner
+    box of ``x_plus[j]``, ``lipschitz`` and ``radius[j]``, from a (k, n)
+    float array of successors and a (k,) float array of radii: each corner
     rounded, then moved outward by a bound on its rounding error, as lists
     of Python floats.  Computed in array passes over blocks of rows.
 
@@ -86,11 +86,9 @@ def successor_corners(
     would not.
     """
     for j in range(0, len(radius), _CORNER_ROWS):
-        rows = x_plus[j:j + _CORNER_ROWS]
-        x = np.fromiter(chain.from_iterable(rows), float, len(rows) * len(rows[0]))
-        x = x.reshape(len(rows), -1)
+        x = x_plus[j:j + _CORNER_ROWS]
         with np.errstate(over="ignore"):
-            reach = lipschitz * np.array(radius[j:j + _CORNER_ROWS], dtype=float)
+            reach = lipschitz * radius[j:j + _CORNER_ROWS]
             s = ((np.abs(x).max(axis=1) + 2.0 * reach) * 2.0 ** -51 + 2.0 ** -1073)[:, None]
             lo = (x - reach[:, None]) - s
             hi = (x + reach[:, None]) + s

@@ -3,22 +3,25 @@
 Sections, in file order: manifest (provenance), config, tree and sweeps;
 a document with any other section or config key is refused.  The tree
 section is the rectangle ``root_bounds`` and the node columns that no rule
-derives (parent, sample index, state and successor, label), one list per
-column as ``tree.Nodes`` holds it; any other key, ``radius`` too, is
-refused.  That is all the independent verifier needs: a result file is
-re-certified without the dataset.  Each fact is stored once:
-``PartitionTree.from_columns`` derives the cells from ``root_bounds`` and
-the parent column, and each ball radius from its cell and sample; the kept
-set, its volume, the leaf counts and the certificate come from the tree
-(``verify`` recomputes the certificate).  Serialization round-trips
-exactly: numbers are written as shortest round-trip decimals (``orjson``,
-compact) and parsed back to the same floats.  ``load_result`` reads every
-file as the stdlib ``json`` reads it, except that in a file that ``orjson``
-parses, an integer outside [-2^63, 2^64) becomes the nearest float, as
-orjson reads it; so an integer column or ``sweeps`` that holds one is
-refused.  Bytes that orjson refuses (a hand-edited NaN or 1e400, which
-``verify`` must still reject, a lone surrogate escape, a BOM, bytes that
-are not UTF-8, nesting too deep) are parsed again by the stdlib.
+derives (parent, sample index, state and successor, label), one JSON list
+per column, of one row per node; any other key, ``radius`` too, is
+refused.  The array columns of ``tree.Nodes`` are written from their
+arrays (``orjson``'s OPT_SERIALIZE_NUMPY) and read back into arrays, after
+the checks on the parsed lists.  That is all the independent verifier
+needs: a result file is re-certified without the dataset.  Each fact is
+stored once: ``PartitionTree.from_columns`` derives the cells from
+``root_bounds`` and the parent column, and each ball radius from its cell
+and sample; the kept set, its volume, the leaf counts and the certificate
+come from the tree (``verify`` recomputes the certificate).
+Serialization round-trips exactly: numbers are written as shortest
+round-trip decimals (``orjson``, compact) and parsed back to the same
+floats.  ``load_result`` reads every file as the stdlib ``json`` reads it,
+except that an integer outside [-2^63, 2^64) becomes the nearest float, as
+orjson reads it, so an integer column or ``sweeps`` that holds one is
+refused, and an integer past the float range is refused.  Bytes that
+orjson refuses (a hand-edited NaN or 1e400, which ``verify`` must still
+reject, a lone surrogate escape, a BOM, bytes that are not UTF-8, nesting
+too deep) are parsed again by the stdlib, with that integer rule.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ import math
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .synthesis import SynthConfig, SynthResult, UpdateMode
@@ -62,16 +67,21 @@ def _labels(column: list[int]) -> list[Label]:
     return labels
 
 
-def _vectors(column: list[list]) -> list[tuple]:
-    return list(map(tuple, column))
+def _vectors(column: list[list]) -> np.ndarray:
+    return np.array(column, dtype=float)
+
+
+def _indices(column: list[int]) -> np.ndarray:
+    return np.array(column, dtype=np.int64)
 
 
 # The node columns a result file stores, in file order, and how each is
-# read back from its JSON list: as vectors (tuples), integers or labels.
-# The cells and the radii are not stored: ``from_columns`` derives them.
+# read back from its JSON list into the type ``tree.Nodes`` holds: an array
+# of vectors or of integers, a list of integers or of labels.  The cells
+# and the radii are not stored: ``from_columns`` derives them.
 _PARSE = {
     "parent": list,
-    "sample_index": list,
+    "sample_index": _indices,
     "sample_x": _vectors,
     "sample_xp": _vectors,
     "label": _labels,
@@ -79,10 +89,12 @@ _PARSE = {
 
 
 def _tree_to_dict(tree: PartitionTree) -> dict:
-    # orjson writes the tuples of the vector columns as arrays.  The corners
-    # and the labels are lists and plain integers, as the loader requires.
-    columns = {key: list(getattr(tree.nodes, key)) for key in _PARSE}
-    columns["label"] = list(map(int, columns["label"]))
+    # ``save_result`` writes the array columns with OPT_SERIALIZE_NUMPY,
+    # as the same numbers as lists of their floats and integers.  The
+    # labels are plain integers, as the loader requires.
+    nodes = tree.nodes
+    columns = {key: getattr(nodes, key) for key in _PARSE}
+    columns["label"] = list(map(int, nodes.label))
     return {"root_bounds": list(map(list, tree.root_bounds)), **columns}
 
 
@@ -129,17 +141,20 @@ def _tree_from_dict(d: dict) -> PartitionTree:
             if set(map(type, column)) != {int}:
                 i = next(i for i, v in enumerate(column) if type(v) is not int)
                 raise ResultFormatError(f"node {i} has a {key} that is not an integer")
-            if key == "sample_index" and min(column) < 0:
-                i = next(i for i, v in enumerate(column) if v < 0)
-                raise ResultFormatError(f"node {i} has a sample_index {column[i]} below 0")
+            if key == "sample_index" and not 0 <= min(column) <= max(column) < 2 ** 63:
+                i = next(i for i, v in enumerate(column) if not 0 <= v < 2 ** 63)
+                side = "below 0" if column[i] < 0 else "past 2^63 - 1"
+                raise ResultFormatError(f"node {i} has a sample_index {column[i]} {side}")
         elif not _all_finite(chain.from_iterable(column)):
             i = next(i for i, v in enumerate(column) if not _all_finite(v))
             raise ResultFormatError(f"node {i} has a {key} that is not finite")
         elif (lengths := list(map(len, column))).count(dim) != count:
             i = next(i for i, n in enumerate(lengths) if n != dim)
             raise ResultFormatError(f"node {i} has a {key} not of length {dim}")
+    # The parsed lists leave the document as they are read into the node
+    # table's types, so that they are freed before the cells are built.
     return PartitionTree.from_columns(
-        bounds, **{key: parse(d[key]) for key, parse in _PARSE.items()}
+        bounds, **{key: parse(d.pop(key)) for key, parse in _PARSE.items()}
     )
 
 
@@ -169,11 +184,13 @@ def _json_value(section: dict, key: str, kind: type):
     not "0.02", 3.7, true or "x" where those do not belong."""
     value = section[key]
     if type(value) is kind or kind is float and type(value) is int:
-        return kind(value)
+        return float(value) if kind is float else value
     raise ResultFormatError(f"{key} {value!r} is not a JSON {_JSON_KINDS[kind]}")
 
 
 def result_from_document(doc: dict) -> tuple[RunManifest, SynthResult]:
+    """The run a parsed result document records.  The node columns are
+    taken out of ``doc["tree"]`` as the tree is built from them."""
     if type(doc) is not dict:
         raise ResultFormatError("malformed result document: not a JSON object")
     try:
@@ -206,7 +223,16 @@ def result_from_document(doc: dict) -> tuple[RunManifest, SynthResult]:
 def save_result(path: str | Path, result: SynthResult, manifest: RunManifest) -> None:
     import orjson
 
-    Path(path).write_bytes(orjson.dumps(result_to_document(result, manifest)))
+    document = result_to_document(result, manifest)
+    Path(path).write_bytes(orjson.dumps(document, option=orjson.OPT_SERIALIZE_NUMPY))
+
+
+def _orjson_int(token: str) -> int | float:
+    """An integer token as orjson reads it: the nearest float outside
+    [-2^63, 2^64).  One past the float range, which orjson refuses, raises
+    OverflowError."""
+    value = int(token)
+    return value if -(2 ** 63) <= value < 2 ** 64 else float(value)
 
 
 def _parse_json(raw: bytes):
@@ -217,16 +243,17 @@ def _parse_json(raw: bytes):
     try:
         return orjson.loads(raw)
     except orjson.JSONDecodeError:
-        # NaN, 1e400, a lone surrogate, a BOM, ...: the stdlib decides.
-        return json.loads(raw.decode("utf-8"))
+        # NaN, 1e400, a lone surrogate, a BOM, ...: the stdlib decides,
+        # reading an integer as orjson does.
+        return json.loads(raw.decode("utf-8"), parse_int=_orjson_int)
 
 
 def load_result(path: str | Path) -> tuple[RunManifest, SynthResult]:
     try:
         # The bytes are freed before the tree is built: off the peak memory.
         doc = _parse_json(Path(path).read_bytes())
-    except (ValueError, RecursionError) as exc:
-        # Not JSON, not UTF-8, an integer of more digits than ``int`` reads,
-        # or nested deeper than the parser recurses.
+    except (ValueError, OverflowError, RecursionError) as exc:
+        # Not JSON, not UTF-8, an integer of more digits than ``int`` reads
+        # or past the float range, or nested deeper than the parser recurses.
         raise ResultFormatError(f"{path}: invalid JSON: {exc}") from exc
     return result_from_document(doc)

@@ -106,21 +106,19 @@ def sweep(tree: PartitionTree, dataset: Dataset, config: SynthConfig) -> SweepSt
     batch = config.mode is UpdateMode.BATCH
     retired: list[tuple[int, Label]] = []
     divisions = 0
-    nodes = tree.nodes
-    radius, target_radius, sample_xp = nodes.radius, nodes.target_radius, nodes.sample_xp
+    nodes = tree.nodes  # its array columns are new arrays after each divide
     lipschitz = config.lipschitz
     tau = config.tau
     wave = tree.active_leaves()
     while wave:
         split = []
-        corners = successor_corners(
-            [sample_xp[i] for i in wave], lipschitz, [radius[i] for i in wave]
-        )
-        for i, box in zip(wave, corners):
+        corners = successor_corners(nodes.sample_xp[wave], lipschitz, nodes.radius[wave])
+        splittable = (nodes.target_radius[wave] / 2.0 >= tau).tolist()
+        for i, box, can_split in zip(wave, corners, splittable):
             verdict = classify_coverage(box, tree)
             if verdict is CoverageClass.FULLY_COVERED:
                 continue
-            if verdict is CoverageClass.PARTIAL and target_radius[i] / 2.0 >= tau:
+            if verdict is CoverageClass.PARTIAL and can_split:
                 split.append(i)
                 continue
             label = Label.EXCLUDED if verdict is CoverageClass.DISJOINT else Label.UNKNOWN

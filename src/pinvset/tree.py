@@ -1,13 +1,21 @@
 """Dyadic subdivision tree over the state constraint set, stored as columns.
 
-A node is a row number: row i of each list in ``PartitionTree.nodes`` holds
-node i's target box (the partition cell), the sample pair nearest to its
-target center, the radius ``r = r_target + dist`` of the sample-centered
-ball that contains the cell (``ball_radii``), its parent, its first child
-(-1 for a leaf) and its label.  A split appends its 2^n children after
-every existing node as one contiguous block in sign-vector order.  Leaves
-carry a membership label with respect to the live candidate set; interior
-nodes are purely structural.
+A node is a row number: row i of each column of ``PartitionTree.nodes``
+holds node i's target box (the partition cell), the sample pair nearest to
+its target center, the radius ``r = r_target + dist`` of the
+sample-centered ball that contains the cell (``ball_radii``), its parent,
+its first child (-1 for a leaf) and its label.  A split appends its 2^n
+children after every existing node as one contiguous block in sign-vector
+order.  Leaves carry a membership label with respect to the live candidate
+set; interior nodes are purely structural.
+
+A column that the walks read one node at a time is a list: the corners
+``lo``/``hi`` (tuples), the parent, the first child, the label and the
+status, where a list index is the cheapest read.  Every other column, the
+target center and radius, the sample pair, its index and the ball radius,
+is a numpy array, read a wave or a leaf set at a time and grown once per
+wave.  The walk needs no center: a split cell's center is the low corner
+of its last child, the one of sign vector (+1, ..., +1).
 
 The roots are the cubes ``rect_to_cubes`` cuts from one rectangle,
 ``root_bounds``, whose faces tile it exactly; a root's corners ``lo``/``hi``
@@ -37,10 +45,10 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from itertools import chain, product
+from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -80,20 +88,32 @@ class LabelTransitionError(ValueError):
 
 @dataclass
 class Nodes:
-    """The node table: one list per column, row i of each is node i."""
+    """The node table: row i of each column is node i.  The vector columns
+    are C-contiguous (k, n) float64 arrays, ``target_radius`` and ``radius``
+    (k,) float64 arrays and ``sample_index`` a (k,) int64 array; the rest
+    are lists (see the module docstring)."""
 
-    parent: list[int] = field(default_factory=list)
-    first_child: list[int] = field(default_factory=list)
-    target_center: list[Vec] = field(default_factory=list)
-    target_radius: list[float] = field(default_factory=list)
-    lo: list[Vec] = field(default_factory=list)
-    hi: list[Vec] = field(default_factory=list)
-    sample_index: list[int] = field(default_factory=list)
-    sample_x: list[Vec] = field(default_factory=list)
-    sample_xp: list[Vec] = field(default_factory=list)
-    radius: list[float] = field(default_factory=list)
-    label: list[Label] = field(default_factory=list)
-    status: list[bool | None] = field(default_factory=list)  # all / no / some leaves included
+    parent: list[int]
+    first_child: list[int]
+    target_center: np.ndarray
+    target_radius: np.ndarray
+    lo: list[Vec]
+    hi: list[Vec]
+    sample_index: np.ndarray
+    sample_x: np.ndarray
+    sample_xp: np.ndarray
+    radius: np.ndarray
+    label: list[Label]
+    status: list[bool | None]  # all / no / some leaves included
+
+    @classmethod
+    def empty(cls, dim: int) -> Nodes:
+        vectors = np.empty((0, dim))
+        return cls(
+            parent=[], first_child=[], target_center=vectors, target_radius=np.empty(0),
+            lo=[], hi=[], sample_index=np.empty(0, dtype=np.int64), sample_x=vectors,
+            sample_xp=vectors, radius=np.empty(0), label=[], status=[],
+        )
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -138,7 +158,7 @@ def _first_children(parents: list[int], fanout: int) -> np.ndarray:
     return first
 
 
-def ball_radii(first: int, target_radius, centers, lo, hi, samples) -> list[float]:
+def ball_radii(first: int, target_radius, centers, lo, hi, samples) -> np.ndarray:
     """The ball radii of nodes ``first``, ``first + 1``, ...: the rounded
     ``r_target + max_d |c_d - x_d|`` of each cell and its sample; where that
     ball misses part of the cell, the next float above the largest rounded
@@ -153,7 +173,7 @@ def ball_radii(first: int, target_radius, centers, lo, hi, samples) -> list[floa
     bad = np.flatnonzero(~np.isfinite(radius))
     if len(bad):
         raise ValueError(f"node {first + bad[0]} has a ball radius that is not finite")
-    return radius.tolist()
+    return radius
 
 
 class PartitionTree:
@@ -163,7 +183,7 @@ class PartitionTree:
         lo, hi = root_bounds
         self.root_bounds: Rect = (tuple(map(float, lo)), tuple(map(float, hi)))
         self.dim = len(lo)
-        self.nodes = Nodes()
+        self.nodes = Nodes.empty(self.dim)
         self.roots: list[int] = []
         self.fanout = 1 << self.dim
 
@@ -194,10 +214,12 @@ class PartitionTree:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_columns(cls, root_bounds: Rect, **columns: list) -> PartitionTree:
+    def from_columns(cls, root_bounds: Rect, **columns) -> PartitionTree:
         """A tree over the rectangle ``root_bounds`` from the stored columns
-        of its node table: ``parent``, ``sample_index``, ``sample_x``,
-        ``sample_xp`` and ``label``.  Every cell and radius is derived as
+        of its node table: the lists ``parent`` and ``label``, and
+        ``sample_index``, ``sample_x`` and ``sample_xp``, stored as arrays
+        of the ``Nodes`` types (with no copy when they already are).
+        Every cell and radius is derived as
         ``new_tree`` and ``divide`` make it: the roots, in node order, are
         the cubes ``rect_to_cubes`` cuts from ``root_bounds`` (a tree with
         another number of roots is refused), every other node is the half of
@@ -240,15 +262,20 @@ class PartitionTree:
                 centers[level], radii[level], lo[level], hi[level]
             )
             level = kids
-        samples = np.fromiter(chain.from_iterable(columns["sample_x"]), float, centers.size)
+        samples = np.ascontiguousarray(columns["sample_x"], dtype=float).reshape(shape)
         tree.nodes = Nodes(
-            **columns,
+            parent=parent,
             first_child=first.tolist(),
-            target_center=_rows(centers),
-            target_radius=radii.tolist(),
+            target_center=centers,
+            target_radius=radii,
             lo=_rows(lo),
             hi=_rows(hi),
-            radius=ball_radii(0, radii, centers, lo, hi, samples.reshape(shape)),
+            sample_index=np.ascontiguousarray(columns["sample_index"], dtype=np.int64),
+            sample_x=samples,
+            sample_xp=np.ascontiguousarray(columns["sample_xp"], dtype=float).reshape(shape),
+            radius=ball_radii(0, radii, centers, lo, hi, samples),
+            label=label,
+            status=[],
         )
         tree.recount()
         return tree
@@ -263,22 +290,25 @@ class PartitionTree:
         dataset: Dataset,
     ) -> list[int]:
         """Append one INCLUDED leaf per row of ``centers``, cells with corners
-        ``lo``/``hi``, each with its nearest sample (one query for all rows)."""
+        ``lo``/``hi``, each with its nearest sample (one query for all rows).
+        Each array column grows by one concatenation: a tree grows in one
+        call per wave, a few dozen in a run."""
         nodes = self.nodes
         first = len(nodes)
         idx = dataset.nearest(centers)
         xs = dataset.x[idx]
         k = len(parents)
-        nodes.radius += ball_radii(first, radii, centers, lo, hi, xs)  # first: it may refuse
+        radius = ball_radii(first, radii, centers, lo, hi, xs)  # first: it may refuse
+        nodes.target_center = np.concatenate([nodes.target_center, centers])
+        nodes.target_radius = np.concatenate([nodes.target_radius, radii])
+        nodes.sample_index = np.concatenate([nodes.sample_index, idx])
+        nodes.sample_x = np.concatenate([nodes.sample_x, xs])
+        nodes.sample_xp = np.concatenate([nodes.sample_xp, dataset.x_plus[idx]])
+        nodes.radius = np.concatenate([nodes.radius, radius])
         nodes.parent += parents
         nodes.first_child += [-1] * k
-        nodes.target_center += _rows(centers)
-        nodes.target_radius += radii.tolist()
         nodes.lo += _rows(lo)
         nodes.hi += _rows(hi)
-        nodes.sample_index += idx.tolist()
-        nodes.sample_x += _rows(xs)
-        nodes.sample_xp += _rows(dataset.x_plus[idx])
         nodes.label += [Label.INCLUDED] * k
         nodes.status += [True] * k
         return list(range(first, first + k))
@@ -306,8 +336,8 @@ class PartitionTree:
         children = self._grow(
             np.repeat(ids, k).tolist(),
             *self._split(
-                np.array([nodes.target_center[i] for i in ids]),
-                np.array([nodes.target_radius[i] for i in ids]),
+                nodes.target_center[ids],
+                nodes.target_radius[ids],
                 np.array([nodes.lo[i] for i in ids]),
                 np.array([nodes.hi[i] for i in ids]),
             ),
@@ -415,7 +445,7 @@ class PartitionTree:
         nodes = self.nodes
         return math.fsum([
             (2.0 * r) ** n
-            for r, f, label in zip(nodes.target_radius, nodes.first_child, nodes.label)
+            for r, f, label in zip(nodes.target_radius.tolist(), nodes.first_child, nodes.label)
             if f < 0 and label is included
         ])
 
@@ -431,7 +461,7 @@ class PartitionTree:
         }
 
     def min_root_radius(self) -> float:
-        return self.nodes.target_radius[self.roots[0]]  # the roots are equal cubes
+        return float(self.nodes.target_radius[self.roots[0]])  # the roots are equal cubes
 
     def classify(self, query: Rect) -> CoverageClass:
         """How a query rectangle meets the union of included cells.
@@ -480,7 +510,7 @@ class PartitionTree:
         its first gap.  A retired cell that the query merely touches, along
         a face, is no gap: it meets no volume of the query."""
         nodes = self.nodes
-        los, his, centers = nodes.lo, nodes.hi, nodes.target_center
+        los, his = nodes.lo, nodes.hi
         status, first_child = nodes.status, nodes.first_child
         k = self.fanout
         dims = range(self.dim)
@@ -512,11 +542,12 @@ class PartitionTree:
                         if not face and gap is None:
                             gap = (los[i], his[i])
                     else:
-                        # Children split at the center.  When the query lies on
-                        # one side of it on every axis, only that child meets
-                        # it, and as its parent does; otherwise test them all.
+                        # Children split at the center, the low corner of the
+                        # last child.  When the query lies on one side of it on
+                        # every axis, only that child meets it, and as its
+                        # parent does; otherwise test them all.
                         f = first_child[i]
-                        m = centers[i]
+                        m = los[f + k - 1]
                         j = 0
                         for d in dims:
                             if qhi[d] < m[d]:

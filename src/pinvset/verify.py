@@ -81,15 +81,16 @@ def check_fixpoint(result: SynthResult) -> Certificate:
     tree.recount()
     nodes = tree.nodes
     leaves = tree.active_leaves()
-    radius = [nodes.radius[i] for i in leaves]
+    radius = nodes.radius[leaves]
     held = balls_contain_cells(
         radius,
         *(
             np.array([column[i] for i in leaves], dtype=float).reshape(-1, tree.dim)
-            for column in (nodes.lo, nodes.hi, nodes.sample_x)
+            for column in (nodes.lo, nodes.hi)
         ),
+        nodes.sample_x[leaves],
     )
-    corners = successor_corners([nodes.sample_xp[i] for i in leaves], lipschitz, radius)
+    corners = successor_corners(nodes.sample_xp[leaves], lipschitz, radius)
     checked = 0
     for i, ball, box in zip(leaves, held.tolist(), corners):
         checked += 1
@@ -179,7 +180,7 @@ class _TreeMembership:
             s = level - depth
             self.cells[tuple(slice(c << s, (c + 1) << s) for c in corner)] = 1
         self.lo = tree.root_bounds[0]
-        self.pitch = 2.0 * nodes.target_radius[tree.roots[0]] / (1 << level)
+        self.pitch = 2.0 * tree.min_root_radius() / (1 << level)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         # Column by column: ops on an (N, n) array loop over rows of length n.
@@ -217,7 +218,7 @@ def _start_points(tree: PartitionTree, samples: int, rng: np.random.Generator) -
     proportional to its volume, then a uniform point in its cell."""
     nodes = tree.nodes
     leaves = tree.active_leaves()
-    radii = np.array([nodes.target_radius[i] for i in leaves])
+    radii = nodes.target_radius[leaves]
     weight = (radii / radii.max()) ** tree.dim
     pick = rng.choice(len(leaves), size=samples, p=weight / weight.sum())
     lo, hi = (np.array([column[i] for i in leaves]) for column in (nodes.lo, nodes.hi))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import count, product
 
@@ -51,6 +51,17 @@ def kept_cells(tree) -> list[Rect]:
         for i in tree.iter_leaves()
         if nodes.label[i] is Label.INCLUDED
     ]
+
+
+def listed(column):
+    """An array column as its ``tolist()``, any other as it is, so that ==
+    compares columns value for value."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def node_columns(nodes) -> dict:
+    """Every column of a node table by name, as ``listed`` gives it."""
+    return {f.name: listed(getattr(nodes, f.name)) for f in fields(nodes)}
 
 
 def roots_tree(lo, hi, count: int) -> PartitionTree:

@@ -72,8 +72,8 @@ MUTANTS = (
            ("tests/test_verify.py::test_check_fixpoint_passes_on_synthesized",),
            "check_fixpoint skips its last kept leaf"),
     Mutant("src/pinvset/synthesis.py",
-           "            if verdict is CoverageClass.PARTIAL and target_radius[i] / 2.0 >= tau:",
-           "            if verdict is CoverageClass.PARTIAL and target_radius[i] / 4.0 >= tau:",
+           "        splittable = (nodes.target_radius[wave] / 2.0 >= tau).tolist()",
+           "        splittable = (nodes.target_radius[wave] / 4.0 >= tau).tolist()",
            ("tests/test_acceptance.py::test_criterion_2_nonlinear_deterministic_reproduction",),
            "sweep retires a PARTIAL leaf one level above the floor"),
     Mutant("src/pinvset/geometry.py",
@@ -105,16 +105,34 @@ MUTANTS = (
             "tests/test_results_cli.py::test_cli_synth_keeps_every_metadata_value"),
            "comment metadata holds an integer past 64 bits, which orjson cannot write"),
     Mutant("src/pinvset/results.py",
-           '        return json.loads(raw.decode("utf-8"))',
+           '        return json.loads(raw.decode("utf-8"), parse_int=_orjson_int)',
            "        raise",
            ("tests/test_results_cli.py::test_cli_verify_fails_on_bad_config",
             "tests/test_results_cli.py::test_cli_verify_rejects_non_finite_successor"),
            "a file that orjson refuses is not parsed again by the stdlib"),
     Mutant("src/pinvset/cli.py",
-           '        command=" ".join(os.fsencode(a).decode("utf-8", "backslashreplace")',
-           '        command=" ".join(a',
+           '        command=" ".join(map(_escaped, args.argv_echo)),',
+           '        command=" ".join(args.argv_echo),',
            ("tests/test_results_cli.py::test_cli_synth_takes_file_names_that_are_not_utf8",),
            "the manifest's command holds the surrogates of a name that is not UTF-8"),
+    Mutant("src/pinvset/results.py",
+           '        return json.loads(raw.decode("utf-8"), parse_int=_orjson_int)',
+           '        return json.loads(raw.decode("utf-8"))',
+           ("tests/test_results_cli.py::"
+            "test_cli_verify_refuses_a_long_integer_in_a_file_orjson_refuses",),
+           "the stdlib fallback reads an integer past 64 bits as an exact int"),
+    Mutant("src/pinvset/cli.py",
+           '        "out": _escaped(args.out),',
+           '        "out": str(args.out),',
+           ("tests/test_results_cli.py::"
+            "test_cli_synth_summary_is_strict_json_for_a_name_that_is_not_utf8",),
+           "the synth summary writes a name that is not UTF-8 as a lone surrogate"),
+    Mutant("src/pinvset/tree.py",
+           "                        m = los[f + k - 1]",
+           "                        m = los[f]",
+           ("tests/test_tree.py::test_classify_across_roots",
+            "tests/test_tree.py::test_tree_coverage_matches_plain_scan_property"),
+           "the walk cuts a split cell at its first child's low corner, not its center"),
 )
 
 _NOT_COPIED = shutil.ignore_patterns(

@@ -707,7 +707,7 @@ def test_dyadic_grid_hits_every_tree_center(domain, tau, step, lipschitz):
     res = synthesize(new_tree(domain, ds), ds, SynthConfig(lipschitz=lipschitz, tau=tau))
     nodes = res.tree.nodes
     assert len(nodes) > 1 + len(res.tree.roots)
-    assert nodes.sample_x == nodes.target_center
+    assert nodes.sample_x.tolist() == nodes.target_center.tolist()
     radius, target = np.array(nodes.radius), np.array(nodes.target_radius)
     tight = balls_contain_cells(target, nodes.lo, nodes.hi, nodes.target_center)
     assert (radius[tight] == target[tight]).all() and (radius[~tight] > target[~tight]).all()

@@ -2,6 +2,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,14 +97,14 @@ def test_successor_box_values():
     assert [float(v) for v in lo] == pytest.approx([0.3 - 0.370125, -0.2 - 0.370125])
     assert [float(v) for v in hi] == pytest.approx([0.3 + 0.370125, -0.2 + 0.370125])
     # The float box holds the exact one, a few ulps of 1 wider.
-    ((flo, fhi),) = successor_corners([(0.3, -0.2)], 0.8225, [0.45])
+    ((flo, fhi),) = successor_corners(np.array([(0.3, -0.2)]), 0.8225, np.array([0.45]))
     for a, want in zip(flo, lo):
         assert 0 < want - a < 1e-15
     for a, want in zip(fhi, hi):
         assert 0 < a - want < 1e-15
     point = exact_successor((1.0, 1.0), 1.0, 0.0)
     assert point == ((1, 1), (1, 1))
-    ((flo, fhi),) = successor_corners([(1.0, 1.0)], 1.0, [0.0])
+    ((flo, fhi),) = successor_corners(np.array([(1.0, 1.0)]), 1.0, np.array([0.0]))
     assert all(a < 1.0 < b for a, b in zip(flo, fhi))
 
 
@@ -134,7 +135,7 @@ def test_successor_corners_hold_the_exact_corners(n, data, lipschitz):
     with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
         warnings.simplefilter("error")  # no overflow warning leaks out
         mp.setattr(geometry_module, "_CORNER_ROWS", data.draw(st.integers(1, 9)))
-        got = list(successor_corners(x_plus, lipschitz, radius))
+        got = list(successor_corners(np.array(x_plus), lipschitz, np.array(radius)))
     assert len(got) == len(rows)
     origin = (0.0,) * n
     tree = new_tree(cube(origin, 0.5), Dataset([origin], [origin]))
@@ -160,7 +161,7 @@ def test_successor_box_radius_scales_linearly(rng):
         assert shi - slo == 2 * Fraction(lips) * Fraction(alpha * r)
         assert float(shi - slo) == pytest.approx(alpha * float(bhi - blo), rel=1e-12, abs=1e-15)
         # The float box is wider, by its slack on each side: a few ulps.
-        ((flo, fhi),) = successor_corners([x_plus], lips, [alpha * r])
+        ((flo, fhi),) = successor_corners(np.array([x_plus]), lips, np.array([alpha * r]))
         excess = Fraction(fhi[0]) - Fraction(flo[0]) - (shi - slo)
         assert 0 < excess < 2.0 ** -49 * (1 + shi - slo)
 

@@ -15,9 +15,12 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from helpers import listed
 
 import pinvset.cli as cli_module
 import pinvset.results as results_module
@@ -54,6 +57,12 @@ def small_result(lin_oracle, tau=0.05, m=1500, seed=2):
 # -- result round trip -----------------------------------------------------------
 
 
+def _listed(doc: dict) -> dict:
+    """``doc`` with each array column of its tree section as its
+    ``tolist()``: the lists a parser reads back from the file."""
+    return {**doc, "tree": {key: listed(column) for key, column in doc["tree"].items()}}
+
+
 def test_result_round_trip_identity(lin_oracle, tmp_path):
     res = small_result(lin_oracle)
     manifest = RunManifest(command="test")
@@ -65,7 +74,7 @@ def test_result_round_trip_identity(lin_oracle, tmp_path):
     doc_b = result_to_document(loaded, loaded_manifest)
     assert list(doc_a) == ["manifest", "config", "tree", "sweeps"]
     assert list(doc_a["config"]) == ["lipschitz", "tau", "update_mode"]
-    assert doc_a == doc_b
+    assert _listed(doc_a) == _listed(doc_b)
     assert loaded.volume == res.volume and loaded.leaf_counts == res.leaf_counts
     # the reloaded tree certifies on its own
     assert check_fixpoint(loaded).passed
@@ -289,9 +298,14 @@ def test_cli_surface(tmp_path, capsys):
 def _bits(value):
     """``value`` with every float as its hex form, so that == compares bits
     (0.0 and -0.0 differ) and types (a Label is not an int)."""
-    if type(value) is tuple:
+    if type(value) in (tuple, list):
         return tuple(map(_bits, value))
     return value.hex() if type(value) is float else (type(value), value)
+
+
+def _column_bits(column) -> list:
+    """A node column, ``listed``, with its values as ``_bits`` gives them."""
+    return list(map(_bits, listed(column)))
 
 
 @functools.cache
@@ -381,7 +395,7 @@ def _read_back(load, path):
         manifest, result = load(path)
     except ResultFormatError as exc:
         return "refused", str(exc)
-    nodes = {f.name: list(map(_bits, getattr(result.tree.nodes, f.name))) for f in fields(Nodes)}
+    nodes = {f.name: _column_bits(getattr(result.tree.nodes, f.name)) for f in fields(Nodes)}
     return (repr(manifest), repr(result.config), repr(result.sweeps),
             _bits(result.tree.root_bounds), nodes)
 
@@ -442,7 +456,7 @@ def test_result_round_trip_is_bit_exact(tmp_path_factory, n, domain, mode, m, de
     assert tree.roots == result.tree.roots
     for column in fields(Nodes):
         got, want = getattr(tree.nodes, column.name), getattr(result.tree.nodes, column.name)
-        assert list(map(_bits, got)) == list(map(_bits, want)), column.name
+        assert _column_bits(got) == _column_bits(want), column.name
 
 
 def test_cli_io_errors(tmp_path):
@@ -517,7 +531,7 @@ def test_cli_verify_rejects_children_that_are_not_one_block(tmp_path, capsys):
 
 
 def test_load_rejects_short_child_block(lin_oracle):
-    doc = result_to_document(small_result(lin_oracle), RunManifest(command="test"))
+    doc = _listed(result_to_document(small_result(lin_oracle), RunManifest(command="test")))
     tree = doc["tree"]
     last = len(tree["parent"]) - 1
     for column in ("parent", "sample_index", "sample_x", "sample_xp", "label"):
@@ -837,6 +851,21 @@ def test_cli_synth_takes_file_names_that_are_not_utf8(tmp_path, capsys):
     assert main(["-q", "verify", str(result)]) == 0
 
 
+def test_cli_synth_summary_is_strict_json_for_a_name_that_is_not_utf8(tmp_path, capsys):
+    # The summary wrote such a name as a lone surrogate escape, which a
+    # strict parser refuses; its bytes are written with backslash escapes,
+    # as in the manifest's command.
+    data = tmp_path / "d.csv"
+    result = tmp_path / os.fsdecode(b"r\xff.json")
+    assert main(["-q", "gen", "--system", "linear2d", "--m", "300", "--seed", "1",
+                 "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["-q", "synth", "--data", str(data), "--system", "linear2d",
+                 "--lipschitz", "0.8225", "--tau", "0.05", "--out", str(result)]) == 0
+    summary = orjson.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert summary["out"] == f"{tmp_path}{os.sep}r\\xff.json"
+
+
 def test_cli_report_exit_codes(tmp_path, capsys):
     # No result files is a usage error (2); result files that are all
     # unreadable are a data fault (3).  Both name the directory.
@@ -990,6 +1019,22 @@ def test_cli_synth_rejects_bad_lipschitz(tmp_path, capsys, lipschitz):
 
 def _reject_constant(name):
     raise ValueError(f"stdout is not strict JSON: {name}")
+
+
+def test_cli_verify_refuses_a_long_integer_in_a_file_orjson_refuses(tmp_path, capsys):
+    # orjson reads an integer past 64 bits as a float, so such a sweep count
+    # is refused; the stdlib, which parses a file that orjson refuses, read
+    # it as an exact int, and the same file with a NaN beside it verified.
+    doc = _synth_linear_result(tmp_path)
+    doc["sweeps"] = 2 ** 64
+    for nan in (False, True):
+        if nan:
+            doc["manifest"]["dataset_meta"]["x"] = float("nan")
+        result = tmp_path / f"bad-{nan}.json"
+        result.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["-q", "verify", str(result)]) == 3
+        assert "sweeps 1.8446744073709552e+19 is not a JSON integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key,value", [
@@ -1200,9 +1245,11 @@ def test_radii_stepped_up_by_one_float_round_trip(tmp_path):
     nodes = result.tree.nodes
     plain = [
         r + max(abs(x - c) for x, c in zip(xs, cs))
-        for r, xs, cs in zip(nodes.target_radius, nodes.sample_x, nodes.target_center)
+        for r, xs, cs in zip(
+            nodes.target_radius.tolist(), nodes.sample_x.tolist(), nodes.target_center.tolist()
+        )
     ]
-    stepped = [i for i, (r, p) in enumerate(zip(nodes.radius, plain)) if r != p]
+    stepped = [i for i, (r, p) in enumerate(zip(nodes.radius.tolist(), plain)) if r != p]
     assert stepped and all(nodes.radius[i] > plain[i] for i in stepped)
     path = tmp_path / "r.json"
     save_result(path, result, RunManifest(command="test"))
@@ -1210,7 +1257,7 @@ def test_radii_stepped_up_by_one_float_round_trip(tmp_path):
     loaded = load_result(path)[1].tree.nodes
     for column in fields(Nodes):
         got, want = getattr(loaded, column.name), getattr(nodes, column.name)
-        assert list(map(_bits, got)) == list(map(_bits, want)), column.name
+        assert _column_bits(got) == _column_bits(want), column.name
 
 
 def test_cli_rejects_domain_whose_cubes_miss_by_an_ulp(tmp_path, capsys):

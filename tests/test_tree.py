@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,9 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import chebyshev, cube, exact_coverage, exact_successor, kept_cells, roots_tree
+from helpers import (
+    chebyshev,
+    cube,
+    exact_coverage,
+    exact_successor,
+    kept_cells,
+    node_columns,
+    roots_tree,
+)
 
-from pinvset.dataset import Dataset, gen_dyadic_grid, gen_uniform
+from pinvset.dataset import Dataset, gen_dyadic_grid, gen_uniform, get_system
 from pinvset.geometry import (
     CoverageClass,
     DimensionMismatchError,
@@ -19,6 +29,8 @@ from pinvset.geometry import (
     successor_corners,
     uncovered_fragments,
 )
+from pinvset.results import RunManifest, load_result, save_result
+from pinvset.synthesis import SynthConfig, UpdateMode, synthesize
 from pinvset.tree import (
     Label,
     LabelTransitionError,
@@ -41,7 +53,7 @@ def test_new_tree_linear_domain(lin_oracle):
     tree = new_tree(lin_oracle.domain, ds)
     assert len(tree.roots) == 1
     nodes, root = tree.nodes, tree.roots[0]
-    assert nodes.target_center[root] == (0.375, -0.375)
+    assert nodes.target_center[root].tolist() == [0.375, -0.375]
     assert nodes.target_radius[root] == 0.625
     assert nodes.label[root] is Label.INCLUDED
     assert nodes.parent[root] == -1 and nodes.first_child[root] == -1
@@ -61,7 +73,7 @@ def test_new_tree_sample_at_center_gives_tight_radius():
 def test_new_tree_two_roots_tile():
     ds = make_dataset([(0.5, 0.5)])
     tree = new_tree(((0.0, 0.0), (2.0, 1.0)), ds)
-    assert [tree.nodes.target_center[i] for i in tree.roots] == [(0.5, 0.5), (1.5, 0.5)]
+    assert [tree.nodes.target_center[i].tolist() for i in tree.roots] == [[0.5, 0.5], [1.5, 0.5]]
     assert tree.active_volume() == pytest.approx(2.0)
 
 
@@ -83,8 +95,8 @@ def test_divide_node_geometry():
     assert children == [1, 2, 3, 4]
     assert nodes.first_child[tree.roots[0]] == 1
     # one contiguous block, in sign-vector order
-    assert [nodes.target_center[c] for c in children] == [
-        (-0.25, -0.25), (-0.25, 0.25), (0.25, -0.25), (0.25, 0.25)
+    assert nodes.target_center[children].tolist() == [
+        [-0.25, -0.25], [-0.25, 0.25], [0.25, -0.25], [0.25, 0.25]
     ]
     assert [nodes.lo[c] for c in children][-1] == (0.0, 0.0)
     assert [nodes.hi[c] for c in children][0] == (0.0, 0.0)
@@ -105,7 +117,7 @@ def test_divide_with_grid_data_collapses_radius(nonlin_oracle):
     nodes = tree.nodes
     for i in ids:
         assert nodes.radius[i] == nodes.target_radius[i]
-        assert nodes.sample_x[i] == nodes.target_center[i]
+        assert nodes.sample_x[i].tolist() == nodes.target_center[i].tolist()
 
 
 def test_divide_non_leaf_rejected():
@@ -200,7 +212,7 @@ def test_wave_division_matches_one_leaf_at_a_time(rng):
         wave_a = a.divide(wave_a, ds)
         wave_b = [c for i in wave_b for c in b.divide([i], ds)]
         assert wave_a == wave_b
-    assert a.nodes == b.nodes
+    assert node_columns(a.nodes) == node_columns(b.nodes)
 
 
 def test_recount_matches_incremental_counters(rng):
@@ -376,12 +388,12 @@ def test_successor_below_one_ulp_is_covered():
     # point, and the float box that holds it lies inside the kept cell.
     succ = exact_successor((-0.25, -0.25), 1e-20, 0.1)
     assert [tuple(map(float, corner)) for corner in succ] == [(-0.25, -0.25)] * 2
-    ((lo, hi),) = successor_corners([(-0.25, -0.25)], 1e-20, [0.1])
+    ((lo, hi),) = successor_corners(np.array([(-0.25, -0.25)]), 1e-20, np.array([0.1]))
     assert tree.classify((lo, hi)) is CoverageClass.FULLY_COVERED
     # On the domain's face the exact box crosses it by 1e-21, and the float
     # box by its slack; the fragment past the face is cut from the float box.
     face = exact_successor((-0.5, -0.25), 1e-20, 0.1)
-    ((lo, hi),) = successor_corners([(-0.5, -0.25)], 1e-20, [0.1])
+    ((lo, hi),) = successor_corners(np.array([(-0.5, -0.25)]), 1e-20, np.array([0.1]))
     assert exact_coverage(face, kept_cells(tree)) is CoverageClass.PARTIAL
     assert tree.classify((lo, hi)) is CoverageClass.PARTIAL
     assert lo[0] < -0.5
@@ -399,7 +411,7 @@ def test_successor_across_a_face_within_its_rounding_is_open():
     tree.set_label(tree.divide(tree.roots, ds)[0], Label.EXCLUDED)
     x_plus = (math.nextafter(0.5, 0.0), 0.25)
     succ = exact_successor(x_plus, 1e-20, 0.1)
-    ((lo, hi),) = successor_corners([x_plus], 1e-20, [0.1])
+    ((lo, hi),) = successor_corners(np.array([x_plus]), 1e-20, np.array([0.1]))
     assert succ[1][0] < 0.5 < hi[0]
     assert exact_coverage(succ, kept_cells(tree)) is CoverageClass.DISJOINT
     assert tree.classify((lo, hi)) is CoverageClass.PARTIAL
@@ -417,7 +429,7 @@ def test_successor_crossing_a_face_by_less_than_an_ulp_is_partial():
     succ = exact_successor(x_plus, 1.0, radius)
     assert succ[1][0] == Fraction(1, 2) + Fraction(1, 2 ** 60)
     assert exact_coverage(succ, kept_cells(tree)) is CoverageClass.PARTIAL
-    ((lo, hi),) = successor_corners([x_plus], 1.0, [radius])
+    ((lo, hi),) = successor_corners(np.array([x_plus]), 1.0, np.array([radius]))
     assert tree.classify((lo, hi)) is CoverageClass.PARTIAL
 
 
@@ -428,8 +440,8 @@ def test_classify_across_roots():
     ds = make_dataset([(0.5, 0.5)])
     tree = new_tree(((0.0, 0.0), (4.0, 2.0)), ds)
     cells = tree.divide(tree.roots[:1], ds)
-    assert [tree.nodes.target_center[i] for i in cells] == [
-        (0.5, 0.5), (0.5, 1.5), (1.5, 0.5), (1.5, 1.5)
+    assert tree.nodes.target_center[cells].tolist() == [
+        [0.5, 0.5], [0.5, 1.5], [1.5, 0.5], [1.5, 1.5]
     ]
     tree.set_label(cells[3], Label.EXCLUDED)
     straddle = ((0.75, 0.25), (1.25, 0.75))
@@ -461,8 +473,8 @@ def _cubes_tree(lo, hi):
     tree = roots_tree(lo, hi, len(centers))
     nodes = tree.nodes
     assert tree.roots == list(range(len(centers)))
-    assert nodes.target_center == list(map(tuple, centers.tolist()))
-    assert nodes.target_radius == [radius] * len(centers)
+    assert nodes.target_center.tolist() == centers.tolist()
+    assert nodes.target_radius.tolist() == [radius] * len(centers)
     assert nodes.lo == list(map(tuple, (centers - radius).tolist()))
     assert nodes.hi == list(map(tuple, (centers + radius).tolist()))
     return tree
@@ -569,7 +581,7 @@ def test_successor_near_faces_matches_fractions_property(two_roots, data):
     scan = kept_cells(tree)
     # The float box holds the exact one, and the walk decides it exactly.
     # A settled verdict on it holds for the exact box.
-    ((lo, hi),) = successor_corners([center], lipschitz, [radius])
+    ((lo, hi),) = successor_corners(np.array([center]), lipschitz, np.array([radius]))
     box = (lo, hi)
     assert all(a <= v for a, v in zip(lo, succ[0]))
     assert all(v <= b for v, b in zip(succ[1], hi))
@@ -683,3 +695,87 @@ def test_first_children_matches_the_node_by_node_scan(column):
         assert str(got.value) == str(exc)
     else:
         assert _first_children(parents, fanout).tolist() == want
+
+
+# The array columns of the node table: name -> (dtype, whether one row is a vector).
+_ARRAY_COLUMNS = {
+    "target_center": (np.float64, True),
+    "target_radius": (np.float64, False),
+    "sample_index": (np.int64, False),
+    "sample_x": (np.float64, True),
+    "sample_xp": (np.float64, True),
+    "radius": (np.float64, False),
+}
+
+
+def _check_node_table(tree):
+    """The invariants the walk and the result file rely on: every array
+    column is C-contiguous, of its dtype and one row per node, and each
+    split cell's center, where the walk cuts it, is bit for bit the low
+    corner of its last child."""
+    nodes, n = tree.nodes, tree.dim
+    for name, (dtype, vector) in _ARRAY_COLUMNS.items():
+        column = getattr(nodes, name)
+        assert column.dtype == dtype and column.flags.c_contiguous, name
+        assert column.shape == ((len(nodes), n) if vector else (len(nodes),)), name
+    centers = nodes.target_center.tolist()
+    for i, f in enumerate(nodes.first_child):
+        if f >= 0:
+            cut = nodes.lo[f + 2 ** n - 1]
+            assert [v.hex() for v in cut] == [v.hex() for v in centers[i]], i
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from((1, 2, 3)),
+    mode=st.sampled_from(list(UpdateMode)),
+    m=st.integers(1, 40),
+    depth=st.integers(1, 6),
+    seed=st.integers(0, 2 ** 32 - 1),
+    two_roots=st.booleans(),
+)
+def test_node_table_columns_property(tmp_path_factory, n, mode, m, depth, seed, two_roots):
+    # A cube whose side is no power of two, so that the centers are
+    # rounded, or a rectangle of two root cubes; at most 6 levels in 1-D, 4
+    # in 2-D and 3 in 3-D.
+    lo, hi = (0.0,) * n, ((2.0,) + (1.0,) * (n - 1) if two_roots else (0.3,) * n)
+    side = min(hi)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(lo, hi, size=(m, n))
+    middle = (np.array(lo) + np.array(hi)) / 2.0
+    noise = rng.normal(scale=0.03 * side, size=(m, n))
+    ds = Dataset(x, middle + 0.5 * (x - middle) + noise)
+    # A bound of 1 leaves successor boxes that reach past the domain, so
+    # that there are splits.
+    tau = side / 2 ** (min(depth, 9 - 2 * n) + 1)
+    result = synthesize(new_tree((lo, hi), ds), ds, SynthConfig(1.0, tau, mode))
+    _check_node_table(result.tree)
+    # A result file gives back every array column bit for bit.
+    path = tmp_path_factory.mktemp("columns") / "r.json"
+    save_result(path, result, RunManifest(command="test"))
+    loaded = load_result(path)[1].tree
+    _check_node_table(loaded)
+    for name in _ARRAY_COLUMNS:
+        got, want = getattr(loaded.nodes, name), getattr(result.tree.nodes, name)
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_node_table_bytes_per_node():
+    # The node table of a small uniform synth, traced: each node holds its
+    # corner tuples, its list entries and one row of each array column.
+    # Measured at 369 bytes per node (5,325 nodes); with the sample pair,
+    # the center and the radii as tuples and floats in lists it was 739.
+    oracle = get_system("nonlinear2d")
+    ds = gen_uniform(oracle, 2000, 0)
+    ds.nearest(np.zeros((1, 2)))  # the NN index is the dataset's, not the tree's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = synthesize(new_tree(oracle.domain, ds), ds, SynthConfig(oracle.lipschitz, 0.01))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(result.tree.nodes) == 5325
+    assert held / len(result.tree.nodes) < 420

@@ -119,7 +119,7 @@ def test_check_fixpoint_fragment_is_uncovered(lin_oracle):
     leaf, (flo, fhi) = cert.first_failure["leaf"], cert.first_failure["fragment"]
     # The fragment is cut from the float box that holds the successor box.
     ((lo, hi),) = successor_corners(
-        [nodes.sample_xp[leaf]], res.config.lipschitz, [nodes.radius[leaf]]
+        nodes.sample_xp[[leaf]], res.config.lipschitz, nodes.radius[[leaf]]
     )
     assert all(a <= f <= g <= b for a, f, g, b in zip(lo, flo, fhi, hi))
     for lo, hi in kept_cells(tree):
