@@ -119,6 +119,17 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _count(text: str) -> int:
+    """An option's count: an integer that is not negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def _escaped(arg: str) -> str:
     """A command-line argument as JSON can carry it: a file name that is
     not UTF-8 holds surrogates, so its bytes are written with backslash
@@ -373,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-certify a result file")
     p.add_argument("result")
-    p.add_argument("--monte-carlo", type=int, default=0, metavar="SAMPLES")
-    p.add_argument("--horizon", type=int, default=50)
+    p.add_argument("--monte-carlo", type=_count, default=0, metavar="SAMPLES")
+    p.add_argument("--horizon", type=_count, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--system", help="oracle for the Monte Carlo check")
     p.set_defaults(func=cmd_verify)

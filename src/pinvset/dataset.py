@@ -220,8 +220,8 @@ def dyadic_grid_points(domain: Rect, tau: float) -> np.ndarray:
     grid of more than ``MAX_GRID_POINTS`` points is refused with a
     ValueError before any level is built.
     """
-    if not tau > 0.0:
-        raise ValueError(f"resolution floor must be positive, got {tau}")
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"resolution floor must be positive and finite, got {tau}")
     centers, root_radius = rect_to_cubes(*domain)
     depth, radius = 1, root_radius / 2.0
     while radius >= tau:

@@ -52,13 +52,14 @@ def render_tree_svg(tree: PartitionTree, overlay: Sequence[Sequence[float]] | No
         'fill="#ffffff"/>',
     ]
     stroke_w = _fmt(max(0.2, scale * 1e-4))
+    labels = nodes.label.tolist()  # Python ints: FILL's keys compare cheaply
     for i in tree.iter_leaves():
         lo, hi = nodes.lo[i], nodes.hi[i]
         w = _fmt((hi[0] - lo[0]) * scale)
         h = _fmt((hi[1] - lo[1]) * scale)
         parts.append(
             f'<rect x="{sx(lo[0])}" y="{sy(hi[1])}" width="{w}" '
-            f'height="{h}" fill="{FILL[nodes.label[i]]}" stroke="#444444" '
+            f'height="{h}" fill="{FILL[labels[i]]}" stroke="#444444" '
             f'stroke-width="{stroke_w}"/>'
         )
     if overlay:

@@ -55,16 +55,12 @@ class RunManifest:
         return asdict(self)
 
 
-_LABELS = {label.value: label for label in Label}
-
-
-def _labels(column: list[int]) -> list[Label]:
-    """The labels of a column of integers, looked up in a table: a
-    ``Label(v)`` call per node costs many times more."""
-    labels = list(map(_LABELS.get, column))
-    if None in labels:
-        Label(column[labels.index(None)])  # raises: "... is not a valid Label"
-    return labels
+def _labels(column: list[int]) -> np.ndarray:
+    """A column of integers as an int8 array, if each is a ``Label``
+    value, an integer from -1 to 1."""
+    if not -1 <= min(column) <= max(column) <= 1:
+        Label(next(v for v in column if not -1 <= v <= 1))  # raises: "... is not a valid Label"
+    return np.array(column, dtype=np.int8)
 
 
 def _vectors(column: list[list]) -> np.ndarray:
@@ -76,9 +72,9 @@ def _indices(column: list[int]) -> np.ndarray:
 
 
 # The node columns a result file stores, in file order, and how each is
-# read back from its JSON list into the type ``tree.Nodes`` holds: an array
-# of vectors or of integers, a list of integers or of labels.  The cells
-# and the radii are not stored: ``from_columns`` derives them.
+# read back from its JSON list into the type ``tree.Nodes`` holds: a list
+# of integers, or an array of integers, vectors or labels.  The cells and
+# the radii are not stored: ``from_columns`` derives them.
 _PARSE = {
     "parent": list,
     "sample_index": _indices,
@@ -90,11 +86,8 @@ _PARSE = {
 
 def _tree_to_dict(tree: PartitionTree) -> dict:
     # ``save_result`` writes the array columns with OPT_SERIALIZE_NUMPY,
-    # as the same numbers as lists of their floats and integers.  The
-    # labels are plain integers, as the loader requires.
-    nodes = tree.nodes
-    columns = {key: getattr(nodes, key) for key in _PARSE}
-    columns["label"] = list(map(int, nodes.label))
+    # as the same numbers as lists of their floats and integers.
+    columns = {key: getattr(tree.nodes, key) for key in _PARSE}
     return {"root_bounds": list(map(list, tree.root_bounds)), **columns}
 
 

@@ -9,13 +9,15 @@ children after every existing node as one contiguous block in sign-vector
 order.  Leaves carry a membership label with respect to the live candidate
 set; interior nodes are purely structural.
 
-A column that the walks read one node at a time is a list: the corners
-``lo``/``hi`` (tuples), the parent, the first child, the label and the
-status, where a list index is the cheapest read.  Every other column, the
-target center and radius, the sample pair, its index and the ball radius,
-is a numpy array, read a wave or a leaf set at a time and grown once per
-wave.  The walk needs no center: a split cell's center is the low corner
-of its last child, the one of sign vector (+1, ..., +1).
+One rule says how a column is stored: a list where the walks read it one
+node at a time, a numpy array otherwise.  The lists are the corners
+``lo``/``hi`` (tuples), the parent, the first child and the status, where
+a list index is the cheapest read.  The arrays are the target center and
+radius, the sample pair, its index, the ball radius and the label, read a
+wave or a leaf set at a time and grown once per wave.  The walk needs no
+center: a split cell's center is the low corner of its last child, the one
+of sign vector (+1, ..., +1).  A single label is read as a Python int: a
+numpy scalar compared with a ``Label`` costs many times more.
 
 The roots are the cubes ``rect_to_cubes`` cuts from one rectangle,
 ``root_bounds``, whose faces tile it exactly; a root's corners ``lo``/``hi``
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -90,8 +91,9 @@ class LabelTransitionError(ValueError):
 class Nodes:
     """The node table: row i of each column is node i.  The vector columns
     are C-contiguous (k, n) float64 arrays, ``target_radius`` and ``radius``
-    (k,) float64 arrays and ``sample_index`` a (k,) int64 array; the rest
-    are lists (see the module docstring)."""
+    (k,) float64 arrays, ``sample_index`` a (k,) int64 array and ``label``
+    a (k,) int8 array of ``Label`` values; the rest are lists (see the
+    module docstring)."""
 
     parent: list[int]
     first_child: list[int]
@@ -103,7 +105,7 @@ class Nodes:
     sample_x: np.ndarray
     sample_xp: np.ndarray
     radius: np.ndarray
-    label: list[Label]
+    label: np.ndarray
     status: list[bool | None]  # all / no / some leaves included
 
     @classmethod
@@ -112,7 +114,8 @@ class Nodes:
         return cls(
             parent=[], first_child=[], target_center=vectors, target_radius=np.empty(0),
             lo=[], hi=[], sample_index=np.empty(0, dtype=np.int64), sample_x=vectors,
-            sample_xp=vectors, radius=np.empty(0), label=[], status=[],
+            sample_xp=vectors, radius=np.empty(0), label=np.empty(0, dtype=np.int8),
+            status=[],
         )
 
     def __len__(self) -> int:
@@ -216,9 +219,9 @@ class PartitionTree:
     @classmethod
     def from_columns(cls, root_bounds: Rect, **columns) -> PartitionTree:
         """A tree over the rectangle ``root_bounds`` from the stored columns
-        of its node table: the lists ``parent`` and ``label``, and
-        ``sample_index``, ``sample_x`` and ``sample_xp``, stored as arrays
-        of the ``Nodes`` types (with no copy when they already are).
+        of its node table: the list ``parent``, and ``sample_index``,
+        ``sample_x``, ``sample_xp`` and ``label``, stored as arrays of the
+        ``Nodes`` types (with no copy when they already are).
         Every cell and radius is derived as
         ``new_tree`` and ``divide`` make it: the roots, in node order, are
         the cubes ``rect_to_cubes`` cuts from ``root_bounds`` (a tree with
@@ -232,16 +235,15 @@ class PartitionTree:
         except ValueError as exc:
             raise ValueError(f"root_bounds: {exc}") from None
         tree = cls(root_bounds)
-        parent, label = columns["parent"], columns["label"]
+        parent = columns["parent"]
+        label = np.ascontiguousarray(columns["label"], dtype=np.int8)
         first = _first_children(parent, tree.fanout)
         # ``divide`` splits only INCLUDED leaves, and ``set_label`` relabels
         # only leaves.
-        included = Label.INCLUDED  # one enum lookup, not one per node
-        split = next(
-            (i for i in np.flatnonzero(first >= 0).tolist() if label[i] is not included), None
-        )
-        if split is not None:
-            raise TreeStructureError(f"node {split} is split but {label[split].name}")
+        split = np.flatnonzero((first >= 0) & (label != Label.INCLUDED))
+        if len(split):
+            i = int(split[0])
+            raise TreeStructureError(f"node {i} is split but {Label(int(label[i])).name}")
         tree.roots = roots = [i for i, p in enumerate(parent) if p == -1]
         if len(roots) != len(root_centers):
             raise TreeStructureError(
@@ -305,11 +307,11 @@ class PartitionTree:
         nodes.sample_x = np.concatenate([nodes.sample_x, xs])
         nodes.sample_xp = np.concatenate([nodes.sample_xp, dataset.x_plus[idx]])
         nodes.radius = np.concatenate([nodes.radius, radius])
+        nodes.label = np.concatenate([nodes.label, np.full(k, Label.INCLUDED, dtype=np.int8)])
         nodes.parent += parents
         nodes.first_child += [-1] * k
         nodes.lo += _rows(lo)
         nodes.hi += _rows(hi)
-        nodes.label += [Label.INCLUDED] * k
         nodes.status += [True] * k
         return list(range(first, first + k))
 
@@ -324,8 +326,8 @@ class PartitionTree:
         """
         nodes = self.nodes
         ids = list(ids)
-        for i in ids:
-            if nodes.first_child[i] >= 0 or nodes.label[i] is not Label.INCLUDED:
+        for i, label in zip(ids, nodes.label[ids].tolist()):
+            if nodes.first_child[i] >= 0 or label != Label.INCLUDED:
                 raise TreeStructureError(f"node {i} is not a live leaf; only those divide")
         if len(set(ids)) != len(ids):
             raise TreeStructureError("a leaf can be divided only once")
@@ -357,12 +359,12 @@ class PartitionTree:
         nodes = self.nodes
         if nodes.first_child[node_id] >= 0:
             raise TreeStructureError(f"node {node_id} is not a leaf")
-        old = nodes.label[node_id]
-        if label is old:
+        old = int(nodes.label[node_id])
+        if old == label:
             return
-        if old is not Label.INCLUDED:
+        if old != Label.INCLUDED:
             raise LabelTransitionError(
-                f"leaf {node_id} is {old.name} and cannot become {label.name}"
+                f"leaf {node_id} is {Label(old).name} and cannot become {label.name}"
             )
         nodes.label[node_id] = label
         status, parent, first_child = nodes.status, nodes.parent, nodes.first_child
@@ -385,8 +387,7 @@ class PartitionTree:
         """
         nodes = self.nodes
         k = self.fanout
-        included = Label.INCLUDED
-        status = [label is included for label in nodes.label]
+        status = (nodes.label == Label.INCLUDED).tolist()
         first_child = nodes.first_child
         for i in reversed([i for i, f in enumerate(first_child) if f >= 0]):
             f = first_child[i]
@@ -415,8 +416,7 @@ class PartitionTree:
         """The included leaves, in ``iter_leaves`` order; a subtree whose
         status says it holds none is skipped at its root."""
         nodes = self.nodes
-        label, status, first_child = nodes.label, nodes.status, nodes.first_child
-        included = Label.INCLUDED  # one enum lookup, not one per leaf
+        status, first_child = nodes.status, nodes.first_child
         k = self.fanout
         out = []
         stack = list(reversed(self.roots))
@@ -426,8 +426,7 @@ class PartitionTree:
                 continue
             f = first_child[i]
             if f < 0:
-                if label[i] is included:
-                    out.append(i)
+                out.append(i)  # a leaf's status is whether it is included
             else:
                 stack.extend(range(f + k - 1, f - 1, -1))
         return out
@@ -435,30 +434,18 @@ class PartitionTree:
     def n_included(self) -> int:
         """The number of included leaves; every split node is INCLUDED."""
         nodes = self.nodes
-        return nodes.label.count(Label.INCLUDED) - (len(nodes) - nodes.first_child.count(-1))
+        split = len(nodes) - nodes.first_child.count(-1)
+        return int(np.count_nonzero(nodes.label == Label.INCLUDED)) - split
 
     def active_volume(self) -> float:
-        # One scan of the node table: fsum is exactly rounded, so the
-        # leaves' order does not change the sum.
+        # fsum is exactly rounded, so the leaves' order does not change the sum.
+        kept = (np.array(self.nodes.first_child) < 0) & (self.nodes.label == Label.INCLUDED)
         n = self.dim
-        included = Label.INCLUDED
-        nodes = self.nodes
-        return math.fsum([
-            (2.0 * r) ** n
-            for r, f, label in zip(nodes.target_radius.tolist(), nodes.first_child, nodes.label)
-            if f < 0 and label is included
-        ])
+        return math.fsum([(2.0 * r) ** n for r in self.nodes.target_radius[kept].tolist()])
 
     def leaf_counts(self) -> dict[str, int]:
-        nodes = self.nodes
-        labels = Counter([
-            label for label, f in zip(nodes.label, nodes.first_child) if f < 0
-        ])
-        return {
-            "included": labels[Label.INCLUDED],
-            "excluded": labels[Label.EXCLUDED],
-            "unknown": labels[Label.UNKNOWN],
-        }
+        labels = self.nodes.label[np.array(self.nodes.first_child) < 0]
+        return {label.name.lower(): int(np.count_nonzero(labels == label)) for label in Label}
 
     def min_root_radius(self) -> float:
         return float(self.nodes.target_radius[self.roots[0]])  # the roots are equal cubes

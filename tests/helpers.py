@@ -49,7 +49,7 @@ def kept_cells(tree) -> list[Rect]:
     return [
         (nodes.lo[i], nodes.hi[i])
         for i in tree.iter_leaves()
-        if nodes.label[i] is Label.INCLUDED
+        if nodes.label[i] == Label.INCLUDED
     ]
 
 

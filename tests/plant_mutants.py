@@ -133,6 +133,12 @@ MUTANTS = (
            ("tests/test_tree.py::test_classify_across_roots",
             "tests/test_tree.py::test_tree_coverage_matches_plain_scan_property"),
            "the walk cuts a split cell at its first child's low corner, not its center"),
+    Mutant("src/pinvset/tree.py",
+           "        status = (nodes.label == Label.INCLUDED).tolist()",
+           "        status = (nodes.label != Label.EXCLUDED).tolist()",
+           ("tests/test_tree.py::test_status_follows_the_leaf_labels_property",
+            "tests/test_verify.py::test_check_fixpoint_passes_on_synthesized"),
+           "recount seeds an UNKNOWN leaf as included, so a loaded tree covers with it"),
 )
 
 _NOT_COPIED = shutil.ignore_patterns(

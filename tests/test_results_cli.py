@@ -217,7 +217,22 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["-q", "gen", "--system", "linear2d", "--domain=0,0:1e9,1", "--m", "10",
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert "needs more than 65536 cubes of side 1.0" in capsys.readouterr().err
+    # A grid's resolution floor must be finite: tau=inf wrote a one-point grid.
+    assert main(["-q", "gen", "--system", "linear2d", "--mode", "grid", "--tau", "inf",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert "resolution floor must be positive and finite, got inf" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("option", ["--horizon", "--monte-carlo"])
+def test_cli_verify_refuses_a_negative_count_as_it_parses(tmp_path, capsys, option):
+    # --horizon -1 verified with exit 0 when the Monte Carlo pass was off.
+    # Now it is refused before the file is read: a missing file exits 2,
+    # where a count of 0 reaches the load and exits 3.
+    missing = str(tmp_path / "missing.json")
+    assert main(["-q", "verify", missing, option, "-1"]) == 2
+    assert f"argument {option}: must not be negative, got -1" in capsys.readouterr().err
+    assert main(["-q", "verify", missing, option, "0"]) == 3
 
 
 def test_cli_gen_refuses_a_grid_too_large_before_building_it(tmp_path, capsys, monkeypatch):

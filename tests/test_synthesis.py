@@ -161,10 +161,10 @@ def test_label_history_is_monotone(lin_oracle, monkeypatch):
     synthesize(tree, ds, SynthConfig(lipschitz=lin_oracle.lipschitz, tau=0.02))
     assert relabels
     for _, old, new in relabels:
-        assert old is Label.INCLUDED and new in (Label.EXCLUDED, Label.UNKNOWN)
+        assert old == Label.INCLUDED and new in (Label.EXCLUDED, Label.UNKNOWN)
     leaves = [node for node, _, _ in relabels]
     assert len(set(leaves)) == len(leaves)  # each leaf changes once
-    assert all(tree.nodes.label[node] is new for node, _, new in relabels)
+    assert all(tree.nodes.label[node] == new for node, _, new in relabels)
 
 
 def test_sequential_determinism(lin_oracle):
@@ -420,7 +420,7 @@ def test_synthesize_matches_the_reference(n, domain, lattice, m, contraction, li
     assert hexed(nodes.target_center.tolist()) == hexed([c.center for c in cells])
     assert [r.hex() for r in nodes.radius.tolist()] == [c.radius.hex() for c in cells]
     assert nodes.sample_index.tolist() == [c.sample for c in cells]
-    assert nodes.label == [c.label for c in cells]
+    assert nodes.label.tolist() == [c.label for c in cells]
 
 
 _SLOPES = st.integers(6, 19).map(lambda k: k / 16) | st.integers(-19, -6).map(lambda k: k / 16)

@@ -55,7 +55,7 @@ def test_new_tree_linear_domain(lin_oracle):
     nodes, root = tree.nodes, tree.roots[0]
     assert nodes.target_center[root].tolist() == [0.375, -0.375]
     assert nodes.target_radius[root] == 0.625
-    assert nodes.label[root] is Label.INCLUDED
+    assert nodes.label[root] == Label.INCLUDED
     assert nodes.parent[root] == -1 and nodes.first_child[root] == -1
     assert nodes.radius[root] == pytest.approx(
         0.625 + chebyshev(nodes.target_center[root], nodes.sample_x[root])
@@ -102,7 +102,7 @@ def test_divide_node_geometry():
     assert [nodes.hi[c] for c in children][0] == (0.0, 0.0)
     for c in children:
         assert nodes.target_radius[c] == 0.25
-        assert nodes.label[c] is Label.INCLUDED
+        assert nodes.label[c] == Label.INCLUDED
         assert nodes.parent[c] == tree.roots[0] and nodes.first_child[c] == -1
     # nearest sample at (0.3, 0.3): the (+,+) child gets r = 0.25 + 0.05
     assert nodes.radius[children[-1]] == pytest.approx(0.3)
@@ -156,9 +156,9 @@ def test_label_transitions():
     tree = new_tree(square_domain(), ds)
     leaf = tree.roots[0]
     tree.set_label(leaf, Label.INCLUDED)  # re-confirmation is a no-op
-    assert tree.nodes.label[leaf] is Label.INCLUDED and tree.n_included() == 1
+    assert tree.nodes.label[leaf] == Label.INCLUDED and tree.n_included() == 1
     tree.set_label(leaf, Label.EXCLUDED)
-    assert tree.nodes.label[leaf] is Label.EXCLUDED and tree.n_included() == 0
+    assert tree.nodes.label[leaf] == Label.EXCLUDED and tree.n_included() == 0
     with pytest.raises(LabelTransitionError):
         tree.set_label(leaf, Label.INCLUDED)
     with pytest.raises(LabelTransitionError):
@@ -180,7 +180,7 @@ def test_tiling_preserved_under_division(rng):
     for _ in range(40):
         leaves = [i for i in tree.iter_leaves()]
         i = int(rng.choice(leaves))
-        if tree.nodes.label[i] is Label.INCLUDED:
+        if tree.nodes.label[i] == Label.INCLUDED:
             tree.divide([i], ds)
         leaf_vol = math.fsum(
             (2 * tree.nodes.target_radius[j]) ** 2 for j in tree.iter_leaves()
@@ -242,7 +242,7 @@ def _status_by_definition(tree):
 
     status = []
     for i in range(len(nodes)):
-        kept = {nodes.label[j] is Label.INCLUDED for j in leaves(i)}
+        kept = {nodes.label[j] == Label.INCLUDED for j in leaves(i)}
         status.append(kept.pop() if len(kept) == 1 else None)
     return status
 
@@ -283,7 +283,7 @@ def test_status_follows_the_leaf_labels_property(n, two_roots, steps):
         assert tree.nodes.status == want
         assert tree.n_included() == len(tree.active_leaves())
         label = tree.nodes.label
-        assert tree.active_leaves() == [i for i in tree.iter_leaves() if label[i] is Label.INCLUDED]
+        assert tree.active_leaves() == [i for i in tree.iter_leaves() if label[i] == Label.INCLUDED]
 
 
 def test_children_halve_resolution():
@@ -705,6 +705,7 @@ _ARRAY_COLUMNS = {
     "sample_x": (np.float64, True),
     "sample_xp": (np.float64, True),
     "radius": (np.float64, False),
+    "label": (np.int8, False),
 }
 
 
@@ -723,6 +724,23 @@ def _check_node_table(tree):
         if f >= 0:
             cut = nodes.lo[f + 2 ** n - 1]
             assert [v.hex() for v in cut] == [v.hex() for v in centers[i]], i
+
+
+def _check_leaf_queries(tree):
+    """The leaf queries, which read the label column as a whole, equal
+    their definitions read one leaf at a time."""
+    nodes = tree.nodes
+    labels = {i: Label(int(nodes.label[i])) for i in tree.iter_leaves()}
+    kept = [i for i, label in labels.items() if label is Label.INCLUDED]
+    assert tree.active_leaves() == kept
+    assert tree.n_included() == len(kept)
+    assert list(tree.leaf_counts().items()) == [
+        ("included", len(kept)),
+        ("excluded", sum(label is Label.EXCLUDED for label in labels.values())),
+        ("unknown", sum(label is Label.UNKNOWN for label in labels.values())),
+    ]
+    radii = nodes.target_radius.tolist()
+    assert tree.active_volume() == math.fsum((2.0 * radii[i]) ** tree.dim for i in kept)
 
 
 @settings(max_examples=40, deadline=None)
@@ -748,13 +766,17 @@ def test_node_table_columns_property(tmp_path_factory, n, mode, m, depth, seed, 
     # A bound of 1 leaves successor boxes that reach past the domain, so
     # that there are splits.
     tau = side / 2 ** (min(depth, 9 - 2 * n) + 1)
-    result = synthesize(new_tree((lo, hi), ds), ds, SynthConfig(1.0, tau, mode))
+    tree = new_tree((lo, hi), ds)
+    _check_node_table(tree)
+    result = synthesize(tree, ds, SynthConfig(1.0, tau, mode))
     _check_node_table(result.tree)
+    _check_leaf_queries(result.tree)
     # A result file gives back every array column bit for bit.
     path = tmp_path_factory.mktemp("columns") / "r.json"
     save_result(path, result, RunManifest(command="test"))
     loaded = load_result(path)[1].tree
     _check_node_table(loaded)
+    _check_leaf_queries(loaded)
     for name in _ARRAY_COLUMNS:
         got, want = getattr(loaded.nodes, name), getattr(result.tree.nodes, name)
         assert got.tobytes() == want.tobytes(), name
